@@ -64,7 +64,7 @@ func cmdServe(args []string) error {
 	clientSeed := fs.Int64("client-seed", 100, "selftest: client i simulates seed client-seed+i")
 	clientFactor := fs.Float64("client-factor", 3, "selftest: periodic CPU perturbation factor per client (1 = clean)")
 	refDur := fs.Duration("ref-duration", 30*time.Second, "selftest: reference run length when learning in-process (no model file)")
-	fastKernels := fs.Bool("fast-kernels", false, "in-process learned models (selftest / missing -model) score through precomputed-log KL-family kernels (~1e-9 relative error, several times faster); file-loaded models keep their saved setting")
+	fastKernels := fs.Bool("fast-kernels", false, "in-process learned models (selftest / missing -model) score through precomputed-log KL-family kernels (~1e-9 relative error, about twice as fast as the bit-exact default); file-loaded models keep their saved setting")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

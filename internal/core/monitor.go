@@ -93,10 +93,9 @@ type Config struct {
 	// quantile like 0.99 only catches regime edges).
 	GateAutoQuantile float64
 	// FastKernels opts the LOF index into the precomputed-log KL-family
-	// row kernels (see lof.FitOptions.FastKernels): several times faster
-	// per score, approximate within ~1e-9 relative of the exact kernels.
-	// High-rate serving wants this on; offline eval keeps the bit-exact
-	// default. No-op for non-KL-family LOF distances and under UseVPTree.
+	// row kernels (see lof.FitOptions.FastKernels): about twice as fast
+	// per score as the bit-exact default (which filters through float32
+	// logs), approximate within ~1e-9 relative of the exact kernels. No-op for non-KL-family LOF distances and under UseVPTree.
 	FastKernels bool
 }
 

@@ -28,11 +28,6 @@ type Distance struct {
 	// row, but cache-friendly and free of per-pair call overhead. Use
 	// RowsOf, which falls back to a generic loop when Rows is nil.
 	Rows RowsFunc
-	// RowsBatch, when non-nil, is the many-queries-vs-many-rows form:
-	// bit-for-bit equal to calling Rows per query, but sweeping each
-	// matrix row once per batch. Use RowsBatchOf, which falls back to a
-	// per-query loop when RowsBatch is nil.
-	RowsBatch RowsBatchFunc
 }
 
 // eps guards logarithms and divisions against zero components when callers
@@ -154,7 +149,7 @@ func assertSameLen(p, q []float64) {
 // Catalog of named distances, used by command-line flags and ablations.
 var catalog = map[string]Distance{
 	"kl":        {Name: "kl", F: KL, Metric: false, Rows: KLRows},
-	"symkl":     {Name: "symkl", F: SymmetricKL, Metric: false, Rows: SymmetricKLRows, RowsBatch: SymmetricKLRowsBatch},
+	"symkl":     {Name: "symkl", F: SymmetricKL, Metric: false, Rows: SymmetricKLRows},
 	"jsd":       {Name: "jsd", F: JensenShannon, Metric: false, Rows: JensenShannonRows},
 	"jsdist":    {Name: "jsdist", F: JensenShannonDist, Metric: true, Rows: JensenShannonDistRows},
 	"hellinger": {Name: "hellinger", F: Hellinger, Metric: true, Rows: HellingerRows},

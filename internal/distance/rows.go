@@ -11,17 +11,20 @@ import (
 // doing it through a flat matrix keeps the reference data contiguous in
 // cache and removes the per-pair closure call of the scalar Func.
 //
-// Two tiers exist:
+// Three tiers exist:
 //
 //   - RowsOf returns an exact kernel: bit-for-bit identical to calling the
-//     scalar Func row by row (same operations in the same order), so the
-//     monitor's default path produces byte-identical reports before and
-//     after the flat-matrix refactor.
-//   - LogRows precomputes per-row logarithms for the KL family (kl,
-//     symkl), removing every math.Log call from the per-row inner loop.
-//     It is approximate in the last ulps (log(p/q) != log p - log q in
-//     floating point), so it is reserved for the condensed reference sets,
-//     which are approximate by construction.
+//     scalar Func row by row (same operations in the same order). It is
+//     the reference every other form is tested against and the only row
+//     form of the distances with no log to hoist.
+//   - LogRows precomputes per-element logarithms for the KL family (kl,
+//     symkl, jsd), removing every (jsd: half the) math.Log calls from the
+//     per-row inner loop. It is approximate in the last ulps (log(p/q) !=
+//     log p - log q in floating point) and backs the opt-in approximate
+//     paths: FastKernels models and condensed reference sets.
+//   - FilterRows runs the same kernels over float32 logs and returns, with
+//     the approximate distances, a proven bound on their error — the
+//     filter half of the exact k-NN's filter-and-refine (lof.BruteIndex).
 
 // RowsFunc computes the distance from q to each row of the flat row-major
 // matrix rows (len(rows) must be a multiple of dim) and writes the i-th
@@ -126,83 +129,6 @@ func SymmetricKLRows(q, rows []float64, dim int, out []float64) {
 	}
 }
 
-// RowsBatchFunc scores a batch of queries against every row of a flat
-// matrix in one pass: qs is nq query vectors flattened row-major, and the
-// result is query-major, out[k*nrows+i] = d(q_k, row_i). Batched kernels
-// iterate row-outer/query-inner so each matrix row is loaded into cache
-// once per batch instead of once per query.
-type RowsBatchFunc func(qs, rows []float64, dim, nq int, out []float64)
-
-// RowsBatchOf returns the batched row kernel of d: bit-for-bit equal to
-// invoking RowsOf(d) per query. Distances without a specialised batch
-// kernel fall back to a per-query loop (correct, but without the
-// row-amortization).
-func RowsBatchOf(d Distance) RowsBatchFunc {
-	if d.RowsBatch != nil {
-		return d.RowsBatch
-	}
-	rows := RowsOf(d)
-	return func(qs, flat []float64, dim, nq int, out []float64) {
-		checkRowsBatch(qs, flat, dim, nq, out)
-		n := len(flat) / dim
-		for k := 0; k < nq; k++ {
-			rows(qs[k*dim:(k+1)*dim], flat, dim, out[k*n:(k+1)*n])
-		}
-	}
-}
-
-func checkRowsBatch(qs, rows []float64, dim, nq int, out []float64) {
-	if dim <= 0 || len(rows)%dim != 0 {
-		panic(fmt.Sprintf("distance: matrix length %d not a multiple of dim %d", len(rows), dim))
-	}
-	if len(qs) != nq*dim {
-		panic(fmt.Sprintf("distance: query batch length %d != %d queries × dim %d", len(qs), nq, dim))
-	}
-	if len(out) != nq*(len(rows)/dim) {
-		panic(fmt.Sprintf("distance: out length %d != %d queries × %d rows", len(out), nq, len(rows)/dim))
-	}
-}
-
-// SymmetricKLRowsBatch is the batched exact symkl kernel. Each matrix row
-// is swept once for the whole query batch; the per-(query, row) arithmetic
-// is identical to SymmetricKLRows, so the results are bit-for-bit equal to
-// the per-query kernel whatever the batch size.
-func SymmetricKLRowsBatch(qs, rows []float64, dim, nq int, out []float64) {
-	checkRowsBatch(qs, rows, dim, nq, out)
-	n := len(rows) / dim
-	for i := 0; i < n; i++ {
-		row := rows[i*dim : (i+1)*dim]
-		for k := 0; k < nq; k++ {
-			q := qs[k*dim : (k+1)*dim]
-			var fwd, rev float64
-			for j, pj := range q {
-				rj := row[j]
-				if pj > 0 {
-					qj := rj
-					if qj < eps {
-						qj = eps
-					}
-					fwd += pj * math.Log(pj/qj)
-				}
-				if rj > 0 {
-					qj := pj
-					if qj < eps {
-						qj = eps
-					}
-					rev += rj * math.Log(rj/qj)
-				}
-			}
-			if fwd < 0 {
-				fwd = 0
-			}
-			if rev < 0 {
-				rev = 0
-			}
-			out[k*n+i] = fwd + rev
-		}
-	}
-}
-
 // JensenShannonRows is the exact row form of JensenShannon.
 func JensenShannonRows(q, rows []float64, dim int, out []float64) {
 	checkRows(q, rows, dim, out)
@@ -294,7 +220,7 @@ func ChiSquareRows(q, rows []float64, dim int, out []float64) {
 	}
 }
 
-// LogRows precomputes per-element floored logarithms of a reference
+// logTable precomputes per-element floored logarithms of a reference
 // matrix, enabling KL-family row kernels with no math.Log call in the
 // per-row inner loop. With L[i] = log(max(x_i, eps)):
 //
@@ -307,47 +233,64 @@ func ChiSquareRows(q, rows []float64, dim int, out []float64) {
 // ignores, so eliminating the zero-skip branches changes no result bit);
 // the jsd form halves the logs per element by precomputing both negentropy
 // halves. The results differ from the scalar kernels in the last ulps (and
-// for components in (0, eps), which smoothed pmfs never produce), so
-// LogRows backs only opt-in paths: condensed reference sets — approximate
-// by construction — and models fitted with FastKernels; the default path
-// uses the exact kernels above.
-type LogRows struct {
+// for components in (0, eps), which smoothed pmfs never produce).
+//
+// T is the storage type of the logs, so the three kernel loops have one
+// source: float64 in LogRows, float32 in FilterRows.
+type logTable[T float32 | float64] struct {
 	dim    int
 	rows   []float64 // the reference matrix, retained
-	logs   []float64 // log(max(rows[i], eps)), elementwise
-	negent []float64 // per row i: Σ_j row_ij · logs_ij (the jsd row-entropy half)
+	logs   []T       // log(max(rows[i], eps)), elementwise; nil when only jsd is served
+	negent []float64 // per row i: Σ_j row_ij · log(max(row_ij, eps)); nil when jsd is not served
 }
+
+// LogRows is the float64 log table behind the opt-in approximate paths:
+// models fitted with FastKernels and condensed reference sets, which are
+// approximate by construction. The default exact path uses FilterRows.
+type LogRows = logTable[float64]
 
 // NewLogRows builds the log table over a flat row-major matrix. The matrix
 // is retained, not copied; it must not be mutated afterwards.
 func NewLogRows(rows []float64, dim int) *LogRows {
+	return newLogTable[float64](rows, dim, true, true)
+}
+
+func newLogTable[T float32 | float64](rows []float64, dim int, logs, negent bool) *logTable[T] {
 	if dim <= 0 || len(rows)%dim != 0 {
 		panic(fmt.Sprintf("distance: matrix length %d not a multiple of dim %d", len(rows), dim))
 	}
-	logs := make([]float64, len(rows))
-	for i, x := range rows {
-		if x < eps {
-			x = eps
-		}
-		logs[i] = math.Log(x)
+	t := &logTable[T]{dim: dim, rows: rows}
+	if logs {
+		t.logs = make([]T, len(rows))
 	}
-	n := len(rows) / dim
-	negent := make([]float64, n)
-	for i := 0; i < n; i++ {
+	if negent {
+		t.negent = make([]float64, len(rows)/dim)
+	}
+	for i := 0; i < len(rows); i += dim {
 		var s float64
-		for j := 0; j < dim; j++ {
-			s += rows[i*dim+j] * logs[i*dim+j]
+		for j, x := range rows[i : i+dim] {
+			lx := x
+			if lx < eps {
+				lx = eps
+			}
+			l := math.Log(lx)
+			if logs {
+				t.logs[i+j] = T(l)
+			}
+			s += x * l
 		}
-		negent[i] = s
+		if negent {
+			t.negent[i/dim] = s
+		}
 	}
-	return &LogRows{dim: dim, rows: rows, logs: logs, negent: negent}
+	return t
 }
 
 // Len returns the number of rows in the table.
-func (t *LogRows) Len() int { return len(t.rows) / t.dim }
+func (t *logTable[T]) Len() int { return len(t.rows) / t.dim }
 
 // Dim returns the row dimensionality.
-func (t *LogRows) Dim() int { return t.dim }
+func (t *logTable[T]) Dim() int { return t.dim }
 
 // QueryLogs fills qlogs[i] = log(max(q[i], eps)) — the per-query half of
 // the precomputation, done once per query instead of once per row.
@@ -368,7 +311,7 @@ func QueryLogs(q, qlogs []float64) {
 // multiply-add: a zero q component contributes pj·diff = ±0, which leaves
 // every IEEE partial sum unchanged, so skipping the old pj > 0 test is
 // value-identical and lets the loop pipeline.
-func (t *LogRows) KLRows(q, qlogs, out []float64) {
+func (t *logTable[T]) KLRows(q, qlogs, out []float64) {
 	checkRows(q, t.rows, t.dim, out)
 	dim := t.dim
 	for i := range out {
@@ -376,7 +319,7 @@ func (t *LogRows) KLRows(q, qlogs, out []float64) {
 		logs := t.logs[base : base+dim]
 		var d float64
 		for j, pj := range q {
-			d += pj * (qlogs[j] - logs[j])
+			d += pj * (qlogs[j] - float64(logs[j]))
 		}
 		if d < 0 {
 			d = 0
@@ -389,7 +332,7 @@ func (t *LogRows) KLRows(q, qlogs, out []float64) {
 // both KL directions are clamped at zero separately, matching the scalar
 // kernel's convention. qlogs must come from QueryLogs(q, ...). Branch-free
 // like KLRows: zero components add exact ±0 to either accumulator.
-func (t *LogRows) SymKLRows(q, qlogs, out []float64) {
+func (t *logTable[T]) SymKLRows(q, qlogs, out []float64) {
 	checkRows(q, t.rows, t.dim, out)
 	dim := t.dim
 	for i := range out {
@@ -398,7 +341,7 @@ func (t *LogRows) SymKLRows(q, qlogs, out []float64) {
 		logs := t.logs[base : base+dim]
 		var fwd, rev float64
 		for j, pj := range q {
-			diff := qlogs[j] - logs[j]
+			diff := qlogs[j] - float64(logs[j])
 			fwd += pj * diff
 			rev -= row[j] * diff
 		}
@@ -436,7 +379,7 @@ func QueryNegEntropy(q []float64) float64 {
 // — half the logs of the exact kernel. qent must come from
 // QueryNegEntropy(q). Accurate to the last ulps on smoothed pmfs; an
 // identical query and row give an exact 0.
-func (t *LogRows) JSDRows(q []float64, qent float64, out []float64) {
+func (t *logTable[T]) JSDRows(q []float64, qent float64, out []float64) {
 	checkRows(q, t.rows, t.dim, out)
 	dim := t.dim
 	for i := range out {
@@ -459,12 +402,24 @@ func (t *LogRows) JSDRows(q []float64, qent float64, out []float64) {
 	}
 }
 
+func checkRowsBatch(qs, rows []float64, dim, nq int, out []float64) {
+	if dim <= 0 || len(rows)%dim != 0 {
+		panic(fmt.Sprintf("distance: matrix length %d not a multiple of dim %d", len(rows), dim))
+	}
+	if len(qs) != nq*dim {
+		panic(fmt.Sprintf("distance: query batch length %d != %d queries × dim %d", len(qs), nq, dim))
+	}
+	if len(out) != nq*(len(rows)/dim) {
+		panic(fmt.Sprintf("distance: out length %d != %d queries × %d rows", len(out), nq, len(rows)/dim))
+	}
+}
+
 // KLRowsBatch is the batched form of KLRows: qs and qlogs are nq query
 // vectors flattened row-major, out is query-major (out[k*n+i] for query k
 // against row i). The matrix is swept row-outer so each row is touched
 // once per batch; per-(query, row) arithmetic is identical to KLRows, so
 // results are bit-for-bit equal to the per-query kernel.
-func (t *LogRows) KLRowsBatch(qs, qlogs []float64, nq int, out []float64) {
+func (t *logTable[T]) KLRowsBatch(qs, qlogs []float64, nq int, out []float64) {
 	checkRowsBatch(qs, t.rows, t.dim, nq, out)
 	dim, n := t.dim, t.Len()
 	for i := 0; i < n; i++ {
@@ -474,7 +429,7 @@ func (t *LogRows) KLRowsBatch(qs, qlogs []float64, nq int, out []float64) {
 			ql := qlogs[k*dim : (k+1)*dim]
 			var d float64
 			for j, pj := range q {
-				d += pj * (ql[j] - logs[j])
+				d += pj * (ql[j] - float64(logs[j]))
 			}
 			if d < 0 {
 				d = 0
@@ -486,7 +441,7 @@ func (t *LogRows) KLRowsBatch(qs, qlogs []float64, nq int, out []float64) {
 
 // SymKLRowsBatch is the batched form of SymKLRows; see KLRowsBatch for the
 // layout. Bit-for-bit equal to the per-query kernel.
-func (t *LogRows) SymKLRowsBatch(qs, qlogs []float64, nq int, out []float64) {
+func (t *logTable[T]) SymKLRowsBatch(qs, qlogs []float64, nq int, out []float64) {
 	checkRowsBatch(qs, t.rows, t.dim, nq, out)
 	dim, n := t.dim, t.Len()
 	for i := 0; i < n; i++ {
@@ -497,7 +452,7 @@ func (t *LogRows) SymKLRowsBatch(qs, qlogs []float64, nq int, out []float64) {
 			ql := qlogs[k*dim : (k+1)*dim]
 			var fwd, rev float64
 			for j, pj := range q {
-				diff := ql[j] - logs[j]
+				diff := ql[j] - float64(logs[j])
 				fwd += pj * diff
 				rev -= row[j] * diff
 			}
@@ -514,7 +469,7 @@ func (t *LogRows) SymKLRowsBatch(qs, qlogs []float64, nq int, out []float64) {
 
 // JSDRowsBatch is the batched form of JSDRows; qents[k] must come from
 // QueryNegEntropy of query k. Bit-for-bit equal to the per-query kernel.
-func (t *LogRows) JSDRowsBatch(qs, qents []float64, nq int, out []float64) {
+func (t *logTable[T]) JSDRowsBatch(qs, qents []float64, nq int, out []float64) {
 	checkRowsBatch(qs, t.rows, t.dim, nq, out)
 	if len(qents) != nq {
 		panic(fmt.Sprintf("distance: %d query negentropies for %d queries", len(qents), nq))
@@ -542,10 +497,96 @@ func (t *LogRows) JSDRowsBatch(qs, qents []float64, nq int, out []float64) {
 	}
 }
 
-// FastRowsFor reports whether the precomputed-log fast path applies to d:
+// FastRowsFor reports whether the precomputed-log kernels apply to d:
 // "kl" and "symkl" drop every log from the inner loop, "jsd" halves them
 // via the entropy decomposition; every other catalogue distance has no log
 // to amortize.
 func FastRowsFor(name string) bool {
 	return name == "kl" || name == "symkl" || name == "jsd"
+}
+
+// FilterRows is the filter half of the exact k-NN's filter-and-refine: the
+// logTable kernels over a table small enough to keep beside every model
+// (kl/symkl: float32 logs, half a LogRows; jsd: the n row negentropies
+// only), plus what Rows needs to bound their error against the exact
+// kernels. The bound is derived in DESIGN.md, "Exact k-NN through a
+// float32 log filter".
+type FilterRows struct {
+	name string
+	t    *logTable[float32]
+	// relErr is the rounding error of one distance relative to
+	// (maxLog+1)·(Σq + Σrow): the float64 operations of both kernels,
+	// plus 2⁻²⁴ for the float32 logs.
+	relErr float64
+	maxLog float64 // max |log(max(x, eps))| over the matrix
+	mass   float64 // max_i Σ_j row_ij; +Inf when an element is outside the proof's domain
+}
+
+// filterLo and filterHi delimit the component magnitudes the error proof
+// covers: between them no quotient, product or sum in either kernel
+// overflows or underflows.
+const filterLo, filterHi = 0x1p-500, 0x1p500
+
+func inFilterDomain(x float64) bool { return x == 0 || (x >= filterLo && x <= filterHi) }
+
+// NewFilterRows builds the filter table of the named KL-family distance
+// (FastRowsFor(name) must hold) over a flat row-major matrix. The matrix
+// is retained, not copied; it must not be mutated afterwards.
+func NewFilterRows(rows []float64, dim int, name string) *FilterRows {
+	if !FastRowsFor(name) {
+		panic(fmt.Sprintf("distance: no log filter for distance %q", name))
+	}
+	f := &FilterRows{name: name, relErr: 4 * float64(dim+4) * 0x1p-53}
+	if name == "jsd" {
+		f.t = newLogTable[float32](rows, dim, false, true)
+	} else {
+		f.t = newLogTable[float32](rows, dim, true, false)
+		f.relErr += 0x1p-24
+	}
+	lo, hi, valid := math.Inf(1), eps, true // log is monotonic: the extreme elements carry maxLog
+	for i := 0; i < len(rows); i += dim {
+		var sum float64
+		for _, x := range rows[i : i+dim] {
+			valid = valid && inFilterDomain(x)
+			sum += x
+			lo, hi = math.Min(lo, x), math.Max(hi, x)
+		}
+		f.mass = math.Max(f.mass, sum)
+	}
+	if !valid {
+		f.mass = math.Inf(1)
+		return f
+	}
+	f.maxLog = math.Max(math.Abs(math.Log(math.Max(lo, eps))), math.Abs(math.Log(hi)))
+	return f
+}
+
+// Rows writes out[i] ≈ d(q, row_i) and returns ε(q) such that
+// |out[i] − RowsOf(d)'s out[i]| ≤ ε(q) for every row. qlogs is a dim-sized
+// buffer Rows overwrites. A query outside the proof's domain (a negative,
+// non-finite or denormal-range component) gets ε = +Inf: the filter then
+// claims nothing and the caller refines every row.
+func (f *FilterRows) Rows(q, qlogs, out []float64) float64 {
+	QueryLogs(q, qlogs)
+	switch f.name {
+	case "kl":
+		f.t.KLRows(q, qlogs, out)
+	case "symkl":
+		f.t.SymKLRows(q, qlogs, out)
+	default:
+		var qent float64
+		for j, x := range q {
+			qent += x * qlogs[j]
+		}
+		f.t.JSDRows(q, qent, out)
+	}
+	maxLog, mass := f.maxLog, f.mass
+	for j, x := range q {
+		if !inFilterDomain(x) {
+			return math.Inf(1)
+		}
+		mass += x
+		maxLog = math.Max(maxLog, math.Abs(qlogs[j]))
+	}
+	return f.relErr*(maxLog+1)*mass + float64(f.t.dim)*1e-12
 }

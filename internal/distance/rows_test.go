@@ -166,9 +166,8 @@ func TestLogRowsJSDSelfIsZero(t *testing.T) {
 }
 
 // TestBatchKernelsBitEqualSingle checks the batch contract ScoreBatch
-// leans on: every batched kernel — the exact symkl kernel, the generic
-// fallback, and the three fast LogRows forms — produces bit-for-bit the
-// values of its per-query form.
+// leans on: each of the three batched LogRows kernels produces bit-for-bit
+// the values of its per-query form.
 func TestBatchKernelsBitEqualSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const n, dim, nq = 64, 26, 7
@@ -176,25 +175,6 @@ func TestBatchKernelsBitEqualSingle(t *testing.T) {
 		rows := randRows(rng, n, dim, zeroFrac)
 		qs := randRows(rng, nq, dim, zeroFrac)
 
-		// Exact kernels, specialised and generic fallback.
-		for _, name := range Names() {
-			d := Must(name)
-			batch := RowsBatchOf(d)
-			got := make([]float64, nq*n)
-			batch(qs, rows, dim, nq, got)
-			want := make([]float64, n)
-			for k := 0; k < nq; k++ {
-				RowsOf(d)(qs[k*dim:(k+1)*dim], rows, dim, want)
-				for i := range want {
-					if got[k*n+i] != want[i] {
-						t.Fatalf("%s (zeroFrac %g): batch[%d,%d] = %v != single %v",
-							name, zeroFrac, k, i, got[k*n+i], want[i])
-					}
-				}
-			}
-		}
-
-		// Fast LogRows kernels.
 		table := NewLogRows(rows, dim)
 		qlogs := make([]float64, nq*dim)
 		QueryLogs(qs, qlogs)
@@ -233,6 +213,90 @@ func TestBatchKernelsBitEqualSingle(t *testing.T) {
 					t.Fatalf("fast jsd (zeroFrac %g): batch[%d,%d] = %v != single %v",
 						zeroFrac, k, i, got[k*n+i], want[i])
 				}
+			}
+		}
+	}
+}
+
+// adversarialRows draws n rows whose components come from a palette built
+// around what separates the log-table kernels from the exact ones: hard
+// zeros, components inside (0, eps) and on either side of eps, a wide
+// spread of magnitudes, and a last "rate" component that is 0 or above 1.
+// A third of the rows repeat an earlier row verbatim.
+func adversarialRows(rng *rand.Rand, n, dim int) []float64 {
+	palette := []float64{0, 0, 1e-13, 9.99e-13, 1e-12, 1.0000001e-12, 1e-9, 1e-4, 0.01, 0.04, 0.25, 1}
+	rates := []float64{0, 1.5, 40, 1e6}
+	flat := make([]float64, n*dim)
+	for r := 0; r < n; r++ {
+		row := flat[r*dim : (r+1)*dim]
+		if r > 0 && rng.Intn(3) == 0 {
+			src := rng.Intn(r)
+			copy(row, flat[src*dim:(src+1)*dim])
+			continue
+		}
+		for j := range row {
+			if rng.Intn(4) == 0 {
+				row[j] = rng.Float64()
+			} else {
+				row[j] = palette[rng.Intn(len(palette))]
+			}
+		}
+		row[dim-1] = rates[rng.Intn(len(rates))]
+	}
+	return flat
+}
+
+// TestFilterRowsWithinBound checks the contract the exact k-NN's refine
+// step leans on: every filter distance is within the ε(q) that Rows
+// returns of the exact row kernel's, on sets built to stretch the gap.
+func TestFilterRowsWithinBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, dim := range []int{2, 5, 26} {
+		const n = 96
+		rows := adversarialRows(rng, n, dim)
+		queries := append(adversarialRows(rng, 32, dim), rows...)
+		for _, name := range []string{"kl", "symkl", "jsd"} {
+			f := NewFilterRows(rows, dim, name)
+			exact := RowsOf(Must(name))
+			got, want, qlogs := make([]float64, n), make([]float64, n), make([]float64, dim)
+			var tightest float64
+			for k := 0; k < len(queries)/dim; k++ {
+				q := queries[k*dim : (k+1)*dim]
+				bound := f.Rows(q, qlogs, got)
+				if math.IsInf(bound, 0) || math.IsNaN(bound) {
+					t.Fatalf("%s dim %d: in-domain query %v got bound %v", name, dim, q, bound)
+				}
+				exact(q, rows, dim, want)
+				for i := range want {
+					gap := math.Abs(got[i] - want[i])
+					if !(gap <= bound) {
+						t.Fatalf("%s dim %d query %d row %d: filter %v, exact %v: gap %g > bound %g",
+							name, dim, k, i, got[i], want[i], gap, bound)
+					}
+					tightest = math.Max(tightest, gap/bound)
+				}
+			}
+			t.Logf("%s dim %d: largest gap/bound %.3g", name, dim, tightest)
+		}
+	}
+}
+
+// TestFilterRowsOutsideDomain: a component the error proof does not cover,
+// in the query or anywhere in the matrix, must make the filter claim
+// nothing (ε = +Inf) rather than something unproven.
+func TestFilterRowsOutsideDomain(t *testing.T) {
+	good := []float64{0.2, 0, 0.8, 0.5, 0.5, 3}
+	out, qlogs := make([]float64, 2), make([]float64, 3)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), -0.25, 5e-324, 1e200} {
+		for _, name := range []string{"kl", "symkl", "jsd"} {
+			q := []float64{0.5, bad, 0.5}
+			if bound := NewFilterRows(good, 3, name).Rows(q, qlogs, out); !math.IsInf(bound, 1) {
+				t.Errorf("%s: query component %v: bound %v, want +Inf", name, bad, bound)
+			}
+			rows := append([]float64(nil), good...)
+			rows[4] = bad
+			if bound := NewFilterRows(rows, 3, name).Rows(good[:3], qlogs, out); !math.IsInf(bound, 1) {
+				t.Errorf("%s: matrix element %v: bound %v, want +Inf", name, bad, bound)
 			}
 		}
 	}

@@ -230,6 +230,28 @@ func Run(opts Options) (*Report, error) {
 	return RunWithLearned(opts, learned)
 }
 
+// perturbedRun builds the monitored run: the reference workload under the
+// perturbation schedule, with the schedule's intervals as ground truth.
+func perturbedRun(opts Options) (*mediasim.Sim, []perturb.Interval, error) {
+	var load perturb.Load = perturb.None{}
+	var truth []perturb.Interval
+	if opts.Factor > 1 {
+		ivs, err := perturb.Periodic(opts.Factor, opts.PerturbFirst,
+			opts.PerturbPeriod, opts.PerturbDuration, opts.RunDuration)
+		if err != nil {
+			return nil, nil, err
+		}
+		load = ivs
+		truth = ivs.Spans
+	}
+	runCfg := opts.Sim
+	runCfg.Duration = opts.RunDuration
+	runCfg.Load = load
+	runCfg.Seed = opts.Seed + opts.RunSeedOffset
+	sim, err := mediasim.New(runCfg)
+	return sim, truth, err
+}
+
 // RunWithLearned executes the monitoring step of the experiment against
 // an already-learned model (from Learn with compatible options: same
 // seed, durations, simulator shape, and the learning-relevant core
@@ -240,23 +262,7 @@ func RunWithLearned(opts Options, learned *core.Learned) (*Report, error) {
 		return nil, err
 	}
 
-	// Monitoring step: the same workload under the perturbation schedule.
-	var load perturb.Load = perturb.None{}
-	var truth []perturb.Interval
-	if opts.Factor > 1 {
-		ivs, err := perturb.Periodic(opts.Factor, opts.PerturbFirst,
-			opts.PerturbPeriod, opts.PerturbDuration, opts.RunDuration)
-		if err != nil {
-			return nil, err
-		}
-		load = ivs
-		truth = ivs.Spans
-	}
-	runCfg := opts.Sim
-	runCfg.Duration = opts.RunDuration
-	runCfg.Load = load
-	runCfg.Seed = opts.Seed + opts.RunSeedOffset
-	runSim, err := mediasim.New(runCfg)
+	runSim, truth, err := perturbedRun(opts)
 	if err != nil {
 		return nil, err
 	}

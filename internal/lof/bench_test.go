@@ -118,10 +118,10 @@ func BenchmarkScoreFastSymKL1000(b *testing.B) {
 	benchmarkScore(b, 1000, distance.Must("symkl"), FitOptions{FastKernels: true})
 }
 
-// BenchmarkFitBruteSymKL1000 measures the learning step (pairwise kNN at
-// fit time), the other cost the ROADMAP perf item cares about.
-func BenchmarkFitBruteSymKL1000(b *testing.B) {
-	pts := benchPoints(1000, 26, 1)
+// benchmarkFitBrute measures the learning step (pairwise kNN at fit
+// time), the other cost the ROADMAP perf item cares about.
+func benchmarkFitBrute(b *testing.B, n int) {
+	pts := benchPoints(n, 26, 1)
 	d := distance.Must("symkl")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -130,6 +130,13 @@ func BenchmarkFitBruteSymKL1000(b *testing.B) {
 		}
 	}
 }
+
+func BenchmarkFitBruteSymKL1000(b *testing.B) { benchmarkFitBrute(b, 1000) }
+
+// BenchmarkFitBruteSymKL3000 is the fit at the reference-set size the
+// default learn produces; it is what setup_s pays twice (Learn, then the
+// refit in LoadModelFile).
+func BenchmarkFitBruteSymKL3000(b *testing.B) { benchmarkFitBrute(b, 3000) }
 
 // BenchmarkFitCondensedSymKL1000 measures fit with condensation: the FPS
 // pass costs O(target·n) row-kernel distances, but the kNN stage then

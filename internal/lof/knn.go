@@ -17,20 +17,34 @@ type Neighbor struct {
 
 // Scratch holds the reusable buffers of one k-NN/scoring goroutine: the
 // row-kernel distance output, the bounded selection heap, the sorted
-// neighbour result, and the query-log buffer of the fast KL path. Buffers
-// grow on first use and are reused afterwards, so steady-state queries
-// allocate nothing. A Scratch must not be shared between goroutines.
+// neighbour result, and the query-log buffer of the KL-family log-table
+// paths. Buffers grow on first use and are reused afterwards, so
+// steady-state queries allocate nothing. A Scratch must not be shared
+// between goroutines.
 type Scratch struct {
 	dists []float64
 	heap  neighborHeap
 	out   []Neighbor
 	qlogs []float64
-	// Batch-scoring buffers: the flattened query block, the nq×n distance
-	// matrix, and the per-query negative entropies of the fast JSD path.
+	// The exact KL-family path: the bounded heap over the filter's
+	// approximate distances, and how many rows it filtered and how many of
+	// those it had to refine with the exact kernel.
+	filt              neighborHeap
+	one               [1]float64 // the exact kernel's output for one refined row
+	filtered, refined int
+	// Batch-scoring buffers of the FastKernels path: the flattened query
+	// block, the nq×n distance matrix, and the per-query negative
+	// entropies of the fast JSD kernel.
 	qflat  []float64
 	bdists []float64
 	qents  []float64
 }
+
+// FilterStats returns how many reference rows the exact KL-family k-NN
+// has run through its float32-log filter on this scratch, and how many of
+// those the filter could not rule out and the exact kernel refined. Both
+// stay zero on every other path.
+func (s *Scratch) FilterStats() (filtered, refined int) { return s.filtered, s.refined }
 
 func (s *Scratch) floats(n int) []float64 {
 	if cap(s.dists) < n {
@@ -46,15 +60,6 @@ func (s *Scratch) logBuf(n int) []float64 {
 	}
 	s.qlogs = s.qlogs[:n]
 	return s.qlogs
-}
-
-func (s *Scratch) resetHeap(k int) *neighborHeap {
-	if cap(s.heap.items) < k {
-		s.heap.items = make([]Neighbor, 0, k)
-	}
-	s.heap.items = s.heap.items[:0]
-	s.heap.cap = k
-	return &s.heap
 }
 
 func (s *Scratch) neighborBuf(n int) []Neighbor {
@@ -106,6 +111,16 @@ type Index interface {
 type neighborHeap struct {
 	items []Neighbor
 	cap   int
+}
+
+// reset empties the heap and bounds it at k items, reusing its storage.
+func (h *neighborHeap) reset(k int) *neighborHeap {
+	if cap(h.items) < k {
+		h.items = make([]Neighbor, 0, k)
+	}
+	h.items = h.items[:0]
+	h.cap = k
+	return h
 }
 
 func (h *neighborHeap) worst() float64 {
@@ -178,14 +193,18 @@ func (h *neighborHeap) drainSorted(dst []Neighbor) []Neighbor {
 // flat reference matrix followed by bounded-heap selection. It accepts any
 // dissimilarity (including the non-metric KL family), which makes it the
 // default index for pmf points.
+//
+// For the KL family the pass is the float32-log filter and the exact
+// kernel runs only on the rows the filter cannot rule out (see refine);
+// the result is bit-identical to the full exact scan.
 type BruteIndex struct {
-	flat      []float64
-	dim       int
-	n         int
-	rows      distance.RowsFunc
-	rowsBatch distance.RowsBatchFunc
-	logs      *distance.LogRows // non-nil switches to the fast KL-family path
-	name      string
+	flat   []float64
+	dim    int
+	n      int
+	rows   distance.RowsFunc
+	filter *distance.FilterRows // exact KL-family path; nil for other distances and under fast kernels
+	logs   *distance.LogRows    // non-nil switches to the approximate fast KL-family path
+	name   string
 }
 
 // NewBruteIndex builds a brute-force index over the flat row-major matrix
@@ -194,22 +213,27 @@ func NewBruteIndex(flat []float64, dim int, d distance.Distance) *BruteIndex {
 	if dim <= 0 || len(flat)%dim != 0 {
 		panic(fmt.Sprintf("lof: matrix length %d not a multiple of dim %d", len(flat), dim))
 	}
-	return &BruteIndex{
-		flat:      flat,
-		dim:       dim,
-		n:         len(flat) / dim,
-		rows:      distance.RowsOf(d),
-		rowsBatch: distance.RowsBatchOf(d),
-		name:      d.Name,
+	b := &BruteIndex{
+		flat: flat,
+		dim:  dim,
+		n:    len(flat) / dim,
+		rows: distance.RowsOf(d),
+		name: d.Name,
 	}
+	if distance.FastRowsFor(d.Name) {
+		b.filter = distance.NewFilterRows(flat, dim, d.Name)
+	}
+	return b
 }
 
 // EnableFastKernels precomputes the per-row log table and switches the
 // index to the fast (approximate, see distance.LogRows) KL-family row
-// kernels. It is a no-op for distances outside the KL family.
+// kernels, dropping the exact path's filter table. It is a no-op for
+// distances outside the KL family.
 func (b *BruteIndex) EnableFastKernels() {
 	if distance.FastRowsFor(b.name) {
 		b.logs = distance.NewLogRows(b.flat, b.dim)
+		b.filter = nil
 	}
 }
 
@@ -222,8 +246,42 @@ func (b *BruteIndex) KNN(q []float64, k, skip int, s *Scratch) []Neighbor {
 		return nil
 	}
 	dists := s.floats(b.n)
+	if b.filter != nil {
+		return b.refine(q, dists, b.filter.Rows(q, s.logBuf(b.dim), dists), k, skip, s)
+	}
 	b.fillDists(q, s, dists)
 	return selectK(dists, k, skip, s)
+}
+
+// refine returns what selectK would over the exact distances, computing
+// the exact distance only where it can matter. approx[i] is within eps of
+// row i's exact distance. selectK pushes row i iff its exact distance is
+// below the k-th smallest among the rows before it; that k-th smallest is
+// at most T+eps, T being the k-th smallest approximate distance among the
+// same rows, so every row selectK pushes has approx[i] < T+2·eps. Walking
+// the rows in the same order and offering exactly those to the exact heap
+// under selectK's own test reproduces its pushes one for one — ties at the
+// k-th distance and the heap-history order of equal distances included.
+func (b *BruteIndex) refine(q, approx []float64, eps float64, k, skip int, s *Scratch) []Neighbor {
+	h, ha := s.heap.reset(k), s.filt.reset(k)
+	for i, a := range approx {
+		if i == skip {
+			continue
+		}
+		// Negated so that a NaN on either side refines instead of pruning.
+		if !(a > ha.worst()+2*eps) {
+			s.refined++
+			b.rows(q, b.flat[i*b.dim:(i+1)*b.dim], b.dim, s.one[:])
+			if e := s.one[0]; e < h.worst() {
+				h.push(Neighbor{Idx: i, Dist: e})
+			}
+		}
+		if a < ha.worst() {
+			ha.push(Neighbor{Dist: a})
+		}
+	}
+	s.filtered += len(approx)
+	return h.drainSorted(s.neighborBuf(len(h.items)))
 }
 
 // fillDists writes the distance from q to every reference row into dists
@@ -249,41 +307,37 @@ func (b *BruteIndex) fillDists(q []float64, s *Scratch, dists []float64) {
 	b.rows(q, b.flat, b.dim, dists)
 }
 
-// distsBatch computes the full nq×b.n distance matrix between the
-// flattened query block and the reference rows in one batched sweep, so
-// each matrix row is loaded once per batch instead of once per query.
-// Query k's distances land in out[k*b.n : (k+1)*b.n], bit-for-bit equal
-// to fillDists on that query alone.
-func (b *BruteIndex) distsBatch(qflat []float64, nq int, s *Scratch, out []float64) {
-	if b.logs != nil {
-		switch b.name {
-		case "symkl":
-			qlogs := s.logBuf(nq * b.dim)
-			distance.QueryLogs(qflat, qlogs)
-			b.logs.SymKLRowsBatch(qflat, qlogs, nq, out)
-		case "kl":
-			qlogs := s.logBuf(nq * b.dim)
-			distance.QueryLogs(qflat, qlogs)
-			b.logs.KLRowsBatch(qflat, qlogs, nq, out)
-		case "jsd":
-			qents := s.entBuf(nq)
-			for k := 0; k < nq; k++ {
-				qents[k] = distance.QueryNegEntropy(qflat[k*b.dim : (k+1)*b.dim])
-			}
-			b.logs.JSDRowsBatch(qflat, qents, nq, out)
-		default:
-			panic(fmt.Sprintf("lof: fast kernels enabled for unsupported distance %q", b.name))
+// fastDistsBatch computes the full nq×b.n fast-kernel distance matrix
+// between the flattened query block and the reference rows in one batched
+// sweep, so each matrix row is loaded once per batch instead of once per
+// query. Query k's distances land in out[k*b.n : (k+1)*b.n], bit-for-bit
+// equal to fillDists on that query alone.
+func (b *BruteIndex) fastDistsBatch(qflat []float64, nq int, s *Scratch, out []float64) {
+	switch b.name {
+	case "symkl":
+		qlogs := s.logBuf(nq * b.dim)
+		distance.QueryLogs(qflat, qlogs)
+		b.logs.SymKLRowsBatch(qflat, qlogs, nq, out)
+	case "kl":
+		qlogs := s.logBuf(nq * b.dim)
+		distance.QueryLogs(qflat, qlogs)
+		b.logs.KLRowsBatch(qflat, qlogs, nq, out)
+	case "jsd":
+		qents := s.entBuf(nq)
+		for k := 0; k < nq; k++ {
+			qents[k] = distance.QueryNegEntropy(qflat[k*b.dim : (k+1)*b.dim])
 		}
-		return
+		b.logs.JSDRowsBatch(qflat, qents, nq, out)
+	default:
+		panic(fmt.Sprintf("lof: fast kernels enabled for unsupported distance %q", b.name))
 	}
-	b.rowsBatch(qflat, b.flat, b.dim, nq, out)
 }
 
 // selectK runs bounded-heap selection over a filled distance row,
 // returning the k nearest in ascending order (excluding index skip when
 // skip >= 0). The result is backed by s.
 func selectK(dists []float64, k, skip int, s *Scratch) []Neighbor {
-	h := s.resetHeap(k)
+	h := s.heap.reset(k)
 	for i, d := range dists {
 		if i == skip {
 			continue
@@ -392,7 +446,7 @@ func (t *VPTree) KNN(q []float64, k, skip int, s *Scratch) []Neighbor {
 	if k <= 0 {
 		return nil
 	}
-	h := s.resetHeap(k)
+	h := s.heap.reset(k)
 	t.search(t.root, q, skip, h)
 	return h.drainSorted(s.neighborBuf(len(h.items)))
 }

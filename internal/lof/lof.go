@@ -70,8 +70,9 @@ type FitOptions struct {
 	// FastKernels enables the precomputed-log KL-family row kernels
 	// (distance.LogRows) on the brute index even without condensation.
 	// They are approximate — within ~1e-9 relative of the exact kernels —
-	// and several times faster, which is what a high-rate serve path
-	// needs. No-op for distances outside the KL family (kl, symkl, jsd)
+	// and about twice as fast as the default exact path, which runs the
+	// same kernels over float32 logs as a filter and the exact kernel on
+	// the few rows the filter cannot rule out. No-op for distances outside the KL family (kl, symkl, jsd)
 	// and when UseVPTree is set.
 	FastKernels bool
 }
@@ -231,12 +232,12 @@ func (sc *Scorer) Score(q []float64) float64 {
 	return m.ratioMean(nbrs, lrdQ)
 }
 
-// ScoreBatch scores len(qs) points in one pass, writing their LOF values
-// into out (which must have the same length). Results are bit-identical
-// to calling Score on each query in order: batching only flips the kernel
-// loop order so each reference-matrix row is loaded once per batch, never
-// the per-(query,row) arithmetic. Indexes other than the brute index, and
-// batches of fewer than two queries, fall back to per-query scoring.
+// ScoreBatch scores len(qs) points, writing their LOF values into out
+// (which must have the same length). Results are bit-identical to calling
+// Score on each query in order. On a FastKernels brute index a batch of
+// two or more is one sweep of the log table — batching only flips the
+// kernel loop order so each reference row is loaded once per batch, never
+// the per-(query,row) arithmetic; every other index scores query by query.
 //
 //enduratrace:zeroalloc
 func (sc *Scorer) ScoreBatch(qs [][]float64, out []float64) {
@@ -246,7 +247,7 @@ func (sc *Scorer) ScoreBatch(qs [][]float64, out []float64) {
 	}
 	m := sc.m
 	b, ok := m.index.(*BruteIndex)
-	if !ok || len(qs) < 2 {
+	if !ok || b.logs == nil || len(qs) < 2 {
 		for i, q := range qs {
 			out[i] = sc.Score(q)
 		}
@@ -264,12 +265,16 @@ func (sc *Scorer) ScoreBatch(qs [][]float64, out []float64) {
 	}
 	//lint:ignore zeroalloc amortized scratch growth in the inlined batchDists; steady-state zero
 	dists := sc.s.batchDists(nq * b.n)
-	b.distsBatch(qflat, nq, &sc.s, dists)
+	b.fastDistsBatch(qflat, nq, &sc.s, dists)
 	for i := 0; i < nq; i++ {
 		nbrs := selectK(dists[i*b.n:(i+1)*b.n], m.K, -1, &sc.s)
 		out[i] = m.ratioMean(nbrs, m.lrdOf(nbrs))
 	}
 }
+
+// FilterStats reports the scorer's running filter-and-refine counts; see
+// Scratch.FilterStats.
+func (sc *Scorer) FilterStats() (filtered, refined int) { return sc.s.FilterStats() }
 
 // Score is the convenience form of Scorer.Score for one-off queries; it
 // allocates fresh scratch per call. Hot paths should hold a Scorer.
