@@ -45,7 +45,9 @@ bench:
 # per-window cost, the serve section (end-to-end loopback socket
 # throughput: frame codec → queue → monitor → sink), and the alerting
 # pipeline (quiet/flapping Observe fast paths, full fire→resolve emission,
-# dedup hits, key encoding). The before/after pairs live side by side
+# dedup hits, key encoding), and the anomaly store (the incident encoder,
+# and the durable Append from 1, 2 and 8 appenders with its records per
+# fsync). The before/after pairs live side by side
 # (ScoreBrute* vs ScoreCondensed*, RowsSymKL vs RowsSymKLFast,
 # FrameDecodeNext vs FrameDecodeBatch); the output is kept in
 # BENCH_micro.txt so CI can archive the perf trajectory and benchdiff can
@@ -53,4 +55,4 @@ bench:
 microbench:
 	$(GO) test -run '^$$' -bench . -benchtime 20x -benchmem \
 		./internal/lof ./internal/distance ./internal/core ./internal/serve \
-		./internal/traceio ./internal/alert | tee BENCH_micro.txt
+		./internal/traceio ./internal/alert ./internal/anomalystore | tee BENCH_micro.txt

@@ -40,10 +40,20 @@
 // sealed segment from the file tail without scanning; segments that were
 // active when the daemon died have no index and are scanned sequentially,
 // with the CRC detecting (never panicking on) a truncated tail record.
-// Appends are fsynced (per record by default, see Options.SyncEvery), and
-// rotation always fsyncs before opening the next segment, so a crash loses
-// at most the unsynced tail of the active segment — never a previously
-// rotated one.
+//
+// Durability is a group commit. Submit writes a record into the active
+// segment and returns; one committer goroutine, started by Open and
+// joined by Close, fsyncs the segment whenever records are written past
+// the durable mark — outside the store lock, so writes go on during a
+// flush and everything written meanwhile rides the next one — and
+// WaitDurable blocks until the flush covering a record has returned.
+// Append is Submit followed by WaitDurable: it returns only when the
+// record is on stable storage. A record is flushed as soon as the flush
+// before it ends, whether or not anyone waits for it. Rotation and Close
+// fsync the segment they seal, so a crash loses at most records nobody
+// was told are durable — never a previously rotated segment. A write or
+// fsync that fails takes its segment out of service as it is (unsealed,
+// never rewritten); the next record opens a fresh one.
 package anomalystore
 
 import (
@@ -63,6 +73,7 @@ import (
 	"sync"
 	"time"
 
+	"enduratrace/internal/obs"
 	"enduratrace/internal/trace"
 	"enduratrace/internal/traceio"
 	"enduratrace/internal/window"
@@ -218,11 +229,6 @@ type Options struct {
 	// IndexEvery is the sparse-index stride: every IndexEvery-th record of
 	// a segment gets an index entry (default 16).
 	IndexEvery int
-	// SyncEvery is the fsync cadence in records: 1 (the default) fsyncs
-	// after every append, so a crash loses at most the record being
-	// written; larger values trade tail-loss for throughput. Rotation and
-	// Close always fsync regardless.
-	SyncEvery int
 	// Recent is how many incident metas the in-memory recent ring retains
 	// for the /anomalies listing (default 256).
 	Recent int
@@ -235,9 +241,6 @@ func (o Options) withDefaults() Options {
 	if o.IndexEvery <= 0 {
 		o.IndexEvery = 16
 	}
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 1
-	}
 	if o.Recent <= 0 {
 		o.Recent = 256
 	}
@@ -247,19 +250,30 @@ func (o Options) withDefaults() Options {
 // StoreStats is a point-in-time view of the store's books.
 type StoreStats struct {
 	Dir string `json:"dir"`
-	// Appended counts incidents appended by this Store since Open;
-	// Recovered counts intact records found in pre-existing segments at
-	// Open; Incidents is their sum (everything on disk).
+	// Appended counts incidents written by this Store since Open (a record
+	// whose write failed is not counted); Recovered counts intact records
+	// found in pre-existing segments at Open; Incidents is their sum.
 	Appended  int64 `json:"appended"`
 	Recovered int64 `json:"recovered"`
 	Incidents int64 `json:"incidents"`
 	// Anomalous counts appended incidents whose LOF reached alpha.
 	Anomalous int64 `json:"anomalous"`
-	// Segments counts segment files (sealed + active); Bytes is their
+	// Segments counts segment files (closed + active); Bytes is their
 	// total size.
-	Segments int    `json:"segments"`
-	Bytes    int64  `json:"bytes"`
-	LastSeq  uint64 `json:"last_seq"`
+	Segments int   `json:"segments"`
+	Bytes    int64 `json:"bytes"`
+	// LastSeq is the sequence number of the last record written;
+	// DurableSeq is the last one an fsync has covered (or failed: the
+	// mark passes a failed batch, WaitDurable reports it).
+	LastSeq    uint64 `json:"last_seq"`
+	DurableSeq uint64 `json:"durable_seq"`
+	// Syncs counts fsyncs of a segment (the committer's and the one that
+	// closes a segment), SyncErrors those that failed, SyncedRecords the
+	// records they made durable: SyncedRecords/Syncs is the batching
+	// factor.
+	Syncs         int64 `json:"syncs"`
+	SyncErrors    int64 `json:"sync_errors"`
+	SyncedRecords int64 `json:"synced_records"`
 }
 
 // indexEntry is one sparse-index row: the sequence number and file offset
@@ -269,35 +283,80 @@ type indexEntry struct {
 	off uint64
 }
 
-// Store is the write side: a single-directory incident log. Append is safe
-// for concurrent use (every serve stream appends into one Store).
-type Store struct {
-	dir  string
-	opts Options
+// segFile is what the store needs of a segment file. Open installs
+// *os.File; the tests wrap it to block, fail or cut short a call.
+type segFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
+}
 
-	mu         sync.Mutex
-	f          *os.File
-	off        int64
-	segBase    uint64
-	segRecords int
-	index      []indexEntry
-	unsynced   int
-	nextSeq    uint64
-	sealedSegs int
-	sealedB    int64
-	recovered  int64
-	appended   int64
-	anoms      int64
-	recent     []IncidentMeta
-	buf        []byte
-	closed     bool
+func createSegmentFile(path string) (segFile, error) {
+	return os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+}
+
+// failedRange is one batch of sequence numbers that never became durable,
+// with the write or fsync error that lost it.
+type failedRange struct {
+	lo, hi uint64
+	err    error
+}
+
+// Store is the write side: a single-directory incident log. Submit,
+// WaitDurable and Append are safe for concurrent use (every serve stream
+// writes into one Store).
+type Store struct {
+	dir    string
+	opts   Options
+	create func(path string) (segFile, error)
+	// syncLatency times every fsync of a segment.
+	syncLatency obs.Histogram
+	// done is closed when the committer goroutine has exited.
+	done chan struct{}
+
+	mu sync.Mutex
+	// work wakes the committer (records pending, or closed); flushed wakes
+	// everyone waiting on the committer (durable advanced, a flush ended).
+	work, flushed *sync.Cond
+	f             segFile
+	off           int64
+	segBase       uint64
+	segRecords    int
+	index         []indexEntry
+	nextSeq       uint64
+	sealedSegs    int
+	sealedB       int64
+	recovered     int64
+	appended      int64
+	anoms         int64
+	recent        []IncidentMeta
+	buf           []byte
+	closed        bool
+
+	// The commit protocol. written is the last sequence number whose write
+	// succeeded; every record up to durable has been covered by an fsync or
+	// is listed in failed; pending counts the records in the active segment
+	// between the two, the committer's next batch.
+	written uint64        //enduratrace:guarded-by mu
+	durable uint64        //enduratrace:guarded-by mu
+	pending int           //enduratrace:guarded-by mu
+	failed  []failedRange //enduratrace:guarded-by mu
+	// syncing is set while the committer is inside Sync on f with mu
+	// released: f must not be closed under it. poisoned is set once a write
+	// or fsync on f has failed: nothing more is written to it.
+	syncing    bool  //enduratrace:guarded-by mu
+	poisoned   bool  //enduratrace:guarded-by mu
+	syncs      int64 //enduratrace:guarded-by mu
+	syncErrs   int64 //enduratrace:guarded-by mu
+	syncedRecs int64 //enduratrace:guarded-by mu
 }
 
 // Open creates dir if needed, scans any existing segments (recovering the
 // sequence counter past every intact record — a truncated tail from a
-// crash is skipped, not fatal), and returns a Store appending to a fresh
-// segment. The previously active segment is left as-is; readers recover
-// its complete records by scanning.
+// crash is skipped, not fatal), starts the committer goroutine and returns
+// a Store appending to a fresh segment. The previously active segment is
+// left as-is; readers recover its complete records by scanning. Close
+// stops the committer.
 func Open(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -307,40 +366,71 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, opts: opts, nextSeq: 1}
+	var recovered, sealedB int64
+	next := uint64(1)
 	for _, seg := range segs {
 		scan, err := scanSegmentFile(seg.path, nil)
 		if err != nil {
 			return nil, err
 		}
-		s.recovered += int64(scan.Records)
-		s.sealedSegs++
-		s.sealedB += scan.Bytes
-		if scan.Records > 0 && scan.LastSeq >= s.nextSeq {
-			s.nextSeq = scan.LastSeq + 1
+		recovered += int64(scan.Records)
+		sealedB += scan.Bytes
+		if scan.Records > 0 && scan.LastSeq >= next {
+			next = scan.LastSeq + 1
 		}
-		if seg.base >= s.nextSeq {
+		if seg.base >= next {
 			// A crashed segment may hold no intact records; its filename
 			// still reserves the sequence numbers it was opened for.
-			s.nextSeq = seg.base + 1
+			next = seg.base + 1
 		}
 	}
+	s := &Store{
+		dir: dir, opts: opts, create: createSegmentFile, done: make(chan struct{}),
+		nextSeq: next, written: next - 1, durable: next - 1,
+		recovered: recovered, sealedSegs: len(segs), sealedB: sealedB,
+	}
+	s.work, s.flushed = sync.NewCond(&s.mu), sync.NewCond(&s.mu)
+	go s.commitLoop()
 	return s, nil
 }
 
 // Dir returns the store directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Append persists one incident and returns its assigned sequence number.
-// The caller's Windows slices are encoded immediately and not retained.
+// Append persists one incident and returns its assigned sequence number
+// once the record is on stable storage: Submit, then WaitDurable. The
+// caller's Windows slices are encoded immediately and not retained.
 func (s *Store) Append(inc Incident) (uint64, error) {
+	seq, err := s.Submit(inc)
+	if err != nil {
+		return 0, err
+	}
+	if err := s.WaitDurable(seq); err != nil {
+		return 0, err
+	}
+	return seq, nil
+}
+
+// Submit assigns the incident its sequence number and writes its record
+// into the active segment, rotating first if the segment is full. The
+// record is not yet durable when Submit returns: the committer flushes it
+// without further prompting, and WaitDurable(seq) reports the outcome. The
+// caller's Windows slices are encoded immediately and not retained.
+func (s *Store) Submit(inc Incident) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return 0, errors.New("anomalystore: append on closed store")
-	}
-	if s.f != nil && s.off >= s.opts.SegmentBytes {
-		if err := s.sealLocked(); err != nil {
+	for {
+		if s.closed {
+			return 0, errors.New("anomalystore: append on closed store")
+		}
+		if s.f == nil || (!s.poisoned && s.off < s.opts.SegmentBytes) {
+			break
+		}
+		if s.syncing {
+			s.flushed.Wait() // a segment is never closed under a running Sync
+			continue
+		}
+		if err := s.closeSegmentLocked(); err != nil {
 			return 0, err
 		}
 	}
@@ -351,32 +441,26 @@ func (s *Store) Append(inc Incident) (uint64, error) {
 	}
 
 	inc.Seq = s.nextSeq
-	payload, err := appendIncident(s.buf[:0], &inc)
+	rec, err := s.encodeRecordLocked(&inc)
 	if err != nil {
 		return 0, err
 	}
-	s.buf = payload[:0] // keep the grown buffer
-	if len(payload) > maxRecordSize {
-		return 0, fmt.Errorf("anomalystore: incident record %d bytes exceeds %d", len(payload), maxRecordSize)
-	}
-
-	recOff := s.off
-	var head [binary.MaxVarintLen64 + 4]byte
-	n := binary.PutUvarint(head[:], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(head[n:], crc32.ChecksumIEEE(payload))
-	if _, err := s.f.Write(head[:n+4]); err != nil {
-		return 0, fmt.Errorf("anomalystore: %w", err)
-	}
-	if _, err := s.f.Write(payload); err != nil {
-		return 0, fmt.Errorf("anomalystore: %w", err)
-	}
-	s.off += int64(n+4) + int64(len(payload))
-
-	if s.segRecords%s.opts.IndexEvery == 0 {
-		s.index = append(s.index, indexEntry{seq: inc.Seq, off: uint64(recOff)})
-	}
-	s.segRecords++
+	// The number is spent whether or not the write lands: a torn copy of
+	// the record may be on disk under it.
 	s.nextSeq++
+	if _, err := s.f.Write(rec); err != nil {
+		// The file position has moved past bytes no reader can use, so a
+		// later record in this file would be unreachable. Records already in
+		// it are intact and still get their flush.
+		s.poisoned = true
+		s.failed = appendFailed(s.failed, inc.Seq, inc.Seq, err)
+		return 0, fmt.Errorf("anomalystore: %w", err)
+	}
+	if s.segRecords%s.opts.IndexEvery == 0 {
+		s.index = append(s.index, indexEntry{seq: inc.Seq, off: uint64(s.off)})
+	}
+	s.off += int64(len(rec))
+	s.segRecords++
 	s.appended++
 	if inc.Anomalous {
 		s.anoms++
@@ -385,44 +469,127 @@ func (s *Store) Append(inc Incident) (uint64, error) {
 	if len(s.recent) > s.opts.Recent {
 		s.recent = s.recent[len(s.recent)-s.opts.Recent:]
 	}
-
-	s.unsynced++
-	if s.unsynced >= s.opts.SyncEvery {
-		if err := s.f.Sync(); err != nil {
-			return 0, fmt.Errorf("anomalystore: %w", err)
-		}
-		s.unsynced = 0
-	}
+	s.written = inc.Seq
+	s.pending++
+	s.work.Signal()
 	return inc.Seq, nil
 }
 
-// Sync forces the active segment to stable storage.
-func (s *Store) Sync() error {
+// WaitDurable blocks until the record Submit numbered seq is on stable
+// storage, and returns the write or fsync error of its batch if it never
+// got there — however long after the fact it is asked.
+func (s *Store) WaitDurable(seq uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.f == nil {
-		return nil
+	if seq >= s.nextSeq {
+		return fmt.Errorf("anomalystore: record %d was never submitted", seq)
 	}
-	s.unsynced = 0
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("anomalystore: %w", err)
+	for {
+		// Failed first: a record whose own write failed never comes under
+		// the durable mark by itself.
+		for _, r := range s.failed {
+			if r.lo <= seq && seq <= r.hi {
+				return fmt.Errorf("anomalystore: record %d is not durable: %w", seq, r.err)
+			}
+		}
+		if s.durable >= seq {
+			return nil
+		}
+		s.flushed.Wait()
 	}
-	return nil
 }
 
-// Close seals the active segment (index, fsync) and closes the store.
-// Idempotent.
-func (s *Store) Close() error {
+// commitLoop is the committer: while records are written past the durable
+// mark it fsyncs the active segment with mu released and publishes the
+// new mark. It is the only fsync of a segment that stays in service.
+func (s *Store) commitLoop() {
+	defer close(s.done)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	for {
+		for s.pending == 0 && !s.closed {
+			s.work.Wait()
+		}
+		if s.pending == 0 {
+			return
+		}
+		f, n, upto := s.f, s.pending, s.written
+		s.syncing = true
+		s.mu.Unlock()
+		err := s.sync(f)
+		s.mu.Lock()
+		s.syncing = false
+		s.flushedLocked(n, upto, err)
+	}
+}
+
+// sync fsyncs f into the latency histogram.
+func (s *Store) sync(f segFile) error {
+	t0 := obs.Now()
+	err := f.Sync()
+	s.syncLatency.ObserveNs(obs.Now() - t0)
+	return err
+}
+
+// flushedLocked books one fsync of the active segment that covered its n
+// oldest pending records, the last of them numbered upto, and wakes the
+// waiters. A failed fsync may have dropped the dirty pages, after which a
+// later one on the same descriptor that succeeds proves nothing: every
+// record in the file that is not yet durable fails with it, and the file
+// takes no more writes.
+func (s *Store) flushedLocked(n int, upto uint64, err error) {
+	//lint:ignore counterlock the caller holds mu
+	s.syncs++
+	if err == nil {
+		//lint:ignore counterlock the caller holds mu
+		s.syncedRecs, s.pending, s.durable = s.syncedRecs+int64(n), s.pending-n, upto
+	} else {
+		if s.pending > 0 {
+			//lint:ignore counterlock the caller holds mu
+			s.failed = appendFailed(s.failed, s.durable+1, s.written, err)
+		}
+		//lint:ignore counterlock the caller holds mu
+		s.syncErrs, s.pending, s.durable, s.poisoned = s.syncErrs+1, 0, s.written, true
+	}
+	s.flushed.Broadcast()
+}
+
+// appendFailed records that sequence numbers lo..hi were lost to err,
+// extending the previous range when the two are adjacent so a disk that
+// keeps failing costs one entry, not one per batch.
+func appendFailed(failed []failedRange, lo, hi uint64, err error) []failedRange {
+	if n := len(failed); n > 0 && failed[n-1].hi+1 == lo {
+		failed[n-1].hi = hi
+		return failed
+	}
+	return append(failed, failedRange{lo: lo, hi: hi, err: err})
+}
+
+// SyncLatency returns the distribution of the store's fsync durations.
+func (s *Store) SyncLatency() obs.Snapshot { return s.syncLatency.Snapshot() }
+
+// Close seals the active segment (index, fsync), stops the committer and
+// closes the store. Every record written is durable, or reported failed,
+// when it returns. Idempotent.
+func (s *Store) Close() error {
+	s.mu.Lock()
 	if s.closed {
+		s.mu.Unlock()
+		<-s.done
 		return nil
 	}
-	s.closed = true
-	if s.f == nil {
-		return nil
+	s.closed = true // Submit refuses from here on, so the committer runs dry
+	for s.syncing {
+		s.flushed.Wait()
 	}
-	return s.sealLocked()
+	var err error
+	if s.f != nil {
+		err = s.closeSegmentLocked()
+	}
+	s.work.Signal()
+	s.mu.Unlock()
+	<-s.done
+	return err
 }
 
 // Stats returns the store's current books.
@@ -430,14 +597,18 @@ func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := StoreStats{
-		Dir:       s.dir,
-		Appended:  s.appended,
-		Recovered: s.recovered,
-		Incidents: s.appended + s.recovered,
-		Anomalous: s.anoms,
-		Segments:  s.sealedSegs,
-		Bytes:     s.sealedB,
-		LastSeq:   s.nextSeq - 1,
+		Dir:           s.dir,
+		Appended:      s.appended,
+		Recovered:     s.recovered,
+		Incidents:     s.appended + s.recovered,
+		Anomalous:     s.anoms,
+		Segments:      s.sealedSegs,
+		Bytes:         s.sealedB,
+		LastSeq:       s.written,
+		DurableSeq:    s.durable,
+		Syncs:         s.syncs,
+		SyncErrors:    s.syncErrs,
+		SyncedRecords: s.syncedRecs,
 	}
 	if s.f != nil {
 		st.Segments++
@@ -477,8 +648,7 @@ func (s *Store) Get(seq uint64) (*Incident, error) {
 // openSegmentLocked creates the next segment file and writes its header.
 func (s *Store) openSegmentLocked() error {
 	base := s.nextSeq
-	path := filepath.Join(s.dir, segmentName(base))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	f, err := s.create(filepath.Join(s.dir, segmentName(base)))
 	if err != nil {
 		return fmt.Errorf("anomalystore: %w", err)
 	}
@@ -487,7 +657,7 @@ func (s *Store) openSegmentLocked() error {
 	n += binary.PutUvarint(head[n:], segVersion)
 	n += binary.PutUvarint(head[n:], base)
 	if _, err := f.Write(head[:n]); err != nil {
-		f.Close()
+		_ = f.Close() // the write's error is the one to report
 		return fmt.Errorf("anomalystore: %w", err)
 	}
 	s.f = f
@@ -495,40 +665,50 @@ func (s *Store) openSegmentLocked() error {
 	s.segBase = base
 	s.segRecords = 0
 	s.index = s.index[:0]
-	s.unsynced = 0
 	// Make the new directory entry itself durable: a rotated-away segment
 	// that the directory forgot would be as lost as an unsynced one.
 	syncDir(s.dir)
 	return nil
 }
 
-// sealLocked appends the end-of-records marker and the sparse index,
-// fsyncs, and closes the active segment.
-func (s *Store) sealLocked() error {
-	f := s.f
+// closeSegmentLocked takes the active segment out of service: sealed (end
+// marker and sparse index appended) unless a write or fsync on it has
+// failed, in which case it is left exactly as it is; fsynced, which also
+// covers whatever the committer had not flushed yet; and closed. The
+// caller has waited out s.syncing.
+func (s *Store) closeSegmentLocked() error {
+	f, poisoned := s.f, s.poisoned
 	s.f = nil
-	idx := make([]byte, 0, 16+len(s.index)*2*binary.MaxVarintLen64)
-	idx = binary.AppendUvarint(idx, uint64(len(s.index)))
-	for _, e := range s.index {
-		idx = binary.AppendUvarint(idx, e.seq)
-		idx = binary.AppendUvarint(idx, e.off)
+	var werr, serr error
+	if !poisoned {
+		idx := make([]byte, 0, 16+len(s.index)*2*binary.MaxVarintLen64)
+		idx = binary.AppendUvarint(idx, uint64(len(s.index)))
+		for _, e := range s.index {
+			idx = binary.AppendUvarint(idx, e.seq)
+			idx = binary.AppendUvarint(idx, e.off)
+		}
+		var tail [1 + 4 + 4 + len(indexMagic)]byte
+		tail[0] = 0 // uvarint(0): end-of-records marker
+		out := append(tail[:1], idx...)
+		var crcb [8]byte
+		binary.LittleEndian.PutUint32(crcb[:4], crc32.ChecksumIEEE(idx))
+		binary.LittleEndian.PutUint32(crcb[4:], uint32(len(idx)))
+		out = append(out, crcb[:]...)
+		out = append(out, indexMagic...)
+		_, werr = f.Write(out)
+		s.off += int64(len(out))
 	}
-	var tail [1 + 4 + 4 + len(indexMagic)]byte
-	tail[0] = 0 // uvarint(0): end-of-records marker
-	out := append(tail[:1], idx...)
-	var crcb [8]byte
-	binary.LittleEndian.PutUint32(crcb[:4], crc32.ChecksumIEEE(idx))
-	binary.LittleEndian.PutUint32(crcb[4:], uint32(len(idx)))
-	out = append(out, crcb[:]...)
-	out = append(out, indexMagic...)
-	_, werr := f.Write(out)
-	s.off += int64(len(out))
-	serr := f.Sync()
+	if !poisoned || s.pending > 0 {
+		serr = s.sync(f)
+		s.flushedLocked(s.pending, s.written, serr)
+	}
 	cerr := f.Close()
 	s.sealedSegs++
 	s.sealedB += s.off
 	s.off = 0
 	s.index = s.index[:0]
+	//lint:ignore counterlock the caller holds mu
+	s.poisoned = false
 	if werr != nil {
 		return fmt.Errorf("anomalystore: sealing segment: %w", werr)
 	}
@@ -579,12 +759,38 @@ func listSegments(dir string) ([]segmentFile, error) {
 
 // ---- incident encoding ----
 
+// recHeadMax is the longest record head: the payload-length uvarint and
+// the CRC.
+const recHeadMax = binary.MaxVarintLen64 + 4
+
+// encodeRecordLocked builds inc's whole on-disk record — payload length,
+// CRC, payload — in the store's reused buffer, so it reaches the file in
+// one Write. The payload is encoded first, behind room for the longest
+// head, and the head is then laid down right before it.
+func (s *Store) encodeRecordLocked(inc *Incident) ([]byte, error) {
+	var room [recHeadMax]byte
+	buf, err := appendIncident(append(s.buf[:0], room[:]...), inc)
+	if err != nil {
+		return nil, err
+	}
+	s.buf = buf[:0] // keep the grown buffer
+	payload := buf[recHeadMax:]
+	if len(payload) > maxRecordSize {
+		return nil, fmt.Errorf("anomalystore: incident record %d bytes exceeds %d", len(payload), maxRecordSize)
+	}
+	n := binary.PutUvarint(room[:], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(room[n:], crc32.ChecksumIEEE(payload))
+	rec := buf[recHeadMax-(n+4):]
+	copy(rec, room[:n+4])
+	return rec, nil
+}
+
 // appendIncident appends the record-payload encoding of inc to buf.
 func appendIncident(buf []byte, inc *Incident) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, inc.Seq)
 	buf = binary.AppendUvarint(buf, uint64(inc.Wall.UnixNano()))
-	buf = appendLenBytes(buf, []byte(inc.Stream))
-	buf = appendLenBytes(buf, []byte(inc.Model))
+	buf = appendLenString(buf, inc.Stream)
+	buf = appendLenString(buf, inc.Model)
 	buf = binary.AppendUvarint(buf, uint64(inc.ModelGen))
 	buf = appendFloat64(buf, inc.Score)
 	buf = appendFloat64(buf, inc.GateDist)
@@ -614,37 +820,27 @@ func appendIncident(buf []byte, inc *Incident) ([]byte, error) {
 		buf = binary.AppendUvarint(buf, uint64(w.Index))
 		buf = binary.AppendUvarint(buf, uint64(w.Start))
 		buf = binary.AppendUvarint(buf, uint64(w.End))
-		blob, err := encodeEvents(w.Events)
-		if err != nil {
-			return nil, err
+		// The window's events are one self-contained binary trace (the
+		// traceio codec, header included), length-prefixed. The length is
+		// known only once the blob is encoded, so encode it in place and
+		// then slide it right by the width of its prefix.
+		at := len(buf)
+		var err error
+		if buf, err = traceio.AppendBinary(buf, w.Events); err != nil {
+			return nil, fmt.Errorf("anomalystore: encoding window events: %w", err)
 		}
-		buf = appendLenBytes(buf, blob)
+		var lenb [binary.MaxVarintLen64]byte
+		n := binary.PutUvarint(lenb[:], uint64(len(buf)-at))
+		buf = append(buf, lenb[:n]...)
+		copy(buf[at+n:], buf[at:])
+		copy(buf[at:], lenb[:n])
 	}
 	return buf, nil
 }
 
-// encodeEvents serialises a window's events as one self-contained binary
-// trace blob (the existing traceio codec, header included).
-func encodeEvents(evs []trace.Event) ([]byte, error) {
-	var b bytes.Buffer
-	bw, err := traceio.NewBinaryWriter(&b)
-	if err != nil {
-		return nil, err
-	}
-	for _, ev := range evs {
-		if err := bw.Write(ev); err != nil {
-			return nil, fmt.Errorf("anomalystore: encoding window events: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
-}
-
-func appendLenBytes(buf, b []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(b)))
-	return append(buf, b...)
+func appendLenString(buf []byte, s string) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(s)))
+	return append(buf, s...)
 }
 
 func appendFloat64(buf []byte, v float64) []byte {

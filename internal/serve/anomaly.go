@@ -16,8 +16,11 @@ const DefaultAnomalyContext = 2
 // monitor's per-window decision callback, keeps a small ring of the most
 // recent quiet windows, and on every gate trip persists an incident — the
 // context ring plus the tripped window — with the full scoring verdict.
-// Store failures are counted and logged but never propagated: losing the
-// forensic copy must not kill the live stream.
+// It keeps one record in flight: a trip is written at once and the stream
+// scores on while the store's committer fsyncs it; the next trip (or the
+// end of the stream) waits for it. Store failures are counted and logged
+// but never propagated: losing the forensic copy must not kill the live
+// stream.
 type tripRecorder struct {
 	srv      *Server
 	store    *anomalystore.Store
@@ -27,6 +30,8 @@ type tripRecorder struct {
 	alpha    float64
 	pre      int
 	ring     []window.Window
+	windows  []window.Window // the incident being submitted; the store does not retain it
+	inFlight uint64          // sequence number of the submitted, unsettled incident; 0 = none
 	logged   bool
 }
 
@@ -52,7 +57,7 @@ func (s *Server) newTripRecorder(h *core.StreamHandle) *tripRecorder {
 }
 
 // onDecision is the core.Monitor.Run callback. It runs on the stream's
-// scoring goroutine; the store itself serialises concurrent appends.
+// scoring goroutine; the store itself serialises concurrent writes.
 func (t *tripRecorder) onDecision(d core.Decision) error {
 	if !d.GateTripped {
 		if t.pre > 0 {
@@ -66,12 +71,14 @@ func (t *tripRecorder) onDecision(d core.Decision) error {
 		return nil
 	}
 
-	windows := make([]window.Window, 0, len(t.ring)+1)
-	windows = append(windows, t.ring...)
-	windows = append(windows, d.Window)
+	t.windows = append(append(t.windows[:0], t.ring...), d.Window)
 	t.ring = t.ring[:0]
 
-	_, err := t.store.Append(anomalystore.Incident{
+	// Submit first, then wait for the previous trip: the new record is in
+	// the file before the committer picks its next batch, so it rides the
+	// flush that starts when the previous one ends. The other order misses
+	// that flush by the few microseconds the write takes.
+	seq, err := t.store.Submit(anomalystore.Incident{
 		Stream:   t.stream,
 		Model:    t.model,
 		ModelGen: t.modelGen,
@@ -84,17 +91,38 @@ func (t *tripRecorder) onDecision(d core.Decision) error {
 		WindowIndex: d.Window.Index,
 		Start:       d.Window.Start,
 		End:         d.Window.End,
-		Windows:     windows,
+		Windows:     t.windows,
 	})
+	t.settle()
 	if err != nil {
-		t.srv.anomStoreErrs.Add(1)
-		if !t.logged {
-			t.logged = true // one line per stream, not one per trip
-			t.srv.log.Error("anomaly store append failed (stream continues)",
-				"stream", t.stream, "err", err)
-		}
+		t.failed(err)
 		return nil
 	}
-	t.srv.anomIncidents.Add(1)
+	t.inFlight = seq
 	return nil
+}
+
+// settle waits until the incident in flight, if any, is durable and books
+// it. handleConn calls it once more after Monitor.Run has returned, so a
+// closed stream's books are final: persisted + failed == gate trips.
+func (t *tripRecorder) settle() {
+	if t.inFlight == 0 {
+		return
+	}
+	err := t.store.WaitDurable(t.inFlight)
+	t.inFlight = 0
+	if err != nil {
+		t.failed(err)
+		return
+	}
+	t.srv.anomIncidents.Add(1)
+}
+
+func (t *tripRecorder) failed(err error) {
+	t.srv.anomStoreErrs.Add(1)
+	if !t.logged {
+		t.logged = true // one line per stream, not one per trip
+		t.srv.log.Error("anomaly store append failed (stream continues)",
+			"stream", t.stream, "err", err)
+	}
 }

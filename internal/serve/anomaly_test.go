@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -252,6 +253,113 @@ func TestAnomaliesEndpoint(t *testing.T) {
 		t.Fatal("bogus seq served an incident")
 	}
 
+	cancel()
+	if err := <-serveErr; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLastTripDurableWhileStreamStaysOpen: the trip recorder keeps its
+// newest incident in flight — written, not yet waited for — until the
+// next trip or the end of the stream. That record must reach the disk
+// anyway: a stream that trips and then goes quiet, still connected, shows
+// every trip under the store's durable mark without another call, the
+// daemon's books lag by exactly the one in flight, and closing the stream
+// settles it. The scrape carries the group-commit families.
+func TestLastTripDurableWhileStreamStaysOpen(t *testing.T) {
+	cfg, learned := fixture(t)
+	store, err := anomalystore.Open(t.TempDir(), anomalystore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	srv, err := New(Options{Cfg: cfg, Learned: learned, Anomalies: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ctx) }()
+
+	// A perturbed stream, flushed but not ended: the server sees a live
+	// connection that has simply stopped sending.
+	evs := simEvents(t, 300, 6*time.Second, 3)
+	conn, err := net.Dial("tcp", srv.TraceAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fw, err := traceio.NewFrameWriter(conn, "quiet-after-trip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range evs {
+		if err := fw.Write(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	waitFor("every sent event to be scored", func() bool {
+		views := srv.Streams()
+		return len(views) == 1 && views[0].EventsScored == int64(len(evs))
+	})
+	trips := srv.Stats().GateTrips
+	if trips == 0 {
+		t.Fatal("the perturbed stream tripped no gate; nothing to test")
+	}
+	waitFor("the last trip to become durable with nobody waiting for it", func() bool {
+		st := store.Stats()
+		return st.Appended == trips && st.DurableSeq == st.LastSeq
+	})
+	if got := srv.Stats().AnomalyIncidents; got != trips-1 {
+		t.Fatalf("%d incidents booked with the stream open, want %d (one in flight)", got, trips-1)
+	}
+
+	var buf bytes.Buffer
+	if err := srv.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ValidatePrometheusText(buf.Bytes()); err != nil {
+		t.Fatalf("scrape does not validate: %v", err)
+	}
+	st := store.Stats()
+	for _, want := range []string{
+		"# TYPE enduratrace_anomaly_store_sync_seconds histogram",
+		fmt.Sprintf("enduratrace_anomaly_store_sync_seconds_count %d", st.Syncs),
+		fmt.Sprintf("enduratrace_anomaly_store_syncs_total %d", st.Syncs),
+		fmt.Sprintf("enduratrace_anomaly_store_synced_records_total %d", st.SyncedRecords),
+		"enduratrace_anomaly_store_sync_errors_total 0",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("scrape is missing %q", want)
+		}
+	}
+
+	// End the stream: the in-flight incident is settled before the
+	// stream's result is published.
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor("the stream to close", func() bool { return len(srv.Results()) == 1 })
+	if stats := srv.Stats(); stats.AnomalyIncidents != stats.GateTrips || stats.AnomalyStoreErrors != 0 {
+		t.Fatalf("after the stream closed: %d incidents for %d trips, %d store errors",
+			stats.AnomalyIncidents, stats.GateTrips, stats.AnomalyStoreErrors)
+	}
 	cancel()
 	if err := <-serveErr; err != nil {
 		t.Fatal(err)

@@ -141,6 +141,17 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 		m.sample("enduratrace_anomaly_store_segments", float64(st.Segments))
 		m.family("enduratrace_anomaly_store_bytes", "gauge", "Total size of the anomaly store's segment files.")
 		m.sample("enduratrace_anomaly_store_bytes", float64(st.Bytes))
+		// The group commit, scraped: synced_records / syncs is the batching
+		// factor — near 1 the store is idle or a single stream trips, near
+		// the number of tripping streams it is flushing as fast as it can.
+		m.family("enduratrace_anomaly_store_syncs_total", "counter", "Segment fsyncs issued by the anomaly store.")
+		m.sample("enduratrace_anomaly_store_syncs_total", float64(st.Syncs))
+		m.family("enduratrace_anomaly_store_synced_records_total", "counter", "Records those fsyncs made durable.")
+		m.sample("enduratrace_anomaly_store_synced_records_total", float64(st.SyncedRecords))
+		m.family("enduratrace_anomaly_store_sync_errors_total", "counter", "Segment fsyncs that failed (their records are reported lost, the segment is retired).")
+		m.sample("enduratrace_anomaly_store_sync_errors_total", float64(st.SyncErrors))
+		m.family("enduratrace_anomaly_store_sync_seconds", "histogram", "Duration of each anomaly-store segment fsync.")
+		m.histogram("enduratrace_anomaly_store_sync_seconds", store.SyncLatency())
 	}
 
 	// Alerting ledger: every state-machine transition lands in exactly one

@@ -158,9 +158,12 @@ type StatsReport struct {
 	StreamsRejected      int64 `json:"streams_rejected"`
 	RejectedUnknownModel int64 `json:"rejected_unknown_model"`
 	DroppedEvents        int64 `json:"dropped_events"`
-	// AnomalyIncidents counts gate trips persisted to the anomaly store;
-	// AnomalyStoreErrors counts appends that failed (the stream continues).
-	// Both stay zero when no store is attached.
+	// AnomalyIncidents counts gate trips persisted to the anomaly store,
+	// booked once the fsync covering the record has returned — so each
+	// live stream's newest trip is not in it yet; AnomalyStoreErrors counts
+	// those whose write or fsync failed (the stream continues). At stream
+	// close their sum is the stream's gate trips. Both stay zero when no
+	// store is attached.
 	AnomalyIncidents   int64 `json:"anomaly_incidents"`
 	AnomalyStoreErrors int64 `json:"anomaly_store_errors"`
 	// AlertTransitions counts alert firing/resolved transitions persisted
@@ -629,9 +632,9 @@ func (s *Server) handleConn(conn net.Conn) {
 		pipe.Score.Observe(d)
 		lastScoreNs = int64(d)
 	})
-	var inner func(core.Decision) error
+	var trips *tripRecorder
 	if s.opts.Anomalies != nil {
-		inner = s.newTripRecorder(h).onDecision
+		trips = s.newTripRecorder(h)
 	}
 	// The alert state machine rides the same decision callback, on the
 	// scoring goroutine; its no-alert fast path keeps the quiet-stream
@@ -690,12 +693,15 @@ func (s *Server) handleConn(conn net.Conn) {
 				WindowIndex: d.Window.Index,
 			})
 		}
-		if inner != nil {
-			return inner(d)
+		if trips != nil {
+			return trips.onDecision(d)
 		}
 		return nil
 	}
 	stats, runErr := h.Monitor().Run(st.q, ls, onDecision)
+	if trips != nil {
+		trips.settle() // the last trip, before the stream's result is published
+	}
 	if as != nil {
 		// Run has returned, so this is still the (former) scoring
 		// goroutine: the stream going away resolves any open incident.

@@ -121,6 +121,26 @@ func (bw *BinaryWriter) Flush() error { return bw.w.Flush() }
 // BytesWritten reports the total encoded size so far, including the header.
 func (bw *BinaryWriter) BytesWritten() int64 { return bw.n }
 
+// AppendBinary appends to buf one complete binary trace of evs — header,
+// then every event — byte for byte what a BinaryWriter fed the same
+// events emits, with no buffer of its own. For callers that embed many
+// small traces in a larger record.
+func AppendBinary(buf []byte, evs []trace.Event) ([]byte, error) {
+	buf = append(buf, magic...)
+	buf = binary.AppendUvarint(buf, formatVersion)
+	var last time.Duration
+	for i, ev := range evs {
+		dts, err := deltaTS(ev, last, i > 0)
+		if err != nil {
+			return nil, err
+		}
+		last = ev.TS
+		buf = appendEventHeader(buf, dts, ev)
+		buf = append(buf, ev.Payload...)
+	}
+	return buf, nil
+}
+
 // BinaryReader decodes a binary trace stream.
 type BinaryReader struct {
 	r    *bufio.Reader

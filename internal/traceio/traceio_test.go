@@ -173,6 +173,43 @@ func TestWriterRejectsOutOfOrder(t *testing.T) {
 	}
 }
 
+// TestAppendBinaryMatchesWriter pins AppendBinary byte for byte against
+// BinaryWriter: the empty trace (header only), random streams with zero
+// deltas and payloads, appended after existing bytes — and the same
+// out-of-order refusal.
+func TestAppendBinaryMatchesWriter(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	prefix := []byte("already here")
+	for _, n := range []int{0, 1, 7, 500} {
+		evs := randomStream(rng, n)
+		var want bytes.Buffer
+		bw, err := NewBinaryWriter(&want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range evs {
+			if err := bw.Write(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := AppendBinary(append([]byte(nil), prefix...), evs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want.Bytes()) {
+			t.Fatalf("n=%d: AppendBinary emitted %d bytes that differ from BinaryWriter's %d",
+				n, len(got)-len(prefix), want.Len())
+		}
+	}
+	_, err := AppendBinary(nil, []trace.Event{{TS: 2 * time.Millisecond}, {TS: time.Millisecond}})
+	if !errors.Is(err, trace.ErrOutOfOrder) {
+		t.Fatalf("err = %v, want ErrOutOfOrder", err)
+	}
+}
+
 func TestEncodedSizeAgainstWriter(t *testing.T) {
 	evs := []trace.Event{
 		{TS: 0, Type: 0, Arg: 0},
