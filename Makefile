@@ -47,7 +47,9 @@ bench:
 # pipeline (quiet/flapping Observe fast paths, full fire→resolve emission,
 # dedup hits, key encoding), and the anomaly store (the incident encoder,
 # and the durable Append from 1, 2 and 8 appenders with its records per
-# fsync). The before/after pairs live side by side
+# fsync), and the latency histogram the serve path's instruments are
+# (per event, per run of 256, and two goroutines on one Pipeline; one op is
+# 2^20 events). The before/after pairs live side by side
 # (ScoreBrute* vs ScoreCondensed*, RowsSymKL vs RowsSymKLFast,
 # FrameDecodeNext vs FrameDecodeBatch); the output is kept in
 # BENCH_micro.txt so CI can archive the perf trajectory and benchdiff can
@@ -55,4 +57,4 @@ bench:
 microbench:
 	$(GO) test -run '^$$' -bench . -benchtime 20x -benchmem \
 		./internal/lof ./internal/distance ./internal/core ./internal/serve \
-		./internal/traceio ./internal/alert ./internal/anomalystore | tee BENCH_micro.txt
+		./internal/traceio ./internal/alert ./internal/anomalystore ./internal/obs | tee BENCH_micro.txt

@@ -27,7 +27,10 @@ type SegmentScan struct {
 	// a partial record, a CRC mismatch, or a payload that fails to decode.
 	// Everything counted in Records precedes the damage.
 	Truncated bool
-	// Bytes is the number of bytes consumed, including the header.
+	// Bytes is the size of what the scan found intact: the header and
+	// every intact record, plus — when Sealed — the end marker and the
+	// tail index behind it, i.e. the whole file. A torn or corrupt tail
+	// is not counted.
 	Bytes int64
 }
 
@@ -45,7 +48,7 @@ func ScanSegment(r io.Reader, fn func(seq uint64, payload []byte) error) (Segmen
 	var scan SegmentScan
 	cr := &countReader{r: r}
 	br := bufio.NewReaderSize(cr, 1<<16)
-	defer func() { scan.Bytes = cr.n - int64(br.Buffered()) }()
+	consumed := func() int64 { return cr.n - int64(br.Buffered()) }
 
 	head := make([]byte, len(segMagic))
 	if _, err := io.ReadFull(br, head); err != nil {
@@ -65,6 +68,7 @@ func ScanSegment(r io.Reader, fn func(seq uint64, payload []byte) error) (Segmen
 	if _, err := binary.ReadUvarint(br); err != nil { // baseSeq
 		return scan, fmt.Errorf("anomalystore: reading segment base sequence: %w", unexpectedEOF(err))
 	}
+	scan.Bytes = consumed()
 
 	var payload []byte
 	for {
@@ -80,6 +84,10 @@ func ScanSegment(r io.Reader, fn func(seq uint64, payload []byte) error) (Segmen
 		}
 		if plen == 0 {
 			scan.Sealed = true
+			if _, err := io.Copy(io.Discard, br); err != nil { // the tail index
+				return scan, fmt.Errorf("anomalystore: reading segment tail: %w", err)
+			}
+			scan.Bytes = consumed()
 			return scan, nil
 		}
 		if plen > maxRecordSize {
@@ -122,6 +130,7 @@ func ScanSegment(r io.Reader, fn func(seq uint64, payload []byte) error) (Segmen
 		}
 		scan.LastSeq = seq
 		scan.Records++
+		scan.Bytes = consumed()
 	}
 }
 

@@ -493,3 +493,72 @@ func TestIncidentMetaMarshalNonFinite(t *testing.T) {
 		t.Fatalf("finite scores mangled: %v", got)
 	}
 }
+
+// TestReopenBooksSegmentBytes: a reopened store books the bytes of the
+// segments it recovered — sealed files whole, the crashed active segment
+// through its last intact record — so Stats().Bytes carries on from where
+// the crashed store left it, and a torn tail is not counted.
+func TestReopenBooksSegmentBytes(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{SegmentBytes: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, s, 40)
+	before := s.Stats().Bytes
+	// Crash: no Close, the active segment stays unsealed.
+	segs, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) < 2 {
+		t.Fatalf("need a sealed and an active segment, got %d", len(segs))
+	}
+	var onDisk int64
+	for _, seg := range segs {
+		fi, err := os.Stat(seg.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		onDisk += fi.Size()
+	}
+	if before != onDisk {
+		t.Fatalf("live store books %d bytes, segment files hold %d", before, onDisk)
+	}
+
+	reopened := func() int64 {
+		t.Helper()
+		s2, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s2.Close()
+		return s2.Stats().Bytes
+	}
+	if got := reopened(); got != onDisk {
+		t.Fatalf("reopened store books %d bytes, want the %d on disk", got, onDisk)
+	}
+
+	// Tear the tail: half of a record after the last intact one.
+	active := segs[len(segs)-1].path
+	whole, err := os.ReadFile(active)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(active, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(whole[len(whole)-30 : len(whole)-10]); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if scan, err := scanSegmentFile(active, nil); err != nil || !scan.Truncated {
+		t.Fatalf("torn segment scans as %+v, %v; want Truncated", scan, err)
+	}
+	if got := reopened(); got != onDisk {
+		t.Fatalf("store reopened over a torn tail books %d bytes, want %d (tail not counted)", got, onDisk)
+	}
+}

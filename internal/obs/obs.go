@@ -7,8 +7,11 @@
 //
 //   - Observe must be safe from any goroutine with no lock (the ingest and
 //     scoring goroutines of every stream write concurrently);
-//   - Observe must allocate nothing (it runs once per event on a path that
-//     is otherwise allocation-free);
+//   - Observe must allocate nothing (it runs on a path that is otherwise
+//     allocation-free);
+//   - a run of equal durations must cost what one does (ObserveN): the
+//     events of one decoded batch share a decode share, an arrival time
+//     and a pop time, so the serve path observes runs, not events;
 //   - snapshots must be mergeable and expressible as a Prometheus
 //     `histogram` family (cumulative buckets, _sum, _count).
 //
@@ -24,6 +27,7 @@ package obs
 
 import (
 	"math"
+	"math/bits"
 	"sync/atomic"
 	"time"
 )
@@ -44,9 +48,27 @@ const (
 // boundsS[i] = 1µs · 2^((i+1)/4).
 var boundsS [NumBounds]float64
 
+// boundsNs holds the same bounds as whole nanoseconds, rounded down: for an
+// integer ns, ns <= 1µs·2^((i+1)/4) exactly when ns <= boundsNs[i].
+var boundsNs [NumBounds]int64
+
+// octaveStart[bits.Len64(ns)] is the bin of the smallest ns with that bit
+// length. Four bounds span a factor of two, so the bin of any ns with the
+// same bit length lies at most four bins further on.
+var octaveStart [65]uint8
+
 func init() {
 	for i := range boundsS {
-		boundsS[i] = (loNs / 1e9) * math.Pow(2, float64(i+1)/bucketsPerOctave)
+		p := math.Pow(2, float64(i+1)/bucketsPerOctave)
+		boundsS[i] = (loNs / 1e9) * p
+		boundsNs[i] = int64(math.Floor(loNs * p))
+	}
+	i := 0
+	for l := 1; l < len(octaveStart); l++ {
+		for i < NumBounds && boundsNs[i] < int64(1)<<(l-1) {
+			i++
+		}
+		octaveStart[l] = uint8(i)
 	}
 }
 
@@ -56,16 +78,18 @@ func Bounds() []float64 { return boundsS[:] }
 
 // bucketIdx maps a duration in nanoseconds to its bin: the smallest i with
 // ns <= bound[i], or NumBounds (the overflow bin) beyond the last bound.
+// Integer only: the bit length picks the octave, then at most four
+// compares against boundsNs find the bin.
 func bucketIdx(ns int64) int {
 	if ns <= loNs {
 		return 0
 	}
-	i := int(math.Ceil(math.Log2(float64(ns)/loNs) * bucketsPerOctave))
-	// ns <= loNs·2^(i/4) = bound[i-1], and (i-1) is the smallest such
-	// index because ceil is tight.
-	i--
-	if i >= NumBounds {
+	if ns > boundsNs[NumBounds-1] {
 		return NumBounds
+	}
+	i := int(octaveStart[bits.Len64(uint64(ns))])
+	for ns > boundsNs[i] {
+		i++
 	}
 	return i
 }
@@ -81,19 +105,28 @@ type Histogram struct {
 // Observe records one duration.
 //
 //enduratrace:zeroalloc
-func (h *Histogram) Observe(d time.Duration) { h.ObserveNs(int64(d)) }
+func (h *Histogram) Observe(d time.Duration) { h.ObserveN(int64(d), 1) }
 
-// ObserveNs records one duration given in nanoseconds. Non-positive
-// durations (clock went backwards between the two reads) count as 1ns so
-// the observation is never lost.
+// ObserveNs records one duration given in nanoseconds.
 //
 //enduratrace:zeroalloc
-func (h *Histogram) ObserveNs(ns int64) {
+func (h *Histogram) ObserveNs(ns int64) { h.ObserveN(ns, 1) }
+
+// ObserveN records n equal durations of ns nanoseconds each, at the cost
+// of one: one bucket lookup and two atomic adds. Non-positive durations
+// (clock went backwards between the two reads) count as 1ns so the
+// observations are never lost; n <= 0 records nothing.
+//
+//enduratrace:zeroalloc
+func (h *Histogram) ObserveN(ns int64, n int) {
+	if n <= 0 {
+		return
+	}
 	if ns < 1 {
 		ns = 1
 	}
-	h.sumNs.Add(ns)
-	h.bins[bucketIdx(ns)].Add(1)
+	h.sumNs.Add(ns * int64(n))
+	h.bins[bucketIdx(ns)].Add(uint64(n))
 }
 
 // Snapshot returns a point-in-time copy of the histogram. Concurrent

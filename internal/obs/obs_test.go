@@ -50,6 +50,46 @@ func TestBucketIdx(t *testing.T) {
 	}
 }
 
+// refBucketIdx is the float formula bucketIdx replaced, kept as the
+// reference the integer lookup must agree with for every ns.
+func refBucketIdx(ns int64) int {
+	if ns <= loNs {
+		return 0
+	}
+	i := int(math.Ceil(math.Log2(float64(ns)/loNs)*bucketsPerOctave)) - 1
+	if i >= NumBounds {
+		return NumBounds
+	}
+	return i
+}
+
+// TestBucketIdxMatchesReference: the integer lookup returns the float
+// formula's bin on every small duration, on both sides of every bound, on
+// a geometric sweep past the last bound, and on non-positive input.
+func TestBucketIdxMatchesReference(t *testing.T) {
+	check := func(ns int64) {
+		t.Helper()
+		if got, want := bucketIdx(ns), refBucketIdx(ns); got != want {
+			t.Fatalf("bucketIdx(%d) = %d, reference %d", ns, got, want)
+		}
+	}
+	for ns := int64(-3); ns <= 5_000_000; ns++ {
+		check(ns)
+	}
+	for i := 0; i < NumBounds; i++ {
+		b := int64(math.Round(boundsS[i] * 1e9))
+		for d := int64(-3); d <= 3; d++ {
+			check(b + d)
+		}
+	}
+	for ns := int64(1); ns < 1<<40; ns += ns/64 + 1 {
+		check(ns)
+	}
+	for _, ns := range []int64{math.MinInt64, -1, 0, 1 << 40, 1 << 62, math.MaxInt64} {
+		check(ns)
+	}
+}
+
 func TestBoundsAscending(t *testing.T) {
 	bs := Bounds()
 	if len(bs) != NumBounds {
@@ -104,6 +144,38 @@ func TestHistogramOverflowVisible(t *testing.T) {
 	}
 }
 
+// TestObserveNEqualsNObserves: a run of n equal durations leaves every bin
+// and the sum exactly where n single observations would, and a
+// non-positive n records nothing.
+func TestObserveNEqualsNObserves(t *testing.T) {
+	var run, single Histogram
+	for _, tc := range []struct {
+		ns int64
+		n  int
+	}{
+		{-5, 3}, {0, 1}, {1, 7}, {999, 2}, {1000, 1}, {1190, 256}, {137_000, 512},
+		{int64(3 * time.Second), 4}, {int64(100 * time.Second), 2},
+		{5000, 0}, {5000, -4},
+	} {
+		run.ObserveN(tc.ns, tc.n)
+		for i := 0; i < tc.n; i++ {
+			single.ObserveNs(tc.ns)
+		}
+	}
+	a, b := run.Snapshot(), single.Snapshot()
+	if a.SumNs != b.SumNs {
+		t.Fatalf("SumNs: runs %d, singles %d", a.SumNs, b.SumNs)
+	}
+	for i := range a.Counts {
+		if a.Counts[i] != b.Counts[i] {
+			t.Fatalf("bin %d: runs %d, singles %d", i, a.Counts[i], b.Counts[i])
+		}
+	}
+	if got, want := a.Count(), uint64(3+1+7+2+1+256+512+4+2); got != want {
+		t.Fatalf("Count = %d, want %d", got, want)
+	}
+}
+
 func TestSnapshotMerge(t *testing.T) {
 	var a, b Histogram
 	a.Observe(time.Millisecond)
@@ -122,13 +194,15 @@ func TestSnapshotMerge(t *testing.T) {
 }
 
 // TestHistogramConcurrentObserveSnapshot is the race gate: many writers
-// hammering Observe while readers take snapshots must be race-clean (run
-// under -race) and lose no observations.
+// hammering ObserveNs and ObserveN while readers take snapshots must be
+// race-clean (run under -race) and lose no observations, and in every
+// snapshot the cumulative +Inf bucket is the count.
 func TestHistogramConcurrentObserveSnapshot(t *testing.T) {
 	var h Histogram
 	const (
 		writers = 8
-		perW    = 10000
+		perW    = 10000 // observations per writer; odd writers record them in runs of runLen
+		runLen  = 16
 	)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -148,6 +222,14 @@ func TestHistogramConcurrentObserveSnapshot(t *testing.T) {
 					t.Errorf("snapshot Count %d exceeds writes", c)
 					return
 				}
+				var cum uint64 // what the scrape writes as le="+Inf"
+				for _, c := range s.Counts {
+					cum += c
+				}
+				if cum != s.Count() {
+					t.Errorf("+Inf bucket %d != _count %d", cum, s.Count())
+					return
+				}
 				_ = s.Quantile(0.99)
 			}
 		}()
@@ -156,6 +238,12 @@ func TestHistogramConcurrentObserveSnapshot(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			if w%2 == 1 {
+				for i := 0; i < perW; i += runLen {
+					h.ObserveN(int64(w*1000+i+1), runLen)
+				}
+				return
+			}
 			for i := 0; i < perW; i++ {
 				h.ObserveNs(int64(w*1000 + i + 1))
 			}
@@ -191,8 +279,9 @@ func TestObserveZeroAlloc(t *testing.T) {
 	var h Histogram
 	if allocs := testing.AllocsPerRun(1000, func() {
 		h.Observe(137 * time.Microsecond)
+		h.ObserveN(137_000, 256)
 	}); allocs != 0 {
-		t.Fatalf("Observe allocates %v times per call, want 0", allocs)
+		t.Fatalf("Observe + ObserveN allocate %v times per call, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(1000, func() {
 		_ = Now()

@@ -127,6 +127,7 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	m.sample("enduratrace_model_reloads_total", float64(s.models.Generation()))
 
 	m.family("enduratrace_streams_rejected_total", "counter", "Streams refused at registration, by reason.")
+	m.sample("enduratrace_streams_rejected_total", float64(s.rejHeader.Load()), "reason", "header")
 	m.sample("enduratrace_streams_rejected_total", float64(s.rejUnknown.Load()), "reason", "unknown_model")
 	m.sample("enduratrace_streams_rejected_total", float64(s.rejRegister.Load()), "reason", "register")
 	m.sample("enduratrace_streams_rejected_total", float64(s.rejSink.Load()), "reason", "sink")

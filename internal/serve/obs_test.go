@@ -65,27 +65,24 @@ func TestLoggerTimestamps(t *testing.T) {
 	}
 }
 
-// TestQueuePathZeroAlloc is the allocation gate for the instrumented
-// queue: PushTimed, Next (with queue-wait observation and arrival
+// TestQueuePathZeroAlloc is the allocation gate for the one-event queue
+// path: a PushBatch of one, Next (with queue-wait observation and arrival
 // tracking) and the decision-side drain must not allocate in steady
 // state — latency accounting may not cost the event path its
 // allocation-free property.
 func TestQueuePathZeroAlloc(t *testing.T) {
-	q := newEventQueue(64, Block)
 	var pipe obs.Pipeline
-	q.instrument(&pipe)
-	ev := trace.Event{TS: time.Millisecond, Type: 1, Arg: 64}
+	q := newEventQueue(64, Block, &pipe, 0)
+	evs := []trace.Event{{TS: time.Millisecond, Type: 1, Arg: 64}}
 
-	var seq uint64
 	step := func() {
-		seq++
-		q.PushTimed(ev, obs.Now(), 500, seq, false)
+		q.PushBatch(evs, obs.Now(), 500)
 		if _, err := q.Next(); err != nil {
 			t.Fatal(err)
 		}
 		now := obs.Now()
-		for _, enq := range q.takeArrivals() {
-			pipe.E2E.ObserveNs(now - enq)
+		for _, a := range q.takeArrivals() {
+			pipe.E2E.ObserveN(now-a.enqNs, a.n)
 		}
 	}
 	step() // warm the cond/rings

@@ -52,9 +52,9 @@ func ParseBackpressure(s string) (Backpressure, error) {
 // eventQueue is the bounded handoff between a stream's ingest goroutine
 // (socket → decode) and its scoring goroutine (window → gate → LOF →
 // record). It implements trace.BatchReader on the consumer side (so
-// core.Monitor.Run drains it in whole-batch passes); Next and ReadBatch
-// return io.EOF once the queue is closed and drained, so a run over the
-// queue terminates cleanly whatever ended ingestion.
+// core.Monitor.Run drains it in whole-batch passes); ReadBatch returns
+// io.EOF once the queue is closed and drained, so a run over the queue
+// terminates cleanly whatever ended ingestion.
 //
 // All four counters move under the queue mutex and are read together via
 // Counters(), so any observer sees a consistent snapshot obeying
@@ -66,6 +66,12 @@ func ParseBackpressure(s string) (Backpressure, error) {
 // scored counter outside the lock, so a concurrent /stats read could
 // catch an event that had left the buffer but was not yet counted
 // anywhere; TestEventQueueCountersConsistentUnderRace pins the fix.)
+//
+// Instrumentation rides the queue as runs, not per event: the events one
+// PushBatch admits share an arrival time and a decode share, and the
+// events one ReadBatch pops share a pop time, so the stage histograms are
+// fed once per run (obs.Histogram.ObserveN). An event's stream ordinal is
+// not stored either: the head event's is scored + dropped + 1.
 type eventQueue struct {
 	mu       sync.Mutex
 	notFull  sync.Cond
@@ -80,11 +86,14 @@ type eventQueue struct {
 	ingested int64 //enduratrace:guarded-by mu
 	scored   int64 //enduratrace:guarded-by mu
 
-	// Instrumentation (instrument() turns it on; nil/zero otherwise).
-	// meta rides the ring in parallel with buf: per-event enqueue
-	// timestamp, decode duration, stream ordinal and flight-sample flag.
-	meta []evMeta
-	pipe *obs.Pipeline // per-model stage histograms (QueueWait observed at pop)
+	// runs rides beside buf, oldest run first: the queued events, in
+	// order, belong to runs[rhead], runs[rhead+1], … up to rtail. A run is
+	// never empty, so the ring needs no more slots than buf has.
+	runs         []run
+	rhead, rtail int
+
+	pipe        *obs.Pipeline // per-model stage histograms (QueueWait observed at pop)
+	flightEvery uint64        // flight-sample every Nth event of the stream; 0 = never
 
 	// lastPushNs/lastPopNs feed the stall watchdog: the monotonic time
 	// (obs.Now) of the most recent enqueue and dequeue. Atomics so the
@@ -93,116 +102,74 @@ type eventQueue struct {
 	lastPopNs  atomic.Int64
 
 	// Consumer-side state, owned by the scoring goroutine (the only
-	// caller of Next, ReadBatch, takeArrivals and takeFlight): the enqueue
-	// times of events popped since the last window decision (drained into
-	// the E2E histogram by the decision callback), the most recent
-	// flight-sampled event awaiting its window's decision, and the scratch
-	// metadata slice ReadBatch copies into under the lock so the
-	// per-event observation work can happen after unlock.
-	pending     []int64
-	flightSlot  poppedMeta
+	// caller of Next, ReadBatch, takeArrivals and takeFlight): the runs
+	// ReadBatch copies out under the lock so that observing them can
+	// happen after unlock, the runs popped since the last window decision
+	// (drained into the E2E histogram by the decision callback), and the
+	// most recent flight-sampled event awaiting its window's decision.
+	popped      []run
+	pending     []run
+	flightSlot  flightSample
 	hasFlight   bool
 	flightSkips int
-	popMetas    []evMeta
 }
 
-// evMeta is the per-event instrumentation carried through the ring.
-type evMeta struct {
+// run is the instrumentation consecutive queued events share: what one
+// PushBatch admitted in one piece.
+type run struct {
 	enqNs    int64 // obs.Now at enqueue (arrival: decode complete)
-	decodeNs int64 // time spent obtaining the event off the socket
-	seq      uint64
-	flight   bool
+	decodeNs int64 // each event's share of the time spent obtaining the batch off the socket
+	n        int
 }
 
-// poppedMeta is an evMeta plus what the pop itself measured.
-type poppedMeta struct {
-	evMeta
-	waitNs int64 // time spent queued
+// flightSample is one flight-sampled event as the pop saw it.
+type flightSample struct {
+	seq      uint64 // 1-based ordinal within the stream
+	enqNs    int64
+	decodeNs int64
+	waitNs   int64 // time spent queued
 }
 
-// pendingCap bounds the consumer-side arrival buffer: a pathological
-// window holding more events than this loses the excess from the E2E
-// histogram (the stage histograms still see every event). 64k events per
-// window is ~25× the default pipeline's worst case.
-const pendingCap = 65536
+// pendingCap bounds the consumer-side arrival buffer, in runs. Arrivals
+// beyond it are folded into the newest entry — counted at its arrival
+// time, never lost — so the E2E histogram's _count is the number of
+// events scored however long a window lasts.
+const pendingCap = 4096
 
-// instrument attaches the per-model stage histograms and allocates the
-// metadata ring. Must be called before the first Push.
-func (q *eventQueue) instrument(pipe *obs.Pipeline) {
-	q.pipe = pipe
-	q.meta = make([]evMeta, len(q.buf))
-	q.pending = make([]int64, 0, 256)
-	now := obs.Now()
-	q.lastPushNs.Store(now)
-	q.lastPopNs.Store(now)
-}
-
-func newEventQueue(capacity int, policy Backpressure) *eventQueue {
+// newEventQueue builds a queue feeding pipe's QueueWait histogram and
+// flight-sampling every flightEvery-th event (0: none).
+func newEventQueue(capacity int, policy Backpressure, pipe *obs.Pipeline, flightEvery uint64) *eventQueue {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	q := &eventQueue{buf: make([]trace.Event, capacity), policy: policy}
+	q := &eventQueue{
+		buf:         make([]trace.Event, capacity),
+		runs:        make([]run, capacity),
+		policy:      policy,
+		pipe:        pipe,
+		flightEvery: flightEvery,
+		pending:     make([]run, 0, 64),
+	}
 	q.notFull.L = &q.mu
 	q.notEmpty.L = &q.mu
+	now := obs.Now()
+	q.lastPushNs.Store(now)
+	q.lastPopNs.Store(now)
 	return q
 }
 
-// Push enqueues ev according to the backpressure policy. It returns false
-// once the queue is closed (shutdown), telling the ingester to stop.
-func (q *eventQueue) Push(ev trace.Event) bool {
-	return q.PushTimed(ev, obs.Now(), 0, 0, false)
-}
-
-// PushTimed is Push carrying the event's instrumentation: its arrival
-// timestamp (obs.Now at decode completion), the decode duration, the
-// stream ordinal and whether the flight recorder sampled it. On an
-// uninstrumented queue the extras are simply dropped.
+// PushBatch enqueues evs, one run per mutex acquisition: the events share
+// the arrival timestamp enqNs (the whole batch became visible at the same
+// ReadBatch return) and the per-event decode share decodeNs. Under Block
+// the batch is admitted in pieces no larger than the free space, waking
+// the consumer between pieces, so a batch larger than the queue cannot
+// deadlock; under DropOldest each piece evicts as many of the oldest
+// events as it needs room for. Returns false once the queue is closed
+// (shutdown), telling the ingester to stop — events admitted before the
+// close stay counted and consumable.
 //
 //enduratrace:zeroalloc
-func (q *eventQueue) PushTimed(ev trace.Event, enqNs, decodeNs int64, seq uint64, flight bool) bool {
-	q.mu.Lock()
-	if q.policy == Block {
-		for q.n == len(q.buf) && !q.closed {
-			q.notFull.Wait()
-		}
-	}
-	if q.closed {
-		q.mu.Unlock()
-		return false
-	}
-	if q.n == len(q.buf) { // DropOldest: make room
-		q.head = (q.head + 1) % len(q.buf)
-		q.n--
-		q.dropped++
-	}
-	i := (q.head + q.n) % len(q.buf)
-	q.buf[i] = ev
-	if q.meta != nil {
-		q.meta[i] = evMeta{enqNs: enqNs, decodeNs: decodeNs, seq: seq, flight: flight}
-		q.lastPushNs.Store(enqNs)
-	}
-	q.n++
-	// Count before unlocking: the consumer may pop (and bump scored) the
-	// instant the lock drops, and scored must never exceed ingested.
-	q.ingested++
-	q.mu.Unlock()
-	q.notEmpty.Signal()
-	return true
-}
-
-// PushBatch enqueues evs under one mutex acquisition instead of one per
-// event, filling the metadata ring in the same critical section: event i
-// carries sequence firstSeq+i, the shared arrival timestamp enqNs (the
-// whole batch became visible at the same ReadBatch return) and the
-// per-event decode share decodeNsPerEv. Under Block the batch is admitted
-// in capacity-sized chunks, waking the consumer between chunks, so a
-// batch larger than the queue cannot deadlock; under DropOldest each
-// admitted event evicts the oldest exactly as Push would. Returns false
-// once the queue is closed — events admitted before the close stay
-// counted and consumable.
-//
-//enduratrace:zeroalloc
-func (q *eventQueue) PushBatch(evs []trace.Event, enqNs, decodeNsPerEv int64, firstSeq uint64, flightEvery uint64) bool {
+func (q *eventQueue) PushBatch(evs []trace.Event, enqNs, decodeNs int64) bool {
 	for len(evs) > 0 {
 		q.mu.Lock()
 		if q.policy == Block {
@@ -214,41 +181,49 @@ func (q *eventQueue) PushBatch(evs []trace.Event, enqNs, decodeNsPerEv int64, fi
 			q.mu.Unlock()
 			return false
 		}
-		k := len(evs)
-		if q.policy == Block {
-			if free := len(q.buf) - q.n; k > free {
-				k = free
-			}
-		}
-		for i := 0; i < k; i++ {
-			if q.n == len(q.buf) { // DropOldest: make room
-				q.head = (q.head + 1) % len(q.buf)
-				q.n--
-				q.dropped++
-			}
-			j := (q.head + q.n) % len(q.buf)
-			q.buf[j] = evs[i]
-			if q.meta != nil {
-				seq := firstSeq + uint64(i)
-				q.meta[j] = evMeta{
-					enqNs:    enqNs,
-					decodeNs: decodeNsPerEv,
-					seq:      seq,
-					flight:   flightEvery > 0 && seq%flightEvery == 0,
+		k := min(len(evs), len(q.buf))
+		if over := q.n + k - len(q.buf); over > 0 {
+			if q.policy == Block {
+				k -= over
+			} else {
+				q.head = (q.head + over) % len(q.buf)
+				q.n -= over
+				q.dropped += int64(over)
+				for over > 0 {
+					over -= q.takeHead(over).n
 				}
 			}
-			q.n++
-			q.ingested++
 		}
-		if q.meta != nil {
-			q.lastPushNs.Store(enqNs)
-		}
+		tail := (q.head + q.n) % len(q.buf)
+		c := copy(q.buf[tail:], evs[:k])
+		copy(q.buf, evs[c:k])
+		q.runs[q.rtail] = run{enqNs: enqNs, decodeNs: decodeNs, n: k}
+		q.rtail = (q.rtail + 1) % len(q.runs)
+		q.n += k
+		// Count before unlocking: the consumer may pop (and bump scored) the
+		// instant the lock drops, and scored must never exceed ingested.
+		q.ingested += int64(k)
+		q.lastPushNs.Store(enqNs)
 		q.mu.Unlock()
 		q.notEmpty.Signal()
 		evs = evs[k:]
-		firstSeq += uint64(k)
 	}
 	return true
+}
+
+// takeHead removes the oldest run, or its first k events when it holds
+// more, and returns what it removed. The caller holds mu and moves the
+// event ring and the books to match.
+func (q *eventQueue) takeHead(k int) run {
+	r := &q.runs[q.rhead]
+	t := *r
+	if t.n > k {
+		t.n = k
+		r.n -= k
+		return t
+	}
+	q.rhead = (q.rhead + 1) % len(q.runs)
+	return t
 }
 
 // Close stops ingestion; queued events remain consumable (the drain).
@@ -261,59 +236,22 @@ func (q *eventQueue) Close() {
 	q.notFull.Broadcast()
 }
 
-// Next implements trace.Reader for the scoring side.
+// Next implements trace.Reader for the scoring side: a ReadBatch of one.
 //
 //enduratrace:zeroalloc
 func (q *eventQueue) Next() (trace.Event, error) {
-	q.mu.Lock()
-	for q.n == 0 && !q.closed {
-		q.notEmpty.Wait()
-	}
-	if q.n == 0 {
-		q.mu.Unlock()
-		return trace.Event{}, io.EOF
-	}
-	ev := q.buf[q.head]
-	q.buf[q.head] = trace.Event{} // drop payload reference
-	var m evMeta
-	if q.meta != nil {
-		m = q.meta[q.head]
-	}
-	q.head = (q.head + 1) % len(q.buf)
-	q.n--
-	// Count inside the lock: the event must never be invisible to a
-	// concurrent Counters() — gone from the buffer yet not scored.
-	q.scored++
-	q.mu.Unlock()
-	q.notFull.Signal()
-	if q.meta != nil {
-		now := obs.Now()
-		wait := now - m.enqNs
-		q.pipe.QueueWait.ObserveNs(wait)
-		q.lastPopNs.Store(now)
-		// Arrival times accumulate until the next window decision drains
-		// them into the E2E histogram; the cap bounds a pathological
-		// window (the stage histograms above still saw the event).
-		if len(q.pending) < pendingCap {
-			q.pending = append(q.pending, m.enqNs)
-		}
-		if m.flight {
-			if q.hasFlight {
-				q.flightSkips++ // previous sample never saw its decision
-			}
-			q.flightSlot = poppedMeta{evMeta: m, waitNs: wait}
-			q.hasFlight = true
-		}
-	}
-	return ev, nil
+	var one [1]trace.Event
+	_, err := q.ReadBatch(one[:])
+	return one[0], err
 }
 
 // ReadBatch implements trace.BatchReader for the scoring side: it pops
 // every immediately available event (up to len(dst)) under one mutex
-// acquisition, blocking only when the queue is empty and open. Counter
-// discipline matches Next — scored moves inside the lock — while the
-// per-event observation work (QueueWait, pending arrivals, flight slot)
-// happens after unlock on metadata copied out under the lock.
+// acquisition, blocking only when the queue is empty and open. scored
+// moves inside the lock — an event must never be invisible to a
+// concurrent Counters(), gone from the buffer yet not scored — while the
+// observation work (QueueWait, pending arrivals, flight slot) happens
+// after unlock, once per run, on runs copied out under the lock.
 //
 //enduratrace:zeroalloc
 func (q *eventQueue) ReadBatch(dst []trace.Event) (int, error) {
@@ -325,57 +263,66 @@ func (q *eventQueue) ReadBatch(dst []trace.Event) (int, error) {
 		q.mu.Unlock()
 		return 0, io.EOF
 	}
-	k := len(dst)
-	if k > q.n {
-		k = q.n
+	k := min(len(dst), q.n)
+	seq := uint64(q.scored+q.dropped) + 1 // the head event's stream ordinal
+	c := copy(dst[:k], q.buf[q.head:])
+	copy(dst[c:k], q.buf)
+	clear(q.buf[q.head : q.head+c]) // drop payload references
+	clear(q.buf[:k-c])
+	q.popped = q.popped[:0]
+	for left := k; left > 0; {
+		r := q.takeHead(left)
+		q.popped = append(q.popped, r)
+		left -= r.n
 	}
-	var metas []evMeta
-	if q.meta != nil {
-		if cap(q.popMetas) < k {
-			//lint:ignore zeroalloc amortized scratch growth: reused across calls, steady-state zero
-			q.popMetas = make([]evMeta, k)
-		}
-		metas = q.popMetas[:k]
-	}
-	for i := 0; i < k; i++ {
-		dst[i] = q.buf[q.head]
-		q.buf[q.head] = trace.Event{} // drop payload reference
-		if metas != nil {
-			metas[i] = q.meta[q.head]
-		}
-		q.head = (q.head + 1) % len(q.buf)
-	}
+	q.head = (q.head + k) % len(q.buf)
 	q.n -= k
 	q.scored += int64(k)
 	q.mu.Unlock()
 	q.notFull.Signal()
-	if metas != nil {
-		now := obs.Now()
-		q.lastPopNs.Store(now)
-		for i := range metas {
-			m := metas[i]
-			wait := now - m.enqNs
-			q.pipe.QueueWait.ObserveNs(wait)
-			if len(q.pending) < pendingCap {
-				q.pending = append(q.pending, m.enqNs)
-			}
-			if m.flight {
+
+	now := obs.Now()
+	q.lastPopNs.Store(now)
+	for _, r := range q.popped {
+		wait := now - r.enqNs
+		q.pipe.QueueWait.ObserveN(wait, r.n)
+		// Arrivals accumulate until the next window decision drains them
+		// into the E2E histogram; pieces of one run rejoin, and at the cap
+		// the newest entry absorbs the rest.
+		if last := len(q.pending) - 1; last >= 0 && (q.pending[last].enqNs == r.enqNs || last+1 == pendingCap) {
+			q.pending[last].n += r.n
+		} else {
+			q.pending = append(q.pending, r)
+		}
+		// The run's flight-sampled events are the multiples of flightEvery
+		// in [seq, seq+n): the last takes the slot; each earlier one, and a
+		// previous sample still waiting for its decision, is overwritten.
+		if q.flightEvery > 0 {
+			end := seq + uint64(r.n) - 1
+			if hits := end/q.flightEvery - (seq-1)/q.flightEvery; hits > 0 {
+				q.flightSkips += int(hits) - 1
 				if q.hasFlight {
-					q.flightSkips++ // previous sample never saw its decision
+					q.flightSkips++
 				}
-				q.flightSlot = poppedMeta{evMeta: m, waitNs: wait}
+				q.flightSlot = flightSample{
+					seq:      end - end%q.flightEvery,
+					enqNs:    r.enqNs,
+					decodeNs: r.decodeNs,
+					waitNs:   wait,
+				}
 				q.hasFlight = true
 			}
 		}
+		seq += uint64(r.n)
 	}
 	return k, nil
 }
 
-// takeArrivals hands the scoring goroutine the enqueue times of every
-// event popped since the previous call, for E2E observation at a window
-// decision. The returned slice is only valid until the next Next call;
-// observe it immediately.
-func (q *eventQueue) takeArrivals() []int64 {
+// takeArrivals hands the scoring goroutine the runs popped since the
+// previous call — each event's arrival time, by run — for E2E observation
+// at a window decision. The returned slice is only valid until the next
+// ReadBatch; observe it immediately.
+func (q *eventQueue) takeArrivals() []run {
 	a := q.pending
 	q.pending = q.pending[:0]
 	return a
@@ -385,19 +332,18 @@ func (q *eventQueue) takeArrivals() []int64 {
 // previous call, if any, plus how many earlier samples were overwritten
 // before their window's decision (skipped). Consumer-side only, like
 // takeArrivals.
-func (q *eventQueue) takeFlight() (m poppedMeta, skipped int, ok bool) {
+func (q *eventQueue) takeFlight() (m flightSample, skipped int, ok bool) {
 	skipped = q.flightSkips
 	q.flightSkips = 0
 	if !q.hasFlight {
-		return poppedMeta{}, skipped, false
+		return flightSample{}, skipped, false
 	}
 	q.hasFlight = false
 	return q.flightSlot, skipped, true
 }
 
 // LastTimes reports the obs.Now timestamps of the most recent enqueue and
-// dequeue, for the stall watchdog. Zero values mean the queue is not
-// instrumented.
+// dequeue, for the stall watchdog.
 func (q *eventQueue) LastTimes() (pushNs, popNs int64) {
 	return q.lastPushNs.Load(), q.lastPopNs.Load()
 }
@@ -416,11 +362,4 @@ func (q *eventQueue) Counters() QueueCounters {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return QueueCounters{Ingested: q.ingested, Scored: q.scored, Dropped: q.dropped, Depth: q.n}
-}
-
-// Depth reports the current queue occupancy.
-func (q *eventQueue) Depth() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.n
 }

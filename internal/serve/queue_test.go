@@ -6,8 +6,14 @@ import (
 	"testing"
 	"time"
 
+	"enduratrace/internal/obs"
 	"enduratrace/internal/trace"
 )
+
+// push1 enqueues one event: a PushBatch of one.
+func push1(q *eventQueue, ev trace.Event) bool {
+	return q.PushBatch([]trace.Event{ev}, obs.Now(), 0)
+}
 
 // TestEventQueueCountersConsistentUnderRace is the drop-accounting audit
 // regression test (run under -race in CI): with a producer hammering a
@@ -22,7 +28,7 @@ import (
 // transiently over-reporting drops relative to the scored totals.
 func TestEventQueueCountersConsistentUnderRace(t *testing.T) {
 	const nEvents = 50_000
-	q := newEventQueue(16, DropOldest)
+	q := newEventQueue(16, DropOldest, &obs.Pipeline{}, 0)
 
 	var wg sync.WaitGroup
 	stopObs := make(chan struct{})
@@ -60,7 +66,7 @@ func TestEventQueueCountersConsistentUnderRace(t *testing.T) {
 	}()
 
 	for i := 0; i < nEvents; i++ {
-		if !q.Push(trace.Event{TS: time.Duration(i), Type: 1}) {
+		if !push1(q, trace.Event{TS: time.Duration(i), Type: 1}) {
 			t.Error("queue closed under the producer")
 			break
 		}
@@ -91,7 +97,7 @@ func TestEventQueueCountersConsistentUnderRace(t *testing.T) {
 // end with zero drops and every event scored.
 func TestEventQueueBlockPolicyNeverDrops(t *testing.T) {
 	const nEvents = 20_000
-	q := newEventQueue(8, Block)
+	q := newEventQueue(8, Block, &obs.Pipeline{}, 0)
 	done := make(chan int64)
 	go func() {
 		var n int64
@@ -104,7 +110,7 @@ func TestEventQueueBlockPolicyNeverDrops(t *testing.T) {
 		}
 	}()
 	for i := 0; i < nEvents; i++ {
-		if !q.Push(trace.Event{TS: time.Duration(i)}) {
+		if !push1(q, trace.Event{TS: time.Duration(i)}) {
 			t.Fatal("queue closed under the producer")
 		}
 	}

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"fmt"
 	"io"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -15,67 +17,241 @@ func evEq(a, b trace.Event) bool {
 	return a.TS == b.TS && a.Type == b.Type && a.Arg == b.Arg
 }
 
-// TestPushBatchMatchesPushTimed: a batch push must leave the queue in the
-// same observable state as the equivalent sequence of per-event pushes —
-// same events in the same order, same sequence numbers, same flight
-// samples, balanced books.
-func TestPushBatchMatchesPushTimed(t *testing.T) {
-	const n = 100
-	const flightEvery = 8
-	evs := make([]trace.Event, n)
-	for i := range evs {
-		evs[i] = trace.Event{TS: time.Duration(i + 1), Type: trace.EventType(i % 5), Arg: uint64(i)}
-	}
+// refQueue is the per-event reference model of the instrumented queue:
+// one metadata record per queued event, one histogram observation per
+// event, the flight slot updated event by event — what eventQueue did
+// before its instrumentation rode as runs.
+type refQueue struct {
+	capacity    int
+	flightEvery uint64
+	evs         []refEvent // FIFO
+	ingested    int64
+	scored      int64
+	dropped     int64
+	pending     []int64 // enqueue times popped since the last decision
+	slot        flightSample
+	hasFlight   bool
+	skips       int
+	pipe        obs.Pipeline
+}
 
-	drain := func(q *eventQueue) (out []trace.Event, flights []uint64) {
-		for {
-			ev, err := q.Next()
-			if err == io.EOF {
-				return out, flights
+type refEvent struct {
+	ev              trace.Event
+	enqNs, decodeNs int64
+	seq             uint64
+}
+
+// push admits evs one by one; a full queue evicts its oldest event (the
+// test never overfills a Block queue).
+func (r *refQueue) push(evs []trace.Event, enqNs, decodeNs int64) {
+	for _, ev := range evs {
+		r.pipe.Decode.ObserveNs(decodeNs)
+		if len(r.evs) == r.capacity {
+			r.evs = r.evs[1:]
+			r.dropped++
+		}
+		r.ingested++
+		r.evs = append(r.evs, refEvent{ev: ev, enqNs: enqNs, decodeNs: decodeNs, seq: uint64(r.ingested)})
+	}
+}
+
+func (r *refQueue) pop(k int, now int64) []trace.Event {
+	k = min(k, len(r.evs))
+	out := make([]trace.Event, k)
+	for i, e := range r.evs[:k] {
+		out[i] = e.ev
+		wait := now - e.enqNs
+		r.pipe.QueueWait.ObserveNs(wait)
+		r.pending = append(r.pending, e.enqNs)
+		if r.flightEvery > 0 && e.seq%r.flightEvery == 0 {
+			if r.hasFlight {
+				r.skips++
 			}
-			out = append(out, ev)
-			if fm, _, ok := q.takeFlight(); ok {
-				flights = append(flights, fm.seq)
+			r.slot = flightSample{seq: e.seq, enqNs: e.enqNs, decodeNs: e.decodeNs, waitNs: wait}
+			r.hasFlight = true
+		}
+	}
+	r.evs = r.evs[k:]
+	r.scored += int64(k)
+	return out
+}
+
+func (r *refQueue) decide(now int64) (flightSample, int, bool) {
+	for _, enq := range r.pending {
+		r.pipe.E2E.ObserveNs(now - enq)
+	}
+	r.pending = r.pending[:0]
+	m, skipped, ok := r.slot, r.skips, r.hasFlight
+	r.skips, r.hasFlight = 0, false
+	if !ok {
+		m = flightSample{}
+	}
+	return m, skipped, ok
+}
+
+func snapshotsEqual(a, b obs.Snapshot) bool {
+	if a.SumNs != b.SumNs {
+		return false
+	}
+	for i := range a.Counts {
+		if a.Counts[i] != b.Counts[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRunRingMatchesPerEventModel drives the run-ring queue and the
+// per-event reference with one random schedule of push sizes, pop sizes
+// and decisions, under both policies and several flight intervals. After
+// every step the two must agree on the events popped, the books, every
+// bin and sum of the Decode, QueueWait and E2E histograms, and each
+// decision's flight sample and skip count. Every schedule opens with two
+// small runs and a push that evicts across their boundary (DropOldest),
+// and pushes batches larger than the queue.
+func TestRunRingMatchesPerEventModel(t *testing.T) {
+	const capacity = 32
+	pushSizes := []int{1, 1, 2, 5, 17, 31, 32, 33, 100}
+	popSizes := []int{1, 1, 3, 16, 64}
+	for _, policy := range []Backpressure{Block, DropOldest} {
+		for _, every := range []uint64{0, 1, 3, 8, 50} {
+			rng := rand.New(rand.NewSource(int64(every)*2 + int64(policy)))
+			var pipe obs.Pipeline
+			q := newEventQueue(capacity, policy, &pipe, every)
+			ref := &refQueue{capacity: capacity, flightEvery: every}
+			var next uint64 // events made so far
+			fail := func(format string, args ...any) {
+				t.Helper()
+				t.Fatalf("%v, every %d, after %d events: %s", policy, every, next, fmt.Sprintf(format, args...))
+			}
+
+			push := func(n int) {
+				if policy == Block { // single goroutine: never wait for room
+					n = min(n, capacity-len(ref.evs))
+				}
+				evs := make([]trace.Event, n)
+				for i := range evs {
+					next++
+					evs[i] = trace.Event{TS: time.Duration(next), Arg: next}
+				}
+				enq, share := obs.Now(), int64(rng.Intn(5000))
+				pipe.Decode.ObserveN(share, n) // as the ingest loop does
+				if !q.PushBatch(evs, enq, share) {
+					fail("PushBatch returned false on an open queue")
+				}
+				ref.push(evs, enq, share)
+			}
+			pop := func(k int) {
+				if len(ref.evs) == 0 {
+					return // an open empty queue would block
+				}
+				dst := make([]trace.Event, k)
+				var n int
+				var err error
+				if k == 1 {
+					dst[0], err = q.Next()
+					n = 1
+				} else {
+					n, err = q.ReadBatch(dst)
+				}
+				if err != nil {
+					fail("pop: %v", err)
+				}
+				_, now := q.LastTimes() // the pop time the queue measured waits against
+				want := ref.pop(k, now)
+				if n != len(want) {
+					fail("popped %d events, reference %d", n, len(want))
+				}
+				for i := range want {
+					if !evEq(dst[i], want[i]) {
+						fail("popped event %d is %+v, reference %+v", i, dst[i], want[i])
+					}
+				}
+			}
+			decide := func() {
+				now := obs.Now()
+				for _, a := range q.takeArrivals() { // as the decision callback does
+					pipe.E2E.ObserveN(now-a.enqNs, a.n)
+				}
+				m, skipped, ok := q.takeFlight()
+				wm, wskipped, wok := ref.decide(now)
+				if m != wm || skipped != wskipped || ok != wok {
+					fail("flight: sample %+v skipped %d ok %v, reference %+v / %d / %v",
+						m, skipped, ok, wm, wskipped, wok)
+				}
+			}
+			check := func() {
+				c := q.Counters()
+				if c.Ingested != c.Scored+c.Dropped+int64(c.Depth) {
+					fail("books do not balance: %+v", c)
+				}
+				if c.Ingested != ref.ingested || c.Scored != ref.scored || c.Dropped != ref.dropped || c.Depth != len(ref.evs) {
+					fail("books %+v, reference ingested %d scored %d dropped %d depth %d",
+						c, ref.ingested, ref.scored, ref.dropped, len(ref.evs))
+				}
+				got := pipe.Snapshot()
+				want := ref.pipe.Snapshot()
+				if !snapshotsEqual(got.Decode, want.Decode) || !snapshotsEqual(got.QueueWait, want.QueueWait) ||
+					!snapshotsEqual(got.E2E, want.E2E) {
+					fail("stage histograms differ from the per-event reference")
+				}
+			}
+
+			for _, n := range []int{3, 4, 30} { // the third evicts 5: all of run one, half of run two
+				push(n)
+				check()
+			}
+			for step := 0; step < 1500; step++ {
+				switch rng.Intn(5) {
+				case 0, 1:
+					push(pushSizes[rng.Intn(len(pushSizes))])
+				case 2, 3:
+					pop(popSizes[rng.Intn(len(popSizes))])
+				default:
+					decide()
+				}
+				check()
+			}
+			q.Close()
+			for len(ref.evs) > 0 {
+				pop(7)
+			}
+			decide()
+			check()
+			if _, err := q.Next(); err != io.EOF {
+				fail("drained queue returned %v, want EOF", err)
+			}
+			if got := pipe.E2E.Snapshot().Count(); got != uint64(ref.scored) {
+				fail("E2E _count %d, scored %d", got, ref.scored)
 			}
 		}
 	}
+}
 
-	qa := newEventQueue(n, Block)
-	qa.instrument(&obs.Pipeline{})
-	for i, ev := range evs {
-		seq := uint64(i + 1)
-		qa.PushTimed(ev, obs.Now(), 10, seq, seq%flightEvery == 0)
-	}
-	qa.Close()
-	wantEvs, wantFlights := drain(qa)
-
-	qb := newEventQueue(n, Block)
-	qb.instrument(&obs.Pipeline{})
-	if !qb.PushBatch(evs, obs.Now(), 10, 1, flightEvery) {
-		t.Fatal("PushBatch returned false on an open queue")
-	}
-	qb.Close()
-	gotEvs, gotFlights := drain(qb)
-
-	if len(gotEvs) != len(wantEvs) {
-		t.Fatalf("batched queue drained %d events, per-event %d", len(gotEvs), len(wantEvs))
-	}
-	for i := range wantEvs {
-		if !evEq(gotEvs[i], wantEvs[i]) {
-			t.Fatalf("event %d differs: %+v vs %+v", i, gotEvs[i], wantEvs[i])
+// TestE2ECountSurvivesPendingCap: a window that outlives the arrival
+// buffer's cap — more separately arrived runs than it holds, with no
+// decision in between — still yields E2E _count == events scored.
+func TestE2ECountSurvivesPendingCap(t *testing.T) {
+	const total = pendingCap + 1000
+	var pipe obs.Pipeline
+	q := newEventQueue(8, Block, &pipe, 0)
+	evs := []trace.Event{{TS: 1}}
+	for i := 0; i < total; i++ {
+		q.PushBatch(evs, int64(i+1), 0) // distinct arrival times: nothing merges
+		if _, err := q.Next(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if len(gotFlights) != len(wantFlights) {
-		t.Fatalf("flight samples: batched %v, per-event %v", gotFlights, wantFlights)
+	arr := q.takeArrivals()
+	if len(arr) != pendingCap {
+		t.Fatalf("%d pending entries, want the cap %d", len(arr), pendingCap)
 	}
-	for i := range wantFlights {
-		if gotFlights[i] != wantFlights[i] {
-			t.Fatalf("flight sample %d: seq %d vs %d", i, gotFlights[i], wantFlights[i])
-		}
+	now := obs.Now()
+	for _, a := range arr {
+		pipe.E2E.ObserveN(now-a.enqNs, a.n)
 	}
-	ca, cb := qa.Counters(), qb.Counters()
-	if ca != cb {
-		t.Fatalf("books differ: per-event %+v, batched %+v", ca, cb)
+	if got, scored := pipe.E2E.Snapshot().Count(), q.Counters().Scored; got != total || scored != total {
+		t.Fatalf("E2E _count %d, scored %d, want both %d", got, scored, total)
 	}
 }
 
@@ -83,12 +259,12 @@ func TestPushBatchMatchesPushTimed(t *testing.T) {
 // evict exactly the surplus, keep the newest events in order, and balance.
 func TestPushBatchDropOldestBooks(t *testing.T) {
 	const capacity, n = 8, 20
-	q := newEventQueue(capacity, DropOldest)
+	q := newEventQueue(capacity, DropOldest, &obs.Pipeline{}, 0)
 	evs := make([]trace.Event, n)
 	for i := range evs {
 		evs[i] = trace.Event{TS: time.Duration(i + 1)}
 	}
-	q.PushBatch(evs, 0, 0, 1, 0)
+	q.PushBatch(evs, 0, 0)
 	c := q.Counters()
 	if c.Ingested != n || c.Dropped != n-capacity || c.Depth != capacity {
 		t.Fatalf("books after wide batch: %+v (want ingested %d, dropped %d, depth %d)",
@@ -114,7 +290,7 @@ func TestPushBatchDropOldestBooks(t *testing.T) {
 // nothing dropped, nothing reordered, no deadlock.
 func TestPushBatchBlockLargerThanCapacity(t *testing.T) {
 	const capacity, n = 8, 1000
-	q := newEventQueue(capacity, Block)
+	q := newEventQueue(capacity, Block, &obs.Pipeline{}, 0)
 	evs := make([]trace.Event, n)
 	for i := range evs {
 		evs[i] = trace.Event{TS: time.Duration(i + 1), Arg: uint64(i)}
@@ -132,7 +308,7 @@ func TestPushBatchBlockLargerThanCapacity(t *testing.T) {
 			}
 		}
 	}()
-	if !q.PushBatch(evs, 0, 0, 1, 0) {
+	if !q.PushBatch(evs, 0, 0) {
 		t.Fatal("PushBatch returned false on an open queue")
 	}
 	q.Close()
@@ -158,8 +334,7 @@ func TestPushBatchBlockLargerThanCapacity(t *testing.T) {
 // ingested == scored + dropped + depth, and the final totals must balance.
 func TestPushBatchReadBatchCountersConsistentUnderRace(t *testing.T) {
 	const batches, perBatch = 500, 64
-	q := newEventQueue(16, DropOldest)
-	q.instrument(&obs.Pipeline{})
+	q := newEventQueue(16, DropOldest, &obs.Pipeline{}, 4)
 
 	var wg sync.WaitGroup
 	stopObs := make(chan struct{})
@@ -199,16 +374,14 @@ func TestPushBatchReadBatchCountersConsistentUnderRace(t *testing.T) {
 	}()
 
 	evs := make([]trace.Event, perBatch)
-	var seq uint64
 	for b := 0; b < batches; b++ {
 		for i := range evs {
-			evs[i] = trace.Event{TS: time.Duration(int(seq) + i + 1)}
+			evs[i] = trace.Event{TS: time.Duration(b*perBatch + i + 1)}
 		}
-		if !q.PushBatch(evs, obs.Now(), 1, seq+1, 4) {
+		if !q.PushBatch(evs, obs.Now(), 1) {
 			t.Error("queue closed under the producer")
 			break
 		}
-		seq += perBatch
 	}
 	q.Close()
 	<-consumerDone
@@ -231,21 +404,18 @@ func TestPushBatchReadBatchCountersConsistentUnderRace(t *testing.T) {
 }
 
 // TestQueueBatchZeroAllocSteadyState: once warm, a PushBatch/ReadBatch
-// round trip on an instrumented queue allocates nothing — the metadata
-// ring, the pop scratch and the pending arrivals all reuse their buffers.
+// round trip allocates nothing — the run ring, the pop scratch and the
+// pending arrivals all reuse their buffers.
 func TestQueueBatchZeroAllocSteadyState(t *testing.T) {
 	const batch = 128
-	q := newEventQueue(1024, Block)
-	q.instrument(&obs.Pipeline{})
+	q := newEventQueue(1024, Block, &obs.Pipeline{}, 16)
 	evs := make([]trace.Event, batch)
 	for i := range evs {
 		evs[i] = trace.Event{TS: time.Duration(i + 1)}
 	}
 	dst := make([]trace.Event, batch)
-	var seq uint64
 	round := func() {
-		q.PushBatch(evs, obs.Now(), 1, seq+1, 16)
-		seq += batch
+		q.PushBatch(evs, obs.Now(), 1)
 		for popped := 0; popped < batch; {
 			k, err := q.ReadBatch(dst)
 			if err != nil {

@@ -117,6 +117,11 @@ const (
 // enough that a batch is a fraction of the default queue capacity.
 const ingestBatch = 512
 
+// headerTimeout is how long a new connection has to deliver its stream
+// header. A client that connects and says nothing would otherwise pin a
+// goroutine and a pooled 64 KiB reader for the life of the daemon.
+const headerTimeout = 10 * time.Second
+
 // StreamResult is one stream's final accounting, reported after it closes.
 type StreamResult struct {
 	ID              string  `json:"id"`
@@ -255,10 +260,13 @@ type Server struct {
 	closedBy map[string]ioTotals // per-model byte totals of closed streams
 	shutdown bool
 
+	headerWait time.Duration // headerTimeout; a field so a test need not wait it out
+
 	// Streams refused at registration, by reason. Every refusal path must
 	// bump exactly one of these — a rejection that increments nothing is
 	// invisible to /stats and /metrics, which is the accounting bug this
 	// split fixes (only unknown-model used to be counted).
+	rejHeader   atomic.Int64 // no valid stream header within headerWait
 	rejUnknown  atomic.Int64 // model name not in the registry
 	rejRegister atomic.Int64 // other registry Register failures
 	rejSink     atomic.Int64 // sink factory refused the stream
@@ -322,6 +330,8 @@ func New(opts Options) (*Server, error) {
 		conns:    make(map[net.Conn]struct{}),
 		streams:  make(map[string]*stream),
 		closedBy: make(map[string]ioTotals),
+
+		headerWait: headerTimeout,
 	}
 	if opts.Alerts != nil && opts.Anomalies != nil {
 		// Persist every alert transition into the anomaly store alongside
@@ -499,6 +509,17 @@ func (s *Server) beginShutdown() {
 	}
 }
 
+// setReadDeadline moves conn's read deadline, unless shutdown has begun:
+// beginShutdown expires every connection's reads, and a deadline set or
+// cleared after that would undo it.
+func (s *Server) setReadDeadline(conn net.Conn, t time.Time) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.shutdown {
+		conn.SetReadDeadline(t)
+	}
+}
+
 // drain waits for every stream handler; after DrainTimeout the remaining
 // connections are force-closed (their scorers still finish their queues).
 func (s *Server) drain() {
@@ -527,11 +548,15 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 
+	//lint:ignore monotime net deadlines are wall-clock time.Time by API contract
+	s.setReadDeadline(conn, time.Now().Add(s.headerWait))
 	fr, err := traceio.NewFrameReader(conn)
 	if err != nil {
+		s.rejHeader.Add(1)
 		s.log.Warn("connection rejected", "remote", conn.RemoteAddr().String(), "err", err)
 		return
 	}
+	s.setReadDeadline(conn, time.Time{}) // a stream may idle as long as it likes
 	h, err := s.reg.Register(fr.StreamName(), fr.ModelName())
 	if err != nil {
 		// A registration failure is a clean, immediate rejection: no stream
@@ -558,14 +583,17 @@ func (s *Server) handleConn(conn net.Conn) {
 		return
 	}
 	ls := &liveSink{inner: sink}
+	pipe := s.pipelineFor(h.Model().Name)
+	var flightEvery uint64
+	if s.flight != nil {
+		flightEvery = s.flight.EveryN()
+	}
 	st := &stream{
 		h:    h,
-		q:    newEventQueue(s.opts.QueueLen, s.opts.Backpressure),
+		q:    newEventQueue(s.opts.QueueLen, s.opts.Backpressure, pipe, flightEvery),
 		sink: ls,
 		conn: conn,
 	}
-	pipe := s.pipelineFor(h.Model().Name)
-	st.q.instrument(pipe)
 	st.fullBytes.Store(int64(traceio.HeaderSize()))
 	s.mu.Lock()
 	s.streams[h.ID()] = st
@@ -573,41 +601,36 @@ func (s *Server) handleConn(conn net.Conn) {
 	s.log.Info("stream opened", "stream", h.ID(),
 		"remote", conn.RemoteAddr().String(), "model", h.Model().Name)
 
-	var flightEvery uint64
-	if s.flight != nil {
-		flightEvery = s.flight.EveryN()
-	}
 	ingestErr := make(chan error, 1)
 	go func() {
 		var prev time.Duration
 		first := true
 		var err error
-		var seq uint64
 		evBuf := make([]trace.Event, ingestBatch)
 		for {
 			// The decode stage is timed around fr.ReadBatch, which blocks on
 			// the socket only until the first event of a batch is available:
 			// the histogram honestly includes network wait (an idle stream
 			// shows large decode latencies), amortised evenly across the
-			// batch. Byte accounting stays per-event and exact.
+			// batch — one run of n equal observations. Byte accounting stays
+			// per-event and exact.
 			t0 := obs.Now()
 			var n int
 			n, err = fr.ReadBatch(evBuf)
 			if n > 0 {
 				now := obs.Now()
 				share := (now - t0) / int64(n)
+				pipe.Decode.ObserveN(share, n)
 				var batchBytes int64
 				for i := 0; i < n; i++ {
-					pipe.Decode.ObserveNs(share)
 					batchBytes += int64(traceio.EncodedSize(evBuf[i], prev, first))
 					prev, first = evBuf[i].TS, false
 				}
 				st.fullBytes.Add(batchBytes)
-				if !st.q.PushBatch(evBuf[:n], now, share, seq+1, flightEvery) {
+				if !st.q.PushBatch(evBuf[:n], now, share) {
 					err = nil // queue closed by shutdown
 					break
 				}
-				seq += uint64(n)
 			}
 			if err != nil {
 				break
@@ -649,8 +672,8 @@ func (s *Server) handleConn(conn net.Conn) {
 		// window: its end-to-end latency is arrival → this decision. This
 		// is what makes the e2e histogram's _count equal the number of
 		// events scored (the selftest asserts exactly that).
-		for _, enq := range st.q.takeArrivals() {
-			pipe.E2E.ObserveNs(now - enq)
+		for _, a := range st.q.takeArrivals() {
+			pipe.E2E.ObserveN(now-a.enqNs, a.n)
 		}
 		if s.flight != nil {
 			fm, skipped, ok := st.q.takeFlight()
@@ -779,7 +802,7 @@ func (s *Server) Stats() StatsReport {
 		Anomalies:            total.Anomalies,
 		StreamsLive:          live,
 		StreamsClosed:        closed,
-		StreamsRejected:      rejUnknown + s.rejRegister.Load() + s.rejSink.Load(),
+		StreamsRejected:      s.rejHeader.Load() + rejUnknown + s.rejRegister.Load() + s.rejSink.Load(),
 		RejectedUnknownModel: rejUnknown,
 		AnomalyIncidents:     s.anomIncidents.Load(),
 		AnomalyStoreErrors:   s.anomStoreErrs.Load(),

@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -495,6 +497,81 @@ func TestRejectsGarbageConnection(t *testing.T) {
 	if stats.StreamsLive != 0 || stats.StreamsClosed != 0 {
 		t.Fatalf("garbage connection registered a stream: %+v", stats)
 	}
+	cancel()
+	if err := <-serveErr; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSilentClientIsDropped: a client that connects and never sends a
+// header is closed by the server once the header deadline passes — its
+// goroutine goes away and the refusal is on the books — while a stream
+// that did send one may then idle past that deadline.
+func TestSilentClientIsDropped(t *testing.T) {
+	cfg, learned := fixture(t)
+	srv, err := New(Options{Cfg: cfg, Learned: learned})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.headerWait = 100 * time.Millisecond
+	if err := srv.Listen("127.0.0.1:0", ""); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ctx) }()
+
+	// A well-behaved stream first: header, then silence.
+	quiet, err := net.Dial("tcp", srv.TraceAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer quiet.Close()
+	fw, err := traceio.NewFrameWriter(quiet, "quiet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); srv.Stats().StreamsLive != 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("the stream that sent its header never registered")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	baseline := runtime.NumGoroutine()
+
+	silent, err := net.Dial("tcp", srv.TraceAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	silent.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := silent.Read(make([]byte, 1)); err == nil || os.IsTimeout(err) {
+		t.Fatalf("silent connection still open after the header deadline: read %d bytes, err %v", n, err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		st := srv.Stats()
+		if st.StreamsRejected == 1 && runtime.NumGoroutine() <= baseline {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after the refusal: %d rejected streams (want 1), %d goroutines (baseline %d)",
+				st.StreamsRejected, runtime.NumGoroutine(), baseline)
+		}
+	}
+	var metrics bytes.Buffer
+	if err := srv.WriteMetrics(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	if want := `enduratrace_streams_rejected_total{reason="header"} 1`; !strings.Contains(metrics.String(), want) {
+		t.Fatalf("scrape lacks %q", want)
+	}
+	if st := srv.Stats(); st.StreamsLive != 1 {
+		t.Fatalf("the idle stream did not outlive the header deadline: %+v", st)
+	}
+
 	cancel()
 	if err := <-serveErr; err != nil {
 		t.Fatal(err)

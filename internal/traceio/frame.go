@@ -198,7 +198,7 @@ func (fw *FrameWriter) Close() error {
 // when done with a stream to return the buffers to the pool.
 type FrameReader struct {
 	r       *bufio.Reader
-	frame   bytes.Reader
+	frame   []byte // undecoded rest of the current frame; aliases buf
 	buf     []byte
 	name    string
 	model   string
@@ -229,7 +229,7 @@ func NewFrameReader(r io.Reader) (*FrameReader, error) {
 
 func (fr *FrameReader) reset(r io.Reader) {
 	fr.r.Reset(r)
-	fr.frame.Reset(nil)
+	fr.frame = nil
 	fr.name, fr.model = "", ""
 	fr.version = 0
 	fr.last = 0
@@ -320,7 +320,7 @@ func (fr *FrameReader) Next() (trace.Event, error) {
 	if fr.err != nil {
 		return trace.Event{}, fr.err
 	}
-	if fr.frame.Len() == 0 {
+	if len(fr.frame) == 0 {
 		if err := fr.loadFrame(); err != nil {
 			return trace.Event{}, err
 		}
@@ -346,7 +346,7 @@ func (fr *FrameReader) ReadBatch(dst []trace.Event) (int, error) {
 	var arena []byte
 	n := 0
 	for n < len(dst) {
-		if fr.frame.Len() == 0 {
+		if len(fr.frame) == 0 {
 			if n > 0 && !fr.frameAvailable() {
 				break
 			}
@@ -415,37 +415,50 @@ func (fr *FrameReader) loadFrame() error {
 		fr.err = fmt.Errorf("traceio: reading frame payload: %w", unexpectedEOF(err))
 		return fr.err
 	}
-	fr.frame.Reset(buf)
+	fr.frame = buf
 	return nil
 }
 
-// decodeEvent decodes one event from the current frame. A nil arena
-// allocates the payload individually (the Next path); otherwise the
-// payload is carved from *arena, which grows by replacement so earlier
-// carvings stay valid.
+// errVarintOverflow has the text of encoding/binary's unexported overflow
+// error, so an overflowing varint reads the same here as from BinaryReader,
+// which decodes through binary.ReadUvarint.
+var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+// decodeEvent decodes one event from the front of the current frame and
+// advances past it. A nil arena allocates the payload individually (the
+// Next path); otherwise the payload is carved from *arena, which grows by
+// replacement so earlier carvings stay valid.
 func (fr *FrameReader) decodeEvent(arena *[]byte) (trace.Event, error) {
-	dts, err := binary.ReadUvarint(&fr.frame)
-	if err != nil {
-		return trace.Event{}, fr.fail("dts", err)
+	b := fr.frame
+	dts, n := binary.Uvarint(b)
+	if n <= 0 {
+		return trace.Event{}, fr.failVarint("dts", b, n)
 	}
-	typ, err := binary.ReadUvarint(&fr.frame)
-	if err != nil {
-		return trace.Event{}, fr.fail("type", err)
+	b = b[n:]
+	typ, n := binary.Uvarint(b)
+	if n <= 0 {
+		return trace.Event{}, fr.failVarint("type", b, n)
 	}
-	arg, err := binary.ReadUvarint(&fr.frame)
-	if err != nil {
-		return trace.Event{}, fr.fail("arg", err)
+	b = b[n:]
+	arg, n := binary.Uvarint(b)
+	if n <= 0 {
+		return trace.Event{}, fr.failVarint("arg", b, n)
 	}
-	plen, err := binary.ReadUvarint(&fr.frame)
-	if err != nil {
-		return trace.Event{}, fr.fail("payload length", err)
+	b = b[n:]
+	plen, n := binary.Uvarint(b)
+	if n <= 0 {
+		return trace.Event{}, fr.failVarint("payload length", b, n)
 	}
+	b = b[n:]
 	if plen > maxPayloadSize {
 		fr.err = fmt.Errorf("traceio: payload length %d exceeds limit", plen)
 		return trace.Event{}, fr.err
 	}
 	var payload []byte
 	if plen > 0 {
+		if uint64(len(b)) < plen {
+			return trace.Event{}, fr.fail("payload", io.ErrUnexpectedEOF)
+		}
 		if arena == nil {
 			payload = make([]byte, plen)
 		} else {
@@ -462,15 +475,26 @@ func (fr *FrameReader) decodeEvent(arena *[]byte) (trace.Event, error) {
 			payload = a[len(a) : len(a)+int(plen)]
 			*arena = a[:len(a)+int(plen)]
 		}
-		if _, err := io.ReadFull(&fr.frame, payload); err != nil {
-			return trace.Event{}, fr.fail("payload", err)
-		}
+		copy(payload, b)
+		b = b[plen:]
 	}
+	fr.frame = b
 	fr.last += time.Duration(dts)
 	return trace.Event{TS: fr.last, Type: trace.EventType(typ), Arg: arg, Payload: payload}, nil
 }
 
+// failVarint latches the failure binary.Uvarint(b) reported through
+// n <= 0. A varint cut off by the end of the frame is a truncation; one
+// that overflows 64 bits is not — and ten continuation bytes overflow even
+// when they are the frame's last, which Uvarint reports as cut off.
+func (fr *FrameReader) failVarint(what string, b []byte, n int) error {
+	if n == 0 && len(b) < binary.MaxVarintLen64 {
+		return fr.fail(what, io.ErrUnexpectedEOF)
+	}
+	return fr.fail(what, errVarintOverflow)
+}
+
 func (fr *FrameReader) fail(what string, err error) error {
-	fr.err = fmt.Errorf("traceio: reading frame event %s: %w", what, unexpectedEOF(err))
+	fr.err = fmt.Errorf("traceio: reading frame event %s: %w", what, err)
 	return fr.err
 }

@@ -2,7 +2,9 @@ package traceio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"strings"
@@ -364,5 +366,102 @@ func TestFrameDeltaAcrossFrames(t *testing.T) {
 	}
 	if len(evs) != 2 || evs[0].TS != 1000 || evs[1].TS != 2500 {
 		t.Fatalf("decoded %v, want TS 1000 and 2500", evs)
+	}
+}
+
+// TestFrameDecodeErrorText pins, per failure class, the error a frame's
+// event decoder latches: the text, and io.ErrUnexpectedEOF for every
+// class that is a frame ending too early. Each bad event follows one good
+// event in the same frame, through Next and through ReadBatch, and the
+// error must stay latched.
+func TestFrameDecodeErrorText(t *testing.T) {
+	uv := func(vs ...uint64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	// dts 300 (2 bytes) · type 5 (1) · arg 70000 (3) · plen 3 (1) · payload (3).
+	event := append(uv(300, 5, 70000, 3), 0xa, 0xb, 0xc)
+	fieldAt := []string{"dts", "dts", "type", "arg", "arg", "arg", "payload length", "payload", "payload", "payload"}
+	overflow := bytes.Repeat([]byte{0xff}, 10) // ten continuation bytes, then the frame ends
+
+	type tc struct {
+		name string
+		tail []byte // what follows the good event in the frame
+		want string
+		eof  bool
+	}
+	var cases []tc
+	for cut := 1; cut < len(event); cut++ {
+		cases = append(cases, tc{
+			name: fmt.Sprintf("torn at byte %d", cut),
+			tail: event[:cut],
+			want: "traceio: reading frame event " + fieldAt[cut] + ": unexpected EOF",
+			eof:  true,
+		})
+	}
+	cases = append(cases,
+		tc{name: "payload short by one", tail: append(uv(1, 1, 1, 4), 1, 2, 3),
+			want: "traceio: reading frame event payload: unexpected EOF", eof: true},
+		tc{name: "dts overflows", tail: overflow,
+			want: "traceio: reading frame event dts: binary: varint overflows a 64-bit integer"},
+		tc{name: "type overflows", tail: append(uv(1), overflow...),
+			want: "traceio: reading frame event type: binary: varint overflows a 64-bit integer"},
+		tc{name: "arg overflows", tail: append(uv(1, 1), overflow...),
+			want: "traceio: reading frame event arg: binary: varint overflows a 64-bit integer"},
+		tc{name: "payload length overflows", tail: append(uv(1, 1, 1), overflow...),
+			want: "traceio: reading frame event payload length: binary: varint overflows a 64-bit integer"},
+		tc{name: "dts overflows in its tenth byte", tail: append(bytes.Repeat([]byte{0x80}, 9), 2, 1, 1, 0),
+			want: "traceio: reading frame event dts: binary: varint overflows a 64-bit integer"},
+		tc{name: "dts overflows past its tenth byte", tail: append(bytes.Repeat([]byte{0x80}, 11), 1, 1, 0),
+			want: "traceio: reading frame event dts: binary: varint overflows a 64-bit integer"},
+		tc{name: "nine continuation bytes end the frame", tail: bytes.Repeat([]byte{0x80}, 9),
+			want: "traceio: reading frame event dts: unexpected EOF", eof: true},
+		tc{name: "payload over the limit", tail: uv(1, 1, 1, maxPayloadSize+1),
+			want: fmt.Sprintf("traceio: payload length %d exceeds limit", maxPayloadSize+1)},
+	)
+
+	for _, c := range cases {
+		frame := append(append([]byte{}, event...), c.tail...)
+		stream := append([]byte(frameMagic), uv(frameVersion1, 0, uint64(len(frame)))...)
+		stream = append(stream, frame...)
+		check := func(how string, n int, err error) {
+			t.Helper()
+			if n != 1 {
+				t.Fatalf("%s, %s: %d events before the failure, want 1", c.name, how, n)
+			}
+			if err == nil || err.Error() != c.want {
+				t.Fatalf("%s, %s: error %q, want %q", c.name, how, err, c.want)
+			}
+			if errors.Is(err, io.ErrUnexpectedEOF) != c.eof {
+				t.Fatalf("%s, %s: errors.Is(err, io.ErrUnexpectedEOF) = %v, want %v", c.name, how, !c.eof, c.eof)
+			}
+		}
+
+		fr, err := NewFrameReader(bytes.NewReader(stream))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for err == nil {
+			if _, err = fr.Next(); err == nil {
+				n++
+			}
+		}
+		check("Next", n, err)
+		_, again := fr.Next()
+		check("Next again", n, again)
+		fr.Release()
+
+		if fr, err = NewFrameReader(bytes.NewReader(stream)); err != nil {
+			t.Fatal(err)
+		}
+		evs, err := readAllBatched(fr, 8)
+		check("ReadBatch", len(evs), err)
+		_, again = fr.ReadBatch(make([]trace.Event, 8))
+		check("ReadBatch again", len(evs), again)
+		fr.Release()
 	}
 }
