@@ -39,22 +39,20 @@ eval:
 bench:
 	$(GO) run ./cmd/enduratrace sweep -seeds 3 -out BENCH_sweep.json
 
-# Microbenchmarks for the monitoring hot path: LOF scoring (exact brute vs
-# condensed flat kernels vs VP-tree, single vs batched), the distance
+# Microbenchmarks for the monitoring hot path: LOF scoring and fitting
+# (exact filter-and-refine vs FastKernels vs condensed), the distance
 # row/gate kernels, frame decode (per-event vs batched), the monitor's
-# per-window cost, the serve section (end-to-end loopback socket
-# throughput: frame codec → queue → monitor → sink), and the alerting
-# pipeline (quiet/flapping Observe fast paths, full fire→resolve emission,
-# dedup hits, key encoding), and the anomaly store (the incident encoder,
-# and the durable Append from 1, 2 and 8 appenders with its records per
-# fsync), and the latency histogram the serve path's instruments are
-# (per event, per run of 256, and two goroutines on one Pipeline; one op is
-# 2^20 events). The before/after pairs live side by side
-# (ScoreBrute* vs ScoreCondensed*, RowsSymKL vs RowsSymKLFast,
-# FrameDecodeNext vs FrameDecodeBatch); the output is kept in
-# BENCH_micro.txt so CI can archive the perf trajectory and benchdiff can
-# gate regressions.
+# per-window cost, the alerting pipeline (quiet/flapping Observe fast
+# paths, full fire→resolve emission, dedup hits, key encoding), the
+# anomaly store (the incident encoder, and the durable Append from 1, 2
+# and 8 appenders with its records per fsync), and the latency histogram
+# the serve path's instruments are (per event, per run of 256, and two
+# goroutines on one Pipeline; one op is 2^20 events). The before/after
+# pairs live side by side (ScoreBrute* vs ScoreFast* vs ScoreCondensed*,
+# RowsSymKL vs RowsSymKLFast, FrameDecodeNext vs FrameDecodeBatch). These
+# are for working on one layer; the regression gate is end to end,
+# `bench -compare` over bench/run.sh reports (see bench/README.md).
 microbench:
 	$(GO) test -run '^$$' -bench . -benchtime 20x -benchmem \
-		./internal/lof ./internal/distance ./internal/core ./internal/serve \
+		./internal/lof ./internal/distance ./internal/core \
 		./internal/traceio ./internal/alert ./internal/anomalystore ./internal/obs | tee BENCH_micro.txt

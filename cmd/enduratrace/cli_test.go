@@ -1,0 +1,115 @@
+package main
+
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// stdoutOf runs cmd with os.Stdout redirected to a file and returns what
+// it printed there (the subcommands' -json reports).
+func stdoutOf(t *testing.T, cmd func([]string) error, args ...string) string {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	err = cmd(args)
+	os.Stdout = saved
+	if err != nil {
+		t.Fatalf("%v: %v", args, err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestSimLearnMonitor drives the offline pipeline the way a user does:
+// sim a reference and a perturbed run, learn, monitor. The .etrc reader is
+// a plain trace.Reader, so every monitor here exercises Run's one-event
+// batches.
+func TestSimLearnMonitor(t *testing.T) {
+	dir := t.TempDir()
+	ref, run := filepath.Join(dir, "ref.etrc"), filepath.Join(dir, "run.etrc")
+	model, oldModel := filepath.Join(dir, "model.json"), filepath.Join(dir, "old.json")
+
+	if err := cmdSim([]string{"-out", ref, "-duration", "20s", "-seed", "1"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdSim([]string{"-out", run, "-duration", "30s", "-seed", "2", "-factor", "4",
+		"-perturb-first", "5s", "-perturb-period", "10s", "-perturb-duration", "4s"}); err != nil {
+		t.Fatal(err)
+	}
+
+	// The index is no longer selectable: the flag that selected it is gone.
+	err := cmdLearn([]string{"-in", ref, "-model", model, "-vptree"})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -vptree") {
+		t.Fatalf("learn -vptree: %v, want an unknown-flag error", err)
+	}
+	if _, err := os.Stat(model); err == nil {
+		t.Fatal("learn -vptree wrote a model file")
+	}
+	if err := cmdLearn([]string{"-in", ref, "-model", model}); err != nil {
+		t.Fatal(err)
+	}
+
+	// A model file from before the flag went still carries its key; the
+	// report over it must be the report over the fresh file.
+	raw, err := os.ReadFile(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := doc["use_vptree"]; ok {
+		t.Fatal("learn still writes use_vptree")
+	}
+	doc["use_vptree"] = true
+	if raw, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(oldModel, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fresh := stdoutOf(t, cmdMonitor, "-in", run, "-model", model, "-json")
+	if old := stdoutOf(t, cmdMonitor, "-in", run, "-model", oldModel, "-json"); old != fresh {
+		t.Fatalf("monitor over the old-key model file:\n%s\nover a fresh one:\n%s", old, fresh)
+	}
+
+	type books struct {
+		Windows   int `json:"windows"`
+		GateTrips int `json:"gate_trips"`
+		Anomalies int `json:"anomalies"`
+	}
+	var single books
+	if err := json.Unmarshal([]byte(fresh), &single); err != nil {
+		t.Fatal(err)
+	}
+	if single.Windows != 750 || single.Anomalies == 0 || single.GateTrips <= single.Anomalies {
+		t.Fatalf("single-stream report %+v: want 750 windows, some anomalies, more trips than anomalies", single)
+	}
+
+	var multi struct {
+		Streams []books `json:"streams"`
+	}
+	if err := json.Unmarshal([]byte(stdoutOf(t, cmdMonitor, "-in", run, "-model", model, "-streams", "2", "-json")), &multi); err != nil {
+		t.Fatal(err)
+	}
+	if len(multi.Streams) != 2 {
+		t.Fatalf("-streams 2 reported %d streams", len(multi.Streams))
+	}
+	for i, s := range multi.Streams {
+		if s != single {
+			t.Fatalf("-streams 2: stream %d reports %+v, the single-stream run %+v", i, s, single)
+		}
+	}
+}

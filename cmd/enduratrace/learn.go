@@ -31,8 +31,7 @@ func coreFlags(fs *flag.FlagSet, def core.Config) func() (core.Config, error) {
 	lofDist := fs.String("lof-distance", def.LOFDistance.Name, "LOF dissimilarity")
 	smoothing := fs.Float64("smoothing", def.Smoothing, "additive pmf smoothing epsilon")
 	rate := fs.Bool("rate", def.IncludeRate, "append the saturating event-rate feature")
-	vptree := fs.Bool("vptree", def.UseVPTree, "use the VP-tree index (metric LOF distance only)")
-	seed := fs.Int64("model-seed", def.Seed, "VP-tree construction / condensation seed")
+	seed := fs.Int64("model-seed", def.Seed, "condensation seed")
 	condense := fs.Int("condense", def.CondenseTarget,
 		"condense the reference set to at most N points by farthest-point sampling (0 = keep all, bit-exact scoring)")
 	fastKernels := fs.Bool("fast-kernels", def.FastKernels,
@@ -52,7 +51,6 @@ func coreFlags(fs *flag.FlagSet, def core.Config) func() (core.Config, error) {
 		}
 		cfg.K = *k
 		cfg.Alpha = *alpha
-		cfg.UseVPTree = *vptree
 		cfg.Seed = *seed
 		cfg.Smoothing = *smoothing
 		cfg.IncludeRate = *rate

@@ -30,7 +30,6 @@ type modelFile struct {
 	MergeLambda   float64 `json:"merge_lambda"`
 	Smoothing     float64 `json:"smoothing"`
 	IncludeRate   bool    `json:"include_rate"`
-	UseVPTree     bool    `json:"use_vptree"`
 	Seed          int64   `json:"seed"`
 	RateScale     float64 `json:"rate_scale"`
 	RefWindows    int     `json:"ref_windows"`
@@ -90,7 +89,6 @@ func SaveModel(w io.Writer, cfg Config, l *Learned) error {
 		MergeLambda:       cfg.MergeLambda,
 		Smoothing:         cfg.Smoothing,
 		IncludeRate:       cfg.IncludeRate,
-		UseVPTree:         cfg.UseVPTree,
 		Seed:              cfg.Seed,
 		RateScale:         l.Featurizer.RateScale,
 		RefWindows:        l.RefWindows,
@@ -142,7 +140,6 @@ func LoadModel(r io.Reader) (Config, *Learned, error) {
 		MergeLambda:      mf.MergeLambda,
 		Smoothing:        mf.Smoothing,
 		IncludeRate:      mf.IncludeRate,
-		UseVPTree:        mf.UseVPTree,
 		Seed:             mf.Seed,
 		CondenseTarget:   mf.CondenseTarget,
 		GateAuto:         mf.GateAuto,
@@ -156,7 +153,6 @@ func LoadModel(r io.Reader) (Config, *Learned, error) {
 	// the same target is a no-op selection that still re-enables the fast
 	// kernels; kdist/lrd are recomputed exactly as the original fit did.
 	model, err := lof.Fit(mf.Points, mf.K, lofDist, lof.FitOptions{
-		UseVPTree:      mf.UseVPTree,
 		Seed:           mf.Seed,
 		CondenseTarget: mf.CondenseTarget,
 		FastKernels:    mf.FastKernels,

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"enduratrace/internal/trace"
+	"enduratrace/internal/window"
 )
 
 // savedModelJSON learns a small valid model and returns its JSON document
@@ -158,5 +160,55 @@ func TestLoadModelFileNamesPath(t *testing.T) {
 	}
 	if learned.Model.Len() == 0 || cfg.NumTypes != testConfig().NumTypes {
 		t.Fatalf("loaded model malformed: %d points, %d types", learned.Model.Len(), cfg.NumTypes)
+	}
+}
+
+// TestLoadModelIgnoresRetiredIndexKey: version-1 files written while the
+// index was selectable still carry "use_vptree". SaveModel no longer writes
+// the key, and a file that has it — set, on a metric LOF distance, where it
+// once selected the tree — loads to the same configuration and scores bit
+// for bit like the same file without it (the two indexes always agreed).
+func TestLoadModelIgnoresRetiredIndexKey(t *testing.T) {
+	doc := savedModelJSON(t)
+	if _, ok := doc["use_vptree"]; ok {
+		t.Fatal("SaveModel still writes use_vptree")
+	}
+	doc["lof_distance"] = "hellinger"
+	load := func() (*Learned, []byte) {
+		raw, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, learned, err := LoadModel(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resaved bytes.Buffer
+		if err := SaveModel(&resaved, cfg, learned); err != nil {
+			t.Fatal(err)
+		}
+		return learned, resaved.Bytes()
+	}
+	fresh, freshSaved := load()
+	doc["use_vptree"] = true
+	old, oldSaved := load()
+
+	if !bytes.Equal(oldSaved, freshSaved) {
+		t.Fatal("a model file with use_vptree set re-saves differently from one without it")
+	}
+	for i := 0; i < fresh.Model.Len(); i++ {
+		if a, b := old.Model.ScoreTrain(i), fresh.Model.ScoreTrain(i); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("train score %d: %v with the old key, %v without", i, a, b)
+		}
+	}
+	ws, err := window.Collect(trace.NewSliceReader(perturbedRun()), testConfig().NewWindower())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range ws {
+		q := fresh.Featurizer.Features(w)
+		if a, b := old.Model.Score(q), fresh.Model.Score(q); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("window %d: LOF %v with the old key, %v without", w.Index, a, b)
+		}
 	}
 }

@@ -68,10 +68,7 @@ type Config struct {
 	// vectors so that pure rate collapses remain visible (extension;
 	// the gate always works on the pmf prefix).
 	IncludeRate bool
-	// UseVPTree selects the VP-tree index at fit time (requires a metric
-	// LOFDistance).
-	UseVPTree bool
-	// Seed controls VP-tree construction and condensation sampling.
+	// Seed picks condensation's starting point.
 	Seed int64
 	// CondenseTarget, when positive, condenses the learned reference set
 	// down to at most that many points by farthest-point sampling (see
@@ -95,7 +92,8 @@ type Config struct {
 	// FastKernels opts the LOF index into the precomputed-log KL-family
 	// row kernels (see lof.FitOptions.FastKernels): about twice as fast
 	// per score as the bit-exact default (which filters through float32
-	// logs), approximate within ~1e-9 relative of the exact kernels. No-op for non-KL-family LOF distances and under UseVPTree.
+	// logs), approximate within ~1e-9 relative of the exact kernels. No-op
+	// for non-KL-family LOF distances.
 	FastKernels bool
 }
 
@@ -280,27 +278,6 @@ func (m *Monitor) DisableByteAccounting() { m.noAcct = true }
 //
 //enduratrace:zeroalloc
 func (m *Monitor) ProcessWindow(w window.Window) Decision {
-	d := m.gateWindow(w)
-	if !d.GateTripped {
-		return d
-	}
-	m.lofCalls.Add(1)
-	d.LOF = m.scorer.Score(d.Features)
-	d.Anomalous = d.LOF >= m.cfg.Alpha
-	if d.Anomalous {
-		m.anoms.Add(1)
-	}
-	return d
-}
-
-// gateWindow is ProcessWindow minus the LOF tail: featurize, run the
-// gate, and update the past pmf. On a trip the decision comes back with
-// LOF NaN and Anomalous unset — the caller owns the scoring step
-// (ProcessWindow runs it inline; the batched Run amortizes one
-// ScoreBatch across all tripped windows of an event batch). The split is
-// semantics-preserving because the past-pmf update depends only on the
-// gate outcome, never on the LOF value.
-func (m *Monitor) gateWindow(w window.Window) Decision {
 	m.windows.Add(1)
 	features := m.feat.FeaturesInto(m.featBuf, m.counts, w)
 	npmf := m.feat.PMFOnly(features)
@@ -331,6 +308,13 @@ func (m *Monitor) gateWindow(w window.Window) Decision {
 	// re-arms instead of tripping on every subsequent window of a changed
 	// but steady regime.
 	copy(m.ppmf, npmf)
+
+	m.lofCalls.Add(1)
+	d.LOF = m.scorer.Score(features)
+	d.Anomalous = d.LOF >= m.cfg.Alpha
+	if d.Anomalous {
+		m.anoms.Add(1)
+	}
 	return d
 }
 
@@ -436,7 +420,6 @@ func Learn(cfg Config, r trace.Reader) (*Learned, error) {
 		points[i] = feat.Features(w)
 	}
 	model, err := lof.Fit(points, cfg.K, cfg.LOFDistance, lof.FitOptions{
-		UseVPTree:      cfg.UseVPTree,
 		Seed:           cfg.Seed,
 		CondenseTarget: cfg.CondenseTarget,
 		FastKernels:    cfg.FastKernels,
@@ -520,129 +503,29 @@ func Run(cfg Config, learned *Learned, r trace.Reader, sink recorder.Sink,
 	return mon.Run(r, sink, onDecision)
 }
 
+// batchEvents is the ingest granularity of Run: events drain from a
+// trace.BatchReader up to this many at a time.
+const batchEvents = 512
+
 // Run streams a trace through this monitor stream; see the package-level
 // Run for the sink/callback semantics. Each Monitor owns its windower and
 // byte accounting, so concurrent Monitors over one shared Learned can Run
 // independent streams in parallel.
 //
-// When r implements trace.BatchReader (the framed network reader and the
-// serve event queue do), Run switches to a batched pipeline: events drain
-// in batches, and all windows completed by one event batch are gated
-// first and then LOF-scored in a single lof.Scorer.ScoreBatch matrix
-// sweep. Every decision, counter, and callback is identical to the
-// per-event path and arrives in the same order — only the kernel loop
-// order changes.
+// Events drain in batches: a trace.BatchReader (the framed network reader
+// and the serve event queue) hands over what it has, up to batchEvents; a
+// plain Reader is read as one-event batches, so a live reader is never
+// asked for more than it has. Every window a batch completes is judged
+// with ProcessWindow first, each decision keeping its own feature copy,
+// and then the decisions are emitted in window order. Judging before
+// emitting is deliberate: a sink or callback may wait on the previous
+// window's durability (the serve path's anomaly store keeps one incident
+// in flight), and interleaving that wait between two scores of a batch
+// measurably slows a storm. Decisions, RunStats, callback order and the
+// abort point do not depend on how the events were batched.
 func (m *Monitor) Run(r trace.Reader, sink recorder.Sink,
 	onDecision func(Decision) error) (RunStats, error) {
 
-	if br, ok := r.(trace.BatchReader); ok {
-		return m.runBatched(br, sink, onDecision)
-	}
-
-	var stats RunStats
-	var acct *traceio.SizeAccountant
-	if !m.noAcct {
-		acct = traceio.NewSizeAccountant()
-	}
-	ctxSink, _ := sink.(*recorder.ContextSink)
-
-	wdr := m.cfg.NewWindower()
-	process := func(w window.Window) error {
-		stats.Windows++
-		if stats.Windows == 1 {
-			stats.Start = w.Start
-		}
-		stats.End = w.End
-		var d Decision
-		if m.scoreTimer != nil {
-			t0 := obs.Now()
-			d = m.ProcessWindow(w)
-			m.scoreTimer(time.Duration(obs.Now() - t0))
-		} else {
-			d = m.ProcessWindow(w)
-		}
-		if d.GateTripped {
-			stats.GateTrips++
-		}
-		if ctxSink != nil {
-			if err := ctxSink.Observe(w); err != nil {
-				return err
-			}
-		}
-		if d.Anomalous {
-			stats.Anomalies++
-			if sink != nil {
-				if err := sink.Record(w); err != nil {
-					return err
-				}
-			}
-		}
-		if onDecision != nil {
-			return onDecision(d)
-		}
-		return nil
-	}
-
-	byTime, _ := wdr.(*window.ByTime)
-	for {
-		ev, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return stats, err
-		}
-		if acct != nil {
-			if aerr := acct.Write(ev); aerr != nil {
-				return stats, aerr
-			}
-		}
-		if w, ok := wdr.Add(ev); ok {
-			if perr := process(w); perr != nil {
-				return stats, perr
-			}
-		}
-		if byTime != nil {
-			for {
-				w, ok := byTime.Drain()
-				if !ok {
-					break
-				}
-				if perr := process(w); perr != nil {
-					return stats, perr
-				}
-			}
-		}
-	}
-	if w, ok := wdr.Flush(); ok {
-		if perr := process(w); perr != nil {
-			return stats, perr
-		}
-	}
-
-	if acct != nil {
-		stats.FullBytes = acct.Bytes()
-	}
-	if sink != nil {
-		stats.RecBytes = sink.BytesWritten()
-		stats.RecWindows = sink.WindowsRecorded()
-	}
-	return stats, nil
-}
-
-// batchEvents is the ingest granularity of the batched Run path: events
-// drain from the BatchReader up to this many at a time, and the windows
-// they complete share one ScoreBatch pass.
-const batchEvents = 512
-
-// runBatched is the trace.BatchReader fast path of Run. Each event batch
-// is processed in three phases — gate every completed window (stashing a
-// per-window feature copy), LOF-score all tripped windows in one
-// ScoreBatch sweep, then emit decisions in window order — so decisions,
-// stats, and callback order match the per-event path exactly.
-func (m *Monitor) runBatched(r trace.BatchReader, sink recorder.Sink,
-	onDecision func(Decision) error) (RunStats, error) {
-
 	var stats RunStats
 	var acct *traceio.SizeAccountant
 	if !m.noAcct {
@@ -652,29 +535,22 @@ func (m *Monitor) runBatched(r trace.BatchReader, sink recorder.Sink,
 
 	wdr := m.cfg.NewWindower()
 	byTime, _ := wdr.(*window.ByTime)
+	br, _ := r.(trace.BatchReader)
 
 	fdim := m.feat.FeatureDim()
 	evBuf := make([]trace.Event, batchEvents)
 	var (
 		wins      []window.Window // windows completed by the current batch
 		decs      []Decision
-		gateNs    []int64   // per-window stage duration (scoreTimer only)
+		scoreNs   []int64   // per-window ProcessWindow duration (scoreTimer only)
 		featArena []float64 // backing store for the per-window feature copies
-		queries   [][]float64
-		qIdx      []int // decs index of each query
-		scores    []float64
 	)
 
 	processBatch := func() error {
-		// Phase 1 — gate every window. Features are copied out of the
-		// monitor's single featurization buffer into a per-batch arena so
-		// each decision keeps its own (contractually, Decision.Features is
-		// valid until the next window is processed; distinct slices per
-		// window within the batch are strictly safer).
-		decs = decs[:0]
-		queries = queries[:0]
-		qIdx = qIdx[:0]
-		gateNs = gateNs[:0]
+		// Decision.Features aliases the monitor's single featurization
+		// buffer, valid until the next ProcessWindow: copy it out so every
+		// decision of the batch keeps its own.
+		decs, scoreNs = decs[:0], scoreNs[:0]
 		if need := len(wins) * fdim; cap(featArena) < need {
 			featArena = make([]float64, need)
 		}
@@ -683,55 +559,17 @@ func (m *Monitor) runBatched(r trace.BatchReader, sink recorder.Sink,
 			if m.scoreTimer != nil {
 				t0 = obs.Now()
 			}
-			d := m.gateWindow(w)
+			d := m.ProcessWindow(w)
+			if m.scoreTimer != nil {
+				scoreNs = append(scoreNs, obs.Now()-t0)
+			}
 			feat := featArena[i*fdim : (i+1)*fdim]
 			copy(feat, d.Features)
 			d.Features = feat
-			if m.scoreTimer != nil {
-				gateNs = append(gateNs, obs.Now()-t0)
-			}
-			if d.GateTripped {
-				qIdx = append(qIdx, len(decs))
-				queries = append(queries, feat)
-			}
 			decs = append(decs, d)
 		}
 
-		// Phase 2 — one batched LOF sweep across all tripped windows. The
-		// sweep's wall time is split evenly across them for the scoreTimer,
-		// preserving its call-before-the-window's-callbacks contract.
-		if len(queries) > 0 {
-			var t0 int64
-			if m.scoreTimer != nil {
-				t0 = obs.Now()
-			}
-			if cap(scores) < len(queries) {
-				scores = make([]float64, len(queries))
-			}
-			scores = scores[:len(queries)]
-			m.scorer.ScoreBatch(queries, scores)
-			m.lofCalls.Add(int64(len(queries)))
-			var share int64
-			if m.scoreTimer != nil {
-				share = (obs.Now() - t0) / int64(len(queries))
-			}
-			for qi, di := range qIdx {
-				d := &decs[di]
-				d.LOF = scores[qi]
-				d.Anomalous = d.LOF >= m.cfg.Alpha
-				if d.Anomalous {
-					m.anoms.Add(1)
-				}
-				if m.scoreTimer != nil {
-					gateNs[di] += share
-				}
-			}
-		}
-
-		// Phase 3 — emit in window order, with the same bookkeeping and
-		// abort points as the per-event path.
-		for i := range decs {
-			d := decs[i]
+		for i, d := range decs {
 			w := wins[i]
 			stats.Windows++
 			if stats.Windows == 1 {
@@ -742,7 +580,7 @@ func (m *Monitor) runBatched(r trace.BatchReader, sink recorder.Sink,
 				stats.GateTrips++
 			}
 			if m.scoreTimer != nil {
-				m.scoreTimer(time.Duration(gateNs[i]))
+				m.scoreTimer(time.Duration(scoreNs[i]))
 			}
 			if ctxSink != nil {
 				if err := ctxSink.Observe(w); err != nil {
@@ -767,7 +605,13 @@ func (m *Monitor) runBatched(r trace.BatchReader, sink recorder.Sink,
 	}
 
 	for {
-		n, err := r.ReadBatch(evBuf)
+		var n int
+		var err error
+		if br != nil {
+			n, err = br.ReadBatch(evBuf)
+		} else if evBuf[0], err = r.Next(); err == nil {
+			n = 1
+		}
 		if n > 0 {
 			wins = wins[:0]
 			for _, ev := range evBuf[:n] {

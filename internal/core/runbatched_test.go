@@ -5,18 +5,48 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"enduratrace/internal/recorder"
 	"enduratrace/internal/trace"
+	"enduratrace/internal/traceio"
 	"enduratrace/internal/window"
 )
 
-// nonBatchReader hides SliceReader's ReadBatch so Run takes the
-// per-event path — the reference behaviour the batched path must match.
+// nonBatchReader hides SliceReader's ReadBatch, so Run reads it as
+// one-event batches — what a plain trace.Reader (the .etrc file reader)
+// gets.
 type nonBatchReader struct{ r *trace.SliceReader }
 
 func (n nonBatchReader) Next() (trace.Event, error) { return n.r.Next() }
+
+// tornFrameReader serves evs as a framed stream of small frames that
+// arrives one byte at a time, so every frame is torn across reads and
+// ReadBatch hands Run one frame's events (a fraction of a window) per
+// batch.
+func tornFrameReader(t *testing.T, evs []trace.Event) trace.Reader {
+	t.Helper()
+	var buf bytes.Buffer
+	fw, err := traceio.NewFrameWriter(&buf, "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw.FrameBytes = 48
+	for _, ev := range evs {
+		if err := fw.Write(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fr, err := traceio.NewFrameReader(iotest.OneByteReader(&buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fr
+}
 
 // decisionLog captures the fields of every decision, with features
 // cloned (the originals alias reusable buffers).
@@ -29,22 +59,8 @@ type decisionLog struct {
 	features []float64
 }
 
-func logDecisions(dst *[]decisionLog) func(Decision) error {
-	return func(d Decision) error {
-		*dst = append(*dst, decisionLog{
-			gateDist: d.GateDist,
-			tripped:  d.GateTripped,
-			lof:      d.LOF,
-			anom:     d.Anomalous,
-			start:    d.Window.Start,
-			features: append([]float64(nil), d.Features...),
-		})
-		return nil
-	}
-}
-
-// perturbedRun splices an anomalous segment into a clean trace so the
-// batched path exercises quiet gates, trips, and anomalies alike.
+// perturbedRun splices an anomalous segment into a clean trace so a run
+// exercises quiet gates, trips, and anomalies alike.
 func perturbedRun() []trace.Event {
 	var run []trace.Event
 	run = append(run, synth(0, time.Second, refWeights, 2)...)
@@ -53,133 +69,143 @@ func perturbedRun() []trace.Event {
 	return run
 }
 
-// TestRunBatchedMatchesPerEvent: running the same trace through the
-// per-event and the batched (trace.BatchReader) paths must produce
-// bit-identical decisions in the same order, identical RunStats, and
-// identical sink contents.
-func TestRunBatchedMatchesPerEvent(t *testing.T) {
-	cfg := testConfig()
-	ref := synth(0, 2*time.Second, refWeights, 1)
-	learned, err := Learn(cfg, trace.NewSliceReader(ref))
+// runOutcome is everything Run lets a caller observe.
+type runOutcome struct {
+	log    []decisionLog
+	stats  RunStats
+	sunk   []int // indexes of the windows the sink recorded
+	timers int   // score-timer calls
+	err    error
+}
+
+var errBoom = errors.New("boom")
+
+// observeRun drives one Monitor.Run over r, failing the decision callback
+// at its abortAt-th call (0 = never). It checks, per window, that the score
+// timer has fired exactly once for it before its onDecision.
+func observeRun(t *testing.T, cfg Config, learned *Learned, r trace.Reader, abortAt int) runOutcome {
+	t.Helper()
+	mon, err := NewMonitor(cfg, learned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out runOutcome
+	mon.SetScoreTimer(func(d time.Duration) {
+		if d < 0 {
+			t.Errorf("score timer reported %v", d)
+		}
+		out.timers++
+	})
+	sink := recorder.NewMemSink()
+	out.stats, out.err = mon.Run(r, sink, func(d Decision) error {
+		out.log = append(out.log, decisionLog{
+			gateDist: d.GateDist,
+			tripped:  d.GateTripped,
+			lof:      d.LOF,
+			anom:     d.Anomalous,
+			start:    d.Window.Start,
+			features: append([]float64(nil), d.Features...),
+		})
+		if out.timers != len(out.log) {
+			t.Errorf("decision %d: score timer has fired %d times, want once per window before its onDecision",
+				len(out.log), out.timers)
+		}
+		if len(out.log) == abortAt {
+			return errBoom
+		}
+		return nil
+	})
+	for _, w := range sink.Windows {
+		out.sunk = append(out.sunk, w.Index)
+	}
+	return out
+}
+
+// checkRunContract is the contract of Run's single loop: however the
+// events are batched — one at a time, in full SliceReader batches, or by
+// a FrameReader over torn frames — the decision log (features included),
+// RunStats, sink contents, callback order and abort point are the same,
+// bit for bit.
+func checkRunContract(t *testing.T, cfg Config, abortAt int) {
+	t.Helper()
+	learned, err := Learn(cfg, trace.NewSliceReader(synth(0, 2*time.Second, refWeights, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := perturbedRun()
 
-	var wantLog []decisionLog
-	wantSink := recorder.NewMemSink()
-	wantStats, err := Run(cfg, learned, nonBatchReader{trace.NewSliceReader(run)},
-		wantSink, logDecisions(&wantLog))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wantStats.Anomalies == 0 || wantStats.GateTrips <= wantStats.Anomalies {
-		t.Fatalf("reference run too tame to be a useful oracle: %+v", wantStats)
-	}
-
-	var gotLog []decisionLog
-	gotSink := recorder.NewMemSink()
-	gotStats, err := Run(cfg, learned, trace.NewSliceReader(run),
-		gotSink, logDecisions(&gotLog))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if gotStats != wantStats {
-		t.Fatalf("batched RunStats %+v != per-event %+v", gotStats, wantStats)
-	}
-	if len(gotLog) != len(wantLog) {
-		t.Fatalf("batched path emitted %d decisions, per-event %d", len(gotLog), len(wantLog))
-	}
-	for i := range wantLog {
-		w, g := wantLog[i], gotLog[i]
-		sameLOF := g.lof == w.lof || (math.IsNaN(g.lof) && math.IsNaN(w.lof))
-		if g.start != w.start || g.gateDist != w.gateDist || g.tripped != w.tripped ||
-			!sameLOF || g.anom != w.anom {
-			t.Fatalf("decision %d differs: batched %+v vs per-event %+v", i, g, w)
+	want := observeRun(t, cfg, learned, nonBatchReader{trace.NewSliceReader(run)}, abortAt)
+	if abortAt == 0 {
+		if want.err != nil {
+			t.Fatal(want.err)
 		}
-		for j := range w.features {
-			if g.features[j] != w.features[j] {
-				t.Fatalf("decision %d feature %d differs: %v vs %v", i, j, g.features[j], w.features[j])
+		if want.stats.Anomalies == 0 || want.stats.GateTrips <= want.stats.Anomalies {
+			t.Fatalf("reference run too tame to be a useful oracle: %+v", want.stats)
+		}
+	} else if !errors.Is(want.err, errBoom) || len(want.log) != abortAt {
+		t.Fatalf("one-event batches: aborted after %d decisions with %v, want %d and boom",
+			len(want.log), want.err, abortAt)
+	}
+
+	for name, r := range map[string]trace.Reader{
+		"full batches": trace.NewSliceReader(run),
+		"torn frames":  tornFrameReader(t, run),
+	} {
+		got := observeRun(t, cfg, learned, r, abortAt)
+		if !errors.Is(got.err, want.err) {
+			t.Fatalf("%s: Run returned %v, one-event batches %v", name, got.err, want.err)
+		}
+		if got.stats != want.stats {
+			t.Fatalf("%s: RunStats %+v != one-event batches' %+v", name, got.stats, want.stats)
+		}
+		if got.timers != want.timers {
+			t.Fatalf("%s: %d score-timer calls, one-event batches %d", name, got.timers, want.timers)
+		}
+		if len(got.log) != len(want.log) {
+			t.Fatalf("%s: %d decisions, one-event batches %d", name, len(got.log), len(want.log))
+		}
+		for i := range want.log {
+			w, g := want.log[i], got.log[i]
+			if g.start != w.start || g.gateDist != w.gateDist || g.tripped != w.tripped ||
+				math.Float64bits(g.lof) != math.Float64bits(w.lof) || g.anom != w.anom {
+				t.Fatalf("%s: decision %d differs: %+v vs one-event batches' %+v", name, i, g, w)
+			}
+			for j := range w.features {
+				if g.features[j] != w.features[j] {
+					t.Fatalf("%s: decision %d feature %d differs: %v vs %v", name, i, j, g.features[j], w.features[j])
+				}
 			}
 		}
-	}
-	if len(gotSink.Windows) != len(wantSink.Windows) {
-		t.Fatalf("batched sink recorded %d windows, per-event %d",
-			len(gotSink.Windows), len(wantSink.Windows))
-	}
-	for i := range wantSink.Windows {
-		if gotSink.Windows[i].Index != wantSink.Windows[i].Index {
-			t.Fatalf("sink window %d: index %d vs %d", i,
-				gotSink.Windows[i].Index, wantSink.Windows[i].Index)
+		if len(got.sunk) != len(want.sunk) {
+			t.Fatalf("%s: sink recorded %d windows, one-event batches %d", name, len(got.sunk), len(want.sunk))
+		}
+		for i := range want.sunk {
+			if got.sunk[i] != want.sunk[i] {
+				t.Fatalf("%s: sink window %d: index %d vs %d", name, i, got.sunk[i], want.sunk[i])
+			}
 		}
 	}
 }
 
-// TestRunBatchedFastKernelsMatchesPerEvent repeats the equivalence check
-// on a FastKernels model — the serve-path configuration — so the batched
-// fast kernels are pinned against the single-query fast kernels.
+// TestRunBatchedMatchesPerEvent: the contract on the bit-exact default
+// kernels.
+func TestRunBatchedMatchesPerEvent(t *testing.T) {
+	checkRunContract(t, testConfig(), 0)
+}
+
+// TestRunBatchedFastKernelsMatchesPerEvent: the contract on a FastKernels
+// model — the serve-path configuration.
 func TestRunBatchedFastKernelsMatchesPerEvent(t *testing.T) {
 	cfg := testConfig()
 	cfg.FastKernels = true
-	ref := synth(0, 2*time.Second, refWeights, 1)
-	learned, err := Learn(cfg, trace.NewSliceReader(ref))
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := perturbedRun()
-
-	var wantLog, gotLog []decisionLog
-	wantStats, err := Run(cfg, learned, nonBatchReader{trace.NewSliceReader(run)}, nil, logDecisions(&wantLog))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotStats, err := Run(cfg, learned, trace.NewSliceReader(run), nil, logDecisions(&gotLog))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotStats != wantStats {
-		t.Fatalf("batched RunStats %+v != per-event %+v", gotStats, wantStats)
-	}
-	for i := range wantLog {
-		w, g := wantLog[i], gotLog[i]
-		sameLOF := g.lof == w.lof || (math.IsNaN(g.lof) && math.IsNaN(w.lof))
-		if g.gateDist != w.gateDist || g.tripped != w.tripped || !sameLOF || g.anom != w.anom {
-			t.Fatalf("decision %d differs: batched %+v vs per-event %+v", i, g, w)
-		}
-	}
+	checkRunContract(t, cfg, 0)
 }
 
-// TestRunBatchedCallbackAbort: a failing decision callback must abort
-// the batched run with the same partial RunStats as the per-event path.
+// TestRunBatchedCallbackAbort: a failing decision callback aborts the run
+// at the same window, with the same partial RunStats and sink contents,
+// however many later windows the batch had already judged.
 func TestRunBatchedCallbackAbort(t *testing.T) {
-	cfg := testConfig()
-	ref := synth(0, 2*time.Second, refWeights, 1)
-	learned, err := Learn(cfg, trace.NewSliceReader(ref))
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := perturbedRun()
-	boom := errors.New("boom")
-	abortAfter := func(n int) func(Decision) error {
-		seen := 0
-		return func(Decision) error {
-			seen++
-			if seen >= n {
-				return boom
-			}
-			return nil
-		}
-	}
-	const stopAt = 7
-	wantStats, wantErr := Run(cfg, learned, nonBatchReader{trace.NewSliceReader(run)}, nil, abortAfter(stopAt))
-	gotStats, gotErr := Run(cfg, learned, trace.NewSliceReader(run), nil, abortAfter(stopAt))
-	if !errors.Is(wantErr, boom) || !errors.Is(gotErr, boom) {
-		t.Fatalf("abort errors: per-event %v, batched %v, want boom", wantErr, gotErr)
-	}
-	if gotStats != wantStats {
-		t.Fatalf("aborted RunStats differ: batched %+v vs per-event %+v", gotStats, wantStats)
-	}
+	checkRunContract(t, testConfig(), 7)
 }
 
 // TestModelSaveLoadRoundTripFastKernels: the FastKernels opt-in must

@@ -84,40 +84,6 @@ func benchmarkRows(b *testing.B, name string, fast bool) {
 	}
 }
 
-// benchmarkRowsBatch measures nq queries against the same 1000-row
-// matrix in one batched LogRows sweep — the FastKernels ScoreBatch inner
-// loop. Per-op cost divided by nq is the per-query number to compare
-// against the single-query fast kernels above.
-func benchmarkRowsBatch(b *testing.B, name string, nq int) {
-	const dim, n = 26, 1000
-	rng := rand.New(rand.NewSource(1))
-	flat := randRows(rng, n, dim, 0)
-	qs := randRows(rng, nq, dim, 0)
-	out := make([]float64, nq*n)
-	table := NewLogRows(flat, dim)
-	qlogs := make([]float64, nq*dim)
-	qents := make([]float64, nq)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		switch name {
-		case "symkl":
-			QueryLogs(qs, qlogs)
-			table.SymKLRowsBatch(qs, qlogs, nq, out)
-		case "kl":
-			QueryLogs(qs, qlogs)
-			table.KLRowsBatch(qs, qlogs, nq, out)
-		case "jsd":
-			for k := 0; k < nq; k++ {
-				qents[k] = QueryNegEntropy(qs[k*dim : (k+1)*dim])
-			}
-			table.JSDRowsBatch(qs, qents, nq, out)
-		default:
-			b.Fatalf("no fast kernel for %s", name)
-		}
-		benchSink += out[0]
-	}
-}
-
 func BenchmarkRowsSymKL1000(b *testing.B)     { benchmarkRows(b, "symkl", false) }
 func BenchmarkRowsSymKLFast1000(b *testing.B) { benchmarkRows(b, "symkl", true) }
 func BenchmarkRowsKLFast1000(b *testing.B)    { benchmarkRows(b, "kl", true) }
@@ -138,9 +104,6 @@ func BenchmarkRowsJSDFast1000(b *testing.B) {
 		benchSink += out[0]
 	}
 }
-
-func BenchmarkRowsBatchSymKLFast1000x8(b *testing.B) { benchmarkRowsBatch(b, "symkl", 8) }
-func BenchmarkRowsBatchJSDFast1000x8(b *testing.B)   { benchmarkRowsBatch(b, "jsd", 8) }
 
 func BenchmarkKernelKL(b *testing.B)        { benchmarkKernel(b, "kl") }
 func BenchmarkKernelSymKL(b *testing.B)     { benchmarkKernel(b, "symkl") }

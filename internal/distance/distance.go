@@ -4,9 +4,10 @@
 // citing Kullback & Leibler 1951) for the cheap change gate, and feeds pmfs
 // to LOF, which only requires a dissimilarity. KL is neither symmetric nor
 // a metric, so this package also supplies symmetrised and metric
-// alternatives (Jensen–Shannon, Hellinger, L1, L2, χ²): metric distances
-// enable the VP-tree k-NN index, and all of them back the distance ablation
-// bench (experiment A-distance in DESIGN.md).
+// alternatives (Jensen–Shannon, Hellinger, L1, L2, χ²), all of which back
+// the distance ablation bench (experiment A-distance in DESIGN.md). Each
+// distance has one exact implementation, its Func; rows.go derives the
+// one-query-against-many-rows form from it.
 package distance
 
 import (
@@ -18,16 +19,10 @@ import (
 // Implementations must be non-negative and zero for identical inputs.
 type Func func(p, q []float64) float64
 
-// Distance couples a Func with its identity and properties.
+// Distance couples a Func with its catalogue name.
 type Distance struct {
-	Name   string
-	F      Func
-	Metric bool // satisfies the triangle inequality (enables VP-tree)
-	// Rows, when non-nil, is the exact one-query-vs-many-rows form of F
-	// over a flat row-major matrix: bit-for-bit equal to calling F per
-	// row, but cache-friendly and free of per-pair call overhead. Use
-	// RowsOf, which falls back to a generic loop when Rows is nil.
-	Rows RowsFunc
+	Name string
+	F    Func
 }
 
 // eps guards logarithms and divisions against zero components when callers
@@ -148,14 +143,14 @@ func assertSameLen(p, q []float64) {
 
 // Catalog of named distances, used by command-line flags and ablations.
 var catalog = map[string]Distance{
-	"kl":        {Name: "kl", F: KL, Metric: false, Rows: KLRows},
-	"symkl":     {Name: "symkl", F: SymmetricKL, Metric: false, Rows: SymmetricKLRows},
-	"jsd":       {Name: "jsd", F: JensenShannon, Metric: false, Rows: JensenShannonRows},
-	"jsdist":    {Name: "jsdist", F: JensenShannonDist, Metric: true, Rows: JensenShannonDistRows},
-	"hellinger": {Name: "hellinger", F: Hellinger, Metric: true, Rows: HellingerRows},
-	"l1":        {Name: "l1", F: L1, Metric: true, Rows: L1Rows},
-	"l2":        {Name: "l2", F: L2, Metric: true, Rows: L2Rows},
-	"chi2":      {Name: "chi2", F: ChiSquare, Metric: false, Rows: ChiSquareRows},
+	"kl":        {Name: "kl", F: KL},
+	"symkl":     {Name: "symkl", F: SymmetricKL},
+	"jsd":       {Name: "jsd", F: JensenShannon},
+	"jsdist":    {Name: "jsdist", F: JensenShannonDist},
+	"hellinger": {Name: "hellinger", F: Hellinger},
+	"l1":        {Name: "l1", F: L1},
+	"l2":        {Name: "l2", F: L2},
+	"chi2":      {Name: "chi2", F: ChiSquare},
 }
 
 // ByName looks a distance up by its catalogue name.

@@ -70,11 +70,8 @@ func TestSymmetry(t *testing.T) {
 
 func TestTriangleInequalityForMetrics(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, name := range Names() {
-		d, _ := ByName(name)
-		if !d.Metric {
-			continue
-		}
+	for _, name := range []string{"jsdist", "hellinger", "l1", "l2"} {
+		d := Must(name)
 		for trial := 0; trial < 500; trial++ {
 			dim := 2 + rng.Intn(12)
 			a := randomPMF(rng, dim)

@@ -5,18 +5,13 @@ import (
 	"math"
 )
 
-// This file holds the row-kernel forms of the catalogue distances: scoring
-// one query vector against every row of a flat row-major reference matrix
-// in a single pass. The LOF hot path is "one query vs n reference points";
-// doing it through a flat matrix keeps the reference data contiguous in
-// cache and removes the per-pair closure call of the scalar Func.
+// This file holds the row forms of the catalogue distances: one query
+// vector against every row of a flat row-major reference matrix, the shape
+// of the LOF hot path.
 //
-// Three tiers exist:
-//
-//   - RowsOf returns an exact kernel: bit-for-bit identical to calling the
-//     scalar Func row by row (same operations in the same order). It is
-//     the reference every other form is tested against and the only row
-//     form of the distances with no log to hoist.
+//   - RowsOf is the exact form: a loop over the scalar Func, so the two
+//     cannot disagree. It is the reference the log-table forms are tested
+//     against and the only row form of the distances with no log to hoist.
 //   - LogRows precomputes per-element logarithms for the KL family (kl,
 //     symkl, jsd), removing every (jsd: half the) math.Log calls from the
 //     per-row inner loop. It is approximate in the last ulps (log(p/q) !=
@@ -31,22 +26,13 @@ import (
 // distance into out[i]. out must have length len(rows)/dim.
 type RowsFunc func(q, rows []float64, dim int, out []float64)
 
-// RowsOf returns the exact row kernel of d: bit-for-bit equal to invoking
-// d.F on every row. Specialised kernels exist for every catalogue entry;
-// an unknown Func falls back to a generic per-row loop over d.F.
+// RowsOf returns the exact row form of d: out[i] = d.F(q, row_i).
 func RowsOf(d Distance) RowsFunc {
-	if d.Rows != nil {
-		return d.Rows
-	}
 	return func(q, rows []float64, dim int, out []float64) {
-		genericRows(d.F, q, rows, dim, out)
-	}
-}
-
-func genericRows(f Func, q, rows []float64, dim int, out []float64) {
-	checkRows(q, rows, dim, out)
-	for i := range out {
-		out[i] = f(q, rows[i*dim:(i+1)*dim])
+		checkRows(q, rows, dim, out)
+		for i := range out {
+			out[i] = d.F(q, rows[i*dim:(i+1)*dim])
+		}
 	}
 }
 
@@ -59,164 +45,6 @@ func checkRows(q, rows []float64, dim int, out []float64) {
 	}
 	if len(out) != len(rows)/dim {
 		panic(fmt.Sprintf("distance: out length %d != row count %d", len(out), len(rows)/dim))
-	}
-}
-
-// The specialised exact kernels below repeat the scalar kernels' arithmetic
-// verbatim (same expressions, same order, same eps handling) inside a flat
-// row loop. Any change to a scalar kernel in distance.go must be mirrored
-// here or the bit-exactness tests in rows_test.go will fail.
-
-// KLRows is the exact row form of KL: out[i] = KL(q, row_i).
-func KLRows(q, rows []float64, dim int, out []float64) {
-	checkRows(q, rows, dim, out)
-	for i := range out {
-		row := rows[i*dim : (i+1)*dim]
-		var d float64
-		for j, pj := range q {
-			if pj <= 0 {
-				continue
-			}
-			qj := row[j]
-			if qj < eps {
-				qj = eps
-			}
-			d += pj * math.Log(pj/qj)
-		}
-		if d < 0 {
-			d = 0
-		}
-		out[i] = d
-	}
-}
-
-// SymmetricKLRows is the exact row form of SymmetricKL:
-// out[i] = KL(q, row_i) + KL(row_i, q).
-//
-// The forward and reverse passes are fused into one sweep over the row
-// (half the memory traffic of the two-loop form). Fusing is bit-exact:
-// each direction keeps its own accumulator, so the addition sequence per
-// accumulator — and therefore every rounding step — is unchanged.
-func SymmetricKLRows(q, rows []float64, dim int, out []float64) {
-	checkRows(q, rows, dim, out)
-	for i := range out {
-		row := rows[i*dim : (i+1)*dim]
-		var fwd, rev float64
-		for j, pj := range q {
-			rj := row[j]
-			if pj > 0 {
-				qj := rj
-				if qj < eps {
-					qj = eps
-				}
-				fwd += pj * math.Log(pj/qj)
-			}
-			if rj > 0 {
-				qj := pj
-				if qj < eps {
-					qj = eps
-				}
-				rev += rj * math.Log(rj/qj)
-			}
-		}
-		if fwd < 0 {
-			fwd = 0
-		}
-		if rev < 0 {
-			rev = 0
-		}
-		out[i] = fwd + rev
-	}
-}
-
-// JensenShannonRows is the exact row form of JensenShannon.
-func JensenShannonRows(q, rows []float64, dim int, out []float64) {
-	checkRows(q, rows, dim, out)
-	for i := range out {
-		row := rows[i*dim : (i+1)*dim]
-		var d float64
-		for j, pj := range q {
-			qj := row[j]
-			mj := 0.5 * (pj + qj)
-			if pj > 0 && mj > 0 {
-				d += 0.5 * pj * math.Log(pj/mj)
-			}
-			if qj > 0 && mj > 0 {
-				d += 0.5 * qj * math.Log(qj/mj)
-			}
-		}
-		if d < 0 {
-			d = 0
-		}
-		out[i] = d
-	}
-}
-
-// JensenShannonDistRows is the exact row form of JensenShannonDist.
-func JensenShannonDistRows(q, rows []float64, dim int, out []float64) {
-	JensenShannonRows(q, rows, dim, out)
-	for i := range out {
-		out[i] = math.Sqrt(out[i])
-	}
-}
-
-// HellingerRows is the exact row form of Hellinger.
-func HellingerRows(q, rows []float64, dim int, out []float64) {
-	checkRows(q, rows, dim, out)
-	for i := range out {
-		row := rows[i*dim : (i+1)*dim]
-		var s float64
-		for j, pj := range q {
-			d := math.Sqrt(pj) - math.Sqrt(row[j])
-			s += d * d
-		}
-		out[i] = math.Sqrt(0.5 * s)
-	}
-}
-
-// L1Rows is the exact row form of L1.
-func L1Rows(q, rows []float64, dim int, out []float64) {
-	checkRows(q, rows, dim, out)
-	for i := range out {
-		row := rows[i*dim : (i+1)*dim]
-		var s float64
-		for j, pj := range q {
-			s += math.Abs(pj - row[j])
-		}
-		out[i] = s
-	}
-}
-
-// L2Rows is the exact row form of L2.
-func L2Rows(q, rows []float64, dim int, out []float64) {
-	checkRows(q, rows, dim, out)
-	for i := range out {
-		row := rows[i*dim : (i+1)*dim]
-		var s float64
-		for j, pj := range q {
-			d := pj - row[j]
-			s += d * d
-		}
-		out[i] = math.Sqrt(s)
-	}
-}
-
-// ChiSquareRows is the exact row form of ChiSquare.
-func ChiSquareRows(q, rows []float64, dim int, out []float64) {
-	checkRows(q, rows, dim, out)
-	for i := range out {
-		row := rows[i*dim : (i+1)*dim]
-		var s float64
-		for j, pj := range q {
-			qj := row[j]
-			sum := pj + qj
-			if sum <= 0 {
-				continue
-			}
-			d := pj - qj
-			s += d * d / sum
-		}
-		out[i] = s
 	}
 }
 
@@ -399,101 +227,6 @@ func (t *logTable[T]) JSDRows(q []float64, qent float64, out []float64) {
 			d = 0
 		}
 		out[i] = d
-	}
-}
-
-func checkRowsBatch(qs, rows []float64, dim, nq int, out []float64) {
-	if dim <= 0 || len(rows)%dim != 0 {
-		panic(fmt.Sprintf("distance: matrix length %d not a multiple of dim %d", len(rows), dim))
-	}
-	if len(qs) != nq*dim {
-		panic(fmt.Sprintf("distance: query batch length %d != %d queries × dim %d", len(qs), nq, dim))
-	}
-	if len(out) != nq*(len(rows)/dim) {
-		panic(fmt.Sprintf("distance: out length %d != %d queries × %d rows", len(out), nq, len(rows)/dim))
-	}
-}
-
-// KLRowsBatch is the batched form of KLRows: qs and qlogs are nq query
-// vectors flattened row-major, out is query-major (out[k*n+i] for query k
-// against row i). The matrix is swept row-outer so each row is touched
-// once per batch; per-(query, row) arithmetic is identical to KLRows, so
-// results are bit-for-bit equal to the per-query kernel.
-func (t *logTable[T]) KLRowsBatch(qs, qlogs []float64, nq int, out []float64) {
-	checkRowsBatch(qs, t.rows, t.dim, nq, out)
-	dim, n := t.dim, t.Len()
-	for i := 0; i < n; i++ {
-		logs := t.logs[i*dim : (i+1)*dim]
-		for k := 0; k < nq; k++ {
-			q := qs[k*dim : (k+1)*dim]
-			ql := qlogs[k*dim : (k+1)*dim]
-			var d float64
-			for j, pj := range q {
-				d += pj * (ql[j] - float64(logs[j]))
-			}
-			if d < 0 {
-				d = 0
-			}
-			out[k*n+i] = d
-		}
-	}
-}
-
-// SymKLRowsBatch is the batched form of SymKLRows; see KLRowsBatch for the
-// layout. Bit-for-bit equal to the per-query kernel.
-func (t *logTable[T]) SymKLRowsBatch(qs, qlogs []float64, nq int, out []float64) {
-	checkRowsBatch(qs, t.rows, t.dim, nq, out)
-	dim, n := t.dim, t.Len()
-	for i := 0; i < n; i++ {
-		row := t.rows[i*dim : (i+1)*dim]
-		logs := t.logs[i*dim : (i+1)*dim]
-		for k := 0; k < nq; k++ {
-			q := qs[k*dim : (k+1)*dim]
-			ql := qlogs[k*dim : (k+1)*dim]
-			var fwd, rev float64
-			for j, pj := range q {
-				diff := ql[j] - float64(logs[j])
-				fwd += pj * diff
-				rev -= row[j] * diff
-			}
-			if fwd < 0 {
-				fwd = 0
-			}
-			if rev < 0 {
-				rev = 0
-			}
-			out[k*n+i] = fwd + rev
-		}
-	}
-}
-
-// JSDRowsBatch is the batched form of JSDRows; qents[k] must come from
-// QueryNegEntropy of query k. Bit-for-bit equal to the per-query kernel.
-func (t *logTable[T]) JSDRowsBatch(qs, qents []float64, nq int, out []float64) {
-	checkRowsBatch(qs, t.rows, t.dim, nq, out)
-	if len(qents) != nq {
-		panic(fmt.Sprintf("distance: %d query negentropies for %d queries", len(qents), nq))
-	}
-	dim, n := t.dim, t.Len()
-	for i := 0; i < n; i++ {
-		row := t.rows[i*dim : (i+1)*dim]
-		for k := 0; k < nq; k++ {
-			q := qs[k*dim : (k+1)*dim]
-			var ment float64
-			for j, pj := range q {
-				m := 0.5 * (pj + row[j])
-				lm := m
-				if lm < eps {
-					lm = eps
-				}
-				ment += m * math.Log(lm)
-			}
-			d := 0.5*qents[k] + 0.5*t.negent[i] - ment
-			if d < 0 {
-				d = 0
-			}
-			out[k*n+i] = d
-		}
 	}
 }
 

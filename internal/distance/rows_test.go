@@ -30,39 +30,53 @@ func randRows(rng *rand.Rand, n, dim int, zeroFrac float64) []float64 {
 	return flat
 }
 
-// TestRowKernelsBitExact checks the contract the flat LOF refactor leans
-// on: every catalogue row kernel produces bit-for-bit the same values as
-// calling the scalar Func row by row, including rows and queries with
-// hard-zero components.
+// TestRowKernelsBitExact pins that RowsOf(d) and d.F cannot drift: for
+// every catalogue distance the row form equals the scalar Func bit for bit
+// (NaN == NaN), on pmf-shaped inputs, on adversarialRows, and on queries
+// carrying NaN, ±0, negative and sub-eps components. A hand-copied symkl
+// row kernel once read a NaN query component against a zero row component
+// as distance 0, where SymmetricKL says NaN.
 func TestRowKernelsBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const n, dim = 64, 26
-	for _, zeroFrac := range []float64{0, 0.3} {
-		rows := randRows(rng, n, dim, zeroFrac)
-		queries := randRows(rng, 8, dim, zeroFrac)
+	check := func(label string, rows, queries []float64) {
+		t.Helper()
+		out := make([]float64, n)
 		for _, name := range Names() {
 			d := Must(name)
 			kernel := RowsOf(d)
-			out := make([]float64, n)
-			for qi := 0; qi < 8; qi++ {
+			for qi := 0; qi < len(queries)/dim; qi++ {
 				q := queries[qi*dim : (qi+1)*dim]
 				kernel(q, rows, dim, out)
 				for r := 0; r < n; r++ {
 					want := d.F(q, rows[r*dim:(r+1)*dim])
-					if out[r] != want { // bit-exact, no tolerance
-						t.Fatalf("%s (zeroFrac %g): row %d: kernel %v != scalar %v",
-							name, zeroFrac, r, out[r], want)
+					if math.Float64bits(out[r]) != math.Float64bits(want) {
+						t.Fatalf("%s (%s): query %d row %d: kernel %v != scalar %v",
+							name, label, qi, r, out[r], want)
 					}
 				}
 			}
 		}
 	}
+	for _, zeroFrac := range []float64{0, 0.3} {
+		check("pmf", randRows(rng, n, dim, zeroFrac), randRows(rng, 8, dim, zeroFrac))
+	}
+	rows := adversarialRows(rng, n, dim)
+	queries := adversarialRows(rng, 16, dim)
+	check("adversarial", rows, queries)
+	for _, bad := range []float64{math.NaN(), 0, math.Copysign(0, -1), -0.25, 1e-13} {
+		poisoned := append([]float64(nil), queries...)
+		for qi := 0; qi < len(poisoned)/dim; qi++ {
+			poisoned[qi*dim+qi%dim] = bad
+		}
+		check("adversarial, poisoned query", rows, poisoned)
+	}
 }
 
-// TestRowsOfGenericFallback checks that a Distance without a specialised
-// kernel still gets a correct row form.
+// TestRowsOfGenericFallback checks that a Distance from outside the
+// catalogue gets the same row form.
 func TestRowsOfGenericFallback(t *testing.T) {
-	d := Distance{Name: "custom-l2", F: L2} // no Rows field
+	d := Distance{Name: "custom-l2", F: L2}
 	rng := rand.New(rand.NewSource(8))
 	rows := randRows(rng, 10, 5, 0)
 	q := randRows(rng, 1, 5, 0)
@@ -162,59 +176,6 @@ func TestLogRowsJSDSelfIsZero(t *testing.T) {
 	table.JSDRows(row, QueryNegEntropy(row), out)
 	if out[0] != 0 {
 		t.Fatalf("jsd(self) = %v, want 0", out[0])
-	}
-}
-
-// TestBatchKernelsBitEqualSingle checks the batch contract ScoreBatch
-// leans on: each of the three batched LogRows kernels produces bit-for-bit
-// the values of its per-query form.
-func TestBatchKernelsBitEqualSingle(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	const n, dim, nq = 64, 26, 7
-	for _, zeroFrac := range []float64{0, 0.3} {
-		rows := randRows(rng, n, dim, zeroFrac)
-		qs := randRows(rng, nq, dim, zeroFrac)
-
-		table := NewLogRows(rows, dim)
-		qlogs := make([]float64, nq*dim)
-		QueryLogs(qs, qlogs)
-		qents := make([]float64, nq)
-		for k := 0; k < nq; k++ {
-			qents[k] = QueryNegEntropy(qs[k*dim : (k+1)*dim])
-		}
-		got := make([]float64, nq*n)
-		want := make([]float64, n)
-
-		table.SymKLRowsBatch(qs, qlogs, nq, got)
-		for k := 0; k < nq; k++ {
-			table.SymKLRows(qs[k*dim:(k+1)*dim], qlogs[k*dim:(k+1)*dim], want)
-			for i := range want {
-				if got[k*n+i] != want[i] {
-					t.Fatalf("fast symkl (zeroFrac %g): batch[%d,%d] = %v != single %v",
-						zeroFrac, k, i, got[k*n+i], want[i])
-				}
-			}
-		}
-		table.KLRowsBatch(qs, qlogs, nq, got)
-		for k := 0; k < nq; k++ {
-			table.KLRows(qs[k*dim:(k+1)*dim], qlogs[k*dim:(k+1)*dim], want)
-			for i := range want {
-				if got[k*n+i] != want[i] {
-					t.Fatalf("fast kl (zeroFrac %g): batch[%d,%d] = %v != single %v",
-						zeroFrac, k, i, got[k*n+i], want[i])
-				}
-			}
-		}
-		table.JSDRowsBatch(qs, qents, nq, got)
-		for k := 0; k < nq; k++ {
-			table.JSDRows(qs[k*dim:(k+1)*dim], qents[k], want)
-			for i := range want {
-				if got[k*n+i] != want[i] {
-					t.Fatalf("fast jsd (zeroFrac %g): batch[%d,%d] = %v != single %v",
-						zeroFrac, k, i, got[k*n+i], want[i])
-				}
-			}
-		}
 	}
 }
 

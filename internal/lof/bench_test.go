@@ -72,44 +72,8 @@ func BenchmarkScoreBruteL21000(b *testing.B) {
 	benchmarkScore(b, 1000, distance.Must("l2"), FitOptions{})
 }
 
-func BenchmarkScoreVPTreeL21000(b *testing.B) {
-	benchmarkScore(b, 1000, distance.Must("l2"), FitOptions{UseVPTree: true, Seed: 1})
-}
-
 func BenchmarkScoreBruteHellinger1000(b *testing.B) {
 	benchmarkScore(b, 1000, distance.Must("hellinger"), FitOptions{})
-}
-
-func BenchmarkScoreVPTreeHellinger1000(b *testing.B) {
-	benchmarkScore(b, 1000, distance.Must("hellinger"), FitOptions{UseVPTree: true, Seed: 1})
-}
-
-// benchmarkScoreBatch measures Scorer.ScoreBatch at batch size nq — the
-// serve path's whole-window drain. Per-op cost divided by nq against the
-// matching Score benchmark shows the matrix-sweep amortisation.
-func benchmarkScoreBatch(b *testing.B, n, nq int, opts FitOptions) {
-	const dim = 26
-	pts := benchPoints(n, dim, 1)
-	m, err := Fit(pts, 20, distance.Must("symkl"), opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	queries := benchPoints(nq, dim, 2)
-	out := make([]float64, nq)
-	sc := m.NewScorer()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sc.ScoreBatch(queries, out)
-	}
-}
-
-func BenchmarkScoreBatchBruteSymKL1000x8(b *testing.B) {
-	benchmarkScoreBatch(b, 1000, 8, FitOptions{})
-}
-
-func BenchmarkScoreBatchFastSymKL1000x8(b *testing.B) {
-	benchmarkScoreBatch(b, 1000, 8, FitOptions{FastKernels: true})
 }
 
 // BenchmarkScoreFastSymKL1000 is the single-query form of the FastKernels

@@ -178,7 +178,8 @@ func TestScorerMatchesModelScore(t *testing.T) {
 
 // TestScorerZeroAlloc is the allocation-regression gate for the scoring
 // hot path: after warmup, Scorer.Score must not allocate — on the exact
-// brute path, the condensed fast-KL path, and the VP-tree path.
+// filter-and-refine path, the condensed fast-KL path, and the plain scan of
+// a distance with no log table.
 func TestScorerZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	pts := pmfPoints(rng, 300, 8)
@@ -189,7 +190,7 @@ func TestScorerZeroAlloc(t *testing.T) {
 	}{
 		{"brute-exact", "symkl", FitOptions{}},
 		{"brute-condensed-fast", "symkl", FitOptions{CondenseTarget: 80, Seed: 1}},
-		{"vptree", "hellinger", FitOptions{UseVPTree: true, Seed: 1}},
+		{"brute-hellinger", "hellinger", FitOptions{}},
 	}
 	q := pmfPoints(rng, 1, 8)[0]
 	for _, tc := range cases {

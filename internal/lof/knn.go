@@ -3,8 +3,6 @@ package lof
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"sort"
 
 	"enduratrace/internal/distance"
 )
@@ -30,14 +28,7 @@ type Scratch struct {
 	// approximate distances, and how many rows it filtered and how many of
 	// those it had to refine with the exact kernel.
 	filt              neighborHeap
-	one               [1]float64 // the exact kernel's output for one refined row
 	filtered, refined int
-	// Batch-scoring buffers of the FastKernels path: the flattened query
-	// block, the nq×n distance matrix, and the per-query negative
-	// entropies of the fast JSD kernel.
-	qflat  []float64
-	bdists []float64
-	qents  []float64
 }
 
 // FilterStats returns how many reference rows the exact KL-family k-NN
@@ -68,42 +59,6 @@ func (s *Scratch) neighborBuf(n int) []Neighbor {
 	}
 	s.out = s.out[:n]
 	return s.out
-}
-
-func (s *Scratch) flatBuf(n int) []float64 {
-	if cap(s.qflat) < n {
-		s.qflat = make([]float64, n)
-	}
-	s.qflat = s.qflat[:n]
-	return s.qflat
-}
-
-func (s *Scratch) batchDists(n int) []float64 {
-	if cap(s.bdists) < n {
-		s.bdists = make([]float64, n)
-	}
-	s.bdists = s.bdists[:n]
-	return s.bdists
-}
-
-func (s *Scratch) entBuf(n int) []float64 {
-	if cap(s.qents) < n {
-		s.qents = make([]float64, n)
-	}
-	s.qents = s.qents[:n]
-	return s.qents
-}
-
-// Index answers k-nearest-neighbour queries over a fixed point set stored
-// as a flat row-major matrix.
-//
-// KNN returns the k nearest points to q in ascending distance order (fewer
-// if the set is smaller than k). When skip >= 0, the point with that index
-// is excluded — used when querying a training point against its own set.
-// The result is backed by s and only valid until s's next query.
-type Index interface {
-	KNN(q []float64, k, skip int, s *Scratch) []Neighbor
-	Len() int
 }
 
 // neighborHeap is a bounded max-heap on Dist used to keep the k best
@@ -189,22 +144,22 @@ func (h *neighborHeap) drainSorted(dst []Neighbor) []Neighbor {
 	return dst
 }
 
-// BruteIndex answers k-NN queries by a single row-kernel pass over the
-// flat reference matrix followed by bounded-heap selection. It accepts any
-// dissimilarity (including the non-metric KL family), which makes it the
-// default index for pmf points.
+// BruteIndex answers k-nearest-neighbour queries over a fixed point set,
+// stored as a flat row-major matrix, by a single row-kernel pass followed
+// by bounded-heap selection. It accepts any dissimilarity (including the
+// non-metric KL family).
 //
 // For the KL family the pass is the float32-log filter and the exact
-// kernel runs only on the rows the filter cannot rule out (see refine);
+// distance runs only on the rows the filter cannot rule out (see refine);
 // the result is bit-identical to the full exact scan.
 type BruteIndex struct {
 	flat   []float64
 	dim    int
 	n      int
+	dist   distance.Distance
 	rows   distance.RowsFunc
 	filter *distance.FilterRows // exact KL-family path; nil for other distances and under fast kernels
 	logs   *distance.LogRows    // non-nil switches to the approximate fast KL-family path
-	name   string
 }
 
 // NewBruteIndex builds a brute-force index over the flat row-major matrix
@@ -217,8 +172,8 @@ func NewBruteIndex(flat []float64, dim int, d distance.Distance) *BruteIndex {
 		flat: flat,
 		dim:  dim,
 		n:    len(flat) / dim,
+		dist: d,
 		rows: distance.RowsOf(d),
-		name: d.Name,
 	}
 	if distance.FastRowsFor(d.Name) {
 		b.filter = distance.NewFilterRows(flat, dim, d.Name)
@@ -231,16 +186,19 @@ func NewBruteIndex(flat []float64, dim int, d distance.Distance) *BruteIndex {
 // kernels, dropping the exact path's filter table. It is a no-op for
 // distances outside the KL family.
 func (b *BruteIndex) EnableFastKernels() {
-	if distance.FastRowsFor(b.name) {
+	if distance.FastRowsFor(b.dist.Name) {
 		b.logs = distance.NewLogRows(b.flat, b.dim)
 		b.filter = nil
 	}
 }
 
-// Len implements Index.
+// Len returns the number of indexed points.
 func (b *BruteIndex) Len() int { return b.n }
 
-// KNN implements Index.
+// KNN returns the k nearest points to q in ascending distance order (fewer
+// if the set is smaller than k). When skip >= 0, the point with that index
+// is excluded — used when querying a training point against its own set.
+// The result is backed by s and only valid until s's next query.
 func (b *BruteIndex) KNN(q []float64, k, skip int, s *Scratch) []Neighbor {
 	if k <= 0 {
 		return nil
@@ -271,8 +229,7 @@ func (b *BruteIndex) refine(q, approx []float64, eps float64, k, skip int, s *Sc
 		// Negated so that a NaN on either side refines instead of pruning.
 		if !(a > ha.worst()+2*eps) {
 			s.refined++
-			b.rows(q, b.flat[i*b.dim:(i+1)*b.dim], b.dim, s.one[:])
-			if e := s.one[0]; e < h.worst() {
+			if e := b.dist.F(q, b.flat[i*b.dim:(i+1)*b.dim]); e < h.worst() {
 				h.push(Neighbor{Idx: i, Dist: e})
 			}
 		}
@@ -288,7 +245,7 @@ func (b *BruteIndex) refine(q, approx []float64, eps float64, k, skip int, s *Sc
 // (length b.n), through the fast log-table kernels when enabled.
 func (b *BruteIndex) fillDists(q []float64, s *Scratch, dists []float64) {
 	if b.logs != nil {
-		switch b.name {
+		switch b.dist.Name {
 		case "symkl":
 			qlogs := s.logBuf(b.dim)
 			distance.QueryLogs(q, qlogs)
@@ -300,37 +257,11 @@ func (b *BruteIndex) fillDists(q []float64, s *Scratch, dists []float64) {
 		case "jsd":
 			b.logs.JSDRows(q, distance.QueryNegEntropy(q), dists)
 		default:
-			panic(fmt.Sprintf("lof: fast kernels enabled for unsupported distance %q", b.name))
+			panic(fmt.Sprintf("lof: fast kernels enabled for unsupported distance %q", b.dist.Name))
 		}
 		return
 	}
 	b.rows(q, b.flat, b.dim, dists)
-}
-
-// fastDistsBatch computes the full nq×b.n fast-kernel distance matrix
-// between the flattened query block and the reference rows in one batched
-// sweep, so each matrix row is loaded once per batch instead of once per
-// query. Query k's distances land in out[k*b.n : (k+1)*b.n], bit-for-bit
-// equal to fillDists on that query alone.
-func (b *BruteIndex) fastDistsBatch(qflat []float64, nq int, s *Scratch, out []float64) {
-	switch b.name {
-	case "symkl":
-		qlogs := s.logBuf(nq * b.dim)
-		distance.QueryLogs(qflat, qlogs)
-		b.logs.SymKLRowsBatch(qflat, qlogs, nq, out)
-	case "kl":
-		qlogs := s.logBuf(nq * b.dim)
-		distance.QueryLogs(qflat, qlogs)
-		b.logs.KLRowsBatch(qflat, qlogs, nq, out)
-	case "jsd":
-		qents := s.entBuf(nq)
-		for k := 0; k < nq; k++ {
-			qents[k] = distance.QueryNegEntropy(qflat[k*b.dim : (k+1)*b.dim])
-		}
-		b.logs.JSDRowsBatch(qflat, qents, nq, out)
-	default:
-		panic(fmt.Sprintf("lof: fast kernels enabled for unsupported distance %q", b.name))
-	}
 }
 
 // selectK runs bounded-heap selection over a filled distance row,
@@ -347,127 +278,4 @@ func selectK(dists []float64, k, skip int, s *Scratch) []Neighbor {
 		}
 	}
 	return h.drainSorted(s.neighborBuf(len(h.items)))
-}
-
-// VPTree is a vantage-point tree supporting k-NN queries under a metric
-// distance. Build is O(n log n) expected; queries prune using the triangle
-// inequality. Using it with a non-metric dissimilarity silently returns
-// wrong neighbours, so NewVPTree refuses non-metric distances.
-type VPTree struct {
-	flat []float64
-	dim  int
-	n    int
-	dist distance.Func
-	root *vpNode
-}
-
-type vpNode struct {
-	idx     int     // vantage point index into the matrix
-	radius  float64 // median distance from vantage to its subtree points
-	inside  *vpNode // points with d <= radius
-	outside *vpNode
-}
-
-// NewVPTree builds a VP-tree over the flat row-major matrix. d must be a
-// metric (d.Metric). seed controls vantage-point selection; any fixed
-// value gives a deterministic tree.
-func NewVPTree(flat []float64, dim int, d distance.Distance, seed int64) (*VPTree, error) {
-	if !d.Metric {
-		return nil, fmt.Errorf("lof: VP-tree requires a metric distance, %q is not", d.Name)
-	}
-	if dim <= 0 || len(flat)%dim != 0 {
-		return nil, fmt.Errorf("lof: matrix length %d not a multiple of dim %d", len(flat), dim)
-	}
-	t := &VPTree{flat: flat, dim: dim, n: len(flat) / dim, dist: d.F}
-	idxs := make([]int, t.n)
-	for i := range idxs {
-		idxs[i] = i
-	}
-	rng := rand.New(rand.NewSource(seed))
-	t.root = t.build(idxs, rng)
-	return t, nil
-}
-
-func (t *VPTree) row(i int) []float64 {
-	return t.flat[i*t.dim : (i+1)*t.dim]
-}
-
-func (t *VPTree) build(idxs []int, rng *rand.Rand) *vpNode {
-	if len(idxs) == 0 {
-		return nil
-	}
-	// Pick a random vantage point and move it to the front.
-	vi := rng.Intn(len(idxs))
-	idxs[0], idxs[vi] = idxs[vi], idxs[0]
-	node := &vpNode{idx: idxs[0]}
-	rest := idxs[1:]
-	if len(rest) == 0 {
-		return node
-	}
-	vp := t.row(node.idx)
-	dists := make([]float64, len(rest))
-	for i, id := range rest {
-		dists[i] = t.dist(vp, t.row(id))
-	}
-	// Partition around the median distance.
-	order := make([]int, len(rest))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return dists[order[a]] < dists[order[b]] })
-	mid := len(order) / 2
-	node.radius = dists[order[mid]]
-	inside := make([]int, 0, mid+1)
-	outside := make([]int, 0, len(order)-mid)
-	for _, o := range order {
-		if dists[o] <= node.radius {
-			inside = append(inside, rest[o])
-		} else {
-			outside = append(outside, rest[o])
-		}
-	}
-	// Degenerate case: all points at the same distance end up inside; split
-	// arbitrarily to guarantee progress.
-	if len(outside) == 0 && len(inside) > 1 {
-		half := len(inside) / 2
-		outside = inside[half:]
-		inside = inside[:half]
-	}
-	node.inside = t.build(inside, rng)
-	node.outside = t.build(outside, rng)
-	return node
-}
-
-// Len implements Index.
-func (t *VPTree) Len() int { return t.n }
-
-// KNN implements Index.
-func (t *VPTree) KNN(q []float64, k, skip int, s *Scratch) []Neighbor {
-	if k <= 0 {
-		return nil
-	}
-	h := s.heap.reset(k)
-	t.search(t.root, q, skip, h)
-	return h.drainSorted(s.neighborBuf(len(h.items)))
-}
-
-func (t *VPTree) search(n *vpNode, q []float64, skip int, h *neighborHeap) {
-	if n == nil {
-		return
-	}
-	d := t.dist(q, t.row(n.idx))
-	if n.idx != skip && d < h.worst() {
-		h.push(Neighbor{Idx: n.idx, Dist: d})
-	}
-	if d <= n.radius {
-		t.search(n.inside, q, skip, h)
-		if d+h.worst() >= n.radius {
-			t.search(n.outside, q, skip, h)
-		}
-	} else {
-		t.search(n.outside, q, skip, h)
-		if d-h.worst() <= n.radius {
-			t.search(n.inside, q, skip, h)
-		}
-	}
 }

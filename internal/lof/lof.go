@@ -25,8 +25,8 @@ import (
 
 // Model is a fitted LOF reference model. It retains the reference points
 // as a flat row-major matrix and the per-point quantities (k-distance,
-// local reachability density, train score) needed to score unseen points
-// in O(k·n) with the brute index or O(k·log n) expected with a VP-tree.
+// local reachability density, train score) needed to score an unseen point
+// in one pass of the brute-force index over the n reference rows.
 // A fitted Model is immutable and safe to share across goroutines.
 type Model struct {
 	K    int
@@ -39,7 +39,7 @@ type Model struct {
 	n, dim int
 	flat   []float64 // n×dim row-major reference matrix
 
-	index Index
+	index *BruteIndex
 	// Per reference point, computed at fit time:
 	kdist []float64 // distance to the K-th nearest reference neighbour
 	lrd   []float64 // local reachability density
@@ -52,28 +52,25 @@ var ErrTooFewPoints = errors.New("lof: reference set too small for K")
 
 // FitOptions tunes model construction.
 type FitOptions struct {
-	// UseVPTree selects the VP-tree k-NN index; requires a metric distance.
-	// The default brute-force index works with any dissimilarity.
-	UseVPTree bool
-	// Seed controls VP-tree vantage selection and condensation's starting
-	// point (ignored when neither applies).
+	// Seed picks condensation's starting point (ignored without
+	// condensation).
 	Seed int64
 	// CondenseTarget, when positive, condenses the reference set down to
 	// at most that many rows by farthest-point sampling before fitting,
 	// recomputing k-distance and lrd on the condensed set; it must exceed
 	// K. Condensation also enables the fast (approximate) KL-family row
-	// kernels on the brute index — the condensed model is approximate by
+	// kernels on the index — the condensed model is approximate by
 	// construction, and Model.Cond reports the train-score quantiles of
 	// the full original set so the accuracy loss is visible. Zero keeps
 	// every point and the bit-exact kernels.
 	CondenseTarget int
 	// FastKernels enables the precomputed-log KL-family row kernels
-	// (distance.LogRows) on the brute index even without condensation.
-	// They are approximate — within ~1e-9 relative of the exact kernels —
-	// and about twice as fast as the default exact path, which runs the
-	// same kernels over float32 logs as a filter and the exact kernel on
-	// the few rows the filter cannot rule out. No-op for distances outside the KL family (kl, symkl, jsd)
-	// and when UseVPTree is set.
+	// (distance.LogRows) on the index even without condensation. They are
+	// approximate — within ~1e-9 relative of the exact kernels — and about
+	// twice as fast as the default exact path, which runs the same kernels
+	// over float32 logs as a filter and the exact distance on the few rows
+	// the filter cannot rule out. No-op for distances outside the KL family
+	// (kl, symkl, jsd).
 	FastKernels bool
 }
 
@@ -122,18 +119,9 @@ func Fit(points [][]float64, k int, d distance.Distance, opts FitOptions) (*Mode
 	}
 
 	m := &Model{K: k, Dist: d, Cond: cond, n: len(flat) / dim, dim: dim, flat: flat}
-	if opts.UseVPTree {
-		t, err := NewVPTree(flat, dim, d, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		m.index = t
-	} else {
-		b := NewBruteIndex(flat, dim, d)
-		if opts.CondenseTarget > 0 || opts.FastKernels {
-			b.EnableFastKernels()
-		}
-		m.index = b
+	m.index = NewBruteIndex(flat, dim, d)
+	if opts.CondenseTarget > 0 || opts.FastKernels {
+		m.index.EnableFastKernels()
 	}
 
 	n := m.n
@@ -230,46 +218,6 @@ func (sc *Scorer) Score(q []float64) float64 {
 	nbrs := m.index.KNN(q, m.K, -1, &sc.s)
 	lrdQ := m.lrdOf(nbrs)
 	return m.ratioMean(nbrs, lrdQ)
-}
-
-// ScoreBatch scores len(qs) points, writing their LOF values into out
-// (which must have the same length). Results are bit-identical to calling
-// Score on each query in order. On a FastKernels brute index a batch of
-// two or more is one sweep of the log table — batching only flips the
-// kernel loop order so each reference row is loaded once per batch, never
-// the per-(query,row) arithmetic; every other index scores query by query.
-//
-//enduratrace:zeroalloc
-func (sc *Scorer) ScoreBatch(qs [][]float64, out []float64) {
-	if len(out) != len(qs) {
-		//lint:ignore zeroalloc panic-path formatting; never reached on the hot path
-		panic(fmt.Sprintf("lof: ScoreBatch out length %d != %d queries", len(out), len(qs)))
-	}
-	m := sc.m
-	b, ok := m.index.(*BruteIndex)
-	if !ok || b.logs == nil || len(qs) < 2 {
-		for i, q := range qs {
-			out[i] = sc.Score(q)
-		}
-		return
-	}
-	nq := len(qs)
-	//lint:ignore zeroalloc amortized scratch growth in the inlined flatBuf; steady-state zero
-	qflat := sc.s.flatBuf(nq * m.dim)
-	for i, q := range qs {
-		if len(q) != m.dim {
-			//lint:ignore zeroalloc panic-path formatting; never reached on the hot path
-			panic(fmt.Sprintf("lof: ScoreBatch query %d has dimension %d, want %d", i, len(q), m.dim))
-		}
-		copy(qflat[i*m.dim:(i+1)*m.dim], q)
-	}
-	//lint:ignore zeroalloc amortized scratch growth in the inlined batchDists; steady-state zero
-	dists := sc.s.batchDists(nq * b.n)
-	b.fastDistsBatch(qflat, nq, &sc.s, dists)
-	for i := 0; i < nq; i++ {
-		nbrs := selectK(dists[i*b.n:(i+1)*b.n], m.K, -1, &sc.s)
-		out[i] = m.ratioMean(nbrs, m.lrdOf(nbrs))
-	}
 }
 
 // FilterStats reports the scorer's running filter-and-refine counts; see

@@ -68,53 +68,6 @@ func TestFitRejectsBadInput(t *testing.T) {
 	}
 }
 
-func TestVPTreeRequiresMetric(t *testing.T) {
-	kl, err := distance.ByName("symkl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat := []float64{0.5, 0.5, 0.4, 0.6, 0.3, 0.7}
-	if _, err := NewVPTree(flat, 2, kl, 1); err == nil {
-		t.Fatal("VP-tree accepted a non-metric distance")
-	}
-}
-
-func TestBruteVsVPTreeIdenticalScores(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	pts := make([][]float64, 200)
-	for i := range pts {
-		p := make([]float64, 5)
-		for j := range p {
-			p[j] = rng.Float64()
-		}
-		pts[i] = p
-	}
-	brute, err := Fit(pts, 8, l2(), FitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vp, err := Fit(pts, 8, l2(), FitOptions{UseVPTree: true, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pts {
-		b, v := brute.ScoreTrain(i), vp.ScoreTrain(i)
-		if math.Abs(b-v) > 1e-9 {
-			t.Fatalf("train point %d: brute %g != vptree %g", i, b, v)
-		}
-	}
-	for trial := 0; trial < 50; trial++ {
-		q := make([]float64, 5)
-		for j := range q {
-			q[j] = rng.Float64() * 1.5
-		}
-		b, v := brute.Score(q), vp.Score(q)
-		if math.Abs(b-v) > 1e-9 {
-			t.Fatalf("query %v: brute %g != vptree %g", q, b, v)
-		}
-	}
-}
-
 func TestKNNOrderAndSkip(t *testing.T) {
 	flat := []float64{0, 1, 2, 4, 8}
 	idx := NewBruteIndex(flat, 1, l2())

@@ -153,7 +153,7 @@ func TestRefinePrunes(t *testing.T) {
 	if filtered, refined := sc.FilterStats(); filtered != 0 || refined != 0 {
 		t.Errorf("fast kernels: filter counted %d/%d rows, want none", refined, filtered)
 	}
-	if b := m.index.(*BruteIndex); b.filter != nil {
+	if m.index.filter != nil {
 		t.Error("fast kernels: the filter table was kept")
 	}
 	if b := NewBruteIndex(m.Rows(), m.Dim(), distance.Must("l2")); b.filter != nil {
