@@ -2,10 +2,13 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"enduratrace/internal/core"
 )
 
 // stdoutOf runs cmd with os.Stdout redirected to a file and returns what
@@ -110,6 +113,69 @@ func TestSimLearnMonitor(t *testing.T) {
 	for i, s := range multi.Streams {
 		if s != single {
 			t.Fatalf("-streams 2: stream %d reports %+v, the single-stream run %+v", i, s, single)
+		}
+	}
+}
+
+// TestServeRegistry pins serve's model precedence: -models refuses
+// -alpha, a -model file loads with -alpha overriding its threshold, and a
+// missing -model file is an error — nothing is learned in its place. The
+// loopback harness flags are gone from the command line.
+func TestServeRegistry(t *testing.T) {
+	dir := t.TempDir()
+	ref, models := filepath.Join(dir, "ref.etrc"), filepath.Join(dir, "models")
+	model := filepath.Join(models, "a.json")
+	if err := cmdSim([]string{"-out", ref, "-duration", "10s", "-seed", "1"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(models, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdLearn([]string{"-in", ref, "-model", model}); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := serveRegistry(models, "", model, 3); err == nil || !strings.Contains(err.Error(), "-alpha cannot override a -models registry") {
+		t.Fatalf("-models with -alpha: %v, want a refusal", err)
+	}
+	if reg, err := serveRegistry(models, "", "", 0); err != nil || !reg.Reloadable() || reg.DefaultName() != "a" {
+		t.Fatalf("-models registry: %v, %v", reg, err)
+	}
+
+	fileCfg, _, err := core.LoadModelFile(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alpha := range []float64{0, fileCfg.Alpha + 1.5} {
+		reg, err := serveRegistry("", "", model, alpha)
+		if err != nil {
+			t.Fatalf("-model with -alpha %g: %v", alpha, err)
+		}
+		nm, err := reg.Resolve("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fileCfg.Alpha
+		if alpha > 0 {
+			want = alpha
+		}
+		if nm.Cfg.Alpha != want {
+			t.Fatalf("-alpha %g: served alpha %g, want %g", alpha, nm.Cfg.Alpha, want)
+		}
+	}
+
+	missing := filepath.Join(dir, "missing.json")
+	if reg, err := serveRegistry("", "", missing, 0); !errors.Is(err, os.ErrNotExist) || reg != nil {
+		t.Fatalf("missing -model: %v, %v; want an os.ErrNotExist error and no registry", reg, err)
+	}
+	if _, err := os.Stat(missing); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a missing -model file was created: %v", err)
+	}
+
+	for _, args := range [][]string{{"-selftest"}, {"-clients", "2"}} {
+		err := cmdServe(args)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
+			t.Fatalf("serve %v: %v, want an unknown-flag error", args, err)
 		}
 	}
 }

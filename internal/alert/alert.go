@@ -23,7 +23,7 @@
 // balance by construction: fired + resolved == deduped + rate-limited +
 // queue-dropped + enqueued, and per sink enqueued == delivered +
 // rate-limited + errors once the queue drains (Books.Balanced verifies
-// exactly this; the flapping selftest drives it).
+// exactly this; the TestFlapping* tests drive it).
 package alert
 
 import (
@@ -179,7 +179,7 @@ type Options struct {
 	// GlobalRate and GlobalBurst token-bucket every notification before
 	// the queue: Rate > 0 refills Rate tokens/s up to Burst; Rate == 0
 	// with Burst > 0 is a fixed budget of Burst notifications (no refill
-	// — the deterministic selftest mode); both zero means unlimited.
+	// — the deterministic mode the tests use); both zero means unlimited.
 	GlobalRate  float64
 	GlobalBurst float64
 	// SinkRate and SinkBurst are the same bucket per sink, applied by the
@@ -194,8 +194,8 @@ type Options struct {
 	// Sinks receive every notification that survives dedup and rate
 	// limiting. The pipeline owns them: Close closes each exactly once.
 	Sinks []Sink
-	// Clock substitutes the time source (default time.Now). The selftest
-	// drives a fake clock through here; it must be safe for concurrent
+	// Clock substitutes the time source (default time.Now). The tests
+	// drive a fake clock through here; it must be safe for concurrent
 	// use (the dispatcher reads it too).
 	Clock func() time.Time
 	// OnTransition, when set, observes every state-machine transition
@@ -334,7 +334,7 @@ func (p *Pipeline) Close() error { return p.disp.Close() }
 // Drain blocks until every enqueued notification has been processed by
 // the dispatcher or the timeout expires; it reports whether the queue
 // fully drained. Streams must be quiet (no concurrent transitions) for
-// the answer to be stable — the selftests call it after every stream
+// the answer to be stable — the tests call it after every stream
 // closed.
 func (p *Pipeline) Drain(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)

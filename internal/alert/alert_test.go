@@ -389,12 +389,6 @@ func TestExecSinkRuns(t *testing.T) {
 	}
 }
 
-func TestFlappingSelftest(t *testing.T) {
-	if err := FlappingSelftest(slog.New(slog.DiscardHandler)); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestNotificationMarshalNonFinite: gate distances are legitimately +Inf
 // (disjoint distributions), but encoding/json refuses non-finite floats —
 // the custom marshaler must map them to null instead of erroring out the

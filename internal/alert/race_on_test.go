@@ -3,5 +3,5 @@
 package alert
 
 // raceEnabled reports whether the race detector is compiled in; the
-// selftest's allocation assertion is skipped under instrumentation.
+// allocation assertions are skipped under instrumentation.
 const raceEnabled = true

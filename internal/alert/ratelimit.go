@@ -8,7 +8,7 @@ import "sync"
 //   - rate > 0: classic token bucket — refills rate tokens/s up to burst
 //     (burst <= 0 defaults to rate, a one-second window).
 //   - rate == 0, burst > 0: fixed budget — burst tokens, never refilled.
-//     The deterministic mode the fake-clock selftest uses.
+//     The deterministic mode the fake-clock tests use.
 //   - rate == 0, burst <= 0: unlimited (take always succeeds).
 //
 // Time is the pipeline clock in nanoseconds, so fake clocks drive refill

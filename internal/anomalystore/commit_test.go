@@ -325,6 +325,45 @@ func TestShortWritePoisonsOnlyItsSegment(t *testing.T) {
 	}
 }
 
+// TestFailedHeaderWriteLeavesNoSegment: a segment whose header write
+// fails is removed, so nothing torn is left for the next Open to trip on
+// and the books are those of the records that landed; the same store
+// retries the same name and its next Append is durable.
+func TestFailedHeaderWriteLeavesNoSegment(t *testing.T) {
+	dir := t.TempDir()
+	s, ctl := faultStore(t, dir, Options{})
+	ctl.mu.Lock()
+	ctl.shortWrite = true // the first segment's first Write is its header
+	ctl.mu.Unlock()
+	if _, err := s.Append(testIncident(0)); !errors.Is(err, io.ErrShortWrite) {
+		t.Fatalf("append over a torn header returned %v, want the short write", err)
+	}
+	if segs, err := listSegments(dir); err != nil || len(segs) != 0 {
+		t.Fatalf("%d segment files after the failed header (%v), want none", len(segs), err)
+	}
+	if st := s.Stats(); st.Appended != 0 || st.Segments != 0 || st.Bytes != 0 {
+		t.Fatalf("books after the failed header %+v, want empty", st)
+	}
+	want := appendN(t, s, 2) // the retry creates the same segment name
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if st := s.Stats(); st.Recovered != 2 || st.Segments != 1 {
+		t.Fatalf("reopened books %+v, want 2 records in 1 segment", st)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := walkAll(t, dir); len(got) != 2 || got[0].Seq != want[0].Seq {
+		t.Fatalf("walked %d records, want the 2 appended after the failed header", len(got))
+	}
+}
+
 // TestRotationUnderConcurrentAppenders rotates every few records while
 // eight goroutines append and the committer flushes: no segment is closed
 // under a running Sync (which would surface as a spurious error), the

@@ -41,33 +41,40 @@ var errStopScan = errors.New("anomalystore: stop scan")
 // ScanSegment reads segment bytes sequentially, invoking fn for every
 // intact record (seq is decoded from the payload; the payload slice is
 // only valid during the call). Corrupt or truncated input — including a
-// segment cut anywhere by a crash — terminates the scan cleanly with
-// Truncated set; it is never an error and must never panic. An error is
-// returned only for a bad header, a failing reader, or an fn failure.
+// segment cut anywhere by a crash, its header included — terminates the
+// scan cleanly with Truncated set; it is never an error and must never
+// panic. An error is returned only for a bad magic or version, a failing
+// reader, or an fn failure.
 func ScanSegment(r io.Reader, fn func(seq uint64, payload []byte) error) (SegmentScan, error) {
 	var scan SegmentScan
 	cr := &countReader{r: r}
 	br := bufio.NewReaderSize(cr, 1<<16)
 	consumed := func() int64 { return cr.n - int64(br.Buffered()) }
 
+	// A strict prefix of a header (zero bytes included) is a crash between
+	// create and the header write: a segment that holds no records.
 	head := make([]byte, len(segMagic))
-	if _, err := io.ReadFull(br, head); err != nil {
-		return scan, fmt.Errorf("anomalystore: reading segment header: %w", unexpectedEOF(err))
-	}
-	if string(head) != segMagic {
+	n, err := io.ReadFull(br, head)
+	if string(head[:n]) != segMagic[:n] {
 		return scan, fmt.Errorf("anomalystore: bad magic, not an anomaly segment")
 	}
-	v, err := binary.ReadUvarint(br)
-	if err != nil {
-		return scan, fmt.Errorf("anomalystore: reading segment version: %w", unexpectedEOF(err))
+	var v uint64
+	if err == nil {
+		if v, err = binary.ReadUvarint(br); err == nil && v != segVersion {
+			return scan, fmt.Errorf("anomalystore: unsupported segment version %d", v)
+		}
 	}
-	if v != segVersion {
-		return scan, fmt.Errorf("anomalystore: unsupported segment version %d", v)
+	if err == nil {
+		_, err = binary.ReadUvarint(br) // baseSeq
+	}
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		scan.Truncated = true
+		return scan, nil
+	}
+	if err != nil {
+		return scan, fmt.Errorf("anomalystore: reading segment header: %w", err)
 	}
 	scan.Version = int(v)
-	if _, err := binary.ReadUvarint(br); err != nil { // baseSeq
-		return scan, fmt.Errorf("anomalystore: reading segment base sequence: %w", unexpectedEOF(err))
-	}
 	scan.Bytes = consumed()
 
 	var payload []byte
@@ -145,13 +152,6 @@ func (c *countReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	c.n += int64(n)
 	return n, err
-}
-
-func unexpectedEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
 }
 
 // scanSegmentFile runs ScanSegment over one file.

@@ -375,14 +375,9 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 		recovered += int64(scan.Records)
 		sealedB += scan.Bytes
-		if scan.Records > 0 && scan.LastSeq >= next {
-			next = scan.LastSeq + 1
-		}
-		if seg.base >= next {
-			// A crashed segment may hold no intact records; its filename
-			// still reserves the sequence numbers it was opened for.
-			next = seg.base + 1
-		}
+		// A crashed segment may hold no intact records (LastSeq 0); its
+		// filename still reserves the sequence number it was opened for.
+		next = max(next, scan.LastSeq+1, seg.base+1)
 	}
 	s := &Store{
 		dir: dir, opts: opts, create: createSegmentFile, done: make(chan struct{}),
@@ -648,7 +643,8 @@ func (s *Store) Get(seq uint64) (*Incident, error) {
 // openSegmentLocked creates the next segment file and writes its header.
 func (s *Store) openSegmentLocked() error {
 	base := s.nextSeq
-	f, err := s.create(filepath.Join(s.dir, segmentName(base)))
+	path := filepath.Join(s.dir, segmentName(base))
+	f, err := s.create(path)
 	if err != nil {
 		return fmt.Errorf("anomalystore: %w", err)
 	}
@@ -658,6 +654,8 @@ func (s *Store) openSegmentLocked() error {
 	n += binary.PutUvarint(head[n:], base)
 	if _, err := f.Write(head[:n]); err != nil {
 		_ = f.Close() // the write's error is the one to report
+		// Leave no torn header behind: a retry creates the same name.
+		_ = os.Remove(path)
 		return fmt.Errorf("anomalystore: %w", err)
 	}
 	s.f = f

@@ -313,43 +313,73 @@ func TestCrashDurability(t *testing.T) {
 	}
 }
 
-// TestOpenOnCrashedEmptySegment: a crash can leave a segment holding only
-// its header (no intact record). The filename still reserves its base
-// sequence; reopening must not hand that number out again.
+// TestOpenOnCrashedEmptySegment: a crash can leave a segment holding no
+// intact record — only its header, or a header cut short anywhere (zero
+// bytes included) between create and the header write. Reopening books
+// exactly the records that landed, never hands out a number the
+// segment's filename reserved, and its next Append is durable; a file
+// that is no segment prefix (bad magic, unsupported version) still fails
+// Open.
 func TestOpenOnCrashedEmptySegment(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Append(testIncident(0)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Append(testIncident(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Fake a header-only crashed segment with a base past the live records.
-	hdr := []byte(segMagic)
-	hdr = append(hdr, 1) // version uvarint
-	hdr = append(hdr, 7) // baseSeq uvarint: 7
-	if err := os.WriteFile(filepath.Join(dir, segmentName(7)), hdr, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	hdr := append([]byte(segMagic), segVersion, 7) // baseSeq uvarint: 7
+	for _, tc := range []struct {
+		name   string
+		head   []byte
+		booked int64 // bytes the file adds to the books
+		bad    bool
+	}{
+		{name: "header only", head: hdr, booked: int64(len(hdr))},
+		{name: "zero bytes"},
+		{name: "three bytes", head: hdr[:3]},
+		{name: "magic and version", head: hdr[:len(segMagic)+1]},
+		{name: "bad magic", head: []byte("EASX"), bad: true},
+		{name: "bad magic prefix", head: []byte("EB"), bad: true},
+		{name: "unsupported version", head: append([]byte(segMagic), segVersion+1), bad: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendN(t, s, 2)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			want := StoreStats{Recovered: 2, Incidents: 2, Bytes: s.Stats().Bytes + tc.booked}
+			if err := os.WriteFile(filepath.Join(dir, segmentName(7)), tc.head, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	s2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	seq, err := s2.Append(testIncident(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq <= 7 {
-		t.Fatalf("reopened store assigned seq %d inside the crashed segment's reservation", seq)
+			s, err = Open(dir, Options{})
+			if tc.bad {
+				if err == nil {
+					s.Close()
+					t.Fatal("Open accepted a file that is not a segment")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			st := s.Stats()
+			if got := (StoreStats{Recovered: st.Recovered, Incidents: st.Incidents, Bytes: st.Bytes}); got != want {
+				t.Fatalf("reopened books %+v, want %+v", got, want)
+			}
+			seq, err := s.Append(testIncident(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seq <= 7 {
+				t.Fatalf("reopened store assigned seq %d inside the crashed segment's reservation", seq)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := walkAll(t, dir); len(got) != 3 || got[2].Seq != seq {
+				t.Fatalf("walked %d records after reopen, want 3 ending at seq %d", len(got), seq)
+			}
+		})
 	}
 }
 

@@ -49,7 +49,7 @@ type ModelRegistry struct {
 }
 
 // NewModelRegistry builds a static registry from pre-loaded models —
-// the in-process path (selftest, tests, single -model serving). Every
+// the in-process path (tests, single -model serving). Every
 // model is validated by constructing a throwaway Monitor, so stream
 // registration cannot fail on model errors mid-serve. defaultName may be
 // empty when exactly one model is given.

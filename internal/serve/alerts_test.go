@@ -31,7 +31,7 @@ func (s *testAlertSink) Close() error { return nil }
 
 // TestSelftestAlertPipelineEndToEnd wires the alerting pipeline into real
 // selftest traffic with an anomaly store attached: perturbed streams must
-// fire incidents, every transition must balance in the books (Selftest
+// fire incidents, every transition must balance in the books (selftest
 // asserts alert.Books.Balanced), reach the capture sink, and land in the
 // anomaly store as window-free records the gate-trip incidents ride
 // alongside.
@@ -52,7 +52,7 @@ func TestSelftestAlertPipelineEndToEnd(t *testing.T) {
 		QueueLen:   4096,
 		Sinks:      []alert.Sink{sink},
 	})
-	rep, err := Selftest(context.Background(), SelftestOptions{
+	rep := selftest(t, selftestOptions{
 		Cfg:       cfg,
 		Learned:   learned,
 		Clients:   4,
@@ -61,9 +61,6 @@ func TestSelftestAlertPipelineEndToEnd(t *testing.T) {
 		Anomalies: store,
 		Alerts:    alerts,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	b := rep.Alerts
 	if b == nil {
 		t.Fatal("selftest report carries no alert books")

@@ -105,7 +105,7 @@ func TestSelftestAnomalyStoreReplayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Selftest(context.Background(), SelftestOptions{
+	rep := selftest(t, selftestOptions{
 		Cfg:           cfg,
 		Learned:       learned,
 		Clients:       4,
@@ -114,10 +114,7 @@ func TestSelftestAnomalyStoreReplayRoundTrip(t *testing.T) {
 		Anomalies:     store,
 		RejectClients: 1, // the rejection books ride along
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Selftest already asserted AnomalyIncidents == GateTrips and zero
+	// selftest already asserted AnomalyIncidents == GateTrips and zero
 	// store errors; the replay below needs actual material.
 	if rep.Stats.GateTrips == 0 {
 		t.Fatal("selftest tripped no gates; increase Factor or Duration")
@@ -186,7 +183,7 @@ func TestAnomaliesEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	rep, err := Selftest(context.Background(), SelftestOptions{
+	rep := selftest(t, selftestOptions{
 		Cfg:       cfg,
 		Learned:   learned,
 		Clients:   2,
@@ -194,9 +191,6 @@ func TestAnomaliesEndpoint(t *testing.T) {
 		Factor:    3,
 		Anomalies: store,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if rep.Stats.AnomalyIncidents == 0 {
 		t.Fatal("no incidents persisted; nothing to serve")
 	}

@@ -416,7 +416,7 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 // invariants, per label set: bucket counts non-decreasing in le, an
 // le="+Inf" bucket present and equal to the family's _count sample, and a
 // _sum sample present. It returns the number of samples. Used by the
-// selftest (and CI's metricslint) to assert /metrics stays scrapeable.
+// loopback tests (and CI's metricslint) to assert /metrics stays scrapeable.
 func ValidatePrometheusText(body []byte) (samples int, err error) {
 	// One histogram series (a family + one label set minus le).
 	type histo struct {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"enduratrace/internal/anomalystore"
 	"enduratrace/internal/core"
 	"enduratrace/internal/mediasim"
 	"enduratrace/internal/trace"
@@ -52,21 +53,31 @@ func twoModelDir(t *testing.T) (dir string, reg *core.ModelRegistry) {
 // TestMultiModelSelftestReloadUnderLoad is the PR's acceptance scenario:
 // two models in the registry, v1-framed clients served by the default,
 // v2 clients naming model b scored by model b (asserted via the
-// per-model /metrics rows inside Selftest), and a POST /reload fired
-// while every stream is parked mid-flight — with the final books still
-// balancing to the event.
+// per-model /metrics rows inside selftest), and a POST /reload fired
+// while every stream is parked mid-flight — with an anomaly store and a
+// rejected client riding along, and the final books still balancing to
+// the event: windows, every gate trip persisted, the one refusal counted.
 func TestMultiModelSelftestReloadUnderLoad(t *testing.T) {
 	_, reg := twoModelDir(t)
-	rep, err := Selftest(context.Background(), SelftestOptions{
-		Models:       reg,
-		ClientModels: []string{"", "b", "a", "b"},
-		ReloadMidRun: true,
-		Clients:      4,
-		Duration:     6 * time.Second,
-		Factor:       3,
-	})
+	store, err := anomalystore.Open(t.TempDir(), anomalystore.Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	defer store.Close()
+	rep := selftest(t, selftestOptions{
+		Models:        reg,
+		ClientModels:  []string{"", "b", "a", "b"},
+		ReloadMidRun:  true,
+		Clients:       4,
+		Duration:      6 * time.Second,
+		Factor:        3,
+		Anomalies:     store,
+		RejectClients: 1,
+	})
+	// selftest asserted every trip persisted and the one refusal counted;
+	// the store check needs trips to mean anything.
+	if rep.Stats.GateTrips == 0 {
+		t.Fatal("no gate trips across the reload; increase Factor or Duration")
 	}
 	if rep.Reload == nil || rep.Reload.Generation != 1 {
 		t.Fatalf("reload report %+v, want generation 1", rep.Reload)
@@ -75,7 +86,7 @@ func TestMultiModelSelftestReloadUnderLoad(t *testing.T) {
 		t.Fatalf("registry generation %d after selftest, want 1", reg.Generation())
 	}
 	// Client 0 sent a v1 header and must have been served by the default.
-	byStream := map[string]ClientReport{}
+	byStream := map[string]clientReport{}
 	var wantB int64
 	for _, c := range rep.PerClient {
 		byStream[c.Stream] = c
@@ -92,7 +103,7 @@ func TestMultiModelSelftestReloadUnderLoad(t *testing.T) {
 		t.Fatalf("model-b client got header v%d model %q", c1.HeaderV, c1.Model)
 	}
 	// The per-model metrics row for b must carry exactly the b-clients'
-	// windows (Selftest already asserted this; re-assert the headline).
+	// windows (selftest already asserted this; re-assert the headline).
 	if rep.ModelWindows["b"] != wantB {
 		t.Fatalf("metrics model b windows %d, want %d", rep.ModelWindows["b"], wantB)
 	}
@@ -206,7 +217,7 @@ func TestReloadEndpointOnStaticRegistry(t *testing.T) {
 	if _, err := srv.Reload(); err == nil {
 		t.Fatal("static registry reloaded")
 	}
-	if srv.Models().Generation() != 0 {
+	if srv.models.Generation() != 0 {
 		t.Fatal("failed reload bumped the generation")
 	}
 }

@@ -368,9 +368,6 @@ func (s *Server) pipelines() map[string]*obs.Pipeline {
 // Flight returns the event flight recorder (nil when disabled).
 func (s *Server) Flight() *obs.Flight { return s.flight }
 
-// Models returns the server's model registry.
-func (s *Server) Models() *core.ModelRegistry { return s.models }
-
 // Reload hot-swaps the model registry from its directory (see
 // core.ModelRegistry.Reload): in-flight streams finish on the model they
 // were registered with, streams accepted afterwards resolve against the
@@ -671,7 +668,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		// Every event popped since the previous decision belongs to this
 		// window: its end-to-end latency is arrival → this decision. This
 		// is what makes the e2e histogram's _count equal the number of
-		// events scored (the selftest asserts exactly that).
+		// events scored (TestSelftestEndToEnd asserts exactly that).
 		for _, a := range st.q.takeArrivals() {
 			pipe.E2E.ObserveN(now-a.enqNs, a.n)
 		}

@@ -100,23 +100,19 @@ func expectWindows(t *testing.T, cfg core.Config, evs []trace.Event) int64 {
 // TestSelftestEndToEnd is the acceptance check: 8 clients over real
 // loopback sockets against one shared Learned, graceful shutdown flushes
 // every sink, and the /stats JSON totals equal the per-client window
-// counts. Selftest itself errors on any mismatch; the test re-asserts the
+// counts. selftest itself fails on any mismatch; the test re-asserts the
 // headline equalities explicitly.
 func TestSelftestEndToEnd(t *testing.T) {
 	cfg, learned := fixture(t)
-	rep, err := Selftest(context.Background(), SelftestOptions{
+	rep := selftest(t, selftestOptions{
 		Cfg:      cfg,
 		Learned:  learned,
 		Clients:  8,
 		Duration: 8 * time.Second,
 		Factor:   3,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Clients != 8 || len(rep.PerClient) != 8 || len(rep.Results) != 8 {
-		t.Fatalf("clients=%d per-client=%d results=%d, want 8 each",
-			rep.Clients, len(rep.PerClient), len(rep.Results))
+	if len(rep.PerClient) != 8 || len(rep.Results) != 8 {
+		t.Fatalf("per-client=%d results=%d, want 8 each", len(rep.PerClient), len(rep.Results))
 	}
 	var sent int64
 	for _, c := range rep.PerClient {
@@ -587,7 +583,7 @@ func TestDirFactoryNamesFollowStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Selftest(context.Background(), SelftestOptions{
+	rep := selftest(t, selftestOptions{
 		Cfg:      cfg,
 		Learned:  learned,
 		Clients:  2,
@@ -595,9 +591,6 @@ func TestDirFactoryNamesFollowStreams(t *testing.T) {
 		Factor:   3,
 		Sinks:    factory,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if rep.Stats.RecordedWindows == 0 {
 		t.Fatal("perturbed selftest recorded nothing")
 	}
