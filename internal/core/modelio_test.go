@@ -16,7 +16,7 @@ import (
 
 // savedModelJSON learns a small valid model and returns its JSON document
 // as a generic map, ready for per-test mutation.
-func savedModelJSON(t *testing.T) map[string]any {
+func savedModelJSON(t testing.TB) map[string]any {
 	t.Helper()
 	cfg := testConfig()
 	ref := synth(0, 2*time.Second, refWeights, 1)
@@ -98,6 +98,11 @@ func TestLoadModelErrorPaths(t *testing.T) {
 			mutate:  func(doc map[string]any) { doc["k"] = -1 },
 			wantSub: []string{"model file config"},
 		},
+		{
+			name:    "zero-width-points",
+			mutate:  func(doc map[string]any) { doc["points"] = zeroWidthPoints(doc) },
+			wantSub: []string{"refitting model", "dimension 0"},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -123,6 +128,56 @@ func TestLoadModelErrorPaths(t *testing.T) {
 			}
 		})
 	}
+}
+
+// zeroWidthPoints is K+1 empty rows for doc: enough points for its K, each
+// of dimension 0.
+func zeroWidthPoints(doc map[string]any) [][]float64 {
+	rows := make([][]float64, int(doc["k"].(float64))+1)
+	for i := range rows {
+		rows[i] = []float64{}
+	}
+	return rows
+}
+
+// FuzzLoadModel feeds arbitrary bytes to the model-file loader, seeded
+// with a saved model and a file whose points have no dimensions. A file
+// it rejects must come back as an error, never a panic; a file it accepts
+// must save, and that file must load and save again to the same bytes.
+func FuzzLoadModel(f *testing.F) {
+	doc := savedModelJSON(f)
+	good, err := json.Marshal(doc)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	doc["points"] = zeroWidthPoints(doc)
+	zeroWidth, err := json.Marshal(doc)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(zeroWidth)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg, learned, err := LoadModel(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := SaveModel(&first, cfg, learned); err != nil {
+			t.Fatalf("an accepted model does not save: %v", err)
+		}
+		cfg, learned, err = LoadModel(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("a saved model does not load: %v", err)
+		}
+		if err := SaveModel(&second, cfg, learned); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("save → load → save changed the file:\n%s\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }
 
 // TestLoadModelFileNamesPath: the path-aware loader must prefix every

@@ -117,17 +117,12 @@ func TestLoadModelDirAndReload(t *testing.T) {
 		t.Fatalf("model b loaded with K=%d, want 10", mb.Cfg.K)
 	}
 
-	// A registration pins the pre-reload pointer.
-	streams := NewStreamRegistry(reg)
-	h, err := streams.Register("cam", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinned := h.Model()
+	// A stream resolving b pins this pointer.
+	pinnedLearned := mb.Learned
 
-	// Reload after dropping model b: the swap must succeed, in-flight
-	// handles keep their pinned *NamedModel, and new registrations naming
-	// b are now rejected.
+	// Reload after dropping model b: the swap must succeed, a stream that
+	// resolved b keeps its pinned *NamedModel unchanged, and b no longer
+	// resolves.
 	if err := os.Remove(filepath.Join(dir, "b.json")); err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +133,11 @@ func TestLoadModelDirAndReload(t *testing.T) {
 	if rep.Generation != 1 || len(rep.Removed) != 1 || rep.Removed[0] != "b" || len(rep.Added) != 0 {
 		t.Fatalf("reload report %+v, want generation 1 removing b", rep)
 	}
-	if h.Model() != pinned || pinned.Name != "b" {
-		t.Fatal("reload changed the model under a registered stream")
+	if mb.Name != "b" || mb.Cfg.K != 10 || mb.Learned != pinnedLearned {
+		t.Fatal("reload changed the model a stream had resolved")
 	}
-	if _, err := streams.Register("late", "b"); !errors.Is(err, ErrUnknownModel) {
-		t.Fatalf("post-reload registration of dropped model: %v, want ErrUnknownModel", err)
+	if _, err := reg.Resolve("b"); !errors.Is(err, ErrUnknownModel) {
+		t.Fatalf("post-reload resolve of dropped model: %v, want ErrUnknownModel", err)
 	}
 
 	// Reload with a new model file: added.
@@ -186,8 +181,6 @@ func TestLoadModelDirAndReload(t *testing.T) {
 	if reg.DefaultName() != "a" {
 		t.Fatalf("default changed to %q after refused reload", reg.DefaultName())
 	}
-
-	h.Close()
 }
 
 func TestLoadModelDirDefaultRules(t *testing.T) {
@@ -212,62 +205,5 @@ func TestLoadModelDirDefaultRules(t *testing.T) {
 	}
 	if _, err := LoadModelDir(t.TempDir(), ""); err == nil {
 		t.Fatal("empty dir accepted")
-	}
-}
-
-func TestTotalsByModel(t *testing.T) {
-	a, b := learnTwo(t)
-	models, err := NewModelRegistry("a", a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := NewStreamRegistry(models)
-	ha, err := reg.Register("s1", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hb, err := reg.Register("s2", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(h *StreamHandle, seed int64) RunStats {
-		sc := mediasim.DefaultConfig()
-		sc.Duration = 8 * time.Second
-		sc.Seed = seed
-		sim, err := mediasim.New(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats, err := h.Monitor().Run(sim, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stats
-	}
-	sa, sb := run(ha, 31), run(hb, 32)
-
-	by := reg.TotalsByModel()
-	if by["a"].Windows != int64(sa.Windows) || by["b"].Windows != int64(sb.Windows) {
-		t.Fatalf("per-model windows a=%d b=%d, want %d/%d",
-			by["a"].Windows, by["b"].Windows, sa.Windows, sb.Windows)
-	}
-	if by["a"].StreamsLive != 1 || by["a"].StreamsClosed != 0 {
-		t.Fatalf("model a streams %+v, want 1 live 0 closed", by["a"])
-	}
-
-	ha.Close()
-	by = reg.TotalsByModel()
-	if by["a"].StreamsLive != 0 || by["a"].StreamsClosed != 1 {
-		t.Fatalf("model a streams after close %+v, want 0 live 1 closed", by["a"])
-	}
-	if by["a"].Windows != int64(sa.Windows) {
-		t.Fatalf("model a windows %d after close, want %d (folded exactly once)", by["a"].Windows, sa.Windows)
-	}
-	hb.Close()
-
-	total, live, closed := reg.Totals()
-	if live != 0 || closed != 2 || total.Windows != int64(sa.Windows+sb.Windows) {
-		t.Fatalf("totals %d windows live=%d closed=%d, want %d/0/2",
-			total.Windows, live, closed, sa.Windows+sb.Windows)
 	}
 }

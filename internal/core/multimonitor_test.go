@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -99,6 +100,51 @@ func TestMultiMonitorRejectsBadShapes(t *testing.T) {
 	}
 	if _, err := mm.RunAll(make([]trace.Reader, 1), nil); err == nil {
 		t.Fatal("RunAll accepted a reader/stream mismatch")
+	}
+}
+
+// TestSnapshotWhileRunning: snapshots taken while the monitor runs are
+// race-free (-race validates the atomics) and monotonic in window count,
+// and the final snapshot equals the run's stats.
+func TestSnapshotWhileRunning(t *testing.T) {
+	cfg := testConfig()
+	learned, err := Learn(cfg, trace.NewSliceReader(synth(0, 2*time.Second, refWeights, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon, err := NewMonitor(cfg, learned)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var last int64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s := mon.Snapshot()
+			if s.Windows < last {
+				t.Error("snapshot window count went backwards")
+				return
+			}
+			last = s.Windows
+		}
+	}()
+	stats, err := mon.Run(trace.NewSliceReader(perturbedRun()), nil, nil)
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := mon.Snapshot(); s.Windows != int64(stats.Windows) {
+		t.Fatalf("final snapshot windows %d != RunStats windows %d", s.Windows, stats.Windows)
 	}
 }
 

@@ -86,6 +86,9 @@ func Fit(points [][]float64, k int, d distance.Distance, opts FitOptions) (*Mode
 		return nil, fmt.Errorf("%w: %d points, K=%d", ErrTooFewPoints, len(points), k)
 	}
 	dim := len(points[0])
+	if dim == 0 {
+		return nil, fmt.Errorf("lof: points have dimension 0")
+	}
 	for i, p := range points {
 		if len(p) != dim {
 			return nil, fmt.Errorf("lof: point %d has dimension %d, want %d", i, len(p), dim)

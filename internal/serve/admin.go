@@ -43,11 +43,11 @@ type healthReport struct {
 func (s *Server) adminMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		_, live, _ := s.reg.Totals()
+		views, _ := s.snapshot()
 		writeJSON(w, http.StatusOK, healthReport{
 			Status:       "ok",
 			UptimeS:      anomalystore.JSONFloat(time.Since(s.start).Seconds()),
-			StreamsLive:  live,
+			StreamsLive:  len(views),
 			ModelPoints:  s.models.Default().Learned.Model.Len(),
 			Models:       s.models.Names(),
 			DefaultModel: s.models.DefaultName(),

@@ -24,10 +24,8 @@ const DefaultAnomalyContext = 2
 type tripRecorder struct {
 	srv      *Server
 	store    *anomalystore.Store
-	stream   string
-	model    string
+	st       *stream
 	modelGen int64
-	alpha    float64
 	pre      int
 	ring     []window.Window
 	windows  []window.Window // the incident being submitted; the store does not retain it
@@ -37,7 +35,7 @@ type tripRecorder struct {
 
 // newTripRecorder builds the hook for one registered stream. Window
 // retention is safe: the windower hands out freshly copied event slices.
-func (s *Server) newTripRecorder(h *core.StreamHandle) *tripRecorder {
+func (s *Server) newTripRecorder(st *stream) *tripRecorder {
 	pre := s.opts.AnomalyContext
 	if pre == 0 {
 		pre = DefaultAnomalyContext
@@ -48,10 +46,8 @@ func (s *Server) newTripRecorder(h *core.StreamHandle) *tripRecorder {
 	return &tripRecorder{
 		srv:      s,
 		store:    s.opts.Anomalies,
-		stream:   h.ID(),
-		model:    h.Model().Name,
+		st:       st,
 		modelGen: s.models.Generation(),
-		alpha:    h.Model().Cfg.Alpha,
 		pre:      pre,
 	}
 }
@@ -79,14 +75,14 @@ func (t *tripRecorder) onDecision(d core.Decision) error {
 	// flush that starts when the previous one ends. The other order misses
 	// that flush by the few microseconds the write takes.
 	seq, err := t.store.Submit(anomalystore.Incident{
-		Stream:   t.stream,
-		Model:    t.model,
+		Stream:   t.st.id,
+		Model:    t.st.model.Name,
 		ModelGen: t.modelGen,
 		//lint:ignore monotime incidents persist a wall-clock timestamp for operators and replay
 		Wall:        time.Now(),
 		Score:       d.LOF,
 		GateDist:    d.GateDist,
-		Alpha:       t.alpha,
+		Alpha:       t.st.model.Cfg.Alpha,
 		Anomalous:   d.Anomalous,
 		WindowIndex: d.Window.Index,
 		Start:       d.Window.Start,
@@ -103,7 +99,7 @@ func (t *tripRecorder) onDecision(d core.Decision) error {
 }
 
 // settle waits until the incident in flight, if any, is durable and books
-// it. handleConn calls it once more after Monitor.Run has returned, so a
+// it. score calls it once more after Monitor.Run has returned, so a
 // closed stream's books are final: persisted + failed == gate trips.
 func (t *tripRecorder) settle() {
 	if t.inFlight == 0 {
@@ -123,6 +119,6 @@ func (t *tripRecorder) failed(err error) {
 	if !t.logged {
 		t.logged = true // one line per stream, not one per trip
 		t.srv.log.Error("anomaly store append failed (stream continues)",
-			"stream", t.stream, "err", err)
+			"stream", t.st.id, "err", err)
 	}
 }

@@ -235,121 +235,81 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 			"model", name, "default", isDefault)
 	}
 
-	// Cumulative per-model monitoring counters (closed finals + live).
-	byModel := s.reg.TotalsByModel()
+	// One read of the stream table feeds every per-model, per-stream and
+	// stall family below. Registered models have rows before they serve
+	// anything; models dropped by a reload keep their historic rows.
+	views, byModel := s.snapshot()
+	for _, name := range names {
+		byModel[name] = byModel[name] // a row even before the model serves
+	}
 	modelNames := make([]string, 0, len(byModel))
 	for name := range byModel {
 		modelNames = append(modelNames, name)
 	}
-	// Byte/drop totals live server-side; fold closed + live per model.
-	ioBy := make(map[string]ioTotals, len(byModel))
-	type liveRow struct {
-		id    string
-		model string
-		qc    QueueCounters
-	}
-	var live []liveRow
-	s.mu.Lock()
-	for name, t := range s.closedBy {
-		ioBy[name] = t
-	}
-	for id, st := range s.streams {
-		name := st.h.Model().Name
-		qc := st.q.Counters()
-		ioBy[name] = ioBy[name].add(ioTotals{
-			fullBytes:  st.fullBytes.Load(),
-			recBytes:   st.sink.bytes.Load(),
-			recWindows: st.sink.windows.Load(),
-			dropped:    qc.Dropped,
-		})
-		live = append(live, liveRow{id: id, model: name, qc: qc})
-	}
-	s.mu.Unlock()
-	for name := range ioBy {
-		if _, ok := byModel[name]; !ok {
-			modelNames = append(modelNames, name)
-		}
-	}
 	sort.Strings(modelNames)
-	sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
 
 	perModel := []struct {
 		name, typ, help string
-		value           func(name string) float64
+		value           func(b books) int64
 	}{
 		{"enduratrace_windows_total", "counter", "Windows scored, cumulative over closed and live streams.",
-			func(n string) float64 { return float64(byModel[n].Windows) }},
+			func(b books) int64 { return b.Windows }},
 		{"enduratrace_gate_trips_total", "counter", "Gate trips (LOF computations), cumulative.",
-			func(n string) float64 { return float64(byModel[n].GateTrips) }},
+			func(b books) int64 { return b.GateTrips }},
 		{"enduratrace_lof_calls_total", "counter", "LOF scorings performed, cumulative.",
-			func(n string) float64 { return float64(byModel[n].LOFCalls) }},
+			func(b books) int64 { return b.LOFCalls }},
 		{"enduratrace_anomalies_total", "counter", "Windows flagged anomalous (outliers), cumulative.",
-			func(n string) float64 { return float64(byModel[n].Anomalies) }},
+			func(b books) int64 { return b.Anomalies }},
 		{"enduratrace_events_dropped_total", "counter", "Events shed by drop-oldest backpressure, cumulative.",
-			func(n string) float64 { return float64(ioBy[n].dropped) }},
+			func(b books) int64 { return b.dropped }},
 		{"enduratrace_ingest_bytes_total", "counter", "Encoded bytes of every event received, cumulative.",
-			func(n string) float64 { return float64(ioBy[n].fullBytes) }},
+			func(b books) int64 { return b.fullBytes }},
 		{"enduratrace_recorded_windows_total", "counter", "Windows recorded to sinks, cumulative.",
-			func(n string) float64 { return float64(ioBy[n].recWindows) }},
+			func(b books) int64 { return b.recWindows }},
 		{"enduratrace_recorded_bytes_total", "counter", "Bytes recorded to sinks, cumulative.",
-			func(n string) float64 { return float64(ioBy[n].recBytes) }},
+			func(b books) int64 { return b.recBytes }},
 		{"enduratrace_streams_live", "gauge", "Streams currently being served.",
-			func(n string) float64 { return float64(byModel[n].StreamsLive) }},
+			func(b books) int64 { return int64(b.live) }},
 		{"enduratrace_streams_closed_total", "counter", "Streams served to completion.",
-			func(n string) float64 { return float64(byModel[n].StreamsClosed) }},
+			func(b books) int64 { return int64(b.closed) }},
 	}
 	for _, fam := range perModel {
 		m.family(fam.name, fam.typ, fam.help)
 		for _, name := range modelNames {
-			m.sample(fam.name, fam.value(name), "model", name)
+			m.sample(fam.name, float64(fam.value(byModel[name])), "model", name)
 		}
 	}
 
-	// Per-stream live counters. Registry snapshot keyed by id for the
-	// monitor-side numbers; queue/byte counters from the rows above.
-	statuses := s.reg.Streams()
-	counters := make(map[string]struct {
-		windows, trips, anoms float64
-	}, len(statuses))
-	for _, st := range statuses {
-		counters[st.ID] = struct{ windows, trips, anoms float64 }{
-			float64(st.Counters.Windows), float64(st.Counters.GateTrips), float64(st.Counters.Anomalies),
-		}
-	}
 	perStream := []struct {
 		name, typ, help string
-		value           func(r liveRow) (float64, bool)
+		value           func(v StreamView) int64
 	}{
 		{"enduratrace_stream_windows_total", "counter", "Windows scored on this live stream.",
-			func(r liveRow) (float64, bool) { c, ok := counters[r.id]; return c.windows, ok }},
+			func(v StreamView) int64 { return v.Counters.Windows }},
 		{"enduratrace_stream_gate_trips_total", "counter", "Gate trips on this live stream.",
-			func(r liveRow) (float64, bool) { c, ok := counters[r.id]; return c.trips, ok }},
+			func(v StreamView) int64 { return v.Counters.GateTrips }},
 		{"enduratrace_stream_anomalies_total", "counter", "Anomalous windows on this live stream.",
-			func(r liveRow) (float64, bool) { c, ok := counters[r.id]; return c.anoms, ok }},
+			func(v StreamView) int64 { return v.Counters.Anomalies }},
 		{"enduratrace_stream_events_ingested_total", "counter", "Events decoded off this stream's socket.",
-			func(r liveRow) (float64, bool) { return float64(r.qc.Ingested), true }},
+			func(v StreamView) int64 { return v.EventsIngested }},
 		{"enduratrace_stream_events_scored_total", "counter", "Events consumed by this stream's monitor.",
-			func(r liveRow) (float64, bool) { return float64(r.qc.Scored), true }},
+			func(v StreamView) int64 { return v.EventsScored }},
 		{"enduratrace_stream_events_dropped_total", "counter", "Events shed from this stream's queue.",
-			func(r liveRow) (float64, bool) { return float64(r.qc.Dropped), true }},
+			func(v StreamView) int64 { return v.DroppedEvents }},
 		{"enduratrace_stream_queue_depth", "gauge", "Events queued between ingest and scoring.",
-			func(r liveRow) (float64, bool) { return float64(r.qc.Depth), true }},
+			func(v StreamView) int64 { return int64(v.QueueDepth) }},
 	}
 	for _, fam := range perStream {
 		m.family(fam.name, fam.typ, fam.help)
-		for _, r := range live {
-			v, ok := fam.value(r)
-			if !ok {
-				continue // stream closed between the two snapshots
-			}
-			m.sample(fam.name, v, "stream", r.id, "model", r.model)
+		for _, v := range views {
+			m.sample(fam.name, float64(fam.value(v)), "stream", v.ID, "model", v.Model)
 		}
 	}
 
 	// Stall watchdog: live streams holding queued events whose scorer has
 	// made no progress for Options.StallAfter.
 	stalled := 0
-	for _, v := range s.Streams() {
+	for _, v := range views {
 		if v.Stalled {
 			stalled++
 		}

@@ -223,11 +223,18 @@ func TestReloadEndpointOnStaticRegistry(t *testing.T) {
 }
 
 // TestRegisterUnknownModelError pins the sentinel: the serving layer
-// depends on errors.Is(err, core.ErrUnknownModel) to count rejections.
+// depends on errors.Is(err, core.ErrUnknownModel) to count rejections,
+// and a refused registration enters nothing in the stream table.
 func TestRegisterUnknownModelError(t *testing.T) {
 	_, reg := twoModelDir(t)
-	streams := core.NewStreamRegistry(reg)
-	if _, err := streams.Register("s", "ghost"); !errors.Is(err, core.ErrUnknownModel) {
+	srv, err := New(Options{Models: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.register("s", "ghost"); !errors.Is(err, core.ErrUnknownModel) {
 		t.Fatalf("error %v, want ErrUnknownModel", err)
+	}
+	if n := len(srv.Streams()); n != 0 {
+		t.Fatalf("%d live streams after a refused registration, want 0", n)
 	}
 }

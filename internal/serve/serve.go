@@ -23,10 +23,12 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"math"
 	"net"
 	"net/http"
 	"os"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -122,6 +124,12 @@ const ingestBatch = 512
 // goroutine and a pooled 64 KiB reader for the life of the daemon.
 const headerTimeout = 10 * time.Second
 
+// resultsCap is how many closed streams' results Results keeps, newest
+// last. The per-model books cover every stream ever served; the results
+// are the recent detail, and a daemon that runs for months must not keep
+// one per stream.
+const resultsCap = 1024
+
 // StreamResult is one stream's final accounting, reported after it closes.
 type StreamResult struct {
 	ID              string  `json:"id"`
@@ -185,14 +193,21 @@ type StatsReport struct {
 
 // StreamView is one live stream's row in /streams.
 type StreamView struct {
-	core.StreamStatus
-	QueueDepth      int   `json:"queue_depth"`
-	EventsIngested  int64 `json:"events_ingested"`
-	EventsScored    int64 `json:"events_scored"`
-	DroppedEvents   int64 `json:"dropped_events"`
-	FullBytes       int64 `json:"full_bytes"`
-	RecordedBytes   int64 `json:"recorded_bytes"`
-	RecordedWindows int64 `json:"recorded_windows"`
+	ID    string `json:"id"`
+	Model string `json:"model"`
+	// State is "active" while the stream receives and scores windows, and
+	// "draining" once ingestion has stopped (a clean end of stream or
+	// shutdown) and the queued events are being scored.
+	State           string        `json:"state"`
+	Since           time.Time     `json:"since"`
+	Counters        core.Snapshot `json:"counters"`
+	QueueDepth      int           `json:"queue_depth"`
+	EventsIngested  int64         `json:"events_ingested"`
+	EventsScored    int64         `json:"events_scored"`
+	DroppedEvents   int64         `json:"dropped_events"`
+	FullBytes       int64         `json:"full_bytes"`
+	RecordedBytes   int64         `json:"recorded_bytes"`
+	RecordedWindows int64         `json:"recorded_windows"`
 	// LastIngestAgeS and LastProgressAgeS are the stall watchdog's inputs:
 	// seconds since the ingester last enqueued an event and since the
 	// scorer last dequeued one. Stalled flags a stream holding queued
@@ -204,30 +219,42 @@ type StreamView struct {
 	Stalled          bool                   `json:"stalled"`
 }
 
-// stream is the server-side state of one live connection.
+// stream is the one record of a live connection: its id, the model it
+// was pinned to at registration (a reload does not change it), its
+// monitor, and the queue, sink and stage histograms around it. The
+// monitor, reader and sink belong to the stream's goroutines; everything
+// view reads is safe to read from any goroutine.
 type stream struct {
-	h         *core.StreamHandle
+	id        string
+	model     *core.NamedModel
+	since     time.Time
+	draining  atomic.Bool
+	mon       *core.Monitor
 	q         *eventQueue
 	sink      *liveSink
-	conn      net.Conn
+	pipe      *obs.Pipeline
+	fr        *traceio.FrameReader
 	fullBytes atomic.Int64
 }
 
-// ioTotals accumulates the byte-level counters of closed streams (the
-// monitor counters live in the core.StreamRegistry).
-type ioTotals struct {
-	fullBytes  int64
-	recBytes   int64
-	recWindows int64
-	dropped    int64
+// books is the accounting of a set of streams: the monitor counters, the
+// serving layer's byte, recording and drop counters, and how many of the
+// streams are live and how many closed.
+type books struct {
+	core.Snapshot
+	fullBytes, recBytes, recWindows, dropped int64
+	live, closed                             int
 }
 
-func (t ioTotals) add(o ioTotals) ioTotals {
-	return ioTotals{
-		fullBytes:  t.fullBytes + o.fullBytes,
-		recBytes:   t.recBytes + o.recBytes,
-		recWindows: t.recWindows + o.recWindows,
-		dropped:    t.dropped + o.dropped,
+func (b books) add(o books) books {
+	return books{
+		Snapshot:   b.Snapshot.Add(o.Snapshot),
+		fullBytes:  b.fullBytes + o.fullBytes,
+		recBytes:   b.recBytes + o.recBytes,
+		recWindows: b.recWindows + o.recWindows,
+		dropped:    b.dropped + o.dropped,
+		live:       b.live + o.live,
+		closed:     b.closed + o.closed,
 	}
 }
 
@@ -237,7 +264,6 @@ func (t ioTotals) add(o ioTotals) ioTotals {
 type Server struct {
 	opts   Options
 	models *core.ModelRegistry
-	reg    *core.StreamRegistry
 	log    *slog.Logger
 	start  time.Time
 
@@ -252,13 +278,17 @@ type Server struct {
 	traceLn net.Listener
 	adminLn net.Listener
 
+	// mu guards the connections and the stream table: the live streams by
+	// id, every closed stream's final books folded per model, and the
+	// newest results. A stream leaves live and enters closedBy in one
+	// critical section, so a snapshot counts it exactly once.
 	mu       sync.Mutex
 	conns    map[net.Conn]struct{}
-	streams  map[string]*stream
-	results  []StreamResult
-	closed   ioTotals
-	closedBy map[string]ioTotals // per-model byte totals of closed streams
 	shutdown bool
+	live     map[string]*stream //enduratrace:guarded-by mu
+	closedBy map[string]books   //enduratrace:guarded-by mu
+	seq      int                //enduratrace:guarded-by mu
+	results  []StreamResult     //enduratrace:guarded-by mu
 
 	headerWait time.Duration // headerTimeout; a field so a test need not wait it out
 
@@ -268,7 +298,7 @@ type Server struct {
 	// split fixes (only unknown-model used to be counted).
 	rejHeader   atomic.Int64 // no valid stream header within headerWait
 	rejUnknown  atomic.Int64 // model name not in the registry
-	rejRegister atomic.Int64 // other registry Register failures
+	rejRegister atomic.Int64 // other registration failures
 	rejSink     atomic.Int64 // sink factory refused the stream
 
 	anomIncidents atomic.Int64 // gate trips persisted to the anomaly store
@@ -321,15 +351,14 @@ func New(opts Options) (*Server, error) {
 	srv := &Server{
 		opts:   opts,
 		models: models,
-		reg:    core.NewStreamRegistry(models),
 		log:    logger,
 		//lint:ignore monotime uptime is reported against the wall-clock start for operators
 		start:    time.Now(),
 		flight:   flight,
 		obsBy:    make(map[string]*obs.Pipeline),
 		conns:    make(map[net.Conn]struct{}),
-		streams:  make(map[string]*stream),
-		closedBy: make(map[string]ioTotals),
+		live:     make(map[string]*stream),
+		closedBy: make(map[string]books),
 
 		headerWait: headerTimeout,
 	}
@@ -358,11 +387,7 @@ func (s *Server) pipelineFor(model string) *obs.Pipeline {
 func (s *Server) pipelines() map[string]*obs.Pipeline {
 	s.obsMu.Lock()
 	defer s.obsMu.Unlock()
-	out := make(map[string]*obs.Pipeline, len(s.obsBy))
-	for k, v := range s.obsBy {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(s.obsBy)
 }
 
 // Flight returns the event flight recorder (nil when disabled).
@@ -535,8 +560,9 @@ func (s *Server) drain() {
 	<-done
 }
 
-// handleConn runs one stream: decode frames off the socket into the
-// bounded queue while the monitor scores the other end of it.
+// handleConn runs one stream: open it, ingest frames off the socket into
+// the bounded queue while score runs the monitor on the other end of it,
+// then close it.
 func (s *Server) handleConn(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -544,166 +570,191 @@ func (s *Server) handleConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
+	st := s.open(conn)
+	if st == nil {
+		return
+	}
+	ingestErr := make(chan error, 1)
+	go func() { ingestErr <- st.ingest() }()
+	stats, runErr := s.score(st)
+	// Close the queue before joining the ingester: if Run exited early (a
+	// sink error), the ingest goroutine may be parked in a Block-policy
+	// Push with nobody left to consume — Close (idempotent) unparks it.
+	st.q.Close()
+	ierr := <-ingestErr
+	// The ingest goroutine has exited: the reader (and its pooled buffers)
+	// can go back for the next connection.
+	st.fr.Release()
+	s.close(st, stats, runErr, ierr)
+}
 
+// open reads the stream header, registers the stream and builds its
+// sink. A refusal is booked under its reason and open returns nil; the
+// caller's conn.Close then surfaces it to the client as an ended stream
+// (a write error on its next flush) rather than letting it pump events
+// into a void.
+func (s *Server) open(conn net.Conn) *stream {
+	remote := conn.RemoteAddr().String()
 	//lint:ignore monotime net deadlines are wall-clock time.Time by API contract
 	s.setReadDeadline(conn, time.Now().Add(s.headerWait))
 	fr, err := traceio.NewFrameReader(conn)
 	if err != nil {
 		s.rejHeader.Add(1)
-		s.log.Warn("connection rejected", "remote", conn.RemoteAddr().String(), "err", err)
-		return
+		s.log.Warn("connection rejected", "remote", remote, "err", err)
+		return nil
 	}
 	s.setReadDeadline(conn, time.Time{}) // a stream may idle as long as it likes
-	h, err := s.reg.Register(fr.StreamName(), fr.ModelName())
+	st, err := s.register(fr.StreamName(), fr.ModelName())
 	if err != nil {
-		// A registration failure is a clean, immediate rejection: no stream
-		// is registered and the deferred conn.Close surfaces the refusal to
-		// the client as an ended stream (a write error on its next flush)
-		// rather than letting it pump events into a void.
 		if errors.Is(err, core.ErrUnknownModel) {
 			s.rejUnknown.Add(1)
 		} else {
 			s.rejRegister.Add(1)
 		}
-		s.log.Warn("stream registration failed", "remote", conn.RemoteAddr().String(), "err", err)
+		s.log.Warn("stream registration failed", "remote", remote, "err", err)
 		fr.Release()
-		return
+		return nil
 	}
-	sink, err := s.opts.Sinks(h.ID())
+	sink, err := s.opts.Sinks(st.id)
 	if err != nil {
+		// Out of the table without a close: the stream never served, and a
+		// refusal that also bumped the closed-stream count would be
+		// double-booked.
+		s.mu.Lock()
+		delete(s.live, st.id)
+		s.mu.Unlock()
 		s.rejSink.Add(1)
-		s.log.Warn("sink creation failed", "stream", h.ID(), "err", err)
-		// Discard, not Close: the stream never served, and a refusal that
-		// also bumped the closed-stream count would be double-booked.
-		h.Discard()
+		s.log.Warn("sink creation failed", "stream", st.id, "err", err)
 		fr.Release()
-		return
+		return nil
 	}
-	ls := &liveSink{inner: sink}
-	pipe := s.pipelineFor(h.Model().Name)
+	st.fr, st.sink.inner = fr, sink
+	st.fullBytes.Store(int64(traceio.HeaderSize()))
+	s.log.Info("stream opened", "stream", st.id, "remote", remote, "model", st.model.Name)
+	return st
+}
+
+// register resolves modelName (empty means the registry default), builds
+// a monitor pinned to that model and enters the stream in the live table
+// under name. An empty name gets a sequential "stream-NNNN" id; a taken
+// name is suffixed with the sequence number instead of failing, so
+// client-chosen names collide harmlessly. Unknown model names fail with
+// core.ErrUnknownModel and enter nothing.
+func (s *Server) register(name, modelName string) (*stream, error) {
+	m, err := s.models.Resolve(modelName)
+	if err != nil {
+		return nil, err
+	}
+	mon, err := core.NewMonitor(m.Cfg, m.Learned)
+	if err != nil {
+		return nil, fmt.Errorf("serve: model %q: %w", m.Name, err)
+	}
+	pipe := s.pipelineFor(m.Name)
 	var flightEvery uint64
 	if s.flight != nil {
 		flightEvery = s.flight.EveryN()
 	}
 	st := &stream{
-		h:    h,
-		q:    newEventQueue(s.opts.QueueLen, s.opts.Backpressure, pipe, flightEvery),
-		sink: ls,
-		conn: conn,
+		model: m,
+		//lint:ignore monotime since is a wall-clock registration timestamp shown to operators
+		since: time.Now(),
+		mon:   mon,
+		q:     newEventQueue(s.opts.QueueLen, s.opts.Backpressure, pipe, flightEvery),
+		sink:  &liveSink{}, // its counters read zero until open sets the sink
+		pipe:  pipe,
 	}
-	st.fullBytes.Store(int64(traceio.HeaderSize()))
 	s.mu.Lock()
-	s.streams[h.ID()] = st
-	s.mu.Unlock()
-	s.log.Info("stream opened", "stream", h.ID(),
-		"remote", conn.RemoteAddr().String(), "model", h.Model().Name)
+	defer s.mu.Unlock()
+	s.seq++
+	base := name
+	if base == "" {
+		base = fmt.Sprintf("stream-%04d", s.seq)
+	}
+	// Suffix until unique: auto ids and client names share one namespace,
+	// so both paths must dodge collisions (a client may have claimed
+	// "stream-0002" before auto id 2 is handed out).
+	st.id = base
+	for seq := s.seq; ; seq++ {
+		if _, taken := s.live[st.id]; !taken {
+			break
+		}
+		st.id = fmt.Sprintf("%s-%04d", base, seq)
+	}
+	s.live[st.id] = st
+	return st, nil
+}
 
-	ingestErr := make(chan error, 1)
-	go func() {
-		var prev time.Duration
-		first := true
-		var err error
-		evBuf := make([]trace.Event, ingestBatch)
-		for {
-			// The decode stage is timed around fr.ReadBatch, which blocks on
-			// the socket only until the first event of a batch is available:
-			// the histogram honestly includes network wait (an idle stream
-			// shows large decode latencies), amortised evenly across the
-			// batch — one run of n equal observations. Byte accounting stays
-			// per-event and exact.
-			t0 := obs.Now()
-			var n int
-			n, err = fr.ReadBatch(evBuf)
-			if n > 0 {
-				now := obs.Now()
-				share := (now - t0) / int64(n)
-				pipe.Decode.ObserveN(share, n)
-				var batchBytes int64
-				for i := 0; i < n; i++ {
-					batchBytes += int64(traceio.EncodedSize(evBuf[i], prev, first))
-					prev, first = evBuf[i].TS, false
-				}
-				st.fullBytes.Add(batchBytes)
-				if !st.q.PushBatch(evBuf[:n], now, share) {
-					err = nil // queue closed by shutdown
-					break
-				}
+// ingest decodes frames off the socket into the bounded queue until the
+// stream ends, then marks the stream draining and closes the queue so the
+// scorer finishes what is left. A clean end of stream, and a queue closed
+// under it by shutdown, return nil.
+func (st *stream) ingest() error {
+	var prev time.Duration
+	first := true
+	var err error
+	evBuf := make([]trace.Event, ingestBatch)
+	for err == nil {
+		// The decode stage is timed around fr.ReadBatch, which blocks on
+		// the socket only until the first event of a batch is available:
+		// the histogram honestly includes network wait (an idle stream
+		// shows large decode latencies), amortised evenly across the
+		// batch — one run of n equal observations. Byte accounting stays
+		// per-event and exact.
+		t0 := obs.Now()
+		var n int
+		n, err = st.fr.ReadBatch(evBuf)
+		if n > 0 {
+			now := obs.Now()
+			share := (now - t0) / int64(n)
+			st.pipe.Decode.ObserveN(share, n)
+			var batchBytes int64
+			for i := 0; i < n; i++ {
+				batchBytes += int64(traceio.EncodedSize(evBuf[i], prev, first))
+				prev, first = evBuf[i].TS, false
 			}
-			if err != nil {
+			st.fullBytes.Add(batchBytes)
+			if !st.q.PushBatch(evBuf[:n], now, share) {
+				err = nil // queue closed by shutdown
 				break
 			}
 		}
-		if err == io.EOF {
-			err = nil
-		}
-		h.SetState(core.StreamDraining)
-		st.q.Close()
-		ingestErr <- err
-	}()
+	}
+	if err == io.EOF {
+		err = nil
+	}
+	st.draining.Store(true)
+	st.q.Close()
+	return err
+}
 
+// score runs the stream's monitor over its queue into its sink, handing
+// every decision to its consumers in a fixed order: end-to-end timing and
+// the flight recorder, the alert state machine, then the anomaly store.
+func (s *Server) score(st *stream) (core.RunStats, error) {
 	// The ingest loop already accounts received bytes (including events a
 	// DropOldest queue sheds before scoring); don't pay for it twice.
-	h.Monitor().DisableByteAccounting()
+	st.mon.DisableByteAccounting()
 	// The score timer fires synchronously before the decision callback on
 	// the scoring goroutine, so lastScoreNs is always the duration of the
 	// window the callback is looking at.
 	var lastScoreNs int64
-	h.Monitor().SetScoreTimer(func(d time.Duration) {
-		pipe.Score.Observe(d)
+	st.mon.SetScoreTimer(func(d time.Duration) {
+		st.pipe.Score.Observe(d)
 		lastScoreNs = int64(d)
 	})
 	var trips *tripRecorder
 	if s.opts.Anomalies != nil {
-		trips = s.newTripRecorder(h)
+		trips = s.newTripRecorder(st)
 	}
 	// The alert state machine rides the same decision callback, on the
 	// scoring goroutine; its no-alert fast path keeps the quiet-stream
 	// cost at zero allocations.
 	var as *alert.Stream
 	if s.opts.Alerts != nil {
-		as = s.opts.Alerts.Register(h.ID(), h.Model().Name)
+		as = s.opts.Alerts.Register(st.id, st.model.Name)
 	}
-	onDecision := func(d core.Decision) error {
-		now := obs.Now()
-		// Every event popped since the previous decision belongs to this
-		// window: its end-to-end latency is arrival → this decision. This
-		// is what makes the e2e histogram's _count equal the number of
-		// events scored (TestSelftestEndToEnd asserts exactly that).
-		for _, a := range st.q.takeArrivals() {
-			pipe.E2E.ObserveN(now-a.enqNs, a.n)
-		}
-		if s.flight != nil {
-			fm, skipped, ok := st.q.takeFlight()
-			for i := 0; i < skipped; i++ {
-				s.flight.NoteSkipped()
-			}
-			if ok {
-				e2e := now - fm.enqNs
-				rec := obs.Record{
-					Stream: h.ID(),
-					Model:  h.Model().Name,
-					Seq:    fm.seq,
-					//lint:ignore monotime flight records carry a wall-clock arrival time for operators
-					Wall:        time.Now().Add(-time.Duration(e2e)),
-					DecodeNs:    fm.decodeNs,
-					QueueNs:     fm.waitNs,
-					ScoreNs:     lastScoreNs,
-					E2ENs:       e2e,
-					Window:      d.Window.Index,
-					GateTripped: d.GateTripped,
-					Anomalous:   d.Anomalous,
-				}
-				if !math.IsInf(d.GateDist, 0) && !math.IsNaN(d.GateDist) {
-					g := d.GateDist
-					rec.GateDist = &g
-				}
-				if d.GateTripped && !math.IsInf(d.LOF, 0) && !math.IsNaN(d.LOF) {
-					l := d.LOF
-					rec.LOF = &l
-				}
-				s.flight.Add(rec)
-			}
-		}
+	stats, err := st.mon.Run(st.q, st.sink, func(d core.Decision) error {
+		s.recordFlight(st, d, lastScoreNs)
 		if as != nil {
 			as.Observe(alert.Observation{
 				GateTripped: d.GateTripped,
@@ -717,8 +768,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			return trips.onDecision(d)
 		}
 		return nil
-	}
-	stats, runErr := h.Monitor().Run(st.q, ls, onDecision)
+	})
 	if trips != nil {
 		trips.settle() // the last trip, before the stream's result is published
 	}
@@ -727,19 +777,65 @@ func (s *Server) handleConn(conn net.Conn) {
 		// goroutine: the stream going away resolves any open incident.
 		as.Close()
 	}
-	// Close the queue before joining the ingester: if Run exited early (a
-	// sink error), the ingest goroutine may be parked in a Block-policy
-	// Push with nobody left to consume — Close (idempotent) unparks it.
-	st.q.Close()
-	ierr := <-ingestErr
-	// The ingest goroutine has exited: the reader (and its pooled buffers)
-	// can go back for the next connection.
-	fr.Release()
-	closeErr := ls.Close()
+	return stats, err
+}
 
-	clean := ierr == nil && runErr == nil && closeErr == nil
+// recordFlight books one decision's end-to-end latencies and, when the
+// flight recorder sampled an event of its window, that event's record.
+// It runs on the scoring goroutine; scoreNs is the window's score time.
+func (s *Server) recordFlight(st *stream, d core.Decision, scoreNs int64) {
+	now := obs.Now()
+	// Every event popped since the previous decision belongs to this
+	// window: its end-to-end latency is arrival → this decision. This is
+	// what makes the e2e histogram's _count equal the number of events
+	// scored (TestSelftestEndToEnd asserts exactly that).
+	for _, a := range st.q.takeArrivals() {
+		st.pipe.E2E.ObserveN(now-a.enqNs, a.n)
+	}
+	if s.flight == nil {
+		return
+	}
+	fm, skipped, ok := st.q.takeFlight()
+	for i := 0; i < skipped; i++ {
+		s.flight.NoteSkipped()
+	}
+	if !ok {
+		return
+	}
+	e2e := now - fm.enqNs
+	rec := obs.Record{
+		Stream: st.id,
+		Model:  st.model.Name,
+		Seq:    fm.seq,
+		//lint:ignore monotime flight records carry a wall-clock arrival time for operators
+		Wall:        time.Now().Add(-time.Duration(e2e)),
+		DecodeNs:    fm.decodeNs,
+		QueueNs:     fm.waitNs,
+		ScoreNs:     scoreNs,
+		E2ENs:       e2e,
+		Window:      d.Window.Index,
+		GateTripped: d.GateTripped,
+		Anomalous:   d.Anomalous,
+	}
+	if !math.IsInf(d.GateDist, 0) && !math.IsNaN(d.GateDist) {
+		g := d.GateDist
+		rec.GateDist = &g
+	}
+	if d.GateTripped && !math.IsInf(d.LOF, 0) && !math.IsNaN(d.LOF) {
+		l := d.LOF
+		rec.LOF = &l
+	}
+	s.flight.Add(rec)
+}
+
+// close closes the stream's sink, books its result among the newest
+// resultsCap and folds its final counters into its model's books, in the
+// same critical section that takes it out of the live table.
+func (s *Server) close(st *stream, stats core.RunStats, runErr, ingestErr error) {
+	closeErr := st.sink.Close()
+	clean := ingestErr == nil && runErr == nil && closeErr == nil
 	var errMsg string
-	for _, e := range []error{runErr, closeErr, ierr} {
+	for _, e := range []error{runErr, closeErr, ingestErr} {
 		if e == nil {
 			continue
 		}
@@ -752,37 +848,90 @@ func (s *Server) handleConn(conn net.Conn) {
 		clean = false
 		break
 	}
-
+	final := st.view(obs.Now(), 0).books()
+	final.live, final.closed = 0, 1
 	res := StreamResult{
-		ID:              h.ID(),
-		Model:           h.Model().Name,
+		ID:              st.id,
+		Model:           st.model.Name,
 		Windows:         stats.Windows,
 		GateTrips:       stats.GateTrips,
 		Anomalies:       stats.Anomalies,
-		RecordedWindows: ls.inner.WindowsRecorded(),
-		RecordedBytes:   ls.inner.BytesWritten(),
-		FullBytes:       st.fullBytes.Load(),
-		DroppedEvents:   st.q.Counters().Dropped,
+		RecordedWindows: int(final.recWindows),
+		RecordedBytes:   final.recBytes,
+		FullBytes:       final.fullBytes,
+		DroppedEvents:   final.dropped,
 		SpanS:           (stats.End - stats.Start).Seconds(),
 		Clean:           clean,
 		Err:             errMsg,
 	}
-	final := ioTotals{
-		fullBytes:  res.FullBytes,
-		recBytes:   res.RecordedBytes,
-		recWindows: int64(res.RecordedWindows),
-		dropped:    res.DroppedEvents,
-	}
 	s.mu.Lock()
-	delete(s.streams, h.ID())
-	s.results = append(s.results, res)
-	s.closed = s.closed.add(final)
+	delete(s.live, st.id)
 	s.closedBy[res.Model] = s.closedBy[res.Model].add(final)
+	s.results = append(s.results, res)
+	if n := len(s.results); n > resultsCap {
+		s.results = s.results[n-resultsCap:]
+	}
 	s.mu.Unlock()
-	h.Close()
-	s.log.Info("stream closed", "stream", h.ID(), "model", res.Model,
+	s.log.Info("stream closed", "stream", res.ID, "model", res.Model,
 		"windows", res.Windows, "anomalies", res.Anomalies,
 		"recorded_bytes", res.RecordedBytes, "clean", clean)
+}
+
+// view reads one live stream's row; now and stallAfter feed the stall
+// watchdog (a stallAfter of 0 or less never flags a stream).
+func (st *stream) view(now int64, stallAfter time.Duration) StreamView {
+	qc := st.q.Counters()
+	pushNs, popNs := st.q.LastTimes()
+	state := "active"
+	if st.draining.Load() {
+		state = "draining"
+	}
+	return StreamView{
+		ID:               st.id,
+		Model:            st.model.Name,
+		State:            state,
+		Since:            st.since,
+		Counters:         st.mon.Snapshot(),
+		QueueDepth:       qc.Depth,
+		EventsIngested:   qc.Ingested,
+		EventsScored:     qc.Scored,
+		DroppedEvents:    qc.Dropped,
+		FullBytes:        st.fullBytes.Load(),
+		RecordedBytes:    st.sink.bytes.Load(),
+		RecordedWindows:  st.sink.windows.Load(),
+		LastIngestAgeS:   anomalystore.JSONFloat(float64(now-pushNs) / 1e9),
+		LastProgressAgeS: anomalystore.JSONFloat(float64(now-popNs) / 1e9),
+		Stalled:          stallAfter > 0 && qc.Depth > 0 && now-popNs > int64(stallAfter),
+	}
+}
+
+// books is a live stream's contribution to its model's books.
+func (v StreamView) books() books {
+	return books{
+		Snapshot:   v.Counters,
+		fullBytes:  v.FullBytes,
+		recBytes:   v.RecordedBytes,
+		recWindows: v.RecordedWindows,
+		dropped:    v.DroppedEvents,
+		live:       1,
+	}
+}
+
+// snapshot reads the stream table once: every live stream's view, sorted
+// by id, and the books per model over closed and live streams.
+func (s *Server) snapshot() (views []StreamView, byModel map[string]books) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	now := obs.Now()
+	views = make([]StreamView, 0, len(s.live))
+	byModel = maps.Clone(s.closedBy)
+	for _, st := range s.live {
+		v := st.view(now, s.opts.StallAfter)
+		views = append(views, v)
+		byModel[v.Model] = byModel[v.Model].add(v.books())
+	}
+	sort.Slice(views, func(i, j int) bool { return views[i].ID < views[j].ID })
+	return views, byModel
 }
 
 // Stats assembles the live aggregate report (served by /stats). Safe to
@@ -790,17 +939,25 @@ func (s *Server) handleConn(conn net.Conn) {
 // serving and is kept byte-compatible: ModelPoints reports the current
 // default model (per-model breakdowns live on /metrics).
 func (s *Server) Stats() StatsReport {
-	total, live, closed := s.reg.Totals()
+	_, byModel := s.snapshot()
+	var total books
+	for _, b := range byModel {
+		total = total.add(b)
+	}
 	rejUnknown := s.rejUnknown.Load()
 	rep := StatsReport{
 		Windows:              total.Windows,
 		GateTrips:            total.GateTrips,
 		LOFCalls:             total.LOFCalls,
 		Anomalies:            total.Anomalies,
-		StreamsLive:          live,
-		StreamsClosed:        closed,
+		RecordedWindows:      total.recWindows,
+		FullBytes:            total.fullBytes,
+		RecordedBytes:        total.recBytes,
+		StreamsLive:          total.live,
+		StreamsClosed:        total.closed,
 		StreamsRejected:      s.rejHeader.Load() + rejUnknown + s.rejRegister.Load() + s.rejSink.Load(),
 		RejectedUnknownModel: rejUnknown,
+		DroppedEvents:        total.dropped,
 		AnomalyIncidents:     s.anomIncidents.Load(),
 		AnomalyStoreErrors:   s.anomStoreErrs.Load(),
 		AlertTransitions:     s.alertPersisted.Load(),
@@ -811,18 +968,6 @@ func (s *Server) Stats() StatsReport {
 	if s.opts.Alerts != nil {
 		rep.AlertsFiring = s.opts.Alerts.FiringStreams()
 	}
-	s.mu.Lock()
-	rep.FullBytes = s.closed.fullBytes
-	rep.RecordedBytes = s.closed.recBytes
-	rep.RecordedWindows = s.closed.recWindows
-	rep.DroppedEvents = s.closed.dropped
-	for _, st := range s.streams {
-		rep.FullBytes += st.fullBytes.Load()
-		rep.RecordedBytes += st.sink.bytes.Load()
-		rep.RecordedWindows += st.sink.windows.Load()
-		rep.DroppedEvents += st.q.Counters().Dropped
-	}
-	s.mu.Unlock()
 	if rep.RecordedBytes > 0 {
 		rf := float64(rep.FullBytes) / float64(rep.RecordedBytes)
 		rep.ReductionFactor = &rf
@@ -830,44 +975,16 @@ func (s *Server) Stats() StatsReport {
 	return rep
 }
 
-// Streams lists the live streams with queue and sink counters (served by
-// /streams).
+// Streams lists the live streams with queue and sink counters, sorted by
+// id (served by /streams).
 func (s *Server) Streams() []StreamView {
-	statuses := s.reg.Streams()
-	out := make([]StreamView, 0, len(statuses))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := obs.Now()
-	for _, status := range statuses {
-		st, ok := s.streams[status.ID]
-		if !ok {
-			continue // closed between the registry and server snapshots
-		}
-		qc := st.q.Counters()
-		pushNs, popNs := st.q.LastTimes()
-		v := StreamView{
-			StreamStatus:     status,
-			QueueDepth:       qc.Depth,
-			EventsIngested:   qc.Ingested,
-			EventsScored:     qc.Scored,
-			DroppedEvents:    qc.Dropped,
-			FullBytes:        st.fullBytes.Load(),
-			RecordedBytes:    st.sink.bytes.Load(),
-			RecordedWindows:  st.sink.windows.Load(),
-			LastIngestAgeS:   anomalystore.JSONFloat(float64(now-pushNs) / 1e9),
-			LastProgressAgeS: anomalystore.JSONFloat(float64(now-popNs) / 1e9),
-		}
-		if s.opts.StallAfter > 0 && qc.Depth > 0 &&
-			now-popNs > int64(s.opts.StallAfter) {
-			v.Stalled = true
-		}
-		out = append(out, v)
-	}
-	return out
+	views, _ := s.snapshot()
+	return views
 }
 
-// Results returns the per-stream final accounting, in close order. Call
-// after Serve returns (streams still live are not included).
+// Results returns the final accounting of the newest resultsCap closed
+// streams, in close order. Call after Serve returns (streams still live
+// are not included); Stats counts every stream ever served.
 func (s *Server) Results() []StreamResult {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -354,7 +354,7 @@ func TestDropOldestBackpressure(t *testing.T) {
 	// Wait for the stream to drain and close.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if _, live, closed := srv.reg.Totals(); live == 0 && closed == 1 {
+		if st := srv.Stats(); st.StreamsLive == 0 && st.StreamsClosed == 1 {
 			break
 		}
 		if time.Now().After(deadline) {

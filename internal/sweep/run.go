@@ -52,8 +52,10 @@ type learnEntry struct {
 
 // Run expands the grid, executes every job on a bounded worker pool, and
 // streams the results into per-cell summaries, which come back in grid
-// order. Reports are folded as they arrive and then dropped, so memory is
-// O(cells), not O(jobs). When jobs fail, the remaining jobs still run and
+// order. Reports are folded in job order, whatever order the workers
+// finish in, so the summaries do not depend on Workers; each is dropped
+// once folded, so memory is O(cells) plus the reports that finished ahead
+// of a slower earlier job, not O(jobs). When jobs fail, the remaining jobs still run and
 // the joined errors are returned alongside the summaries of the cells
 // that did complete.
 //
@@ -123,14 +125,25 @@ func Run(g Grid, opts RunOptions) ([]CellSummary, error) {
 
 	agg := NewAggregator(g.Cells())
 	var errs []error
+	// Fold in job order, not completion order: a cell's running mean and
+	// variance change in the last ulp with the order of their inputs, so
+	// folding as workers finish made the summaries depend on scheduling.
+	// done holds the results that finished ahead of the next job to fold.
+	done := make(map[int]Result)
+	next := 0
 	for res := range resCh {
-		if res.Err != nil {
-			errs = append(errs, res.Err)
-		} else {
-			agg.Add(res.Job.Cell, res.Job.Seed, res.Report)
-		}
 		if opts.OnResult != nil {
 			opts.OnResult(res)
+		}
+		done[res.Job.Index] = res
+		for r, ok := done[next]; ok; r, ok = done[next] {
+			delete(done, next)
+			next++
+			if r.Err != nil {
+				errs = append(errs, r.Err)
+			} else {
+				agg.Add(r.Job.Cell, r.Job.Seed, r.Report)
+			}
 		}
 	}
 	return agg.Summaries(), errors.Join(errs...)

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -234,6 +235,37 @@ func TestRunAggregatesSeeds(t *testing.T) {
 		"reduction", "precision", "recall", "delta_s_ms", "delta_e_ms"} {
 		if _, ok := decoded[0][key]; !ok {
 			t.Fatalf("summary JSON missing %q", key)
+		}
+	}
+}
+
+// TestRunFoldsInJobOrder: the summaries do not depend on how many workers
+// ran the jobs or in which order they finished — every float is
+// bit-identical at one worker and at four.
+func TestRunFoldsInJobOrder(t *testing.T) {
+	g := tinyGrid()
+	g.Seeds = []int64{1, 2, 3, 4}
+	one, err := Run(g, RunOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	four, err := Run(g, RunOptions{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(one, four) {
+		t.Fatalf("summaries differ between 1 and 4 workers:\n%+v\n%+v", one, four)
+	}
+	for i := range one {
+		a, b := one[i], four[i]
+		for _, m := range [][2]Metric{{a.Reduction, b.Reduction}, {a.Precision, b.Precision},
+			{a.Recall, b.Recall}, {a.DeltaSMs, b.DeltaSMs}, {a.DeltaEMs, b.DeltaEMs}} {
+			for _, f := range [][2]float64{{m[0].Mean, m[1].Mean}, {m[0].CI95, m[1].CI95},
+				{m[0].Min, m[1].Min}, {m[0].Max, m[1].Max}} {
+				if math.Float64bits(f[0]) != math.Float64bits(f[1]) {
+					t.Fatalf("cell %s: %v at 1 worker, %v at 4", a.Cell, f[0], f[1])
+				}
+			}
 		}
 	}
 }
