@@ -40,7 +40,7 @@ bench:
 	$(GO) run ./cmd/enduratrace sweep -seeds 3 -out BENCH_sweep.json
 
 # Microbenchmarks for the monitoring hot path: LOF scoring and fitting
-# (exact filter-and-refine vs FastKernels vs condensed), the distance
+# (exact filter-and-refine vs FastKernels), the distance
 # row/gate kernels, frame decode (per-event vs batched), the monitor's
 # per-window cost, the alerting pipeline (quiet/flapping Observe fast
 # paths, full fire→resolve emission, dedup hits, key encoding), the
@@ -48,7 +48,7 @@ bench:
 # and 8 appenders with its records per fsync), and the latency histogram
 # the serve path's instruments are (per event, per run of 256, and two
 # goroutines on one Pipeline; one op is 2^20 events). The before/after
-# pairs live side by side (ScoreBrute* vs ScoreFast* vs ScoreCondensed*,
+# pairs live side by side (ScoreBrute* vs ScoreFast*,
 # RowsSymKL vs RowsSymKLFast, FrameDecodeNext vs FrameDecodeBatch). These
 # are for working on one layer; the regression gate is end to end,
 # `bench -compare` over bench/run.sh reports (see bench/README.md).

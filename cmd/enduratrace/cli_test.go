@@ -51,20 +51,23 @@ func TestSimLearnMonitor(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The index is no longer selectable: the flag that selected it is gone.
-	err := cmdLearn([]string{"-in", ref, "-model", model, "-vptree"})
-	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -vptree") {
-		t.Fatalf("learn -vptree: %v, want an unknown-flag error", err)
-	}
-	if _, err := os.Stat(model); err == nil {
-		t.Fatal("learn -vptree wrote a model file")
+	// The index is no longer selectable and the reference set is no longer
+	// condensed: the flags that did either are gone.
+	for _, flag := range [][]string{{"-vptree"}, {"-condense", "200"}, {"-model-seed", "2"}} {
+		err := cmdLearn(append([]string{"-in", ref, "-model", model}, flag...))
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+flag[0]) {
+			t.Fatalf("learn %v: %v, want an unknown-flag error", flag, err)
+		}
+		if _, err := os.Stat(model); err == nil {
+			t.Fatalf("learn %v wrote a model file", flag)
+		}
 	}
 	if err := cmdLearn([]string{"-in", ref, "-model", model}); err != nil {
 		t.Fatal(err)
 	}
 
-	// A model file from before the flag went still carries its key; the
-	// report over it must be the report over the fresh file.
+	// A model file from before the flags went still carries their keys;
+	// the report over it must be the report over the fresh file.
 	raw, err := os.ReadFile(model)
 	if err != nil {
 		t.Fatal(err)
@@ -73,10 +76,12 @@ func TestSimLearnMonitor(t *testing.T) {
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := doc["use_vptree"]; ok {
-		t.Fatal("learn still writes use_vptree")
+	for key, v := range map[string]any{"use_vptree": true, "seed": 2, "condense_target": 200} {
+		if _, ok := doc[key]; ok {
+			t.Fatalf("learn still writes %s", key)
+		}
+		doc[key] = v
 	}
-	doc["use_vptree"] = true
 	if raw, err = json.Marshal(doc); err != nil {
 		t.Fatal(err)
 	}
@@ -88,32 +93,27 @@ func TestSimLearnMonitor(t *testing.T) {
 		t.Fatalf("monitor over the old-key model file:\n%s\nover a fresh one:\n%s", old, fresh)
 	}
 
-	type books struct {
+	var report struct {
 		Windows   int `json:"windows"`
 		GateTrips int `json:"gate_trips"`
 		Anomalies int `json:"anomalies"`
 	}
-	var single books
-	if err := json.Unmarshal([]byte(fresh), &single); err != nil {
+	if err := json.Unmarshal([]byte(fresh), &report); err != nil {
 		t.Fatal(err)
 	}
-	if single.Windows != 750 || single.Anomalies == 0 || single.GateTrips <= single.Anomalies {
-		t.Fatalf("single-stream report %+v: want 750 windows, some anomalies, more trips than anomalies", single)
+	if report.Windows != 750 || report.Anomalies == 0 || report.GateTrips <= report.Anomalies {
+		t.Fatalf("monitor report %+v: want 750 windows, some anomalies, more trips than anomalies", report)
 	}
 
-	var multi struct {
-		Streams []books `json:"streams"`
+	// One monitor per trace: fan-out over a shared model is serve's.
+	err = cmdMonitor([]string{"-in", run, "-model", model, "-streams", "2"})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -streams") {
+		t.Fatalf("monitor -streams 2: %v, want an unknown-flag error", err)
 	}
-	if err := json.Unmarshal([]byte(stdoutOf(t, cmdMonitor, "-in", run, "-model", model, "-streams", "2", "-json")), &multi); err != nil {
-		t.Fatal(err)
-	}
-	if len(multi.Streams) != 2 {
-		t.Fatalf("-streams 2 reported %d streams", len(multi.Streams))
-	}
-	for i, s := range multi.Streams {
-		if s != single {
-			t.Fatalf("-streams 2: stream %d reports %+v, the single-stream run %+v", i, s, single)
-		}
+	// A negative context window is refused, not a panic in the recorder.
+	err = cmdMonitor([]string{"-in", run, "-model", model, "-pre", "-1", "-post", "2"})
+	if err == nil || !strings.Contains(err.Error(), "-pre and -post must be >= 0") {
+		t.Fatalf("monitor -pre -1: %v, want a refusal", err)
 	}
 }
 

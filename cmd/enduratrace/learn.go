@@ -10,7 +10,6 @@ import (
 	"enduratrace/internal/core"
 	"enduratrace/internal/distance"
 	"enduratrace/internal/eval"
-	"enduratrace/internal/lof"
 	"enduratrace/internal/mediasim"
 	"enduratrace/internal/stats"
 )
@@ -31,9 +30,6 @@ func coreFlags(fs *flag.FlagSet, def core.Config) func() (core.Config, error) {
 	lofDist := fs.String("lof-distance", def.LOFDistance.Name, "LOF dissimilarity")
 	smoothing := fs.Float64("smoothing", def.Smoothing, "additive pmf smoothing epsilon")
 	rate := fs.Bool("rate", def.IncludeRate, "append the saturating event-rate feature")
-	seed := fs.Int64("model-seed", def.Seed, "condensation seed")
-	condense := fs.Int("condense", def.CondenseTarget,
-		"condense the reference set to at most N points by farthest-point sampling (0 = keep all, bit-exact scoring)")
 	fastKernels := fs.Bool("fast-kernels", def.FastKernels,
 		"score through precomputed-log KL-family kernels (~1e-9 relative error, about twice as fast as the bit-exact default; kl/symkl/jsd LOF distance only)")
 	list := fs.Bool("list-distances", false, "print the distance catalogue and exit")
@@ -51,10 +47,8 @@ func coreFlags(fs *flag.FlagSet, def core.Config) func() (core.Config, error) {
 		}
 		cfg.K = *k
 		cfg.Alpha = *alpha
-		cfg.Seed = *seed
 		cfg.Smoothing = *smoothing
 		cfg.IncludeRate = *rate
-		cfg.CondenseTarget = *condense
 		cfg.FastKernels = *fastKernels
 		if err := applyGateThreshold(&cfg, *gateThreshold, *gateAutoQ); err != nil {
 			return cfg, err
@@ -121,15 +115,14 @@ func cmdLearn(args []string) error {
 
 	scores := learned.Model.TrainScores()
 	summary := struct {
-		Model         string              `json:"model"`
-		RefWindows    int                 `json:"ref_windows"`
-		ModelPoints   int                 `json:"model_points"`
-		MeanCount     float64             `json:"mean_count"`
-		TrainP50      float64             `json:"train_lof_p50"`
-		TrainP95      float64             `json:"train_lof_p95"`
-		TrainP99      float64             `json:"train_lof_p99"`
-		Condense      *lof.CondenseReport `json:"condense,omitempty"`
-		GateThreshold *float64            `json:"auto_gate_threshold,omitempty"`
+		Model         string   `json:"model"`
+		RefWindows    int      `json:"ref_windows"`
+		ModelPoints   int      `json:"model_points"`
+		MeanCount     float64  `json:"mean_count"`
+		TrainP50      float64  `json:"train_lof_p50"`
+		TrainP95      float64  `json:"train_lof_p95"`
+		TrainP99      float64  `json:"train_lof_p99"`
+		GateThreshold *float64 `json:"auto_gate_threshold,omitempty"`
 	}{
 		Model:       *modelOut,
 		RefWindows:  learned.RefWindows,
@@ -138,7 +131,6 @@ func cmdLearn(args []string) error {
 		TrainP50:    stats.Quantile(scores, 0.50),
 		TrainP95:    stats.Quantile(scores, 0.95),
 		TrainP99:    stats.Quantile(scores, 0.99),
-		Condense:    learned.Model.Cond,
 	}
 	if learned.AutoGateThreshold > 0 {
 		summary.GateThreshold = &learned.AutoGateThreshold
@@ -146,11 +138,6 @@ func cmdLearn(args []string) error {
 	fmt.Fprintf(os.Stderr,
 		"learn: %d reference windows (mean %.1f events), train LOF p50=%.3f p95=%.3f p99=%.3f\nlearn: model written to %s\n",
 		summary.RefWindows, summary.MeanCount, summary.TrainP50, summary.TrainP95, summary.TrainP99, *modelOut)
-	if c := learned.Model.Cond; c != nil {
-		fmt.Fprintf(os.Stderr,
-			"learn: condensed %d -> %d points; full-set LOF under condensed model p50=%.3f p95=%.3f p99=%.3f\n",
-			c.OriginalN, c.KeptN, c.P50, c.P95, c.P99)
-	}
 	if learned.AutoGateThreshold > 0 {
 		fmt.Fprintf(os.Stderr, "learn: auto gate threshold %.4g (%s, q=%.3g)\n",
 			learned.AutoGateThreshold, cfg.GateDistance.Name, cfg.GateAutoQuantile)

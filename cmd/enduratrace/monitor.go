@@ -5,11 +5,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"enduratrace/internal/core"
 	"enduratrace/internal/recorder"
-	"enduratrace/internal/trace"
 )
 
 func cmdMonitor(args []string) error {
@@ -21,7 +19,6 @@ func cmdMonitor(args []string) error {
 	pre := fs.Int("pre", 0, "context windows to record before each anomaly")
 	post := fs.Int("post", 0, "context windows to record after each anomaly")
 	alpha := fs.Float64("alpha", 0, "override the model's LOF threshold (0 = keep)")
-	streams := fs.Int("streams", 1, "monitor N concurrent copies of the trace against the one shared model (requires a file input)")
 	jsonOut := fs.Bool("json", false, "print run statistics as JSON on stdout")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -30,8 +27,8 @@ func cmdMonitor(args []string) error {
 		fs.Usage()
 		return fmt.Errorf("monitor: -in is required")
 	}
-	if *streams < 1 {
-		return fmt.Errorf("monitor: -streams must be >= 1, got %d", *streams)
+	if *pre < 0 || *post < 0 {
+		return fmt.Errorf("monitor: -pre and -post must be >= 0, got %d and %d", *pre, *post)
 	}
 
 	cfg, learned, err := core.LoadModelFile(*modelIn)
@@ -40,13 +37,6 @@ func cmdMonitor(args []string) error {
 	}
 	if *alpha > 0 {
 		cfg.Alpha = *alpha
-	}
-
-	if *streams > 1 {
-		if *rec != "" || *pre > 0 || *post > 0 || *compress >= 0 {
-			return fmt.Errorf("monitor: -rec/-pre/-post/-compress are not supported with -streams > 1 (stat-only mode)")
-		}
-		return monitorStreams(cfg, learned, *in, *streams, *jsonOut)
 	}
 
 	r, closer, err := openTrace(*in)
@@ -117,93 +107,6 @@ func cmdMonitor(args []string) error {
 		out.Windows, out.SpanS, out.GateTrips, out.Anomalies,
 		out.RecordedWindows, out.RecordedBytes, out.FullBytes, reductionString(out.ReductionFactor))
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(&out)
-	}
-	return nil
-}
-
-// monitorStreams replays the trace through N concurrent monitor streams
-// sharing one learned model (core.MultiMonitor): each stream gets its own
-// file handle and per-stream state, the LOF matrix is read by all. It
-// demonstrates — and measures — the shared-model fan-out: stderr reports
-// aggregate throughput next to what the same windows would cost serially.
-func monitorStreams(cfg core.Config, learned *core.Learned, in string, n int, jsonOut bool) error {
-	if in == "-" {
-		return fmt.Errorf("monitor: -streams %d needs a file input (stdin cannot be opened %d times)", n, n)
-	}
-	readers := make([]trace.Reader, n)
-	closers := make([]func() error, 0, n)
-	defer func() {
-		for _, c := range closers {
-			c()
-		}
-	}()
-	for i := range readers {
-		r, closer, err := openTrace(in)
-		if err != nil {
-			return err
-		}
-		readers[i] = r
-		closers = append(closers, closer)
-	}
-
-	mm, err := core.NewMultiMonitor(cfg, learned, n)
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	results, err := mm.RunAll(readers, nil)
-	if err != nil {
-		return err
-	}
-	wall := time.Since(start)
-
-	type streamOut struct {
-		Stream    int     `json:"stream"`
-		Windows   int     `json:"windows"`
-		GateTrips int     `json:"gate_trips"`
-		Anomalies int     `json:"anomalies"`
-		SpanS     float64 `json:"span_s"`
-	}
-	out := struct {
-		Streams      []streamOut `json:"streams"`
-		Windows      int         `json:"windows"`
-		GateTrips    int         `json:"gate_trips"`
-		Anomalies    int         `json:"anomalies"`
-		WallS        float64     `json:"wall_s"`
-		WindowsPerS  float64     `json:"windows_per_s"`
-		ModelPoints  int         `json:"model_points"`
-		SharedModels int         `json:"shared_models"`
-	}{
-		Streams:      make([]streamOut, 0, n),
-		WallS:        wall.Seconds(),
-		ModelPoints:  learned.Model.Len(),
-		SharedModels: 1,
-	}
-	for _, res := range results {
-		if res.Err != nil {
-			return fmt.Errorf("monitor: stream %d: %w", res.Stream, res.Err)
-		}
-		out.Streams = append(out.Streams, streamOut{
-			Stream:    res.Stream,
-			Windows:   res.Stats.Windows,
-			GateTrips: res.Stats.GateTrips,
-			Anomalies: res.Stats.Anomalies,
-			SpanS:     (res.Stats.End - res.Stats.Start).Seconds(),
-		})
-		out.Windows += res.Stats.Windows
-		out.GateTrips += res.Stats.GateTrips
-		out.Anomalies += res.Stats.Anomalies
-	}
-	if wall > 0 {
-		out.WindowsPerS = float64(out.Windows) / wall.Seconds()
-	}
-	fmt.Fprintf(os.Stderr,
-		"monitor: %d streams over one %d-point model: %d windows total, %d gate trips, %d anomalies in %.2fs wall (%.0f windows/s)\n",
-		n, out.ModelPoints, out.Windows, out.GateTrips, out.Anomalies, out.WallS, out.WindowsPerS)
-	if jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(&out)

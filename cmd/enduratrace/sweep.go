@@ -63,8 +63,6 @@ func cmdSweep(args []string) error {
 	gateThreshold := fs.String("gate-threshold", fmt.Sprintf("%g", def.Base.Core.GateThreshold),
 		"gate distance above which LOF runs, or 'auto' to calibrate per cell from its reference quantiles")
 	gateAutoQ := fs.Float64("gate-auto-q", 0.90, "reference quantile used by '-gate-threshold auto'")
-	condense := fs.Int("condense", def.Base.Core.CondenseTarget,
-		"condense each cell's reference set to at most N points (0 = keep all, bit-exact scoring)")
 	workers := fs.Int("workers", 0, "parallel eval workers (0 = GOMAXPROCS)")
 	out := fs.String("out", "BENCH_sweep.json", "write the per-cell summary array here ('' to skip)")
 	sortBy := fs.String("sort", "reduction", fmt.Sprintf("summary table sort metric, one of %v", sweep.SortKeys()))
@@ -79,7 +77,6 @@ func cmdSweep(args []string) error {
 	g.Base.PerturbFirst = *pFirst
 	g.Base.PerturbPeriod = *pPeriod
 	g.Base.PerturbDuration = *pDur
-	g.Base.Core.CondenseTarget = *condense
 	if err := applyGateThreshold(&g.Base.Core, *gateThreshold, *gateAutoQ); err != nil {
 		return fmt.Errorf("sweep: %w", err)
 	}

@@ -10,9 +10,8 @@ import (
 
 // benchMonitor builds a monitor over a synthetic reference trace plus one
 // quiet and one gate-tripping window for the two ProcessWindow paths.
-func benchMonitor(b *testing.B, condense int) (*Monitor, window.Window, window.Window) {
+func benchMonitor(b *testing.B) (*Monitor, window.Window, window.Window) {
 	cfg := testConfig()
-	cfg.CondenseTarget = condense
 	ref := synth(0, 8*time.Second, refWeights, 1)
 	learned, err := Learn(cfg, trace.NewSliceReader(ref))
 	if err != nil {
@@ -34,7 +33,7 @@ func benchMonitor(b *testing.B, condense int) (*Monitor, window.Window, window.W
 // that stays under the gate (featurize + gate distance + merge) — the
 // path taken by the overwhelming majority of windows.
 func BenchmarkProcessWindowQuiet(b *testing.B) {
-	mon, quiet, _ := benchMonitor(b, 0)
+	mon, quiet, _ := benchMonitor(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -43,20 +42,9 @@ func BenchmarkProcessWindowQuiet(b *testing.B) {
 }
 
 // BenchmarkProcessWindowTrip measures a gate-tripping window (featurize +
-// gate + LOF scoring) on the exact, uncondensed model.
+// gate + LOF scoring) on the exact model.
 func BenchmarkProcessWindowTrip(b *testing.B) {
-	mon, _, shifted := benchMonitor(b, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mon.ProcessWindow(shifted)
-	}
-}
-
-// BenchmarkProcessWindowTripCondensed is the same tripped path over a
-// condensed reference set with the fast KL kernels.
-func BenchmarkProcessWindowTripCondensed(b *testing.B) {
-	mon, _, shifted := benchMonitor(b, 60)
+	mon, _, shifted := benchMonitor(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -63,6 +63,11 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		func(c *Config) { c.MergeLambda = 0 },
 		func(c *Config) { c.Smoothing = -0.1 },
 		func(c *Config) { c.GateDistance.F = nil },
+		// NaN fails every comparison, so each range check must reject it.
+		func(c *Config) { c.Alpha = math.NaN() },
+		func(c *Config) { c.GateThreshold = math.NaN() },
+		func(c *Config) { c.MergeLambda = math.NaN() },
+		func(c *Config) { c.Smoothing = math.NaN() },
 	}
 	for i, mutate := range bad {
 		cfg := testConfig()
@@ -74,6 +79,29 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 	cfg := testConfig()
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("good config rejected: %v", err)
+	}
+}
+
+// TestValidateCatchesBadCondenseAndGateAuto checks the auto-gate quantile
+// range. The config no longer carries a condensation target, so only the
+// gate half of the name has rows left.
+func TestValidateCatchesBadCondenseAndGateAuto(t *testing.T) {
+	for i, mutate := range []func(*Config){
+		func(c *Config) { c.GateAutoQuantile = 1.5 },
+		func(c *Config) { c.GateAutoQuantile = -0.5 },
+		func(c *Config) { c.GateAutoQuantile = math.NaN() },
+	} {
+		cfg := testConfig()
+		mutate(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Fatalf("bad gate config %d validated", i)
+		}
+	}
+	cfg := testConfig()
+	cfg.GateAuto = true
+	cfg.GateAutoQuantile = 0.95
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("good auto-gate config rejected: %v", err)
 	}
 }
 
@@ -266,24 +294,19 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestModelSaveLoadRoundTripCondensed: a condensed, auto-gated model must
-// fully round-trip — the reloaded model scores identically (the saved
-// points are the condensed set, so the reload's condensation is a no-op
-// that still re-enables the fast kernels), and the condensation report
-// plus calibrated gate threshold survive.
-func TestModelSaveLoadRoundTripCondensed(t *testing.T) {
+// TestModelSaveLoadRoundTripGateAuto: a FastKernels, auto-gated model must
+// fully round-trip — both flags and the calibrated gate threshold survive,
+// and the reloaded model scores bit for bit like the original on the same
+// fast kernels.
+func TestModelSaveLoadRoundTripGateAuto(t *testing.T) {
 	cfg := testConfig()
 	cfg.IncludeRate = true
-	cfg.CondenseTarget = 40
+	cfg.FastKernels = true
 	cfg.GateAuto = true
 	ref := synth(0, 4*time.Second, refWeights, 1)
 	learned, err := Learn(cfg, trace.NewSliceReader(ref))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if learned.Model.Len() != 40 || learned.Model.Cond == nil {
-		t.Fatalf("learned model not condensed: %d points, cond %+v",
-			learned.Model.Len(), learned.Model.Cond)
 	}
 	var buf bytes.Buffer
 	if err := SaveModel(&buf, cfg, learned); err != nil {
@@ -293,15 +316,11 @@ func TestModelSaveLoadRoundTripCondensed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg2.CondenseTarget != 40 || !cfg2.GateAuto {
-		t.Fatalf("loaded config lost condensation/gate fields: %+v", cfg2)
+	if !cfg2.FastKernels || !cfg2.GateAuto {
+		t.Fatalf("loaded config lost the fast-kernel/gate fields: %+v", cfg2)
 	}
-	if learned2.Model.Len() != 40 {
-		t.Fatalf("reloaded model has %d points, want 40", learned2.Model.Len())
-	}
-	if learned2.Model.Cond == nil || *learned2.Model.Cond != *learned.Model.Cond {
-		t.Fatalf("condense report lost in round-trip: %+v vs %+v",
-			learned2.Model.Cond, learned.Model.Cond)
+	if learned2.Model.Len() != learned.Model.Len() {
+		t.Fatalf("reloaded model has %d points, want %d", learned2.Model.Len(), learned.Model.Len())
 	}
 	if learned2.AutoGateThreshold != learned.AutoGateThreshold {
 		t.Fatalf("auto gate threshold %g != %g", learned2.AutoGateThreshold, learned.AutoGateThreshold)
@@ -310,30 +329,8 @@ func TestModelSaveLoadRoundTripCondensed(t *testing.T) {
 		Start: 0, End: 20 * time.Millisecond,
 		Events: synth(0, 20*time.Millisecond, []float64{1, 1, 1, 1}, 9),
 	})
-	if a, b := learned.Model.Score(q), learned2.Model.Score(q); a != b {
-		t.Fatalf("reloaded condensed model scores %g, original %g", b, a)
-	}
-}
-
-func TestValidateCatchesBadCondenseAndGateAuto(t *testing.T) {
-	for i, mutate := range []func(*Config){
-		func(c *Config) { c.CondenseTarget = -1 },
-		func(c *Config) { c.CondenseTarget = c.K }, // must exceed K
-		func(c *Config) { c.GateAutoQuantile = 1.5 },
-		func(c *Config) { c.GateAutoQuantile = -0.5 },
-	} {
-		cfg := testConfig()
-		mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
-			t.Fatalf("bad condense/gate config %d validated", i)
-		}
-	}
-	cfg := testConfig()
-	cfg.CondenseTarget = cfg.K + 1
-	cfg.GateAuto = true
-	cfg.GateAutoQuantile = 0.95
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("good condense/gate config rejected: %v", err)
+	if a, b := learned.Model.Score(q), learned2.Model.Score(q); math.Float64bits(a) != math.Float64bits(b) {
+		t.Fatalf("reloaded fast-kernel model scores %g, original %g", b, a)
 	}
 }
 

@@ -40,7 +40,7 @@ func ExampleLearn() {
 
 // ExampleMonitor_ProcessWindow drives the §II online step window by
 // window. Any number of Monitors may share one immutable Learned — one
-// per live stream (see MultiMonitor and internal/serve).
+// per live stream (see internal/serve).
 func ExampleMonitor_ProcessWindow() {
 	cfg := core.NewConfig(mediasim.NumEventTypes)
 	cfg.IncludeRate = true

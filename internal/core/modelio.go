@@ -16,7 +16,9 @@ import (
 // configuration (distances by catalogue name) plus the reference feature
 // points. Loading re-fits the LOF model from the points, which is cheap
 // compared to shipping the index and keeps the format independent of index
-// internals.
+// internals. Keys of retired fields that older version-1 files still carry
+// (use_vptree, seed, condense_target, condense) are ignored: such a file
+// scores its saved points like any other.
 type modelFile struct {
 	Version       int     `json:"version"`
 	NumTypes      int     `json:"num_types"`
@@ -30,17 +32,9 @@ type modelFile struct {
 	MergeLambda   float64 `json:"merge_lambda"`
 	Smoothing     float64 `json:"smoothing"`
 	IncludeRate   bool    `json:"include_rate"`
-	Seed          int64   `json:"seed"`
 	RateScale     float64 `json:"rate_scale"`
 	RefWindows    int     `json:"ref_windows"`
 	MeanCount     float64 `json:"mean_count"`
-
-	// Condensation (all zero-valued for uncondensed models, keeping old
-	// files loadable): the saved points are the already-condensed set, so
-	// re-fitting on load is a condensation no-op; the target is kept so
-	// the reload re-enables the fast KL-family kernels.
-	CondenseTarget int                 `json:"condense_target,omitempty"`
-	Condense       *lof.CondenseReport `json:"condense,omitempty"`
 
 	// FastKernels records the Config.FastKernels opt-in so a reloaded
 	// model scores through the same (fast, approximate) kernels it was
@@ -89,12 +83,9 @@ func SaveModel(w io.Writer, cfg Config, l *Learned) error {
 		MergeLambda:       cfg.MergeLambda,
 		Smoothing:         cfg.Smoothing,
 		IncludeRate:       cfg.IncludeRate,
-		Seed:              cfg.Seed,
 		RateScale:         l.Featurizer.RateScale,
 		RefWindows:        l.RefWindows,
 		MeanCount:         l.MeanCount,
-		CondenseTarget:    cfg.CondenseTarget,
-		Condense:          l.Model.Cond,
 		FastKernels:       cfg.FastKernels,
 		GateAuto:          cfg.GateAuto,
 		GateAutoQuantile:  cfg.GateAutoQuantile,
@@ -140,8 +131,6 @@ func LoadModel(r io.Reader) (Config, *Learned, error) {
 		MergeLambda:      mf.MergeLambda,
 		Smoothing:        mf.Smoothing,
 		IncludeRate:      mf.IncludeRate,
-		Seed:             mf.Seed,
-		CondenseTarget:   mf.CondenseTarget,
 		GateAuto:         mf.GateAuto,
 		GateAutoQuantile: mf.GateAutoQuantile,
 		FastKernels:      mf.FastKernels,
@@ -149,22 +138,11 @@ func LoadModel(r io.Reader) (Config, *Learned, error) {
 	if err := cfg.Validate(); err != nil {
 		return Config{}, nil, fmt.Errorf("core: model file config: %w", err)
 	}
-	// The saved points are the post-condensation set, so re-fitting with
-	// the same target is a no-op selection that still re-enables the fast
-	// kernels; kdist/lrd are recomputed exactly as the original fit did.
-	model, err := lof.Fit(mf.Points, mf.K, lofDist, lof.FitOptions{
-		Seed:           mf.Seed,
-		CondenseTarget: mf.CondenseTarget,
-		FastKernels:    mf.FastKernels,
-	})
+	// kdist/lrd are recomputed from the saved points exactly as the
+	// original fit did.
+	model, err := lof.Fit(mf.Points, mf.K, lofDist, lof.FitOptions{FastKernels: mf.FastKernels})
 	if err != nil {
 		return Config{}, nil, fmt.Errorf("core: refitting model: %w", err)
-	}
-	if mf.Condense != nil {
-		// Keep the learn-time accuracy report: the reload cannot recompute
-		// it (the dropped originals are gone) and Fit's no-op condensation
-		// leaves Cond nil.
-		model.Cond = mf.Condense
 	}
 	learned := &Learned{
 		Model: model,

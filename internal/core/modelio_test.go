@@ -103,6 +103,11 @@ func TestLoadModelErrorPaths(t *testing.T) {
 			mutate:  func(doc map[string]any) { doc["points"] = zeroWidthPoints(doc) },
 			wantSub: []string{"refitting model", "dimension 0"},
 		},
+		{
+			name:    "overflowing-points",
+			mutate:  func(doc map[string]any) { doc["points"] = overflowingPoints(doc) },
+			wantSub: []string{"refitting model", "reference set too small for K", "finite distance"},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -140,23 +145,35 @@ func zeroWidthPoints(doc map[string]any) [][]float64 {
 	return rows
 }
 
+// overflowingPoints is K+1 one-hot rows of 1e308 as wide as doc's points:
+// every distance between two of them overflows to +Inf, so no point has a
+// neighbour k-NN selection can rank.
+func overflowingPoints(doc map[string]any) [][]float64 {
+	dim := len(doc["points"].([]any)[0].([]any))
+	rows := make([][]float64, int(doc["k"].(float64))+1)
+	for i := range rows {
+		rows[i] = make([]float64, dim)
+		rows[i][i%dim] = 1e308
+	}
+	return rows
+}
+
 // FuzzLoadModel feeds arbitrary bytes to the model-file loader, seeded
-// with a saved model and a file whose points have no dimensions. A file
-// it rejects must come back as an error, never a panic; a file it accepts
+// with a saved model, a file whose points have no dimensions and one whose
+// points are all at an infinite distance from each other. A file it
+// rejects must come back as an error, never a panic; a file it accepts
 // must save, and that file must load and save again to the same bytes.
 func FuzzLoadModel(f *testing.F) {
 	doc := savedModelJSON(f)
-	good, err := json.Marshal(doc)
-	if err != nil {
-		f.Fatal(err)
+	points := doc["points"]
+	for _, pts := range []any{points, zeroWidthPoints(doc), overflowingPoints(doc)} {
+		doc["points"] = pts
+		seed, err := json.Marshal(doc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
 	}
-	f.Add(good)
-	doc["points"] = zeroWidthPoints(doc)
-	zeroWidth, err := json.Marshal(doc)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(zeroWidth)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg, learned, err := LoadModel(bytes.NewReader(data))
@@ -219,51 +236,67 @@ func TestLoadModelFileNamesPath(t *testing.T) {
 }
 
 // TestLoadModelIgnoresRetiredIndexKey: version-1 files written while the
-// index was selectable still carry "use_vptree". SaveModel no longer writes
-// the key, and a file that has it — set, on a metric LOF distance, where it
-// once selected the tree — loads to the same configuration and scores bit
-// for bit like the same file without it (the two indexes always agreed).
+// index was selectable still carry "use_vptree", and files written while
+// reference-set condensation existed carry "seed", "condense_target" and
+// "condense". SaveModel no longer writes these keys, and a file that has
+// them loads to the same configuration and scores bit for bit like the
+// same file without them — on the exact path, since fast_kernels is unset
+// — on a metric LOF distance, where use_vptree once selected the tree, and
+// on the KL family, where a condense target once switched on the fast
+// kernels.
 func TestLoadModelIgnoresRetiredIndexKey(t *testing.T) {
-	doc := savedModelJSON(t)
-	if _, ok := doc["use_vptree"]; ok {
-		t.Fatal("SaveModel still writes use_vptree")
-	}
-	doc["lof_distance"] = "hellinger"
-	load := func() (*Learned, []byte) {
-		raw, err := json.Marshal(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg, learned, err := LoadModel(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var resaved bytes.Buffer
-		if err := SaveModel(&resaved, cfg, learned); err != nil {
-			t.Fatal(err)
-		}
-		return learned, resaved.Bytes()
-	}
-	fresh, freshSaved := load()
-	doc["use_vptree"] = true
-	old, oldSaved := load()
-
-	if !bytes.Equal(oldSaved, freshSaved) {
-		t.Fatal("a model file with use_vptree set re-saves differently from one without it")
-	}
-	for i := 0; i < fresh.Model.Len(); i++ {
-		if a, b := old.Model.ScoreTrain(i), fresh.Model.ScoreTrain(i); math.Float64bits(a) != math.Float64bits(b) {
-			t.Fatalf("train score %d: %v with the old key, %v without", i, a, b)
-		}
+	retired := map[string]any{
+		"use_vptree":      true,
+		"seed":            7,
+		"condense_target": 40,
+		"condense":        map[string]any{"original_n": 100, "kept_n": 40, "train_p50": 1.1, "train_p90": 1.3, "train_p95": 1.5, "train_p99": 2},
 	}
 	ws, err := window.Collect(trace.NewSliceReader(perturbedRun()), testConfig().NewWindower())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range ws {
-		q := fresh.Featurizer.Features(w)
-		if a, b := old.Model.Score(q), fresh.Model.Score(q); math.Float64bits(a) != math.Float64bits(b) {
-			t.Fatalf("window %d: LOF %v with the old key, %v without", w.Index, a, b)
+	for _, dist := range []string{"hellinger", "symkl"} {
+		doc := savedModelJSON(t)
+		for key := range retired {
+			if _, ok := doc[key]; ok {
+				t.Fatalf("SaveModel still writes %s", key)
+			}
+		}
+		doc["lof_distance"] = dist
+		load := func() (*Learned, []byte) {
+			raw, err := json.Marshal(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg, learned, err := LoadModel(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var resaved bytes.Buffer
+			if err := SaveModel(&resaved, cfg, learned); err != nil {
+				t.Fatal(err)
+			}
+			return learned, resaved.Bytes()
+		}
+		fresh, freshSaved := load()
+		for key, v := range retired {
+			doc[key] = v
+		}
+		old, oldSaved := load()
+
+		if !bytes.Equal(oldSaved, freshSaved) {
+			t.Fatalf("%s: a model file with the retired keys re-saves differently from one without them", dist)
+		}
+		for i := 0; i < fresh.Model.Len(); i++ {
+			if a, b := old.Model.ScoreTrain(i), fresh.Model.ScoreTrain(i); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("%s: train score %d: %v with the retired keys, %v without", dist, i, a, b)
+			}
+		}
+		for _, w := range ws {
+			q := fresh.Featurizer.Features(w)
+			if a, b := old.Model.Score(q), fresh.Model.Score(q); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("%s: window %d: LOF %v with the retired keys, %v without", dist, w.Index, a, b)
+			}
 		}
 	}
 }

@@ -68,14 +68,6 @@ type Config struct {
 	// vectors so that pure rate collapses remain visible (extension;
 	// the gate always works on the pmf prefix).
 	IncludeRate bool
-	// Seed picks condensation's starting point.
-	Seed int64
-	// CondenseTarget, when positive, condenses the learned reference set
-	// down to at most that many points by farthest-point sampling (see
-	// lof.FitOptions.CondenseTarget), shrinking the per-trip LOF cost from
-	// O(ref windows) to O(target). Zero (the default) keeps every
-	// reference window and bit-exact scoring.
-	CondenseTarget int
 	// GateAuto derives GateThreshold from the reference trace instead of
 	// the fixed value: Learn replays the gate over the reference windows
 	// and takes the GateAutoQuantile quantile of the observed distances,
@@ -125,28 +117,24 @@ func (c Config) Validate() error {
 	if c.K <= 0 {
 		return fmt.Errorf("core: K must be positive, got %d", c.K)
 	}
-	if c.Alpha < 1 {
+	// The float checks test for the valid range and negate it, so that NaN,
+	// which fails every comparison, is rejected.
+	if !(c.Alpha >= 1) {
 		return fmt.Errorf("core: Alpha must be >= 1, got %g", c.Alpha)
 	}
-	if c.GateThreshold < 0 {
+	if !(c.GateThreshold >= 0) {
 		return fmt.Errorf("core: GateThreshold must be >= 0, got %g", c.GateThreshold)
 	}
-	if c.MergeLambda <= 0 || c.MergeLambda > 1 {
+	if !(c.MergeLambda > 0 && c.MergeLambda <= 1) {
 		return fmt.Errorf("core: MergeLambda %g outside (0,1]", c.MergeLambda)
 	}
-	if c.Smoothing < 0 {
+	if !(c.Smoothing >= 0) {
 		return fmt.Errorf("core: Smoothing must be >= 0, got %g", c.Smoothing)
 	}
 	if c.GateDistance.F == nil || c.LOFDistance.F == nil {
 		return errors.New("core: nil distance function")
 	}
-	if c.CondenseTarget < 0 {
-		return fmt.Errorf("core: CondenseTarget must be >= 0, got %d", c.CondenseTarget)
-	}
-	if c.CondenseTarget > 0 && c.CondenseTarget <= c.K {
-		return fmt.Errorf("core: CondenseTarget %d must exceed K %d", c.CondenseTarget, c.K)
-	}
-	if q := c.GateAutoQuantile; q != 0 && (q <= 0 || q >= 1) {
+	if q := c.GateAutoQuantile; q != 0 && !(q > 0 && q < 1) {
 		return fmt.Errorf("core: GateAutoQuantile %g outside (0,1)", q)
 	}
 	return nil
@@ -187,7 +175,7 @@ type Decision struct {
 // reusable featurization/scoring buffers that make steady-state window
 // processing allocation-free) over an immutable shared Learned. It is not
 // safe for concurrent use; run one Monitor per trace stream — any number
-// of Monitors may share one Learned (see MultiMonitor).
+// of Monitors may share one Learned (serve runs one per connection).
 type Monitor struct {
 	cfg           Config
 	feat          pmf.Featurizer
@@ -378,8 +366,7 @@ func (m *Monitor) Snapshot() Snapshot {
 type Learned struct {
 	Model      *lof.Model
 	Featurizer pmf.Featurizer
-	// RefWindows is the number of reference windows the model was fitted
-	// on (before condensation).
+	// RefWindows is the number of reference windows the model was fitted on.
 	RefWindows int
 	// MeanCount is the mean event count per reference window (the rate
 	// feature's scale).
@@ -419,11 +406,7 @@ func Learn(cfg Config, r trace.Reader) (*Learned, error) {
 	for i, w := range ws {
 		points[i] = feat.Features(w)
 	}
-	model, err := lof.Fit(points, cfg.K, cfg.LOFDistance, lof.FitOptions{
-		Seed:           cfg.Seed,
-		CondenseTarget: cfg.CondenseTarget,
-		FastKernels:    cfg.FastKernels,
-	})
+	model, err := lof.Fit(points, cfg.K, cfg.LOFDistance, lof.FitOptions{FastKernels: cfg.FastKernels})
 	if err != nil {
 		return nil, err
 	}

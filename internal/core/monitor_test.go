@@ -11,11 +11,12 @@ import (
 	"enduratrace/internal/window"
 )
 
-// TestMultiMonitorMatchesSingle drives N concurrent streams over one
-// shared Learned (run under -race in CI) and checks that every stream's
-// decisions are identical to a fresh single-stream monitor's: per-stream
-// state is isolated, the shared model is never written.
-func TestMultiMonitorMatchesSingle(t *testing.T) {
+// TestMonitorsShareLearned drives N Monitors concurrently over one shared
+// Learned, one goroutine each, the way serve runs one per connection (run
+// under -race in CI), and checks that every stream's books are identical
+// to a fresh monitor's run serially: per-stream state is isolated, the
+// shared model is never written.
+func TestMonitorsShareLearned(t *testing.T) {
 	cfg := testConfig()
 	ref := synth(0, 2*time.Second, refWeights, 1)
 	learned, err := Learn(cfg, trace.NewSliceReader(ref))
@@ -46,60 +47,31 @@ func TestMultiMonitorMatchesSingle(t *testing.T) {
 		want[i] = stats
 	}
 
-	mm, err := NewMultiMonitor(cfg, learned, streams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mm.Streams() != streams || mm.Learned() != learned {
-		t.Fatalf("MultiMonitor shape wrong: %d streams", mm.Streams())
-	}
-	readers := make([]trace.Reader, streams)
+	got := make([]RunStats, streams)
+	errs := make([]error, streams)
+	var wg sync.WaitGroup
 	for i, run := range runs {
-		readers[i] = trace.NewSliceReader(run)
-	}
-	results, err := mm.RunAll(readers, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range results {
-		if res.Err != nil {
-			t.Fatalf("stream %d: %v", i, res.Err)
+		mon, err := NewMonitor(cfg, learned)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if res.Stats != want[i] {
-			t.Fatalf("stream %d diverged from single-stream run:\n got %+v\nwant %+v", i, res.Stats, want[i])
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = mon.Run(trace.NewSliceReader(run), nil, nil)
+		}()
+	}
+	wg.Wait()
+	for i := range runs {
+		if errs[i] != nil {
+			t.Fatalf("stream %d: %v", i, errs[i])
 		}
-		if res.Stats.Anomalies == 0 {
+		if got[i] != want[i] {
+			t.Fatalf("stream %d diverged from the serial run:\n got %+v\nwant %+v", i, got[i], want[i])
+		}
+		if got[i].Anomalies == 0 {
 			t.Fatalf("stream %d detected nothing", i)
 		}
-	}
-	windows, trips, _, anoms := mm.Stats()
-	var wantW, wantT, wantA int
-	for _, s := range want {
-		wantW += s.Windows
-		wantT += s.GateTrips
-		wantA += s.Anomalies
-	}
-	if windows != wantW || trips != wantT || anoms != wantA {
-		t.Fatalf("aggregate stats %d/%d/%d, want %d/%d/%d", windows, trips, anoms, wantW, wantT, wantA)
-	}
-}
-
-func TestMultiMonitorRejectsBadShapes(t *testing.T) {
-	cfg := testConfig()
-	ref := synth(0, time.Second, refWeights, 1)
-	learned, err := Learn(cfg, trace.NewSliceReader(ref))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewMultiMonitor(cfg, learned, 0); err == nil {
-		t.Fatal("NewMultiMonitor accepted 0 streams")
-	}
-	mm, err := NewMultiMonitor(cfg, learned, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mm.RunAll(make([]trace.Reader, 1), nil); err == nil {
-		t.Fatal("RunAll accepted a reader/stream mismatch")
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 //     symkl, jsd), removing every (jsd: half the) math.Log calls from the
 //     per-row inner loop. It is approximate in the last ulps (log(p/q) !=
 //     log p - log q in floating point) and backs the opt-in approximate
-//     paths: FastKernels models and condensed reference sets.
+//     path: models fitted with FastKernels.
 //   - FilterRows runs the same kernels over float32 logs and returns, with
 //     the approximate distances, a proven bound on their error — the
 //     filter half of the exact k-NN's filter-and-refine (lof.BruteIndex).
@@ -72,9 +72,8 @@ type logTable[T float32 | float64] struct {
 	negent []float64 // per row i: Σ_j row_ij · log(max(row_ij, eps)); nil when jsd is not served
 }
 
-// LogRows is the float64 log table behind the opt-in approximate paths:
-// models fitted with FastKernels and condensed reference sets, which are
-// approximate by construction. The default exact path uses FilterRows.
+// LogRows is the float64 log table behind the opt-in approximate path:
+// models fitted with FastKernels. The default exact path uses FilterRows.
 type LogRows = logTable[float64]
 
 // NewLogRows builds the log table over a flat row-major matrix. The matrix

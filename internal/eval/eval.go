@@ -119,7 +119,7 @@ func (o Options) Validate() error {
 		return fmt.Errorf("eval: RefDuration %v must be positive", o.RefDuration)
 	case o.RunDuration <= 0:
 		return fmt.Errorf("eval: RunDuration %v must be positive", o.RunDuration)
-	case o.Factor < 1:
+	case !(o.Factor >= 1): // negated so that NaN fails
 		return fmt.Errorf("eval: Factor %g must be >= 1", o.Factor)
 	case o.Slack < 0 || o.Warmup < 0:
 		return fmt.Errorf("eval: Slack and Warmup must be >= 0")

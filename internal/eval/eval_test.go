@@ -2,6 +2,7 @@ package eval
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 	"time"
 )
@@ -131,6 +132,8 @@ func TestValidateRejectsBadOptions(t *testing.T) {
 		func(o *Options) { o.RefDuration = 0 },
 		func(o *Options) { o.RunDuration = -time.Second },
 		func(o *Options) { o.Factor = 0.5 },
+		func(o *Options) { o.Factor = math.NaN() },
+		func(o *Options) { o.Core.Alpha = math.NaN() },
 		func(o *Options) { o.Slack = -time.Second },
 		func(o *Options) { o.RunSeedOffset = 0 },
 	}

@@ -28,9 +28,7 @@ func benchPoints(n, dim int, seed int64) [][]float64 {
 }
 
 // benchmarkScore measures Scorer.Score — the monitoring hot path, run on
-// every gate trip — for one index/distance/condensation combination. The
-// before/after comparison for the flat-matrix refactor is the uncondensed
-// Brute* numbers vs the Condensed* numbers at the same n.
+// every gate trip — for one distance/kernel combination.
 func benchmarkScore(b *testing.B, n int, d distance.Distance, opts FitOptions) {
 	const dim = 26 // mediasim pmf (25 event types) + rate feature
 	pts := benchPoints(n, dim, 1)
@@ -55,17 +53,6 @@ func BenchmarkScoreBruteSymKL1000(b *testing.B) {
 
 func BenchmarkScoreBruteSymKL3000(b *testing.B) {
 	benchmarkScore(b, 3000, distance.Must("symkl"), FitOptions{})
-}
-
-// BenchmarkScoreCondensedSymKL1000 is the headline hot-path number: the
-// same 1000-point reference set condensed to 200 rows, scored through the
-// flat fast-KL kernels. Compare against BenchmarkScoreBruteSymKL1000.
-func BenchmarkScoreCondensedSymKL1000(b *testing.B) {
-	benchmarkScore(b, 1000, distance.Must("symkl"), FitOptions{CondenseTarget: 200, Seed: 1})
-}
-
-func BenchmarkScoreCondensedSymKL3000(b *testing.B) {
-	benchmarkScore(b, 3000, distance.Must("symkl"), FitOptions{CondenseTarget: 200, Seed: 1})
 }
 
 func BenchmarkScoreBruteL21000(b *testing.B) {
@@ -101,17 +88,3 @@ func BenchmarkFitBruteSymKL1000(b *testing.B) { benchmarkFitBrute(b, 1000) }
 // default learn produces; it is what setup_s pays twice (Learn, then the
 // refit in LoadModelFile).
 func BenchmarkFitBruteSymKL3000(b *testing.B) { benchmarkFitBrute(b, 3000) }
-
-// BenchmarkFitCondensedSymKL1000 measures fit with condensation: the FPS
-// pass costs O(target·n) row-kernel distances, but the kNN stage then
-// runs on target rows with the fast kernels.
-func BenchmarkFitCondensedSymKL1000(b *testing.B) {
-	pts := benchPoints(1000, 26, 1)
-	d := distance.Must("symkl")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Fit(pts, 20, d, FitOptions{CondenseTarget: 200, Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

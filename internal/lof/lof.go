@@ -32,10 +32,6 @@ type Model struct {
 	K    int
 	Dist distance.Distance
 
-	// Cond describes the fit-time reference-set condensation, nil when
-	// condensation was disabled or was a no-op.
-	Cond *CondenseReport
-
 	n, dim int
 	flat   []float64 // n×dim row-major reference matrix
 
@@ -47,37 +43,25 @@ type Model struct {
 }
 
 // ErrTooFewPoints is returned when the reference set cannot support K
-// neighbours per point.
+// neighbours per point: fewer than K+1 points, or a point with fewer than
+// K others at a finite distance.
 var ErrTooFewPoints = errors.New("lof: reference set too small for K")
 
 // FitOptions tunes model construction.
 type FitOptions struct {
-	// Seed picks condensation's starting point (ignored without
-	// condensation).
-	Seed int64
-	// CondenseTarget, when positive, condenses the reference set down to
-	// at most that many rows by farthest-point sampling before fitting,
-	// recomputing k-distance and lrd on the condensed set; it must exceed
-	// K. Condensation also enables the fast (approximate) KL-family row
-	// kernels on the index — the condensed model is approximate by
-	// construction, and Model.Cond reports the train-score quantiles of
-	// the full original set so the accuracy loss is visible. Zero keeps
-	// every point and the bit-exact kernels.
-	CondenseTarget int
 	// FastKernels enables the precomputed-log KL-family row kernels
-	// (distance.LogRows) on the index even without condensation. They are
-	// approximate — within ~1e-9 relative of the exact kernels — and about
-	// twice as fast as the default exact path, which runs the same kernels
-	// over float32 logs as a filter and the exact distance on the few rows
-	// the filter cannot rule out. No-op for distances outside the KL family
-	// (kl, symkl, jsd).
+	// (distance.LogRows) on the index. They are approximate — within ~1e-9
+	// relative of the exact kernels — and about twice as fast as the default
+	// exact path, which runs the same kernels over float32 logs as a filter
+	// and the exact distance on the few rows the filter cannot rule out.
+	// No-op for distances outside the KL family (kl, symkl, jsd).
 	FastKernels bool
 }
 
 // Fit builds a LOF model over the reference points with neighbourhood size
-// k. points must contain at least k+1 vectors of equal dimension. The
-// point data is copied into the model's flat matrix; the input slice is
-// not retained.
+// k. points must contain at least k+1 vectors of equal dimension, and each
+// must have k others at a finite distance. The point data is copied into
+// the model's flat matrix; the input slice is not retained.
 func Fit(points [][]float64, k int, d distance.Distance, opts FitOptions) (*Model, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("lof: K must be positive, got %d", k)
@@ -99,31 +83,9 @@ func Fit(points [][]float64, k int, d distance.Distance, opts FitOptions) (*Mode
 		copy(flat[i*dim:(i+1)*dim], p)
 	}
 
-	var cond *CondenseReport
-	var keep []int
-	origFlat, origN := flat, len(points)
-	if opts.CondenseTarget > 0 {
-		if opts.CondenseTarget <= k {
-			return nil, fmt.Errorf("lof: CondenseTarget %d must exceed K %d", opts.CondenseTarget, k)
-		}
-		if opts.CondenseTarget < origN {
-			keep = farthestPointIndices(flat, origN, dim, opts.CondenseTarget, d, opts.Seed)
-			if len(keep) <= k {
-				return nil, fmt.Errorf("%w: condensation kept %d distinct points, K=%d",
-					ErrTooFewPoints, len(keep), k)
-			}
-			condensed := make([]float64, len(keep)*dim)
-			for i, src := range keep {
-				copy(condensed[i*dim:(i+1)*dim], flat[src*dim:(src+1)*dim])
-			}
-			flat = condensed
-			cond = &CondenseReport{OriginalN: origN, KeptN: len(keep)}
-		}
-	}
-
-	m := &Model{K: k, Dist: d, Cond: cond, n: len(flat) / dim, dim: dim, flat: flat}
+	m := &Model{K: k, Dist: d, n: len(points), dim: dim, flat: flat}
 	m.index = NewBruteIndex(flat, dim, d)
-	if opts.CondenseTarget > 0 || opts.FastKernels {
+	if opts.FastKernels {
 		m.index.EnableFastKernels()
 	}
 
@@ -135,18 +97,19 @@ func Fit(points [][]float64, k int, d distance.Distance, opts FitOptions) (*Mode
 	var s Scratch
 	for i := 0; i < n; i++ {
 		nb := m.index.KNN(m.Row(i), k, i, &s)
+		if len(nb) < k {
+			// k-NN selection never ranks a +Inf or NaN distance.
+			return nil, fmt.Errorf("%w: point %d has %d neighbours at a finite distance, K=%d",
+				ErrTooFewPoints, i, len(nb), k)
+		}
 		copy(nbrs[i*k:(i+1)*k], nb)
-		m.kdist[i] = nb[len(nb)-1].Dist
+		m.kdist[i] = nb[k-1].Dist
 	}
 	for i := 0; i < n; i++ {
 		m.lrd[i] = m.lrdOf(nbrs[i*k : (i+1)*k])
 	}
 	for i := 0; i < n; i++ {
 		m.train[i] = m.ratioMean(nbrs[i*k:(i+1)*k], m.lrd[i])
-	}
-
-	if cond != nil {
-		cond.fillQuantiles(m, origFlat, origN, keep)
 	}
 	return m, nil
 }
@@ -272,5 +235,5 @@ func (m *Model) PointRows() [][]float64 {
 // Dim returns the dimensionality of the reference points.
 func (m *Model) Dim() int { return m.dim }
 
-// Len returns the number of reference points (after condensation).
+// Len returns the number of reference points.
 func (m *Model) Len() int { return m.n }

@@ -58,6 +58,40 @@ func TestTooFewPoints(t *testing.T) {
 	}
 }
 
+// TestFitRejectsUnrankableNeighbours: k-NN selection never ranks a +Inf or
+// NaN distance, so a point with fewer than K others at a finite distance
+// has no K-distance. Fit must say so rather than index an empty neighbour
+// list or book phantom zero-distance neighbours.
+func TestFitRejectsUnrankableNeighbours(t *testing.T) {
+	// One-hot rows of 1e308: every pairwise distance overflows.
+	oneHot := make([][]float64, 6)
+	for i := range oneHot {
+		oneHot[i] = make([]float64, 4)
+		oneHot[i][i%4] = 1e308
+	}
+	for _, tc := range []struct {
+		dist string
+		opts FitOptions
+	}{
+		{"l2", FitOptions{}},
+		{"symkl", FitOptions{}},
+		{"symkl", FitOptions{FastKernels: true}},
+	} {
+		if _, err := Fit(oneHot, 5, distance.Must(tc.dist), tc.opts); !errors.Is(err, ErrTooFewPoints) {
+			t.Fatalf("%s %+v over overflowing rows: err = %v, want ErrTooFewPoints", tc.dist, tc.opts, err)
+		}
+	}
+	// Two far points see each other but nothing else: one finite
+	// neighbour where K = 2 needs two.
+	far := [][]float64{{0, 0}, {0, 1}, {0, 2}, {1e308, 0}, {1e308, 1}}
+	if _, err := Fit(far, 2, l2(), FitOptions{}); !errors.Is(err, ErrTooFewPoints) {
+		t.Fatalf("a point with 1 finite neighbour, K=2: err = %v, want ErrTooFewPoints", err)
+	}
+	if _, err := Fit(far, 1, l2(), FitOptions{}); err != nil {
+		t.Fatalf("every point has 1 finite neighbour, K=1: %v", err)
+	}
+}
+
 func TestFitRejectsBadInput(t *testing.T) {
 	if _, err := Fit([][]float64{{1}, {2}}, 0, l2(), FitOptions{}); err == nil {
 		t.Fatal("Fit accepted k=0")

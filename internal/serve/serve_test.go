@@ -311,7 +311,7 @@ func TestGracefulShutdownFlushesSinks(t *testing.T) {
 
 // TestDropOldestBackpressure force-feeds a tiny queue with a paused scorer
 // by holding many events hostage... simpler: QueueLen 16 with DropOldest
-// and a fast sender on a slow (condensed-free) model still drops under
+// and a fast sender on a slow (exact-kernel) model still drops under
 // load; assert the drop counter surfaces and the books stay consistent
 // (scored + dropped == ingested).
 func TestDropOldestBackpressure(t *testing.T) {

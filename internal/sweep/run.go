@@ -43,7 +43,7 @@ type learnKey struct {
 // learnEntry is the once-guarded slot of one shared model: the first
 // worker to need the key learns it, concurrent workers for other cells
 // block on the Once and then monitor their own streams against the same
-// in-memory model — the MultiMonitor pattern applied to the sweep.
+// in-memory model, as serve runs one Monitor per stream over one Learned.
 type learnEntry struct {
 	once sync.Once
 	l    *core.Learned

@@ -63,18 +63,20 @@ func TestJobsDeterministicAndUnique(t *testing.T) {
 	}
 }
 
+// badGrids each break one rule of Grid.Validate.
+var badGrids = []func(*Grid){
+	func(g *Grid) { g.Distances = nil },
+	func(g *Grid) { g.Seeds = nil },
+	func(g *Grid) { g.Distances = []string{"nope"} },
+	func(g *Grid) { g.Distances = []string{"l2", "l2"} },
+	func(g *Grid) { g.Alphas = []float64{2, 2} },
+	func(g *Grid) { g.Ks = []int{0} },
+	func(g *Grid) { g.Ks = []int{20, 20} },
+	func(g *Grid) { g.Seeds = []int64{1, 1} },
+}
+
 func TestValidateRejectsBadGrids(t *testing.T) {
-	bad := []func(*Grid){
-		func(g *Grid) { g.Distances = nil },
-		func(g *Grid) { g.Seeds = nil },
-		func(g *Grid) { g.Distances = []string{"nope"} },
-		func(g *Grid) { g.Distances = []string{"l2", "l2"} },
-		func(g *Grid) { g.Alphas = []float64{2, 2} },
-		func(g *Grid) { g.Ks = []int{0} },
-		func(g *Grid) { g.Ks = []int{20, 20} },
-		func(g *Grid) { g.Seeds = []int64{1, 1} },
-	}
-	for i, mutate := range bad {
+	for i, mutate := range badGrids {
 		g := DefaultGrid(2)
 		mutate(&g)
 		if err := g.Validate(); err == nil {
