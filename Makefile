@@ -40,7 +40,9 @@ bench:
 	$(GO) run ./cmd/enduratrace sweep -seeds 3 -out BENCH_sweep.json
 
 # Microbenchmarks for the monitoring hot path: LOF scoring and fitting
-# (exact filter-and-refine vs FastKernels), the distance
+# (exact filter-and-refine vs FastKernels), scoring the default
+# experiment's tripped windows against its learned model with the exact
+# kernel calls per query (BenchmarkScoreDefaultModel), the distance
 # row/gate kernels, frame decode (per-event vs batched), the monitor's
 # per-window cost, the alerting pipeline (quiet/flapping Observe fast
 # paths, full fire→resolve emission, dedup hits, key encoding), the
@@ -54,5 +56,5 @@ bench:
 # `bench -compare` over bench/run.sh reports (see bench/README.md).
 microbench:
 	$(GO) test -run '^$$' -bench . -benchtime 20x -benchmem \
-		./internal/lof ./internal/distance ./internal/core \
+		./internal/lof ./internal/eval ./internal/distance ./internal/core \
 		./internal/traceio ./internal/alert ./internal/anomalystore ./internal/obs | tee BENCH_micro.txt

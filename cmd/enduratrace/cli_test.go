@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -115,12 +116,46 @@ func TestSimLearnMonitor(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "-pre and -post must be >= 0") {
 		t.Fatalf("monitor -pre -1: %v, want a refusal", err)
 	}
+
+	// Only -alpha 0 keeps the model's threshold; any other value must be a
+	// valid one, on the trace and the store path alike.
+	store := filepath.Join(dir, "store")
+	if err := os.Mkdir(store, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, alpha := range []string{"-1", "NaN", "0.5"} {
+		for _, c := range []struct {
+			name string
+			cmd  func([]string) error
+			args []string
+		}{
+			{"monitor", cmdMonitor, []string{"-in", run, "-model", model}},
+			{"replay -in", cmdReplay, []string{"-in", run, "-model", model}},
+			{"replay -store", cmdReplay, []string{"-store", store, "-model", model}},
+		} {
+			err := c.cmd(append(c.args, "-alpha", alpha))
+			if err == nil || !strings.Contains(err.Error(), "Alpha must be >= 1") {
+				t.Fatalf("%s -alpha %s: %v, want a refusal", c.name, alpha, err)
+			}
+		}
+	}
+
+	// A compression level flate refuses leaves no recording file behind.
+	rec := filepath.Join(dir, "r.etrc")
+	err = cmdMonitor([]string{"-in", run, "-model", model, "-rec", rec, "-compress", "42"})
+	if err == nil || !strings.Contains(err.Error(), "compression level 42") {
+		t.Fatalf("monitor -compress 42: %v, want a refusal", err)
+	}
+	if _, err := os.Stat(rec); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("monitor -compress 42 left %s behind: %v", rec, err)
+	}
 }
 
 // TestServeRegistry pins serve's model precedence: -models refuses
-// -alpha, a -model file loads with -alpha overriding its threshold, and a
-// missing -model file is an error — nothing is learned in its place. The
-// loopback harness flags are gone from the command line.
+// -alpha, a -model file loads with a valid -alpha overriding its threshold
+// and refuses an invalid one, and a missing -model file is an error —
+// nothing is learned in its place. The loopback harness flags are gone
+// from the command line.
 func TestServeRegistry(t *testing.T) {
 	dir := t.TempDir()
 	ref, models := filepath.Join(dir, "ref.etrc"), filepath.Join(dir, "models")
@@ -161,6 +196,12 @@ func TestServeRegistry(t *testing.T) {
 		}
 		if nm.Cfg.Alpha != want {
 			t.Fatalf("-alpha %g: served alpha %g, want %g", alpha, nm.Cfg.Alpha, want)
+		}
+	}
+
+	for _, alpha := range []float64{-1, math.NaN()} {
+		if _, err := serveRegistry("", "", model, alpha); err == nil || !strings.Contains(err.Error(), "Alpha must be >= 1") {
+			t.Fatalf("-model with -alpha %g: %v, want a refusal", alpha, err)
 		}
 	}
 

@@ -18,7 +18,7 @@ func cmdMonitor(args []string) error {
 	compress := fs.Int("compress", -1, "flate level for -rec (-1 = no compression)")
 	pre := fs.Int("pre", 0, "context windows to record before each anomaly")
 	post := fs.Int("post", 0, "context windows to record after each anomaly")
-	alpha := fs.Float64("alpha", 0, "override the model's LOF threshold (0 = keep)")
+	alpha := fs.Float64("alpha", 0, "override the model's LOF threshold, >= 1 (0 = keep)")
 	jsonOut := fs.Bool("json", false, "print run statistics as JSON on stdout")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -35,7 +35,7 @@ func cmdMonitor(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *alpha > 0 {
+	if *alpha != 0 { // validated with the rest of cfg
 		cfg.Alpha = *alpha
 	}
 
@@ -46,19 +46,12 @@ func cmdMonitor(args []string) error {
 	defer closer()
 
 	var sink recorder.Sink = recorder.NewNullSink()
-	closeRec := func() error { return nil }
 	if *rec != "" {
-		f, err := os.Create(*rec)
+		fsink, err := recorder.NewFileSink(*rec, *compress)
 		if err != nil {
 			return err
 		}
-		closeRec = f.Close
-		ss, err := recorder.NewStreamSink(f, *compress)
-		if err != nil {
-			f.Close()
-			return err
-		}
-		sink = ss
+		sink = fsink
 	}
 	if *pre > 0 || *post > 0 {
 		sink = recorder.NewContextSink(sink, *pre, *post)
@@ -69,9 +62,6 @@ func cmdMonitor(args []string) error {
 		return err
 	}
 	if err := sink.Close(); err != nil {
-		return err
-	}
-	if err := closeRec(); err != nil {
 		return err
 	}
 

@@ -23,7 +23,7 @@ func cmdReplay(args []string) error {
 	modelIn := fs.String("model", "", "single learned model file to replay against")
 	modelsDir := fs.String("models", "", "directory of model JSON files; every model in it is replayed (overrides -model)")
 	defaultModel := fs.String("default-model", "", "registry default when -models holds several (accepted for symmetry with serve; replay scores with every model)")
-	alpha := fs.Float64("alpha", 0, "what-if LOF threshold overriding every model's own (0 = keep each model's alpha)")
+	alpha := fs.Float64("alpha", 0, "what-if LOF threshold overriding every model's own, >= 1 (0 = keep each model's alpha)")
 	out := fs.String("out", "", "also write the JSON report to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -46,11 +46,14 @@ func cmdReplay(args []string) error {
 
 // replayModels assembles the model list: every model of a -models
 // directory, or the single -model file (named after the path convention
-// serve uses).
+// serve uses). A non-zero alpha becomes every model's threshold, validated
+// with the rest of its Cfg when the model is replayed.
 func replayModels(modelsDir, defaultModel, modelFile string, alpha float64) ([]*core.NamedModel, error) {
-	if modelsDir != "" {
-		models, err := core.LoadModelDirAll(modelsDir)
-		if err != nil {
+	var models []*core.NamedModel
+	switch {
+	case modelsDir != "":
+		var err error
+		if models, err = core.LoadModelDirAll(modelsDir); err != nil {
 			return nil, err
 		}
 		if defaultModel != "" { // put the named model first in the report
@@ -61,19 +64,21 @@ func replayModels(modelsDir, defaultModel, modelFile string, alpha float64) ([]*
 				}
 			}
 		}
-		return models, nil
-	}
-	if modelFile == "" {
+	case modelFile == "":
 		return nil, fmt.Errorf("replay: one of -models and -model is required")
+	default:
+		cfg, learned, err := core.LoadModelFile(modelFile)
+		if err != nil {
+			return nil, err
+		}
+		models = []*core.NamedModel{{Name: "default", Cfg: cfg, Learned: learned}}
 	}
-	cfg, learned, err := core.LoadModelFile(modelFile)
-	if err != nil {
-		return nil, err
+	if alpha != 0 {
+		for _, nm := range models {
+			nm.Cfg.Alpha = alpha
+		}
 	}
-	if alpha > 0 {
-		cfg.Alpha = alpha
-	}
-	return []*core.NamedModel{{Name: "default", Cfg: cfg, Learned: learned}}, nil
+	return models, nil
 }
 
 // replayStore re-scores a captured incident store against every model.

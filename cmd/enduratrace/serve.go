@@ -45,7 +45,7 @@ func cmdServe(args []string) error {
 	alertTimeout := fs.Duration("alert-timeout", 0, "alerting: per-delivery timeout (0 = default 10s)")
 	queue := fs.Int("queue", 1024, "per-stream bounded event queue length")
 	bp := fs.String("backpressure", "block", "full-queue policy: block (TCP backpressure) or drop-oldest")
-	alpha := fs.Float64("alpha", 0, "override the model's LOF threshold (0 = keep; single-model only)")
+	alpha := fs.Float64("alpha", 0, "override the model's LOF threshold, >= 1 (0 = keep; single-model only)")
 	logFormat := fs.String("log-format", "text", "daemon log format on stderr: text or json (both timestamped)")
 	pprof := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the admin listener")
 	flightEvery := fs.Int("flight-every", 0, "flight recorder: sample every Nth event per stream (0 = default 256, negative = disable)")
@@ -208,10 +208,10 @@ func cmdServe(args []string) error {
 
 // serveRegistry assembles the model registry the daemon serves from: an
 // explicit -models directory (hot-reloadable) takes precedence over a
-// single -model file, whose threshold alpha (when > 0) overrides.
+// single -model file, whose threshold a non-zero alpha overrides.
 func serveRegistry(modelsDir, defaultModel, modelFile string, alpha float64) (*core.ModelRegistry, error) {
 	if modelsDir != "" {
-		if alpha > 0 {
+		if alpha != 0 {
 			return nil, fmt.Errorf("serve: -alpha cannot override a -models registry; set alpha per model file")
 		}
 		return core.LoadModelDir(modelsDir, defaultModel)
@@ -220,7 +220,7 @@ func serveRegistry(modelsDir, defaultModel, modelFile string, alpha float64) (*c
 	if err != nil {
 		return nil, err
 	}
-	if alpha > 0 {
+	if alpha != 0 { // validated by the registry with the rest of cfg
 		cfg.Alpha = alpha
 	}
 	return core.NewModelRegistry("", &core.NamedModel{Name: "default", Cfg: cfg, Learned: learned})

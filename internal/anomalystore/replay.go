@@ -79,9 +79,11 @@ type ReplayReport struct {
 }
 
 // Replay re-scores every incident in the store at dir against each given
-// model and classifies the outcomes. alphaOverride > 0 replaces every
-// model's own threshold — the threshold what-if knob: replay the same
-// evidence under a candidate alpha without touching production.
+// model and classifies the outcomes. A non-zero alphaOverride replaces
+// every model's own threshold — the threshold what-if knob: replay the
+// same evidence under a candidate alpha without touching production. It
+// is validated as each model's Alpha, so a value below 1 or NaN is an
+// error.
 func Replay(dir string, models []*core.NamedModel, alphaOverride float64) (*ReplayReport, error) {
 	if len(models) == 0 {
 		return nil, fmt.Errorf("anomalystore: replay needs at least one model")
@@ -92,7 +94,7 @@ func Replay(dir string, models []*core.NamedModel, alphaOverride float64) (*Repl
 	}
 
 	rep := &ReplayReport{Name: "enduratrace-replay", Store: dir}
-	if alphaOverride > 0 {
+	if alphaOverride != 0 {
 		a := alphaOverride
 		rep.AlphaOverride = &a
 	}
@@ -105,14 +107,15 @@ func Replay(dir string, models []*core.NamedModel, alphaOverride float64) (*Repl
 	cells := make([]cell, len(models))
 	rep.Models = make([]ModelReplay, len(models))
 	for i, nm := range models {
-		mon, err := core.NewMonitor(nm.Cfg, nm.Learned)
+		cfg := nm.Cfg
+		if alphaOverride != 0 {
+			cfg.Alpha = alphaOverride
+		}
+		mon, err := core.NewMonitor(cfg, nm.Learned)
 		if err != nil {
 			return nil, fmt.Errorf("anomalystore: replay model %q: %w", nm.Name, err)
 		}
 		alpha := mon.Alpha()
-		if alphaOverride > 0 {
-			alpha = alphaOverride
-		}
 		rep.Models[i] = ModelReplay{Model: nm.Name, Alpha: alpha}
 		cells[i] = cell{mon: mon, alpha: alpha, out: &rep.Models[i]}
 	}

@@ -19,9 +19,9 @@ import (
 // float32-log filter. Any kernel, index or selection change that moves one
 // bit of one score fails here.
 //
-// On the same data it guards the filter's selectivity, at fit and at run
-// time: a bound loose enough to refine more than a tenth of the rows would
-// stay correct and silently give the speed back.
+// On the same data it guards the refine's cost, at fit and at run time:
+// more than 3·K exact kernel calls a query would stay correct and silently
+// give the speed back.
 func TestDefaultEvalGolden(t *testing.T) {
 	const wantLOFHash = "9b8f1a52527779a91751620f3edc228657d5a8ff92738256526d068f0a4a7e82"
 	opts := DefaultOptions()
@@ -69,10 +69,10 @@ func TestDefaultEvalGolden(t *testing.T) {
 		if filtered != queries*m.Len() {
 			t.Errorf("%s: %d rows filtered, want %d queries x %d rows", when, filtered, queries, m.Len())
 		}
-		if refined*10 > filtered {
-			t.Errorf("%s: %d of %d filtered rows refined, want at most a tenth", when, refined, filtered)
+		if refined > 3*m.K*queries {
+			t.Errorf("%s: %d exact kernel calls over %d queries, want at most 3·K = %d a query", when, refined, queries, 3*m.K)
 		}
-		t.Logf("%s: %.1f of %d rows refined per query", when, float64(refined)/float64(queries), m.Len())
+		t.Logf("%s: %.1f exact kernel calls per query over %d rows", when, float64(refined)/float64(queries), m.Len())
 	}
 	filtered, refined := sc.FilterStats()
 	assertPrunes("run", filtered, refined, trips/8)

@@ -15,27 +15,28 @@ type Neighbor struct {
 
 // Scratch holds the reusable buffers of one k-NN/scoring goroutine: the
 // row-kernel distance output, the bounded selection heap, the sorted
-// neighbour result, and the query-log buffer of the KL-family log-table
-// paths. Buffers grow on first use and are reused afterwards, so
-// steady-state queries allocate nothing. A Scratch must not be shared
-// between goroutines.
+// neighbour result, the query-log buffer of the KL-family log-table
+// paths, and the exact KL-family path's lazy heap. Buffers grow on first
+// use and are reused afterwards, so steady-state queries allocate
+// nothing. A Scratch must not be shared between goroutines.
 type Scratch struct {
 	dists []float64
 	heap  neighborHeap
 	out   []Neighbor
 	qlogs []float64
-	// The exact KL-family path: the bounded heap over the filter's
-	// approximate distances, and how many rows it filtered and how many of
-	// those it had to refine with the exact kernel.
-	filt              neighborHeap
-	filtered, refined int
+	lazy  lazyHeap
+	// filtered counts the rows the exact KL-family path ran through its
+	// filter; the lazy heap counts its exact kernel calls.
+	filtered int
 }
 
 // FilterStats returns how many reference rows the exact KL-family k-NN
-// has run through its float32-log filter on this scratch, and how many of
-// those the filter could not rule out and the exact kernel refined. Both
-// stay zero on every other path.
-func (s *Scratch) FilterStats() (filtered, refined int) { return s.filtered, s.refined }
+// has run through its float32-log filter on this scratch, and how many
+// exact kernel calls its refine made: one for each row it had to resolve,
+// that is every neighbour it returned and every other row whose filter
+// interval could not decide a heap comparison (see refine). Both stay
+// zero on every other path.
+func (s *Scratch) FilterStats() (filtered, refined int) { return s.filtered, s.lazy.calls }
 
 func (s *Scratch) floats(n int) []float64 {
 	if cap(s.dists) < n {
@@ -150,8 +151,9 @@ func (h *neighborHeap) drainSorted(dst []Neighbor) []Neighbor {
 // non-metric KL family).
 //
 // For the KL family the pass is the float32-log filter and the exact
-// distance runs only on the rows the filter cannot rule out (see refine);
-// the result is bit-identical to the full exact scan.
+// distance runs only where the filter's error bound cannot decide a heap
+// comparison (see refine); the result is bit-identical to the full exact
+// scan.
 type BruteIndex struct {
 	flat   []float64
 	dim    int
@@ -209,36 +211,6 @@ func (b *BruteIndex) KNN(q []float64, k, skip int, s *Scratch) []Neighbor {
 	}
 	b.fillDists(q, s, dists)
 	return selectK(dists, k, skip, s)
-}
-
-// refine returns what selectK would over the exact distances, computing
-// the exact distance only where it can matter. approx[i] is within eps of
-// row i's exact distance. selectK pushes row i iff its exact distance is
-// below the k-th smallest among the rows before it; that k-th smallest is
-// at most T+eps, T being the k-th smallest approximate distance among the
-// same rows, so every row selectK pushes has approx[i] < T+2·eps. Walking
-// the rows in the same order and offering exactly those to the exact heap
-// under selectK's own test reproduces its pushes one for one — ties at the
-// k-th distance and the heap-history order of equal distances included.
-func (b *BruteIndex) refine(q, approx []float64, eps float64, k, skip int, s *Scratch) []Neighbor {
-	h, ha := s.heap.reset(k), s.filt.reset(k)
-	for i, a := range approx {
-		if i == skip {
-			continue
-		}
-		// Negated so that a NaN on either side refines instead of pruning.
-		if !(a > ha.worst()+2*eps) {
-			s.refined++
-			if e := b.dist.F(q, b.flat[i*b.dim:(i+1)*b.dim]); e < h.worst() {
-				h.push(Neighbor{Idx: i, Dist: e})
-			}
-		}
-		if a < ha.worst() {
-			ha.push(Neighbor{Dist: a})
-		}
-	}
-	s.filtered += len(approx)
-	return h.drainSorted(s.neighborBuf(len(h.items)))
 }
 
 // fillDists writes the distance from q to every reference row into dists

@@ -30,8 +30,12 @@ type FileSink struct {
 }
 
 // NewFileSink creates path (truncating) and returns a sink recording to it
-// with the binary trace codec; compressLevel as in NewStreamSink.
+// with the binary trace codec; compressLevel as in NewStreamSink. An
+// invalid level is refused before path is created.
 func NewFileSink(path string, compressLevel int) (*FileSink, error) {
+	if err := checkCompressLevel(compressLevel); err != nil {
+		return nil, err
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
@@ -101,8 +105,12 @@ func SanitizeStreamID(id string) string {
 // NewDirFactory returns a factory recording each stream to
 // <dir>/<sanitized-id>.etrc (".etrc.fz" when compressed). The directory is
 // created if missing; a second stream sanitising to the same filename gets
-// a numeric suffix rather than clobbering the first.
+// a numeric suffix rather than clobbering the first. An invalid
+// compressLevel is refused here, before dir is created.
 func NewDirFactory(dir string, compressLevel int) (SinkFactory, error) {
+	if err := checkCompressLevel(compressLevel); err != nil {
+		return nil, err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}

@@ -128,6 +128,24 @@ func TestFileSinkFlushOnClose(t *testing.T) {
 	}
 }
 
+// TestBadCompressLevelCreatesNothing: a level flate refuses fails before
+// the sink's file, or the factory's directory, exists.
+func TestBadCompressLevelCreatesNothing(t *testing.T) {
+	dir := t.TempDir()
+	path, sub := filepath.Join(dir, "s.etrc.fz"), filepath.Join(dir, "rec")
+	if _, err := NewFileSink(path, 42); err == nil {
+		t.Fatal("NewFileSink accepted level 42")
+	}
+	if _, err := NewDirFactory(sub, 10); err == nil {
+		t.Fatal("NewDirFactory accepted level 10")
+	}
+	for _, p := range []string{path, sub} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Fatalf("%s exists after a refused level: %v", p, err)
+		}
+	}
+}
+
 func TestNullFactory(t *testing.T) {
 	s, err := NullFactory()("whatever")
 	if err != nil {

@@ -114,6 +114,15 @@ type StreamSink struct {
 	closed  bool
 }
 
+// checkCompressLevel rejects a compressLevel NewStreamSink would, before
+// anything is created on disk for the sink.
+func checkCompressLevel(level int) error {
+	if level > flate.BestCompression {
+		return fmt.Errorf("recorder: compression level %d out of range (< 0 for none, 0..%d)", level, flate.BestCompression)
+	}
+	return nil
+}
+
 // NewStreamSink creates a sink writing to w. compressLevel < 0 disables
 // compression; otherwise it is a flate level (1..9, or 0 for no
 // compression but flate framing).
