@@ -67,6 +67,21 @@ func TestSimLearnMonitor(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A value the model file cannot encode is refused before anything is
+	// learned, and the model already at -model keeps every byte.
+	saved, err := os.ReadFile(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, flag := range [][]string{{"-alpha", "Inf"}, {"-gate-threshold", "Inf"}, {"-smoothing", "Inf"}} {
+		if err := cmdLearn(append([]string{"-in", ref, "-model", model}, flag...)); err == nil || !strings.Contains(err.Error(), "finite") {
+			t.Fatalf("learn %v: %v, want a finite-value error", flag, err)
+		}
+		if now, err := os.ReadFile(model); err != nil || string(now) != string(saved) {
+			t.Fatalf("learn %v changed the existing model file (%d bytes, was %d; %v)", flag, len(now), len(saved), err)
+		}
+	}
+
 	// A model file from before the flags went still carries their keys;
 	// the report over it must be the report over the fresh file.
 	raw, err := os.ReadFile(model)

@@ -68,6 +68,10 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		func(c *Config) { c.GateThreshold = math.NaN() },
 		func(c *Config) { c.MergeLambda = math.NaN() },
 		func(c *Config) { c.Smoothing = math.NaN() },
+		// The model file is JSON, which has no +Inf.
+		func(c *Config) { c.Alpha = math.Inf(1) },
+		func(c *Config) { c.GateThreshold = math.Inf(1) },
+		func(c *Config) { c.Smoothing = math.Inf(1) },
 	}
 	for i, mutate := range bad {
 		cfg := testConfig()

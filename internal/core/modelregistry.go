@@ -246,18 +246,38 @@ func (r *ModelRegistry) Reload() (ReloadReport, error) {
 
 // SaveModelFile writes one model to path with SaveModel semantics — the
 // write-side counterpart of LoadModelFile, used to populate model
-// directories.
+// directories. The model goes to a temporary file beside path, which is
+// synced and then renamed over path: a failed save leaves whatever path
+// held, and a reload never reads a half-written model. The temporary name
+// does not end in .json, so LoadModelDir skips it.
 func SaveModelFile(path string, cfg Config, l *Learned) error {
-	f, err := os.Create(path)
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("core: model %s: %w", path, err)
 	}
-	if err := SaveModel(f, cfg, l); err != nil {
+	if err := writeModelFile(f, cfg, l); err != nil {
 		f.Close()
+		os.Remove(f.Name())
 		return fmt.Errorf("core: model %s: %w", path, err)
 	}
-	if err := f.Close(); err != nil {
+	if err := os.Rename(f.Name(), path); err != nil {
+		os.Remove(f.Name())
 		return fmt.Errorf("core: model %s: %w", path, err)
 	}
 	return nil
+}
+
+// writeModelFile writes the model into the new file f and closes it,
+// making it readable as os.Create's files are under the usual umask.
+func writeModelFile(f *os.File, cfg Config, l *Learned) error {
+	if err := f.Chmod(0o644); err != nil {
+		return err
+	}
+	if err := SaveModel(f, cfg, l); err != nil {
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	return f.Close()
 }

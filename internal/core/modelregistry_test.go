@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -91,6 +92,46 @@ func writeModelDir(t *testing.T, dir string, models ...*NamedModel) {
 		if err := SaveModelFile(filepath.Join(dir, m.Name+".json"), m.Cfg, m.Learned); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestSaveModelFileKeepsOldOnFailure: a save that fails to encode leaves
+// the file it would have replaced byte for byte, and no temporary file.
+func TestSaveModelFileKeepsOldOnFailure(t *testing.T) {
+	a, _ := learnTwo(t)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "a.json")
+	if err := SaveModelFile(path, a.Cfg, a.Learned); err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := a.Cfg
+	bad.Alpha = math.Inf(1) // Validate refuses it; SaveModel's JSON cannot encode it
+	if err := SaveModelFile(path, bad, a.Learned); err == nil {
+		t.Fatal("saving a +Inf alpha succeeded")
+	}
+	if now, err := os.ReadFile(path); err != nil || string(now) != string(old) {
+		t.Fatalf("failed save changed the old file (%d bytes, was %d; %v)", len(now), len(old), err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("directory holds %v after the failed save, want only a.json", names)
+	}
+	if err := SaveModelFile(path, a.Cfg, a.Learned); err != nil {
+		t.Fatal(err)
+	}
+	if now, err := os.ReadFile(path); err != nil || string(now) != string(old) {
+		t.Fatalf("re-saving the same model changed its bytes (%v)", err)
 	}
 }
 

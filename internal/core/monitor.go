@@ -82,10 +82,10 @@ type Config struct {
 	// quantile like 0.99 only catches regime edges).
 	GateAutoQuantile float64
 	// FastKernels opts the LOF index into the precomputed-log KL-family
-	// row kernels (see lof.FitOptions.FastKernels): about twice as fast
-	// per score as the bit-exact default (which filters through float32
-	// logs), approximate within ~1e-9 relative of the exact kernels. No-op
-	// for non-KL-family LOF distances.
+	// row kernels (see lof.FitOptions.FastKernels): on the default model
+	// no more than ≈ 1.2× as fast per score as the bit-exact default, and
+	// approximate within ~1e-9 relative of the exact kernels. No-op for
+	// non-KL-family LOF distances.
 	FastKernels bool
 }
 
@@ -118,18 +118,19 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: K must be positive, got %d", c.K)
 	}
 	// The float checks test for the valid range and negate it, so that NaN,
-	// which fails every comparison, is rejected.
-	if !(c.Alpha >= 1) {
-		return fmt.Errorf("core: Alpha must be >= 1, got %g", c.Alpha)
+	// which fails every comparison, is rejected. The upper bounds keep +Inf
+	// out: the model file, JSON, cannot encode it.
+	if !(c.Alpha >= 1 && c.Alpha <= math.MaxFloat64) {
+		return fmt.Errorf("core: Alpha must be >= 1 and finite, got %g", c.Alpha)
 	}
-	if !(c.GateThreshold >= 0) {
-		return fmt.Errorf("core: GateThreshold must be >= 0, got %g", c.GateThreshold)
+	if !(c.GateThreshold >= 0 && c.GateThreshold <= math.MaxFloat64) {
+		return fmt.Errorf("core: GateThreshold must be >= 0 and finite, got %g", c.GateThreshold)
 	}
 	if !(c.MergeLambda > 0 && c.MergeLambda <= 1) {
 		return fmt.Errorf("core: MergeLambda %g outside (0,1]", c.MergeLambda)
 	}
-	if !(c.Smoothing >= 0) {
-		return fmt.Errorf("core: Smoothing must be >= 0, got %g", c.Smoothing)
+	if !(c.Smoothing >= 0 && c.Smoothing <= math.MaxFloat64) {
+		return fmt.Errorf("core: Smoothing must be >= 0 and finite, got %g", c.Smoothing)
 	}
 	if c.GateDistance.F == nil || c.LOFDistance.F == nil {
 		return errors.New("core: nil distance function")

@@ -17,9 +17,10 @@ import (
 //     per-row inner loop. It is approximate in the last ulps (log(p/q) !=
 //     log p - log q in floating point) and backs the opt-in approximate
 //     path: models fitted with FastKernels.
-//   - FilterRows runs the same kernels over float32 logs and returns, with
-//     the approximate distances, a proven bound on their error — the
-//     filter half of the exact k-NN's filter-and-refine (lof.BruteIndex).
+//   - FilterRows runs the same kernels over float32 logs, one row at a
+//     time, with a proven bound on their error and, for symkl, a prefix
+//     test that abandons a row once it cannot matter — the filter half of
+//     the exact k-NN's filter-and-refine (lof.BruteIndex).
 
 // RowsFunc computes the distance from q to each row of the flat row-major
 // matrix rows (len(rows) must be a multiple of dim) and writes the i-th
@@ -134,52 +135,83 @@ func QueryLogs(q, qlogs []float64) {
 }
 
 // KLRows writes out[i] ≈ KL(q ‖ row_i) using the precomputed logs. qlogs
-// must come from QueryLogs(q, ...). The inner loop is a branch-free
+// must come from QueryLogs(q, ...).
+func (t *logTable[T]) KLRows(q, qlogs, out []float64) {
+	checkRows(q, t.rows, t.dim, out)
+	for i := range out {
+		out[i] = t.klRow(q, qlogs, i)
+	}
+}
+
+// klRow is KLRows' value for row i. The inner loop is a branch-free
 // multiply-add: a zero q component contributes pj·diff = ±0, which leaves
 // every IEEE partial sum unchanged, so skipping the old pj > 0 test is
 // value-identical and lets the loop pipeline.
-func (t *logTable[T]) KLRows(q, qlogs, out []float64) {
-	checkRows(q, t.rows, t.dim, out)
-	dim := t.dim
-	for i := range out {
-		base := i * dim
-		logs := t.logs[base : base+dim]
-		var d float64
-		for j, pj := range q {
-			d += pj * (qlogs[j] - float64(logs[j]))
-		}
-		if d < 0 {
-			d = 0
-		}
-		out[i] = d
+func (t *logTable[T]) klRow(q, qlogs []float64, i int) float64 {
+	logs := t.logs[i*t.dim : (i+1)*t.dim]
+	var d float64
+	for j, pj := range q {
+		d += pj * (qlogs[j] - float64(logs[j]))
 	}
+	if d < 0 {
+		d = 0
+	}
+	return d
 }
 
 // SymKLRows writes out[i] ≈ symKL(q, row_i) using the precomputed logs;
 // both KL directions are clamped at zero separately, matching the scalar
-// kernel's convention. qlogs must come from QueryLogs(q, ...). Branch-free
-// like KLRows: zero components add exact ±0 to either accumulator.
+// kernel's convention. qlogs must come from QueryLogs(q, ...).
 func (t *logTable[T]) SymKLRows(q, qlogs, out []float64) {
 	checkRows(q, t.rows, t.dim, out)
-	dim := t.dim
 	for i := range out {
-		base := i * dim
-		row := t.rows[base : base+dim]
-		logs := t.logs[base : base+dim]
-		var fwd, rev float64
-		for j, pj := range q {
-			diff := qlogs[j] - float64(logs[j])
-			fwd += pj * diff
-			rev -= row[j] * diff
-		}
-		if fwd < 0 {
-			fwd = 0
-		}
-		if rev < 0 {
-			rev = 0
-		}
-		out[i] = fwd + rev
+		out[i], _ = t.symKLRow(q, qlogs, i, math.NaN())
 	}
+}
+
+// symKLRow is SymKLRows' value for row i, unless it abandons the row:
+// after every 4 components, while components remain unread, it stops once
+// the sum of its two accumulators reaches stop, and returns that prefix
+// sum. read is the number of components it read, so read < dim exactly
+// when it abandoned. A NaN stop abandons nothing. Branch-free like klRow
+// in between: zero components add exact ±0 to either accumulator, and the
+// checks leave the accumulators, so the value, untouched.
+func (t *logTable[T]) symKLRow(q, qlogs []float64, i int, stop float64) (d float64, read int) {
+	dim := t.dim
+	row := t.rows[i*dim : (i+1)*dim]
+	logs := t.logs[i*dim : (i+1)*dim]
+	var fwd, rev float64
+	j := 0
+	for ; j+4 < dim; j += 4 {
+		q4, ql4, r4, l4 := q[j:j+4:j+4], qlogs[j:j+4:j+4], row[j:j+4:j+4], logs[j:j+4:j+4]
+		diff := ql4[0] - float64(l4[0])
+		fwd += q4[0] * diff
+		rev -= r4[0] * diff
+		diff = ql4[1] - float64(l4[1])
+		fwd += q4[1] * diff
+		rev -= r4[1] * diff
+		diff = ql4[2] - float64(l4[2])
+		fwd += q4[2] * diff
+		rev -= r4[2] * diff
+		diff = ql4[3] - float64(l4[3])
+		fwd += q4[3] * diff
+		rev -= r4[3] * diff
+		if fwd+rev >= stop {
+			return fwd + rev, j + 4
+		}
+	}
+	for ; j < dim; j++ {
+		diff := qlogs[j] - float64(logs[j])
+		fwd += q[j] * diff
+		rev -= row[j] * diff
+	}
+	if fwd < 0 {
+		fwd = 0
+	}
+	if rev < 0 {
+		rev = 0
+	}
+	return fwd + rev, dim
 }
 
 // QueryNegEntropy returns Σ_j q_j · log(max(q_j, eps)) — the per-query
@@ -208,25 +240,28 @@ func QueryNegEntropy(q []float64) float64 {
 // identical query and row give an exact 0.
 func (t *logTable[T]) JSDRows(q []float64, qent float64, out []float64) {
 	checkRows(q, t.rows, t.dim, out)
-	dim := t.dim
 	for i := range out {
-		base := i * dim
-		row := t.rows[base : base+dim]
-		var ment float64
-		for j, pj := range q {
-			m := 0.5 * (pj + row[j])
-			lm := m
-			if lm < eps {
-				lm = eps
-			}
-			ment += m * math.Log(lm)
-		}
-		d := 0.5*qent + 0.5*t.negent[i] - ment
-		if d < 0 {
-			d = 0
-		}
-		out[i] = d
+		out[i] = t.jsdRow(q, qent, i)
 	}
+}
+
+// jsdRow is JSDRows' value for row i.
+func (t *logTable[T]) jsdRow(q []float64, qent float64, i int) float64 {
+	row := t.rows[i*t.dim : (i+1)*t.dim]
+	var ment float64
+	for j, pj := range q {
+		m := 0.5 * (pj + row[j])
+		lm := m
+		if lm < eps {
+			lm = eps
+		}
+		ment += m * math.Log(lm)
+	}
+	d := 0.5*qent + 0.5*t.negent[i] - ment
+	if d < 0 {
+		d = 0
+	}
+	return d
 }
 
 // FastRowsFor reports whether the precomputed-log kernels apply to d:
@@ -240,7 +275,7 @@ func FastRowsFor(name string) bool {
 // FilterRows is the filter half of the exact k-NN's filter-and-refine: the
 // logTable kernels over a table small enough to keep beside every model
 // (kl/symkl: float32 logs, half a LogRows; jsd: the n row negentropies
-// only), plus what Rows needs to bound their error against the exact
+// only), plus what Prepare needs to bound their error against the exact
 // kernels. The bound is derived in DESIGN.md, "Exact k-NN through a
 // float32 log filter".
 type FilterRows struct {
@@ -293,25 +328,53 @@ func NewFilterRows(rows []float64, dim int, name string) *FilterRows {
 	return f
 }
 
-// Rows writes out[i] ≈ d(q, row_i) and returns ε(q) such that
-// |out[i] − RowsOf(d)'s out[i]| ≤ ε(q) for every row. qlogs is a dim-sized
-// buffer Rows overwrites. A query outside the proof's domain (a negative,
-// non-finite or denormal-range component) gets ε = +Inf: the filter then
-// claims nothing and the caller refines every row.
-func (f *FilterRows) Rows(q, qlogs, out []float64) float64 {
-	QueryLogs(q, qlogs)
-	switch f.name {
-	case "kl":
-		f.t.KLRows(q, qlogs, out)
-	case "symkl":
-		f.t.SymKLRows(q, qlogs, out)
-	default:
-		var qent float64
-		for j, x := range q {
-			qent += x * qlogs[j]
-		}
-		f.t.JSDRows(q, qent, out)
+// FilterQuery is one query prepared against a FilterRows by Prepare: the
+// query, its logs and, for jsd, its negentropy, with the error bound
+// ε(q) of every filter distance to it. It holds the per-query state of a
+// filter pass so that the FilterRows, shared by every goroutine of a
+// model, stays read-only; its buffer grows on first use and is reused.
+type FilterQuery struct {
+	q, logs []float64
+	ent     float64 // jsd: Σ_j q_j · log(max(q_j, eps))
+	// Eps is ε(q): |Row's distance − the exact row kernel's| ≤ Eps for
+	// every row Row reads in full. +Inf outside the proof's domain.
+	Eps float64
+	// margin is how far a symkl prefix must clear a cut for the row to be
+	// abandoned (see Stop); NaN, which abandons nothing, for kl, jsd and
+	// an unbounded query.
+	margin float64
+}
+
+// Prepare readies fq for Row calls over f's rows with query q, which it
+// retains until the next Prepare. It panics when len(q) is not the table's
+// dimension. A query outside the proof's domain (a negative, non-finite or
+// denormal-range component) gets Eps = +Inf: the filter then claims
+// nothing, abandons nothing, and the caller refines every row.
+func (f *FilterRows) Prepare(q []float64, fq *FilterQuery) {
+	dim := f.t.dim
+	if len(q) != dim {
+		panic(fmt.Sprintf("distance: query dimension %d != row dimension %d", len(q), dim))
 	}
+	if cap(fq.logs) < dim {
+		fq.logs = make([]float64, dim)
+	}
+	fq.q, fq.logs = q, fq.logs[:dim]
+	QueryLogs(q, fq.logs)
+	fq.ent = 0
+	if f.name == "jsd" {
+		for j, x := range q {
+			fq.ent += x * fq.logs[j]
+		}
+	}
+	fq.Eps, fq.margin = f.bound(q, fq.logs), math.NaN()
+	if f.name == "symkl" && !math.IsInf(fq.Eps, 1) {
+		fq.margin = 2 * fq.Eps
+	}
+}
+
+// bound returns ε(q) for a query q with logs qlogs: +Inf outside the
+// proof's domain.
+func (f *FilterRows) bound(q, qlogs []float64) float64 {
 	maxLog, mass := f.maxLog, f.mass
 	for j, x := range q {
 		if !inFilterDomain(x) {
@@ -321,4 +384,30 @@ func (f *FilterRows) Rows(q, qlogs, out []float64) float64 {
 		maxLog = math.Max(maxLog, math.Abs(qlogs[j]))
 	}
 	return f.relErr*(maxLog+1)*mass + float64(f.t.dim)*1e-12
+}
+
+// Stop returns the stop value for Row that abandons a symkl row only once
+// its prefix proves its exact distance at or above cut: cut + 2ε, the
+// margin derived in DESIGN.md, "Early abandon". It is NaN, which abandons
+// nothing, when cut is NaN, ε is not finite, or the distance is kl or jsd,
+// whose prefixes bound nothing.
+func (fq *FilterQuery) Stop(cut float64) float64 { return cut + fq.margin }
+
+// Row returns d ≈ d(q, row i) for the query fq was prepared with, and the
+// number of the row's components it read. A symkl row may be abandoned
+// after a block of 4 components, while components remain unread, once
+// the prefix of its sum reaches stop: read < dim then, d is that prefix,
+// and if stop came from fq.Stop(cut), the row's exact distance is at or
+// above cut. kl and jsd rows are always read in full; a NaN stop
+// abandons nothing. A row read in full gets the value LogRows' kernels
+// compute over its table, within fq.Eps of the exact row kernel's.
+func (f *FilterRows) Row(fq *FilterQuery, i int, stop float64) (d float64, read int) {
+	switch f.name {
+	case "symkl":
+		return f.t.symKLRow(fq.q, fq.logs, i, stop)
+	case "kl":
+		return f.t.klRow(fq.q, fq.logs, i), f.t.dim
+	default:
+		return f.t.jsdRow(fq.q, fq.ent, i), f.t.dim
+	}
 }

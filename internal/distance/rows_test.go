@@ -207,9 +207,23 @@ func adversarialRows(rng *rand.Rand, n, dim int) []float64 {
 	return flat
 }
 
-// TestFilterRowsWithinBound checks the contract the exact k-NN's refine
-// step leans on: every filter distance is within the ε(q) that Rows
-// returns of the exact row kernel's, on sets built to stretch the gap.
+// filterRows runs f over every row, reading each in full, writes the
+// distances into out and returns ε(q).
+func filterRows(f *FilterRows, q, out []float64) float64 {
+	var fq FilterQuery
+	f.Prepare(q, &fq)
+	for i := range out {
+		out[i], _ = f.Row(&fq, i, math.NaN())
+	}
+	return fq.Eps
+}
+
+// TestFilterRowsWithinBound checks the contracts the exact k-NN's refine
+// step leans on, on sets built to stretch the gap: every filter distance
+// is within the ε(q) that Prepare returns of the exact row kernel's, and
+// every symkl prefix the filter may abandon a row at is at most ε above
+// the row's exact distance, so that the margin Stop adds (2ε) proves the
+// exact distance at or above the cut.
 func TestFilterRowsWithinBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, dim := range []int{2, 5, 26} {
@@ -219,11 +233,12 @@ func TestFilterRowsWithinBound(t *testing.T) {
 		for _, name := range []string{"kl", "symkl", "jsd"} {
 			f := NewFilterRows(rows, dim, name)
 			exact := RowsOf(Must(name))
-			got, want, qlogs := make([]float64, n), make([]float64, n), make([]float64, dim)
-			var tightest float64
+			got, want := make([]float64, n), make([]float64, n)
+			var tightest, tightestPrefix float64
+			var prefixes int
 			for k := 0; k < len(queries)/dim; k++ {
 				q := queries[k*dim : (k+1)*dim]
-				bound := f.Rows(q, qlogs, got)
+				bound := filterRows(f, q, got)
 				if math.IsInf(bound, 0) || math.IsNaN(bound) {
 					t.Fatalf("%s dim %d: in-domain query %v got bound %v", name, dim, q, bound)
 				}
@@ -236,28 +251,78 @@ func TestFilterRowsWithinBound(t *testing.T) {
 					}
 					tightest = math.Max(tightest, gap/bound)
 				}
+				var fq FilterQuery
+				f.Prepare(q, &fq)
+				if name != "symkl" {
+					if stop := fq.Stop(0); !math.IsNaN(stop) {
+						t.Fatalf("%s: stop %v, want NaN: its prefixes bound nothing", name, stop)
+					}
+					continue
+				}
+				if margin := fq.Stop(0); margin != 2*bound { //lint:ignore floateq the margin is 2ε, exactly
+					t.Fatalf("symkl dim %d: margin %v, want 2ε = %v", dim, margin, 2*bound)
+				}
+				// Walk the prefixes Row can abandon at: raising the stop just
+				// past each one returned finds the next larger, so every
+				// prefix it could stop at, at any stop, is visited.
+				for i := range want {
+					for stop := math.Inf(-1); ; {
+						p, read := f.Row(&fq, i, stop)
+						if read == dim {
+							break
+						}
+						if read%4 != 0 || !(p >= stop) {
+							t.Fatalf("symkl dim %d query %d row %d: abandoned after %d components at prefix %v, stop %v", dim, k, i, read, p, stop)
+						}
+						if !(p-bound <= want[i]) {
+							t.Fatalf("symkl dim %d query %d row %d: prefix %v after %d components exceeds exact %v by %g > ε %g",
+								dim, k, i, p, read, want[i], p-want[i], bound)
+						}
+						prefixes++
+						tightestPrefix = math.Max(tightestPrefix, (p-want[i])/bound)
+						stop = math.Nextafter(p, math.Inf(1))
+					}
+				}
 			}
-			t.Logf("%s dim %d: largest gap/bound %.3g", name, dim, tightest)
+			t.Logf("%s dim %d: largest gap/bound %.3g; %d prefixes, largest (prefix − exact)/ε %.3g",
+				name, dim, tightest, prefixes, tightestPrefix)
 		}
 	}
 }
 
 // TestFilterRowsOutsideDomain: a component the error proof does not cover,
 // in the query or anywhere in the matrix, must make the filter claim
-// nothing (ε = +Inf) rather than something unproven.
+// nothing (ε = +Inf) rather than something unproven, and abandon no row.
 func TestFilterRowsOutsideDomain(t *testing.T) {
-	good := []float64{0.2, 0, 0.8, 0.5, 0.5, 3}
-	out, qlogs := make([]float64, 2), make([]float64, 3)
+	const dim = 6 // one block of 4 with components left: a symkl row could be abandoned
+	good := []float64{0.2, 0, 0.8, 0.5, 0.5, 3, 0.1, 0.3, 0.2, 0.2, 0.1, 1}
+	out := make([]float64, 2)
 	for _, bad := range []float64{math.NaN(), math.Inf(1), -0.25, 5e-324, 1e200} {
 		for _, name := range []string{"kl", "symkl", "jsd"} {
-			q := []float64{0.5, bad, 0.5}
-			if bound := NewFilterRows(good, 3, name).Rows(q, qlogs, out); !math.IsInf(bound, 1) {
-				t.Errorf("%s: query component %v: bound %v, want +Inf", name, bad, bound)
-			}
+			q := []float64{0.5, bad, 0.5, 0, 0, 1}
 			rows := append([]float64(nil), good...)
 			rows[4] = bad
-			if bound := NewFilterRows(rows, 3, name).Rows(good[:3], qlogs, out); !math.IsInf(bound, 1) {
-				t.Errorf("%s: matrix element %v: bound %v, want +Inf", name, bad, bound)
+			for _, c := range []struct {
+				what    string
+				rows, q []float64
+			}{{"query component", good, q}, {"matrix element", rows, good[:dim]}} {
+				f := NewFilterRows(c.rows, dim, name)
+				if bound := filterRows(f, c.q, out); !math.IsInf(bound, 1) {
+					t.Errorf("%s: %s %v: bound %v, want +Inf", name, c.what, bad, bound)
+				}
+				var fq FilterQuery
+				f.Prepare(c.q, &fq)
+				for _, cut := range []float64{math.Inf(-1), 0, 1e300} {
+					stop := fq.Stop(cut)
+					if !math.IsNaN(stop) {
+						t.Errorf("%s: %s %v: stop %v at cut %v, want NaN", name, c.what, bad, stop, cut)
+					}
+					for i := range out {
+						if _, read := f.Row(&fq, i, stop); read != dim {
+							t.Errorf("%s: %s %v: row %d abandoned after %d components", name, c.what, bad, i, read)
+						}
+					}
+				}
 			}
 		}
 	}

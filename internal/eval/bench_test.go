@@ -42,15 +42,17 @@ var defaultTrips = sync.OnceValues(func() (tripsFixture, error) {
 // configuration scores: the default experiment's tripped windows against
 // Learn(DefaultOptions())'s 3 000-point model, which holds many duplicate
 // rows where lof's BenchmarkScoreBruteSymKL3000 draws uniform points with
-// none. It reports the exact kernel calls a query (exact/op).
+// none. It reports the exact kernel calls a query (exact/op) and the
+// share of the n·dim reference components the filter read (read/op).
 func BenchmarkScoreDefaultModel(b *testing.B) {
 	fx, err := defaultTrips()
 	if err != nil {
 		b.Fatal(err)
 	}
-	sc := fx.model.NewScorer()
+	m := fx.model
+	sc := m.NewScorer()
 	sc.Score(fx.queries[0]) // grow the scratch
-	_, warm := sc.FilterStats()
+	_, warm, warmRead := sc.FilterStats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink float64
@@ -58,7 +60,8 @@ func BenchmarkScoreDefaultModel(b *testing.B) {
 		sink += sc.Score(fx.queries[i%len(fx.queries)])
 	}
 	b.StopTimer()
-	_, refined := sc.FilterStats()
+	_, refined, read := sc.FilterStats()
 	b.ReportMetric(float64(refined-warm)/float64(b.N), "exact/op")
+	b.ReportMetric(float64(read-warmRead)/float64(b.N*m.Len()*m.Dim()), "read/op")
 	_ = sink
 }

@@ -20,8 +20,9 @@ import (
 // bit of one score fails here.
 //
 // On the same data it guards the refine's cost, at fit and at run time:
-// more than 3·K exact kernel calls a query would stay correct and silently
-// give the speed back.
+// more than 3·K exact kernel calls a query, or a filter reading more than
+// half the components at run time, would stay correct and silently give
+// the speed back.
 func TestDefaultEvalGolden(t *testing.T) {
 	const wantLOFHash = "9b8f1a52527779a91751620f3edc228657d5a8ff92738256526d068f0a4a7e82"
 	opts := DefaultOptions()
@@ -64,24 +65,33 @@ func TestDefaultEvalGolden(t *testing.T) {
 	}
 
 	m := learned.Model
-	assertPrunes := func(when string, filtered, refined, queries int) {
+	// rows is the rows a query runs through the filter: all of them at run
+	// time, all but the query's own at fit time.
+	assertPrunes := func(when string, rows, queries, filtered, refined, read int) {
 		t.Helper()
-		if filtered != queries*m.Len() {
-			t.Errorf("%s: %d rows filtered, want %d queries x %d rows", when, filtered, queries, m.Len())
+		if filtered != queries*rows {
+			t.Errorf("%s: %d rows filtered, want %d queries x %d rows", when, filtered, queries, rows)
 		}
 		if refined > 3*m.K*queries {
 			t.Errorf("%s: %d exact kernel calls over %d queries, want at most 3·K = %d a query", when, refined, queries, 3*m.K)
 		}
-		t.Logf("%s: %.1f exact kernel calls per query over %d rows", when, float64(refined)/float64(queries), m.Len())
+		t.Logf("%s: %.1f exact kernel calls per query over %d rows, %.3f of their components read",
+			when, float64(refined)/float64(queries), rows, float64(read)/float64(queries*rows*m.Dim()))
 	}
-	filtered, refined := sc.FilterStats()
-	assertPrunes("run", filtered, refined, trips/8)
+	filtered, refined, read := sc.FilterStats()
+	assertPrunes("run", m.Len(), trips/8, filtered, refined, read)
+	// The early abandon reads ≈ 0.32 of the components; a filter back to
+	// reading every row in full would stay correct and give the speed back.
+	if 2*read > trips/8*m.Len()*m.Dim() {
+		t.Errorf("run: the filter read %d components over %d queries, want at most ½·n·dim = %d a query",
+			read, trips/8, m.Len()*m.Dim()/2)
+	}
 
 	idx := lof.NewBruteIndex(m.Rows(), m.Dim(), opts.Core.LOFDistance)
 	var s lof.Scratch
 	for i := 0; i < m.Len(); i++ {
 		idx.KNN(m.Row(i), opts.Core.K, i, &s)
 	}
-	filtered, refined = s.FilterStats()
-	assertPrunes("fit", filtered, refined, m.Len())
+	filtered, refined, read = s.FilterStats()
+	assertPrunes("fit", m.Len()-1, m.Len(), filtered, refined, read)
 }

@@ -14,29 +14,34 @@ type Neighbor struct {
 }
 
 // Scratch holds the reusable buffers of one k-NN/scoring goroutine: the
-// row-kernel distance output, the bounded selection heap, the sorted
-// neighbour result, the query-log buffer of the KL-family log-table
-// paths, and the exact KL-family path's lazy heap. Buffers grow on first
-// use and are reused afterwards, so steady-state queries allocate
+// row-kernel distance output and query-log buffer of the other paths, the
+// bounded selection heap, the sorted neighbour result, and the exact
+// KL-family path's prepared filter query and lazy heap. Buffers grow on
+// first use and are reused afterwards, so steady-state queries allocate
 // nothing. A Scratch must not be shared between goroutines.
 type Scratch struct {
 	dists []float64
 	heap  neighborHeap
 	out   []Neighbor
 	qlogs []float64
+	fq    distance.FilterQuery
 	lazy  lazyHeap
-	// filtered counts the rows the exact KL-family path ran through its
-	// filter; the lazy heap counts its exact kernel calls.
-	filtered int
+	// filtered and read count the rows the exact KL-family path ran
+	// through its filter and the components it read of them; the lazy
+	// heap counts its exact kernel calls.
+	filtered, read int
 }
 
 // FilterStats returns how many reference rows the exact KL-family k-NN
-// has run through its float32-log filter on this scratch, and how many
-// exact kernel calls its refine made: one for each row it had to resolve,
-// that is every neighbour it returned and every other row whose filter
-// interval could not decide a heap comparison (see refine). Both stay
-// zero on every other path.
-func (s *Scratch) FilterStats() (filtered, refined int) { return s.filtered, s.lazy.calls }
+// has run through its float32-log filter on this scratch, how many exact
+// kernel calls its refine made — one for each row it had to resolve, that
+// is every neighbour it returned and every other row whose filter
+// interval could not decide a heap comparison (see refine) — and how many
+// row components the filter read, which is below rows × dim by what it
+// abandoned. All three stay zero on every other path.
+func (s *Scratch) FilterStats() (filtered, refined, read int) {
+	return s.filtered, s.lazy.calls, s.read
+}
 
 func (s *Scratch) floats(n int) []float64 {
 	if cap(s.dists) < n {
@@ -150,10 +155,10 @@ func (h *neighborHeap) drainSorted(dst []Neighbor) []Neighbor {
 // by bounded-heap selection. It accepts any dissimilarity (including the
 // non-metric KL family).
 //
-// For the KL family the pass is the float32-log filter and the exact
-// distance runs only where the filter's error bound cannot decide a heap
-// comparison (see refine); the result is bit-identical to the full exact
-// scan.
+// For the KL family the pass is the float32-log filter, run row by row
+// inside the selection, and the exact distance runs only where the
+// filter's error bound cannot decide a heap comparison (see refine); the
+// result is bit-identical to the full exact scan.
 type BruteIndex struct {
 	flat   []float64
 	dim    int
@@ -205,10 +210,10 @@ func (b *BruteIndex) KNN(q []float64, k, skip int, s *Scratch) []Neighbor {
 	if k <= 0 {
 		return nil
 	}
-	dists := s.floats(b.n)
 	if b.filter != nil {
-		return b.refine(q, dists, b.filter.Rows(q, s.logBuf(b.dim), dists), k, skip, s)
+		return b.refine(q, k, skip, s)
 	}
+	dists := s.floats(b.n)
 	b.fillDists(q, s, dists)
 	return selectK(dists, k, skip, s)
 }

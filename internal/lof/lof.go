@@ -51,9 +51,11 @@ var ErrTooFewPoints = errors.New("lof: reference set too small for K")
 type FitOptions struct {
 	// FastKernels enables the precomputed-log KL-family row kernels
 	// (distance.LogRows) on the index. They are approximate — within ~1e-9
-	// relative of the exact kernels — and about twice as fast as the default
-	// exact path, which runs the same kernels over float32 logs as a filter
-	// and the exact distance on the few rows the filter cannot rule out.
+	// relative of the exact kernels — and, on the default model's gate
+	// trips (3 000 points, dim 26), between 1× and 1.2× as fast as the
+	// default exact path, which runs the same kernels over float32 logs
+	// as a filter that abandons most rows part-way, and the exact
+	// distance on the few rows the filter cannot rule out.
 	// No-op for distances outside the KL family (kl, symkl, jsd).
 	FastKernels bool
 }
@@ -188,7 +190,7 @@ func (sc *Scorer) Score(q []float64) float64 {
 
 // FilterStats reports the scorer's running filter-and-refine counts; see
 // Scratch.FilterStats.
-func (sc *Scorer) FilterStats() (filtered, refined int) { return sc.s.FilterStats() }
+func (sc *Scorer) FilterStats() (filtered, refined, read int) { return sc.s.FilterStats() }
 
 // Score is the convenience form of Scorer.Score for one-off queries; it
 // allocates fresh scratch per call. Hot paths should hold a Scorer.

@@ -3,27 +3,41 @@ package lof
 import "math"
 
 // refine returns what selectK would over the exact distances, computing
-// an exact distance only where the filter cannot decide a comparison.
-// approx[i] is within eps of row i's exact distance. The rows go, in
-// selectK's order and under selectK's push test, into a lazy heap whose
-// every comparison has the outcome the comparison of exact distances
-// would have (see lazyHeap). By induction over its comparisons it makes
-// selectK's heap's swaps one for one, so the neighbours, their order among
-// equal distances included, are selectK's bit for bit.
+// an exact distance only where the filter cannot decide a comparison. It
+// runs the filter one row at a time: a row read in full has a filter
+// distance a within ε of its exact distance. The rows go, in selectK's
+// order and under selectK's push test, into a lazy heap whose every
+// comparison has the outcome the comparison of exact distances would have
+// (see lazyHeap). By induction over its comparisons it makes selectK's
+// heap's swaps one for one, so the neighbours, their order among equal
+// distances included, are selectK's bit for bit.
 //
-// Once the heap is full, a row whose lower bound reaches the root's upper
-// bound is skipped with one compare: that is the push test's comparison
-// decided "no", as gt would decide it.
-func (b *BruteIndex) refine(q, approx []float64, eps float64, k, skip int, s *Scratch) []Neighbor {
+// Once the heap is full, a row that the filter abandons (its prefix proves
+// its exact distance at or above the root's upper bound, see
+// distance.FilterQuery.Stop), or whose lower bound reaches that upper
+// bound, is skipped: that is the push test's comparison decided "no", as
+// gt would decide it.
+func (b *BruteIndex) refine(q []float64, k, skip int, s *Scratch) []Neighbor {
+	fq := &s.fq
+	b.filter.Prepare(q, fq)
+	eps := fq.Eps
 	if !(eps > 0) { // positive by construction; anything else claims nothing
 		eps = math.Inf(1)
 	}
 	h := s.lazy.reset(b, q, k)
-	// The root's upper bound once the heap is full. NaN until then: no
-	// comparison with it holds, so no row is skipped.
+	// The root's upper bound once the heap is full, and the filter's stop
+	// value for it. NaN until then: no comparison with either holds, so no
+	// row is skipped or abandoned.
 	cut := math.NaN()
-	for i, a := range approx {
-		if i == skip || a-eps >= cut {
+	stop := fq.Stop(cut)
+	var rows, read int
+	for i := 0; i < b.n; i++ {
+		if i == skip {
+			continue
+		}
+		a, n := b.filter.Row(fq, i, stop)
+		rows, read = rows+1, read+n
+		if n < b.dim || a-eps >= cut {
 			continue
 		}
 		x := lazyNeighbor{idx: i, v: a, r: eps}
@@ -35,9 +49,11 @@ func (b *BruteIndex) refine(q, approx []float64, eps float64, k, skip int, s *Sc
 		h.offer(x)
 		if len(h.items) == k {
 			cut = h.items[0].v + h.items[0].r
+			stop = fq.Stop(cut)
 		}
 	}
-	s.filtered += len(approx)
+	s.filtered += rows
+	s.read += read
 	return h.drainSorted(&s.heap, s.neighborBuf(len(h.items)))
 }
 

@@ -103,7 +103,9 @@ func checkNearTie(t *testing.T, name string, q, flat []float64, dim int) {
 	t.Helper()
 	d := distance.Must(name)
 	idx := NewBruteIndex(flat, dim, d)
-	eps := idx.filter.Rows(q, make([]float64, dim), make([]float64, 2))
+	var fq distance.FilterQuery
+	idx.filter.Prepare(q, &fq)
+	eps := fq.Eps
 	r0, r1 := flat[:dim], flat[dim:]
 	e0, e1 := d.F(q, r0), d.F(q, r1)
 	same := true
@@ -115,8 +117,37 @@ func checkNearTie(t *testing.T, name string, q, flat []float64, dim int) {
 	}
 	var s Scratch
 	idx.KNN(q, 1, -1, &s)
-	if _, refined := s.FilterStats(); refined != 2 {
+	if _, refined, _ := s.FilterStats(); refined != 2 {
 		t.Fatalf("%s: %d exact kernel calls for the near tie, want 2 (both sides of an undecided comparison)", name, refined)
+	}
+}
+
+// nearCut is a symkl set, dim 5, whose second row's prefix after its
+// first block of 4 components lands at or above the cut its first row
+// sets for a 1-NN query (that row's upper bound), but below the cut plus
+// the abandon margin: the row must be read in full, not abandoned on a
+// prefix that proves nothing.
+var nearCut = []byte{4, 5, 4, 209, 193, 12, 3, 7, 206, 10, 12, 7, 231, 242, 238}
+
+// checkNearCut asserts that nearCut is what it claims to be and that the
+// 1-NN query read both rows in full.
+func checkNearCut(t *testing.T) {
+	t.Helper()
+	const dim = 5
+	q, flat := decodeSet(nearCut, dim)
+	idx := NewBruteIndex(flat, dim, distance.Must("symkl"))
+	var fq distance.FilterQuery
+	idx.filter.Prepare(q, &fq)
+	a0, _ := idx.filter.Row(&fq, 0, math.NaN())
+	cut := a0 + fq.Eps
+	p, read := idx.filter.Row(&fq, 1, math.Inf(-1))
+	if read != 4 || !(p >= cut && p < fq.Stop(cut)) {
+		t.Fatalf("nearCut: prefix %v after %d components, want 4 and within [%v, %v)", p, read, cut, fq.Stop(cut))
+	}
+	var s Scratch
+	idx.KNN(q, 1, -1, &s)
+	if _, _, read := s.FilterStats(); read != 2*dim {
+		t.Fatalf("nearCut: the filter read %d components, want both rows in full (%d)", read, 2*dim)
 	}
 }
 
@@ -170,6 +201,29 @@ func TestRefineEqualsFullScan(t *testing.T) {
 			checkRefineEqualsFullScan(t, name, q, flat, nt.dim, 1)
 		}
 	}
+	checkNearCut(t)
+	q, flat := decodeSet(nearCut, 5)
+	checkRefineEqualsFullScan(t, "symkl", q, flat, 5, 1)
+}
+
+// TestKNNWrongLengthPanics: on the filter path too, a query that is not a
+// row's length panics rather than being read short or past its end.
+func TestKNNWrongLengthPanics(t *testing.T) {
+	flat := []float64{0.2, 0, 0.8, 0.5, 0.5, 3, 0.1, 0.3, 0.2, 0.2, 0.1, 1}
+	for _, name := range []string{"kl", "symkl", "jsd"} {
+		idx := NewBruteIndex(flat, 6, distance.Must(name))
+		for _, n := range []int{5, 7} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: a %d-component query against 6-component rows did not panic", name, n)
+					}
+				}()
+				var s Scratch
+				idx.KNN(make([]float64, n), 1, -1, &s)
+			}()
+		}
+	}
 }
 
 // TestRefinePrunes: on well-behaved pmfs the exact kernel must run about
@@ -187,7 +241,7 @@ func TestRefinePrunes(t *testing.T) {
 		for _, q := range pmfPoints(rng, 50, 8) {
 			sc.Score(q)
 		}
-		filtered, refined := sc.FilterStats()
+		filtered, refined, _ := sc.FilterStats()
 		if filtered != 50*1000 || refined > 50*3*m.K {
 			t.Errorf("%s: %d rows filtered, %d exact kernel calls over 50 queries, want 50000 and at most 3·K a query", name, filtered, refined)
 		}
@@ -199,8 +253,8 @@ func TestRefinePrunes(t *testing.T) {
 	}
 	sc := m.NewScorer()
 	sc.Score(pts[0])
-	if filtered, refined := sc.FilterStats(); filtered != 0 || refined != 0 {
-		t.Errorf("fast kernels: filter counted %d/%d rows, want none", refined, filtered)
+	if filtered, refined, read := sc.FilterStats(); filtered != 0 || refined != 0 || read != 0 {
+		t.Errorf("fast kernels: filter counted %d rows, %d exact calls, %d components, want none", filtered, refined, read)
 	}
 	if m.index.filter != nil {
 		t.Error("fast kernels: the filter table was kept")
@@ -218,6 +272,7 @@ func FuzzRefineEqualsFullScan(f *testing.F) {
 	f.Add([]byte{200, 146, 9, 13, 255, 130, 8, 1, 210, 145, 3, 12, 220, 7, 6, 5}, uint8(3), uint8(2), uint8(2))
 	f.Add(nearTies[0].data, uint8(3), uint8(0), uint8(1)) // symkl, dim 4, k 1
 	f.Add(nearTies[1].data, uint8(2), uint8(0), uint8(2)) // jsd, dim 3, k 1
+	f.Add(nearCut, uint8(4), uint8(0), uint8(1))          // symkl, dim 5, k 1
 	f.Fuzz(func(t *testing.T, data []byte, dimSel, kSel, distSel uint8) {
 		if len(data) > 512 {
 			data = data[:512]
