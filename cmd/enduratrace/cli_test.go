@@ -3,8 +3,10 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -232,6 +234,72 @@ func TestServeRegistry(t *testing.T) {
 		err := cmdServe(args)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
 			t.Fatalf("serve %v: %v, want an unknown-flag error", args, err)
+		}
+	}
+}
+
+// TestMain makes the test binary the command itself when runMainEnv is
+// set, so a test can observe main's exit status.
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+const runMainEnv = "ENDURATRACE_TEST_RUN_MAIN"
+
+// TestExperimentReports runs eval, soak and sweep at a small size. Each
+// must print a JSON report; soak's must be eval's for the same options,
+// as sweep.Soak promises; sweep's -out file must hold what it printed.
+func TestExperimentReports(t *testing.T) {
+	shape := []string{"-ref-duration", "2s",
+		"-perturb-first", "1s", "-perturb-period", "2s", "-perturb-duration", "1s"}
+	sweepOut := filepath.Join(t.TempDir(), "sweep.json")
+	reports := make(map[string]string)
+	for _, c := range []struct {
+		name string
+		cmd  func([]string) error
+		args []string
+	}{
+		{"eval", cmdEval, []string{"-seed", "3", "-run-duration", "4s"}},
+		{"soak", cmdSoak, []string{"-seed", "3", "-duration", "4s", "-progress-every", "1s"}},
+		{"sweep", cmdSweep, []string{"-seed-base", "3", "-seeds", "1", "-run-duration", "4s",
+			"-distances", "symkl", "-q", "-out", sweepOut}},
+	} {
+		args := append(append([]string{}, shape...), c.args...)
+		out := stdoutOf(t, c.cmd, args...)
+		var v any
+		if err := json.Unmarshal([]byte(out), &v); err != nil {
+			t.Fatalf("%s printed no JSON report: %v\n%s", c.name, err, out)
+		}
+		reports[c.name] = out
+	}
+	if reports["soak"] != reports["eval"] {
+		t.Fatalf("soak report differs from eval's for the same options:\nsoak:\n%s\neval:\n%s", reports["soak"], reports["eval"])
+	}
+	var cells []struct {
+		Distance string `json:"distance"`
+	}
+	if err := json.Unmarshal([]byte(reports["sweep"]), &cells); err != nil || len(cells) != 1 || cells[0].Distance != "symkl" {
+		t.Fatalf("sweep report %v (%v), want one symkl cell", cells, err)
+	}
+	if written, err := os.ReadFile(sweepOut); err != nil || string(written) != reports["sweep"] {
+		t.Fatalf("sweep -out holds %q (%v), want what it printed", written, err)
+	}
+}
+
+// TestRemovedSubcommands: the developer tools are tests now, not
+// subcommands; main refuses their names with exit status 2.
+func TestRemovedSubcommands(t *testing.T) {
+	for _, name := range []string{"lint", "metricslint"} {
+		cmd := exec.Command(os.Args[0], name)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), fmt.Sprintf("unknown subcommand %q", name)) {
+			t.Fatalf("enduratrace %s: %v\n%s\nwant exit status 2 and an unknown-subcommand error", name, err, out)
 		}
 	}
 }

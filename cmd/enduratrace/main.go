@@ -44,10 +44,6 @@ func main() {
 		err = cmdServe(os.Args[2:])
 	case "replay":
 		err = cmdReplay(os.Args[2:])
-	case "metricslint":
-		err = cmdMetricsLint(os.Args[2:])
-	case "lint":
-		err = cmdLint(os.Args[2:])
 	case "help", "-h", "--help":
 		usage()
 	default:
@@ -83,12 +79,6 @@ subcommands:
   replay   re-score a captured anomaly store (or a raw .etrc trace)
            against any registry model: per-incident still-detected /
            lost / new-detection verdicts, -alpha threshold what-ifs
-  metricslint  validate a Prometheus text exposition (a /metrics scrape)
-           including the histogram family invariants; CI scrape check
-  lint     run the repo-invariant static-analysis suite (counterlock,
-           nonfinitejson, monotime, errsink, slogargs, floateq) and the
-           //enduratrace:zeroalloc escape-analysis gate; exits 1 on any
-           finding — the PR gate behind 'make lint'
 
 run 'enduratrace <subcommand> -h' for per-subcommand flags, or see
 docs/CLI.md for the full reference.

@@ -24,7 +24,6 @@ import (
 // field, and Add/Store/Swap/CompareAndSwap calls on atomic-typed fields.
 var analyzerCounterlock = &Analyzer{
 	Name: "counterlock",
-	Doc:  "writes to //enduratrace:guarded-by fields must hold the named mutex",
 	Hint: "move the write inside the mu.Lock()/Unlock() critical section, or //lint:ignore counterlock <why the caller holds it>",
 	Run:  runCounterlock,
 }

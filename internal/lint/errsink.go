@@ -17,7 +17,6 @@ import (
 // error is already on its way out, stays legal.
 var analyzerErrsink = &Analyzer{
 	Name: "errsink",
-	Doc:  "Write/Flush/Close/Sync errors on module sink types must be checked",
 	Hint: "check the error (log, count or propagate it), or //lint:ignore errsink <why the error is meaningless here>",
 	Run:  runErrsink,
 }

@@ -19,7 +19,6 @@ import (
 // is flagged.
 var analyzerFloatEq = &Analyzer{
 	Name: "floateq",
-	Doc:  "== / != on floats (except exact-zero sentinels) is flagged",
 	Hint: "compare with an epsilon, use math.Float64bits for bit identity, or //lint:ignore floateq <why exact equality is intended>",
 	Run:  runFloatEq,
 }

@@ -131,15 +131,7 @@ func validateDirectives(load *Load, r *runner) {
 					fields := strings.Fields(rest)
 					pos := load.Fset.Position(c.Pos())
 					bad := func(msg string) {
-						r.findings = append(r.findings, Finding{
-							Analyzer: "directive",
-							Pos:      pos,
-							File:     relPath(load.Root, pos.Filename),
-							Line:     pos.Line,
-							Col:      pos.Column,
-							Message:  msg,
-							Hint:     "the grammar is //enduratrace:guarded-by <mutexField> or //enduratrace:zeroalloc",
-						})
+						r.add("directive", "the grammar is //enduratrace:guarded-by <mutexField> or //enduratrace:zeroalloc", pos, msg)
 					}
 					switch {
 					case len(fields) == 0:

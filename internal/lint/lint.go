@@ -1,16 +1,19 @@
-// Package lint is the repo-invariant static-analysis suite behind
-// `enduratrace lint`: a set of analyzers for the bug classes this
-// codebase has actually shipped (counters bumped outside their mutex,
-// non-finite floats fed to encoding/json, wall-clock reads on monotonic
-// hot paths, swallowed sink errors, malformed slog calls, float
-// equality), plus a compiler-backed zero-alloc gate that verifies
-// functions annotated `//enduratrace:zeroalloc` against `go build
-// -gcflags=-m` escape-analysis output.
+// Package lint is the repo-invariant static-analysis suite: a set of
+// analyzers for the bug classes this codebase has actually shipped
+// (counters bumped outside their mutex, non-finite floats fed to
+// encoding/json, wall-clock reads on monotonic hot paths, swallowed sink
+// errors, malformed slog calls, float equality), plus a compiler-backed
+// zero-alloc gate that verifies functions annotated
+// `//enduratrace:zeroalloc` against `go build -gcflags=-m`
+// escape-analysis output.
 //
 // Findings are suppressible with a `//lint:ignore <analyzer> <reason>`
 // comment on the flagged line or the line directly above it. Ignores are
 // validated: one that suppresses nothing is itself reported (staleignore),
 // so suppressions cannot outlive the code they excuse.
+//
+// TestRepoInvariants runs the whole suite and the gate over the module,
+// so `go test ./...` fails on any finding.
 //
 // The suite is stdlib-only (go/parser, go/types, go/importer); the only
 // external requirement is the go toolchain on PATH, which the loader
@@ -28,13 +31,12 @@ import (
 // A Finding is one rule violation: analyzer name, position, a one-line
 // message, and a one-line fix hint.
 type Finding struct {
-	Analyzer string         `json:"analyzer"`
-	Pos      token.Position `json:"-"`
-	File     string         `json:"file"` // root-relative
-	Line     int            `json:"line"`
-	Col      int            `json:"col"`
-	Message  string         `json:"message"`
-	Hint     string         `json:"hint,omitempty"`
+	Analyzer string
+	File     string // root-relative
+	Line     int
+	Col      int
+	Message  string
+	Hint     string
 }
 
 // String renders the finding in the canonical file:line:col form.
@@ -50,7 +52,6 @@ func (f Finding) String() string {
 // findings through the pass.
 type Analyzer struct {
 	Name string
-	Doc  string // one line, shown by `enduratrace lint -list`
 	Hint string // default fix hint attached to findings
 	Run  func(*Pass)
 }
@@ -83,12 +84,6 @@ func All() []*Analyzer {
 	}
 }
 
-// Options configures a Run.
-type Options struct {
-	Analyzers []*Analyzer // nil means All()
-	ZeroAlloc bool        // also run the compiler-backed zero-alloc gate
-}
-
 // runner carries the shared per-run state: the ignore index and the
 // accumulated findings.
 type runner struct {
@@ -97,13 +92,18 @@ type runner struct {
 	findings []Finding
 }
 
+// report records a finding unless an ignore comment suppresses it.
 func (r *runner) report(analyzer, hint string, pos token.Position, msg string) {
 	if r.ignores.suppress(analyzer, pos) {
 		return
 	}
+	r.add(analyzer, hint, pos, msg)
+}
+
+// add records a finding that no ignore comment can suppress.
+func (r *runner) add(analyzer, hint string, pos token.Position, msg string) {
 	r.findings = append(r.findings, Finding{
 		Analyzer: analyzer,
-		Pos:      pos,
 		File:     relPath(r.load.Root, pos.Filename),
 		Line:     pos.Line,
 		Col:      pos.Column,
@@ -113,23 +113,13 @@ func (r *runner) report(analyzer, hint string, pos token.Position, msg string) {
 }
 
 // Run loads the packages matched by patterns under root and runs the
-// analyzer suite (and, if opts.ZeroAlloc, the escape-analysis gate) over
-// them. The returned findings are sorted by file, line and analyzer; an
-// empty slice means the tree is clean.
-func Run(root string, patterns []string, opts Options) ([]Finding, error) {
+// whole analyzer suite and the escape-analysis gate over them. The
+// returned findings are sorted by file, line and analyzer; an empty slice
+// means the tree is clean.
+func Run(root string, patterns []string) ([]Finding, error) {
 	load, err := LoadPackages(root, patterns)
 	if err != nil {
 		return nil, err
-	}
-	return RunLoaded(load, opts)
-}
-
-// RunLoaded runs the suite over an already-loaded tree (the testdata
-// harness loads once and runs analyzers selectively).
-func RunLoaded(load *Load, opts Options) ([]Finding, error) {
-	analyzers := opts.Analyzers
-	if analyzers == nil {
-		analyzers = All()
 	}
 	r := &runner{load: load, ignores: collectIgnores(load)}
 
@@ -137,52 +127,28 @@ func RunLoaded(load *Load, opts Options) ([]Finding, error) {
 	// before any analyzer runs so a broken suppression never silently
 	// matches nothing.
 	for _, bad := range r.ignores.malformed {
-		r.findings = append(r.findings, Finding{
-			Analyzer: "staleignore",
-			Pos:      bad.pos,
-			File:     relPath(load.Root, bad.pos.Filename),
-			Line:     bad.pos.Line,
-			Col:      bad.pos.Column,
-			Message:  bad.msg,
-			Hint:     "write //lint:ignore <analyzer> <reason>",
-		})
+		r.add("staleignore", "write //lint:ignore <analyzer> <reason>", bad.pos, bad.msg)
 	}
 	// Unknown annotation directives (//enduratrace:<something else>) are
 	// validated here too: the grammar has exactly two productions.
 	validateDirectives(load, r)
 
 	for _, pkg := range load.Pkgs {
-		for _, a := range analyzers {
+		for _, a := range All() {
 			a.Run(&Pass{Analyzer: a, Pkg: pkg, Load: load, runner: r})
 		}
 	}
-
-	ran := make(map[string]bool, len(analyzers)+1)
-	for _, a := range analyzers {
-		ran[a.Name] = true
-	}
-	if opts.ZeroAlloc {
-		ran["zeroalloc"] = true
-		if err := runZeroAlloc(load, r); err != nil {
-			return nil, err
-		}
+	if err := runZeroAlloc(load, r); err != nil {
+		return nil, err
 	}
 
-	// Stale-ignore validation: every ignore whose analyzer ran must have
-	// suppressed at least one finding this run.
+	// Stale-ignore validation: every ignore must have suppressed at least
+	// one finding this run.
 	for _, ig := range r.ignores.all {
-		if !ran[ig.analyzer] || ig.used {
-			continue
+		if !ig.used {
+			r.add("staleignore", "delete the stale ignore comment", ig.pos,
+				fmt.Sprintf("//lint:ignore %s suppresses nothing — the violation it excused is gone", ig.analyzer))
 		}
-		r.findings = append(r.findings, Finding{
-			Analyzer: "staleignore",
-			Pos:      ig.pos,
-			File:     relPath(load.Root, ig.pos.Filename),
-			Line:     ig.pos.Line,
-			Col:      ig.pos.Column,
-			Message:  fmt.Sprintf("//lint:ignore %s suppresses nothing — the violation it excused is gone", ig.analyzer),
-			Hint:     "delete the stale ignore comment",
-		})
 	}
 
 	sort.Slice(r.findings, func(i, j int) bool {

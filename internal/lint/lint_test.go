@@ -3,6 +3,7 @@ package lint
 import (
 	"bufio"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -18,6 +19,49 @@ import (
 // The badmeta package is the exception: its malformed comments cannot
 // carry same-line markers without changing what they parse as, so its
 // expectations are the pattern table in TestGoldenSuite.
+
+// TestRepoInvariants runs the whole suite and the zero-alloc gate over the
+// module this package belongs to. Every finding, a stale or malformed
+// //lint:ignore included, is a test failure, so `go test ./...` holds the
+// tree to the same rules as the golden suite holds testdata.
+func TestRepoInvariants(t *testing.T) {
+	root, err := FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	readModuleDirs(t, root)
+	findings, err := Run(root, []string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range findings {
+		t.Error(f)
+	}
+}
+
+// readModuleDirs lists every directory `./...` covers. go test caches a
+// passing result until a file the test opened changes; the loader opens
+// each source file it parses, and listing the directories as well makes
+// an added file or package a change too.
+func readModuleDirs(t *testing.T, root string) {
+	t.Helper()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() || path == root {
+			return err
+		}
+		name := d.Name()
+		if strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" {
+			return filepath.SkipDir
+		}
+		if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+			return filepath.SkipDir // a nested module is outside ./...
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
 
 func testdataRoot(t *testing.T) string {
 	t.Helper()
@@ -82,7 +126,7 @@ func collectWants(t *testing.T, root string) []*want {
 
 func TestGoldenSuite(t *testing.T) {
 	root := testdataRoot(t)
-	findings, err := Run(root, []string{"./..."}, Options{ZeroAlloc: true})
+	findings, err := Run(root, []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,22 +184,6 @@ func TestGoldenSuite(t *testing.T) {
 		if n == 0 {
 			t.Errorf("badmeta: pattern %q matched no finding", badmetaPatterns[i])
 		}
-	}
-}
-
-// TestStaleIgnoreOnlyForRanAnalyzers: an ignore naming an analyzer that
-// did not run this invocation is not stale — running a single analyzer
-// must not report every other analyzer's ignores.
-func TestStaleIgnoreOnlyForRanAnalyzers(t *testing.T) {
-	root := testdataRoot(t)
-	findings, err := Run(root, []string{"./floateq"}, Options{
-		Analyzers: []*Analyzer{analyzerMonotime},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range findings {
-		t.Errorf("unexpected finding with only monotime running: %s", f)
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 // Wall fields — carry a validated //lint:ignore monotime <reason>.
 var analyzerMonotime = &Analyzer{
 	Name: "monotime",
-	Doc:  "time.Now() is forbidden in hot-path packages; use obs.Now()",
 	Hint: "use obs.Now() for monotonic pipeline time, or //lint:ignore monotime <why wall clock is required>",
 	Run:  runMonotime,
 }

@@ -32,7 +32,6 @@ import (
 // site that reaches it.
 var analyzerNonfiniteJSON = &Analyzer{
 	Name: "nonfinitejson",
-	Doc:  "float64 fields reachable from json.Marshal must be non-finite-safe",
 	Hint: "use anomalystore.JSONFloat, a *float64 null shadow, or a custom MarshalJSON",
 	Run:  runNonfiniteJSON,
 }

@@ -16,7 +16,6 @@ import (
 // decidable statically.
 var analyzerSlogArgs = &Analyzer{
 	Name: "slogargs",
-	Doc:  "slog key/value args must pair up with string keys",
 	Hint: "add the missing value, or make the key a string (or use slog.Attr)",
 	Run:  runSlogArgs,
 }

@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -34,7 +37,9 @@ func (s *testAlertSink) Close() error { return nil }
 // fire incidents, every transition must balance in the books (selftest
 // asserts alert.Books.Balanced), reach the capture sink, and land in the
 // anomaly store as window-free records the gate-trip incidents ride
-// alongside.
+// alongside. The final scrape, which selftest validates as Prometheus
+// text, must carry the store's fsync histogram, the four stage histograms
+// and every alerting family at once.
 func TestSelftestAlertPipelineEndToEnd(t *testing.T) {
 	cfg, learned := fixture(t)
 	// Recent ring sized above anything the run can append, so counting
@@ -95,6 +100,30 @@ func TestSelftestAlertPipelineEndToEnd(t *testing.T) {
 	}
 	if tripRecs != rep.Stats.AnomalyIncidents {
 		t.Fatalf("store metas show %d gate-trip records, server persisted %d", tripRecs, rep.Stats.AnomalyIncidents)
+	}
+
+	want := []string{
+		"# TYPE enduratrace_anomaly_store_sync_seconds histogram",
+		`enduratrace_anomaly_store_sync_seconds_bucket{le="+Inf"}`,
+		`enduratrace_alerts_delivered_total{sink="capture"}`,
+	}
+	for _, fam := range []string{"decode", "queue_wait", "score", "e2e"} {
+		want = append(want,
+			fmt.Sprintf("# TYPE enduratrace_pipeline_%s_seconds histogram", fam),
+			fmt.Sprintf(`enduratrace_pipeline_%s_seconds_bucket{model="default",le="+Inf"}`, fam))
+	}
+	for _, fam := range []string{"fired_total", "resolved_total", "deduped_total", "delivered_total",
+		"rate_limited_total", "delivery_errors_total", "rate_limited_global_total",
+		"queue_dropped_total", "enqueued_total", "queue_depth", "firing"} {
+		want = append(want, "# TYPE enduratrace_alerts_"+fam+" ")
+	}
+	for _, w := range want {
+		if !bytes.Contains(rep.Metrics, []byte(w)) {
+			t.Errorf("scrape is missing %q", w)
+		}
+	}
+	if !regexp.MustCompile(`(?m)^enduratrace_alerts_fired_total\{model="default"\} [1-9]`).Match(rep.Metrics) {
+		t.Error("scrape shows no fired alert for the default model")
 	}
 
 	if err := alerts.Close(); err != nil {

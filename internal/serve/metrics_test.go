@@ -1,6 +1,10 @@
 package serve
 
 import (
+	"fmt"
+	"math"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -50,4 +54,244 @@ func TestEscapeLabelValue(t *testing.T) {
 			t.Errorf("escapeLabelValue(%q) = %q, want %q", in, got, want)
 		}
 	}
+}
+
+// ValidatePrometheusText parses a text-format exposition and checks it is
+// well-formed: every line must be a comment or a `name{labels} value`
+// sample with balanced quotes and a numeric value. Families declared
+// `# TYPE <name> histogram` are additionally held to the histogram
+// invariants, per label set: bucket counts non-decreasing in le, an
+// le="+Inf" bucket present and equal to the family's _count sample, and a
+// _sum sample present. It returns the number of samples. Used by the
+// loopback tests to assert /metrics stays scrapeable.
+func ValidatePrometheusText(body []byte) (samples int, err error) {
+	// One histogram series (a family + one label set minus le).
+	type histo struct {
+		buckets map[float64]float64 // le -> cumulative count
+		sum     *float64
+		count   *float64
+	}
+	histFamilies := make(map[string]bool) // declared `# TYPE x histogram`
+	series := make(map[string]*histo)
+	get := func(key string) *histo {
+		h := series[key]
+		if h == nil {
+			h = &histo{buckets: make(map[float64]float64)}
+			series[key] = h
+		}
+		return h
+	}
+	// seriesKey joins a histogram family name with its identifying labels
+	// (everything but le), order-normalised.
+	seriesKey := func(fam string, labels [][2]string) string {
+		kv := make([]string, 0, len(labels))
+		for _, l := range labels {
+			kv = append(kv, l[0]+"="+l[1])
+		}
+		sort.Strings(kv)
+		return fam + "{" + strings.Join(kv, ",") + "}"
+	}
+
+	for i, line := range strings.Split(string(body), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" && f[3] == "histogram" {
+				histFamilies[f[2]] = true
+			}
+			continue
+		}
+		rest := line
+		// Metric name: [a-zA-Z_:][a-zA-Z0-9_:]*
+		n := 0
+		for n < len(rest) {
+			c := rest[n]
+			ok := c == '_' || c == ':' ||
+				(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+				(n > 0 && c >= '0' && c <= '9')
+			if !ok {
+				break
+			}
+			n++
+		}
+		if n == 0 {
+			return samples, fmt.Errorf("line %d: no metric name in %q", i+1, line)
+		}
+		name := rest[:n]
+		rest = rest[n:]
+		var labelStr string
+		if strings.HasPrefix(rest, "{") {
+			end := -1
+			inQuote := false
+			for j := 1; j < len(rest); j++ {
+				switch {
+				case inQuote && rest[j] == '\\':
+					j++ // skip escaped char
+				case rest[j] == '"':
+					inQuote = !inQuote
+				case !inQuote && rest[j] == '}':
+					end = j
+				}
+				if end >= 0 {
+					break
+				}
+			}
+			if end < 0 {
+				return samples, fmt.Errorf("line %d: unterminated label set in %q", i+1, line)
+			}
+			labelStr = rest[1:end]
+			rest = rest[end+1:]
+		}
+		rest = strings.TrimSpace(rest)
+		// Value (possibly followed by a timestamp).
+		fields := strings.Fields(rest)
+		if len(fields) < 1 || len(fields) > 2 {
+			return samples, fmt.Errorf("line %d: want value [timestamp], got %q", i+1, rest)
+		}
+		value, err := strconv.ParseFloat(fields[0], 64)
+		if err != nil {
+			return samples, fmt.Errorf("line %d: bad sample value %q", i+1, fields[0])
+		}
+		samples++
+
+		// Histogram bookkeeping: route _bucket/_sum/_count samples of
+		// declared histogram families into their series.
+		fam, suffix := name, ""
+		for _, sfx := range []string{"_bucket", "_sum", "_count"} {
+			if strings.HasSuffix(name, sfx) && histFamilies[strings.TrimSuffix(name, sfx)] {
+				fam, suffix = strings.TrimSuffix(name, sfx), sfx
+				break
+			}
+		}
+		if suffix == "" {
+			continue
+		}
+		labels, err := parseLabelPairs(labelStr)
+		if err != nil {
+			return samples, fmt.Errorf("line %d: %v in %q", i+1, err, line)
+		}
+		switch suffix {
+		case "_bucket":
+			var le float64
+			hasLE := false
+			ident := labels[:0:0]
+			for _, l := range labels {
+				if l[0] == "le" {
+					le, err = strconv.ParseFloat(l[1], 64)
+					if err != nil {
+						return samples, fmt.Errorf("line %d: bad le %q", i+1, l[1])
+					}
+					hasLE = true
+					continue
+				}
+				ident = append(ident, l)
+			}
+			if !hasLE {
+				return samples, fmt.Errorf("line %d: histogram bucket without le label in %q", i+1, line)
+			}
+			h := get(seriesKey(fam, ident))
+			if _, dup := h.buckets[le]; dup {
+				return samples, fmt.Errorf("line %d: duplicate bucket le=%g for %s", i+1, le, fam)
+			}
+			h.buckets[le] = value
+		case "_sum":
+			v := value
+			get(seriesKey(fam, labels)).sum = &v
+		case "_count":
+			v := value
+			get(seriesKey(fam, labels)).count = &v
+		}
+	}
+
+	// Per-series histogram invariants.
+	keys := make([]string, 0, len(series))
+	for k := range series {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		h := series[key]
+		if len(h.buckets) == 0 {
+			return samples, fmt.Errorf("histogram %s has _sum/_count but no buckets", key)
+		}
+		les := make([]float64, 0, len(h.buckets))
+		for le := range h.buckets {
+			les = append(les, le)
+		}
+		sort.Float64s(les)
+		prev := math.Inf(-1)
+		prevCount := 0.0
+		for _, le := range les {
+			c := h.buckets[le]
+			if c < prevCount {
+				return samples, fmt.Errorf("histogram %s: bucket le=%g count %g below le=%g count %g (not cumulative)",
+					key, le, c, prev, prevCount)
+			}
+			prev, prevCount = le, c
+		}
+		inf, ok := h.buckets[math.Inf(1)]
+		if !ok {
+			return samples, fmt.Errorf("histogram %s has no le=\"+Inf\" bucket", key)
+		}
+		if h.count == nil {
+			return samples, fmt.Errorf("histogram %s has no _count sample", key)
+		}
+		if *h.count != inf {
+			return samples, fmt.Errorf("histogram %s: _count %g != +Inf bucket %g", key, *h.count, inf)
+		}
+		if h.sum == nil {
+			return samples, fmt.Errorf("histogram %s has no _sum sample", key)
+		}
+	}
+	return samples, nil
+}
+
+// parseLabelPairs parses the inside of a `{...}` label set into (key,
+// value) pairs, handling the exposition-format escapes.
+func parseLabelPairs(s string) ([][2]string, error) {
+	var out [][2]string
+	i := 0
+	for i < len(s) {
+		j := strings.IndexByte(s[i:], '=')
+		if j < 0 {
+			return nil, fmt.Errorf("label without '='")
+		}
+		key := s[i : i+j]
+		i += j + 1
+		if i >= len(s) || s[i] != '"' {
+			return nil, fmt.Errorf("label %s: unquoted value", key)
+		}
+		i++
+		var sb strings.Builder
+		closed := false
+		for i < len(s) {
+			c := s[i]
+			if c == '\\' && i+1 < len(s) {
+				switch s[i+1] {
+				case 'n':
+					sb.WriteByte('\n')
+				default:
+					sb.WriteByte(s[i+1])
+				}
+				i += 2
+				continue
+			}
+			if c == '"' {
+				closed = true
+				i++
+				break
+			}
+			sb.WriteByte(c)
+			i++
+		}
+		if !closed {
+			return nil, fmt.Errorf("label %s: unterminated value", key)
+		}
+		out = append(out, [2]string{key, sb.String()})
+		if i < len(s) {
+			if s[i] != ',' {
+				return nil, fmt.Errorf("junk after label %s", key)
+			}
+			i++
+		}
+	}
+	return out, nil
 }

@@ -80,14 +80,16 @@ type clientReport struct {
 }
 
 // selftestReport is the end-to-end result: send-side counts, the admin
-// /stats view fetched over real HTTP, the per-stream finals, the
-// per-model window rows scraped off /metrics and the mid-run reload.
+// /stats view fetched over real HTTP, the per-stream finals, the final
+// /metrics scrape (already validated) with its per-model window rows and
+// the mid-run reload.
 type selftestReport struct {
 	EventsSent     int64
 	WindowsSent    int64
 	Stats          StatsReport
 	PerClient      []clientReport
 	Results        []StreamResult
+	Metrics        []byte
 	MetricsSamples int
 	ModelWindows   map[string]int64
 	Reload         *core.ReloadReport
@@ -253,6 +255,7 @@ func selftest(t testing.TB, opts selftestOptions) *selftestReport {
 		Stats:          stats,
 		PerClient:      reports,
 		Results:        srv.Results(),
+		Metrics:        metricsBody,
 		MetricsSamples: nSamples,
 		ModelWindows:   modelWindows,
 		Reload:         reload,
