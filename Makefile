@@ -44,18 +44,19 @@ bench:
 # (exact filter-and-refine vs FastKernels), scoring the default
 # experiment's tripped windows against its learned model with the exact
 # kernel calls per query (BenchmarkScoreDefaultModel), the distance
-# row/gate kernels, frame decode (per-event vs batched), the monitor's
-# per-window cost, the alerting pipeline (quiet/flapping Observe fast
+# row/gate kernels, frame decode (per-event vs batched), windowing (the
+# span cutter vs one event at a time), the monitor's per-window cost, the alerting pipeline (quiet/flapping Observe fast
 # paths, full fire→resolve emission, dedup hits, key encoding), the
 # anomaly store (the incident encoder, and the durable Append from 1, 2
 # and 8 appenders with its records per fsync), and the latency histogram
 # the serve path's instruments are (per event, per run of 256, and two
 # goroutines on one Pipeline; one op is 2^20 events). The before/after
-# pairs live side by side (ScoreBrute* vs ScoreFast*,
-# RowsSymKL vs RowsSymKLFast, FrameDecodeNext vs FrameDecodeBatch). These
-# are for working on one layer; the regression gate is end to end,
+# pairs live side by side (ScoreBrute* vs ScoreFast*, RowsSymKL vs
+# RowsSymKLFast, FrameDecodeNext vs FrameReaderReadBatch, ByTimeCut/add vs
+# ByTimeCut/cut). These are for working on one layer; the regression gate is end to end,
 # `bench -compare` over bench/run.sh reports (see bench/README.md).
 microbench:
 	$(GO) test -run '^$$' -bench . -benchtime 20x -benchmem \
 		./internal/lof ./internal/eval ./internal/distance ./internal/core \
-		./internal/traceio ./internal/alert ./internal/anomalystore ./internal/obs | tee BENCH_micro.txt
+		./internal/traceio ./internal/window ./internal/alert ./internal/anomalystore \
+		./internal/obs | tee BENCH_micro.txt

@@ -488,7 +488,9 @@ func Run(cfg Config, learned *Learned, r trace.Reader, sink recorder.Sink,
 }
 
 // batchEvents is the ingest granularity of Run: events drain from a
-// trace.BatchReader up to this many at a time.
+// trace.BatchReader up to this many at a time, and the windower cuts at
+// most this many windows at a time, so a long timestamp gap is judged in
+// bounded chunks instead of being held whole.
 const batchEvents = 512
 
 // Run streams a trace through this monitor stream; see the package-level
@@ -499,8 +501,10 @@ const batchEvents = 512
 // Events drain in batches: a trace.BatchReader (the framed network reader
 // and the serve event queue) hands over what it has, up to batchEvents; a
 // plain Reader is read as one-event batches, so a live reader is never
-// asked for more than it has. Every window a batch completes is judged
-// with ProcessWindow first, each decision keeping its own feature copy,
+// asked for more than it has. The windower cuts each batch in one pass
+// (window.Windower.Cut), copying every event once into its window. Every
+// window a batch completes, batchEvents at a time, is judged with
+// ProcessWindow first, each decision keeping its own feature copy,
 // and then the decisions are emitted in window order. Judging before
 // emitting is deliberate: a sink or callback may wait on the previous
 // window's durability (the serve path's anomaly store keeps one incident
@@ -518,13 +522,12 @@ func (m *Monitor) Run(r trace.Reader, sink recorder.Sink,
 	ctxSink, _ := sink.(*recorder.ContextSink)
 
 	wdr := m.cfg.NewWindower()
-	byTime, _ := wdr.(*window.ByTime)
 	br, _ := r.(trace.BatchReader)
 
 	fdim := m.feat.FeatureDim()
 	evBuf := make([]trace.Event, batchEvents)
 	var (
-		wins      []window.Window // windows completed by the current batch
+		wins      []window.Window // windows the current cut completed
 		decs      []Decision
 		scoreNs   []int64   // per-window ProcessWindow duration (scoreTimer only)
 		featArena []float64 // backing store for the per-window feature copies
@@ -596,27 +599,17 @@ func (m *Monitor) Run(r trace.Reader, sink recorder.Sink,
 		} else if evBuf[0], err = r.Next(); err == nil {
 			n = 1
 		}
-		if n > 0 {
-			wins = wins[:0]
-			for _, ev := range evBuf[:n] {
-				if acct != nil {
-					if aerr := acct.Write(ev); aerr != nil {
-						return stats, aerr
-					}
-				}
-				if w, ok := wdr.Add(ev); ok {
-					wins = append(wins, w)
-				}
-				if byTime != nil {
-					for {
-						w, ok := byTime.Drain()
-						if !ok {
-							break
-						}
-						wins = append(wins, w)
-					}
+		if acct != nil {
+			for i := range evBuf[:n] {
+				if aerr := acct.Write(evBuf[i]); aerr != nil {
+					return stats, aerr
 				}
 			}
+		}
+		for rest := evBuf[:n]; len(rest) > 0; {
+			var k int
+			wins, k = wdr.Cut(wins[:0], rest, batchEvents)
+			rest = rest[k:]
 			if len(wins) > 0 {
 				if perr := processBatch(); perr != nil {
 					return stats, perr

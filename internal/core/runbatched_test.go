@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"testing/iotest"
 	"time"
@@ -236,5 +237,104 @@ func TestModelSaveLoadRoundTripFastKernels(t *testing.T) {
 	})
 	if a, b := learned.Model.Score(q), learned2.Model.Score(q); a != b {
 		t.Fatalf("reloaded FastKernels model scores %v, original %v", b, a)
+	}
+}
+
+// decisionDigest folds a decision sequence into a count and a hash of
+// every field a decision carries, so two long runs can be compared
+// without keeping either. It allocates nothing.
+type decisionDigest struct {
+	n int
+	h uint64
+}
+
+func (g *decisionDigest) mix(v uint64) { g.h = (g.h ^ v) * 1099511628211 }
+
+func (g *decisionDigest) add(d Decision) {
+	g.n++
+	g.mix(uint64(d.Window.Index))
+	g.mix(uint64(d.Window.Start))
+	g.mix(uint64(d.Window.End))
+	g.mix(uint64(len(d.Window.Events)))
+	g.mix(math.Float64bits(d.GateDist))
+	g.mix(math.Float64bits(d.LOF))
+	for _, f := range d.Features {
+		g.mix(math.Float64bits(f))
+	}
+	if d.GateTripped {
+		g.mix(1)
+	}
+	if d.Anomalous {
+		g.mix(2)
+	}
+}
+
+// TestRunLongGapBoundedMemory: a timestamp gap is windowed and judged in
+// chunks, so its memory does not grow with its length. One event six
+// hours after the last is 1.08 M empty 20 ms windows; judging them all
+// before emitting any once took 1.2 GB of allocations. The decisions are
+// those of feeding the same events one at a time through Add and Drain.
+func TestRunLongGapBoundedMemory(t *testing.T) {
+	cfg := testConfig()
+	learned, err := Learn(cfg, trace.NewSliceReader(synth(0, 2*time.Second, refWeights, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := perturbedRun()
+	after := run[len(run)-1].TS + 6*time.Hour
+	run = append(run, synth(after, after+time.Second, refWeights, 5)...)
+
+	mon, err := NewMonitor(cfg, learned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got decisionDigest
+	var before, peak runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	stats, err := mon.Run(trace.NewSliceReader(run), nil, func(d Decision) error {
+		got.add(d)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&peak)
+	if grew := peak.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+		t.Errorf("a 6 h gap allocated %d MB, want a bounded few", grew>>20)
+	}
+	if grew := int64(peak.HeapSys) - int64(before.HeapSys); grew > 8<<20 {
+		t.Errorf("a 6 h gap grew the heap by %d MB, want a bounded few", grew>>20)
+	}
+
+	ref, err := NewMonitor(cfg, learned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want decisionDigest
+	wdr := window.NewByTime(cfg.WindowDuration)
+	for _, ev := range run {
+		if w, ok := wdr.Add(ev); ok {
+			want.add(ref.ProcessWindow(w))
+		}
+		for {
+			w, ok := wdr.Drain()
+			if !ok {
+				break
+			}
+			want.add(ref.ProcessWindow(w))
+		}
+	}
+	if w, ok := wdr.Flush(); ok {
+		want.add(ref.ProcessWindow(w))
+	}
+	if stats.Windows != want.n || got.n != want.n {
+		t.Fatalf("Run judged %d windows (%d decisions), one event at a time %d", stats.Windows, got.n, want.n)
+	}
+	if want.n < int(6*time.Hour/cfg.WindowDuration) {
+		t.Fatalf("only %d windows: the gap was not windowed", want.n)
+	}
+	if got.h != want.h {
+		t.Fatal("decisions across the gap differ from one event at a time")
 	}
 }

@@ -70,13 +70,15 @@ type selftestOptions struct {
 
 // clientReport is one loopback client's send-side accounting. Model is
 // the resolved model name its stream was served by; HeaderV is the frame
-// header version it sent (1 or 2).
+// header version it sent (1 or 2); Bytes is the exact size of the events
+// it sent in the plain binary codec, header included.
 type clientReport struct {
 	Stream  string
 	Model   string
 	HeaderV int
 	Events  int64
 	Windows int64
+	Bytes   int64
 }
 
 // selftestReport is the end-to-end result: send-side counts, the admin
@@ -295,6 +297,9 @@ func selftest(t testing.TB, opts selftestOptions) *selftestReport {
 		if int64(res.Windows) != c.Windows {
 			t.Fatalf("stream %q scored %d windows, client sent %d", res.ID, res.Windows, c.Windows)
 		}
+		if res.FullBytes != c.Bytes {
+			t.Fatalf("stream %q booked %d full-trace bytes, its events encode to %d", res.ID, res.FullBytes, c.Bytes)
+		}
 	}
 
 	// Per-model books off the /metrics labels: each model's cumulative
@@ -425,11 +430,12 @@ func runClient(addr, name string, cfg core.Config, model string, opts selftestOp
 		return rep, err
 	}
 
-	// Tee: every event goes to the socket and to a local windower with the
-	// exact server-side windowing semantics (window.Stream mirrors
-	// Monitor.Run's Add/Drain/Flush loop), so the expected window count is
-	// computed, not guessed.
-	tee := &teeReader{r: sim, w: fw, events: &rep.Events, gate: gate, pauseAt: opts.Duration / 2}
+	// Tee: every event goes to the socket, to a size accountant and to a
+	// local windower with the exact server-side windowing semantics
+	// (window.Stream mirrors Monitor.Run's Cut/Flush loop), so the
+	// expected window count and full-trace bytes are computed, not guessed.
+	acct := traceio.NewSizeAccountant()
+	tee := &teeReader{r: sim, w: fw, acct: acct, events: &rep.Events, gate: gate, pauseAt: opts.Duration / 2}
 	err = window.Stream(tee, cfg.NewWindower(), func(window.Window) error {
 		rep.Windows++
 		return nil
@@ -437,6 +443,7 @@ func runClient(addr, name string, cfg core.Config, model string, opts selftestOp
 	if err != nil {
 		return rep, err
 	}
+	rep.Bytes = acct.Bytes()
 	return rep, fw.Close()
 }
 
@@ -446,6 +453,7 @@ func runClient(addr, name string, cfg core.Config, model string, opts selftestOp
 type teeReader struct {
 	r       trace.Reader
 	w       *traceio.FrameWriter
+	acct    *traceio.SizeAccountant
 	events  *int64
 	gate    <-chan struct{}
 	pauseAt time.Duration
@@ -465,6 +473,9 @@ func (t *teeReader) Next() (trace.Event, error) {
 		<-t.gate
 	}
 	if err := t.w.Write(ev); err != nil {
+		return ev, err
+	}
+	if err := t.acct.Write(ev); err != nil {
 		return ev, err
 	}
 	*t.events++

@@ -689,17 +689,18 @@ func (s *Server) register(name, modelName string) (*stream, error) {
 // scorer finishes what is left. A clean end of stream, and a queue closed
 // under it by shutdown, return nil.
 func (st *stream) ingest() error {
-	var prev time.Duration
-	first := true
 	var err error
 	evBuf := make([]trace.Event, ingestBatch)
+	header := int64(traceio.HeaderSize())
 	for err == nil {
-		// The decode stage is timed around fr.ReadBatch, which blocks on
-		// the socket only until the first event of a batch is available:
-		// the histogram honestly includes network wait (an idle stream
-		// shows large decode latencies), amortised evenly across the
-		// batch — one run of n equal observations. Byte accounting stays
-		// per-event and exact.
+		// The decode stage is timed around fr.ReadBatch once fr.Wait has
+		// seen a byte arrive, so an idle stream's socket wait stays out of
+		// it; the wait for the rest of a frame already begun still counts.
+		// The time is amortised evenly across the batch — one run of n
+		// equal observations. The reader counts the events' exact encoded
+		// size as it decodes them, so the stream's full-trace size is the
+		// header plus its count.
+		st.fr.Wait()
 		t0 := obs.Now()
 		var n int
 		n, err = st.fr.ReadBatch(evBuf)
@@ -707,12 +708,7 @@ func (st *stream) ingest() error {
 			now := obs.Now()
 			share := (now - t0) / int64(n)
 			st.pipe.Decode.ObserveN(share, n)
-			var batchBytes int64
-			for i := 0; i < n; i++ {
-				batchBytes += int64(traceio.EncodedSize(evBuf[i], prev, first))
-				prev, first = evBuf[i].TS, false
-			}
-			st.fullBytes.Add(batchBytes)
+			st.fullBytes.Store(header + st.fr.EventBytes())
 			if !st.q.PushBatch(evBuf[:n], now, share) {
 				err = nil // queue closed by shutdown
 				break

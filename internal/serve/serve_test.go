@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -598,6 +600,94 @@ func TestDirFactoryNamesFollowStreams(t *testing.T) {
 		path := filepath.Join(dir, fmt.Sprintf("selftest-%02d.etrc", i))
 		if _, err := os.Stat(path); err != nil {
 			t.Fatalf("per-stream sink file missing: %v", err)
+		}
+	}
+}
+
+// TestTimestampWrapClosesOnlyItsStream: a client whose first event sits
+// next to math.MaxInt64 and whose next delta wraps the timestamp gets its
+// stream closed with the error, while a stream beside it scores normally
+// and no goroutine outlives the server. The event at the edge of the time
+// axis once hung the scoring goroutine in the windower, queueing windows
+// until the process ran out of memory.
+func TestTimestampWrapClosesOnlyItsStream(t *testing.T) {
+	cfg, learned := fixture(t)
+	baseline := runtime.NumGoroutine()
+	srv, err := New(Options{Cfg: cfg, Learned: learned})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Listen("127.0.0.1:0", ""); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ctx) }()
+
+	edge, err := net.Dial("tcp", srv.TraceAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer edge.Close()
+	fw, err := traceio.NewFrameWriter(edge, "edge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// One frame: an event at MaxInt64-1, then a delta of 2, then the
+	// end-of-stream marker.
+	body := append(binary.AppendUvarint(nil, math.MaxInt64-1), 1, 1, 0, 2, 1, 1, 0)
+	if _, err := edge.Write(append(append(binary.AppendUvarint(nil, uint64(len(body))), body...), 0)); err != nil {
+		t.Fatal(err)
+	}
+
+	evs := simEvents(t, 61, 5*time.Second, 1)
+	fine, err := net.Dial("tcp", srv.TraceAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fine.Close()
+	fw, err = traceio.NewFrameWriter(fine, "fine")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range evs {
+		if err := fw.Write(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for deadline := time.Now().Add(10 * time.Second); len(srv.Results()) < 2; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 2 streams closed: a scoring goroutine is stuck", len(srv.Results()))
+		}
+	}
+	byID := map[string]StreamResult{}
+	for _, r := range srv.Results() {
+		byID[r.ID] = r
+	}
+	want := "traceio: reading frame event dts: timestamp overflows int64"
+	if r := byID["edge"]; r.Clean || r.Err != want || r.Windows != 1 ||
+		r.FullBytes != int64(traceio.HeaderSize()+traceio.EncodedSize(trace.Event{TS: math.MaxInt64 - 1, Type: 1, Arg: 1}, 0, true)) {
+		t.Fatalf("edge stream closed as %+v, want one window, the first event's bytes and error %q", r, want)
+	}
+	if r := byID["fine"]; !r.Clean || r.Err != "" || int64(r.Windows) != expectWindows(t, cfg, evs) {
+		t.Fatalf("the stream beside it closed as %+v, want clean with %d windows", r, expectWindows(t, cfg, evs))
+	}
+
+	cancel()
+	if err := <-serveErr; err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after shutdown, %d before the server started", runtime.NumGoroutine(), baseline)
 		}
 	}
 }

@@ -35,10 +35,18 @@ func benchStream(b *testing.B, n int) []byte {
 	return buf.Bytes()
 }
 
+// benchEvents is the length of the benchmark stream.
+const benchEvents = 10_000
+
+// reportPerEvent adds the ns/event metric: one op decodes benchEvents.
+func reportPerEvent(b *testing.B) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchEvents), "ns/event")
+}
+
 // BenchmarkFrameDecodeNext measures the per-event ingest decode path:
 // one op = decoding a 10k-event framed stream event by event.
 func BenchmarkFrameDecodeNext(b *testing.B) {
-	data := benchStream(b, 10_000)
+	data := benchStream(b, benchEvents)
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -57,12 +65,14 @@ func BenchmarkFrameDecodeNext(b *testing.B) {
 		}
 		fr.Release()
 	}
+	reportPerEvent(b)
 }
 
-// BenchmarkFrameDecodeBatch measures the batched ingest decode path over
-// the same stream, draining 512 events per ReadBatch.
-func BenchmarkFrameDecodeBatch(b *testing.B) {
-	data := benchStream(b, 10_000)
+// BenchmarkFrameReaderReadBatch measures the batched ingest decode path
+// over the same stream, draining 512 events per ReadBatch straight into
+// the caller's slice.
+func BenchmarkFrameReaderReadBatch(b *testing.B) {
+	data := benchStream(b, benchEvents)
 	dst := make([]trace.Event, 512)
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
@@ -82,4 +92,5 @@ func BenchmarkFrameDecodeBatch(b *testing.B) {
 		}
 		fr.Release()
 	}
+	reportPerEvent(b)
 }

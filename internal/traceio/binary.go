@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"enduratrace/internal/trace"
@@ -42,6 +43,11 @@ const (
 
 // ErrBadMagic is returned when a stream does not start with the trace magic.
 var ErrBadMagic = errors.New("traceio: bad magic, not an enduratrace binary stream")
+
+// errTSOverflow fails a stream whose timestamp deltas sum past the int64
+// range: accepting it would wrap the timestamps negative, running time
+// backwards.
+var errTSOverflow = errors.New("timestamp overflows int64")
 
 // deltaTS validates timestamp monotonicity and returns the delta encoded
 // for ev given the stream's previous timestamp (the absolute timestamp
@@ -180,6 +186,10 @@ func (br *BinaryReader) Next() (trace.Event, error) {
 			return trace.Event{}, io.EOF
 		}
 		br.err = fmt.Errorf("traceio: reading dts: %w", err)
+		return trace.Event{}, br.err
+	}
+	if dts > uint64(math.MaxInt64-br.last) {
+		br.err = fmt.Errorf("traceio: reading dts: %w", errTSOverflow)
 		return trace.Event{}, br.err
 	}
 	typ, err := binary.ReadUvarint(br.r)

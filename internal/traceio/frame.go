@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"time"
 
@@ -204,6 +205,7 @@ type FrameReader struct {
 	model   string
 	version int
 	last    time.Duration
+	evBytes int64 // canonical encoded size of the events decoded so far
 	err     error
 }
 
@@ -233,6 +235,7 @@ func (fr *FrameReader) reset(r io.Reader) {
 	fr.name, fr.model = "", ""
 	fr.version = 0
 	fr.last = 0
+	fr.evBytes = 0
 	fr.err = nil
 }
 
@@ -325,7 +328,35 @@ func (fr *FrameReader) Next() (trace.Event, error) {
 			return trace.Event{}, err
 		}
 	}
-	return fr.decodeEvent(nil)
+	var ev trace.Event
+	b, err := fr.decodeEvent(fr.frame, &ev, nil)
+	if err != nil {
+		return trace.Event{}, err
+	}
+	fr.frame = b
+	return ev, nil
+}
+
+// EventBytes returns the exact number of bytes the plain binary codec
+// (BinaryWriter, EncodedSize) takes for every event decoded so far — the
+// stream's full-trace size without its header, counted as the events
+// are decoded. A sender's non-minimal varints do not count: the size is
+// that of the canonical encoding.
+func (fr *FrameReader) EventBytes() int64 { return fr.evBytes }
+
+// Wait blocks until the reader has something to decode without waiting on
+// its source: the rest of the current frame, or at least one buffered
+// byte of the next. A read error while waiting latches as the error the
+// next read reports. It lets a caller tell waiting for a sender apart
+// from decoding; ReadBatch may still block for the rest of a frame whose
+// first bytes have arrived.
+func (fr *FrameReader) Wait() {
+	if fr.err != nil || len(fr.frame) > 0 {
+		return
+	}
+	if _, err := fr.r.Peek(1); err != nil {
+		fr.err = errTruncated(err)
+	}
 }
 
 // ReadBatch implements trace.BatchReader: it decodes into dst every
@@ -357,15 +388,18 @@ func (fr *FrameReader) ReadBatch(dst []trace.Event) (int, error) {
 				return 0, err
 			}
 		}
-		ev, err := fr.decodeEvent(&arena)
-		if err != nil {
-			if n > 0 {
-				return n, nil
+		// Decode the frame's events straight into dst.
+		b := fr.frame
+		for ; n < len(dst) && len(b) > 0; n++ {
+			var err error
+			if b, err = fr.decodeEvent(b, &dst[n], &arena); err != nil {
+				if n > 0 {
+					return n, nil
+				}
+				return 0, err
 			}
-			return 0, err
 		}
-		dst[n] = ev
-		n++
+		fr.frame = b
 	}
 	return n, nil
 }
@@ -398,8 +432,7 @@ func (fr *FrameReader) frameAvailable() bool {
 func (fr *FrameReader) loadFrame() error {
 	flen, err := binary.ReadUvarint(fr.r)
 	if err != nil {
-		// EOF between frames without the end marker: truncated.
-		fr.err = fmt.Errorf("traceio: stream truncated mid-frame: %w", unexpectedEOF(err))
+		fr.err = errTruncated(err)
 		return fr.err
 	}
 	if flen == 0 {
@@ -419,45 +452,67 @@ func (fr *FrameReader) loadFrame() error {
 	return nil
 }
 
+// errTruncated is the error of a stream that fails between frames: EOF
+// there, without the end marker, is a truncation.
+func errTruncated(err error) error {
+	return fmt.Errorf("traceio: stream truncated mid-frame: %w", unexpectedEOF(err))
+}
+
 // errVarintOverflow has the text of encoding/binary's unexported overflow
 // error, so an overflowing varint reads the same here as from BinaryReader,
 // which decodes through binary.ReadUvarint.
 var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
 
-// decodeEvent decodes one event from the front of the current frame and
-// advances past it. A nil arena allocates the payload individually (the
+// decodeEvent decodes the event at the front of b, the unread rest of
+// the current frame, into *ev and returns what follows it; *ev is written
+// only on success. A nil arena allocates the payload individually (the
 // Next path); otherwise the payload is carved from *arena, which grows by
 // replacement so earlier carvings stay valid.
-func (fr *FrameReader) decodeEvent(arena *[]byte) (trace.Event, error) {
-	b := fr.frame
-	dts, n := binary.Uvarint(b)
-	if n <= 0 {
-		return trace.Event{}, fr.failVarint("dts", b, n)
+func (fr *FrameReader) decodeEvent(b []byte, ev *trace.Event, arena *[]byte) ([]byte, error) {
+	// A one-byte varint — most fields of a real trace — is read inline;
+	// size counts the header's canonical encoded length.
+	var dts, typ, arg, plen uint64
+	var n int
+	if len(b) > 0 && b[0] < 0x80 {
+		dts, n = uint64(b[0]), 1
+	} else if dts, n = binary.Uvarint(b); n <= 0 {
+		return b, fr.failVarint("dts", b, n)
 	}
+	if dts > uint64(math.MaxInt64-fr.last) {
+		return b, fr.fail("dts", errTSOverflow)
+	}
+	size := canonicalLen(dts, n)
 	b = b[n:]
-	typ, n := binary.Uvarint(b)
-	if n <= 0 {
-		return trace.Event{}, fr.failVarint("type", b, n)
+	if len(b) > 0 && b[0] < 0x80 {
+		typ, n = uint64(b[0]), 1
+	} else if typ, n = binary.Uvarint(b); n <= 0 {
+		return b, fr.failVarint("type", b, n)
 	}
+	// The event keeps the type's low 16 bits, and so does its encoding.
+	size += canonicalLen(uint64(trace.EventType(typ)), n)
 	b = b[n:]
-	arg, n := binary.Uvarint(b)
-	if n <= 0 {
-		return trace.Event{}, fr.failVarint("arg", b, n)
+	if len(b) > 0 && b[0] < 0x80 {
+		arg, n = uint64(b[0]), 1
+	} else if arg, n = binary.Uvarint(b); n <= 0 {
+		return b, fr.failVarint("arg", b, n)
 	}
+	size += canonicalLen(arg, n)
 	b = b[n:]
-	plen, n := binary.Uvarint(b)
-	if n <= 0 {
-		return trace.Event{}, fr.failVarint("payload length", b, n)
+	if len(b) > 0 && b[0] < 0x80 {
+		plen, n = uint64(b[0]), 1
+	} else if plen, n = binary.Uvarint(b); n <= 0 {
+		return b, fr.failVarint("payload length", b, n)
 	}
+	size += canonicalLen(plen, n)
 	b = b[n:]
 	if plen > maxPayloadSize {
 		fr.err = fmt.Errorf("traceio: payload length %d exceeds limit", plen)
-		return trace.Event{}, fr.err
+		return b, fr.err
 	}
 	var payload []byte
 	if plen > 0 {
 		if uint64(len(b)) < plen {
-			return trace.Event{}, fr.fail("payload", io.ErrUnexpectedEOF)
+			return b, fr.fail("payload", io.ErrUnexpectedEOF)
 		}
 		if arena == nil {
 			payload = make([]byte, plen)
@@ -478,9 +533,22 @@ func (fr *FrameReader) decodeEvent(arena *[]byte) (trace.Event, error) {
 		copy(payload, b)
 		b = b[plen:]
 	}
-	fr.frame = b
 	fr.last += time.Duration(dts)
-	return trace.Event{TS: fr.last, Type: trace.EventType(typ), Arg: arg, Payload: payload}, nil
+	fr.evBytes += int64(size) + int64(plen)
+	ev.TS = fr.last
+	ev.Type = trace.EventType(typ)
+	ev.Arg = arg
+	ev.Payload = payload
+	return b, nil
+}
+
+// canonicalLen is the minimal encoded length of v, read from n bytes: a
+// one-byte varint is already minimal.
+func canonicalLen(v uint64, n int) int {
+	if n == 1 {
+		return 1
+	}
+	return uvarintLen(v)
 }
 
 // failVarint latches the failure binary.Uvarint(b) reported through

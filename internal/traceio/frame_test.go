@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -295,11 +296,26 @@ func FuzzFrameReader(f *testing.F) {
 		}
 	}
 	f.Add([]byte("ETRSxxxx"))
+	oneFrame := func(body ...byte) []byte {
+		b := append([]byte(frameMagic), frameVersion1, 0)
+		return append(binary.AppendUvarint(b, uint64(len(body))), body...)
+	}
+	// Non-minimal varints (dts 0 in two bytes, type 1 in three), a type
+	// past 16 bits, and a timestamp that wraps int64.
+	f.Add(oneFrame(0x80, 0x00, 0x81, 0x80, 0x00, 5, 0, 1, 0x80, 0x80, 0x04, 0, 0))
+	f.Add(oneFrame(append(binary.AppendUvarint(nil, math.MaxInt64), 1, 1, 0, 1, 1, 1, 0)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := NewFrameReader(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
+		defer fr.Release()
+		var (
+			evs   []trace.Event
+			size  int64
+			prev  time.Duration
+			first = true
+		)
 		for i := 0; i < 1<<16; i++ {
 			ev, err := fr.Next()
 			if err != nil {
@@ -307,13 +323,89 @@ func FuzzFrameReader(f *testing.F) {
 				if _, err2 := fr.Next(); err2 == nil {
 					t.Fatal("Next succeeded after a terminal error")
 				}
+				// ReadBatch decodes in place, but into the same events, the
+				// same sizes and the same error.
+				br, berr := NewFrameReader(bytes.NewReader(data))
+				if berr != nil {
+					t.Fatalf("second reader: %v", berr)
+				}
+				defer br.Release()
+				got, gotErr := readAllBatched(br, 7)
+				if gotErr == nil || gotErr.Error() != err.Error() {
+					t.Fatalf("ReadBatch ended with %v, Next with %v", gotErr, err)
+				}
+				if len(got) != len(evs) {
+					t.Fatalf("ReadBatch decoded %d events, Next %d", len(got), len(evs))
+				}
+				for j := range evs {
+					if !sameEvent(got[j], evs[j]) {
+						t.Fatalf("event %d: ReadBatch %v, Next %v", j, got[j], evs[j])
+					}
+				}
+				if br.EventBytes() != size {
+					t.Fatalf("ReadBatch counted %d event bytes, Next %d", br.EventBytes(), size)
+				}
 				return
 			}
 			if ev.TS < 0 {
 				t.Fatalf("decoded negative timestamp %v", ev.TS)
 			}
+			// The reader's byte count is the canonical encoding's, whatever
+			// varint lengths the sender used.
+			size += int64(EncodedSize(ev, prev, first))
+			prev, first = ev.TS, false
+			if fr.EventBytes() != size {
+				t.Fatalf("after %d events EventBytes is %d, the events encode to %d", len(evs)+1, fr.EventBytes(), size)
+			}
+			evs = append(evs, ev)
 		}
 	})
+}
+
+// TestReadersRejectTimestampWrap: a delta that carries the timestamp past
+// math.MaxInt64 fails the stream in both readers instead of wrapping it
+// negative, after the events before it were delivered intact.
+func TestReadersRejectTimestampWrap(t *testing.T) {
+	events := func(dts ...uint64) []byte {
+		var b []byte
+		for _, d := range dts {
+			b = append(binary.AppendUvarint(b, d), 1, 1, 0)
+		}
+		return b
+	}
+	body := events(math.MaxInt64-1, 1, 1)
+
+	plain := append(binary.AppendUvarint([]byte(magic), formatVersion), body...)
+	br, err := NewBinaryReader(bytes.NewReader(plain))
+	if err != nil {
+		t.Fatal(err)
+	}
+	framed := append(binary.AppendUvarint([]byte(frameMagic), frameVersion1), 0)
+	framed = append(binary.AppendUvarint(framed, uint64(len(body))), body...)
+	fr, err := NewFrameReader(bytes.NewReader(framed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fr.Release()
+
+	for _, r := range []struct {
+		name string
+		next func() (trace.Event, error)
+		want string
+	}{
+		{"BinaryReader", br.Next, "traceio: reading dts: timestamp overflows int64"},
+		{"FrameReader", fr.Next, "traceio: reading frame event dts: timestamp overflows int64"},
+	} {
+		for _, ts := range []time.Duration{math.MaxInt64 - 1, math.MaxInt64} {
+			ev, err := r.next()
+			if err != nil || ev.TS != ts {
+				t.Fatalf("%s: event at %d, %v; want %d", r.name, int64(ev.TS), err, int64(ts))
+			}
+		}
+		if ev, err := r.next(); err == nil || err.Error() != r.want {
+			t.Fatalf("%s: third event %v, %v; want error %q", r.name, ev, err, r.want)
+		}
+	}
 }
 
 func TestFrameBadMagic(t *testing.T) {
@@ -421,6 +513,8 @@ func TestFrameDecodeErrorText(t *testing.T) {
 			want: "traceio: reading frame event dts: unexpected EOF", eof: true},
 		tc{name: "payload over the limit", tail: uv(1, 1, 1, maxPayloadSize+1),
 			want: fmt.Sprintf("traceio: payload length %d exceeds limit", maxPayloadSize+1)},
+		tc{name: "timestamp wraps int64", tail: uv(math.MaxInt64-299, 1, 1, 0),
+			want: "traceio: reading frame event dts: timestamp overflows int64"},
 	)
 
 	for _, c := range cases {

@@ -269,3 +269,47 @@ func TestReadBatchZeroAllocSteadyState(t *testing.T) {
 		t.Errorf("steady-state ReadBatch allocates %v/op, want 0", allocs)
 	}
 }
+
+// TestFrameReaderWait: Wait returns once the next frame has begun to
+// arrive, not before, and a stream that ends while it waits reports the
+// same error through ReadBatch as a reader that never waited.
+func TestFrameReaderWait(t *testing.T) {
+	evs := randomEvents(10, 25)
+	data := encodeFramed(t, evs, "", 1<<20, true) // header, one frame, no end marker
+	header := len(frameMagic) + 3                 // magic, version, name length, name "s"
+	pr, pw := io.Pipe()
+	go pw.Write(data[:header])
+	fr, err := NewFrameReader(pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fr.Release()
+
+	waited := make(chan struct{})
+	go func() {
+		fr.Wait()
+		close(waited)
+	}()
+	select {
+	case <-waited:
+		t.Fatal("Wait returned before any frame byte arrived")
+	case <-time.After(50 * time.Millisecond):
+	}
+	go func() {
+		pw.Write(data[header : header+1]) // the frame's first byte
+		time.Sleep(10 * time.Millisecond)
+		pw.Write(data[header+1:])
+	}()
+	<-waited
+	// The rest of the frame is still in flight: ReadBatch waits for it.
+	dst := make([]trace.Event, 2*len(evs))
+	if n, err := fr.ReadBatch(dst); n != len(evs) || err != nil {
+		t.Fatalf("ReadBatch after Wait: %d events, %v; want %d", n, err, len(evs))
+	}
+	pw.Close()
+	fr.Wait() // the stream ends while waiting
+	want := "traceio: stream truncated mid-frame: unexpected EOF"
+	if _, err := fr.ReadBatch(dst); err == nil || err.Error() != want {
+		t.Fatalf("ReadBatch after the stream ended in Wait: %v, want %q", err, want)
+	}
+}

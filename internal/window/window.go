@@ -7,6 +7,7 @@ package window
 import (
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"enduratrace/internal/trace"
@@ -33,11 +34,20 @@ func (w Window) Len() int { return len(w.Events) }
 // Contains reports whether ts lies in [Start, End).
 func (w Window) Contains(ts time.Duration) bool { return ts >= w.Start && ts < w.End }
 
-// Windower turns an event stream into a window stream. Add consumes one
-// event and reports a completed window when one closes. Flush returns the
-// final partial window, if any. A Windower is single-use.
+// Windower turns an event stream into a window stream. Cut consumes a
+// batch of events from the front of evs, appends every window they close
+// to dst, and returns the extended dst and the number of events consumed.
+// It appends at most max windows (max > 0): when the next window to close
+// would be one more, it stops before the event that closes it and returns
+// a count short of len(evs), so a caller can judge what it has and call
+// again with the rest — a long timestamp gap then costs max windows of
+// memory a call, not one window per gap length. Flush returns the final
+// partial window, if any. A Windower is single-use.
+//
+// Every window owns a fresh Events slice of exact length: callers may keep
+// windows (the context rings do) while the windower runs on.
 type Windower interface {
-	Add(trace.Event) (Window, bool)
+	Cut(dst []Window, evs []trace.Event, max int) ([]Window, int)
 	Flush() (Window, bool)
 }
 
@@ -45,7 +55,7 @@ type Windower interface {
 // hardware trace buffers of n entries.
 type ByCount struct {
 	n     int
-	buf   []trace.Event
+	carry []trace.Event // the open window's events from earlier batches
 	index int
 }
 
@@ -54,29 +64,36 @@ func NewByCount(n int) *ByCount {
 	if n <= 0 {
 		panic(fmt.Sprintf("window: ByCount size must be positive, got %d", n))
 	}
-	return &ByCount{n: n, buf: make([]trace.Event, 0, n)}
+	return &ByCount{n: n}
 }
 
-// Add implements Windower.
-func (c *ByCount) Add(ev trace.Event) (Window, bool) {
-	c.buf = append(c.buf, ev)
-	if len(c.buf) < c.n {
-		return Window{}, false
+// Cut implements Windower.
+func (c *ByCount) Cut(dst []Window, evs []trace.Event, max int) ([]Window, int) {
+	j := 0
+	for emitted := 0; len(c.carry)+len(evs)-j >= c.n; emitted++ {
+		if emitted == max {
+			return dst, j
+		}
+		k := j + c.n - len(c.carry)
+		dst = append(dst, c.emit(evs[j:k]))
+		j = k
 	}
-	return c.emit(), true
+	c.carry = append(c.carry, evs[j:]...)
+	return dst, len(evs)
 }
 
 // Flush implements Windower.
 func (c *ByCount) Flush() (Window, bool) {
-	if len(c.buf) == 0 {
+	if len(c.carry) == 0 {
 		return Window{}, false
 	}
-	return c.emit(), true
+	return c.emit(nil), true
 }
 
-func (c *ByCount) emit() Window {
-	events := make([]trace.Event, len(c.buf))
-	copy(events, c.buf)
+// emit closes the window made of the carried events followed by tail.
+func (c *ByCount) emit(tail []trace.Event) Window {
+	events := joinEvents(c.carry, tail)
+	c.carry = c.carry[:0]
 	w := Window{
 		Index:  c.index,
 		Start:  events[0].TS,
@@ -84,21 +101,36 @@ func (c *ByCount) emit() Window {
 		Events: events,
 	}
 	c.index++
-	c.buf = c.buf[:0]
 	return w
+}
+
+// joinEvents copies carry followed by tail into one exact-length slice —
+// the only copy a window's events get when they arrived in one batch.
+func joinEvents(carry, tail []trace.Event) []trace.Event {
+	events := make([]trace.Event, len(carry)+len(tail))
+	copy(events[copy(events, carry):], tail)
+	return events
 }
 
 // ByTime groups events into fixed-duration windows aligned to multiples of
 // the window length. Empty windows ARE emitted for gaps in the stream:
 // during a decoder stall the event rate collapses, and those near-empty
 // windows are precisely the behaviour change the monitor must see.
+//
+// An event earlier than the current window (out of order) joins the
+// current window. The window arithmetic saturates: the last window before
+// math.MaxInt64 ends at math.MaxInt64, so no window ends before it starts
+// and an event near the end of the time axis closes no window.
 type ByTime struct {
 	d       time.Duration
-	buf     []trace.Event
+	carry   []trace.Event // the open window's events from earlier batches
 	index   int
 	cur     time.Duration // start of the current window
 	started bool
+
+	// Add's queue of closed windows, drained by Add and Drain.
 	pending []Window
+	head    int
 }
 
 // NewByTime returns a time windower; d must be positive.
@@ -109,19 +141,53 @@ func NewByTime(d time.Duration) *ByTime {
 	return &ByTime{d: d}
 }
 
-// Add implements Windower. When an event jumps several window lengths
-// ahead, the intervening empty windows are queued and returned one per
-// subsequent Add/Drain call; callers should use Drain after each Add to
-// collect all completed windows.
-func (t *ByTime) Add(ev trace.Event) (Window, bool) {
+// closes reports whether ts lies at or past the end of the current
+// window, without computing the end (which may not fit in an int64).
+func (t *ByTime) closes(ts time.Duration) bool {
+	return ts >= t.cur && uint64(ts)-uint64(t.cur) >= uint64(t.d)
+}
+
+// Cut implements Windower. It scans the batch for the events that close
+// windows, so each window's events are copied once, from the batch into
+// the window; only the part of a window that spans batches waits in the
+// carry buffer.
+func (t *ByTime) Cut(dst []Window, evs []trace.Event, max int) ([]Window, int) {
+	if len(evs) == 0 {
+		return dst, 0
+	}
 	if !t.started {
 		t.started = true
-		t.cur = ev.TS - ev.TS%t.d
+		t.cur = evs[0].TS - evs[0].TS%t.d
 	}
-	for ev.TS >= t.cur+t.d {
-		t.pending = append(t.pending, t.emit())
+	i, j, emitted := 0, 0, 0 // evs[i:j] is the open window's part of the batch
+	for j < len(evs) {
+		if !t.closes(evs[j].TS) {
+			j++
+			continue
+		}
+		if emitted == max {
+			break
+		}
+		dst = append(dst, t.emit(evs[i:j]))
+		emitted++
+		i = j
 	}
-	t.buf = append(t.buf, ev)
+	t.carry = append(t.carry, evs[i:j]...)
+	return dst, j
+}
+
+// Add is Cut for one event. When the event jumps several window lengths
+// ahead, the first window it closes is returned and the rest are queued
+// for Drain; callers should use Drain after each Add to collect all
+// completed windows.
+func (t *ByTime) Add(ev trace.Event) (Window, bool) {
+	if t.started && !t.closes(ev.TS) {
+		// What Cut does with an event that closes nothing, without
+		// building a batch for it.
+		t.carry = append(t.carry, ev)
+	} else {
+		t.pending, _ = t.Cut(t.pending, []trace.Event{ev}, math.MaxInt)
+	}
 	return t.pop()
 }
 
@@ -130,78 +196,86 @@ func (t *ByTime) Add(ev trace.Event) (Window, bool) {
 func (t *ByTime) Drain() (Window, bool) { return t.pop() }
 
 // Flush implements Windower: it closes the current window if it holds any
-// events. Queued windows must be collected with Drain first.
+// events. Windows queued by Add must be collected with Drain first.
 func (t *ByTime) Flush() (Window, bool) {
 	if w, ok := t.pop(); ok {
 		return w, ok
 	}
-	if !t.started || len(t.buf) == 0 {
+	if !t.started || len(t.carry) == 0 {
 		return Window{}, false
 	}
-	return t.emit(), true
+	return t.emit(nil), true
 }
 
 func (t *ByTime) pop() (Window, bool) {
-	if len(t.pending) == 0 {
+	if t.head == len(t.pending) {
 		return Window{}, false
 	}
-	w := t.pending[0]
-	t.pending = t.pending[1:]
+	w := t.pending[t.head]
+	t.pending[t.head] = Window{}
+	t.head++
+	if t.head == len(t.pending) {
+		t.pending, t.head = t.pending[:0], 0
+	}
 	return w, true
 }
 
-func (t *ByTime) emit() Window {
-	events := make([]trace.Event, len(t.buf))
-	copy(events, t.buf)
+// emit closes the current window, made of the carried events followed by
+// tail, and opens the next one.
+func (t *ByTime) emit(tail []trace.Event) Window {
+	end := t.cur + t.d
+	if t.cur > math.MaxInt64-t.d {
+		end = math.MaxInt64
+	}
 	w := Window{
 		Index:  t.index,
 		Start:  t.cur,
-		End:    t.cur + t.d,
-		Events: events,
+		End:    end,
+		Events: joinEvents(t.carry, tail),
 	}
+	t.carry = t.carry[:0]
 	t.index++
-	t.buf = t.buf[:0]
-	t.cur += t.d
+	t.cur = end
 	return w
 }
+
+// streamBatch is how many events Stream reads, and windows it cuts, at a
+// time.
+const streamBatch = 512
 
 // Stream applies a windower to a reader and invokes fn for every completed
 // window including the final flush. fn returning an error aborts the stream.
 func Stream(r trace.Reader, w Windower, fn func(Window) error) error {
-	byTime, _ := w.(*ByTime)
+	br, _ := r.(trace.BatchReader)
+	evs := make([]trace.Event, streamBatch)
+	var wins []Window
 	for {
-		ev, err := r.Next()
+		var n int
+		var err error
+		if br != nil {
+			n, err = br.ReadBatch(evs)
+		} else if evs[0], err = r.Next(); err == nil {
+			n = 1
+		}
+		for rest := evs[:n]; len(rest) > 0; {
+			var k int
+			wins, k = w.Cut(wins[:0], rest, streamBatch)
+			rest = rest[k:]
+			for _, win := range wins {
+				if err := fn(win); err != nil {
+					return err
+				}
+			}
+		}
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return err
 		}
-		if win, ok := w.Add(ev); ok {
-			if err := fn(win); err != nil {
-				return err
-			}
-		}
-		if byTime != nil {
-			for {
-				win, ok := byTime.Drain()
-				if !ok {
-					break
-				}
-				if err := fn(win); err != nil {
-					return err
-				}
-			}
-		}
 	}
-	for {
-		win, ok := w.Flush()
-		if !ok {
-			break
-		}
-		if err := fn(win); err != nil {
-			return err
-		}
+	if win, ok := w.Flush(); ok {
+		return fn(win)
 	}
 	return nil
 }

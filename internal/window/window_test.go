@@ -1,6 +1,7 @@
 package window
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -13,9 +14,7 @@ func TestByCountSizing(t *testing.T) {
 	w := NewByCount(3)
 	var out []Window
 	for i := 0; i < 7; i++ {
-		if win, ok := w.Add(ev(time.Duration(i) * time.Millisecond)); ok {
-			out = append(out, win)
-		}
+		out, _ = w.Cut(out, []trace.Event{ev(time.Duration(i) * time.Millisecond)}, 1)
 	}
 	if win, ok := w.Flush(); ok {
 		out = append(out, win)
@@ -154,4 +153,291 @@ func TestNewByCountPanicsOnBadSize(t *testing.T) {
 		}
 	}()
 	NewByCount(0)
+}
+
+// TestByTimeNearMaxInt64: the window arithmetic must not overflow at the
+// end of the time axis. Before it was overflow-safe, one event at
+// math.MaxInt64-1 made Add loop forever, queueing windows until the
+// process ran out of memory.
+func TestByTimeNearMaxInt64(t *testing.T) {
+	d := 40 * time.Millisecond
+	done := make(chan []Window, 1)
+	go func() {
+		var out []Window
+		w := NewByTime(d)
+		for _, ts := range []time.Duration{math.MaxInt64 - 1, math.MaxInt64} {
+			if win, ok := w.Add(ev(ts)); ok {
+				out = append(out, win)
+			}
+			for {
+				win, ok := w.Drain()
+				if !ok {
+					break
+				}
+				out = append(out, win)
+			}
+		}
+		if win, ok := w.Flush(); ok {
+			out = append(out, win)
+		}
+		done <- out
+	}()
+	select {
+	case out := <-done:
+		if len(out) != 1 {
+			t.Fatalf("got %d windows, want 1", len(out))
+		}
+		w := out[0]
+		if w.Len() != 2 || w.End < w.Start || w.End != math.MaxInt64 ||
+			w.Start != math.MaxInt64-math.MaxInt64%d {
+			t.Fatalf("last window [%v, %v) with %d events, want [MaxInt64 - MaxInt64%%d, MaxInt64) with 2",
+				int64(w.Start), int64(w.End), w.Len())
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("ByTime.Add did not return for an event near math.MaxInt64")
+	}
+}
+
+// refWindower is the per-event windowing the cutters must reproduce: the
+// original one-event-at-a-time arithmetic, with its comparisons written
+// to be overflow-free.
+type refWindower struct {
+	count   int           // > 0: count windows of this many events
+	d       time.Duration // otherwise time windows of this length
+	cur     time.Duration
+	started bool
+	buf     []trace.Event
+	out     []Window
+}
+
+func (r *refWindower) add(e trace.Event) {
+	if r.count > 0 {
+		r.buf = append(r.buf, e)
+		if len(r.buf) == r.count {
+			r.emit()
+		}
+		return
+	}
+	if !r.started {
+		r.started = true
+		r.cur = e.TS - e.TS%r.d
+	}
+	for r.cur <= math.MaxInt64-r.d && e.TS >= r.cur+r.d {
+		r.emit()
+	}
+	r.buf = append(r.buf, e)
+}
+
+func (r *refWindower) flush() {
+	if len(r.buf) > 0 {
+		r.emit()
+	}
+}
+
+func (r *refWindower) emit() {
+	w := Window{Index: len(r.out), Events: append([]trace.Event{}, r.buf...)}
+	if r.count > 0 {
+		w.Start, w.End = r.buf[0].TS, r.buf[len(r.buf)-1].TS
+	} else {
+		w.Start, w.End = r.cur, math.MaxInt64
+		if r.cur <= math.MaxInt64-r.d {
+			w.End = r.cur + r.d
+		}
+		r.cur = w.End
+	}
+	r.out = append(r.out, w)
+	r.buf = r.buf[:0]
+}
+
+// fuzzTrace turns fuzz bytes into events and batch splits. Each byte pair
+// is one event: a signed step from the previous timestamp of up to 127 ns,
+// 8 windows or 320 windows (so gaps and out-of-order events both occur),
+// and whether a batch ends after it, possibly followed by an empty batch. Timestamps
+// saturate at the ends of the int64 range, so a base near either end
+// piles events on the edge.
+func fuzzTrace(data []byte, base int64, d time.Duration) [][]trace.Event {
+	var batches [][]trace.Event
+	var cur []trace.Event
+	ts := base
+	for i := 0; i+1 < len(data); i += 2 {
+		step := int64(int8(data[i]))
+		switch data[i+1] % 3 {
+		case 1:
+			step = step >> 4 * int64(d)
+		case 2:
+			step = step >> 4 * 40 * int64(d)
+		}
+		switch {
+		case step > 0 && ts > math.MaxInt64-step:
+			ts = math.MaxInt64
+		case step < 0 && ts < math.MinInt64-step:
+			ts = math.MinInt64
+		default:
+			ts += step
+		}
+		cur = append(cur, trace.Event{TS: time.Duration(ts), Type: trace.EventType(data[i+1] >> 4), Arg: uint64(i)})
+		if data[i+1]&0x0c == 0 {
+			batches = append(batches, cur)
+			cur = nil
+			if data[i+1]&0x30 == 0 {
+				batches = append(batches, nil)
+			}
+		}
+	}
+	return append(batches, cur)
+}
+
+// FuzzWindowCut: over arbitrary event sequences and batch splits, Cut
+// with any window limit — and, one event at a time, ByTime's Add/Drain
+// and ByCount's Cut — give exactly the windows of the per-event
+// reference, each in an exact-length slice of its own.
+func FuzzWindowCut(f *testing.F) {
+	f.Add([]byte{1, 1, 1, 1, 1, 0, 40, 2, 1, 1, 200, 1, 3, 4, 0, 0}, int64(0), uint8(9), uint8(0), false)
+	f.Add([]byte{5, 0, 5, 4, 5, 8, 5, 0, 127, 2, 1, 0, 1, 0}, int64(12345), uint8(3), uint8(2), true)
+	f.Add([]byte{1, 0, 1, 0, 100, 2, 3, 1}, int64(math.MaxInt64-50), uint8(15), uint8(1), false)
+	f.Add([]byte{255, 2, 255, 2, 1, 0, 2, 0}, int64(math.MinInt64+20), uint8(4), uint8(3), false)
+	f.Fuzz(func(t *testing.T, data []byte, base int64, dSel, maxSel uint8, count bool) {
+		if len(data) > 256 {
+			data = data[:256]
+		}
+		d := time.Duration(1 + dSel%16)
+		limit := 1 + int(maxSel%5)
+		batches := fuzzTrace(data, base, d)
+
+		ref := &refWindower{d: d}
+		var cutter Windower = NewByTime(d)
+		if count {
+			ref = &refWindower{count: 1 + int(dSel%7)}
+			cutter = NewByCount(ref.count)
+		}
+		var stepped []Window
+		byTime := NewByTime(d)
+		byCount := NewByCount(max(ref.count, 1))
+		for _, b := range batches {
+			for _, e := range b {
+				ref.add(e)
+				if count {
+					stepped, _ = byCount.Cut(stepped, []trace.Event{e}, 1)
+					continue
+				}
+				if w, ok := byTime.Add(e); ok {
+					stepped = append(stepped, w)
+				}
+				for {
+					w, ok := byTime.Drain()
+					if !ok {
+						break
+					}
+					stepped = append(stepped, w)
+				}
+			}
+		}
+		ref.flush()
+		var last Windower = byTime
+		if count {
+			last = byCount
+		}
+		if w, ok := last.Flush(); ok {
+			stepped = append(stepped, w)
+		}
+
+		var cut []Window
+		for _, b := range batches {
+			rest := b
+			for {
+				got, k := cutter.Cut(nil, rest, limit)
+				if len(got) > limit {
+					t.Fatalf("Cut appended %d windows, limit %d", len(got), limit)
+				}
+				if k < len(rest) && len(got) != limit {
+					t.Fatalf("Cut stopped after %d of %d events with %d windows, below its limit %d",
+						k, len(rest), len(got), limit)
+				}
+				if cut = append(cut, got...); len(cut) > len(ref.out) {
+					t.Fatalf("Cut made more windows than the reference's %d", len(ref.out))
+				}
+				rest = rest[k:]
+				if len(rest) == 0 {
+					break
+				}
+			}
+			for i := range b {
+				b[i] = trace.Event{TS: -1, Type: 99} // windows must not alias the batch
+			}
+		}
+		if w, ok := cutter.Flush(); ok {
+			cut = append(cut, w)
+		}
+
+		for name, got := range map[string][]Window{"batched": cut, "one at a time": stepped} {
+			if len(got) != len(ref.out) {
+				t.Fatalf("%s: %d windows, reference %d", name, len(got), len(ref.out))
+			}
+			for i, w := range ref.out {
+				g := got[i]
+				if g.Index != w.Index || g.Start != w.Start || g.End != w.End || len(g.Events) != len(w.Events) {
+					t.Fatalf("%s: window %d is %d [%d, %d) with %d events, reference %d [%d, %d) with %d",
+						name, i, g.Index, int64(g.Start), int64(g.End), len(g.Events),
+						w.Index, int64(w.Start), int64(w.End), len(w.Events))
+				}
+				if !count && g.End < g.Start {
+					t.Fatalf("%s: window %d ends before it starts", name, i)
+				}
+				if cap(g.Events) != len(g.Events) {
+					t.Fatalf("%s: window %d has %d events in a slice of capacity %d", name, i, len(g.Events), cap(g.Events))
+				}
+				for j := range w.Events {
+					if g.Events[j].TS != w.Events[j].TS || g.Events[j].Type != w.Events[j].Type || g.Events[j].Arg != w.Events[j].Arg {
+						t.Fatalf("%s: window %d event %d is %+v, reference %+v", name, i, j, g.Events[j], w.Events[j])
+					}
+				}
+			}
+		}
+	})
+}
+
+// benchEvents is a trace at the paper's density: 40 µs between events,
+// so a 40 ms window holds 1 000 of them.
+func benchEvents(n int) []trace.Event {
+	evs := make([]trace.Event, n)
+	for i := range evs {
+		evs[i] = trace.Event{TS: time.Duration(i) * 40 * time.Microsecond, Type: trace.EventType(i % 25), Arg: uint64(i)}
+	}
+	return evs
+}
+
+// BenchmarkByTimeCut measures windowing per event over 512-event batches:
+// "cut" hands each batch to Cut, "add" feeds the same events one at a
+// time through Add and Drain.
+func BenchmarkByTimeCut(b *testing.B) {
+	const batch = 512
+	evs := benchEvents(64 * batch)
+	b.Run("cut", func(b *testing.B) {
+		var wins []Window
+		for i := 0; i < b.N; i++ {
+			w := NewByTime(40 * time.Millisecond)
+			for off := 0; off < len(evs); off += batch {
+				for rest := evs[off : off+batch]; len(rest) > 0; {
+					var k int
+					wins, k = w.Cut(wins[:0], rest, batch)
+					rest = rest[k:]
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
+	})
+	b.Run("add", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			w := NewByTime(40 * time.Millisecond)
+			for _, e := range evs {
+				w.Add(e)
+				for {
+					if _, ok := w.Drain(); !ok {
+						break
+					}
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
+	})
 }
