@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"enduratrace/internal/core"
 )
@@ -300,6 +302,36 @@ func TestRemovedSubcommands(t *testing.T) {
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), fmt.Sprintf("unknown subcommand %q", name)) {
 			t.Fatalf("enduratrace %s: %v\n%s\nwant exit status 2 and an unknown-subcommand error", name, err, out)
+		}
+	}
+}
+
+// TestNonFiniteFactorRefused: a perturbation factor of NaN or Inf is
+// refused before anything runs. Accepted, it stretched every simulated
+// service time without bound: sim wrote without end and eval ran out of
+// memory windowing the stalled trace.
+func TestNonFiniteFactorRefused(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name string
+		args []string
+	}{
+		{"sim NaN", []string{"sim", "-factor", "NaN", "-duration", "90s"}},
+		{"sim Inf", []string{"sim", "-factor", "Inf", "-duration", "90s"}},
+		{"eval Inf", []string{"eval", "-factor", "Inf", "-run-duration", "90s"}},
+	} {
+		out := filepath.Join(dir, strings.ReplaceAll(c.name, " ", "-"))
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		cmd := exec.CommandContext(ctx, os.Args[0], append(c.args, "-out", out)...)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		msg, err := cmd.CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(msg), "must be finite") {
+			t.Fatalf("enduratrace %s: %v\n%s\nwant exit status 1 and a refusal", c.name, err, msg)
+		}
+		if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("enduratrace %s left %s behind: %v", c.name, out, err)
 		}
 	}
 }

@@ -198,15 +198,10 @@ type Options struct {
 	// drive a fake clock through here; it must be safe for concurrent
 	// use (the dispatcher reads it too).
 	Clock func() time.Time
-	// OnTransition, when set, observes every state-machine transition
-	// synchronously on the scoring goroutine, before dedup and rate
-	// limiting — the persistence hook (serve appends transitions to the
-	// anomaly store through it). It must not block for long.
-	OnTransition func(Notification)
-	// RecentCap bounds the recent-notification ring served by GET /alerts
-	// (default 128).
-	RecentCap int
 }
+
+// recentCap bounds the recent-notification ring served by GET /alerts.
+const recentCap = 128
 
 func (o Options) withDefaults() Options {
 	if o.MinTrips <= 0 {
@@ -229,9 +224,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Clock == nil {
 		o.Clock = time.Now
-	}
-	if o.RecentCap <= 0 {
-		o.RecentCap = 128
 	}
 	return o
 }
@@ -275,8 +267,7 @@ func NewPipeline(opts Options) *Pipeline {
 		clock:   opts.Clock,
 		models:  make(map[string]*modelCounters),
 		streams: make(map[*Stream]struct{}),
-		recent:  make([]Notification, 0, opts.RecentCap),
-		hook:    opts.OnTransition,
+		recent:  make([]Notification, 0, recentCap),
 	}
 	if opts.DedupTTL > 0 {
 		p.dedup = newDedupSet(opts.DedupTTL)
@@ -287,8 +278,10 @@ func NewPipeline(opts Options) *Pipeline {
 	return p
 }
 
-// SetTransitionHook installs the OnTransition callback after construction
-// (serve wires the anomaly-store persistence here). Call before any
+// SetTransitionHook installs a callback that observes every state-machine
+// transition synchronously on the scoring goroutine, before dedup and
+// rate limiting: the persistence hook (serve appends transitions to the
+// anomaly store through it). It must not block for long. Call before any
 // stream is registered.
 func (p *Pipeline) SetTransitionHook(hook func(Notification)) {
 	p.mu.Lock()

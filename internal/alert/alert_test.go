@@ -338,9 +338,10 @@ func TestCloseReturnsFirstSinkError(t *testing.T) {
 }
 
 func TestSnapshotRecentRingWraps(t *testing.T) {
-	p, clk := newTestPipeline(t, Options{MinTrips: 1, ClearAfter: time.Minute, DedupTTL: -1, RecentCap: 4})
+	p, clk := newTestPipeline(t, Options{MinTrips: 1, ClearAfter: time.Minute, DedupTTL: -1})
 	s := p.Register("s0", "m0")
-	for i := 0; i < 4; i++ { // 8 transitions through a 4-slot ring
+	const incidents = recentCap/2 + 1 // two transitions more than the ring holds
+	for i := 0; i < incidents; i++ {
 		clk.advance(time.Second)
 		s.Observe(Observation{Anomalous: true, GateDist: float64(i), LOF: 2, WindowIndex: 2 * i})
 		clk.advance(time.Minute)
@@ -348,19 +349,20 @@ func TestSnapshotRecentRingWraps(t *testing.T) {
 	}
 	s.Close()
 	recent := p.Snapshot().Recent
-	// Both transitions of an incident carry the arming window's index, so
-	// the ring's last four entries are incidents 2 and 3, oldest first.
-	want := []struct {
-		kind Kind
-		idx  int
-	}{{KindFiring, 4}, {KindResolved, 4}, {KindFiring, 6}, {KindResolved, 6}}
-	if len(recent) != len(want) {
-		t.Fatalf("recent holds %d, want %d", len(recent), len(want))
+	if len(recent) != recentCap {
+		t.Fatalf("recent holds %d, want %d", len(recent), recentCap)
 	}
-	for i, w := range want {
-		if recent[i].Kind != w.kind || recent[i].WindowIndex != w.idx {
+	// Both transitions of an incident carry the arming window's index, so
+	// incident 0 has wrapped out and the ring runs from incident 1's firing
+	// to the last incident's resolution, oldest first.
+	for j, n := range recent {
+		wantKind, wantIdx := KindFiring, 2*(1+j/2)
+		if j%2 == 1 {
+			wantKind = KindResolved
+		}
+		if n.Kind != wantKind || n.WindowIndex != wantIdx {
 			t.Fatalf("recent[%d] = %v window %d, want %v window %d",
-				i, recent[i].Kind, recent[i].WindowIndex, w.kind, w.idx)
+				j, n.Kind, n.WindowIndex, wantKind, wantIdx)
 		}
 	}
 }

@@ -122,11 +122,11 @@ func TestFlappingHysteresisAndDedup(t *testing.T) {
 		DedupQuantum: 0.01,
 		Sinks:        []Sink{sink},
 		Clock:        clk.now,
-		OnTransition: func(n Notification) {
-			hookMu.Lock()
-			transitions[n.Stream] = append(transitions[n.Stream], n)
-			hookMu.Unlock()
-		},
+	})
+	p.SetTransitionHook(func(n Notification) {
+		hookMu.Lock()
+		transitions[n.Stream] = append(transitions[n.Stream], n)
+		hookMu.Unlock()
 	})
 
 	trip := func(s *Stream, dist float64, idx int) {

@@ -11,7 +11,7 @@ import (
 // deeper decode paths than random bytes.
 func segmentBytes(t testing.TB, n int, seal bool) []byte {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{IndexEvery: 2})
+	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

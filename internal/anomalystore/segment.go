@@ -19,18 +19,17 @@ type SegmentScan struct {
 	// FirstSeq/LastSeq are the sequence range of intact records (0/0 when
 	// the segment holds none).
 	FirstSeq, LastSeq uint64
-	// Sealed reports whether the end-of-records marker (and so the tail
-	// index) was reached; a segment that was active at crash time is not
-	// sealed.
+	// Sealed reports whether the end-of-records marker was reached; a
+	// segment that was active at crash time is not sealed.
 	Sealed bool
 	// Truncated reports that the scan stopped at a torn or corrupt tail —
 	// a partial record, a CRC mismatch, or a payload that fails to decode.
 	// Everything counted in Records precedes the damage.
 	Truncated bool
 	// Bytes is the size of what the scan found intact: the header and
-	// every intact record, plus — when Sealed — the end marker and the
-	// tail index behind it, i.e. the whole file. A torn or corrupt tail
-	// is not counted.
+	// every intact record, plus — when Sealed — the end marker and
+	// whatever follows it (the sparse-index trailer older versions wrote),
+	// i.e. the whole file. A torn or corrupt tail is not counted.
 	Bytes int64
 }
 
@@ -91,7 +90,9 @@ func ScanSegment(r io.Reader, fn func(seq uint64, payload []byte) error) (Segmen
 		}
 		if plen == 0 {
 			scan.Sealed = true
-			if _, err := io.Copy(io.Discard, br); err != nil { // the tail index
+			// Skip what follows the marker: nothing in files this version
+			// writes, the sparse-index trailer in older ones.
+			if _, err := io.Copy(io.Discard, br); err != nil {
 				return scan, fmt.Errorf("anomalystore: reading segment tail: %w", err)
 			}
 			scan.Bytes = consumed()
@@ -168,63 +169,10 @@ func scanSegmentFile(path string, fn func(seq uint64, payload []byte) error) (Se
 	return scan, nil
 }
 
-// readSegmentIndex loads the sparse index from a sealed segment's tail.
-// ok is false (with no error) when the segment has no intact index —
-// unsealed, too short, or a corrupt footer — in which case callers fall
-// back to a sequential scan.
-func readSegmentIndex(path string) (entries []indexEntry, ok bool, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, false, fmt.Errorf("anomalystore: %w", err)
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, false, fmt.Errorf("anomalystore: %w", err)
-	}
-	const trailer = 4 + 4 + len(indexMagic) // crc + ilen + magic
-	if st.Size() < int64(trailer) {
-		return nil, false, nil
-	}
-	var tail [trailer]byte
-	if _, err := f.ReadAt(tail[:], st.Size()-int64(trailer)); err != nil {
-		return nil, false, nil
-	}
-	if string(tail[8:]) != indexMagic {
-		return nil, false, nil
-	}
-	wantCRC := binary.LittleEndian.Uint32(tail[:4])
-	ilen := int64(binary.LittleEndian.Uint32(tail[4:8]))
-	if ilen < 1 || ilen > st.Size()-int64(trailer) {
-		return nil, false, nil
-	}
-	idx := make([]byte, ilen)
-	if _, err := f.ReadAt(idx, st.Size()-int64(trailer)-ilen); err != nil {
-		return nil, false, nil
-	}
-	if crc32.ChecksumIEEE(idx) != wantCRC {
-		return nil, false, nil
-	}
-	d := &decoder{b: idx}
-	count := d.uvarint("index count")
-	if d.err != nil || count > uint64(ilen) {
-		return nil, false, nil
-	}
-	entries = make([]indexEntry, 0, count)
-	for i := uint64(0); i < count; i++ {
-		e := indexEntry{seq: d.uvarint("index seq"), off: d.uvarint("index offset")}
-		if d.err != nil {
-			return nil, false, nil
-		}
-		entries = append(entries, e)
-	}
-	return entries, true, nil
-}
-
 // Reader is the read side of a store directory: it walks every segment in
-// sequence order and fetches single incidents via the sealed segments'
-// tail indexes. A Reader takes no lock on the directory; reading while a
-// Store appends is safe (it simply stops at the current tail).
+// sequence order and fetches single incidents by scanning the segment
+// that holds them. A Reader takes no lock on the directory; reading while
+// a Store appends is safe (it simply stops at the current tail).
 type Reader struct {
 	dir  string
 	segs []segmentFile
@@ -270,9 +218,8 @@ func (r *Reader) Walk(fn func(*Incident) error) ([]SegmentScan, error) {
 // store.
 var ErrNotFound = errors.New("anomalystore: incident not found")
 
-// Get fetches one incident by sequence number. Sealed segments are
-// located via their tail index (seek to the nearest preceding entry, then
-// scan forward); unsealed segments fall back to a sequential scan.
+// Get fetches one incident by sequence number, scanning the segment that
+// holds it up to the record.
 func (r *Reader) Get(seq uint64) (*Incident, error) {
 	// Segments are named by base sequence: the owner is the last segment
 	// whose base is <= seq.
@@ -281,93 +228,25 @@ func (r *Reader) Get(seq uint64) (*Incident, error) {
 		if seg.base > seq {
 			continue
 		}
-		if idx, ok, err := readSegmentIndex(seg.path); err != nil {
+		var found *Incident
+		_, err := scanSegmentFile(seg.path, func(got uint64, payload []byte) error {
+			if got != seq {
+				return nil
+			}
+			inc, derr := DecodeIncident(payload)
+			if derr != nil {
+				return derr
+			}
+			found = inc
+			return errStopScan
+		})
+		if err != nil {
 			return nil, err
-		} else if ok {
-			return r.getIndexed(seg, idx, seq)
 		}
-		return r.getScan(seg, seq)
+		if found == nil {
+			return nil, ErrNotFound
+		}
+		return found, nil
 	}
 	return nil, ErrNotFound
-}
-
-func (r *Reader) getIndexed(seg segmentFile, idx []indexEntry, seq uint64) (*Incident, error) {
-	// Nearest index entry at or before seq (entries are ascending).
-	off := int64(-1)
-	for _, e := range idx {
-		if e.seq > seq {
-			break
-		}
-		off = int64(e.off)
-	}
-	if off < 0 {
-		return nil, ErrNotFound
-	}
-	f, err := os.Open(seg.path)
-	if err != nil {
-		return nil, fmt.Errorf("anomalystore: %w", err)
-	}
-	defer f.Close()
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("anomalystore: %w", err)
-	}
-	return findInRecords(bufio.NewReaderSize(f, 1<<16), seq)
-}
-
-func (r *Reader) getScan(seg segmentFile, seq uint64) (*Incident, error) {
-	var found *Incident
-	_, err := scanSegmentFile(seg.path, func(got uint64, payload []byte) error {
-		if got != seq {
-			return nil
-		}
-		inc, derr := DecodeIncident(payload)
-		if derr != nil {
-			return derr
-		}
-		found = inc
-		return errStopScan
-	})
-	if err != nil {
-		return nil, err
-	}
-	if found == nil {
-		return nil, ErrNotFound
-	}
-	return found, nil
-}
-
-// findInRecords reads length-prefixed records (no segment header) from br
-// until it decodes the record with the wanted sequence number.
-func findInRecords(br *bufio.Reader, seq uint64) (*Incident, error) {
-	var payload []byte
-	for {
-		plen, err := binary.ReadUvarint(br)
-		if err != nil || plen == 0 || plen > maxRecordSize {
-			return nil, ErrNotFound
-		}
-		var crcb [4]byte
-		if _, err := io.ReadFull(br, crcb[:]); err != nil {
-			return nil, ErrNotFound
-		}
-		if cap(payload) < int(plen) {
-			payload = make([]byte, plen)
-		}
-		payload = payload[:plen]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return nil, ErrNotFound
-		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(crcb[:]) {
-			return nil, ErrNotFound
-		}
-		got, n := binary.Uvarint(payload)
-		if n <= 0 {
-			return nil, ErrNotFound
-		}
-		if got == seq {
-			return DecodeIncident(payload)
-		}
-		if got > seq {
-			return nil, ErrNotFound
-		}
-	}
 }

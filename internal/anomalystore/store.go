@@ -9,8 +9,7 @@
 //
 // On disk the store is a directory of append-only segment files. Each
 // segment is length-prefixed records with a CRC32 per record over the
-// existing traceio binary event codec, a sparse in-file index appended
-// when the segment is sealed, and size-based rotation:
+// existing traceio binary event codec, and size-based rotation:
 //
 //	segment file (<firstSeq as %016d>.seg):
 //
@@ -20,7 +19,6 @@
 //	  records *                 repeated
 //	  sealed segments then end with:
 //	  0       uvarint           end-of-records marker
-//	  index   (see below)
 //
 //	each record:
 //
@@ -28,18 +26,11 @@
 //	  crc     uint32 LE         CRC-32 (IEEE) of the payload
 //	  payload plen bytes        one encoded Incident
 //
-//	index (sealed segments only):
-//
-//	  count   uvarint           number of entries (every IndexEvery-th record)
-//	  entries count ×           uvarint seq, uvarint file offset of the record
-//	  crc     uint32 LE         CRC-32 (IEEE) of count+entries
-//	  ilen    uint32 LE         byte length of count+entries
-//	  magic   "EAIX"            4 bytes
-//
-// The fixed-size trailer (ilen + magic) lets a reader load the index of a
-// sealed segment from the file tail without scanning; segments that were
-// active when the daemon died have no index and are scanned sequentially,
-// with the CRC detecting (never panicking on) a truncated tail record.
+// Every read is a sequential scan of a segment, which stops at the
+// end-of-records marker: the sparse-index trailer ("EAIX") that older
+// versions appended after the marker is skipped unread, so their stores
+// read unchanged. A segment that was active when the daemon died has no
+// marker; the CRC detects (never panicking on) a truncated tail record.
 //
 // Durability is a group commit. Submit writes a record into the active
 // segment and returns; one committer goroutine, started by Open and
@@ -82,7 +73,6 @@ import (
 const (
 	segMagic   = "EASG"
 	segVersion = 1
-	indexMagic = "EAIX"
 	segExt     = ".seg"
 
 	// maxRecordSize bounds one incident record when decoding; corrupt
@@ -220,29 +210,21 @@ func (inc *Incident) Meta() IncidentMeta {
 	}
 }
 
+// recentMetas is how many incident metas the in-memory recent ring
+// retains for the /anomalies listing.
+const recentMetas = 256
+
 // Options configures a Store.
 type Options struct {
 	// SegmentBytes rotates the active segment once it exceeds this size
-	// (default 8 MiB). Rotation seals the segment: index appended, file
-	// fsynced and closed — after that a crash cannot touch it.
+	// (default 8 MiB). Rotation seals the segment: end marker appended,
+	// file fsynced and closed — after that a crash cannot touch it.
 	SegmentBytes int64
-	// IndexEvery is the sparse-index stride: every IndexEvery-th record of
-	// a segment gets an index entry (default 16).
-	IndexEvery int
-	// Recent is how many incident metas the in-memory recent ring retains
-	// for the /anomalies listing (default 256).
-	Recent int
 }
 
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 8 << 20
-	}
-	if o.IndexEvery <= 0 {
-		o.IndexEvery = 16
-	}
-	if o.Recent <= 0 {
-		o.Recent = 256
 	}
 	return o
 }
@@ -274,13 +256,6 @@ type StoreStats struct {
 	Syncs         int64 `json:"syncs"`
 	SyncErrors    int64 `json:"sync_errors"`
 	SyncedRecords int64 `json:"synced_records"`
-}
-
-// indexEntry is one sparse-index row: the sequence number and file offset
-// of a record.
-type indexEntry struct {
-	seq uint64
-	off uint64
 }
 
 // segFile is what the store needs of a segment file. Open installs
@@ -320,9 +295,6 @@ type Store struct {
 	work, flushed *sync.Cond
 	f             segFile
 	off           int64
-	segBase       uint64
-	segRecords    int
-	index         []indexEntry
 	nextSeq       uint64
 	sealedSegs    int
 	sealedB       int64
@@ -451,18 +423,14 @@ func (s *Store) Submit(inc Incident) (uint64, error) {
 		s.failed = appendFailed(s.failed, inc.Seq, inc.Seq, err)
 		return 0, fmt.Errorf("anomalystore: %w", err)
 	}
-	if s.segRecords%s.opts.IndexEvery == 0 {
-		s.index = append(s.index, indexEntry{seq: inc.Seq, off: uint64(s.off)})
-	}
 	s.off += int64(len(rec))
-	s.segRecords++
 	s.appended++
 	if inc.Anomalous {
 		s.anoms++
 	}
 	s.recent = append(s.recent, inc.Meta())
-	if len(s.recent) > s.opts.Recent {
-		s.recent = s.recent[len(s.recent)-s.opts.Recent:]
+	if len(s.recent) > recentMetas {
+		s.recent = s.recent[len(s.recent)-recentMetas:]
 	}
 	s.written = inc.Seq
 	s.pending++
@@ -563,7 +531,7 @@ func appendFailed(failed []failedRange, lo, hi uint64, err error) []failedRange 
 // SyncLatency returns the distribution of the store's fsync durations.
 func (s *Store) SyncLatency() obs.Snapshot { return s.syncLatency.Snapshot() }
 
-// Close seals the active segment (index, fsync), stops the committer and
+// Close seals the active segment (end marker, fsync), stops the committer and
 // closes the store. Every record written is durable, or reported failed,
 // when it returns. Idempotent.
 func (s *Store) Close() error {
@@ -626,9 +594,8 @@ func (s *Store) Recent(n int) []IncidentMeta {
 	return cp
 }
 
-// Get fetches one incident by sequence number, reading from disk (sealed
-// segments via their tail index, the active segment by scan). Safe to call
-// while appends continue.
+// Get fetches one incident by sequence number, reading from disk by a scan
+// of the segment that holds it. Safe to call while appends continue.
 func (s *Store) Get(seq uint64) (*Incident, error) {
 	s.mu.Lock()
 	dir := s.dir
@@ -660,9 +627,6 @@ func (s *Store) openSegmentLocked() error {
 	}
 	s.f = f
 	s.off = int64(n)
-	s.segBase = base
-	s.segRecords = 0
-	s.index = s.index[:0]
 	// Make the new directory entry itself durable: a rotated-away segment
 	// that the directory forgot would be as lost as an unsynced one.
 	syncDir(s.dir)
@@ -670,7 +634,7 @@ func (s *Store) openSegmentLocked() error {
 }
 
 // closeSegmentLocked takes the active segment out of service: sealed (end
-// marker and sparse index appended) unless a write or fsync on it has
+// marker appended) unless a write or fsync on it has
 // failed, in which case it is left exactly as it is; fsynced, which also
 // covers whatever the committer had not flushed yet; and closed. The
 // caller has waited out s.syncing.
@@ -679,22 +643,8 @@ func (s *Store) closeSegmentLocked() error {
 	s.f = nil
 	var werr, serr error
 	if !poisoned {
-		idx := make([]byte, 0, 16+len(s.index)*2*binary.MaxVarintLen64)
-		idx = binary.AppendUvarint(idx, uint64(len(s.index)))
-		for _, e := range s.index {
-			idx = binary.AppendUvarint(idx, e.seq)
-			idx = binary.AppendUvarint(idx, e.off)
-		}
-		var tail [1 + 4 + 4 + len(indexMagic)]byte
-		tail[0] = 0 // uvarint(0): end-of-records marker
-		out := append(tail[:1], idx...)
-		var crcb [8]byte
-		binary.LittleEndian.PutUint32(crcb[:4], crc32.ChecksumIEEE(idx))
-		binary.LittleEndian.PutUint32(crcb[4:], uint32(len(idx)))
-		out = append(out, crcb[:]...)
-		out = append(out, indexMagic...)
-		_, werr = f.Write(out)
-		s.off += int64(len(out))
+		_, werr = f.Write([]byte{0}) // uvarint(0): end-of-records marker
+		s.off++
 	}
 	if !poisoned || s.pending > 0 {
 		serr = s.sync(f)
@@ -704,7 +654,6 @@ func (s *Store) closeSegmentLocked() error {
 	s.sealedSegs++
 	s.sealedB += s.off
 	s.off = 0
-	s.index = s.index[:0]
 	//lint:ignore counterlock the caller holds mu
 	s.poisoned = false
 	if werr != nil {

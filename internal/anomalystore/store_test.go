@@ -144,11 +144,11 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStoreRotationAndIndexedGet(t *testing.T) {
+func TestStoreRotationAndGet(t *testing.T) {
 	dir := t.TempDir()
-	// Tiny segments and a dense-ish index force rotation and the indexed
-	// Get path across several sealed segments.
-	s, err := Open(dir, Options{SegmentBytes: 4096, IndexEvery: 4})
+	// Tiny segments force rotation, so Get runs across several sealed
+	// segments.
+	s, err := Open(dir, Options{SegmentBytes: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,17 +168,7 @@ func TestStoreRotationAndIndexedGet(t *testing.T) {
 	if r.Segments() != st.Segments {
 		t.Fatalf("reader sees %d segments, store reported %d", r.Segments(), st.Segments)
 	}
-	// Every sealed segment must carry a usable tail index.
-	segs, err := listSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, seg := range segs {
-		if _, ok, err := readSegmentIndex(seg.path); err != nil || !ok {
-			t.Fatalf("segment %s has no tail index (err %v)", seg.path, err)
-		}
-	}
-	// Get every record back, including ones not on an index boundary.
+	// Get every record back.
 	for _, w := range want {
 		inc, err := r.Get(w.Seq)
 		if err != nil {
@@ -198,6 +188,78 @@ func TestStoreRotationAndIndexedGet(t *testing.T) {
 	got, _ := walkAll(t, dir)
 	if len(got) != len(want) {
 		t.Fatalf("walked %d incidents across segments, want %d", len(got), len(want))
+	}
+}
+
+// TestReadsStoreWithIndexTrailer reads testdata/prev-store, written by
+// the version that appended a sparse index behind each sealed segment's
+// end marker: segment 1 holds testIncident(0..6), sealed with its "EAIX"
+// trailer; segment 8 holds testIncident(7..9), left unsealed as by a
+// crash. Open, Walk and Get must read it record for record.
+func TestReadsStoreWithIndexTrailer(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "prev-store")
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var onDisk int64
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		onDisk += int64(len(b))
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := make([]Incident, 10)
+	for i := range want {
+		want[i] = testIncident(i)
+		want[i].Seq = uint64(i + 1)
+	}
+
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.Recovered != 10 || st.LastSeq != 10 || st.Bytes != onDisk {
+		t.Fatalf("reopened books %+v, want 10 records recovered and %d bytes", st, onDisk)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	got, scans := walkAll(t, dir)
+	if len(got) != len(want) {
+		t.Fatalf("walked %d incidents, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(*got[i], want[i]) {
+			t.Fatalf("incident %d mismatch:\n got %+v\nwant %+v", i, *got[i], want[i])
+		}
+	}
+	if len(scans) != 2 || !scans[0].Sealed || scans[1].Sealed || scans[0].Truncated || scans[1].Truncated {
+		t.Fatalf("scans %+v, want one sealed and one unsealed segment, neither truncated", scans)
+	}
+	if scans[0].FirstSeq != 1 || scans[0].LastSeq != 7 {
+		t.Fatalf("sealed segment holds %d..%d, want 1..7", scans[0].FirstSeq, scans[0].LastSeq)
+	}
+
+	r, err := OpenReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seq := range []uint64{1, 4, 7} { // first, middle and last of the sealed segment
+		inc, err := r.Get(seq)
+		if err != nil {
+			t.Fatalf("Get(%d): %v", seq, err)
+		}
+		if !reflect.DeepEqual(*inc, want[seq-1]) {
+			t.Fatalf("Get(%d) mismatch", seq)
+		}
 	}
 }
 

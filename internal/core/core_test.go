@@ -12,6 +12,7 @@ import (
 	"enduratrace/internal/pmf"
 	"enduratrace/internal/recorder"
 	"enduratrace/internal/trace"
+	"enduratrace/internal/traceio"
 	"enduratrace/internal/window"
 )
 
@@ -41,8 +42,25 @@ func synth(start, end time.Duration, weights []float64, seed int64) []trace.Even
 	return evs
 }
 
+// memSink is a recorder.Sink that keeps every recorded window and
+// accounts its encoded size like the shipped sinks.
+type memSink struct {
+	*recorder.NullSink
+	Windows []window.Window
+}
+
+func newMemSink() *memSink { return &memSink{NullSink: recorder.NewNullSink()} }
+
+func (s *memSink) Record(w window.Window) error {
+	s.Windows = append(s.Windows, w)
+	return s.NullSink.Record(w)
+}
+
+// testConfig scales the shipped configuration to the synthetic traces:
+// four event types, 20 ms windows and the pmf-only feature vector.
 func testConfig() Config {
 	cfg := NewConfig(4)
+	cfg.IncludeRate = false
 	cfg.WindowDuration = 20 * time.Millisecond
 	cfg.K = 5
 	cfg.Alpha = 2
@@ -156,9 +174,8 @@ func TestGateMergeVsTrip(t *testing.T) {
 	if math.IsNaN(d.LOF) || !d.Anomalous {
 		t.Fatalf("shifted window not anomalous: %+v", d)
 	}
-	windows, trips, lofCalls, anoms := mon.Stats()
-	if windows != 3 || trips != 2 || lofCalls != 2 || anoms != 1 {
-		t.Fatalf("stats = %d/%d/%d/%d, want 3/2/2/1", windows, trips, lofCalls, anoms)
+	if got, want := mon.Snapshot(), (Snapshot{Windows: 3, GateTrips: 2, LOFCalls: 2, Anomalies: 1}); got != want {
+		t.Fatalf("snapshot = %+v, want %+v", got, want)
 	}
 }
 
@@ -180,7 +197,7 @@ func TestLearnRunEndToEnd(t *testing.T) {
 	run = append(run, synth(anomStart, anomEnd, []float64{0, 1, 10, 10}, 3)...)
 	run = append(run, synth(anomEnd, 3*time.Second, refWeights, 4)...)
 
-	sink := recorder.NewMemSink()
+	sink := newMemSink()
 	var anomWindows []window.Window
 	stats, err := Run(cfg, learned, trace.NewSliceReader(run), sink, func(d Decision) error {
 		if d.Anomalous {
@@ -212,11 +229,11 @@ func TestLearnRunEndToEnd(t *testing.T) {
 	}
 	// Storage accounting: full size must match an independent measurement,
 	// and recording only the anomaly must shrink the trace.
-	full, err := recorder.FullTraceSize(trace.NewSliceReader(run))
-	if err != nil {
+	acct := traceio.NewSizeAccountant()
+	if _, err := trace.Copy(acct, trace.NewSliceReader(run)); err != nil {
 		t.Fatal(err)
 	}
-	if stats.FullBytes != full {
+	if full := acct.Bytes(); stats.FullBytes != full {
 		t.Fatalf("FullBytes = %d, independent measure %d", stats.FullBytes, full)
 	}
 	if rf, ok := stats.ReductionFactor(); !ok || rf <= 1 {
@@ -239,7 +256,7 @@ func TestRunWithContextSink(t *testing.T) {
 	run = append(run, synth(time.Second, 1100*time.Millisecond, []float64{0, 1, 10, 10}, 3)...)
 	run = append(run, synth(1100*time.Millisecond, 2*time.Second, refWeights, 4)...)
 
-	mem := recorder.NewMemSink()
+	mem := newMemSink()
 	ctx := recorder.NewContextSink(mem, 2, 2)
 	stats, err := Run(cfg, learned, trace.NewSliceReader(run), ctx, nil)
 	if err != nil {

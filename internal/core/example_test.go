@@ -12,10 +12,9 @@ import (
 
 // ExampleLearn learns a model of correct behaviour from a clean reference
 // trace — here a simulated pipeline run, in production the first minutes
-// of a validated execution (trace.LimitReader over any trace.Reader).
+// of a validated execution.
 func ExampleLearn() {
 	cfg := core.NewConfig(mediasim.NumEventTypes)
-	cfg.IncludeRate = true
 
 	sc := mediasim.DefaultConfig()
 	sc.Duration = 30 * time.Second
@@ -43,8 +42,6 @@ func ExampleLearn() {
 // per live stream (see internal/serve).
 func ExampleMonitor_ProcessWindow() {
 	cfg := core.NewConfig(mediasim.NumEventTypes)
-	cfg.IncludeRate = true
-	cfg.Alpha = 2.5
 
 	ref := mediasim.DefaultConfig()
 	ref.Duration = 30 * time.Second
@@ -86,9 +83,9 @@ func ExampleMonitor_ProcessWindow() {
 	if err != nil {
 		panic(err)
 	}
-	windows, trips, _, _ := mon.Stats()
-	fmt.Println("windows:", windows)
-	fmt.Println("every trip needed one LOF call:", trips <= windows)
+	snap := mon.Snapshot()
+	fmt.Println("windows:", snap.Windows)
+	fmt.Println("every trip needed one LOF call:", snap.GateTrips <= snap.Windows)
 	// Output:
 	// first window gate tripped: true
 	// first window scored: true

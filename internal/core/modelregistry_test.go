@@ -18,7 +18,6 @@ func learnTwo(t *testing.T) (a, b *NamedModel) {
 	t.Helper()
 	mk := func(name string, seed int64, k int) *NamedModel {
 		cfg := NewConfig(mediasim.NumEventTypes)
-		cfg.IncludeRate = true
 		cfg.K = k
 		sc := mediasim.DefaultConfig()
 		sc.Duration = 15 * time.Second

@@ -34,7 +34,7 @@ import (
 )
 
 // Config carries every tunable of the approach. NewConfig supplies the
-// paper's experimental values.
+// shipped values.
 type Config struct {
 	// NumTypes is the pmf dimensionality (one component per event type).
 	NumTypes int
@@ -89,20 +89,27 @@ type Config struct {
 	FastKernels bool
 }
 
-// NewConfig returns the configuration used in the paper's experiment
-// (§III): 40 ms windows, K = 20, alpha = 1.2, with the remaining knobs at
-// values the paper leaves implicit.
+// NewConfig returns the one shipped configuration: what learn, eval,
+// soak, sweep and the benchmark workloads start from. It keeps §III's
+// 40 ms windows and K = 20, with the knobs the paper leaves implicit at
+// fixed values. Three depart from §III. The simulator's 40 ms windows
+// hold ≈ 42 events, so their multinomial noise alone puts the reference
+// train-LOF p95 near 2.0: alpha 2.5 (the paper's 1.2) sits just above
+// that floor, the 0.1 gate keeps LOF engaged through the interior of a
+// stalled regime instead of only at its edges, and the rate feature
+// (IncludeRate) keeps pure rate collapses visible to LOF.
 func NewConfig(numTypes int) Config {
 	return Config{
 		NumTypes:       numTypes,
 		WindowDuration: 40 * time.Millisecond,
 		K:              20,
-		Alpha:          1.2,
-		GateThreshold:  0.05,
+		Alpha:          2.5,
+		GateThreshold:  0.1,
 		GateDistance:   distance.Must("symkl"),
 		LOFDistance:    distance.Must("symkl"),
 		MergeLambda:    0.1,
 		Smoothing:      0.5,
+		IncludeRate:    true,
 	}
 }
 
@@ -322,12 +329,6 @@ func (m *Monitor) ScoreWindow(w window.Window) float64 {
 // Alpha returns the configured LOF anomaly threshold.
 func (m *Monitor) Alpha() float64 { return m.cfg.Alpha }
 
-// Stats reports monitor counters.
-func (m *Monitor) Stats() (windows, gateTrips, lofCalls, anomalies int) {
-	s := m.Snapshot()
-	return int(s.Windows), int(s.GateTrips), int(s.LOFCalls), int(s.Anomalies)
-}
-
 // Snapshot is a point-in-time view of a monitor's counters. Unlike
 // RunStats it can be taken while the monitor is mid-Run: the counters are
 // atomics, so a concurrent observer (the serve admin endpoints) reads a
@@ -382,9 +383,9 @@ type Learned struct {
 // divided into windows, each window becomes a pmf point, and the point set
 // is fitted as a LOF model of correct behaviour.
 //
-// r should be a reference execution with no QoS errors — e.g.
-// trace.LimitReader over the first minutes of a run, or an unperturbed
-// simulation from internal/mediasim.
+// r should be a reference execution with no QoS errors — e.g. the first
+// minutes of a validated run, or an unperturbed simulation from
+// internal/mediasim.
 func Learn(cfg Config, r trace.Reader) (*Learned, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -9,7 +9,6 @@ import (
 	"testing/iotest"
 	"time"
 
-	"enduratrace/internal/recorder"
 	"enduratrace/internal/trace"
 	"enduratrace/internal/traceio"
 	"enduratrace/internal/window"
@@ -97,7 +96,7 @@ func observeRun(t *testing.T, cfg Config, learned *Learned, r trace.Reader, abor
 		}
 		out.timers++
 	})
-	sink := recorder.NewMemSink()
+	sink := newMemSink()
 	out.stats, out.err = mon.Run(r, sink, func(d Decision) error {
 		out.log = append(out.log, decisionLog{
 			gateDist: d.GateDist,

@@ -17,6 +17,7 @@ package eval
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"enduratrace/internal/core"
@@ -84,17 +85,9 @@ type Progress struct {
 
 // DefaultOptions returns a paper-shaped experiment scaled to run in a few
 // seconds: a 2-minute reference run and a 10-minute perturbed run with five
-// 20-second factor-3 CPU hogs.
-// The monitor thresholds differ from §III's (alpha 1.2, tight gate): the
-// simulator's 40 ms windows hold ~42 events, so their multinomial noise
-// puts the reference train-LOF p95 near 2.0; alpha 2.5 sits just above
-// that floor, and the 0.1 gate keeps LOF engaged through the interior of a
-// stalled regime instead of only at its edges.
+// 20-second factor-3 CPU hogs, monitored with core.NewConfig's shipped
+// configuration.
 func DefaultOptions() Options {
-	cc := core.NewConfig(mediasim.NumEventTypes)
-	cc.IncludeRate = true
-	cc.Alpha = 2.5
-	cc.GateThreshold = 0.1
 	return Options{
 		Seed:            1,
 		RunSeedOffset:   1,
@@ -107,7 +100,7 @@ func DefaultOptions() Options {
 		Slack:           5 * time.Second,
 		Warmup:          5 * time.Second,
 		Sim:             mediasim.DefaultConfig(),
-		Core:            cc,
+		Core:            core.NewConfig(mediasim.NumEventTypes),
 	}
 }
 
@@ -119,8 +112,8 @@ func (o Options) Validate() error {
 		return fmt.Errorf("eval: RefDuration %v must be positive", o.RefDuration)
 	case o.RunDuration <= 0:
 		return fmt.Errorf("eval: RunDuration %v must be positive", o.RunDuration)
-	case !(o.Factor >= 1): // negated so that NaN fails
-		return fmt.Errorf("eval: Factor %g must be >= 1", o.Factor)
+	case !(o.Factor >= 1 && o.Factor <= math.MaxFloat64): // negated so that NaN fails
+		return fmt.Errorf("eval: Factor %g must be finite and >= 1", o.Factor)
 	case o.Slack < 0 || o.Warmup < 0:
 		return fmt.Errorf("eval: Slack and Warmup must be >= 0")
 	case o.RunSeedOffset == 0:

@@ -11,7 +11,6 @@ package perturb
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"time"
 )
@@ -59,10 +58,12 @@ type Intervals struct {
 }
 
 // NewIntervals validates and returns an interval load. Spans must be
-// disjoint and sorted by start; Factor must be >= 1.
+// disjoint and sorted by start; Factor must be finite and >= 1.
 func NewIntervals(factor float64, spans []Interval) (*Intervals, error) {
-	if factor < 1 {
-		return nil, fmt.Errorf("perturb: factor %g < 1", factor)
+	// Negated so that NaN, which fails every comparison, is refused; the
+	// upper bound refuses +Inf, under which no simulated work would finish.
+	if !(factor >= 1 && factor <= math.MaxFloat64) {
+		return nil, fmt.Errorf("perturb: factor %g must be finite and >= 1", factor)
 	}
 	for i, s := range spans {
 		if s.End <= s.Start {
@@ -131,57 +132,6 @@ func Periodic(factor float64, first, period, duration, horizon time.Duration) (*
 // does not quantify its hog's intensity).
 func Paper(factor float64, horizon time.Duration) (*Intervals, error) {
 	return Periodic(factor, 300*time.Second+180*time.Second, 180*time.Second, 20*time.Second, horizon)
-}
-
-// RandomIntervals draws n non-overlapping perturbation spans of the given
-// duration uniformly over [lo, hi), for randomized robustness tests.
-func RandomIntervals(factor float64, n int, duration, lo, hi time.Duration, seed int64) (*Intervals, error) {
-	if hi-lo < time.Duration(n)*2*duration {
-		return nil, fmt.Errorf("perturb: range %v too small for %d spans of %v", hi-lo, n, duration)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	var spans []Interval
-	for len(spans) < n {
-		start := lo + time.Duration(rng.Int63n(int64(hi-lo-duration)))
-		cand := Interval{Start: start, End: start + duration}
-		ok := true
-		for _, s := range spans {
-			if cand.Start < s.End+duration && s.Start < cand.End+duration {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			spans = append(spans, cand)
-		}
-	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
-	return NewIntervals(factor, spans)
-}
-
-// Stack composes several loads multiplicatively; the factor at t is the
-// product of the component factors. Useful to overlay background jitter on
-// the paper's periodic schedule.
-type Stack []Load
-
-// FactorAt implements Load.
-func (s Stack) FactorAt(t time.Duration) float64 {
-	f := 1.0
-	for _, l := range s {
-		f *= l.FactorAt(t)
-	}
-	return f
-}
-
-// NextChange implements Load.
-func (s Stack) NextChange(t time.Duration) time.Duration {
-	next := Horizon
-	for _, l := range s {
-		if c := l.NextChange(t); c < next {
-			next = c
-		}
-	}
-	return next
 }
 
 // WorkFinish integrates a piecewise-constant load: starting work at t0 with

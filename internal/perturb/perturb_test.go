@@ -1,6 +1,7 @@
 package perturb
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -46,8 +47,10 @@ func TestIntervalsFactorAndNextChange(t *testing.T) {
 }
 
 func TestNewIntervalsRejectsBadSpans(t *testing.T) {
-	if _, err := NewIntervals(0.5, nil); err == nil {
-		t.Fatal("factor < 1 accepted")
+	for _, f := range []float64{0.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewIntervals(f, nil); err == nil {
+			t.Fatalf("factor %g accepted", f)
+		}
 	}
 	if _, err := NewIntervals(2, []Interval{{10, 5}}); err == nil {
 		t.Fatal("inverted span accepted")
@@ -116,38 +119,5 @@ func TestWorkFinishHandComputed(t *testing.T) {
 	// remaining 1.5 s at factor 1 → finish at 21.5 s.
 	if got := WorkFinish(l, 19*time.Second, 2*time.Second); got != 21500*time.Millisecond {
 		t.Fatalf("WorkFinish = %v, want 21.5s", got)
-	}
-}
-
-func TestRandomIntervalsDisjointSorted(t *testing.T) {
-	l, err := RandomIntervals(2, 5, time.Second, 0, 60*time.Second, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(l.Spans) != 5 {
-		t.Fatalf("got %d spans", len(l.Spans))
-	}
-	for i := 1; i < len(l.Spans); i++ {
-		if l.Spans[i].Start < l.Spans[i-1].End {
-			t.Fatalf("spans overlap: %v", l.Spans)
-		}
-	}
-	if _, err := RandomIntervals(2, 10, time.Second, 0, 5*time.Second, 7); err == nil {
-		t.Fatal("impossible packing accepted")
-	}
-}
-
-func TestStackMultiplies(t *testing.T) {
-	a, _ := NewIntervals(2, []Interval{{0, 10}})
-	b, _ := NewIntervals(3, []Interval{{5, 15}})
-	s := Stack{a, b}
-	if f := s.FactorAt(7); f != 6 {
-		t.Fatalf("stacked factor = %g, want 6", f)
-	}
-	if f := s.FactorAt(12); f != 3 {
-		t.Fatalf("stacked factor = %g, want 3", f)
-	}
-	if n := s.NextChange(0); n != 5 {
-		t.Fatalf("NextChange = %v, want 5", n)
 	}
 }

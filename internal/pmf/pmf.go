@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 
-	"enduratrace/internal/trace"
 	"enduratrace/internal/window"
 )
 
@@ -92,13 +91,6 @@ func (c Counts) NormalizeInto(dst Vector, eps float64) {
 	}
 }
 
-// Clone returns a copy of v.
-func (v Vector) Clone() Vector {
-	out := make(Vector, len(v))
-	copy(out, v)
-	return out
-}
-
 // Validate returns an error unless v is a proper distribution.
 func (v Vector) Validate() error {
 	if len(v) == 0 {
@@ -137,17 +129,6 @@ func (v Vector) Merge(n Vector, lambda float64) {
 	for i := range v {
 		v[i] = (1-lambda)*v[i] + lambda*n[i]
 	}
-}
-
-// Entropy returns the Shannon entropy of v in nats.
-func (v Vector) Entropy() float64 {
-	var h float64
-	for _, p := range v {
-		if p > 0 {
-			h -= p * math.Log(p)
-		}
-	}
-	return h
 }
 
 // Uniform returns the uniform distribution of dimension dim.
@@ -232,18 +213,4 @@ func MeanCount(ws []window.Window) float64 {
 		s += float64(len(w.Events))
 	}
 	return s / float64(len(ws))
-}
-
-// TypeCountsOver accumulates total per-type counts across an event slice;
-// a convenience for summary statistics and tests.
-func TypeCountsOver(evs []trace.Event, dim int) Counts {
-	c := make(Counts, dim)
-	for _, ev := range evs {
-		i := int(ev.Type)
-		if i >= dim {
-			i = dim - 1
-		}
-		c[i]++
-	}
-	return c
 }

@@ -79,15 +79,6 @@ func TestMergePanicsOnBadLambda(t *testing.T) {
 	v.Merge(Vector{1}, 0)
 }
 
-func TestEntropy(t *testing.T) {
-	if h := Uniform(8).Entropy(); math.Abs(h-math.Log(8)) > 1e-12 {
-		t.Fatalf("uniform entropy %g, want ln 8", h)
-	}
-	if h := (Vector{1, 0, 0}).Entropy(); h != 0 {
-		t.Fatalf("point-mass entropy %g, want 0", h)
-	}
-}
-
 func TestFeaturizerRateFeature(t *testing.T) {
 	f := Featurizer{Dim: 4, Smoothing: 0.5, IncludeRate: true, RateScale: 10}
 	if f.FeatureDim() != 5 {
@@ -131,14 +122,6 @@ func TestMeanCount(t *testing.T) {
 	}
 	if m := MeanCount(nil); m != 0 {
 		t.Fatalf("MeanCount(nil) = %g, want 0", m)
-	}
-}
-
-func TestTypeCountsOver(t *testing.T) {
-	evs := []trace.Event{{Type: 0}, {Type: 2}, {Type: 2}, {Type: 99}}
-	c := TypeCountsOver(evs, 3)
-	if c[0] != 1 || c[1] != 0 || c[2] != 3 {
-		t.Fatalf("counts = %v", c)
 	}
 }
 

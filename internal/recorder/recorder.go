@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 
-	"enduratrace/internal/trace"
 	"enduratrace/internal/traceio"
 	"enduratrace/internal/window"
 )
@@ -58,37 +57,6 @@ func (s *NullSink) BytesWritten() int64 { return s.acct.Bytes() }
 
 // WindowsRecorded implements Sink.
 func (s *NullSink) WindowsRecorded() int { return s.windows }
-
-// MemSink retains every recorded window in memory; intended for tests.
-type MemSink struct {
-	Windows []window.Window
-	acct    *traceio.SizeAccountant
-}
-
-// NewMemSink returns an in-memory sink.
-func NewMemSink() *MemSink {
-	return &MemSink{acct: traceio.NewSizeAccountant()}
-}
-
-// Record implements Sink.
-func (s *MemSink) Record(w window.Window) error {
-	s.Windows = append(s.Windows, w)
-	for _, ev := range w.Events {
-		if err := s.acct.Write(ev); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Close implements Sink.
-func (s *MemSink) Close() error { return nil }
-
-// BytesWritten implements Sink.
-func (s *MemSink) BytesWritten() int64 { return s.acct.Bytes() }
-
-// WindowsRecorded implements Sink.
-func (s *MemSink) WindowsRecorded() int { return len(s.Windows) }
 
 // countingWriter counts bytes flowing to an io.Writer.
 type countingWriter struct {
@@ -264,13 +232,3 @@ func (s *ContextSink) BytesWritten() int64 { return s.dst.BytesWritten() }
 
 // WindowsRecorded implements Sink.
 func (s *ContextSink) WindowsRecorded() int { return s.dst.WindowsRecorded() }
-
-// FullTraceSize streams r through a size accountant and reports the exact
-// encoded size of recording everything — the paper's baseline denominator.
-func FullTraceSize(r trace.Reader) (int64, error) {
-	acct := traceio.NewSizeAccountant()
-	if _, err := trace.Copy(acct, r); err != nil {
-		return 0, err
-	}
-	return acct.Bytes(), nil
-}

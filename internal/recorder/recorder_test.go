@@ -33,10 +33,33 @@ func mkWindows(n int) []window.Window {
 	return out
 }
 
+// memSink retains every recorded window and accounts its encoded size
+// through its own accountant.
+type memSink struct {
+	Windows []window.Window
+	acct    *traceio.SizeAccountant
+}
+
+func newMemSink() *memSink { return &memSink{acct: traceio.NewSizeAccountant()} }
+
+func (s *memSink) Record(w window.Window) error {
+	s.Windows = append(s.Windows, w)
+	for _, ev := range w.Events {
+		if err := s.acct.Write(ev); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (s *memSink) Close() error         { return nil }
+func (s *memSink) BytesWritten() int64  { return s.acct.Bytes() }
+func (s *memSink) WindowsRecorded() int { return len(s.Windows) }
+
 func TestNullAndMemSinksAgreeOnBytes(t *testing.T) {
 	ws := mkWindows(5)
 	null := NewNullSink()
-	mem := NewMemSink()
+	mem := newMemSink()
 	for _, w := range ws {
 		if err := null.Record(w); err != nil {
 			t.Fatal(err)
@@ -115,7 +138,7 @@ func TestStreamSinkCompressionShrinks(t *testing.T) {
 
 func TestContextSinkPrePost(t *testing.T) {
 	ws := mkWindows(10)
-	mem := NewMemSink()
+	mem := newMemSink()
 	ctx := NewContextSink(mem, 2, 2)
 	flagged := map[int]bool{5: true}
 	for _, w := range ws {
@@ -141,7 +164,7 @@ func TestContextSinkPrePost(t *testing.T) {
 
 func TestContextSinkNoDuplicatesOnAdjacentAnomalies(t *testing.T) {
 	ws := mkWindows(10)
-	mem := NewMemSink()
+	mem := newMemSink()
 	ctx := NewContextSink(mem, 2, 2)
 	flagged := map[int]bool{4: true, 5: true}
 	for _, w := range ws {
@@ -172,23 +195,4 @@ func indexes(ws []window.Window) []int {
 		out[i] = w.Index
 	}
 	return out
-}
-
-func TestFullTraceSizeMatchesAccountant(t *testing.T) {
-	ws := mkWindows(6)
-	var evs []trace.Event
-	for _, w := range ws {
-		evs = append(evs, w.Events...)
-	}
-	got, err := FullTraceSize(trace.NewSliceReader(evs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	acct := traceio.NewSizeAccountant()
-	for _, ev := range evs {
-		acct.Write(ev)
-	}
-	if got != acct.Bytes() {
-		t.Fatalf("FullTraceSize %d != accountant %d", got, acct.Bytes())
-	}
 }

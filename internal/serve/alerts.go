@@ -5,7 +5,7 @@ import (
 	"enduratrace/internal/anomalystore"
 )
 
-// persistAlertTransition is the alert pipeline's OnTransition hook: every
+// persistAlertTransition is the alert pipeline's transition hook: every
 // firing/resolved transition becomes a window-free incident record in the
 // anomaly store, so `enduratrace replay` and GET /anomalies show alert
 // history interleaved with the gate trips that caused it. Installed by New

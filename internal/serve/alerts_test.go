@@ -42,9 +42,7 @@ func (s *testAlertSink) Close() error { return nil }
 // and every alerting family at once.
 func TestSelftestAlertPipelineEndToEnd(t *testing.T) {
 	cfg, learned := fixture(t)
-	// Recent ring sized above anything the run can append, so counting
-	// record kinds through it sees every record.
-	store, err := anomalystore.Open(t.TempDir(), anomalystore.Options{Recent: 1 << 20})
+	store, err := anomalystore.Open(t.TempDir(), anomalystore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,20 +84,27 @@ func TestSelftestAlertPipelineEndToEnd(t *testing.T) {
 	}
 
 	// The store holds both record kinds; alert records are window-free and
-	// carry the firing/resolved marker in their metadata.
+	// carry the firing/resolved marker.
 	var alertRecs, tripRecs int64
-	for _, meta := range store.Recent(int(rep.Stats.AnomalyIncidents + rep.Stats.AlertTransitions)) {
-		if meta.Alert != "" {
+	r, err := anomalystore.OpenReader(store.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Walk(func(inc *anomalystore.Incident) error {
+		if inc.Alert != "" {
 			alertRecs++
 		} else {
 			tripRecs++
 		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if alertRecs != rep.Stats.AlertTransitions {
-		t.Fatalf("store metas show %d alert records, server persisted %d", alertRecs, rep.Stats.AlertTransitions)
+		t.Fatalf("store holds %d alert records, server persisted %d", alertRecs, rep.Stats.AlertTransitions)
 	}
 	if tripRecs != rep.Stats.AnomalyIncidents {
-		t.Fatalf("store metas show %d gate-trip records, server persisted %d", tripRecs, rep.Stats.AnomalyIncidents)
+		t.Fatalf("store holds %d gate-trip records, server persisted %d", tripRecs, rep.Stats.AnomalyIncidents)
 	}
 
 	want := []string{

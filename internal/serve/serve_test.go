@@ -37,9 +37,6 @@ func fixture(t testing.TB) (core.Config, *core.Learned) {
 	t.Helper()
 	fixtureOnce.Do(func() {
 		cfg := core.NewConfig(mediasim.NumEventTypes)
-		cfg.IncludeRate = true
-		cfg.Alpha = 2.5
-		cfg.GateThreshold = 0.1
 		// Serve the fixture the way production serving is meant to run:
 		// through the precomputed-log KL-family kernels.
 		cfg.FastKernels = true

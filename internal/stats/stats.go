@@ -1,8 +1,6 @@
 // Package stats supplies the small statistical helpers the harness needs:
-// streaming moments (Welford), quantiles, Student-t confidence intervals
-// (the sweep subsystem's multi-seed error bars), histograms, exponential
-// averages and autocorrelation (the basis for detecting periodic
-// perturbation schedules from detection timestamps).
+// streaming moments (Welford), quantiles and Student-t confidence
+// intervals (the sweep subsystem's multi-seed error bars).
 package stats
 
 import (
@@ -184,187 +182,4 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// Mean returns the arithmetic mean of xs (NaN for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Std returns the unbiased sample standard deviation of xs.
-func Std(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
-}
-
-// EWMA is an exponentially-weighted moving average. The zero value is
-// unseeded; the first Add seeds it.
-type EWMA struct {
-	Lambda float64 // weight of the newest sample, in (0,1]
-	value  float64
-	seeded bool
-}
-
-// Add folds x into the average and returns the updated value.
-func (e *EWMA) Add(x float64) float64 {
-	if e.Lambda <= 0 || e.Lambda > 1 {
-		panic(fmt.Sprintf("stats: EWMA lambda %g outside (0,1]", e.Lambda))
-	}
-	if !e.seeded {
-		e.value = x
-		e.seeded = true
-		return x
-	}
-	e.value = (1-e.Lambda)*e.value + e.Lambda*x
-	return e.value
-}
-
-// Value returns the current average (0 before the first Add).
-func (e *EWMA) Value() float64 { return e.value }
-
-// Seeded reports whether any sample has been added.
-func (e *EWMA) Seeded() bool { return e.seeded }
-
-// Histogram is a fixed-bin histogram over [Lo, Hi). Samples outside the
-// range are not silently folded into the edge bins (which would hide
-// exactly the tail one is usually looking for): they land in the explicit
-// Under and Over counters, Total covers the in-range bins only, and
-// Count includes everything.
-type Histogram struct {
-	Lo, Hi float64
-	Bins   []int
-	// Under counts samples below Lo; Over counts samples at or above Hi.
-	Under, Over int
-}
-
-// NewHistogram creates a histogram with n bins over [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic(fmt.Sprintf("stats: bad histogram parameters lo=%g hi=%g n=%d", lo, hi, n))
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]int, n)}
-}
-
-// Add records one sample. Out-of-range samples go to Under/Over.
-func (h *Histogram) Add(x float64) {
-	if x < h.Lo {
-		h.Under++
-		return
-	}
-	n := len(h.Bins)
-	i := int(float64(n) * (x - h.Lo) / (h.Hi - h.Lo))
-	if i >= n || i < 0 { // i < 0 only via float rounding at the Lo edge
-		h.Over++
-		return
-	}
-	h.Bins[i]++
-}
-
-// Total returns the number of in-range samples (the sum of Bins).
-func (h *Histogram) Total() int {
-	t := 0
-	for _, b := range h.Bins {
-		t += b
-	}
-	return t
-}
-
-// Count returns every recorded sample, including Under and Over — the
-// number Add was called, so out-of-range tails can never be invisible.
-func (h *Histogram) Count() int {
-	return h.Total() + h.Under + h.Over
-}
-
-// BinCenter returns the centre value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Bins))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Autocorr returns the normalised autocorrelation of xs at the given lags:
-// r[k] = Σ (x_t - m)(x_{t+k} - m) / Σ (x_t - m)², for each k in lags.
-// A constant series has autocorrelation 0 at every positive lag.
-func Autocorr(xs []float64, lags []int) []float64 {
-	out := make([]float64, len(lags))
-	n := len(xs)
-	if n == 0 {
-		return out
-	}
-	m := Mean(xs)
-	var denom float64
-	for _, x := range xs {
-		d := x - m
-		denom += d * d
-	}
-	if denom == 0 {
-		return out
-	}
-	for i, k := range lags {
-		if k < 0 || k >= n {
-			out[i] = 0
-			continue
-		}
-		var num float64
-		for t := 0; t+k < n; t++ {
-			num += (xs[t] - m) * (xs[t+k] - m)
-		}
-		out[i] = num / denom
-	}
-	return out
-}
-
-// ArgmaxAutocorr scans lags in [minLag, maxLag] and returns the lag with the
-// highest autocorrelation together with that correlation value. It returns
-// lag 0 and correlation 0 when the range is empty or the series is constant.
-func ArgmaxAutocorr(xs []float64, minLag, maxLag int) (int, float64) {
-	if minLag < 1 {
-		minLag = 1
-	}
-	if maxLag >= len(xs) {
-		maxLag = len(xs) - 1
-	}
-	if minLag > maxLag {
-		return 0, 0
-	}
-	constant := true
-	for _, x := range xs {
-		//lint:ignore floateq constant-series detection means literally identical values, not near-equal ones
-		if x != xs[0] {
-			constant = false
-			break
-		}
-	}
-	if constant {
-		return 0, 0
-	}
-	lags := make([]int, 0, maxLag-minLag+1)
-	for k := minLag; k <= maxLag; k++ {
-		lags = append(lags, k)
-	}
-	rs := Autocorr(xs, lags)
-	best, bestV := 0, math.Inf(-1)
-	for i, r := range rs {
-		if r > bestV {
-			best, bestV = lags[i], r
-		}
-	}
-	if math.IsInf(bestV, -1) {
-		return 0, 0
-	}
-	return best, bestV
 }

@@ -5,6 +5,20 @@ import (
 	"testing"
 )
 
+// meanStd is the two-pass reference for Running: the arithmetic mean and
+// the unbiased sample standard deviation of xs (len(xs) >= 2).
+func meanStd(xs []float64) (mean, std float64) {
+	for _, x := range xs {
+		mean += x
+	}
+	mean /= float64(len(xs))
+	var ss float64
+	for _, x := range xs {
+		ss += (x - mean) * (x - mean)
+	}
+	return mean, math.Sqrt(ss / float64(len(xs)-1))
+}
+
 func TestRunningMatchesDirect(t *testing.T) {
 	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6}
 	var r Running
@@ -14,11 +28,12 @@ func TestRunningMatchesDirect(t *testing.T) {
 	if r.N() != len(xs) {
 		t.Fatalf("N = %d", r.N())
 	}
-	if math.Abs(r.Mean()-Mean(xs)) > 1e-12 {
-		t.Fatalf("mean %g != %g", r.Mean(), Mean(xs))
+	mean, std := meanStd(xs)
+	if math.Abs(r.Mean()-mean) > 1e-12 {
+		t.Fatalf("mean %g != %g", r.Mean(), mean)
 	}
-	if math.Abs(r.Std()-Std(xs)) > 1e-12 {
-		t.Fatalf("std %g != %g", r.Std(), Std(xs))
+	if math.Abs(r.Std()-std) > 1e-12 {
+		t.Fatalf("std %g != %g", r.Std(), std)
 	}
 	if r.Min() != 1 || r.Max() != 9 {
 		t.Fatalf("min/max = %g/%g", r.Min(), r.Max())
@@ -48,92 +63,6 @@ func TestQuantileInterpolation(t *testing.T) {
 	}
 	if got := Quantile([]float64{5}, 0.9); got != 5 {
 		t.Fatalf("singleton quantile = %g", got)
-	}
-}
-
-func TestMeanStdEdgeCases(t *testing.T) {
-	if !math.IsNaN(Mean(nil)) {
-		t.Fatal("Mean(nil) not NaN")
-	}
-	if Std([]float64{1}) != 0 {
-		t.Fatal("Std of one sample != 0")
-	}
-}
-
-func TestEWMA(t *testing.T) {
-	e := EWMA{Lambda: 0.5}
-	if e.Seeded() {
-		t.Fatal("zero EWMA seeded")
-	}
-	if v := e.Add(10); v != 10 {
-		t.Fatalf("seed value %g", v)
-	}
-	if v := e.Add(0); v != 5 {
-		t.Fatalf("after update %g, want 5", v)
-	}
-	if e.Value() != 5 {
-		t.Fatalf("Value %g", e.Value())
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 3, 9.9, 42, 10} {
-		h.Add(x)
-	}
-	if h.Total() != 3 { // only 0, 3, 9.9 are in [0, 10)
-		t.Fatalf("total %d, want 3", h.Total())
-	}
-	if h.Count() != 6 { // every Add, including under/overflow
-		t.Fatalf("count %d, want 6", h.Count())
-	}
-	if h.Under != 1 { // -1 is below Lo, not clamped into the first bin
-		t.Fatalf("under %d, want 1", h.Under)
-	}
-	if h.Over != 2 { // 42 and the boundary value 10 are >= Hi
-		t.Fatalf("over %d, want 2", h.Over)
-	}
-	if h.Bins[0] != 1 {
-		t.Fatalf("first bin %d, want 1", h.Bins[0])
-	}
-	if h.Bins[4] != 1 {
-		t.Fatalf("last bin %d, want 1", h.Bins[4])
-	}
-	if c := h.BinCenter(0); math.Abs(c-1) > 1e-12 {
-		t.Fatalf("BinCenter(0) = %g, want 1", c)
-	}
-}
-
-func TestAutocorrFindsPlantedPeriod(t *testing.T) {
-	// A clean period-5 signal plus a linear trend-free baseline.
-	var xs []float64
-	for i := 0; i < 200; i++ {
-		v := 0.0
-		if i%5 == 0 {
-			v = 1
-		}
-		xs = append(xs, v)
-	}
-	lag, r := ArgmaxAutocorr(xs, 2, 20)
-	if lag != 5 {
-		t.Fatalf("detected lag %d (r=%g), want 5", lag, r)
-	}
-	if r < 0.9 {
-		t.Fatalf("correlation %g too weak", r)
-	}
-}
-
-func TestAutocorrDegenerate(t *testing.T) {
-	constant := []float64{3, 3, 3, 3}
-	rs := Autocorr(constant, []int{1, 2})
-	if rs[0] != 0 || rs[1] != 0 {
-		t.Fatalf("constant series autocorr %v", rs)
-	}
-	if lag, r := ArgmaxAutocorr(constant, 1, 2); lag != 0 || r != 0 {
-		t.Fatalf("constant argmax = %d, %g", lag, r)
-	}
-	if lag, _ := ArgmaxAutocorr([]float64{1}, 1, 5); lag != 0 {
-		t.Fatalf("short series argmax = %d", lag)
 	}
 }
 
@@ -191,7 +120,8 @@ func TestConfidenceInterval(t *testing.T) {
 	for _, x := range xs {
 		r.Add(x)
 	}
-	want := 2.776 * Std(xs) / math.Sqrt(5)
+	_, std := meanStd(xs)
+	want := 2.776 * std / math.Sqrt(5)
 	if got := r.ConfidenceInterval(0.95); math.Abs(got-want)/want > 0.01 {
 		t.Fatalf("CI95 = %g, want %g", got, want)
 	}

@@ -63,7 +63,7 @@ type Writer interface {
 	Write(Event) error
 }
 
-// ErrOutOfOrder is returned by writers and validators when an event's
+// ErrOutOfOrder is returned by writers when an event's
 // timestamp precedes its predecessor's.
 var ErrOutOfOrder = errors.New("trace: event timestamps out of order")
 
@@ -146,132 +146,6 @@ func Copy(w Writer, r Reader) (int, error) {
 		}
 		n++
 	}
-}
-
-// LimitReader returns a Reader that yields at most the events of r whose
-// timestamp is strictly below limit. It is used to cut a reference prefix
-// (e.g. the first 300 s) out of a longer trace, as the paper's learning step
-// does.
-func LimitReader(r Reader, limit time.Duration) Reader {
-	return &limitReader{r: r, limit: limit}
-}
-
-type limitReader struct {
-	r     Reader
-	limit time.Duration
-	done  bool
-}
-
-func (l *limitReader) Next() (Event, error) {
-	if l.done {
-		return Event{}, io.EOF
-	}
-	ev, err := l.r.Next()
-	if err != nil {
-		return Event{}, err
-	}
-	if ev.TS >= l.limit {
-		l.done = true
-		return Event{}, io.EOF
-	}
-	return ev, nil
-}
-
-// ValidatingReader wraps r and returns ErrOutOfOrder if timestamps regress.
-type ValidatingReader struct {
-	r    Reader
-	last time.Duration
-	seen bool
-}
-
-// NewValidatingReader returns a Reader that enforces timestamp monotonicity.
-func NewValidatingReader(r Reader) *ValidatingReader {
-	return &ValidatingReader{r: r}
-}
-
-// Next implements Reader.
-func (v *ValidatingReader) Next() (Event, error) {
-	ev, err := v.r.Next()
-	if err != nil {
-		return ev, err
-	}
-	if v.seen && ev.TS < v.last {
-		return ev, fmt.Errorf("%w: %v after %v", ErrOutOfOrder, ev.TS, v.last)
-	}
-	v.seen = true
-	v.last = ev.TS
-	return ev, nil
-}
-
-// MultiReader concatenates several readers in order. Each reader is expected
-// to begin at or after the previous reader's final timestamp; wrap with
-// NewValidatingReader to enforce that.
-func MultiReader(readers ...Reader) Reader {
-	return &multiReader{readers: readers}
-}
-
-type multiReader struct {
-	readers []Reader
-}
-
-func (m *multiReader) Next() (Event, error) {
-	for len(m.readers) > 0 {
-		ev, err := m.readers[0].Next()
-		if err == io.EOF {
-			m.readers = m.readers[1:]
-			continue
-		}
-		return ev, err
-	}
-	return Event{}, io.EOF
-}
-
-// MergeReaders merges several timestamp-ordered readers into one ordered
-// stream, the way multiple hardware trace sources (CPU, DMA, peripherals)
-// are multiplexed into one trace port.
-func MergeReaders(readers ...Reader) Reader {
-	m := &mergeReader{}
-	for _, r := range readers {
-		ev, err := r.Next()
-		if err == io.EOF {
-			continue
-		}
-		m.heads = append(m.heads, mergeHead{ev: ev, err: err, r: r})
-	}
-	return m
-}
-
-type mergeHead struct {
-	ev  Event
-	err error
-	r   Reader
-}
-
-type mergeReader struct {
-	heads []mergeHead
-}
-
-func (m *mergeReader) Next() (Event, error) {
-	if len(m.heads) == 0 {
-		return Event{}, io.EOF
-	}
-	best := 0
-	for i := 1; i < len(m.heads); i++ {
-		if m.heads[i].err == nil && (m.heads[best].err != nil || m.heads[i].ev.TS < m.heads[best].ev.TS) {
-			best = i
-		}
-	}
-	h := m.heads[best]
-	if h.err != nil {
-		return Event{}, h.err
-	}
-	next, err := h.r.Next()
-	if err == io.EOF {
-		m.heads = append(m.heads[:best], m.heads[best+1:]...)
-	} else {
-		m.heads[best] = mergeHead{ev: next, err: err, r: h.r}
-	}
-	return h.ev, nil
 }
 
 // Registry maps event types to symbolic names. It defines the pmf

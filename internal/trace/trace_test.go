@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"errors"
 	"testing"
 	"time"
 )
@@ -10,14 +9,6 @@ func evs(tss ...time.Duration) []Event {
 	out := make([]Event, len(tss))
 	for i, ts := range tss {
 		out[i] = Event{TS: ts, Type: EventType(i)}
-	}
-	return out
-}
-
-func timestamps(events []Event) []time.Duration {
-	out := make([]time.Duration, len(events))
-	for i, e := range events {
-		out[i] = e.TS
 	}
 	return out
 }
@@ -44,62 +35,6 @@ func TestCopyAndCollector(t *testing.T) {
 	n, err := Copy(&c, NewSliceReader(in))
 	if err != nil || n != 4 || len(c.Events) != 4 {
 		t.Fatalf("Copy: n=%d err=%v collected=%d", n, err, len(c.Events))
-	}
-}
-
-func TestLimitReaderCutsStrictlyBelowLimit(t *testing.T) {
-	in := evs(0, 10, 20, 30)
-	got, err := ReadAll(LimitReader(NewSliceReader(in), 20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[1].TS != 10 {
-		t.Fatalf("limit 20 yielded %v", timestamps(got))
-	}
-}
-
-func TestValidatingReader(t *testing.T) {
-	ordered := []Event{{TS: 5}, {TS: 5}, {TS: 9}}
-	if _, err := ReadAll(NewValidatingReader(NewSliceReader(ordered))); err != nil {
-		t.Fatalf("equal timestamps rejected: %v", err)
-	}
-	regressing := []Event{{TS: 5}, {TS: 3}}
-	if _, err := ReadAll(NewValidatingReader(NewSliceReader(regressing))); !errors.Is(err, ErrOutOfOrder) {
-		t.Fatalf("err = %v, want ErrOutOfOrder", err)
-	}
-}
-
-func TestMultiReaderConcatenates(t *testing.T) {
-	a := NewSliceReader(evs(1, 2))
-	b := NewSliceReader(nil)
-	c := NewSliceReader(evs(3))
-	got, err := ReadAll(MultiReader(a, b, c))
-	if err != nil || len(got) != 3 {
-		t.Fatalf("MultiReader: %v, %d events", err, len(got))
-	}
-	want := []time.Duration{1, 2, 3}
-	for i, ts := range timestamps(got) {
-		if ts != want[i] {
-			t.Fatalf("order %v, want %v", timestamps(got), want)
-		}
-	}
-}
-
-func TestMergeReadersInterleaves(t *testing.T) {
-	cpu := NewSliceReader(evs(1, 4, 7))
-	dma := NewSliceReader(evs(2, 5))
-	irq := NewSliceReader(evs(3, 6, 8))
-	got, err := ReadAll(MergeReaders(cpu, dma, irq))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 8 {
-		t.Fatalf("merged %d events, want 8", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].TS < got[i-1].TS {
-			t.Fatalf("merge out of order: %v", timestamps(got))
-		}
 	}
 }
 

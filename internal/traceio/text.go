@@ -2,12 +2,9 @@ package traceio
 
 import (
 	"bufio"
-	"encoding/csv"
 	"encoding/hex"
 	"fmt"
 	"io"
-	"strconv"
-	"time"
 
 	"enduratrace/internal/trace"
 )
@@ -41,47 +38,3 @@ func (tw *TextWriter) Write(ev trace.Event) error {
 
 // Flush forces buffered bytes out.
 func (tw *TextWriter) Flush() error { return tw.w.Flush() }
-
-// TextReader decodes the CSV trace format produced by TextWriter.
-type TextReader struct {
-	r *csv.Reader
-}
-
-// NewTextReader returns a reader over CSV trace lines.
-func NewTextReader(r io.Reader) *TextReader {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1 // allow the optional name column
-	cr.ReuseRecord = true
-	return &TextReader{r: cr}
-}
-
-// Next implements trace.Reader.
-func (tr *TextReader) Next() (trace.Event, error) {
-	rec, err := tr.r.Read()
-	if err != nil {
-		return trace.Event{}, err
-	}
-	if len(rec) < 4 {
-		return trace.Event{}, fmt.Errorf("traceio: short CSV record (%d fields)", len(rec))
-	}
-	ns, err := strconv.ParseInt(rec[0], 10, 64)
-	if err != nil {
-		return trace.Event{}, fmt.Errorf("traceio: bad timestamp %q: %w", rec[0], err)
-	}
-	typ, err := strconv.ParseUint(rec[1], 10, 16)
-	if err != nil {
-		return trace.Event{}, fmt.Errorf("traceio: bad type %q: %w", rec[1], err)
-	}
-	arg, err := strconv.ParseUint(rec[2], 10, 64)
-	if err != nil {
-		return trace.Event{}, fmt.Errorf("traceio: bad arg %q: %w", rec[2], err)
-	}
-	var payload []byte
-	if rec[3] != "" {
-		payload, err = hex.DecodeString(rec[3])
-		if err != nil {
-			return trace.Event{}, fmt.Errorf("traceio: bad payload %q: %w", rec[3], err)
-		}
-	}
-	return trace.Event{TS: time.Duration(ns), Type: trace.EventType(typ), Arg: arg, Payload: payload}, nil
-}

@@ -232,29 +232,32 @@ func TestEncodedSizeAgainstWriter(t *testing.T) {
 	}
 }
 
-func TestTextRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	evs := randomStream(rng, 50)
-	var buf bytes.Buffer
-	tw := NewTextWriter(&buf, nil)
-	for _, ev := range evs {
-		if err := tw.Write(ev); err != nil {
+func TestTextWriterFormat(t *testing.T) {
+	evs := []trace.Event{
+		{TS: 0, Type: 3, Arg: 7},
+		{TS: 1500 * time.Microsecond, Type: 1, Arg: 1 << 40, Payload: []byte{0x00, 0xab, 0x10}},
+	}
+	reg := trace.NewRegistry()
+	reg.Register(1, "buffer")
+	for _, c := range []struct {
+		reg  *trace.Registry
+		want string
+	}{
+		{nil, "0,3,7,\n1500000,1,1099511627776,00ab10\n"},
+		{reg, "0,3,7,,type3\n1500000,1,1099511627776,00ab10,buffer\n"},
+	} {
+		var buf bytes.Buffer
+		tw := NewTextWriter(&buf, c.reg)
+		for _, ev := range evs {
+			if err := tw.Write(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tw.Flush(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := tw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := trace.ReadAll(NewTextReader(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(evs) {
-		t.Fatalf("decoded %d events, want %d", len(got), len(evs))
-	}
-	for i := range evs {
-		if !sameEvent(evs[i], got[i]) {
-			t.Fatalf("event %d: %v != %v", i, got[i], evs[i])
+		if got := buf.String(); got != c.want {
+			t.Fatalf("text trace %q, want %q", got, c.want)
 		}
 	}
 }
