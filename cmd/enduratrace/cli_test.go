@@ -335,3 +335,49 @@ func TestNonFiniteFactorRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeSizesRefused: a negative window count or length, and a
+// negative serve queue, flight-recorder ring or anomaly segment size, is
+// refused with exit status 1 before anything is written or listened on.
+// learn -count -5 used to learn time windows and write the -5 into the
+// model; serve used to run each of the others at its default while its
+// start-up line printed the negative value.
+func TestNegativeSizesRefused(t *testing.T) {
+	dir := t.TempDir()
+	ref, model := filepath.Join(dir, "ref.etrc"), filepath.Join(dir, "model.json")
+	if err := cmdSim([]string{"-out", ref, "-duration", "10s", "-seed", "1"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdLearn([]string{"-in", ref, "-model", model}); err != nil {
+		t.Fatal(err)
+	}
+	serve := []string{"serve", "-model", model, "-listen", "127.0.0.1:0", "-admin", ""}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"learn", "-in", ref, "-model", filepath.Join(dir, "count.json"), "-count", "-5"}, "WindowCount must not be negative"},
+		{[]string{"learn", "-in", ref, "-model", filepath.Join(dir, "window.json"), "-window", "-1s"}, "WindowDuration must not be negative"},
+		{append(serve, "-queue", "-5"), "-queue must not be negative"},
+		{append(serve, "-flight-cap", "-5"), "-flight-cap must not be negative"},
+		{append(serve, "-anomaly-store", filepath.Join(dir, "store"), "-anomaly-segment-bytes", "-5"), "-anomaly-segment-bytes must not be negative"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		cmd := exec.CommandContext(ctx, os.Args[0], c.args...)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		msg, err := cmd.CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(msg), c.want) {
+			t.Fatalf("enduratrace %v: %v\n%s\nwant exit status 1 and %q", c.args, err, msg, c.want)
+		}
+		if strings.Contains(string(msg), "trace ingest on") {
+			t.Fatalf("enduratrace %v listened before refusing:\n%s", c.args, msg)
+		}
+	}
+	for _, name := range []string{"count.json", "window.json", "store"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("a refused command left %s behind: %v", name, err)
+		}
+	}
+}

@@ -55,6 +55,16 @@ func cmdServe(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Zero selects each default; a negative value has no meaning here,
+	// unlike the flags whose help gives it one.
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{{"queue", int64(*queue)}, {"flight-cap", int64(*flightCap)}, {"anomaly-segment-bytes", *anomSegBytes}} {
+		if f.v < 0 {
+			return fmt.Errorf("serve: -%s must not be negative, got %d", f.name, f.v)
+		}
+	}
 
 	policy, err := serve.ParseBackpressure(*bp)
 	if err != nil {

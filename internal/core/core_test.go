@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -96,6 +97,24 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		mutate(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Fatalf("bad config %d validated", i)
+		}
+	}
+	// A negative window size is refused for what it is, not as a second
+	// or missing window kind.
+	for _, c := range []struct {
+		d    time.Duration
+		n    int
+		want string
+	}{
+		{time.Second, -5, "WindowCount must not be negative"},
+		{0, -5, "WindowCount must not be negative"},
+		{-time.Second, 0, "WindowDuration must not be negative"},
+		{-time.Second, 10, "WindowDuration must not be negative"},
+	} {
+		cfg := testConfig()
+		cfg.WindowDuration, cfg.WindowCount = c.d, c.n
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("window %v, count %d: %v, want %q", c.d, c.n, err, c.want)
 		}
 	}
 	cfg := testConfig()

@@ -20,7 +20,8 @@ import (
 //   - FilterRows runs the same kernels over float32 logs, one row at a
 //     time, with a proven bound on their error and, for symkl, a prefix
 //     test that abandons a row once it cannot matter — the filter half of
-//     the exact k-NN's filter-and-refine (lof.BruteIndex).
+//     the exact k-NN's filter-and-refine (lof.BruteIndex). Its symkl
+//     rows' first blocks are summed HeadBatch rows at a time (Heads).
 
 // RowsFunc computes the distance from q to each row of the flat row-major
 // matrix rows (len(rows) must be a multiple of dim) and writes the i-th
@@ -177,11 +178,15 @@ func (t *logTable[T]) SymKLRows(q, qlogs, out []float64) {
 // in between: zero components add exact ±0 to either accumulator, and the
 // checks leave the accumulators, so the value, untouched.
 func (t *logTable[T]) symKLRow(q, qlogs []float64, i int, stop float64) (d float64, read int) {
+	return t.symKLFrom(q, qlogs, i, 0, 0, 0, stop)
+}
+
+// symKLFrom is symKLRow resumed at component j, a multiple of 4, with fwd
+// and rev the accumulators' values after components 0 .. j−1.
+func (t *logTable[T]) symKLFrom(q, qlogs []float64, i, j int, fwd, rev, stop float64) (d float64, read int) {
 	dim := t.dim
 	row := t.rows[i*dim : (i+1)*dim]
 	logs := t.logs[i*dim : (i+1)*dim]
-	var fwd, rev float64
-	j := 0
 	for ; j+4 < dim; j += 4 {
 		q4, ql4, r4, l4 := q[j:j+4:j+4], qlogs[j:j+4:j+4], row[j:j+4:j+4], logs[j:j+4:j+4]
 		diff := ql4[0] - float64(l4[0])
@@ -279,8 +284,9 @@ func FastRowsFor(name string) bool {
 // kernels. The bound is derived in DESIGN.md, "Exact k-NN through a
 // float32 log filter".
 type FilterRows struct {
-	name string
-	t    *logTable[float32]
+	name  string
+	t     *logTable[float32]
+	heads []headRow // symkl with dim > HeadDim: every row's first block; nil otherwise
 	// relErr is the rounding error of one distance relative to
 	// (maxLog+1)·(Σq + Σrow): the float64 operations of both kernels,
 	// plus 2⁻²⁴ for the float32 logs.
@@ -293,6 +299,23 @@ type FilterRows struct {
 // covers: between them no quotient, product or sum in either kernel
 // overflows or underflows.
 const filterLo, filterHi = 0x1p-500, 0x1p500
+
+// HeadDim is the width of a symkl row's first block: the components Heads
+// sums, and what it has read of a row it drops.
+const HeadDim = 4
+
+// HeadBatch is the most rows one Heads call sums: one bit each of its
+// mask.
+const HeadBatch = 16
+
+// headRow is one row's first block, its values and their float32 logs
+// side by side (48 B), so that the heads of a batch of rows are one
+// contiguous read where the row-major tables would be HeadBatch strided
+// ones.
+type headRow struct {
+	x [HeadDim]float64
+	l [HeadDim]float32
+}
 
 func inFilterDomain(x float64) bool { return x == 0 || (x >= filterLo && x <= filterHi) }
 
@@ -320,6 +343,13 @@ func NewFilterRows(rows []float64, dim int, name string) *FilterRows {
 		}
 		f.mass = math.Max(f.mass, sum)
 	}
+	if name == "symkl" && dim > HeadDim {
+		f.heads = make([]headRow, len(rows)/dim)
+		for i := range f.heads {
+			copy(f.heads[i].x[:], rows[i*dim:])
+			copy(f.heads[i].l[:], f.t.logs[i*dim:])
+		}
+	}
 	if !valid {
 		f.mass = math.Inf(1)
 		return f
@@ -343,6 +373,10 @@ type FilterQuery struct {
 	// abandoned (see Stop); NaN, which abandons nothing, for kl, jsd and
 	// an unbounded query.
 	margin float64
+	// sums holds the (fwd, rev) first-block sums of the rows from head0
+	// on that the last Heads call summed.
+	sums  [HeadBatch][2]float64
+	head0 int
 }
 
 // Prepare readies fq for Row calls over f's rows with query q, which it
@@ -410,4 +444,64 @@ func (f *FilterRows) Row(fq *FilterQuery, i int, stop float64) (d float64, read 
 	default:
 		return f.t.jsdRow(fq.q, fq.ent, i), f.t.dim
 	}
+}
+
+// Heads sums the first block of rows i0 .. i0+m−1 (m ≤ HeadBatch) for the
+// query fq was prepared with, and returns a mask whose bit b is set unless
+// Row(fq, i0+b, stop) would abandon that row after its first block: the
+// rows Rest must still read. Each row's sums take exactly the operations,
+// in exactly the order, that Row's take, over one contiguous table with
+// no branch. Where there is no first block to batch — kl, jsd, or symkl
+// with dim ≤ HeadDim — it reads nothing and sets every bit.
+func (f *FilterRows) Heads(fq *FilterQuery, i0, m int, stop float64) uint16 {
+	if f.heads == nil {
+		return uint16(1<<m - 1)
+	}
+	hs := f.heads[i0 : i0+m]
+	sums := fq.sums[:m]
+	fq.head0 = i0
+	q, ql := fq.q[:HeadDim:HeadDim], fq.logs[:HeadDim:HeadDim]
+	q0, q1, q2, q3 := q[0], q[1], q[2], q[3]
+	l0, l1, l2, l3 := ql[0], ql[1], ql[2], ql[3]
+	var live uint16
+	bit := uint16(1)
+	for b := range hs {
+		h := &hs[b]
+		var fwd, rev float64
+		diff := l0 - float64(h.l[0])
+		fwd += q0 * diff
+		rev -= h.x[0] * diff
+		diff = l1 - float64(h.l[1])
+		fwd += q1 * diff
+		rev -= h.x[1] * diff
+		diff = l2 - float64(h.l[2])
+		fwd += q2 * diff
+		rev -= h.x[2] * diff
+		diff = l3 - float64(h.l[3])
+		fwd += q3 * diff
+		rev -= h.x[3] * diff
+		sums[b] = [2]float64{fwd, rev}
+		if !(fwd+rev >= stop) {
+			live |= bit
+		}
+		bit <<= 1
+	}
+	return live
+}
+
+// Rest returns Row(fq, i, stop) for a row i of the batch the last Heads
+// call summed, since fq's last Prepare, starting from its first-block
+// sums: it checks them against stop, which may have fallen since Heads,
+// and reads on from the second block. Where Heads batches nothing it is
+// Row.
+func (f *FilterRows) Rest(fq *FilterQuery, i int, stop float64) (d float64, read int) {
+	if f.heads == nil {
+		return f.Row(fq, i, stop)
+	}
+	s := &fq.sums[i-fq.head0]
+	fwd, rev := s[0], s[1]
+	if fwd+rev >= stop {
+		return fwd + rev, HeadDim
+	}
+	return f.t.symKLFrom(fq.q, fq.logs, i, HeadDim, fwd, rev, stop)
 }

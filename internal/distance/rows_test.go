@@ -327,3 +327,69 @@ func TestFilterRowsOutsideDomain(t *testing.T) {
 		}
 	}
 }
+
+// TestFilterHeadsMatchRow: a batch through Heads and Rest is Row, bit for
+// bit. Heads drops exactly the rows Row abandons after their first block
+// at the same stop, and Rest, given a stop that has fallen since, returns
+// what Row returns at that stop — over batches cut short by the end of
+// the set, dimensions of one block plus a tail and of two blocks, and
+// tables with no block to batch (kl, jsd, symkl at dim ≤ 4), where Heads
+// drops nothing.
+func TestFilterHeadsMatchRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	const n = 37
+	for _, dim := range []int{3, 4, 5, 8, 9, 26} {
+		rows := adversarialRows(rng, n, dim)
+		queries := append(adversarialRows(rng, 6, dim), rows[:3*dim]...)
+		for _, name := range []string{"kl", "symkl", "jsd"} {
+			f := NewFilterRows(rows, dim, name)
+			batched := name == "symkl" && dim > HeadDim
+			var fq FilterQuery
+			for k := 0; k < len(queries)/dim; k++ {
+				f.Prepare(queries[k*dim:(k+1)*dim], &fq)
+				// Stops at and around the rows' first-block prefixes, so
+				// that a batch holds dropped and live rows alike.
+				stops := []float64{math.NaN(), math.Inf(-1), 0, math.Inf(1)}
+				for i := 0; i < n; i += 5 {
+					p, _ := f.Row(&fq, i, math.Inf(-1))
+					stops = append(stops, p, math.Nextafter(p, math.Inf(1)))
+				}
+				var dropped int
+				for _, stop := range stops {
+					for i0 := 0; i0 < n; i0 += HeadBatch {
+						m := min(HeadBatch, n-i0)
+						live := f.Heads(&fq, i0, m, stop)
+						if live>>m != 0 {
+							t.Fatalf("%s dim %d: mask %016b sets bits past the batch's %d rows", name, dim, live, m)
+						}
+						for b := 0; b < m; b++ {
+							i := i0 + b
+							_, read := f.Row(&fq, i, stop)
+							if drop := live&(1<<b) == 0; drop != (batched && read == HeadDim) {
+								t.Fatalf("%s dim %d row %d stop %v: Heads dropped it %v, Row read %d components", name, dim, i, stop, drop, read)
+							} else if drop {
+								dropped++
+								continue
+							}
+							// A push after Heads may lower the stop.
+							for _, now := range []float64{stop, 0, math.Inf(-1)} {
+								if now > stop {
+									continue
+								}
+								wantD, wantRead := f.Row(&fq, i, now)
+								d, read := f.Rest(&fq, i, now)
+								if math.Float64bits(d) != math.Float64bits(wantD) || read != wantRead {
+									t.Fatalf("%s dim %d row %d stop %v → %v: Rest %v after %d components, Row %v after %d",
+										name, dim, i, stop, now, d, read, wantD, wantRead)
+								}
+							}
+						}
+					}
+				}
+				if batched && dropped == 0 {
+					t.Fatalf("symkl dim %d query %d: Heads dropped no row at any stop", dim, k)
+				}
+			}
+		}
+	}
+}

@@ -155,8 +155,9 @@ func (h *neighborHeap) drainSorted(dst []Neighbor) []Neighbor {
 // by bounded-heap selection. It accepts any dissimilarity (including the
 // non-metric KL family).
 //
-// For the KL family the pass is the float32-log filter, run row by row
-// inside the selection, and the exact distance runs only where the
+// For the KL family the pass is the float32-log filter, run inside the
+// selection (symkl's first blocks a batch of rows at a time, every other
+// row kernel one row at a time), and the exact distance runs only where the
 // filter's error bound cannot decide a heap comparison (see refine); the
 // result is bit-identical to the full exact scan.
 type BruteIndex struct {

@@ -52,10 +52,12 @@ type FitOptions struct {
 	// FastKernels enables the precomputed-log KL-family row kernels
 	// (distance.LogRows) on the index. They are approximate — within ~1e-9
 	// relative of the exact kernels — and, on the default model's gate
-	// trips (3 000 points, dim 26), between 1× and 1.2× as fast as the
-	// default exact path, which runs the same kernels over float32 logs
-	// as a filter that abandons most rows part-way, and the exact
-	// distance on the few rows the filter cannot rule out.
+	// trips (3 000 points, dim 26), slower than the default exact path:
+	// 134 to 142 µs a score against 111 to 113 µs (BenchmarkScoreDefaultModel,
+	// medians of ten alternating runs, two sets, shared 2-core Xeon). The
+	// exact path runs the same kernels over float32 logs as a filter that
+	// abandons most rows part-way, their first blocks 16 rows at a time,
+	// and the exact distance on the few rows the filter cannot rule out.
 	// No-op for distances outside the KL family (kl, symkl, jsd).
 	FastKernels bool
 }

@@ -1,25 +1,40 @@
 package lof
 
-import "math"
+import (
+	"math"
+	"math/bits"
+
+	"enduratrace/internal/distance"
+)
 
 // refine returns what selectK would over the exact distances, computing
 // an exact distance only where the filter cannot decide a comparison. It
-// runs the filter one row at a time: a row read in full has a filter
-// distance a within ε of its exact distance. The rows go, in selectK's
-// order and under selectK's push test, into a lazy heap whose every
-// comparison has the outcome the comparison of exact distances would have
-// (see lazyHeap). By induction over its comparisons it makes selectK's
-// heap's swaps one for one, so the neighbours, their order among equal
-// distances included, are selectK's bit for bit.
+// runs the filter over the rows in index order: a row read in full has a
+// filter distance a within ε of its exact distance. The rows go, in
+// selectK's order and under selectK's push test, into a lazy heap whose
+// every comparison has the outcome the comparison of exact distances would
+// have (see lazyHeap). By induction over its comparisons it makes
+// selectK's heap's swaps one for one, so the neighbours, their order among
+// equal distances included, are selectK's bit for bit.
 //
 // Once the heap is full, a row that the filter abandons (its prefix proves
 // its exact distance at or above the root's upper bound, see
 // distance.FilterQuery.Stop), or whose lower bound reaches that upper
 // bound, is skipped: that is the push test's comparison decided "no", as
 // gt would decide it.
+//
+// The rows go through the filter distance.HeadBatch at a time: Heads sums
+// the first block of every row of a batch against the stop held when the
+// batch starts, and drops the rows it abandons; Rest reads the others on,
+// in order, against the current stop. A push later in the batch may move
+// the cut, but a dropped row stays a "no": its exact distance is at or
+// above the cut it was dropped at, that cut is at or above the root's
+// exact distance then, and the root's exact distance, selectK's worst,
+// never rises once the heap is full.
 func (b *BruteIndex) refine(q []float64, k, skip int, s *Scratch) []Neighbor {
 	fq := &s.fq
-	b.filter.Prepare(q, fq)
+	f := b.filter
+	f.Prepare(q, fq)
 	eps := fq.Eps
 	if !(eps > 0) { // positive by construction; anything else claims nothing
 		eps = math.Inf(1)
@@ -31,25 +46,33 @@ func (b *BruteIndex) refine(q []float64, k, skip int, s *Scratch) []Neighbor {
 	cut := math.NaN()
 	stop := fq.Stop(cut)
 	var rows, read int
-	for i := 0; i < b.n; i++ {
-		if i == skip {
-			continue
+	for i0 := 0; i0 < b.n; i0 += distance.HeadBatch {
+		m := min(distance.HeadBatch, b.n-i0)
+		batch := uint16(1<<m - 1)
+		if skip >= i0 && skip < i0+m {
+			batch &^= 1 << (skip - i0)
 		}
-		a, n := b.filter.Row(fq, i, stop)
-		rows, read = rows+1, read+n
-		if n < b.dim || a-eps >= cut {
-			continue
-		}
-		x := lazyNeighbor{idx: i, v: a, r: eps}
-		// An unresolved entry keeps finite bounds, so that it is known to
-		// have a finite exact distance.
-		if !(a-eps >= -math.MaxFloat64 && a+eps <= math.MaxFloat64) {
-			h.resolve(&x)
-		}
-		h.offer(x)
-		if len(h.items) == k {
-			cut = h.items[0].v + h.items[0].r
-			stop = fq.Stop(cut)
+		live := f.Heads(fq, i0, m, stop) & batch
+		rows += bits.OnesCount16(batch)
+		read += distance.HeadDim * bits.OnesCount16(batch&^live)
+		for ; live != 0; live &= live - 1 {
+			i := i0 + bits.TrailingZeros16(live)
+			a, n := f.Rest(fq, i, stop)
+			read += n
+			if n < b.dim || a-eps >= cut {
+				continue
+			}
+			x := lazyNeighbor{idx: i, v: a, r: eps}
+			// An unresolved entry keeps finite bounds, so that it is known
+			// to have a finite exact distance.
+			if !(a-eps >= -math.MaxFloat64 && a+eps <= math.MaxFloat64) {
+				h.resolve(&x)
+			}
+			h.offer(x)
+			if len(h.items) == k {
+				cut = h.items[0].v + h.items[0].r
+				stop = fq.Stop(cut)
+			}
 		}
 	}
 	s.filtered += rows

@@ -130,24 +130,39 @@ func checkNearTie(t *testing.T, name string, q, flat []float64, dim int) {
 var nearCut = []byte{4, 5, 4, 209, 193, 12, 3, 7, 206, 10, 12, 7, 231, 242, 238}
 
 // checkNearCut asserts that nearCut is what it claims to be and that the
-// 1-NN query read both rows in full.
+// 1-NN query read both its rows in full: with the second row in the first
+// batch, which is summed before the heap holds a row, and as the first
+// row of the second batch, which is summed against the cut. The 15 rows
+// between them in the second layout are far from the query: each is
+// abandoned after its first block and leaves the heap, and so the cut, as
+// it is.
 func checkNearCut(t *testing.T) {
 	t.Helper()
 	const dim = 5
-	q, flat := decodeSet(nearCut, dim)
-	idx := NewBruteIndex(flat, dim, distance.Must("symkl"))
-	var fq distance.FilterQuery
-	idx.filter.Prepare(q, &fq)
-	a0, _ := idx.filter.Row(&fq, 0, math.NaN())
-	cut := a0 + fq.Eps
-	p, read := idx.filter.Row(&fq, 1, math.Inf(-1))
-	if read != 4 || !(p >= cut && p < fq.Stop(cut)) {
-		t.Fatalf("nearCut: prefix %v after %d components, want 4 and within [%v, %v)", p, read, cut, fq.Stop(cut))
-	}
-	var s Scratch
-	idx.KNN(q, 1, -1, &s)
-	if _, _, read := s.FilterStats(); read != 2*dim {
-		t.Fatalf("nearCut: the filter read %d components, want both rows in full (%d)", read, 2*dim)
+	q, pair := decodeSet(nearCut, dim)
+	far := []float64{3.3, 3.3, 0, 0, 0} // inside the pair's range and mass: ε stays
+	for _, pad := range []int{0, distance.HeadBatch - 1} {
+		flat := append([]float64(nil), pair[:dim]...)
+		for c := 0; c < pad; c++ {
+			flat = append(flat, far...)
+		}
+		flat = append(flat, pair[dim:]...)
+		last := len(flat)/dim - 1
+		idx := NewBruteIndex(flat, dim, distance.Must("symkl"))
+		var fq distance.FilterQuery
+		idx.filter.Prepare(q, &fq)
+		a0, _ := idx.filter.Row(&fq, 0, math.NaN())
+		cut := a0 + fq.Eps
+		p, read := idx.filter.Row(&fq, last, math.Inf(-1))
+		if read != 4 || !(p >= cut && p < fq.Stop(cut)) {
+			t.Fatalf("nearCut: prefix %v after %d components, want 4 and within [%v, %v)", p, read, cut, fq.Stop(cut))
+		}
+		var s Scratch
+		idx.KNN(q, 1, -1, &s)
+		if _, _, read := s.FilterStats(); read != 2*dim+pad*distance.HeadDim {
+			t.Fatalf("nearCut, row %d: the filter read %d components, want %d: both rows in full, the far rows' first blocks",
+				last, read, 2*dim+pad*distance.HeadDim)
+		}
 	}
 }
 
@@ -155,12 +170,17 @@ func checkNearCut(t *testing.T) {
 // duplicate rows, exact ties at the k-th distance between different rows,
 // near ties the filter cannot order, zero components, components in
 // (0, 1e-12), a last "rate" component above 1 and at 0, n <= k, every
-// skip, NaN and out-of-domain queries.
+// skip, NaN and out-of-domain queries. The symkl sets of dim > 4 go
+// through the batched first block: row counts that are and are not a
+// multiple of distance.HeadBatch, one block plus a tail (5, 8) and two
+// blocks (9, 12); every skip includes the first and last row of each
+// batch and the last row of the set.
 func TestRefineEqualsFullScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	var ties int
 	for _, tc := range []struct{ n, dim, k int }{
 		{40, 3, 5}, {64, 4, 8}, {3, 3, 5}, {5, 2, 5}, {30, 1, 4}, {48, 26, 20},
+		{50, 26, 20}, {37, 5, 6}, {33, 8, 3}, {40, 9, 5}, {17, 12, 2},
 	} {
 		for rep := 0; rep < 6; rep++ {
 			data := make([]byte, (tc.n+1)*tc.dim)
@@ -273,11 +293,18 @@ func FuzzRefineEqualsFullScan(f *testing.F) {
 	f.Add(nearTies[0].data, uint8(3), uint8(0), uint8(1)) // symkl, dim 4, k 1
 	f.Add(nearTies[1].data, uint8(2), uint8(0), uint8(2)) // jsd, dim 3, k 1
 	f.Add(nearCut, uint8(4), uint8(0), uint8(1))          // symkl, dim 5, k 1
+	// symkl, dim 9 (two blocks and a tail), k 3: 19 rows, a full batch
+	// and three more.
+	many := make([]byte, 20*9)
+	for i := range many {
+		many[i] = byte(i*37%128) ^ byte(i/9)
+	}
+	f.Add(many, uint8(8), uint8(2), uint8(1))
 	f.Fuzz(func(t *testing.T, data []byte, dimSel, kSel, distSel uint8) {
 		if len(data) > 512 {
 			data = data[:512]
 		}
-		dim := 1 + int(dimSel)%6
+		dim := 1 + int(dimSel)%12
 		q, flat := decodeSet(data, dim)
 		if q == nil {
 			return
