@@ -31,7 +31,7 @@ func coreFlags(fs *flag.FlagSet, def core.Config) func() (core.Config, error) {
 	smoothing := fs.Float64("smoothing", def.Smoothing, "additive pmf smoothing epsilon")
 	rate := fs.Bool("rate", def.IncludeRate, "append the saturating event-rate feature")
 	fastKernels := fs.Bool("fast-kernels", def.FastKernels,
-		"score through precomputed-log KL-family kernels (~1e-9 relative error, and about 0.8x as fast as the bit-exact default on the default model; kl/symkl/jsd LOF distance only)")
+		"score through precomputed-log KL-family kernels (~1e-9 relative error, and about 0.75x as fast as the bit-exact default on the default model; kl/symkl/jsd LOF distance only)")
 	list := fs.Bool("list-distances", false, "print the distance catalogue and exit")
 	return func() (core.Config, error) {
 		if *list {

@@ -83,7 +83,7 @@ type Config struct {
 	GateAutoQuantile float64
 	// FastKernels opts the LOF index into the precomputed-log KL-family
 	// row kernels (see lof.FitOptions.FastKernels): on the default model
-	// slower per score than the bit-exact default (≈ 0.8× as fast), and
+	// slower per score than the bit-exact default (≈ 0.75× as fast), and
 	// approximate within ~1e-9 relative of the exact kernels. No-op for
 	// non-KL-family LOF distances.
 	FastKernels bool

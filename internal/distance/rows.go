@@ -1,8 +1,10 @@
 package distance
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // This file holds the row forms of the catalogue distances: one query
@@ -21,7 +23,8 @@ import (
 //     time, with a proven bound on their error and, for symkl, a prefix
 //     test that abandons a row once it cannot matter — the filter half of
 //     the exact k-NN's filter-and-refine (lof.BruteIndex). Its symkl
-//     rows' first blocks are summed HeadBatch rows at a time (Heads).
+//     rows are read in the column order that separates rows fastest,
+//     their first blocks HeadBatch rows at a time (Heads).
 
 // RowsFunc computes the distance from q to each row of the flat row-major
 // matrix rows (len(rows) must be a multiple of dim) and writes the i-th
@@ -65,8 +68,9 @@ func checkRows(q, rows []float64, dim int, out []float64) {
 // halves. The results differ from the scalar kernels in the last ulps (and
 // for components in (0, eps), which smoothed pmfs never produce).
 //
-// T is the storage type of the logs, so the three kernel loops have one
-// source: float64 in LogRows, float32 in FilterRows.
+// T is the storage type of the logs, so the kernel loops have one source:
+// float64 in LogRows, float32 in FilterRows. FilterRows reads symkl rows
+// in its own column order, through its own kernel (FilterRows.symKLFrom).
 type logTable[T float32 | float64] struct {
 	dim    int
 	rows   []float64 // the reference matrix, retained
@@ -178,15 +182,11 @@ func (t *logTable[T]) SymKLRows(q, qlogs, out []float64) {
 // in between: zero components add exact ±0 to either accumulator, and the
 // checks leave the accumulators, so the value, untouched.
 func (t *logTable[T]) symKLRow(q, qlogs []float64, i int, stop float64) (d float64, read int) {
-	return t.symKLFrom(q, qlogs, i, 0, 0, 0, stop)
-}
-
-// symKLFrom is symKLRow resumed at component j, a multiple of 4, with fwd
-// and rev the accumulators' values after components 0 .. j−1.
-func (t *logTable[T]) symKLFrom(q, qlogs []float64, i, j int, fwd, rev, stop float64) (d float64, read int) {
 	dim := t.dim
 	row := t.rows[i*dim : (i+1)*dim]
 	logs := t.logs[i*dim : (i+1)*dim]
+	var fwd, rev float64
+	j := 0
 	for ; j+4 < dim; j += 4 {
 		q4, ql4, r4, l4 := q[j:j+4:j+4], qlogs[j:j+4:j+4], row[j:j+4:j+4], logs[j:j+4:j+4]
 		diff := ql4[0] - float64(l4[0])
@@ -284,9 +284,14 @@ func FastRowsFor(name string) bool {
 // kernels. The bound is derived in DESIGN.md, "Exact k-NN through a
 // float32 log filter".
 type FilterRows struct {
-	name  string
-	t     *logTable[float32]
-	heads []headRow // symkl with dim > HeadDim: every row's first block; nil otherwise
+	name string
+	// t holds the float32 logs; for symkl their columns are in filter
+	// order: column p of a row's logs is the log of its component order[p].
+	t *logTable[float32]
+	// order is symkl's filter column order (see filterOrder): the
+	// identity at dim ≤ HeadDim, nil for kl and jsd.
+	order []int32
+	heads []headRow // symkl with dim > HeadDim: every row's first block, in filter order; nil otherwise
 	// relErr is the rounding error of one distance relative to
 	// (maxLog+1)·(Σq + Σrow): the float64 operations of both kernels,
 	// plus 2⁻²⁴ for the float32 logs.
@@ -321,7 +326,9 @@ func inFilterDomain(x float64) bool { return x == 0 || (x >= filterLo && x <= fi
 
 // NewFilterRows builds the filter table of the named KL-family distance
 // (FastRowsFor(name) must hold) over a flat row-major matrix. The matrix
-// is retained, not copied; it must not be mutated afterwards.
+// is retained, not copied; it must not be mutated afterwards. A symkl
+// table stores its logs and head table in filter order (filterOrder); the
+// matrix keeps its own.
 func NewFilterRows(rows []float64, dim int, name string) *FilterRows {
 	if !FastRowsFor(name) {
 		panic(fmt.Sprintf("distance: no log filter for distance %q", name))
@@ -343,11 +350,25 @@ func NewFilterRows(rows []float64, dim int, name string) *FilterRows {
 		}
 		f.mass = math.Max(f.mass, sum)
 	}
-	if name == "symkl" && dim > HeadDim {
-		f.heads = make([]headRow, len(rows)/dim)
-		for i := range f.heads {
-			copy(f.heads[i].x[:], rows[i*dim:])
-			copy(f.heads[i].l[:], f.t.logs[i*dim:])
+	if name == "symkl" {
+		f.order = filterOrder(rows, dim)
+		perm := make([]float32, dim)
+		for i := 0; i < len(rows); i += dim {
+			logs := f.t.logs[i : i+dim]
+			for p, j := range f.order {
+				perm[p] = logs[j]
+			}
+			copy(logs, perm)
+		}
+		if dim > HeadDim {
+			f.heads = make([]headRow, len(rows)/dim)
+			for i := range f.heads {
+				h := &f.heads[i]
+				for p, j := range f.order[:HeadDim] {
+					h.x[p] = rows[i*dim+int(j)]
+				}
+				copy(h.l[:], f.t.logs[i*dim:])
+			}
 		}
 	}
 	if !valid {
@@ -358,14 +379,53 @@ func NewFilterRows(rows []float64, dim int, name string) *FilterRows {
 	return f
 }
 
+// filterOrder returns the order in which symkl's filter reads the columns
+// of a flat row-major matrix: by descending Cov(x_j, ℓx_j) over the rows,
+// ℓx = ln max(x, eps), ties by index; the identity at dim ≤ HeadDim,
+// where no block is checked before a row's end. In exact arithmetic that
+// covariance is half the mean, over every ordered pair of rows (r, s), of
+// column j's symkl term (r_j − s_j)(ℓr_j − ℓs_j) ≥ 0, so the columns that
+// separate rows the most come first and a prefix reaches the stop soonest.
+// Every term is non-negative whatever the order, so a prefix in this
+// order bounds the row as one in any other does (DESIGN.md, "Early
+// abandon"). A column with a non-finite statistic goes last.
+func filterOrder(rows []float64, dim int) []int32 {
+	order := make([]int32, dim)
+	for j := range order {
+		order[j] = int32(j)
+	}
+	if dim <= HeadDim {
+		return order
+	}
+	// n·Cov = Σxℓ − Σx·Σℓ/n: one pass, and the 1/n does not reorder.
+	sx, sl, sxl := make([]float64, dim), make([]float64, dim), make([]float64, dim)
+	for i := 0; i < len(rows); i += dim {
+		for j, x := range rows[i : i+dim] {
+			l := math.Log(math.Max(x, eps))
+			sx[j] += x
+			sl[j] += l
+			sxl[j] += x * l
+		}
+	}
+	n := float64(len(rows) / dim)
+	cov := make([]float64, dim)
+	for j := range cov {
+		cov[j] = sxl[j] - sx[j]*sl[j]/n
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(cov[b], cov[a]) })
+	return order
+}
+
 // FilterQuery is one query prepared against a FilterRows by Prepare: the
 // query, its logs and, for jsd, its negentropy, with the error bound
 // ε(q) of every filter distance to it. It holds the per-query state of a
 // filter pass so that the FilterRows, shared by every goroutine of a
-// model, stays read-only; its buffer grows on first use and is reused.
+// model, stays read-only; its buffers grow on first use and are reused.
 type FilterQuery struct {
-	q, logs []float64
-	ent     float64 // jsd: Σ_j q_j · log(max(q_j, eps))
+	// q and logs are the query and its logs, for symkl in the table's
+	// filter order (q then points into perm).
+	q, logs, perm []float64
+	ent           float64 // jsd: Σ_j q_j · log(max(q_j, eps))
 	// Eps is ε(q): |Row's distance − the exact row kernel's| ≤ Eps for
 	// every row Row reads in full. +Inf outside the proof's domain.
 	Eps float64
@@ -390,10 +450,16 @@ func (f *FilterRows) Prepare(q []float64, fq *FilterQuery) {
 		panic(fmt.Sprintf("distance: query dimension %d != row dimension %d", len(q), dim))
 	}
 	if cap(fq.logs) < dim {
-		fq.logs = make([]float64, dim)
+		fq.logs, fq.perm = make([]float64, dim), make([]float64, dim)
 	}
 	fq.q, fq.logs = q, fq.logs[:dim]
-	QueryLogs(q, fq.logs)
+	if f.order != nil {
+		fq.q = fq.perm[:dim]
+		for p, j := range f.order {
+			fq.q[p] = q[j]
+		}
+	}
+	QueryLogs(fq.q, fq.logs)
 	fq.ent = 0
 	if f.name == "jsd" {
 		for j, x := range q {
@@ -406,16 +472,19 @@ func (f *FilterRows) Prepare(q []float64, fq *FilterQuery) {
 	}
 }
 
-// bound returns ε(q) for a query q with logs qlogs: +Inf outside the
-// proof's domain.
+// bound returns ε(q) for a query q with logs qlogs, in any column order:
+// +Inf outside the proof's domain. The mass is summed in q's own order,
+// so ε's bits do not depend on the filter's.
 func (f *FilterRows) bound(q, qlogs []float64) float64 {
 	maxLog, mass := f.maxLog, f.mass
-	for j, x := range q {
+	for _, x := range q {
 		if !inFilterDomain(x) {
 			return math.Inf(1)
 		}
 		mass += x
-		maxLog = math.Max(maxLog, math.Abs(qlogs[j]))
+	}
+	for _, l := range qlogs {
+		maxLog = math.Max(maxLog, math.Abs(l))
 	}
 	return f.relErr*(maxLog+1)*mass + float64(f.t.dim)*1e-12
 }
@@ -428,22 +497,32 @@ func (f *FilterRows) bound(q, qlogs []float64) float64 {
 func (fq *FilterQuery) Stop(cut float64) float64 { return cut + fq.margin }
 
 // Row returns d ≈ d(q, row i) for the query fq was prepared with, and the
-// number of the row's components it read. A symkl row may be abandoned
-// after a block of 4 components, while components remain unread, once
-// the prefix of its sum reaches stop: read < dim then, d is that prefix,
-// and if stop came from fq.Stop(cut), the row's exact distance is at or
-// above cut. kl and jsd rows are always read in full; a NaN stop
-// abandons nothing. A row read in full gets the value LogRows' kernels
-// compute over its table, within fq.Eps of the exact row kernel's.
+// number of the row's components it read. A symkl row is read in filter
+// order and may be abandoned after a block of 4 components, while
+// components remain unread, once the prefix of its sum reaches stop:
+// read < dim then, d is that prefix, and if stop came from fq.Stop(cut),
+// the row's exact distance is at or above cut. kl and jsd rows are always
+// read in full; a NaN stop abandons nothing. A row read in full gets the
+// value LogRows' kernels compute over its table with the columns in
+// filter order, within fq.Eps of the exact row kernel's.
 func (f *FilterRows) Row(fq *FilterQuery, i int, stop float64) (d float64, read int) {
 	switch f.name {
 	case "symkl":
-		return f.t.symKLRow(fq.q, fq.logs, i, stop)
+		return f.symKLFrom(fq, i, 0, 0, 0, stop)
 	case "kl":
 		return f.t.klRow(fq.q, fq.logs, i), f.t.dim
 	default:
 		return f.t.jsdRow(fq.q, fq.ent, i), f.t.dim
 	}
+}
+
+// HeadWidth returns how many components of each row Heads reads: HeadDim,
+// or 0 where it batches nothing.
+func (f *FilterRows) HeadWidth() int {
+	if f.heads == nil {
+		return 0
+	}
+	return HeadDim
 }
 
 // Heads sums the first block of rows i0 .. i0+m−1 (m ≤ HeadBatch) for the
@@ -503,5 +582,46 @@ func (f *FilterRows) Rest(fq *FilterQuery, i int, stop float64) (d float64, read
 	if fwd+rev >= stop {
 		return fwd + rev, HeadDim
 	}
-	return f.t.symKLFrom(fq.q, fq.logs, i, HeadDim, fwd, rev, stop)
+	return f.symKLFrom(fq, i, HeadDim, fwd, rev, stop)
+}
+
+// symKLFrom is symkl's filter kernel: LogRows' symKLRow over the columns
+// in filter order, resumed at position j, a multiple of 4, with fwd and rev
+// the accumulators' values after positions 0 .. j−1. The query and the
+// logs are stored in that order; the row's values are read from the
+// matrix through it.
+func (f *FilterRows) symKLFrom(fq *FilterQuery, i, j int, fwd, rev, stop float64) (d float64, read int) {
+	dim := f.t.dim
+	row, logs := f.t.rows[i*dim:][:dim], f.t.logs[i*dim:][:dim]
+	q, ql, order := fq.q[:dim], fq.logs[:dim], f.order[:dim]
+	for ; j+4 < dim; j += 4 {
+		q4, ql4, l4, o4 := q[j:j+4:j+4], ql[j:j+4:j+4], logs[j:j+4:j+4], order[j:j+4:j+4]
+		diff := ql4[0] - float64(l4[0])
+		fwd += q4[0] * diff
+		rev -= row[o4[0]] * diff
+		diff = ql4[1] - float64(l4[1])
+		fwd += q4[1] * diff
+		rev -= row[o4[1]] * diff
+		diff = ql4[2] - float64(l4[2])
+		fwd += q4[2] * diff
+		rev -= row[o4[2]] * diff
+		diff = ql4[3] - float64(l4[3])
+		fwd += q4[3] * diff
+		rev -= row[o4[3]] * diff
+		if fwd+rev >= stop {
+			return fwd + rev, j + 4
+		}
+	}
+	for ; j < dim; j++ {
+		diff := ql[j] - float64(logs[j])
+		fwd += q[j] * diff
+		rev -= row[order[j]] * diff
+	}
+	if fwd < 0 {
+		fwd = 0
+	}
+	if rev < 0 {
+		rev = 0
+	}
+	return fwd + rev, dim
 }

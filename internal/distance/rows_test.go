@@ -3,6 +3,7 @@ package distance
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -334,7 +335,8 @@ func TestFilterRowsOutsideDomain(t *testing.T) {
 // what Row returns at that stop — over batches cut short by the end of
 // the set, dimensions of one block plus a tail and of two blocks, and
 // tables with no block to batch (kl, jsd, symkl at dim ≤ 4), where Heads
-// drops nothing.
+// drops nothing. Every batched table reads its columns in an order that
+// is not the identity.
 func TestFilterHeadsMatchRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	const n = 37
@@ -344,6 +346,9 @@ func TestFilterHeadsMatchRow(t *testing.T) {
 		for _, name := range []string{"kl", "symkl", "jsd"} {
 			f := NewFilterRows(rows, dim, name)
 			batched := name == "symkl" && dim > HeadDim
+			if batched && slices.IsSorted(f.order) {
+				t.Fatalf("symkl dim %d: filter order %v is the identity; the test lost its point", dim, f.order)
+			}
 			var fq FilterQuery
 			for k := 0; k < len(queries)/dim; k++ {
 				f.Prepare(queries[k*dim:(k+1)*dim], &fq)
@@ -390,6 +395,92 @@ func TestFilterHeadsMatchRow(t *testing.T) {
 					t.Fatalf("symkl dim %d query %d: Heads dropped no row at any stop", dim, k)
 				}
 			}
+		}
+	}
+}
+
+// TestFilterOrder: symkl's filter reads the columns in descending order of
+// Cov(x_j, ln max(x_j, eps)) over the rows, ties by index — a permutation
+// of them, stored so that Row over the reordered table is within ε of the
+// exact kernel (TestFilterRowsWithinBound) and the head table holds the
+// first HeadDim columns in that order. The set has a column of equal
+// values (covariance 0), a copy of another column (an exact tie) and a
+// rate column above 1 (the largest covariance); dim ≤ HeadDim keeps the
+// identity, and kl and jsd, which abandon nothing, have no order.
+func TestFilterOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	const n, dim = 50, 9
+	rows := randRows(rng, n, dim, 0.2)
+	for i := 0; i < n; i++ {
+		r := rows[i*dim : (i+1)*dim]
+		r[2] = 0.125
+		r[6] = r[1]
+		r[7] = 2 + 38*rng.Float64()
+	}
+	// The statistic, computed apart from filterOrder: two passes, means
+	// first.
+	cov := make([]float64, dim)
+	for j := range cov {
+		var mx, ml float64
+		for i := 0; i < n; i++ {
+			x := rows[i*dim+j]
+			mx += x
+			ml += math.Log(math.Max(x, eps))
+		}
+		mx, ml = mx/n, ml/n
+		for i := 0; i < n; i++ {
+			x := rows[i*dim+j]
+			cov[j] += (x - mx) * (math.Log(math.Max(x, eps)) - ml) / n
+		}
+	}
+	f := NewFilterRows(rows, dim, "symkl")
+	order := f.order
+	if len(order) != dim {
+		t.Fatalf("order %v has %d columns, want %d", order, len(order), dim)
+	}
+	seen := make([]bool, dim)
+	for _, j := range order {
+		if j < 0 || int(j) >= dim || seen[j] {
+			t.Fatalf("order %v is not a permutation of 0..%d", order, dim-1)
+		}
+		seen[j] = true
+	}
+	if order[0] != 7 {
+		t.Errorf("order %v starts with column %d, want the rate column 7", order, order[0])
+	}
+	for p := 1; p < dim; p++ {
+		a, b := order[p-1], order[p]
+		switch {
+		case cov[a] < cov[b]*(1-1e-9):
+			t.Errorf("order %v: column %d (cov %g) before column %d (cov %g)", order, a, cov[a], b, cov[b])
+		case math.Float64bits(cov[a]) == math.Float64bits(cov[b]) && a > b:
+			t.Errorf("order %v: tied columns %d and %d out of index order", order, a, b)
+		}
+	}
+	if p1, p6 := slices.Index(order, 1), slices.Index(order, 6); p1 != p6-1 {
+		t.Errorf("order %v: column 6, a copy of column 1, does not follow it", order)
+	}
+	if order[dim-1] != 2 {
+		t.Errorf("order %v ends with column %d, want the constant column 2", order, order[dim-1])
+	}
+	// The logs and the head table follow the order.
+	for i := 0; i < n; i++ {
+		for p, j := range order {
+			x := rows[i*dim+int(j)]
+			if want := float32(math.Log(math.Max(x, eps))); math.Float32bits(f.t.logs[i*dim+p]) != math.Float32bits(want) {
+				t.Fatalf("row %d: log at position %d is %v, want column %d's %v", i, p, f.t.logs[i*dim+p], j, want)
+			}
+			if p < HeadDim && math.Float64bits(f.heads[i].x[p]) != math.Float64bits(x) {
+				t.Fatalf("row %d: head value %d is %v, want column %d's %v", i, p, f.heads[i].x[p], j, x)
+			}
+		}
+	}
+	if o := NewFilterRows(rows[:n*HeadDim], HeadDim, "symkl").order; !slices.Equal(o, []int32{0, 1, 2, 3}) {
+		t.Errorf("dim %d: order %v, want the identity", HeadDim, o)
+	}
+	for _, name := range []string{"kl", "jsd"} {
+		if o := NewFilterRows(rows, dim, name).order; o != nil {
+			t.Errorf("%s: order %v, want none", name, o)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package eval
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"enduratrace/internal/core"
 	"enduratrace/internal/lof"
@@ -38,6 +39,19 @@ var defaultTrips = sync.OnceValues(func() (tripsFixture, error) {
 	return fx, err
 })
 
+// referenceModel learns the default configuration from the paper's 300 s
+// reference (§III): 7 500 rows at 40 ms windows. Computed once per test
+// binary.
+var referenceModel = sync.OnceValues(func() (*lof.Model, error) {
+	opts := DefaultOptions()
+	opts.RefDuration = 300 * time.Second
+	learned, err := Learn(opts)
+	if err != nil {
+		return nil, err
+	}
+	return learned.Model, nil
+})
+
 // BenchmarkScoreDefaultModel measures Scorer.Score on the data the shipped
 // configuration scores: the default experiment's tripped windows against
 // Learn(DefaultOptions())'s 3 000-point model, which holds many duplicate
@@ -49,15 +63,35 @@ func BenchmarkScoreDefaultModel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := fx.model
+	benchScore(b, fx.model, fx.queries)
+}
+
+// BenchmarkScoreReferenceModel is BenchmarkScoreDefaultModel against the
+// model of the paper's reference size (referenceModel, n = 7 500), over
+// the same tripped windows: the gate does not depend on the model.
+func BenchmarkScoreReferenceModel(b *testing.B) {
+	fx, err := defaultTrips()
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := referenceModel()
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchScore(b, m, fx.queries)
+}
+
+// benchScore scores queries against m in turn and reports exact/op and
+// read/op.
+func benchScore(b *testing.B, m *lof.Model, queries [][]float64) {
 	sc := m.NewScorer()
-	sc.Score(fx.queries[0]) // grow the scratch
+	sc.Score(queries[0]) // grow the scratch
 	_, warm, warmRead := sc.FilterStats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		sink += sc.Score(fx.queries[i%len(fx.queries)])
+		sink += sc.Score(queries[i%len(queries)])
 	}
 	b.StopTimer()
 	_, refined, read := sc.FilterStats()

@@ -152,7 +152,7 @@ type Report struct {
 	Alpha          float64 `json:"alpha"`
 	K              int     `json:"k"`
 	WindowMS       float64 `json:"window_ms"`
-	GateThreshold  float64 `json:"gate_threshold"`
+	GateThreshold  float64 `json:"gate_threshold"` // the one the monitor ran with: calibrated under GateAuto
 	GateDistance   string  `json:"gate_distance"`
 	LOFDistance    string  `json:"lof_distance"`
 	RefWindows     int     `json:"ref_windows"`
@@ -271,7 +271,11 @@ func RunWithLearned(opts Options, learned *core.Learned) (*Report, error) {
 	}
 	nextTick := tick
 	var prog Progress
-	runStats, err := core.Run(opts.Core, learned, runSim, sink, func(d core.Decision) error {
+	mon, err := core.NewMonitor(opts.Core, learned)
+	if err != nil {
+		return nil, fmt.Errorf("eval: monitoring perturbed run: %w", err)
+	}
+	runStats, err := mon.Run(runSim, sink, func(d core.Decision) error {
 		scorer.Observe(d.Window.Start, d.Window.End, d.Anomalous)
 		if opts.OnProgress == nil {
 			return nil
@@ -306,7 +310,7 @@ func RunWithLearned(opts Options, learned *core.Learned) (*Report, error) {
 		Alpha:           opts.Core.Alpha,
 		K:               opts.Core.K,
 		WindowMS:        float64(opts.Core.WindowDuration) / float64(time.Millisecond),
-		GateThreshold:   opts.Core.GateThreshold,
+		GateThreshold:   mon.GateThreshold(),
 		GateDistance:    opts.Core.GateDistance.Name,
 		LOFDistance:     opts.Core.LOFDistance.Name,
 		RefWindows:      learned.RefWindows,

@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"enduratrace/internal/core"
 )
 
 // smallOptions shrinks the experiment so the test runs in a few seconds
@@ -100,6 +102,44 @@ func TestReportMarshalsToJSON(t *testing.T) {
 		if _, ok := decoded[key]; !ok {
 			t.Fatalf("report JSON missing %q", key)
 		}
+	}
+}
+
+// TestReportsEffectiveGateThreshold: under GateAuto the report's
+// gate_threshold is the calibrated threshold the monitor runs with, not
+// the configured fixed one that GateAuto overrides.
+func TestReportsEffectiveGateThreshold(t *testing.T) {
+	opts := smallOptions()
+	opts.Core.GateAuto = true
+	learned, err := Learn(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon, err := core.NewMonitor(opts.Core, learned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mon.GateThreshold()
+	if math.Float64bits(want) == math.Float64bits(opts.Core.GateThreshold) {
+		t.Fatalf("calibrated threshold %v equals the configured one; the test lost its point", want)
+	}
+	rep, err := RunWithLearned(opts, learned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded struct {
+		GateThreshold float64 `json:"gate_threshold"`
+	}
+	if err := json.Unmarshal(raw, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(decoded.GateThreshold) != math.Float64bits(want) {
+		t.Errorf("report gate_threshold %v, monitor ran with %v (configured %v)",
+			decoded.GateThreshold, want, opts.Core.GateThreshold)
 	}
 }
 

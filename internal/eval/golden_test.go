@@ -21,11 +21,13 @@ import (
 //
 // On the same data it guards the refine's cost, at fit and at run time:
 // more than 3·K exact kernel calls a query at fit time, or at run time
-// more than 40 (the shipped path makes 35.5) or a filter reading more than
-// 0.35 of the components (it reads 0.319), would stay correct and
+// more than 28 (the shipped path makes 24.0) or a filter reading more than
+// 0.28 of the components (it reads 0.253), would stay correct and
 // silently give the speed back. The run-time bounds are deterministic
 // counts, tight enough that a batched first block that abandons too
-// little, or a cut that goes stale for too long, fails here.
+// little, a cut that goes stale for too long, a copy of a row that is
+// resolved again instead of sharing its group's distance, or a column
+// order that stops separating rows, fails here.
 func TestDefaultEvalGolden(t *testing.T) {
 	const wantLOFHash = "9b8f1a52527779a91751620f3edc228657d5a8ff92738256526d068f0a4a7e82"
 	opts := DefaultOptions()
@@ -82,9 +84,9 @@ func TestDefaultEvalGolden(t *testing.T) {
 			when, float64(refined)/float64(queries), rows, float64(read)/float64(queries*rows*m.Dim()))
 	}
 	filtered, refined, read := sc.FilterStats()
-	assertPrunes("run", m.Len(), trips/8, filtered, refined, read, 40)
-	if components := trips / 8 * m.Len() * m.Dim(); 100*read > 35*components {
-		t.Errorf("run: the filter read %d of %d components over %d queries, want at most 0.35 of them",
+	assertPrunes("run", m.Len(), trips/8, filtered, refined, read, 28)
+	if components := trips / 8 * m.Len() * m.Dim(); 100*read > 28*components {
+		t.Errorf("run: the filter read %d of %d components over %d queries, want at most 0.28 of them",
 			read, components, trips/8)
 	}
 

@@ -3,6 +3,7 @@ package lof
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"enduratrace/internal/distance"
 )
@@ -168,6 +169,10 @@ type BruteIndex struct {
 	rows   distance.RowsFunc
 	filter *distance.FilterRows // exact KL-family path; nil for other distances and under fast kernels
 	logs   *distance.LogRows    // non-nil switches to the approximate fast KL-family path
+	// On the filter path, the groups of bitwise-identical rows (see
+	// refine): group[i] is row i's group, −1 for a row with no copy, and
+	// first[g] is group g's lowest row. Both nil when no row repeats.
+	group, first []int32
 }
 
 // NewBruteIndex builds a brute-force index over the flat row-major matrix
@@ -185,8 +190,57 @@ func NewBruteIndex(flat []float64, dim int, d distance.Distance) *BruteIndex {
 	}
 	if distance.FastRowsFor(d.Name) {
 		b.filter = distance.NewFilterRows(flat, dim, d.Name)
+		b.group, b.first = copyGroups(flat, dim)
 	}
 	return b
+}
+
+// copyGroups groups the rows of a flat row-major matrix that are bitwise
+// copies of an earlier row: group[i] is row i's group, −1 for a row with
+// no copy, and first[g] is group g's lowest row. Rows are matched by a
+// hash of their bits, then compared; a row whose hash collides with a
+// different row's stays ungrouped, which costs it only its share of the
+// saving. Both are nil when no row repeats.
+func copyGroups(flat []float64, dim int) (group, first []int32) {
+	n := len(flat) / dim
+	group = make([]int32, n)
+	seen := make(map[uint64]int32, n) // row hash → lowest row with it
+	for i := range group {
+		group[i] = -1
+		row := flat[i*dim : (i+1)*dim]
+		h := uint64(14695981039346656037) // FNV-1a over the row's 64-bit words
+		for _, x := range row {
+			h = (h ^ math.Float64bits(x)) * 1099511628211
+		}
+		r, ok := seen[h]
+		if !ok {
+			seen[h] = int32(i)
+			continue
+		}
+		if !slices.EqualFunc(row, flat[int(r)*dim:(int(r)+1)*dim], func(x, y float64) bool {
+			return math.Float64bits(x) == math.Float64bits(y)
+		}) {
+			continue
+		}
+		if group[r] < 0 {
+			group[r] = int32(len(first))
+			first = append(first, r)
+		}
+		group[i] = group[r]
+	}
+	if first == nil {
+		return nil, nil
+	}
+	return group, first
+}
+
+// groupOf returns the group of row i's bitwise-identical rows, −1 when
+// it has none.
+func (b *BruteIndex) groupOf(i int) int32 {
+	if b.group == nil {
+		return -1
+	}
+	return b.group[i]
 }
 
 // EnableFastKernels precomputes the per-row log table and switches the
@@ -196,7 +250,7 @@ func NewBruteIndex(flat []float64, dim int, d distance.Distance) *BruteIndex {
 func (b *BruteIndex) EnableFastKernels() {
 	if distance.FastRowsFor(b.dist.Name) {
 		b.logs = distance.NewLogRows(b.flat, b.dim)
-		b.filter = nil
+		b.filter, b.group, b.first = nil, nil, nil
 	}
 }
 

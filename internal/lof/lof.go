@@ -53,11 +53,13 @@ type FitOptions struct {
 	// (distance.LogRows) on the index. They are approximate — within ~1e-9
 	// relative of the exact kernels — and, on the default model's gate
 	// trips (3 000 points, dim 26), slower than the default exact path:
-	// 134 to 142 µs a score against 111 to 113 µs (BenchmarkScoreDefaultModel,
+	// 119 to 139 µs a score against 84 to 107 µs (BenchmarkScoreDefaultModel,
 	// medians of ten alternating runs, two sets, shared 2-core Xeon). The
 	// exact path runs the same kernels over float32 logs as a filter that
 	// abandons most rows part-way, their first blocks 16 rows at a time,
-	// and the exact distance on the few rows the filter cannot rule out.
+	// its columns in the order that separates rows fastest, each group of
+	// identical rows once, and the exact distance on the few rows the
+	// filter cannot rule out.
 	// No-op for distances outside the KL family (kl, symkl, jsd).
 	FastKernels bool
 }

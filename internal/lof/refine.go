@@ -31,6 +31,16 @@ import (
 // above the cut it was dropped at, that cut is at or above the root's
 // exact distance then, and the root's exact distance, selectK's worst,
 // never rises once the heap is full.
+//
+// A group of bitwise-identical rows is filtered once a query, through its
+// first row; the copies that follow it take that row's outcome (see
+// lazyHeap.groups). A copy whose first row was not offered to the heap is
+// a "no": that row's exact distance, and so the copy's, was proven at or
+// above the root's exact distance then. A copy whose first row was offered
+// is offered in its own turn with the same interval, which is the one
+// reading it would give (same bits, same operations), or with the exact
+// distance once either has been resolved. Where the first row is skip, its
+// copies are filtered as if they had none.
 func (b *BruteIndex) refine(q []float64, k, skip int, s *Scratch) []Neighbor {
 	fq := &s.fq
 	f := b.filter
@@ -45,6 +55,10 @@ func (b *BruteIndex) refine(q []float64, k, skip int, s *Scratch) []Neighbor {
 	// row is skipped or abandoned.
 	cut := math.NaN()
 	stop := fq.Stop(cut)
+	skipGroup := int32(-1) // the group whose first row is not visited
+	if skip >= 0 && skip < b.n {
+		skipGroup = b.groupOf(skip)
+	}
 	var rows, read int
 	for i0 := 0; i0 < b.n; i0 += distance.HeadBatch {
 		m := min(distance.HeadBatch, b.n-i0)
@@ -57,16 +71,30 @@ func (b *BruteIndex) refine(q []float64, k, skip int, s *Scratch) []Neighbor {
 		read += distance.HeadDim * bits.OnesCount16(batch&^live)
 		for ; live != 0; live &= live - 1 {
 			i := i0 + bits.TrailingZeros16(live)
-			a, n := f.Rest(fq, i, stop)
-			read += n
-			if n < b.dim || a-eps >= cut {
-				continue
-			}
-			x := lazyNeighbor{idx: i, v: a, r: eps}
-			// An unresolved entry keeps finite bounds, so that it is known
-			// to have a finite exact distance.
-			if !(a-eps >= -math.MaxFloat64 && a+eps <= math.MaxFloat64) {
-				h.resolve(&x)
+			g := b.groupOf(i)
+			var x lazyNeighbor
+			if g >= 0 && g != skipGroup && b.first[g] != int32(i) {
+				read += f.HeadWidth()
+				st := &h.groups[g]
+				if st.gen != h.gen || st.v-st.r >= cut {
+					continue
+				}
+				x = lazyNeighbor{idx: i, v: st.v, r: st.r}
+			} else {
+				a, n := f.Rest(fq, i, stop)
+				read += n
+				if n < b.dim || a-eps >= cut {
+					continue
+				}
+				x = lazyNeighbor{idx: i, v: a, r: eps}
+				// An unresolved entry keeps finite bounds, so that it is
+				// known to have a finite exact distance.
+				if !(a-eps >= -math.MaxFloat64 && a+eps <= math.MaxFloat64) {
+					h.resolve(&x)
+				}
+				if g >= 0 && g != skipGroup {
+					h.groups[g] = groupState{gen: h.gen, v: x.v, r: x.r}
+				}
 			}
 			h.offer(x)
 			if len(h.items) == k {
@@ -101,24 +129,54 @@ type lazyHeap struct {
 	b     *BruteIndex
 	q     []float64
 	calls int // exact kernel calls, over every query
+	// groups holds, per group of identical rows of b, what this query
+	// knows of them; gen numbers the queries, so that an entry stamped
+	// with an older one is stale: the group's first row was not offered.
+	groups []groupState
+	gen    uint64
+}
+
+// groupState is what one query knows of a group of identical rows once
+// their first row has been offered to the lazy heap: the interval
+// [v−r, v+r] that holds their exact distance, which is v when r == 0.
+type groupState struct {
+	gen  uint64
+	v, r float64
 }
 
 // reset empties the heap for a query q against b's rows, bounding it at k
-// entries and reusing its storage.
+// entries, and starts a new query generation, reusing its storage.
 func (h *lazyHeap) reset(b *BruteIndex, q []float64, k int) *lazyHeap {
 	if cap(h.items) < k {
 		h.items = make([]lazyNeighbor, 0, k)
 	}
+	if len(h.groups) < len(b.first) {
+		h.groups = make([]groupState, len(b.first))
+	}
 	h.items, h.k, h.b, h.q = h.items[:0], k, b, q
+	h.gen++
 	return h
 }
 
 // resolve replaces e's interval with its exact distance and returns it.
+// The distance is shared with e's identical rows: taken from their group
+// if one of them has been resolved in this query, stored there otherwise.
 func (h *lazyHeap) resolve(e *lazyNeighbor) float64 {
 	if e.r > 0 {
 		b := h.b
+		var st *groupState
+		if g := b.groupOf(e.idx); g >= 0 && h.groups[g].gen == h.gen {
+			st = &h.groups[g]
+		}
+		if st != nil && !(st.r > 0) {
+			e.v, e.r = st.v, 0
+			return e.v
+		}
 		e.v, e.r = b.dist.F(h.q, b.flat[e.idx*b.dim:(e.idx+1)*b.dim]), 0
 		h.calls++
+		if st != nil {
+			st.v, st.r = e.v, 0
+		}
 	}
 	return e.v
 }
