@@ -46,7 +46,7 @@ bench:
 # kernel calls per query (BenchmarkScoreDefaultModel), the distance
 # row/gate kernels, frame decode (per-event vs batched), windowing (the
 # span cutter vs one event at a time), the monitor's per-window cost, the alerting pipeline (quiet/flapping Observe fast
-# paths, full fire→resolve emission, dedup hits, key encoding), the
+# paths, full fire→resolve emission), the
 # anomaly store (the incident encoder, and the durable Append from 1, 2
 # and 8 appenders with its records per fsync), and the latency histogram
 # the serve path's instruments are (per event, per run of 256, and two

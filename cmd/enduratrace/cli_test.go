@@ -362,22 +362,62 @@ func TestNegativeSizesRefused(t *testing.T) {
 		{append(serve, "-flight-cap", "-5"), "-flight-cap must not be negative"},
 		{append(serve, "-anomaly-store", filepath.Join(dir, "store"), "-anomaly-segment-bytes", "-5"), "-anomaly-segment-bytes must not be negative"},
 	} {
-		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-		cmd := exec.CommandContext(ctx, os.Args[0], c.args...)
-		cmd.Env = append(os.Environ(), runMainEnv+"=1")
-		msg, err := cmd.CombinedOutput()
-		cancel()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(msg), c.want) {
-			t.Fatalf("enduratrace %v: %v\n%s\nwant exit status 1 and %q", c.args, err, msg, c.want)
-		}
-		if strings.Contains(string(msg), "trace ingest on") {
-			t.Fatalf("enduratrace %v listened before refusing:\n%s", c.args, msg)
-		}
+		expectRefused(t, c.args, c.want)
 	}
 	for _, name := range []string{"count.json", "window.json", "store"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, os.ErrNotExist) {
 			t.Fatalf("a refused command left %s behind: %v", name, err)
 		}
+	}
+}
+
+// TestBadAlertFlagsRefused: an alert rate or burst that is NaN, infinite
+// or negative, and a negative alert min-trips, clear-after, queue or
+// timeout, is refused with exit status 1 before serve listens. A NaN rate
+// used to admit no notification at all, a negative rate only its burst,
+// and the negative sizes ran at their defaults.
+func TestBadAlertFlagsRefused(t *testing.T) {
+	dir := t.TempDir()
+	ref, model := filepath.Join(dir, "ref.etrc"), filepath.Join(dir, "model.json")
+	if err := cmdSim([]string{"-out", ref, "-duration", "10s", "-seed", "1"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdLearn([]string{"-in", ref, "-model", model}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		flag, value, want string
+	}{
+		{"alert-rate", "NaN", "-alert-rate must be finite and not negative, got NaN"},
+		{"alert-rate", "Inf", "-alert-rate must be finite and not negative, got +Inf"},
+		{"alert-rate", "-1", "-alert-rate must be finite and not negative, got -1"},
+		{"alert-burst", "NaN", "-alert-burst must be finite and not negative, got NaN"},
+		{"alert-burst", "-Inf", "-alert-burst must be finite and not negative, got -Inf"},
+		{"alert-burst", "-5", "-alert-burst must be finite and not negative, got -5"},
+		{"alert-min-trips", "-1", "-alert-min-trips must not be negative, got -1"},
+		{"alert-clear-after", "-1s", "-alert-clear-after must not be negative, got -1s"},
+		{"alert-queue", "-5", "-alert-queue must not be negative, got -5"},
+		{"alert-timeout", "-1s", "-alert-timeout must not be negative, got -1s"},
+	} {
+		expectRefused(t, []string{"serve", "-model", model, "-listen", "127.0.0.1:0", "-admin", "",
+			"-alert-log", "-" + c.flag, c.value}, c.want)
+	}
+}
+
+// expectRefused runs the command with args and requires exit status 1,
+// want in its output, and no listener opened first.
+func expectRefused(t *testing.T, args []string, want string) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	msg, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(msg), want) {
+		t.Fatalf("enduratrace %v: %v\n%s\nwant exit status 1 and %q", args, err, msg, want)
+	}
+	if strings.Contains(string(msg), "trace ingest on") {
+		t.Fatalf("enduratrace %v listened before refusing:\n%s", args, msg)
 	}
 }

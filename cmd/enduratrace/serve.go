@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strings"
@@ -31,16 +32,11 @@ func cmdServe(args []string) error {
 	anomSegBytes := fs.Int64("anomaly-segment-bytes", 0, "anomaly store segment rotation size in bytes (0 = default 8 MiB)")
 	alertLog := fs.Bool("alert-log", false, "alerting: log firing/resolved notifications through the daemon logger")
 	alertWebhook := fs.String("alert-webhook", "", "alerting: POST each notification as JSON to this URL (bounded retries with backoff)")
-	alertExec := fs.String("alert-exec", "", "alerting: run this shell command per notification with its JSON on stdin")
 	alertMinTrips := fs.Int("alert-min-trips", 0, "alerting: consecutive anomalous windows before an incident fires (0 = default 3)")
 	alertClearAfter := fs.Duration("alert-clear-after", 0, "alerting: quiet time after the last trip before an incident resolves (0 = default 30s)")
 	alertTripOnGate := fs.Bool("alert-trip-on-gate", false, "alerting: count every gate trip toward firing (default: only anomalous windows)")
-	alertDedupTTL := fs.Duration("alert-dedup-ttl", 0, "alerting: suppress repeat notifications with the same content key for this long (0 = default 5m, negative = off)")
-	alertDedupQuantum := fs.Float64("alert-dedup-quantum", 0, "alerting: gate-distance quantization step for the dedup key (0 = default 0.01)")
 	alertRate := fs.Float64("alert-rate", 0, "alerting: global notification token-bucket refill per second (0 = unlimited)")
 	alertBurst := fs.Float64("alert-burst", 0, "alerting: global token-bucket burst (0 = rate)")
-	alertSinkRate := fs.Float64("alert-sink-rate", 0, "alerting: per-sink delivery token-bucket refill per second (0 = unlimited)")
-	alertSinkBurst := fs.Float64("alert-sink-burst", 0, "alerting: per-sink token-bucket burst (0 = rate)")
 	alertQueue := fs.Int("alert-queue", 0, "alerting: dispatch queue length; overflow is dropped and counted, never waited on (0 = default 256)")
 	alertTimeout := fs.Duration("alert-timeout", 0, "alerting: per-delivery timeout (0 = default 10s)")
 	queue := fs.Int("queue", 1024, "per-stream bounded event queue length")
@@ -59,10 +55,24 @@ func cmdServe(args []string) error {
 	// unlike the flags whose help gives it one.
 	for _, f := range []struct {
 		name string
-		v    int64
-	}{{"queue", int64(*queue)}, {"flight-cap", int64(*flightCap)}, {"anomaly-segment-bytes", *anomSegBytes}} {
-		if f.v < 0 {
-			return fmt.Errorf("serve: -%s must not be negative, got %d", f.name, f.v)
+		neg  bool
+	}{
+		{"queue", *queue < 0}, {"flight-cap", *flightCap < 0}, {"anomaly-segment-bytes", *anomSegBytes < 0},
+		{"alert-min-trips", *alertMinTrips < 0}, {"alert-clear-after", *alertClearAfter < 0},
+		{"alert-queue", *alertQueue < 0}, {"alert-timeout", *alertTimeout < 0},
+	} {
+		if f.neg {
+			return fmt.Errorf("serve: -%s must not be negative, got %s", f.name, fs.Lookup(f.name).Value)
+		}
+	}
+	// A NaN rate admits nothing, ever; a negative rate with a burst admits
+	// that burst once for the daemon's whole life.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"alert-rate", *alertRate}, {"alert-burst", *alertBurst}} {
+		if !(f.v >= 0 && f.v <= math.MaxFloat64) {
+			return fmt.Errorf("serve: -%s must be finite and not negative, got %v", f.name, f.v)
 		}
 	}
 
@@ -105,10 +115,7 @@ func cmdServe(args []string) error {
 		alertSinks = append(alertSinks, alert.NewSlogSink(logger))
 	}
 	if *alertWebhook != "" {
-		alertSinks = append(alertSinks, alert.NewWebhookSink(*alertWebhook, alert.WebhookOptions{}))
-	}
-	if *alertExec != "" {
-		alertSinks = append(alertSinks, alert.NewExecSink(*alertExec))
+		alertSinks = append(alertSinks, alert.NewWebhookSink(*alertWebhook))
 	}
 	var alerts *alert.Pipeline
 	if len(alertSinks) > 0 {
@@ -116,12 +123,8 @@ func cmdServe(args []string) error {
 			MinTrips:        *alertMinTrips,
 			ClearAfter:      *alertClearAfter,
 			TripOnGate:      *alertTripOnGate,
-			DedupTTL:        *alertDedupTTL,
-			DedupQuantum:    *alertDedupQuantum,
 			GlobalRate:      *alertRate,
 			GlobalBurst:     *alertBurst,
-			SinkRate:        *alertSinkRate,
-			SinkBurst:       *alertSinkBurst,
 			QueueLen:        *alertQueue,
 			DeliveryTimeout: *alertTimeout,
 			Sinks:           alertSinks,
@@ -142,8 +145,8 @@ func cmdServe(args []string) error {
 				delivered += sb.Delivered
 				errs += sb.Errors
 			}
-			fmt.Fprintf(os.Stderr, "serve: alerts: %d fired, %d resolved; %d delivered, %d deduped, %d rate-limited, %d dropped, %d errors\n",
-				b.Fired, b.Resolved, delivered, b.Deduped, b.RateLimited(), b.QueueDropped, errs)
+			fmt.Fprintf(os.Stderr, "serve: alerts: %d fired, %d resolved; %d delivered, %d rate-limited, %d dropped, %d errors\n",
+				b.Fired, b.Resolved, delivered, b.RateLimited(), b.QueueDropped, errs)
 		}()
 	}
 

@@ -1,29 +1,27 @@
 // Package alert turns the monitor's per-window decisions into operator
 // notifications. A daemon watching millions of streams is useless if a
 // human has to poll /stats, but raw gate trips are far too noisy to page
-// on: one flapping stream would bury every real incident. The pipeline
-// between a decision and a delivered notification is therefore explicit,
-// and every notification ends in exactly one accounted bucket:
+// on: one flapping stream would bury every real incident. The per-stream
+// hysteresis makes every notification one distinct incident edge, and
+// each edge is delivered once and ends in exactly one accounted bucket:
 //
 //	decision ─→ per-stream state machine ─→ transition (firing/resolved)
 //	             (MinTrips / ClearAfter        │
-//	              hysteresis)                  ├─ deduped      (TTL seen-set)
-//	                                           ├─ rate-limited (global bucket)
+//	              hysteresis)                  ├─ rate-limited (global bucket)
 //	                                           ├─ queue-dropped (dispatch full)
 //	                                           └─ enqueued ─→ dispatcher ─→ sinks
-//	                                                           (one goroutine;    │
-//	                                                            per-sink buckets) ├─ delivered
-//	                                                                              ├─ rate-limited
-//	                                                                              └─ errors
+//	                                                          (one goroutine)   │
+//	                                                                            ├─ delivered
+//	                                                                            └─ errors
 //
 // The state machine runs on the stream's scoring goroutine and is
 // allocation-free when nothing is wrong (the no-alert fast path); the
 // dispatch queue is the decoupling point, so a slow webhook can never
 // backpressure scoring — overflow is counted, never waited on. Books
-// balance by construction: fired + resolved == deduped + rate-limited +
-// queue-dropped + enqueued, and per sink enqueued == delivered +
-// rate-limited + errors once the queue drains (Books.Balanced verifies
-// exactly this; the TestFlapping* tests drive it).
+// balance by construction: fired + resolved == rate-limited +
+// queue-dropped + enqueued, and per sink enqueued == delivered + errors
+// once the queue drains (Books.Balanced verifies exactly this; the
+// TestFlapping* tests drive it).
 package alert
 
 import (
@@ -168,35 +166,23 @@ type Options struct {
 	// (false) counts only anomalous windows (LOF >= alpha), the
 	// already-filtered signal.
 	TripOnGate bool
-	// DedupTTL is the content-dedup window: a second notification with the
-	// same (stream, model, quantized gate distance, kind) key within the
-	// TTL is counted deduped and not delivered. 0 means the default 5m;
-	// negative disables dedup.
-	DedupTTL time.Duration
-	// DedupQuantum is the gate-distance quantization step for the dedup
-	// key (default 0.01): distances within one quantum dedup together.
-	DedupQuantum float64
 	// GlobalRate and GlobalBurst token-bucket every notification before
 	// the queue: Rate > 0 refills Rate tokens/s up to Burst; Rate == 0
 	// with Burst > 0 is a fixed budget of Burst notifications (no refill
 	// — the deterministic mode the tests use); both zero means unlimited.
 	GlobalRate  float64
 	GlobalBurst float64
-	// SinkRate and SinkBurst are the same bucket per sink, applied by the
-	// dispatcher at delivery time.
-	SinkRate  float64
-	SinkBurst float64
 	// QueueLen bounds the dispatch queue (default 256). A full queue drops
 	// the notification and counts it — scoring never waits on a sink.
 	QueueLen int
 	// DeliveryTimeout bounds one sink delivery (default 10s).
 	DeliveryTimeout time.Duration
-	// Sinks receive every notification that survives dedup and rate
-	// limiting. The pipeline owns them: Close closes each exactly once.
+	// Sinks receive every notification that passes the global bucket and
+	// the queue. The pipeline owns them: Close closes each exactly once.
 	Sinks []Sink
 	// Clock substitutes the time source (default time.Now). The tests
 	// drive a fake clock through here; it must be safe for concurrent
-	// use (the dispatcher reads it too).
+	// use (every stream's scoring goroutine reads it).
 	Clock func() time.Time
 }
 
@@ -209,12 +195,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ClearAfter <= 0 {
 		o.ClearAfter = 30 * time.Second
-	}
-	if o.DedupTTL == 0 {
-		o.DedupTTL = 5 * time.Minute
-	}
-	if o.DedupQuantum <= 0 {
-		o.DedupQuantum = 0.01
 	}
 	if o.QueueLen <= 0 {
 		o.QueueLen = 256
@@ -232,7 +212,6 @@ func (o Options) withDefaults() Options {
 type modelCounters struct {
 	fired    atomic.Int64
 	resolved atomic.Int64
-	deduped  atomic.Int64
 }
 
 // Pipeline is the alerting stage: build with NewPipeline, Register a
@@ -242,7 +221,6 @@ type modelCounters struct {
 type Pipeline struct {
 	opts  Options
 	clock func() time.Time
-	dedup *dedupSet
 	gbkt  *tokenBucket
 	disp  *dispatcher
 
@@ -269,18 +247,14 @@ func NewPipeline(opts Options) *Pipeline {
 		streams: make(map[*Stream]struct{}),
 		recent:  make([]Notification, 0, recentCap),
 	}
-	if opts.DedupTTL > 0 {
-		p.dedup = newDedupSet(opts.DedupTTL)
-	}
 	p.gbkt = newTokenBucket(opts.GlobalRate, opts.GlobalBurst, p.nowNs())
-	p.disp = newDispatcher(opts.QueueLen, opts.Sinks, opts.SinkRate, opts.SinkBurst,
-		opts.DeliveryTimeout, p.clock)
+	p.disp = newDispatcher(opts.QueueLen, opts.Sinks, opts.DeliveryTimeout)
 	return p
 }
 
 // SetTransitionHook installs a callback that observes every state-machine
-// transition synchronously on the scoring goroutine, before dedup and
-// rate limiting: the persistence hook (serve appends transitions to the
+// transition synchronously on the scoring goroutine, before rate
+// limiting: the persistence hook (serve appends transitions to the
 // anomaly store through it). It must not block for long. Call before any
 // stream is registered.
 func (p *Pipeline) SetTransitionHook(hook func(Notification)) {
@@ -492,8 +466,8 @@ func (s *Stream) resolve(now int64) {
 }
 
 // emit routes one transition: persistence hook, recent ring, then the
-// terminal buckets — dedup, global rate limit, dispatch queue. Exactly
-// one bucket counts each notification; none of them blocks.
+// terminal buckets — global rate limit, dispatch queue. Exactly one
+// bucket counts each notification; none of them blocks.
 func (p *Pipeline) emit(n Notification, now int64) {
 	p.mu.Lock()
 	hook := p.hook
@@ -507,18 +481,6 @@ func (p *Pipeline) emit(n Notification, now int64) {
 	if hook != nil {
 		hook(n)
 	}
-	if p.dedup != nil {
-		key := EncodeKey(Key{
-			Stream: n.Stream,
-			Model:  n.Model,
-			Kind:   n.Kind,
-			Bucket: QuantizeDist(n.GateDist, p.opts.DedupQuantum),
-		})
-		if p.dedup.seen(string(key), now) {
-			p.modelCounters(n.Model).deduped.Add(1)
-			return
-		}
-	}
 	if !p.gbkt.take(now) {
 		p.rlGlobal.Add(1)
 		return
@@ -528,26 +490,4 @@ func (p *Pipeline) emit(n Notification, now int64) {
 		return
 	}
 	p.enqueued.Add(1)
-}
-
-// QuantizeDist maps a gate distance onto its dedup bucket: distances
-// within one quantum share a bucket. Non-finite distances get sentinel
-// buckets so corrupt scores still dedup stably.
-func QuantizeDist(dist, quantum float64) int64 {
-	switch {
-	case math.IsNaN(dist):
-		return math.MaxInt64
-	case math.IsInf(dist, 1):
-		return math.MaxInt64 - 1
-	case math.IsInf(dist, -1):
-		return math.MinInt64 + 1
-	}
-	v := math.Round(dist / quantum)
-	if v >= math.MaxInt64-2 {
-		return math.MaxInt64 - 2
-	}
-	if v <= math.MinInt64+2 {
-		return math.MinInt64 + 2
-	}
-	return int64(v)
 }

@@ -10,40 +10,6 @@ import (
 	"time"
 )
 
-func TestDedupSetTTL(t *testing.T) {
-	d := newDedupSet(time.Minute)
-	now := selftestEpoch.UnixNano()
-	if d.seen("k", now) {
-		t.Fatal("fresh key reported seen")
-	}
-	if !d.seen("k", now+int64(30*time.Second)) {
-		t.Fatal("repeat within TTL not deduped")
-	}
-	// A hit does not refresh: expiry counts from the first delivery.
-	if d.seen("k", now+int64(time.Minute)) {
-		t.Fatal("key still seen at TTL from first delivery")
-	}
-	if !d.seen("k", now+int64(90*time.Second)) {
-		t.Fatal("re-armed key not deduped")
-	}
-}
-
-func TestDedupSetGC(t *testing.T) {
-	d := newDedupSet(time.Minute)
-	now := selftestEpoch.UnixNano()
-	for i := 0; i < 100; i++ {
-		d.seen(strings.Repeat("k", i+1), now)
-	}
-	if d.Len() != 100 {
-		t.Fatalf("len = %d, want 100", d.Len())
-	}
-	// Past the TTL, the next insert sweeps everything expired.
-	d.seen("fresh", now+int64(2*time.Minute))
-	if d.Len() != 1 {
-		t.Fatalf("len after GC = %d, want 1", d.Len())
-	}
-}
-
 func TestTokenBucketModes(t *testing.T) {
 	now := selftestEpoch.UnixNano()
 
@@ -102,124 +68,7 @@ func TestTokenBucketModes(t *testing.T) {
 	})
 }
 
-func TestQuantizeDist(t *testing.T) {
-	cases := []struct {
-		dist, quantum float64
-		want          int64
-	}{
-		{0, 0.01, 0},
-		{1.004, 0.01, 100},
-		{1.006, 0.01, 101},
-		{-1.004, 0.01, -100},
-		{math.NaN(), 0.01, math.MaxInt64},
-		{math.Inf(1), 0.01, math.MaxInt64 - 1},
-		{math.Inf(-1), 0.01, math.MinInt64 + 1},
-		{1e300, 0.01, math.MaxInt64 - 2},
-		{-1e300, 0.01, math.MinInt64 + 2},
-	}
-	for _, tc := range cases {
-		if got := QuantizeDist(tc.dist, tc.quantum); got != tc.want {
-			t.Errorf("QuantizeDist(%g, %g) = %d, want %d", tc.dist, tc.quantum, got, tc.want)
-		}
-	}
-	// Distances within one quantum share a bucket — the dedup property.
-	if QuantizeDist(1.112, 0.01) != QuantizeDist(1.108, 0.01) {
-		t.Error("near distances landed in different buckets")
-	}
-}
-
-func TestKeyRoundTrip(t *testing.T) {
-	cases := []Key{
-		{Stream: "s", Model: "m", Kind: KindFiring, Bucket: 0},
-		{Stream: "", Model: "", Kind: KindResolved, Bucket: -1},
-		{Stream: "stream/with/slashes", Model: "model name", Kind: KindFiring, Bucket: math.MaxInt64},
-		{Stream: strings.Repeat("x", maxKeyNameLen), Model: "m", Kind: KindResolved, Bucket: math.MinInt64},
-		{Stream: "unicode-é世界", Model: "\x00\xff", Kind: KindFiring, Bucket: 42},
-	}
-	for _, k := range cases {
-		enc := EncodeKey(k)
-		got, err := DecodeKey(enc)
-		if err != nil {
-			t.Fatalf("DecodeKey(%q): %v", enc, err)
-		}
-		if got != k {
-			t.Fatalf("round trip: got %+v, want %+v", got, k)
-		}
-	}
-	// Distinct identities must never encode to the same key (the
-	// length-prefix property: "ab"+"c" vs "a"+"bc").
-	a := string(EncodeKey(Key{Stream: "ab", Model: "c", Kind: KindFiring}))
-	b := string(EncodeKey(Key{Stream: "a", Model: "bc", Kind: KindFiring}))
-	if a == b {
-		t.Fatal("distinct (stream, model) pairs collided")
-	}
-}
-
-func TestDecodeKeyRejects(t *testing.T) {
-	good := EncodeKey(Key{Stream: "s", Model: "m", Kind: KindFiring, Bucket: 7})
-	cases := map[string][]byte{
-		"empty":          nil,
-		"one byte":       {keyVersion},
-		"bad version":    append([]byte{99}, good[1:]...),
-		"bad kind":       append([]byte{keyVersion, 99}, good[2:]...),
-		"truncated name": good[:4],
-		"trailing bytes": append(append([]byte{}, good...), 0),
-		"oversized name": append([]byte{keyVersion, byte(KindFiring)}, 0xff, 0xff, 0xff, 0x7f),
-	}
-	for name, b := range cases {
-		if _, err := DecodeKey(b); err == nil {
-			t.Errorf("%s: decoded without error", name)
-		}
-	}
-}
-
 func TestEmitBuckets(t *testing.T) {
-	t.Run("dedup counts per model", func(t *testing.T) {
-		p, clk := newTestPipeline(t, Options{MinTrips: 1, ClearAfter: time.Minute, DedupTTL: time.Hour})
-		s := p.Register("s0", "m0")
-		obs := Observation{Anomalous: true, GateDist: 1.5, LOF: 2}
-		clk.advance(time.Second)
-		s.Observe(obs) // fires, delivered
-		clk.advance(time.Minute)
-		s.Observe(Observation{}) // resolves, delivered
-		clk.advance(time.Second)
-		s.Observe(obs) // re-fires, same key → deduped
-		s.Close()      // resolves again, same key → deduped
-		if !p.Drain(5 * time.Second) {
-			t.Fatal("queue did not drain")
-		}
-		b := p.Books()
-		if err := b.Balanced(); err != nil {
-			t.Fatal(err)
-		}
-		if b.Fired != 2 || b.Resolved != 2 || b.Deduped != 2 || b.Enqueued != 2 {
-			t.Fatalf("books = %+v, want fired 2 resolved 2 deduped 2 enqueued 2", b)
-		}
-		if len(b.Models) != 1 || b.Models[0].Deduped != 2 {
-			t.Fatalf("model books = %+v, want m0 deduped 2", b.Models)
-		}
-	})
-
-	t.Run("dedup disabled by negative TTL", func(t *testing.T) {
-		p, clk := newTestPipeline(t, Options{MinTrips: 1, ClearAfter: time.Minute, DedupTTL: -1})
-		s := p.Register("s0", "m0")
-		obs := Observation{Anomalous: true, GateDist: 1.5, LOF: 2}
-		for i := 0; i < 3; i++ {
-			clk.advance(time.Second)
-			s.Observe(obs)
-			clk.advance(time.Minute)
-			s.Observe(Observation{})
-		}
-		s.Close()
-		if !p.Drain(5 * time.Second) {
-			t.Fatal("queue did not drain")
-		}
-		b := p.Books()
-		if b.Deduped != 0 || b.Enqueued != 6 {
-			t.Fatalf("books = %+v, want deduped 0 enqueued 6", b)
-		}
-	})
-
 	t.Run("queue overflow drops and counts", func(t *testing.T) {
 		// A sink stuck in Deliver wedges the worker; the queue fills and
 		// further transitions drop without blocking Observe.
@@ -236,7 +85,7 @@ func TestEmitBuckets(t *testing.T) {
 		}
 		clk := newFakeClock(selftestEpoch)
 		p := NewPipeline(Options{
-			MinTrips: 1, ClearAfter: time.Minute, DedupTTL: -1,
+			MinTrips: 1, ClearAfter: time.Minute,
 			QueueLen: 2, DeliveryTimeout: time.Hour,
 			Sinks: []Sink{stuck}, Clock: clk.now,
 		})
@@ -298,7 +147,7 @@ func TestSinkErrorsCountAndDoNotBlock(t *testing.T) {
 		deliver: func(context.Context, Notification) error { return context.DeadlineExceeded },
 	}
 	p := NewPipeline(Options{
-		MinTrips: 1, ClearAfter: time.Minute, DedupTTL: -1,
+		MinTrips: 1, ClearAfter: time.Minute,
 		Sinks: []Sink{failing}, Clock: clk.now,
 	})
 	s := p.Register("s0", "m0")
@@ -338,7 +187,7 @@ func TestCloseReturnsFirstSinkError(t *testing.T) {
 }
 
 func TestSnapshotRecentRingWraps(t *testing.T) {
-	p, clk := newTestPipeline(t, Options{MinTrips: 1, ClearAfter: time.Minute, DedupTTL: -1})
+	p, clk := newTestPipeline(t, Options{MinTrips: 1, ClearAfter: time.Minute})
 	s := p.Register("s0", "m0")
 	const incidents = recentCap/2 + 1 // two transitions more than the ring holds
 	for i := 0; i < incidents; i++ {
@@ -376,18 +225,6 @@ func TestSlogSinkDelivers(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "alert firing") || !strings.Contains(buf.String(), "s0") {
 		t.Fatalf("log output %q missing alert line", buf.String())
-	}
-}
-
-func TestExecSinkRuns(t *testing.T) {
-	sink := NewExecSink("grep -q '\"stream\":\"s0\"'")
-	n := Notification{Kind: KindFiring, Stream: "s0", Model: "m0"}
-	if err := sink.Deliver(context.Background(), n); err != nil {
-		t.Fatalf("exec sink with matching stdin: %v", err)
-	}
-	fail := NewExecSink("grep -q no-such-stream")
-	if err := fail.Deliver(context.Background(), n); err == nil {
-		t.Fatal("exec sink swallowed a failing command")
 	}
 }
 

@@ -43,14 +43,13 @@ func BenchmarkAlertObserveFlapping(b *testing.B) {
 }
 
 // BenchmarkAlertFireResolve measures a full incident round trip —
-// transition emission, dedup lookup, bucket, enqueue — with a discard
-// sink draining concurrently.
+// transition emission, bucket, enqueue — with a discard sink draining
+// concurrently.
 func BenchmarkAlertFireResolve(b *testing.B) {
 	clk := newFakeClock(selftestEpoch)
 	p := NewPipeline(Options{
 		MinTrips:   1,
 		ClearAfter: time.Second,
-		DedupTTL:   -1, // measure the full emit path, not the dedup shortcut
 		QueueLen:   4096,
 		Sinks:      []Sink{&funcSink{name: "discard"}},
 		Clock:      clk.now,
@@ -67,37 +66,4 @@ func BenchmarkAlertFireResolve(b *testing.B) {
 	}
 	b.StopTimer()
 	p.Drain(30 * time.Second)
-}
-
-// BenchmarkAlertDedupHit is the steady-state cost of a repeat
-// notification: key encode + seen-set hit, no delivery.
-func BenchmarkAlertDedupHit(b *testing.B) {
-	clk := newFakeClock(selftestEpoch)
-	p := NewPipeline(Options{
-		MinTrips:   1,
-		ClearAfter: time.Second,
-		DedupTTL:   time.Hour,
-		Clock:      clk.now,
-	})
-	defer p.Close()
-	s := p.Register("bench-0", "bench")
-	trip := Observation{Anomalous: true, GateDist: 2.0, LOF: 2.0}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		clk.advance(time.Second)
-		s.Observe(trip) // fires; every fire past the first dedups
-		clk.advance(time.Second)
-		s.Observe(Observation{})
-	}
-}
-
-// BenchmarkAlertKeyEncode isolates the dedup key codec.
-func BenchmarkAlertKeyEncode(b *testing.B) {
-	k := Key{Stream: "stream-12345", Model: "model-7", Kind: KindFiring, Bucket: 1234}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		EncodeKey(k)
-	}
 }

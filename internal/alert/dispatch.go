@@ -9,11 +9,9 @@ import (
 
 // sinkEntry is one sink plus its delivery-side books.
 type sinkEntry struct {
-	sink        Sink
-	bucket      *tokenBucket
-	delivered   atomic.Int64
-	rateLimited atomic.Int64
-	errors      atomic.Int64
+	sink      Sink
+	delivered atomic.Int64
+	errors    atomic.Int64
 }
 
 // dispatcher decouples the scoring goroutines from sink I/O: transitions
@@ -26,7 +24,6 @@ type dispatcher struct {
 	ch        chan Notification
 	sinks     []*sinkEntry
 	timeout   time.Duration
-	clock     func() time.Time
 	processed atomic.Int64 // notifications fully handled by the worker
 	depth     atomic.Int64 // notifications queued or in delivery
 
@@ -37,20 +34,14 @@ type dispatcher struct {
 	done        chan struct{}
 }
 
-func newDispatcher(queueLen int, sinks []Sink, sinkRate, sinkBurst float64,
-	timeout time.Duration, clock func() time.Time) *dispatcher {
+func newDispatcher(queueLen int, sinks []Sink, timeout time.Duration) *dispatcher {
 	d := &dispatcher{
 		ch:      make(chan Notification, queueLen),
 		timeout: timeout,
-		clock:   clock,
 		done:    make(chan struct{}),
 	}
-	nowNs := clock().UnixNano()
 	for _, s := range sinks {
-		d.sinks = append(d.sinks, &sinkEntry{
-			sink:   s,
-			bucket: newTokenBucket(sinkRate, sinkBurst, nowNs),
-		})
+		d.sinks = append(d.sinks, &sinkEntry{sink: s})
 	}
 	go d.run()
 	return d
@@ -83,12 +74,7 @@ func (d *dispatcher) run() {
 }
 
 func (d *dispatcher) deliver(n Notification) {
-	nowNs := d.clock().UnixNano()
 	for _, e := range d.sinks {
-		if !e.bucket.take(nowNs) {
-			e.rateLimited.Add(1)
-			continue
-		}
 		ctx, cancel := context.WithTimeout(context.Background(), d.timeout)
 		err := e.sink.Deliver(ctx, n)
 		cancel()

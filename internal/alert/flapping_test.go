@@ -76,8 +76,8 @@ func expect(t *testing.T, ok bool, format string, args ...any) bool {
 }
 
 // drainAndClose is every flapping test's epilogue: queue drained, books
-// balanced (fired == delivered + deduped + rate_limited + errors), double
-// Close idempotent, sink closed exactly once.
+// balanced (fired + resolved == delivered + rate_limited + queue_dropped +
+// errors), double Close idempotent, sink closed exactly once.
 func drainAndClose(t *testing.T, p *Pipeline, sinks ...*captureSink) Books {
 	t.Helper()
 	expect(t, p.Drain(5*time.Second), "dispatch queue did not drain")
@@ -97,12 +97,11 @@ func drainAndClose(t *testing.T, p *Pipeline, sinks ...*captureSink) Books {
 	return books
 }
 
-// TestFlappingHysteresisAndDedup: per stream — MinTrips-1 trips then a
-// clear (must NOT fire), MinTrips trips (fires exactly on the last), extra
-// trips (no re-fire), a clear at ClearAfter-1ns (no resolve), a clear at
-// ClearAfter (resolves once). Then one stream re-fires with the same gate
-// distance and both its transitions dedup.
-func TestFlappingHysteresisAndDedup(t *testing.T) {
+// TestFlappingHysteresis: per stream — MinTrips-1 trips then a clear
+// (must NOT fire), MinTrips trips (fires exactly on the last), extra trips
+// (no re-fire), a clear at ClearAfter-1ns (no resolve), a clear at
+// ClearAfter (resolves once). Every transition reaches the sink.
+func TestFlappingHysteresis(t *testing.T) {
 	const (
 		nStreams   = 4
 		minTrips   = 3
@@ -111,17 +110,15 @@ func TestFlappingHysteresisAndDedup(t *testing.T) {
 	clk := newFakeClock(selftestEpoch)
 	sink := newCaptureSink("capture")
 
-	// The transition hook observes every state-machine edge before dedup
-	// and rate limiting — the exactly-once ledger.
+	// The transition hook observes every state-machine edge before rate
+	// limiting — the exactly-once ledger.
 	var hookMu sync.Mutex
 	transitions := make(map[string][]Notification)
 	p := NewPipeline(Options{
-		MinTrips:     minTrips,
-		ClearAfter:   clearAfter,
-		DedupTTL:     time.Hour, // covers the whole choreography
-		DedupQuantum: 0.01,
-		Sinks:        []Sink{sink},
-		Clock:        clk.now,
+		MinTrips:   minTrips,
+		ClearAfter: clearAfter,
+		Sinks:      []Sink{sink},
+		Clock:      clk.now,
 	})
 	p.SetTransitionHook(func(n Notification) {
 		hookMu.Lock()
@@ -143,7 +140,7 @@ func TestFlappingHysteresisAndDedup(t *testing.T) {
 	}
 
 	idx := 0
-	fireResolveOnce := func(s *Stream, dist float64, wantFired, wantResolved int64) {
+	fireResolveOnce := func(s *Stream, dist float64) {
 		// Almost-armed: MinTrips-1 trips, then a clear — must disarm.
 		for i := 0; i < minTrips-1; i++ {
 			idx++
@@ -153,18 +150,17 @@ func TestFlappingHysteresisAndDedup(t *testing.T) {
 		clk.advance(time.Second)
 		idx++
 		clear(s, idx)
-		expect(t, s.Fired() == wantFired-1, "%s: fired after disarm = %d, want %d", s.Stream(), s.Fired(), wantFired-1)
-		expect(t, s.State() != StateFiring && s.State() != StatePending,
-			"%s: state after disarm = %v, want idle/resolved", s.Stream(), s.State())
+		expect(t, s.Fired() == 0, "%s: fired after disarm = %d, want 0", s.Stream(), s.Fired())
+		expect(t, s.State() == StateIdle, "%s: state after disarm = %v, want idle", s.Stream(), s.State())
 
 		// Arm for real: fires exactly on the MinTrips-th trip.
 		for i := 0; i < minTrips; i++ {
-			expect(t, s.Fired() == wantFired-1, "%s: fired before trip %d = %d, want %d", s.Stream(), i+1, s.Fired(), wantFired-1)
+			expect(t, s.Fired() == 0, "%s: fired before trip %d = %d, want 0", s.Stream(), i+1, s.Fired())
 			idx++
 			trip(s, dist, idx)
 		}
 		fireIdx := idx
-		expect(t, s.Fired() == wantFired, "%s: fired after %d trips = %d, want %d", s.Stream(), minTrips, s.Fired(), wantFired)
+		expect(t, s.Fired() == 1, "%s: fired after %d trips = %d, want 1", s.Stream(), minTrips, s.Fired())
 		expect(t, s.State() == StateFiring, "%s: state after firing = %v", s.Stream(), s.State())
 
 		// Extra trips while firing: no re-fire.
@@ -172,32 +168,31 @@ func TestFlappingHysteresisAndDedup(t *testing.T) {
 			idx++
 			trip(s, dist, idx)
 		}
-		expect(t, s.Fired() == wantFired, "%s: fired after extra trips = %d, want %d", s.Stream(), s.Fired(), wantFired)
+		expect(t, s.Fired() == 1, "%s: fired after extra trips = %d, want 1", s.Stream(), s.Fired())
 
 		// A clear one nanosecond short of ClearAfter must not resolve...
 		clk.advance(clearAfter - time.Nanosecond)
 		idx++
 		clear(s, idx)
 		expect(t, s.State() == StateFiring, "%s: resolved %v early before ClearAfter", s.Stream(), clearAfter)
-		expect(t, s.Resolved() == wantResolved-1, "%s: resolved early = %d, want %d", s.Stream(), s.Resolved(), wantResolved-1)
+		expect(t, s.Resolved() == 0, "%s: resolved early = %d, want 0", s.Stream(), s.Resolved())
 
 		// ...and at exactly ClearAfter it resolves, once.
 		clk.advance(time.Nanosecond)
 		idx++
 		clear(s, idx)
-		expect(t, s.Resolved() == wantResolved, "%s: resolved = %d, want %d", s.Stream(), s.Resolved(), wantResolved)
+		expect(t, s.Resolved() == 1, "%s: resolved = %d, want 1", s.Stream(), s.Resolved())
 		expect(t, s.State() == StateResolved, "%s: state after resolve = %v", s.Stream(), s.State())
 		idx++
 		clear(s, idx) // further clears are the fast path: no double resolve
-		expect(t, s.Resolved() == wantResolved, "%s: double resolve: %d", s.Stream(), s.Resolved())
+		expect(t, s.Resolved() == 1, "%s: double resolve: %d", s.Stream(), s.Resolved())
 
 		// The firing transition carries the arming evidence.
 		hookMu.Lock()
 		seq := transitions[s.Stream()]
 		hookMu.Unlock()
-		want := 2 * int(wantFired)
-		if expect(t, len(seq) == want, "%s: %d transitions, want %d", s.Stream(), len(seq), want) {
-			firing, resolved := seq[want-2], seq[want-1]
+		if expect(t, len(seq) == 2, "%s: %d transitions, want 2", s.Stream(), len(seq)) {
+			firing, resolved := seq[0], seq[1]
 			expect(t, firing.Kind == KindFiring && resolved.Kind == KindResolved,
 				"%s: transition kinds %v/%v, want firing/resolved", s.Stream(), firing.Kind, resolved.Kind)
 			expect(t, firing.Trips == minTrips, "%s: firing trips %d, want %d", s.Stream(), firing.Trips, minTrips)
@@ -209,16 +204,10 @@ func TestFlappingHysteresisAndDedup(t *testing.T) {
 		}
 	}
 
-	// Every stream runs the full trip/clear/trip choreography with a
-	// stream-unique gate distance (no cross-stream dedup).
+	// Every stream runs the full trip/clear/trip choreography.
 	for i, s := range streams {
-		fireResolveOnce(s, 1.0+float64(i), 1, 1)
+		fireResolveOnce(s, 1.0+float64(i))
 	}
-
-	// Resolved → pending → re-fire on stream 0 with the SAME gate
-	// distance: both transitions hit the dedup set (exact re-notification
-	// within the TTL), yet the state machine still counts the incident.
-	fireResolveOnce(streams[0], 1.0, 2, 2)
 
 	// Admin view before the streams go away.
 	snap := p.Snapshot()
@@ -227,7 +216,7 @@ func TestFlappingHysteresisAndDedup(t *testing.T) {
 	for _, st := range snap.Streams {
 		expect(t, st.State == "resolved", "snapshot stream %s state %q, want resolved", st.Stream, st.State)
 	}
-	expect(t, len(snap.Recent) == 2*(nStreams+1), "%d recent notifications, want %d", len(snap.Recent), 2*(nStreams+1))
+	expect(t, len(snap.Recent) == 2*nStreams, "%d recent notifications, want %d", len(snap.Recent), 2*nStreams)
 
 	// Closing a resolved stream emits nothing further.
 	for _, s := range streams {
@@ -235,14 +224,75 @@ func TestFlappingHysteresisAndDedup(t *testing.T) {
 	}
 
 	books := drainAndClose(t, p, sink)
-	wantFired := int64(nStreams + 1)
-	expect(t, books.Fired == wantFired, "books fired %d, want %d", books.Fired, wantFired)
-	expect(t, books.Resolved == wantFired, "books resolved %d, want %d", books.Resolved, wantFired)
-	expect(t, books.Deduped == 2, "books deduped %d, want 2", books.Deduped)
+	expect(t, books.Fired == nStreams, "books fired %d, want %d", books.Fired, int64(nStreams))
+	expect(t, books.Resolved == nStreams, "books resolved %d, want %d", books.Resolved, int64(nStreams))
 	expect(t, books.RateLimited() == 0, "books rate-limited %d, want 0", books.RateLimited())
-	wantDelivered := int64(2 * nStreams)
-	expect(t, books.Enqueued == wantDelivered, "books enqueued %d, want %d", books.Enqueued, wantDelivered)
-	expect(t, int64(sink.delivered()) == wantDelivered, "sink saw %d, want %d", sink.delivered(), wantDelivered)
+	const wantDelivered = 2 * nStreams
+	expect(t, books.Enqueued == wantDelivered, "books enqueued %d, want %d", books.Enqueued, int64(wantDelivered))
+	expect(t, sink.delivered() == wantDelivered, "sink saw %d, want %d", sink.delivered(), wantDelivered)
+}
+
+// TestFlappingReFireDeliversEveryTransition: one stream at the shipped
+// defaults (MinTrips 3, ClearAfter 30s, 40 ms windows, one gate distance
+// throughout) fires, resolves, and five minutes later fires and resolves
+// again. The receiver must see all four edges, each resolved carrying the
+// firing it closes; a sink that saw the second firing but not its
+// resolution would show the incident open forever.
+func TestFlappingReFireDeliversEveryTransition(t *testing.T) {
+	const window = 40 * time.Millisecond
+	clk := newFakeClock(selftestEpoch)
+	sink := newCaptureSink("capture")
+	p := NewPipeline(Options{Sinks: []Sink{sink}, Clock: clk.now})
+	s := p.Register("refire-0", "selftest")
+
+	idx := 0
+	observe := func(at time.Duration, anomalous bool) {
+		clk.ns.Store(selftestEpoch.Add(at).UnixNano())
+		idx++
+		s.Observe(Observation{Anomalous: anomalous, GateTripped: anomalous, GateDist: 1.5, LOF: 2.5, WindowIndex: idx})
+	}
+	// incident trips three windows from start (firing on the third), trips
+	// once more hold later, and resolves ClearAfter after that last trip.
+	incident := func(start, hold time.Duration) {
+		for i := 1; i <= 3; i++ {
+			observe(start+time.Duration(i)*window, true)
+		}
+		last := start + 3*window + hold
+		observe(last, true)
+		observe(last+window, false) // quiet, but too soon
+		observe(last+30*time.Second, false)
+	}
+	incident(0, 30*time.Second)                                   // firing at 0.12 s, resolved at 1 m 0.12 s
+	incident(5*time.Minute+5120*time.Millisecond, 10*time.Second) // firing at 5 m 5.24 s, resolved at 5 m 45.24 s
+	expect(t, s.State() == StateResolved, "state %v, want resolved", s.State())
+	s.Close()
+
+	books := drainAndClose(t, p, sink)
+	expect(t, books.Fired == 2 && books.Resolved == 2, "books fired/resolved %d/%d, want 2/2", books.Fired, books.Resolved)
+	expect(t, books.Enqueued == 4, "books enqueued %d, want 4", books.Enqueued)
+	sink.mu.Lock()
+	notes := append([]Notification(nil), sink.notes...)
+	sink.mu.Unlock()
+	want := []struct {
+		kind Kind
+		at   time.Duration
+	}{
+		{KindFiring, 120 * time.Millisecond},
+		{KindResolved, time.Minute + 120*time.Millisecond},
+		{KindFiring, 5*time.Minute + 5240*time.Millisecond},
+		{KindResolved, 5*time.Minute + 45240*time.Millisecond},
+	}
+	if !expect(t, len(notes) == len(want), "sink saw %d notifications, want %d: %+v", len(notes), len(want), notes) {
+		return
+	}
+	for i, n := range notes {
+		expect(t, n.Kind == want[i].kind && n.Wall.Equal(selftestEpoch.Add(want[i].at)),
+			"notification %d is %v at %v, want %v at %v", i, n.Kind, n.Wall.Sub(selftestEpoch), want[i].kind, want[i].at)
+		if n.Kind == KindResolved && i > 0 {
+			expect(t, n.FiredWall.Equal(notes[i-1].Wall), "resolved %d fired_wall %v, want the firing's wall %v",
+				i, n.FiredWall, notes[i-1].Wall)
+		}
+	}
 }
 
 // TestFlappingGlobalBudget: a fixed-budget global bucket (GlobalBurst
@@ -259,7 +309,6 @@ func TestFlappingGlobalBudget(t *testing.T) {
 	p := NewPipeline(Options{
 		MinTrips:    1,
 		ClearAfter:  clearAfter,
-		DedupTTL:    -1, // every transition is fresh: the bucket is the only gate
 		GlobalRate:  0,
 		GlobalBurst: budget,
 		Sinks:       []Sink{sink},
@@ -282,45 +331,4 @@ func TestFlappingGlobalBudget(t *testing.T) {
 	expect(t, books.RateLimitedGlobal == transitions-budget,
 		"rate-limited %d, want %d", books.RateLimitedGlobal, int64(transitions-budget))
 	expect(t, int64(sink.delivered()) == budget, "sink saw %d, want %d", sink.delivered(), int64(budget))
-}
-
-// TestFlappingSinkBudget: per-sink fixed budgets — each of two sinks
-// delivers exactly its own allowance out of the shared queue; the
-// overflow counts against the sink.
-func TestFlappingSinkBudget(t *testing.T) {
-	const (
-		sinkBudget = 2
-		incidents  = 3
-		clearAfter = 10 * time.Second
-	)
-	clk := newFakeClock(selftestEpoch)
-	a, b := newCaptureSink("capture-a"), newCaptureSink("capture-b")
-	p := NewPipeline(Options{
-		MinTrips:   1,
-		ClearAfter: clearAfter,
-		DedupTTL:   -1,
-		SinkRate:   0,
-		SinkBurst:  sinkBudget,
-		Sinks:      []Sink{a, b},
-		Clock:      clk.now,
-	})
-	s := p.Register("sinkbudget-0", "selftest")
-	for i := 0; i < incidents; i++ {
-		clk.advance(time.Second)
-		s.Observe(Observation{Anomalous: true, GateDist: float64(i), LOF: 3, WindowIndex: 2 * i})
-		clk.advance(clearAfter)
-		s.Observe(Observation{GateDist: 0.1, LOF: 1, WindowIndex: 2*i + 1})
-	}
-	s.Close()
-
-	books := drainAndClose(t, p, a, b)
-	const transitions = 2 * incidents
-	expect(t, books.Enqueued == transitions, "enqueued %d, want %d", books.Enqueued, int64(transitions))
-	for _, sb := range books.Sinks {
-		expect(t, sb.Delivered == sinkBudget, "sink %s delivered %d, want %d", sb.Name, sb.Delivered, int64(sinkBudget))
-		expect(t, sb.RateLimited == transitions-sinkBudget,
-			"sink %s rate-limited %d, want %d", sb.Name, sb.RateLimited, int64(transitions-sinkBudget))
-	}
-	expect(t, a.delivered() == sinkBudget && b.delivered() == sinkBudget,
-		"captures saw %d/%d, want %d each", a.delivered(), b.delivered(), sinkBudget)
 }

@@ -22,7 +22,6 @@ func TestConcurrentStreamsOneDispatcher(t *testing.T) {
 	p := NewPipeline(Options{
 		MinTrips:   2,
 		ClearAfter: time.Millisecond,
-		DedupTTL:   -1, // every transition delivered: exact books below
 		Sinks:      []Sink{sink},
 		Clock:      clk.now,
 	})
@@ -87,7 +86,7 @@ func TestConcurrentStreamsOneDispatcher(t *testing.T) {
 	if b.Fired != wantEach || b.Resolved != wantEach {
 		t.Fatalf("books fired/resolved = %d/%d, want %d/%d", b.Fired, b.Resolved, wantEach, wantEach)
 	}
-	// No dedup, no rate limit, default queue is deep enough at this pace:
+	// No rate limit, and the default queue is deep enough at this pace:
 	// every transition must have reached the sink or been counted dropped.
 	if got := b.Enqueued + b.QueueDropped; got != 2*wantEach {
 		t.Fatalf("enqueued %d + dropped %d != %d transitions", b.Enqueued, b.QueueDropped, 2*wantEach)
@@ -121,7 +120,7 @@ func TestConcurrentCloseDrainsOnce(t *testing.T) {
 		closeFn: slow.Close,
 	}
 	p := NewPipeline(Options{
-		MinTrips: 1, ClearAfter: time.Millisecond, DedupTTL: -1,
+		MinTrips: 1, ClearAfter: time.Millisecond,
 		QueueLen: 64, Sinks: []Sink{slowSink}, Clock: clk.now,
 	})
 	s := p.Register("s0", "m0")

@@ -2,8 +2,8 @@ package alert
 
 import "sync"
 
-// tokenBucket is the delivery rate limiter. Three modes, picked by the
-// construction parameters:
+// tokenBucket is the global notification rate limiter. Three modes,
+// picked by the construction parameters:
 //
 //   - rate > 0: classic token bucket — refills rate tokens/s up to burst
 //     (burst <= 0 defaults to rate, a one-second window).

@@ -1,12 +1,8 @@
 package alert
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
 	"log/slog"
-	"os/exec"
 )
 
 // Sink delivers notifications somewhere an operator will see them. The
@@ -58,39 +54,3 @@ func (s *SlogSink) Deliver(_ context.Context, n Notification) error {
 }
 
 func (s *SlogSink) Close() error { return nil }
-
-// ExecSink runs a shell command per notification with the notification's
-// JSON on stdin — the ad-hoc integration hook (pipe into mailx, a
-// chatops script, whatever the operator has). The delivery context kills
-// commands that outstay the delivery timeout.
-type ExecSink struct {
-	command string
-}
-
-// NewExecSink builds the exec hook; command runs via `sh -c`.
-func NewExecSink(command string) *ExecSink { return &ExecSink{command: command} }
-
-func (s *ExecSink) Name() string { return "exec" }
-
-func (s *ExecSink) Deliver(ctx context.Context, n Notification) error {
-	payload, err := json.Marshal(n)
-	if err != nil {
-		return fmt.Errorf("alert: exec sink encode: %w", err)
-	}
-	cmd := exec.CommandContext(ctx, "sh", "-c", s.command)
-	cmd.Stdin = bytes.NewReader(payload)
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		return fmt.Errorf("alert: exec sink %q: %w (output %q)", s.command, err, truncate(out, 512))
-	}
-	return nil
-}
-
-func (s *ExecSink) Close() error { return nil }
-
-func truncate(b []byte, n int) string {
-	if len(b) <= n {
-		return string(b)
-	}
-	return string(b[:n]) + "...(truncated)"
-}

@@ -7,10 +7,9 @@ import (
 
 // SinkBooks is one sink's delivery accounting.
 type SinkBooks struct {
-	Name        string `json:"name"`
-	Delivered   int64  `json:"delivered"`
-	RateLimited int64  `json:"rate_limited"`
-	Errors      int64  `json:"errors"`
+	Name      string `json:"name"`
+	Delivered int64  `json:"delivered"`
+	Errors    int64  `json:"errors"`
 }
 
 // ModelBooks is one model's transition accounting.
@@ -18,17 +17,15 @@ type ModelBooks struct {
 	Model    string `json:"model"`
 	Fired    int64  `json:"fired"`
 	Resolved int64  `json:"resolved"`
-	Deduped  int64  `json:"deduped"`
 }
 
 // Books is the pipeline's full ledger. Every transition the state
-// machines emit lands in exactly one pre-queue bucket (Deduped,
-// RateLimitedGlobal, QueueDropped, Enqueued), and every processed
-// notification lands in exactly one per-sink bucket.
+// machines emit lands in exactly one pre-queue bucket (RateLimitedGlobal,
+// QueueDropped, Enqueued), and every processed notification lands in
+// exactly one per-sink bucket.
 type Books struct {
 	Fired             int64 `json:"fired"`
 	Resolved          int64 `json:"resolved"`
-	Deduped           int64 `json:"deduped"`
 	RateLimitedGlobal int64 `json:"rate_limited_global"`
 	QueueDropped      int64 `json:"queue_dropped"`
 	Enqueued          int64 `json:"enqueued"`
@@ -38,46 +35,38 @@ type Books struct {
 	Models []ModelBooks `json:"models"`
 }
 
-// RateLimited sums the global and per-sink rate-limit buckets — the
-// "rate_limited" term of the issue-level balance equation.
-func (b Books) RateLimited() int64 {
-	total := b.RateLimitedGlobal
-	for _, s := range b.Sinks {
-		total += s.RateLimited
-	}
-	return total
-}
+// RateLimited is the notifications the global bucket refused, the
+// "rate_limited" term of the balance equation.
+func (b Books) RateLimited() int64 { return b.RateLimitedGlobal }
 
 // Balanced verifies the delivery books after the queue has drained
-// (Pipeline.Drain): transitions == deduped + rate-limited-global +
-// queue-dropped + enqueued, enqueued all processed, and per sink
-// processed == delivered + rate-limited + errors. With a single sink
-// this is exactly `fired == delivered + deduped + rate_limited + errors`
-// over fired+resolved notifications.
+// (Pipeline.Drain): transitions == rate-limited-global + queue-dropped +
+// enqueued, enqueued all processed, and per sink processed == delivered +
+// errors. With a single sink this is exactly `fired + resolved ==
+// delivered + rate_limited + queue_dropped + errors`.
 func (b Books) Balanced() error {
 	transitions := b.Fired + b.Resolved
-	if got := b.Deduped + b.RateLimitedGlobal + b.QueueDropped + b.Enqueued; got != transitions {
-		return fmt.Errorf("alert: books: %d transitions != deduped %d + rate-limited %d + queue-dropped %d + enqueued %d",
-			transitions, b.Deduped, b.RateLimitedGlobal, b.QueueDropped, b.Enqueued)
+	if got := b.RateLimitedGlobal + b.QueueDropped + b.Enqueued; got != transitions {
+		return fmt.Errorf("alert: books: %d transitions != rate-limited %d + queue-dropped %d + enqueued %d",
+			transitions, b.RateLimitedGlobal, b.QueueDropped, b.Enqueued)
 	}
 	if b.Processed != b.Enqueued {
 		return fmt.Errorf("alert: books: processed %d != enqueued %d (queue not drained?)", b.Processed, b.Enqueued)
 	}
 	for _, s := range b.Sinks {
-		if got := s.Delivered + s.RateLimited + s.Errors; got != b.Processed {
-			return fmt.Errorf("alert: books: sink %q delivered %d + rate-limited %d + errors %d != processed %d",
-				s.Name, s.Delivered, s.RateLimited, s.Errors, b.Processed)
+		if got := s.Delivered + s.Errors; got != b.Processed {
+			return fmt.Errorf("alert: books: sink %q delivered %d + errors %d != processed %d",
+				s.Name, s.Delivered, s.Errors, b.Processed)
 		}
 	}
-	var modelFired, modelResolved, modelDeduped int64
+	var modelFired, modelResolved int64
 	for _, m := range b.Models {
 		modelFired += m.Fired
 		modelResolved += m.Resolved
-		modelDeduped += m.Deduped
 	}
-	if modelFired != b.Fired || modelResolved != b.Resolved || modelDeduped != b.Deduped {
-		return fmt.Errorf("alert: books: per-model totals fired %d/resolved %d/deduped %d != aggregate %d/%d/%d",
-			modelFired, modelResolved, modelDeduped, b.Fired, b.Resolved, b.Deduped)
+	if modelFired != b.Fired || modelResolved != b.Resolved {
+		return fmt.Errorf("alert: books: per-model totals fired %d/resolved %d != aggregate %d/%d",
+			modelFired, modelResolved, b.Fired, b.Resolved)
 	}
 	return nil
 }
@@ -120,20 +109,17 @@ func (p *Pipeline) Books() Books {
 			Model:    name,
 			Fired:    mc.fired.Load(),
 			Resolved: mc.resolved.Load(),
-			Deduped:  mc.deduped.Load(),
 		}
 		b.Fired += mb.Fired
 		b.Resolved += mb.Resolved
-		b.Deduped += mb.Deduped
 		b.Models = append(b.Models, mb)
 	}
 	p.mu.Unlock()
 	for _, e := range p.disp.sinks {
 		b.Sinks = append(b.Sinks, SinkBooks{
-			Name:        e.sink.Name(),
-			Delivered:   e.delivered.Load(),
-			RateLimited: e.rateLimited.Load(),
-			Errors:      e.errors.Load(),
+			Name:      e.sink.Name(),
+			Delivered: e.delivered.Load(),
+			Errors:    e.errors.Load(),
 		})
 	}
 	return b

@@ -10,45 +10,19 @@ import (
 	"time"
 )
 
-// WebhookOptions tunes a WebhookSink.
-type WebhookOptions struct {
-	// Retries is how many times a retryable failure (transport error or
-	// 5xx) is retried after the first attempt (default 2, so 3 attempts).
-	Retries int
-	// Backoff is the first retry delay; it doubles per retry (default
-	// 250ms). Waits are cut short by the delivery context.
-	Backoff time.Duration
-	// MaxBody bounds how much of a response body is read — oversized
-	// (or hostile) responses are truncated, never buffered whole
-	// (default 4096 bytes).
-	MaxBody int64
-	// Client substitutes the HTTP client (default http.DefaultClient;
-	// per-attempt deadlines come from the delivery context either way).
-	Client *http.Client
-	// Name overrides the sink's metrics label (default "webhook").
-	Name string
-}
-
-func (o WebhookOptions) withDefaults() WebhookOptions {
-	if o.Retries < 0 {
-		o.Retries = 0
-	} else if o.Retries == 0 {
-		o.Retries = 2
-	}
-	if o.Backoff <= 0 {
-		o.Backoff = 250 * time.Millisecond
-	}
-	if o.MaxBody <= 0 {
-		o.MaxBody = 4096
-	}
-	if o.Client == nil {
-		o.Client = http.DefaultClient
-	}
-	if o.Name == "" {
-		o.Name = "webhook"
-	}
-	return o
-}
+// The webhook's delivery policy.
+const (
+	// webhookRetries is how many times a retryable failure (transport
+	// error or 5xx) is retried after the first attempt.
+	webhookRetries = 2
+	// webhookBackoff is the first retry delay; it doubles per retry.
+	// Waits are cut short by the delivery context.
+	webhookBackoff = 250 * time.Millisecond
+	// webhookMaxBody bounds how much of a response body is read into an
+	// error: oversized (or hostile) responses are cut, never buffered
+	// whole.
+	webhookMaxBody = 4 << 10
+)
 
 // WebhookSink POSTs each notification as JSON to one URL, with bounded
 // retries: transport errors and 5xx responses back off and retry (the
@@ -57,16 +31,15 @@ func (o WebhookOptions) withDefaults() WebhookOptions {
 // train — a hung webhook costs one delivery slot, never a scoring stall
 // (the dispatch queue is the buffer in between).
 type WebhookSink struct {
-	url  string
-	opts WebhookOptions
+	url string
 	// sleep is the inter-retry wait, swapped out by tests to assert the
 	// backoff schedule without wall-clock waits.
 	sleep func(ctx context.Context, d time.Duration) error
 }
 
 // NewWebhookSink builds a webhook sink for url.
-func NewWebhookSink(url string, opts WebhookOptions) *WebhookSink {
-	return &WebhookSink{url: url, opts: opts.withDefaults(), sleep: sleepCtx}
+func NewWebhookSink(url string) *WebhookSink {
+	return &WebhookSink{url: url, sleep: sleepCtx}
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) error {
@@ -80,16 +53,16 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-func (s *WebhookSink) Name() string { return s.opts.Name }
+func (s *WebhookSink) Name() string { return "webhook" }
 
 func (s *WebhookSink) Deliver(ctx context.Context, n Notification) error {
 	payload, err := json.Marshal(n)
 	if err != nil {
 		return fmt.Errorf("alert: webhook encode: %w", err)
 	}
-	backoff := s.opts.Backoff
+	backoff := webhookBackoff
 	var lastErr error
-	for attempt := 0; attempt <= s.opts.Retries; attempt++ {
+	for attempt := 0; attempt <= webhookRetries; attempt++ {
 		if attempt > 0 {
 			if err := s.sleep(ctx, backoff); err != nil {
 				return fmt.Errorf("alert: webhook %s: %w (after %v)", s.url, err, lastErr)
@@ -119,23 +92,23 @@ func (s *WebhookSink) post(ctx context.Context, payload []byte) (retryable bool,
 		return false, fmt.Errorf("alert: webhook %s: %w", s.url, err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := s.opts.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return true, fmt.Errorf("alert: webhook %s: %w", s.url, err)
 	}
-	// Read at most MaxBody bytes (the error detail), then drain a little
-	// more so keep-alive can reuse the connection — but never the whole
-	// body: an oversized response is the server's problem, not ours.
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, s.opts.MaxBody))
+	// Read at most webhookMaxBody bytes (the error detail), then drain a
+	// little more so keep-alive can reuse the connection — but never the
+	// whole body: an oversized response is the server's problem, not ours.
+	body, _ := io.ReadAll(io.LimitReader(resp.Body, webhookMaxBody))
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 64<<10))
 	resp.Body.Close()
 	switch {
 	case resp.StatusCode >= 200 && resp.StatusCode < 300:
 		return false, nil
 	case resp.StatusCode >= 500:
-		return true, fmt.Errorf("alert: webhook %s: %s: %q", s.url, resp.Status, truncate(body, 256))
+		return true, fmt.Errorf("alert: webhook %s: %s: %q", s.url, resp.Status, body)
 	default:
-		return false, fmt.Errorf("alert: webhook %s: %s: %q", s.url, resp.Status, truncate(body, 256))
+		return false, fmt.Errorf("alert: webhook %s: %s: %q", s.url, resp.Status, body)
 	}
 }
 

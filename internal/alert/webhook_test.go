@@ -41,7 +41,7 @@ func TestWebhookDeliversJSON(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	sink := NewWebhookSink(srv.URL, WebhookOptions{})
+	sink := NewWebhookSink(srv.URL)
 	if err := sink.Deliver(context.Background(), testNotification()); err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestWebhookRetriesServerErrorsWithBackoff(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	sink := NewWebhookSink(srv.URL, WebhookOptions{Retries: 2, Backoff: 100 * time.Millisecond})
+	sink := NewWebhookSink(srv.URL)
 	waits := recordedSleep(sink)
 	if err := sink.Deliver(context.Background(), testNotification()); err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestWebhookRetriesServerErrorsWithBackoff(t *testing.T) {
 		t.Fatalf("server got %d calls, want 3", calls.Load())
 	}
 	// The backoff schedule doubles: base, then 2x.
-	want := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond}
+	want := []time.Duration{webhookBackoff, 2 * webhookBackoff}
 	if len(*waits) != len(want) || (*waits)[0] != want[0] || (*waits)[1] != want[1] {
 		t.Fatalf("backoff schedule %v, want %v", *waits, want)
 	}
@@ -88,7 +88,7 @@ func TestWebhookExhaustsRetries(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	sink := NewWebhookSink(srv.URL, WebhookOptions{Retries: 2, Backoff: time.Millisecond})
+	sink := NewWebhookSink(srv.URL)
 	recordedSleep(sink)
 	err := sink.Deliver(context.Background(), testNotification())
 	if err == nil {
@@ -110,7 +110,7 @@ func TestWebhookDoesNotRetryClientErrors(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	sink := NewWebhookSink(srv.URL, WebhookOptions{Retries: 5, Backoff: time.Millisecond})
+	sink := NewWebhookSink(srv.URL)
 	recordedSleep(sink)
 	if err := sink.Deliver(context.Background(), testNotification()); err == nil {
 		t.Fatal("4xx reported success")
@@ -133,7 +133,7 @@ func TestWebhookTimeoutCancelsAttemptTrain(t *testing.T) {
 	defer srv.Close()
 	defer close(release)
 
-	sink := NewWebhookSink(srv.URL, WebhookOptions{Retries: 5, Backoff: time.Hour})
+	sink := NewWebhookSink(srv.URL)
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -141,7 +141,7 @@ func TestWebhookTimeoutCancelsAttemptTrain(t *testing.T) {
 	if err == nil {
 		t.Fatal("timed-out delivery reported success")
 	}
-	// The deadline must cut the whole train short — no hour-long backoff.
+	// The deadline must cut the whole train short — no backoff wait.
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("delivery took %v, want prompt cancellation", elapsed)
 	}
@@ -160,14 +160,14 @@ func TestWebhookTruncatesOversizedResponses(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	sink := NewWebhookSink(srv.URL, WebhookOptions{Retries: 0, MaxBody: 64})
+	sink := NewWebhookSink(srv.URL)
 	recordedSleep(sink)
 	err := sink.Deliver(context.Background(), testNotification())
 	if err == nil {
 		t.Fatal("5xx reported success")
 	}
 	// The error carries at most the bounded prefix, never the megabyte.
-	if len(err.Error()) > 1024 {
+	if len(err.Error()) > webhookMaxBody+256 {
 		t.Fatalf("error message is %d bytes — oversized body not truncated", len(err.Error()))
 	}
 	if !strings.Contains(err.Error(), "xxx") {
@@ -181,7 +181,7 @@ func TestWebhookTransportErrorRetries(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
 	srv.Close() // now nothing listens at srv.URL
 
-	sink := NewWebhookSink(srv.URL, WebhookOptions{Retries: 2, Backoff: time.Millisecond})
+	sink := NewWebhookSink(srv.URL)
 	waits := recordedSleep(sink)
 	if err := sink.Deliver(context.Background(), testNotification()); err == nil {
 		t.Fatal("refused connection reported success")
@@ -201,9 +201,10 @@ func TestWebhookErrorsNeverBlockStateMachine(t *testing.T) {
 	defer srv.Close()
 
 	clk := newFakeClock(selftestEpoch)
-	sink := NewWebhookSink(srv.URL, WebhookOptions{Retries: 1, Backoff: time.Millisecond})
+	sink := NewWebhookSink(srv.URL)
+	recordedSleep(sink)
 	p := NewPipeline(Options{
-		MinTrips: 1, ClearAfter: time.Minute, DedupTTL: -1,
+		MinTrips: 1, ClearAfter: time.Minute,
 		DeliveryTimeout: 5 * time.Second,
 		Sinks:           []Sink{sink}, Clock: clk.now,
 	})

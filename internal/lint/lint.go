@@ -2,7 +2,7 @@
 // analyzers for the bug classes this codebase has actually shipped
 // (counters bumped outside their mutex, non-finite floats fed to
 // encoding/json, wall-clock reads on monotonic hot paths, swallowed sink
-// errors, malformed slog calls, float equality), plus a compiler-backed
+// errors, float equality), plus a compiler-backed
 // zero-alloc gate that verifies functions annotated
 // `//enduratrace:zeroalloc` against `go build -gcflags=-m`
 // escape-analysis output.
@@ -79,7 +79,6 @@ func All() []*Analyzer {
 		analyzerNonfiniteJSON,
 		analyzerMonotime,
 		analyzerErrsink,
-		analyzerSlogArgs,
 		analyzerFloatEq,
 	}
 }

@@ -66,7 +66,7 @@ func (s *Server) adminMux() *http.ServeMux {
 		if s.opts.Alerts == nil {
 			writeJSON(w, http.StatusNotFound, struct {
 				Error string `json:"error"`
-			}{"no alert pipeline attached (start the daemon with -alert-log, -alert-webhook or -alert-exec)"})
+			}{"no alert pipeline attached (start the daemon with -alert-log or -alert-webhook)"})
 			return
 		}
 		writeJSON(w, http.StatusOK, s.opts.Alerts.Snapshot())

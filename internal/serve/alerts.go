@@ -10,8 +10,8 @@ import (
 // anomaly store, so `enduratrace replay` and GET /anomalies show alert
 // history interleaved with the gate trips that caused it. Installed by New
 // when both Options.Alerts and Options.Anomalies are set; runs on the
-// stream's scoring goroutine, before dedup and rate limiting (a transition
-// the operator was never paged for is still on the forensic record).
+// stream's scoring goroutine, before rate limiting (a transition the
+// operator was never paged for is still on the forensic record).
 // Store failures are counted and logged once, never propagated — same
 // policy as the gate-trip tripRecorder.
 func (s *Server) persistAlertTransition(n alert.Notification) {

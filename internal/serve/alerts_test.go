@@ -51,7 +51,6 @@ func TestSelftestAlertPipelineEndToEnd(t *testing.T) {
 	alerts := alert.NewPipeline(alert.Options{
 		MinTrips:   1, // every anomalous window opens an incident
 		ClearAfter: time.Millisecond,
-		DedupTTL:   -1, // exact books: every transition must be delivered
 		QueueLen:   4096,
 		Sinks:      []alert.Sink{sink},
 	})
@@ -74,8 +73,8 @@ func TestSelftestAlertPipelineEndToEnd(t *testing.T) {
 	if b.Fired != b.Resolved {
 		t.Fatalf("closed streams left incidents open: fired %d, resolved %d", b.Fired, b.Resolved)
 	}
-	// Dedup and rate limiting are off, the queue is deep: every transition
-	// must have reached the sink.
+	// Rate limiting is off, the queue is deep: every transition must have
+	// reached the sink.
 	if got := sink.n.Load(); got != b.Fired+b.Resolved {
 		t.Fatalf("sink saw %d notifications, pipeline emitted %d", got, b.Fired+b.Resolved)
 	}
@@ -117,8 +116,8 @@ func TestSelftestAlertPipelineEndToEnd(t *testing.T) {
 			fmt.Sprintf("# TYPE enduratrace_pipeline_%s_seconds histogram", fam),
 			fmt.Sprintf(`enduratrace_pipeline_%s_seconds_bucket{model="default",le="+Inf"}`, fam))
 	}
-	for _, fam := range []string{"fired_total", "resolved_total", "deduped_total", "delivered_total",
-		"rate_limited_total", "delivery_errors_total", "rate_limited_global_total",
+	for _, fam := range []string{"fired_total", "resolved_total", "delivered_total",
+		"delivery_errors_total", "rate_limited_global_total",
 		"queue_dropped_total", "enqueued_total", "queue_depth", "firing"} {
 		want = append(want, "# TYPE enduratrace_alerts_"+fam+" ")
 	}

@@ -155,8 +155,8 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	}
 
 	// Alerting ledger: every state-machine transition lands in exactly one
-	// pre-queue bucket (deduped / rate-limited / queue-dropped / enqueued),
-	// every processed notification in one per-sink bucket — the same books
+	// pre-queue bucket (rate-limited / queue-dropped / enqueued), every
+	// processed notification in one per-sink bucket — the same books
 	// Books.Balanced verifies, scraped.
 	if ap := s.opts.Alerts; ap != nil {
 		b := ap.Books()
@@ -168,8 +168,6 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 				func(mb alert.ModelBooks) int64 { return mb.Fired }},
 			{"enduratrace_alerts_resolved_total", "Alert incidents resolved (clear held past clear-after), per model.",
 				func(mb alert.ModelBooks) int64 { return mb.Resolved }},
-			{"enduratrace_alerts_deduped_total", "Alert notifications suppressed by the content dedup window, per model.",
-				func(mb alert.ModelBooks) int64 { return mb.Deduped }},
 		}
 		for _, fam := range perAlertModel {
 			m.family(fam.name, "counter", fam.help)
@@ -183,8 +181,6 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 		}{
 			{"enduratrace_alerts_delivered_total", "Alert notifications delivered, per sink.",
 				func(sb alert.SinkBooks) int64 { return sb.Delivered }},
-			{"enduratrace_alerts_rate_limited_total", "Alert notifications refused by a per-sink token bucket.",
-				func(sb alert.SinkBooks) int64 { return sb.RateLimited }},
 			{"enduratrace_alerts_delivery_errors_total", "Alert deliveries that failed after the sink's own retries.",
 				func(sb alert.SinkBooks) int64 { return sb.Errors }},
 		}

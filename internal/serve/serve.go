@@ -97,12 +97,12 @@ type Options struct {
 	// Alerts, when non-nil, feeds every scoring decision through the
 	// alerting pipeline: each stream gets a hysteresis state machine
 	// (alert.Options.MinTrips / ClearAfter) whose firing/resolved
-	// transitions are deduped, rate limited and delivered to the
-	// configured sinks. With Anomalies also set, New installs the
-	// pipeline's transition hook so every transition is persisted to the
-	// store as a window-free incident. The server does not own the
-	// pipeline; the caller closes it after Serve returns (so queued
-	// notifications drain after the last stream ends).
+	// transitions are rate limited and delivered to the configured
+	// sinks. With Anomalies also set, New installs the pipeline's
+	// transition hook so every transition is persisted to the store as a
+	// window-free incident. The server does not own the pipeline; the
+	// caller closes it after Serve returns (so queued notifications drain
+	// after the last stream ends).
 	Alerts *alert.Pipeline
 }
 
@@ -180,8 +180,8 @@ type StatsReport struct {
 	AnomalyIncidents   int64 `json:"anomaly_incidents"`
 	AnomalyStoreErrors int64 `json:"anomaly_store_errors"`
 	// AlertTransitions counts alert firing/resolved transitions persisted
-	// to the anomaly store (every transition, before dedup and rate
-	// limiting); AlertStoreErrors counts those appends that failed.
+	// to the anomaly store (every transition, before rate limiting);
+	// AlertStoreErrors counts those appends that failed.
 	// AlertsFiring is the number of streams with an open incident right
 	// now. All zero without an alert pipeline.
 	AlertTransitions int64                  `json:"alert_transitions"`
