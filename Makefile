@@ -48,8 +48,9 @@ bench:
 # span cutter vs one event at a time), the monitor's per-window cost, the alerting pipeline (quiet/flapping Observe fast
 # paths, full fire→resolve emission), the
 # anomaly store (the incident encoder, and the durable Append from 1, 2
-# and 8 appenders with its records per fsync), and the latency histogram
-# the serve path's instruments are (per event, per run of 256, and two
+# and 8 appenders with its records per fsync), the serve path's trip
+# recorder into a real store (µs a trip and records per fsync), and the
+# latency histogram the serve path's instruments are (per event, per run of 256, and two
 # goroutines on one Pipeline; one op is 2^20 events). The before/after
 # pairs live side by side (ScoreBrute* vs ScoreFast*, RowsSymKL vs
 # RowsSymKLFast, FrameDecodeNext vs FrameReaderReadBatch, ByTimeCut/add vs
@@ -59,4 +60,4 @@ microbench:
 	$(GO) test -run '^$$' -bench . -benchtime 20x -benchmem \
 		./internal/lof ./internal/eval ./internal/distance ./internal/core \
 		./internal/traceio ./internal/window ./internal/alert ./internal/anomalystore \
-		./internal/obs | tee BENCH_micro.txt
+		./internal/obs ./internal/serve | tee BENCH_micro.txt

@@ -513,9 +513,10 @@ const batchEvents = 512
 // window a batch completes, batchEvents at a time, is judged with
 // ProcessWindow first, each decision keeping its own feature copy,
 // and then the decisions are emitted in window order. Judging before
-// emitting is deliberate: a sink or callback may wait on the previous
-// window's durability (the serve path's anomaly store keeps one incident
-// in flight), and interleaving that wait between two scores of a batch
+// emitting is deliberate: a sink or callback may wait on an earlier
+// window's durability (the serve path's anomaly store keeps up
+// to eight incidents in flight per stream and then waits for the oldest),
+// and interleaving that wait between two scores of a batch
 // measurably slows a storm. Decisions, RunStats, callback order and the
 // abort point do not depend on how the events were batched.
 func (m *Monitor) Run(r trace.Reader, sink recorder.Sink,

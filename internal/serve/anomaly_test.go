@@ -254,12 +254,13 @@ func TestAnomaliesEndpoint(t *testing.T) {
 }
 
 // TestLastTripDurableWhileStreamStaysOpen: the trip recorder keeps its
-// newest incident in flight — written, not yet waited for — until the
-// next trip or the end of the stream. That record must reach the disk
+// newest incidents in flight — written, not yet waited for — until later
+// trips or the end of the stream. Those records must reach the disk
 // anyway: a stream that trips and then goes quiet, still connected, shows
 // every trip under the store's durable mark without another call, the
-// daemon's books lag by exactly the one in flight, and closing the stream
-// settles it. The scrape carries the group-commit families.
+// daemon's books balance with exactly min(trips, 8) in flight, and closing
+// the stream settles them. The scrape carries the in-flight gauge and the
+// group-commit families.
 func TestLastTripDurableWhileStreamStaysOpen(t *testing.T) {
 	cfg, learned := fixture(t)
 	store, err := anomalystore.Open(t.TempDir(), anomalystore.Options{})
@@ -320,8 +321,13 @@ func TestLastTripDurableWhileStreamStaysOpen(t *testing.T) {
 		st := store.Stats()
 		return st.Appended == trips && st.DurableSeq == st.LastSeq
 	})
-	if got := srv.Stats().AnomalyIncidents; got != trips-1 {
-		t.Fatalf("%d incidents booked with the stream open, want %d (one in flight)", got, trips-1)
+	open := srv.Stats()
+	if got := open.AnomalyIncidents + open.AnomalyStoreErrors + open.AnomalyInFlight; got != trips {
+		t.Fatalf("books with the stream open: %d incidents + %d errors + %d in flight, want %d gate trips",
+			open.AnomalyIncidents, open.AnomalyStoreErrors, open.AnomalyInFlight, trips)
+	}
+	if want := min(trips, 8); open.AnomalyInFlight != want {
+		t.Fatalf("%d incidents in flight with the stream open, want %d", open.AnomalyInFlight, want)
 	}
 
 	var buf bytes.Buffer
@@ -338,6 +344,7 @@ func TestLastTripDurableWhileStreamStaysOpen(t *testing.T) {
 		fmt.Sprintf("enduratrace_anomaly_store_syncs_total %d", st.Syncs),
 		fmt.Sprintf("enduratrace_anomaly_store_synced_records_total %d", st.SyncedRecords),
 		"enduratrace_anomaly_store_sync_errors_total 0",
+		fmt.Sprintf("enduratrace_anomaly_incidents_in_flight %d", open.AnomalyInFlight),
 	} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("scrape is missing %q", want)
@@ -350,9 +357,9 @@ func TestLastTripDurableWhileStreamStaysOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor("the stream to close", func() bool { return len(srv.Results()) == 1 })
-	if stats := srv.Stats(); stats.AnomalyIncidents != stats.GateTrips || stats.AnomalyStoreErrors != 0 {
-		t.Fatalf("after the stream closed: %d incidents for %d trips, %d store errors",
-			stats.AnomalyIncidents, stats.GateTrips, stats.AnomalyStoreErrors)
+	if stats := srv.Stats(); stats.AnomalyIncidents != stats.GateTrips || stats.AnomalyStoreErrors != 0 || stats.AnomalyInFlight != 0 {
+		t.Fatalf("after the stream closed: %d incidents for %d trips, %d store errors, %d in flight",
+			stats.AnomalyIncidents, stats.GateTrips, stats.AnomalyStoreErrors, stats.AnomalyInFlight)
 	}
 	cancel()
 	if err := <-serveErr; err != nil {

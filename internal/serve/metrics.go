@@ -137,6 +137,8 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 		m.sample("enduratrace_anomaly_incidents_total", float64(s.anomIncidents.Load()))
 		m.family("enduratrace_anomaly_store_errors_total", "counter", "Anomaly store appends that failed (streams continue).")
 		m.sample("enduratrace_anomaly_store_errors_total", float64(s.anomStoreErrs.Load()))
+		m.family("enduratrace_anomaly_incidents_in_flight", "gauge", "Gate trips written to the anomaly store and not yet settled.")
+		m.sample("enduratrace_anomaly_incidents_in_flight", float64(s.anomInFlight.Load()))
 		m.family("enduratrace_anomaly_store_segments", "gauge", "Segment files in the anomaly store (sealed + active).")
 		m.sample("enduratrace_anomaly_store_segments", float64(st.Segments))
 		m.family("enduratrace_anomaly_store_bytes", "gauge", "Total size of the anomaly store's segment files.")

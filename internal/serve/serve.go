@@ -172,13 +172,16 @@ type StatsReport struct {
 	RejectedUnknownModel int64 `json:"rejected_unknown_model"`
 	DroppedEvents        int64 `json:"dropped_events"`
 	// AnomalyIncidents counts gate trips persisted to the anomaly store,
-	// booked once the fsync covering the record has returned — so each
-	// live stream's newest trip is not in it yet; AnomalyStoreErrors counts
-	// those whose write or fsync failed (the stream continues). At stream
-	// close their sum is the stream's gate trips. Both stay zero when no
-	// store is attached.
+	// booked once the fsync covering the record has returned;
+	// AnomalyStoreErrors counts those whose write or fsync failed (the
+	// stream continues); AnomalyInFlight counts those written and not yet
+	// settled — at most tripsInFlight per live stream. Once every decided
+	// window has reached the trip recorder the three sum to the gate
+	// trips, and at stream close that stream's in-flight share is zero.
+	// All stay zero when no store is attached.
 	AnomalyIncidents   int64 `json:"anomaly_incidents"`
 	AnomalyStoreErrors int64 `json:"anomaly_store_errors"`
+	AnomalyInFlight    int64 `json:"anomaly_in_flight"`
 	// AlertTransitions counts alert firing/resolved transitions persisted
 	// to the anomaly store (every transition, before rate limiting);
 	// AlertStoreErrors counts those appends that failed.
@@ -303,6 +306,7 @@ type Server struct {
 
 	anomIncidents atomic.Int64 // gate trips persisted to the anomaly store
 	anomStoreErrs atomic.Int64 // anomaly store appends that failed
+	anomInFlight  atomic.Int64 // incidents written and not yet settled, over all streams
 
 	alertPersisted   atomic.Int64 // alert transitions persisted to the anomaly store
 	alertPersistErrs atomic.Int64 // alert-transition appends that failed
@@ -766,7 +770,7 @@ func (s *Server) score(st *stream) (core.RunStats, error) {
 		return nil
 	})
 	if trips != nil {
-		trips.settle() // the last trip, before the stream's result is published
+		trips.settle() // the last trips, before the stream's result is published
 	}
 	if as != nil {
 		// Run has returned, so this is still the (former) scoring
@@ -956,6 +960,7 @@ func (s *Server) Stats() StatsReport {
 		DroppedEvents:        total.dropped,
 		AnomalyIncidents:     s.anomIncidents.Load(),
 		AnomalyStoreErrors:   s.anomStoreErrs.Load(),
+		AnomalyInFlight:      s.anomInFlight.Load(),
 		AlertTransitions:     s.alertPersisted.Load(),
 		AlertStoreErrors:     s.alertPersistErrs.Load(),
 		ModelPoints:          s.models.Default().Learned.Model.Len(),
