@@ -45,8 +45,11 @@ bench:
 # experiment's tripped windows against its learned model with the exact
 # kernel calls per query (BenchmarkScoreDefaultModel), the distance
 # row/gate kernels, frame decode (per-event vs batched), windowing (the
-# span cutter vs one event at a time), the monitor's per-window cost, the alerting pipeline (quiet/flapping Observe fast
-# paths, full fire→resolve emission), the
+# span cutter vs one event at a time), the monitor's per-window cost
+# (ProcessWindow alone, and BenchmarkRunQuiet: Monitor.Run over quiet
+# windows from memory, in ns and allocs a window — windows are lent by the
+# cutter, so a quiet window allocates nothing), the alerting pipeline
+# (quiet/flapping Observe fast paths, full fire→resolve emission), the
 # anomaly store (the incident encoder, and the durable Append from 1, 2
 # and 8 appenders with its records per fsync), the serve path's trip
 # recorder into a real store (µs a trip and records per fsync), and the

@@ -43,8 +43,8 @@ func synth(start, end time.Duration, weights []float64, seed int64) []trace.Even
 	return evs
 }
 
-// memSink is a recorder.Sink that keeps every recorded window and
-// accounts its encoded size like the shipped sinks.
+// memSink is a recorder.Sink that keeps a copy of every recorded window
+// and accounts its encoded size like the shipped sinks.
 type memSink struct {
 	*recorder.NullSink
 	Windows []window.Window
@@ -53,7 +53,7 @@ type memSink struct {
 func newMemSink() *memSink { return &memSink{NullSink: recorder.NewNullSink()} }
 
 func (s *memSink) Record(w window.Window) error {
-	s.Windows = append(s.Windows, w)
+	s.Windows = append(s.Windows, w.Clone())
 	return s.NullSink.Record(w)
 }
 

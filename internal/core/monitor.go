@@ -172,6 +172,9 @@ func (c Config) NewWindower() window.Windower {
 
 // Decision is the monitor's verdict on one window.
 type Decision struct {
+	// Window is the judged window. In a decision from Run its Events are
+	// lent by the windower: valid until the callback returns, so a
+	// callback that keeps them copies them (Window.Clone).
 	Window   window.Window
 	Features pmf.Vector
 	// GateDist is the KL distance between the window pmf and the past pmf.
@@ -483,7 +486,9 @@ func (s RunStats) ReductionFactor() (rf float64, ok bool) {
 // sink, and invokes onDecision (if non-nil) for every window — the
 // evaluation harness uses the callback to label decisions against ground
 // truth. A *recorder.ContextSink passed as sink gets its Observe method
-// called on every window so pre/post context works.
+// called on every window so pre/post context works. The windows handed to
+// the sink and the callback are lent, valid until the call returns: one
+// that keeps a window copies it.
 func Run(cfg Config, learned *Learned, r trace.Reader, sink recorder.Sink,
 	onDecision func(Decision) error) (RunStats, error) {
 
@@ -509,7 +514,11 @@ const batchEvents = 512
 // and the serve event queue) hands over what it has, up to batchEvents; a
 // plain Reader is read as one-event batches, so a live reader is never
 // asked for more than it has. The windower cuts each batch in one pass
-// (window.Windower.Cut), copying every event once into its window. Every
+// (window.Windower.Cut) and lends each window it closes as a sub-slice of
+// the batch (or of its carry buffer, for a window that spans batches), so
+// a window is judged without being copied: Decision.Window.Events, like
+// Decision.Features, is valid until onDecision returns, and the sink's
+// Record and ContextSink's Observe get the same lent window. Every
 // window a batch completes, batchEvents at a time, is judged with
 // ProcessWindow first, each decision keeping its own feature copy,
 // and then the decisions are emitted in window order. Judging before

@@ -156,11 +156,15 @@ func (s *StreamSink) WindowsRecorded() int { return s.windows }
 // recorded too. Debugging a QoS failure usually needs the lead-up, not just
 // the anomalous window itself; this is an extension beyond the paper,
 // disabled (Pre = Post = 0) in the paper-faithful experiments.
+//
+// The windows Observe and Record are handed may be lent (core.Run's are):
+// the sink records them before returning and keeps only copies, in a
+// ring whose buffers it reuses.
 type ContextSink struct {
-	Pre, Post int
+	Pre, Post int // fixed by NewContextSink
 	dst       Sink
 
-	ring      []window.Window // last Pre windows not yet recorded
+	ring      *window.Ring // copies of the last windows not yet recorded
 	postLeft  int
 	lastIndex int // index of the last window recorded, to avoid duplicates
 }
@@ -170,7 +174,14 @@ func NewContextSink(dst Sink, pre, post int) *ContextSink {
 	if pre < 0 || post < 0 {
 		panic(fmt.Sprintf("recorder: negative context pre=%d post=%d", pre, post))
 	}
-	return &ContextSink{Pre: pre, Post: post, dst: dst, lastIndex: -1}
+	slots := 0
+	if pre > 0 {
+		// One extra slot: Observe(w) precedes Record(w) for the anomalous
+		// window itself (core.Run's protocol), so w may sit in the ring
+		// without counting against the Pre context windows.
+		slots = pre + 1
+	}
+	return &ContextSink{Pre: pre, Post: post, dst: dst, lastIndex: -1, ring: window.NewRing(slots)}
 }
 
 // Observe must be called for every window of the stream (recorded or not);
@@ -180,22 +191,15 @@ func (s *ContextSink) Observe(w window.Window) error {
 		s.postLeft--
 		return s.record(w)
 	}
-	if s.Pre > 0 {
-		// Keep one extra slot: Observe(w) precedes Record(w) for the
-		// anomalous window itself (core.Run's protocol), so w may sit in
-		// the ring without counting against the Pre context windows.
-		s.ring = append(s.ring, w)
-		if len(s.ring) > s.Pre+1 {
-			s.ring = s.ring[1:]
-		}
-	}
+	s.ring.Push(w)
 	return nil
 }
 
 // Record implements Sink: flushes pre-context, records w, arms post-context.
 func (s *ContextSink) Record(w window.Window) error {
-	pre := s.ring[:0:0]
-	for _, rw := range s.ring {
+	ring := s.ring.Windows()
+	pre := ring[:0:0]
+	for _, rw := range ring {
 		if rw.Index > s.lastIndex && rw.Index < w.Index {
 			pre = append(pre, rw)
 		}
@@ -208,7 +212,7 @@ func (s *ContextSink) Record(w window.Window) error {
 			return err
 		}
 	}
-	s.ring = s.ring[:0]
+	s.ring.Reset()
 	if err := s.record(w); err != nil {
 		return err
 	}

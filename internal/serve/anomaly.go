@@ -42,8 +42,7 @@ type tripRecorder struct {
 	store    incidentStore
 	st       *stream
 	modelGen int64
-	pre      int
-	ring     []window.Window
+	ring     *window.Ring    // copies of the last quiet windows
 	windows  []window.Window // the incident being submitted; the store does not retain it
 	// pending holds the submitted, unsettled incidents' sequence numbers:
 	// a FIFO of n entries starting at head.
@@ -52,8 +51,10 @@ type tripRecorder struct {
 	logged  bool
 }
 
-// newTripRecorder builds the hook for one registered stream. Window
-// retention is safe: the windower hands out freshly copied event slices.
+// newTripRecorder builds the hook for one registered stream. The
+// decisions' windows are lent by the monitor's windower, so the context
+// ring keeps copies, in per-slot buffers it reuses: a quiet window
+// allocates nothing.
 func (s *Server) newTripRecorder(st *stream) *tripRecorder {
 	pre := s.opts.AnomalyContext
 	if pre == 0 {
@@ -67,7 +68,7 @@ func (s *Server) newTripRecorder(st *stream) *tripRecorder {
 		store:    s.opts.Anomalies,
 		st:       st,
 		modelGen: s.models.Generation(),
-		pre:      pre,
+		ring:     window.NewRing(pre),
 	}
 }
 
@@ -75,19 +76,12 @@ func (s *Server) newTripRecorder(st *stream) *tripRecorder {
 // scoring goroutine; the store itself serialises concurrent writes.
 func (t *tripRecorder) onDecision(d core.Decision) error {
 	if !d.GateTripped {
-		if t.pre > 0 {
-			t.ring = append(t.ring, d.Window)
-			if len(t.ring) > t.pre {
-				// Shift in place; the ring is tiny (AnomalyContext windows).
-				copy(t.ring, t.ring[1:])
-				t.ring = t.ring[:t.pre]
-			}
-		}
+		t.ring.Push(d.Window)
 		return nil
 	}
 
-	t.windows = append(append(t.windows[:0], t.ring...), d.Window)
-	t.ring = t.ring[:0]
+	t.windows = append(append(t.windows[:0], t.ring.Windows()...), d.Window)
+	t.ring.Reset()
 
 	// Submit first, then wait for the oldest trip if the FIFO is full: the
 	// new record is in the file before the committer picks its next batch,

@@ -15,6 +15,7 @@ import (
 	"enduratrace/internal/core"
 	"enduratrace/internal/recorder"
 	"enduratrace/internal/traceio"
+	"enduratrace/internal/window"
 )
 
 // TestSinkFactoryFailureCounted: a stream refused because its recorder
@@ -169,6 +170,77 @@ func TestSelftestAnomalyStoreReplayRoundTrip(t *testing.T) {
 	if high.Models[0].StillDetected != 0 || high.Models[0].Lost != wantDetected {
 		t.Fatalf("alpha=1e9 replay: %+v, want all %d recorded anomalies lost",
 			high.Models[0], wantDetected)
+	}
+}
+
+// TestIncidentWindowsMatchSentTrace: the monitor lends each window from
+// the batch it read, and the trip recorder keeps the quiet ones as an
+// incident's context. Every window of every stored incident — context and
+// tripped window alike — must be, event for event, the window the client
+// sent, however the ingest path batched the stream.
+func TestIncidentWindowsMatchSentTrace(t *testing.T) {
+	cfg, learned := fixture(t)
+	dir := t.TempDir()
+	store, err := anomalystore.Open(dir, anomalystore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := selftestOptions{
+		Cfg:       cfg,
+		Learned:   learned,
+		Clients:   3,
+		Duration:  8 * time.Second,
+		Factor:    3,
+		Anomalies: store,
+	}
+	rep := selftest(t, opts)
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	sent := make(map[string][]window.Window) // by stream: the windows the client sent
+	for i := 0; i < opts.Clients; i++ {
+		sim, err := clientSim(opts, 100+int64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sent[fmt.Sprintf("selftest-%02d", i)], err = window.Collect(sim, cfg.NewWindower()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	r, err := anomalystore.OpenReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var incidents, context int
+	_, err = r.Walk(func(inc *anomalystore.Incident) error {
+		incidents++
+		context += len(inc.Windows) - 1
+		ws := sent[inc.Stream]
+		for _, got := range inc.Windows {
+			if got.Index < 0 || got.Index >= len(ws) {
+				return fmt.Errorf("incident %d: window %d of stream %s, which sent %d", inc.Seq, got.Index, inc.Stream, len(ws))
+			}
+			want := ws[got.Index]
+			if got.Start != want.Start || got.End != want.End || len(got.Events) != len(want.Events) {
+				return fmt.Errorf("incident %d: window %d is [%v, %v) with %d events, sent [%v, %v) with %d",
+					inc.Seq, got.Index, got.Start, got.End, len(got.Events), want.Start, want.End, len(want.Events))
+			}
+			for j, e := range want.Events {
+				g := got.Events[j]
+				if g.TS != e.TS || g.Type != e.Type || g.Arg != e.Arg || !bytes.Equal(g.Payload, e.Payload) {
+					return fmt.Errorf("incident %d: window %d event %d is %v, sent %v", inc.Seq, got.Index, j, g, e)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(incidents) != rep.Stats.GateTrips || context == 0 {
+		t.Fatalf("store holds %d incidents with %d context windows for %d gate trips", incidents, context, rep.Stats.GateTrips)
 	}
 }
 

@@ -404,18 +404,7 @@ func runClient(addr, name string, cfg core.Config, model string, opts selftestOp
 	if model != "" {
 		rep.HeaderV = 2
 	}
-	sc := mediasim.DefaultConfig()
-	sc.Duration = opts.Duration
-	sc.Seed = seed
-	if opts.Factor > 1 {
-		load, err := perturb.Periodic(opts.Factor, opts.Duration/4, opts.Duration/2,
-			opts.Duration/10, opts.Duration)
-		if err != nil {
-			return rep, err
-		}
-		sc.Load = load
-	}
-	sim, err := mediasim.New(sc)
+	sim, err := clientSim(opts, seed)
 	if err != nil {
 		return rep, err
 	}
@@ -445,6 +434,23 @@ func runClient(addr, name string, cfg core.Config, model string, opts selftestOp
 	}
 	rep.Bytes = acct.Bytes()
 	return rep, fw.Close()
+}
+
+// clientSim is the simulated pipeline run a selftest client with this
+// seed sends.
+func clientSim(opts selftestOptions, seed int64) (*mediasim.Sim, error) {
+	sc := mediasim.DefaultConfig()
+	sc.Duration = opts.Duration
+	sc.Seed = seed
+	if opts.Factor > 1 {
+		load, err := perturb.Periodic(opts.Factor, opts.Duration/4, opts.Duration/2,
+			opts.Duration/10, opts.Duration)
+		if err != nil {
+			return nil, err
+		}
+		sc.Load = load
+	}
+	return mediasim.New(sc)
 }
 
 // teeReader forwards every event it yields to a trace writer (the wire).

@@ -34,6 +34,13 @@ func (w Window) Len() int { return len(w.Events) }
 // Contains reports whether ts lies in [Start, End).
 func (w Window) Contains(ts time.Duration) bool { return ts >= w.Start && ts < w.End }
 
+// Clone returns w with its events copied into a slice of its own, of
+// exact length: what a caller keeping a lent window stores.
+func (w Window) Clone() Window {
+	w.Events = append(make([]trace.Event, 0, len(w.Events)), w.Events...)
+	return w
+}
+
 // Windower turns an event stream into a window stream. Cut consumes a
 // batch of events from the front of evs, appends every window they close
 // to dst, and returns the extended dst and the number of events consumed.
@@ -44,8 +51,14 @@ func (w Window) Contains(ts time.Duration) bool { return ts >= w.Start && ts < w
 // memory a call, not one window per gap length. Flush returns the final
 // partial window, if any. A Windower is single-use.
 //
-// Every window owns a fresh Events slice of exact length: callers may keep
-// windows (the context rings do) while the windower runs on.
+// Windows are lent, not given: each Events slice is of exact length
+// (len == cap), and it is a sub-slice of evs when the window closes
+// inside the batch, or of a buffer the windower reuses when the window
+// spans batches (and for Flush). A lent window is valid until the next
+// Cut or Flush on the same windower, or until the caller overwrites evs.
+// A caller that keeps a window past that copies it (Window.Clone, or a
+// Ring); the windower itself copies only the open window's part of a
+// batch, which must outlive the caller's next read.
 type Windower interface {
 	Cut(dst []Window, evs []trace.Event, max int) ([]Window, int)
 	Flush() (Window, bool)
@@ -55,7 +68,7 @@ type Windower interface {
 // hardware trace buffers of n entries.
 type ByCount struct {
 	n     int
-	carry []trace.Event // the open window's events from earlier batches
+	carry carry
 	index int
 }
 
@@ -68,23 +81,25 @@ func NewByCount(n int) *ByCount {
 }
 
 // Cut implements Windower.
+//
+//enduratrace:zeroalloc
 func (c *ByCount) Cut(dst []Window, evs []trace.Event, max int) ([]Window, int) {
 	j := 0
-	for emitted := 0; len(c.carry)+len(evs)-j >= c.n; emitted++ {
+	for emitted := 0; len(c.carry.open)+len(evs)-j >= c.n; emitted++ {
 		if emitted == max {
 			return dst, j
 		}
-		k := j + c.n - len(c.carry)
+		k := j + c.n - len(c.carry.open)
 		dst = append(dst, c.emit(evs[j:k]))
 		j = k
 	}
-	c.carry = append(c.carry, evs[j:]...)
+	c.carry.keep(evs[j:])
 	return dst, len(evs)
 }
 
 // Flush implements Windower.
 func (c *ByCount) Flush() (Window, bool) {
-	if len(c.carry) == 0 {
+	if len(c.carry.open) == 0 {
 		return Window{}, false
 	}
 	return c.emit(nil), true
@@ -92,8 +107,7 @@ func (c *ByCount) Flush() (Window, bool) {
 
 // emit closes the window made of the carried events followed by tail.
 func (c *ByCount) emit(tail []trace.Event) Window {
-	events := joinEvents(c.carry, tail)
-	c.carry = c.carry[:0]
+	events := c.carry.join(tail)
 	w := Window{
 		Index:  c.index,
 		Start:  events[0].TS,
@@ -104,12 +118,31 @@ func (c *ByCount) emit(tail []trace.Event) Window {
 	return w
 }
 
-// joinEvents copies carry followed by tail into one exact-length slice —
-// the only copy a window's events get when they arrived in one batch.
-func joinEvents(carry, tail []trace.Event) []trace.Event {
-	events := make([]trace.Event, len(carry)+len(tail))
-	copy(events[copy(events, carry):], tail)
-	return events
+// carry holds the open window's events from earlier batches: the only
+// events a windower copies. It is double-buffered, so the window that
+// join closes can be lent from one buffer while the next open window
+// fills the other.
+type carry struct {
+	open  []trace.Event // the open window's carried events
+	spare []trace.Event // the buffer of the window join last lent
+}
+
+// keep appends evs, the open window's part of a batch, to the carry.
+func (c *carry) keep(evs []trace.Event) {
+	c.open = append(c.open, evs...)
+}
+
+// join closes the open window: it returns the carried events followed by
+// tail as one exact-length slice and empties the carry. With nothing
+// carried the slice is tail itself, lent from the caller's batch;
+// otherwise it is lent from the carry's buffer, valid until the next join.
+func (c *carry) join(tail []trace.Event) []trace.Event {
+	if len(c.open) == 0 {
+		return tail[:len(tail):len(tail)]
+	}
+	events := append(c.open, tail...)
+	c.open, c.spare = c.spare[:0], events
+	return events[:len(events):len(events)]
 }
 
 // ByTime groups events into fixed-duration windows aligned to multiples of
@@ -123,14 +156,16 @@ func joinEvents(carry, tail []trace.Event) []trace.Event {
 // and an event near the end of the time axis closes no window.
 type ByTime struct {
 	d       time.Duration
-	carry   []trace.Event // the open window's events from earlier batches
+	carry   carry
 	index   int
 	cur     time.Duration // start of the current window
 	started bool
 
-	// Add's queue of closed windows, drained by Add and Drain.
+	// Add's queue of closed windows, each a copy, drained by Add and
+	// Drain.
 	pending []Window
 	head    int
+	one     [1]trace.Event // Add's one-event batch
 }
 
 // NewByTime returns a time windower; d must be positive.
@@ -148,9 +183,11 @@ func (t *ByTime) closes(ts time.Duration) bool {
 }
 
 // Cut implements Windower. It scans the batch for the events that close
-// windows, so each window's events are copied once, from the batch into
-// the window; only the part of a window that spans batches waits in the
-// carry buffer.
+// windows and lends each window that closes inside the batch as a
+// sub-slice of it; only the part of a window that spans batches is
+// copied, into the carry.
+//
+//enduratrace:zeroalloc
 func (t *ByTime) Cut(dst []Window, evs []trace.Event, max int) ([]Window, int) {
 	if len(evs) == 0 {
 		return dst, 0
@@ -172,21 +209,27 @@ func (t *ByTime) Cut(dst []Window, evs []trace.Event, max int) ([]Window, int) {
 		emitted++
 		i = j
 	}
-	t.carry = append(t.carry, evs[i:j]...)
+	t.carry.keep(evs[i:j])
 	return dst, j
 }
 
 // Add is Cut for one event. When the event jumps several window lengths
 // ahead, the first window it closes is returned and the rest are queued
 // for Drain; callers should use Drain after each Add to collect all
-// completed windows.
+// completed windows. Unlike Cut's, these windows are copies the caller
+// may keep.
 func (t *ByTime) Add(ev trace.Event) (Window, bool) {
+	t.one[0] = ev
 	if t.started && !t.closes(ev.TS) {
 		// What Cut does with an event that closes nothing, without
 		// building a batch for it.
-		t.carry = append(t.carry, ev)
+		t.carry.keep(t.one[:])
 	} else {
-		t.pending, _ = t.Cut(t.pending, []trace.Event{ev}, math.MaxInt)
+		n := len(t.pending)
+		t.pending, _ = t.Cut(t.pending, t.one[:], math.MaxInt)
+		for i := n; i < len(t.pending); i++ {
+			t.pending[i] = t.pending[i].Clone()
+		}
 	}
 	return t.pop()
 }
@@ -201,7 +244,7 @@ func (t *ByTime) Flush() (Window, bool) {
 	if w, ok := t.pop(); ok {
 		return w, ok
 	}
-	if !t.started || len(t.carry) == 0 {
+	if !t.started || len(t.carry.open) == 0 {
 		return Window{}, false
 	}
 	return t.emit(nil), true
@@ -231,9 +274,8 @@ func (t *ByTime) emit(tail []trace.Event) Window {
 		Index:  t.index,
 		Start:  t.cur,
 		End:    end,
-		Events: joinEvents(t.carry, tail),
+		Events: t.carry.join(tail),
 	}
-	t.carry = t.carry[:0]
 	t.index++
 	t.cur = end
 	return w
@@ -244,7 +286,8 @@ func (t *ByTime) emit(tail []trace.Event) Window {
 const streamBatch = 512
 
 // Stream applies a windower to a reader and invokes fn for every completed
-// window including the final flush. fn returning an error aborts the stream.
+// window including the final flush. fn returning an error aborts the
+// stream. The window fn gets is lent: it is valid until fn returns.
 func Stream(r trace.Reader, w Windower, fn func(Window) error) error {
 	br, _ := r.(trace.BatchReader)
 	evs := make([]trace.Event, streamBatch)
@@ -280,13 +323,58 @@ func Stream(r trace.Reader, w Windower, fn func(Window) error) error {
 	return nil
 }
 
-// Collect gathers every window produced from r into a slice. Intended for
-// tests and small traces.
+// Collect gathers a copy of every window produced from r into a slice.
+// Intended for tests and small traces.
 func Collect(r trace.Reader, w Windower) ([]Window, error) {
 	var out []Window
 	err := Stream(r, w, func(win Window) error {
-		out = append(out, win)
+		out = append(out, win.Clone())
 		return nil
 	})
 	return out, err
 }
+
+// Ring keeps copies of the last windows pushed into it, oldest first.
+// Each slot reuses its event buffer, so once every slot has held a window
+// as long as the one pushed, keeping a lent window allocates nothing.
+type Ring struct {
+	n     int
+	slots []Window // oldest first; entries past len keep their buffers
+}
+
+// NewRing returns a ring of n windows (n >= 0).
+func NewRing(n int) *Ring {
+	if n < 0 {
+		panic(fmt.Sprintf("window: Ring size must not be negative, got %d", n))
+	}
+	return &Ring{n: n}
+}
+
+// Push copies w into the ring as its newest window, dropping the oldest
+// when the ring is full.
+func (r *Ring) Push(w Window) {
+	switch {
+	case r.n == 0:
+		return
+	case len(r.slots) == r.n:
+		// Full: the oldest slot's buffer takes the new window.
+		oldest := r.slots[0]
+		copy(r.slots, r.slots[1:])
+		r.slots[r.n-1] = oldest
+	case len(r.slots) < cap(r.slots):
+		r.slots = r.slots[:len(r.slots)+1]
+	default:
+		r.slots = append(r.slots, Window{})
+	}
+	s := &r.slots[len(r.slots)-1]
+	events := append(s.Events[:0], w.Events...)
+	*s = w
+	s.Events = events
+}
+
+// Windows returns the kept windows, oldest first. They are the ring's:
+// valid until the next Push or Reset.
+func (r *Ring) Windows() []Window { return r.slots }
+
+// Reset empties the ring, keeping its buffers.
+func (r *Ring) Reset() { r.slots = r.slots[:0] }

@@ -14,7 +14,12 @@ func TestByCountSizing(t *testing.T) {
 	w := NewByCount(3)
 	var out []Window
 	for i := 0; i < 7; i++ {
+		// Cut lends its windows until the next Cut: keep copies.
+		n := len(out)
 		out, _ = w.Cut(out, []trace.Event{ev(time.Duration(i) * time.Millisecond)}, 1)
+		for j := n; j < len(out); j++ {
+			out[j] = out[j].Clone()
+		}
 	}
 	if win, ok := w.Flush(); ok {
 		out = append(out, win)
@@ -198,6 +203,48 @@ func TestByTimeNearMaxInt64(t *testing.T) {
 	}
 }
 
+// TestRingKeepsCopies: a Ring keeps the last n windows pushed, as copies
+// that outlive the batch they were lent from, and once warm a push
+// allocates nothing.
+func TestRingKeepsCopies(t *testing.T) {
+	r := NewRing(2)
+	batch := make([]trace.Event, 3)
+	push := func(i int) {
+		for j := range batch {
+			batch[j] = ev(time.Duration(10*i + j))
+		}
+		r.Push(Window{Index: i, Events: batch[:i%4]})
+		for j := range batch {
+			batch[j] = trace.Event{TS: -1, Type: 99} // the caller reuses its batch
+		}
+	}
+	for i := 0; i < 7; i++ {
+		push(i)
+	}
+	ws := r.Windows()
+	if len(ws) != 2 || ws[0].Index != 5 || ws[1].Index != 6 {
+		t.Fatalf("ring holds %v, want windows 5 and 6", ws)
+	}
+	for _, w := range ws {
+		if len(w.Events) != w.Index%4 {
+			t.Fatalf("window %d keeps %d events, want %d", w.Index, len(w.Events), w.Index%4)
+		}
+		for j, e := range w.Events {
+			if e.TS != time.Duration(10*w.Index+j) {
+				t.Fatalf("window %d event %d is %v: the ring kept the caller's batch, not a copy", w.Index, j, e)
+			}
+		}
+	}
+	r.Reset()
+	if len(r.Windows()) != 0 {
+		t.Fatal("Reset left windows in the ring")
+	}
+	i := 8
+	if allocs := testing.AllocsPerRun(100, func() { push(i); i++ }); allocs != 0 {
+		t.Errorf("a warm Ring allocates %v times a push, want 0", allocs)
+	}
+}
+
 // refWindower is the per-event windowing the cutters must reproduce: the
 // original one-event-at-a-time arithmetic, with its comparisons written
 // to be overflow-free.
@@ -290,7 +337,10 @@ func fuzzTrace(data []byte, base int64, d time.Duration) [][]trace.Event {
 // FuzzWindowCut: over arbitrary event sequences and batch splits, Cut
 // with any window limit — and, one event at a time, ByTime's Add/Drain
 // and ByCount's Cut — give exactly the windows of the per-event
-// reference, each in an exact-length slice of its own.
+// reference, each in an exact-length slice. Cut's windows are lent: each
+// is checked as soon as Cut returns and then cloned, as a keeper would;
+// the batch is poisoned once it is cut, so a windower that kept (carried)
+// a sub-slice of it instead of a copy fails.
 func FuzzWindowCut(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 1, 1, 0, 40, 2, 1, 1, 200, 1, 3, 4, 0, 0}, int64(0), uint8(9), uint8(0), false)
 	f.Add([]byte{5, 0, 5, 4, 5, 8, 5, 0, 127, 2, 1, 0, 1, 0}, int64(12345), uint8(3), uint8(2), true)
@@ -310,14 +360,49 @@ func FuzzWindowCut(f *testing.F) {
 			ref = &refWindower{count: 1 + int(dSel%7)}
 			cutter = NewByCount(ref.count)
 		}
+		for _, b := range batches {
+			for _, e := range b {
+				ref.add(e)
+			}
+		}
+		ref.flush()
+
+		// check compares the i-th window of a cutter with the reference's.
+		check := func(name string, i int, g Window) {
+			t.Helper()
+			if i >= len(ref.out) {
+				t.Fatalf("%s: window %d, but the reference has only %d", name, i, len(ref.out))
+			}
+			w := ref.out[i]
+			if g.Index != w.Index || g.Start != w.Start || g.End != w.End || len(g.Events) != len(w.Events) {
+				t.Fatalf("%s: window %d is %d [%d, %d) with %d events, reference %d [%d, %d) with %d",
+					name, i, g.Index, int64(g.Start), int64(g.End), len(g.Events),
+					w.Index, int64(w.Start), int64(w.End), len(w.Events))
+			}
+			if !count && g.End < g.Start {
+				t.Fatalf("%s: window %d ends before it starts", name, i)
+			}
+			if cap(g.Events) != len(g.Events) {
+				t.Fatalf("%s: window %d has %d events in a slice of capacity %d", name, i, len(g.Events), cap(g.Events))
+			}
+			for j := range w.Events {
+				if g.Events[j].TS != w.Events[j].TS || g.Events[j].Type != w.Events[j].Type || g.Events[j].Arg != w.Events[j].Arg {
+					t.Fatalf("%s: window %d event %d is %+v, reference %+v", name, i, j, g.Events[j], w.Events[j])
+				}
+			}
+		}
+
 		var stepped []Window
 		byTime := NewByTime(d)
 		byCount := NewByCount(max(ref.count, 1))
 		for _, b := range batches {
 			for _, e := range b {
-				ref.add(e)
 				if count {
-					stepped, _ = byCount.Cut(stepped, []trace.Event{e}, 1)
+					got, _ := byCount.Cut(nil, []trace.Event{e}, 1)
+					for _, w := range got {
+						check("one at a time", len(stepped), w)
+						stepped = append(stepped, w.Clone())
+					}
 					continue
 				}
 				if w, ok := byTime.Add(e); ok {
@@ -332,13 +417,13 @@ func FuzzWindowCut(f *testing.F) {
 				}
 			}
 		}
-		ref.flush()
 		var last Windower = byTime
 		if count {
 			last = byCount
 		}
 		if w, ok := last.Flush(); ok {
-			stepped = append(stepped, w)
+			check("one at a time", len(stepped), w)
+			stepped = append(stepped, w.Clone())
 		}
 
 		var cut []Window
@@ -353,8 +438,9 @@ func FuzzWindowCut(f *testing.F) {
 					t.Fatalf("Cut stopped after %d of %d events with %d windows, below its limit %d",
 						k, len(rest), len(got), limit)
 				}
-				if cut = append(cut, got...); len(cut) > len(ref.out) {
-					t.Fatalf("Cut made more windows than the reference's %d", len(ref.out))
+				for _, w := range got {
+					check("batched", len(cut), w)
+					cut = append(cut, w.Clone())
 				}
 				rest = rest[k:]
 				if len(rest) == 0 {
@@ -362,35 +448,20 @@ func FuzzWindowCut(f *testing.F) {
 				}
 			}
 			for i := range b {
-				b[i] = trace.Event{TS: -1, Type: 99} // windows must not alias the batch
+				b[i] = trace.Event{TS: -1, Type: 99} // the carry must not alias the batch
 			}
 		}
 		if w, ok := cutter.Flush(); ok {
-			cut = append(cut, w)
+			check("batched", len(cut), w)
+			cut = append(cut, w.Clone())
 		}
 
 		for name, got := range map[string][]Window{"batched": cut, "one at a time": stepped} {
 			if len(got) != len(ref.out) {
 				t.Fatalf("%s: %d windows, reference %d", name, len(got), len(ref.out))
 			}
-			for i, w := range ref.out {
-				g := got[i]
-				if g.Index != w.Index || g.Start != w.Start || g.End != w.End || len(g.Events) != len(w.Events) {
-					t.Fatalf("%s: window %d is %d [%d, %d) with %d events, reference %d [%d, %d) with %d",
-						name, i, g.Index, int64(g.Start), int64(g.End), len(g.Events),
-						w.Index, int64(w.Start), int64(w.End), len(w.Events))
-				}
-				if !count && g.End < g.Start {
-					t.Fatalf("%s: window %d ends before it starts", name, i)
-				}
-				if cap(g.Events) != len(g.Events) {
-					t.Fatalf("%s: window %d has %d events in a slice of capacity %d", name, i, len(g.Events), cap(g.Events))
-				}
-				for j := range w.Events {
-					if g.Events[j].TS != w.Events[j].TS || g.Events[j].Type != w.Events[j].Type || g.Events[j].Arg != w.Events[j].Arg {
-						t.Fatalf("%s: window %d event %d is %+v, reference %+v", name, i, j, g.Events[j], w.Events[j])
-					}
-				}
+			for i, w := range got {
+				check(name, i, w)
 			}
 		}
 	})
