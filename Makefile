@@ -41,10 +41,11 @@ bench:
 	$(GO) run ./cmd/enduratrace sweep -seeds 3 -out BENCH_sweep.json
 
 # Microbenchmarks for the monitoring hot path: LOF scoring and fitting
-# (exact filter-and-refine vs FastKernels), scoring the default
-# experiment's tripped windows against its learned model with the exact
-# kernel calls per query (BenchmarkScoreDefaultModel), the distance
-# row/gate kernels, frame decode (per-event vs batched), windowing (the
+# (filter-and-refine), scoring the default experiment's tripped windows
+# against its learned model with the exact kernel calls per query
+# (BenchmarkScoreDefaultModel), the distance row/gate kernels (with
+# BenchmarkSymmetricKL26: the one-pass symkl kernel the gate and the
+# refine's exact calls run, at the monitor's dimension), frame decode (per-event vs batched), windowing (the
 # span cutter vs one event at a time), the monitor's per-window cost
 # (ProcessWindow alone, and BenchmarkRunQuiet: Monitor.Run over quiet
 # windows from memory, in ns and allocs a window — windows are lent by the
@@ -55,9 +56,8 @@ bench:
 # recorder into a real store (µs a trip and records per fsync), and the
 # latency histogram the serve path's instruments are (per event, per run of 256, and two
 # goroutines on one Pipeline; one op is 2^20 events). The before/after
-# pairs live side by side (ScoreBrute* vs ScoreFast*, RowsSymKL vs
-# RowsSymKLFast, FrameDecodeNext vs FrameReaderReadBatch, ByTimeCut/add vs
-# ByTimeCut/cut). These are for working on one layer; the regression gate is end to end,
+# pairs live side by side (FrameDecodeNext vs FrameReaderReadBatch,
+# ByTimeCut/add vs ByTimeCut/cut). These are for working on one layer; the regression gate is end to end,
 # `bench -compare` over bench/run.sh reports (see bench/README.md).
 microbench:
 	$(GO) test -run '^$$' -bench . -benchtime 20x -benchmem \

@@ -56,9 +56,10 @@ func TestSimLearnMonitor(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The index is no longer selectable and the reference set is no longer
-	// condensed: the flags that did either are gone.
-	for _, flag := range [][]string{{"-vptree"}, {"-condense", "200"}, {"-model-seed", "2"}} {
+	// The index is no longer selectable, the reference set is no longer
+	// condensed and every model scores exactly: the flags that did any of
+	// these are gone.
+	for _, flag := range [][]string{{"-vptree"}, {"-condense", "200"}, {"-model-seed", "2"}, {"-fast-kernels"}} {
 		err := cmdLearn(append([]string{"-in", ref, "-model", model}, flag...))
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+flag[0]) {
 			t.Fatalf("learn %v: %v, want an unknown-flag error", flag, err)

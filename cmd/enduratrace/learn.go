@@ -30,8 +30,6 @@ func coreFlags(fs *flag.FlagSet, def core.Config) func() (core.Config, error) {
 	lofDist := fs.String("lof-distance", def.LOFDistance.Name, "LOF dissimilarity")
 	smoothing := fs.Float64("smoothing", def.Smoothing, "additive pmf smoothing epsilon")
 	rate := fs.Bool("rate", def.IncludeRate, "append the saturating event-rate feature")
-	fastKernels := fs.Bool("fast-kernels", def.FastKernels,
-		"score through precomputed-log KL-family kernels (~1e-9 relative error, and about 0.75x as fast as the bit-exact default on the default model; kl/symkl/jsd LOF distance only)")
 	list := fs.Bool("list-distances", false, "print the distance catalogue and exit")
 	return func() (core.Config, error) {
 		if *list {
@@ -49,7 +47,6 @@ func coreFlags(fs *flag.FlagSet, def core.Config) func() (core.Config, error) {
 		cfg.Alpha = *alpha
 		cfg.Smoothing = *smoothing
 		cfg.IncludeRate = *rate
-		cfg.FastKernels = *fastKernels
 		if err := applyGateThreshold(&cfg, *gateThreshold, *gateAutoQ); err != nil {
 			return cfg, err
 		}

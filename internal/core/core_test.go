@@ -334,14 +334,12 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestModelSaveLoadRoundTripGateAuto: a FastKernels, auto-gated model must
-// fully round-trip — both flags and the calibrated gate threshold survive,
-// and the reloaded model scores bit for bit like the original on the same
-// fast kernels.
+// TestModelSaveLoadRoundTripGateAuto: an auto-gated model must fully
+// round-trip — the flag and the calibrated gate threshold survive, and the
+// reloaded model scores bit for bit like the original.
 func TestModelSaveLoadRoundTripGateAuto(t *testing.T) {
 	cfg := testConfig()
 	cfg.IncludeRate = true
-	cfg.FastKernels = true
 	cfg.GateAuto = true
 	ref := synth(0, 4*time.Second, refWeights, 1)
 	learned, err := Learn(cfg, trace.NewSliceReader(ref))
@@ -356,8 +354,8 @@ func TestModelSaveLoadRoundTripGateAuto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cfg2.FastKernels || !cfg2.GateAuto {
-		t.Fatalf("loaded config lost the fast-kernel/gate fields: %+v", cfg2)
+	if !cfg2.GateAuto {
+		t.Fatalf("loaded config lost the gate_auto field: %+v", cfg2)
 	}
 	if learned2.Model.Len() != learned.Model.Len() {
 		t.Fatalf("reloaded model has %d points, want %d", learned2.Model.Len(), learned.Model.Len())
@@ -370,7 +368,7 @@ func TestModelSaveLoadRoundTripGateAuto(t *testing.T) {
 		Events: synth(0, 20*time.Millisecond, []float64{1, 1, 1, 1}, 9),
 	})
 	if a, b := learned.Model.Score(q), learned2.Model.Score(q); math.Float64bits(a) != math.Float64bits(b) {
-		t.Fatalf("reloaded fast-kernel model scores %g, original %g", b, a)
+		t.Fatalf("reloaded auto-gated model scores %g, original %g", b, a)
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 // points. Loading re-fits the LOF model from the points, which is cheap
 // compared to shipping the index and keeps the format independent of index
 // internals. Keys of retired fields that older version-1 files still carry
-// (use_vptree, seed, condense_target, condense) are ignored: such a file
-// scores its saved points like any other.
+// (use_vptree, seed, condense_target, condense, fast_kernels) are ignored:
+// such a file scores its saved points like any other, exactly.
 type modelFile struct {
 	Version       int     `json:"version"`
 	NumTypes      int     `json:"num_types"`
@@ -35,11 +35,6 @@ type modelFile struct {
 	RateScale     float64 `json:"rate_scale"`
 	RefWindows    int     `json:"ref_windows"`
 	MeanCount     float64 `json:"mean_count"`
-
-	// FastKernels records the Config.FastKernels opt-in so a reloaded
-	// model scores through the same (fast, approximate) kernels it was
-	// deployed with. Absent in older files, which load bit-exact.
-	FastKernels bool `json:"fast_kernels,omitempty"`
 
 	// Auto gate calibration: the threshold derived from the reference
 	// trace's gate-distance quantiles (see Config.GateAuto).
@@ -86,7 +81,6 @@ func SaveModel(w io.Writer, cfg Config, l *Learned) error {
 		RateScale:         l.Featurizer.RateScale,
 		RefWindows:        l.RefWindows,
 		MeanCount:         l.MeanCount,
-		FastKernels:       cfg.FastKernels,
 		GateAuto:          cfg.GateAuto,
 		GateAutoQuantile:  cfg.GateAutoQuantile,
 		AutoGateThreshold: l.AutoGateThreshold,
@@ -133,14 +127,13 @@ func LoadModel(r io.Reader) (Config, *Learned, error) {
 		IncludeRate:      mf.IncludeRate,
 		GateAuto:         mf.GateAuto,
 		GateAutoQuantile: mf.GateAutoQuantile,
-		FastKernels:      mf.FastKernels,
 	}
 	if err := cfg.Validate(); err != nil {
 		return Config{}, nil, fmt.Errorf("core: model file config: %w", err)
 	}
 	// kdist/lrd are recomputed from the saved points exactly as the
 	// original fit did.
-	model, err := lof.Fit(mf.Points, mf.K, lofDist, lof.FitOptions{FastKernels: mf.FastKernels})
+	model, err := lof.Fit(mf.Points, mf.K, lofDist)
 	if err != nil {
 		return Config{}, nil, fmt.Errorf("core: refitting model: %w", err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"os"
@@ -10,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"enduratrace/internal/mediasim"
+	"enduratrace/internal/perturb"
 	"enduratrace/internal/trace"
 	"enduratrace/internal/window"
 )
@@ -235,54 +238,62 @@ func TestLoadModelFileNamesPath(t *testing.T) {
 	}
 }
 
-// TestLoadModelIgnoresRetiredIndexKey: version-1 files written while the
-// index was selectable still carry "use_vptree", and files written while
-// reference-set condensation existed carry "seed", "condense_target" and
-// "condense". SaveModel no longer writes these keys, and a file that has
-// them loads to the same configuration and scores bit for bit like the
-// same file without them — on the exact path, since fast_kernels is unset
-// — on a metric LOF distance, where use_vptree once selected the tree, and
-// on the KL family, where a condense target once switched on the fast
-// kernels.
-func TestLoadModelIgnoresRetiredIndexKey(t *testing.T) {
-	retired := map[string]any{
-		"use_vptree":      true,
-		"seed":            7,
-		"condense_target": 40,
-		"condense":        map[string]any{"original_n": 100, "kept_n": 40, "train_p50": 1.1, "train_p90": 1.3, "train_p95": 1.5, "train_p99": 2},
+// retiredKeys are the keys of retired model-file fields that version-1
+// files written by older builds still carry: "use_vptree" from when the
+// index was selectable, "seed", "condense_target" and "condense" from
+// reference-set condensation, and "fast_kernels" from the approximate
+// scoring mode.
+var retiredKeys = map[string]any{
+	"use_vptree":      true,
+	"seed":            7,
+	"condense_target": 40,
+	"condense":        map[string]any{"original_n": 100, "kept_n": 40, "train_p50": 1.1, "train_p90": 1.3, "train_p95": 1.5, "train_p99": 2},
+	"fast_kernels":    true,
+}
+
+// loadDoc loads a model document and returns it with what it re-saves to.
+func loadDoc(t *testing.T, doc map[string]any) (Config, *Learned, []byte) {
+	t.Helper()
+	raw, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
 	}
+	cfg, learned, err := LoadModel(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resaved bytes.Buffer
+	if err := SaveModel(&resaved, cfg, learned); err != nil {
+		t.Fatal(err)
+	}
+	return cfg, learned, resaved.Bytes()
+}
+
+// TestLoadModelIgnoresRetiredIndexKey: SaveModel writes none of
+// retiredKeys, and a file that has them loads to the same configuration,
+// re-saves to the same bytes and scores bit for bit like the same file
+// without them — exactly, whatever fast_kernels says — on a metric LOF
+// distance, where use_vptree once selected the tree, and on the KL family,
+// where a condense target or fast_kernels once switched on the
+// approximate kernels.
+func TestLoadModelIgnoresRetiredIndexKey(t *testing.T) {
 	ws, err := window.Collect(trace.NewSliceReader(perturbedRun()), testConfig().NewWindower())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, dist := range []string{"hellinger", "symkl"} {
 		doc := savedModelJSON(t)
-		for key := range retired {
+		for key := range retiredKeys {
 			if _, ok := doc[key]; ok {
 				t.Fatalf("SaveModel still writes %s", key)
 			}
 		}
 		doc["lof_distance"] = dist
-		load := func() (*Learned, []byte) {
-			raw, err := json.Marshal(doc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg, learned, err := LoadModel(bytes.NewReader(raw))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var resaved bytes.Buffer
-			if err := SaveModel(&resaved, cfg, learned); err != nil {
-				t.Fatal(err)
-			}
-			return learned, resaved.Bytes()
-		}
-		fresh, freshSaved := load()
-		for key, v := range retired {
+		_, fresh, freshSaved := loadDoc(t, doc)
+		for key, v := range retiredKeys {
 			doc[key] = v
 		}
-		old, oldSaved := load()
+		_, old, oldSaved := loadDoc(t, doc)
 
 		if !bytes.Equal(oldSaved, freshSaved) {
 			t.Fatalf("%s: a model file with the retired keys re-saves differently from one without them", dist)
@@ -299,4 +310,93 @@ func TestLoadModelIgnoresRetiredIndexKey(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLoadModelRetiredKeysDecideExactly: a mediasim model file that an
+// older build saved with the retired keys — "fast_kernels": true among
+// them — loads, re-saves without them, and decides a short mediasim trace
+// with a load storm byte for byte as the same file without them does.
+func TestLoadModelRetiredKeysDecideExactly(t *testing.T) {
+	sim := func(seed int64, load perturb.Load) trace.Reader {
+		sc := mediasim.DefaultConfig()
+		sc.Duration, sc.Seed, sc.Load = 20*time.Second, seed, load
+		r, err := mediasim.New(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	cfg := NewConfig(mediasim.NumEventTypes)
+	learned, err := Learn(cfg, sim(31, perturb.None{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := SaveModel(&buf, cfg, learned); err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	storm, err := perturb.Periodic(3, 5*time.Second, 10*time.Second, 3*time.Second, 20*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decide := func() (decisions, saved []byte) {
+		cfg, learned, saved := loadDoc(t, doc)
+		mon, err := NewMonitor(cfg, learned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var trips int
+		if _, err := mon.Run(sim(32, storm), nil, func(d Decision) error {
+			decisions = appendDecision(decisions, d)
+			if d.GateTripped {
+				trips++
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if trips == 0 {
+			t.Fatal("no window tripped the gate: the trace does not reach LOF")
+		}
+		return decisions, saved
+	}
+	want, wantSaved := decide()
+	for key, v := range retiredKeys {
+		doc[key] = v
+	}
+	got, gotSaved := decide()
+	for key := range retiredKeys {
+		if bytes.Contains(gotSaved, []byte(`"`+key+`"`)) {
+			t.Fatalf("a model file loaded with %s re-saves with it", key)
+		}
+	}
+	if !bytes.Equal(gotSaved, wantSaved) {
+		t.Fatal("a model file with the retired keys re-saves differently from one without them")
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("a model file with the retired keys decides differently: %d decision bytes against %d", len(got), len(want))
+	}
+}
+
+// appendDecision appends every field of d to b, floats as their bits.
+func appendDecision(b []byte, d Decision) []byte {
+	for _, v := range []uint64{uint64(d.Window.Index), uint64(d.Window.Start), uint64(d.Window.End),
+		uint64(len(d.Window.Events)), math.Float64bits(d.GateDist), math.Float64bits(d.LOF)} {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	for _, f := range d.Features {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+	}
+	var flags byte
+	if d.GateTripped {
+		flags |= 1
+	}
+	if d.Anomalous {
+		flags |= 2
+	}
+	return append(b, flags)
 }

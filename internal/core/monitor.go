@@ -81,11 +81,10 @@ type Config struct {
 	// re-tripping through the interior of a shifted regime (a ceiling
 	// quantile like 0.99 only catches regime edges).
 	GateAutoQuantile float64
-	// FastKernels opts the LOF index into the precomputed-log KL-family
-	// row kernels (see lof.FitOptions.FastKernels): on the default model
-	// slower per score than the bit-exact default (≈ 0.75× as fast), and
-	// approximate within ~1e-9 relative of the exact kernels. No-op for
-	// non-KL-family LOF distances.
+	// FastKernels is ignored: every model scores exactly. It is kept only
+	// because the wire benchmark (bench/) still sets it, and goes when
+	// that benchmark next changes. Learn does not read it and SaveModel
+	// does not write it, so a loaded Config has it false.
 	FastKernels bool
 }
 
@@ -417,7 +416,7 @@ func Learn(cfg Config, r trace.Reader) (*Learned, error) {
 	for i, w := range ws {
 		points[i] = feat.Features(w)
 	}
-	model, err := lof.Fit(points, cfg.K, cfg.LOFDistance, lof.FitOptions{FastKernels: cfg.FastKernels})
+	model, err := lof.Fit(points, cfg.K, cfg.LOFDistance)
 	if err != nil {
 		return nil, err
 	}

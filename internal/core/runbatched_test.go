@@ -187,18 +187,10 @@ func checkRunContract(t *testing.T, cfg Config, abortAt int) {
 	}
 }
 
-// TestRunBatchedMatchesPerEvent: the contract on the bit-exact default
-// kernels.
+// TestRunBatchedMatchesPerEvent: the contract on the default
+// configuration.
 func TestRunBatchedMatchesPerEvent(t *testing.T) {
 	checkRunContract(t, testConfig(), 0)
-}
-
-// TestRunBatchedFastKernelsMatchesPerEvent: the contract on a FastKernels
-// model — the serve-path configuration.
-func TestRunBatchedFastKernelsMatchesPerEvent(t *testing.T) {
-	cfg := testConfig()
-	cfg.FastKernels = true
-	checkRunContract(t, cfg, 0)
 }
 
 // TestRunBatchedCallbackAbort: a failing decision callback aborts the run
@@ -206,37 +198,6 @@ func TestRunBatchedFastKernelsMatchesPerEvent(t *testing.T) {
 // however many later windows the batch had already judged.
 func TestRunBatchedCallbackAbort(t *testing.T) {
 	checkRunContract(t, testConfig(), 7)
-}
-
-// TestModelSaveLoadRoundTripFastKernels: the FastKernels opt-in must
-// survive save/load, and the reloaded model must score exactly like the
-// original (both route through the same fast kernels).
-func TestModelSaveLoadRoundTripFastKernels(t *testing.T) {
-	cfg := testConfig()
-	cfg.FastKernels = true
-	ref := synth(0, 2*time.Second, refWeights, 1)
-	learned, err := Learn(cfg, trace.NewSliceReader(ref))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := SaveModel(&buf, cfg, learned); err != nil {
-		t.Fatal(err)
-	}
-	cfg2, learned2, err := LoadModel(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cfg2.FastKernels {
-		t.Fatal("FastKernels flag lost across save/load")
-	}
-	q := learned.Featurizer.Features(window.Window{
-		Start: 0, End: 20 * time.Millisecond,
-		Events: synth(0, 20*time.Millisecond, refWeights, 9),
-	})
-	if a, b := learned.Model.Score(q), learned2.Model.Score(q); a != b {
-		t.Fatalf("reloaded FastKernels model scores %v, original %v", b, a)
-	}
 }
 
 // decisionDigest folds a decision sequence into a count and a hash of

@@ -35,9 +35,8 @@ func benchmarkKernel(b *testing.B, name string) {
 }
 
 // benchmarkRows measures one query against a 1000-row flat matrix —
-// the LOF brute pass — through the exact row kernel and, for the KL
-// family, the precomputed-log fast kernel.
-func benchmarkRows(b *testing.B, name string, fast bool) {
+// the LOF brute pass — through the exact row kernel.
+func benchmarkRows(b *testing.B, name string) {
 	const dim, n = 26, 1000
 	rng := rand.New(rand.NewSource(1))
 	flat := make([]float64, n*dim)
@@ -57,26 +56,7 @@ func benchmarkRows(b *testing.B, name string, fast bool) {
 	q := make([]float64, dim)
 	copy(q, flat[:dim])
 	out := make([]float64, n)
-	d := Must(name)
-	if fast {
-		if !FastRowsFor(name) {
-			b.Fatalf("no fast kernel for %s", name)
-		}
-		table := NewLogRows(flat, dim)
-		qlogs := make([]float64, dim)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			QueryLogs(q, qlogs)
-			if name == "symkl" {
-				table.SymKLRows(q, qlogs, out)
-			} else {
-				table.KLRows(q, qlogs, out)
-			}
-			benchSink += out[0]
-		}
-		return
-	}
-	kernel := RowsOf(d)
+	kernel := RowsOf(Must(name))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		kernel(q, flat, dim, out)
@@ -84,24 +64,24 @@ func benchmarkRows(b *testing.B, name string, fast bool) {
 	}
 }
 
-func BenchmarkRowsSymKL1000(b *testing.B)     { benchmarkRows(b, "symkl", false) }
-func BenchmarkRowsSymKLFast1000(b *testing.B) { benchmarkRows(b, "symkl", true) }
-func BenchmarkRowsKLFast1000(b *testing.B)    { benchmarkRows(b, "kl", true) }
-func BenchmarkRowsL21000(b *testing.B)        { benchmarkRows(b, "l2", false) }
-func BenchmarkRowsJSD1000(b *testing.B)       { benchmarkRows(b, "jsd", false) }
-func BenchmarkRowsJSDFast1000(b *testing.B) {
-	// Via the same harness shape as the other fast kernels.
-	const dim, n = 26, 1000
-	rng := rand.New(rand.NewSource(1))
-	flat := randRows(rng, n, dim, 0)
-	q := make([]float64, dim)
-	copy(q, flat[:dim])
-	out := make([]float64, n)
-	table := NewLogRows(flat, dim)
+func BenchmarkRowsSymKL1000(b *testing.B) { benchmarkRows(b, "symkl") }
+func BenchmarkRowsL21000(b *testing.B)    { benchmarkRows(b, "l2") }
+func BenchmarkRowsJSD1000(b *testing.B)   { benchmarkRows(b, "jsd") }
+
+// BenchmarkSymmetricKL26 is SymmetricKL at the monitor's feature
+// dimension (25 event types and the rate feature), the shape of the
+// gate's comparison and of each exact call the k-NN refine makes. It walks
+// 64 smoothed pmfs, comparing each with the one before, as the gate
+// compares each window with the last, so that no single pair is learned.
+// One iteration = one call.
+func BenchmarkSymmetricKL26(b *testing.B) {
+	const dim, n = 26, 64
+	pmfs := randRows(rand.New(rand.NewSource(3)), n, dim, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		table.JSDRows(q, QueryNegEntropy(q), out)
-		benchSink += out[0]
+		j := i % n
+		k := (j + n - 1) % n
+		benchSink += SymmetricKL(pmfs[j*dim:(j+1)*dim], pmfs[k*dim:(k+1)*dim])
 	}
 }
 

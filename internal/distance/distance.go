@@ -55,8 +55,37 @@ func KL(p, q []float64) float64 {
 // SymmetricKL returns D(p‖q) + D(q‖p), the symmetrised ("Jeffreys")
 // Kullback–Leibler distance. This is the usual reading of the paper's
 // "Kullback-Leibler distance".
+//
+// It is KL(p, q) + KL(q, p) bit for bit: one pass over the components
+// carries both sums, each in index order with KL's guards and floors, and
+// takes a component's two logs side by side (logPair).
 func SymmetricKL(p, q []float64) float64 {
-	return KL(p, q) + KL(q, p)
+	assertSameLen(p, q)
+	var fwd, rev float64
+	for i := range p {
+		pi, qi := p[i], q[i]
+		pd, qd := pi, qi // the denominators, floored as KL floors them
+		if pd < eps {
+			pd = eps
+		}
+		if qd < eps {
+			qd = eps
+		}
+		lf, lr := logPair(pi/qd, qi/pd)
+		if !(pi <= 0) {
+			fwd += pi * lf
+		}
+		if !(qi <= 0) {
+			rev += qi * lr
+		}
+	}
+	if fwd < 0 {
+		fwd = 0
+	}
+	if rev < 0 {
+		rev = 0
+	}
+	return fwd + rev
 }
 
 // JensenShannon returns the Jensen–Shannon divergence, the

@@ -17,8 +17,8 @@ import (
 //   - LogRows precomputes per-element logarithms for the KL family (kl,
 //     symkl, jsd), removing every (jsd: half the) math.Log calls from the
 //     per-row inner loop. It is approximate in the last ulps (log(p/q) !=
-//     log p - log q in floating point) and backs the opt-in approximate
-//     path: models fitted with FastKernels.
+//     log p - log q in floating point), and no program scores through it:
+//     it is kept only for the wire benchmark (bench/), see LogRows.
 //   - FilterRows runs the same kernels over float32 logs, one row at a
 //     time, with a proven bound on their error and, for symkl, a prefix
 //     test that abandons a row once it cannot matter — the filter half of
@@ -78,12 +78,15 @@ type logTable[T float32 | float64] struct {
 	negent []float64 // per row i: Σ_j row_ij · log(max(row_ij, eps)); nil when jsd is not served
 }
 
-// LogRows is the float64 log table behind the opt-in approximate path:
-// models fitted with FastKernels. The default exact path uses FilterRows.
+// LogRows is the float64 log table of the retired approximate scoring
+// mode. Every model scores exactly, through FilterRows; LogRows, NewLogRows
+// and QueryNegEntropy are kept only because the wire benchmark (bench/)
+// still compiles against them, and go when that benchmark next changes.
 type LogRows = logTable[float64]
 
 // NewLogRows builds the log table over a flat row-major matrix. The matrix
-// is retained, not copied; it must not be mutated afterwards.
+// is retained, not copied; it must not be mutated afterwards. Kept for the
+// wire benchmark only, see LogRows.
 func NewLogRows(rows []float64, dim int) *LogRows {
 	return newLogTable[float64](rows, dim, true, true)
 }
@@ -220,8 +223,8 @@ func (t *logTable[T]) symKLRow(q, qlogs []float64, i int, stop float64) (d float
 }
 
 // QueryNegEntropy returns Σ_j q_j · log(max(q_j, eps)) — the per-query
-// negentropy half of the fast JSD decomposition, computed once per query
-// instead of once per row.
+// negentropy half of LogRows' JSD decomposition, computed once per query
+// instead of once per row. Kept for the wire benchmark only, see LogRows.
 func QueryNegEntropy(q []float64) float64 {
 	var s float64
 	for _, x := range q {

@@ -28,11 +28,11 @@ func benchPoints(n, dim int, seed int64) [][]float64 {
 }
 
 // benchmarkScore measures Scorer.Score — the monitoring hot path, run on
-// every gate trip — for one distance/kernel combination.
-func benchmarkScore(b *testing.B, n int, d distance.Distance, opts FitOptions) {
+// every gate trip — for one distance.
+func benchmarkScore(b *testing.B, n int, d distance.Distance) {
 	const dim = 26 // mediasim pmf (25 event types) + rate feature
 	pts := benchPoints(n, dim, 1)
-	m, err := Fit(pts, 20, d, opts)
+	m, err := Fit(pts, 20, d)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -48,25 +48,19 @@ func benchmarkScore(b *testing.B, n int, d distance.Distance, opts FitOptions) {
 }
 
 func BenchmarkScoreBruteSymKL1000(b *testing.B) {
-	benchmarkScore(b, 1000, distance.Must("symkl"), FitOptions{})
+	benchmarkScore(b, 1000, distance.Must("symkl"))
 }
 
 func BenchmarkScoreBruteSymKL3000(b *testing.B) {
-	benchmarkScore(b, 3000, distance.Must("symkl"), FitOptions{})
+	benchmarkScore(b, 3000, distance.Must("symkl"))
 }
 
 func BenchmarkScoreBruteL21000(b *testing.B) {
-	benchmarkScore(b, 1000, distance.Must("l2"), FitOptions{})
+	benchmarkScore(b, 1000, distance.Must("l2"))
 }
 
 func BenchmarkScoreBruteHellinger1000(b *testing.B) {
-	benchmarkScore(b, 1000, distance.Must("hellinger"), FitOptions{})
-}
-
-// BenchmarkScoreFastSymKL1000 is the single-query form of the FastKernels
-// opt-in, for comparison with BenchmarkScoreBruteSymKL1000.
-func BenchmarkScoreFastSymKL1000(b *testing.B) {
-	benchmarkScore(b, 1000, distance.Must("symkl"), FitOptions{FastKernels: true})
+	benchmarkScore(b, 1000, distance.Must("hellinger"))
 }
 
 // benchmarkFitBrute measures the learning step (pairwise kNN at fit
@@ -76,7 +70,7 @@ func benchmarkFitBrute(b *testing.B, n int) {
 	d := distance.Must("symkl")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Fit(pts, 20, d, FitOptions{}); err != nil {
+		if _, err := Fit(pts, 20, d); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -15,7 +15,7 @@ func ExampleFit() {
 		{0.0, 0.0}, {0.1, 0.0}, {0.0, 0.1}, {0.1, 0.1},
 		{0.05, 0.05}, {0.9, 0.9},
 	}
-	model, err := lof.Fit(points, 2, distance.Must("l2"), lof.FitOptions{})
+	model, err := lof.Fit(points, 2, distance.Must("l2"))
 	if err != nil {
 		panic(err)
 	}
@@ -39,7 +39,7 @@ func ExampleScorer_Score() {
 	for i := 0; i < 20; i++ {
 		points = append(points, []float64{float64(i%5) * 0.01, float64(i/5) * 0.01})
 	}
-	model, err := lof.Fit(points, 3, distance.Must("l2"), lof.FitOptions{})
+	model, err := lof.Fit(points, 3, distance.Must("l2"))
 	if err != nil {
 		panic(err)
 	}

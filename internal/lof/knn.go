@@ -15,16 +15,15 @@ type Neighbor struct {
 }
 
 // Scratch holds the reusable buffers of one k-NN/scoring goroutine: the
-// row-kernel distance output and query-log buffer of the other paths, the
-// bounded selection heap, the sorted neighbour result, and the exact
-// KL-family path's prepared filter query and lazy heap. Buffers grow on
-// first use and are reused afterwards, so steady-state queries allocate
-// nothing. A Scratch must not be shared between goroutines.
+// row-kernel distance output of the other distances, the bounded
+// selection heap, the sorted neighbour result, and the KL-family path's
+// prepared filter query and lazy heap. Buffers grow on first use and are
+// reused afterwards, so steady-state queries allocate nothing. A Scratch
+// must not be shared between goroutines.
 type Scratch struct {
 	dists []float64
 	heap  neighborHeap
 	out   []Neighbor
-	qlogs []float64
 	fq    distance.FilterQuery
 	lazy  lazyHeap
 	// filtered and read count the rows the exact KL-family path ran
@@ -50,14 +49,6 @@ func (s *Scratch) floats(n int) []float64 {
 	}
 	s.dists = s.dists[:n]
 	return s.dists
-}
-
-func (s *Scratch) logBuf(n int) []float64 {
-	if cap(s.qlogs) < n {
-		s.qlogs = make([]float64, n)
-	}
-	s.qlogs = s.qlogs[:n]
-	return s.qlogs
 }
 
 func (s *Scratch) neighborBuf(n int) []Neighbor {
@@ -167,8 +158,7 @@ type BruteIndex struct {
 	n      int
 	dist   distance.Distance
 	rows   distance.RowsFunc
-	filter *distance.FilterRows // exact KL-family path; nil for other distances and under fast kernels
-	logs   *distance.LogRows    // non-nil switches to the approximate fast KL-family path
+	filter *distance.FilterRows // KL-family path; nil for other distances
 	// On the filter path, the groups of bitwise-identical rows (see
 	// refine): group[i] is row i's group, −1 for a row with no copy, and
 	// first[g] is group g's lowest row. Both nil when no row repeats.
@@ -243,16 +233,10 @@ func (b *BruteIndex) groupOf(i int) int32 {
 	return b.group[i]
 }
 
-// EnableFastKernels precomputes the per-row log table and switches the
-// index to the fast (approximate, see distance.LogRows) KL-family row
-// kernels, dropping the exact path's filter table. It is a no-op for
-// distances outside the KL family.
-func (b *BruteIndex) EnableFastKernels() {
-	if distance.FastRowsFor(b.dist.Name) {
-		b.logs = distance.NewLogRows(b.flat, b.dim)
-		b.filter, b.group, b.first = nil, nil, nil
-	}
-}
+// EnableFastKernels does nothing: every index scores exactly. It is kept
+// only because the wire benchmark (bench/) still calls it, and goes when
+// that benchmark next changes.
+func (b *BruteIndex) EnableFastKernels() {}
 
 // Len returns the number of indexed points.
 func (b *BruteIndex) Len() int { return b.n }
@@ -269,31 +253,8 @@ func (b *BruteIndex) KNN(q []float64, k, skip int, s *Scratch) []Neighbor {
 		return b.refine(q, k, skip, s)
 	}
 	dists := s.floats(b.n)
-	b.fillDists(q, s, dists)
-	return selectK(dists, k, skip, s)
-}
-
-// fillDists writes the distance from q to every reference row into dists
-// (length b.n), through the fast log-table kernels when enabled.
-func (b *BruteIndex) fillDists(q []float64, s *Scratch, dists []float64) {
-	if b.logs != nil {
-		switch b.dist.Name {
-		case "symkl":
-			qlogs := s.logBuf(b.dim)
-			distance.QueryLogs(q, qlogs)
-			b.logs.SymKLRows(q, qlogs, dists)
-		case "kl":
-			qlogs := s.logBuf(b.dim)
-			distance.QueryLogs(q, qlogs)
-			b.logs.KLRows(q, qlogs, dists)
-		case "jsd":
-			b.logs.JSDRows(q, distance.QueryNegEntropy(q), dists)
-		default:
-			panic(fmt.Sprintf("lof: fast kernels enabled for unsupported distance %q", b.dist.Name))
-		}
-		return
-	}
 	b.rows(q, b.flat, b.dim, dists)
+	return selectK(dists, k, skip, s)
 }
 
 // selectK runs bounded-heap selection over a filled distance row,

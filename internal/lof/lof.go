@@ -47,28 +47,11 @@ type Model struct {
 // K others at a finite distance.
 var ErrTooFewPoints = errors.New("lof: reference set too small for K")
 
-// FitOptions tunes model construction.
-type FitOptions struct {
-	// FastKernels enables the precomputed-log KL-family row kernels
-	// (distance.LogRows) on the index. They are approximate — within ~1e-9
-	// relative of the exact kernels — and, on the default model's gate
-	// trips (3 000 points, dim 26), slower than the default exact path:
-	// 119 to 139 µs a score against 84 to 107 µs (BenchmarkScoreDefaultModel,
-	// medians of ten alternating runs, two sets, shared 2-core Xeon). The
-	// exact path runs the same kernels over float32 logs as a filter that
-	// abandons most rows part-way, their first blocks 16 rows at a time,
-	// its columns in the order that separates rows fastest, each group of
-	// identical rows once, and the exact distance on the few rows the
-	// filter cannot rule out.
-	// No-op for distances outside the KL family (kl, symkl, jsd).
-	FastKernels bool
-}
-
 // Fit builds a LOF model over the reference points with neighbourhood size
 // k. points must contain at least k+1 vectors of equal dimension, and each
 // must have k others at a finite distance. The point data is copied into
 // the model's flat matrix; the input slice is not retained.
-func Fit(points [][]float64, k int, d distance.Distance, opts FitOptions) (*Model, error) {
+func Fit(points [][]float64, k int, d distance.Distance) (*Model, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("lof: K must be positive, got %d", k)
 	}
@@ -91,9 +74,6 @@ func Fit(points [][]float64, k int, d distance.Distance, opts FitOptions) (*Mode
 
 	m := &Model{K: k, Dist: d, n: len(points), dim: dim, flat: flat}
 	m.index = NewBruteIndex(flat, dim, d)
-	if opts.FastKernels {
-		m.index.EnableFastKernels()
-	}
 
 	n := m.n
 	m.kdist = make([]float64, n)

@@ -33,7 +33,7 @@ func cluster(rng *rand.Rand, n, dim int, center, sigma float64) [][]float64 {
 func TestPlantedOutlier(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ref := cluster(rng, 80, 3, 0, 0.05)
-	m, err := Fit(ref, 10, l2(), FitOptions{})
+	m, err := Fit(ref, 10, l2())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,10 +50,10 @@ func TestPlantedOutlier(t *testing.T) {
 func TestTooFewPoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	pts := cluster(rng, 5, 2, 0, 1)
-	if _, err := Fit(pts, 5, l2(), FitOptions{}); !errors.Is(err, ErrTooFewPoints) {
+	if _, err := Fit(pts, 5, l2()); !errors.Is(err, ErrTooFewPoints) {
 		t.Fatalf("Fit with n == k: err = %v, want ErrTooFewPoints", err)
 	}
-	if _, err := Fit(pts, 4, l2(), FitOptions{}); err != nil {
+	if _, err := Fit(pts, 4, l2()); err != nil {
 		t.Fatalf("Fit with n == k+1 failed: %v", err)
 	}
 }
@@ -69,35 +69,28 @@ func TestFitRejectsUnrankableNeighbours(t *testing.T) {
 		oneHot[i] = make([]float64, 4)
 		oneHot[i][i%4] = 1e308
 	}
-	for _, tc := range []struct {
-		dist string
-		opts FitOptions
-	}{
-		{"l2", FitOptions{}},
-		{"symkl", FitOptions{}},
-		{"symkl", FitOptions{FastKernels: true}},
-	} {
-		if _, err := Fit(oneHot, 5, distance.Must(tc.dist), tc.opts); !errors.Is(err, ErrTooFewPoints) {
-			t.Fatalf("%s %+v over overflowing rows: err = %v, want ErrTooFewPoints", tc.dist, tc.opts, err)
+	for _, dist := range []string{"l2", "symkl"} {
+		if _, err := Fit(oneHot, 5, distance.Must(dist)); !errors.Is(err, ErrTooFewPoints) {
+			t.Fatalf("%s over overflowing rows: err = %v, want ErrTooFewPoints", dist, err)
 		}
 	}
 	// Two far points see each other but nothing else: one finite
 	// neighbour where K = 2 needs two.
 	far := [][]float64{{0, 0}, {0, 1}, {0, 2}, {1e308, 0}, {1e308, 1}}
-	if _, err := Fit(far, 2, l2(), FitOptions{}); !errors.Is(err, ErrTooFewPoints) {
+	if _, err := Fit(far, 2, l2()); !errors.Is(err, ErrTooFewPoints) {
 		t.Fatalf("a point with 1 finite neighbour, K=2: err = %v, want ErrTooFewPoints", err)
 	}
-	if _, err := Fit(far, 1, l2(), FitOptions{}); err != nil {
+	if _, err := Fit(far, 1, l2()); err != nil {
 		t.Fatalf("every point has 1 finite neighbour, K=1: %v", err)
 	}
 }
 
 func TestFitRejectsBadInput(t *testing.T) {
-	if _, err := Fit([][]float64{{1}, {2}}, 0, l2(), FitOptions{}); err == nil {
+	if _, err := Fit([][]float64{{1}, {2}}, 0, l2()); err == nil {
 		t.Fatal("Fit accepted k=0")
 	}
 	ragged := [][]float64{{1, 2}, {3}, {4, 5}}
-	if _, err := Fit(ragged, 1, l2(), FitOptions{}); err == nil {
+	if _, err := Fit(ragged, 1, l2()); err == nil {
 		t.Fatal("Fit accepted ragged dimensions")
 	}
 }
@@ -130,7 +123,7 @@ func TestDuplicatePointsInfConventions(t *testing.T) {
 	for i := range pts {
 		pts[i] = []float64{1, 1}
 	}
-	m, err := Fit(pts, 3, l2(), FitOptions{})
+	m, err := Fit(pts, 3, l2())
 	if err != nil {
 		t.Fatal(err)
 	}

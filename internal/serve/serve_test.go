@@ -37,9 +37,6 @@ func fixture(t testing.TB) (core.Config, *core.Learned) {
 	t.Helper()
 	fixtureOnce.Do(func() {
 		cfg := core.NewConfig(mediasim.NumEventTypes)
-		// Serve the fixture the way production serving is meant to run:
-		// through the precomputed-log KL-family kernels.
-		cfg.FastKernels = true
 		sc := mediasim.DefaultConfig()
 		sc.Duration = 30 * time.Second
 		sc.Seed = 42
