@@ -35,10 +35,15 @@ ci: fmt-check vet lint build race
 eval:
 	$(GO) run ./cmd/enduratrace eval -out BENCH_eval.json
 
-# Run the default distance-ablation sweep at a CI-sized duration and drop
-# the per-cell summary array (mean ± 95% CI over seeds) next to the repo.
+# The distance ablation at matched recall (DESIGN.md "A-distance
+# ablation"): both catalogue distances over an alpha axis, each cell
+# gated at its own reference quantile, at CI-sized durations; the table
+# sorts by recall so that equal-recall rows sit side by side. Drops the
+# per-cell summary array (mean ± 95% CI over seeds) next to the repo.
+ABLATION_ALPHAS = 1.2,1.5,1.75,2,2.25,2.5,3,3.5,4,5,6,7,8,10
 bench:
-	$(GO) run ./cmd/enduratrace sweep -seeds 3 -out BENCH_sweep.json
+	$(GO) run ./cmd/enduratrace sweep -q -gate-threshold auto -distances symkl,kl \
+		-alphas $(ABLATION_ALPHAS) -seeds 3 -sort recall -out BENCH_sweep.json
 
 # Microbenchmarks for the monitoring hot path: LOF scoring and fitting
 # (filter-and-refine), scoring the default experiment's tripped windows

@@ -57,15 +57,27 @@ func TestSimLearnMonitor(t *testing.T) {
 	}
 
 	// The index is no longer selectable, the reference set is no longer
-	// condensed and every model scores exactly: the flags that did any of
-	// these are gone.
-	for _, flag := range [][]string{{"-vptree"}, {"-condense", "200"}, {"-model-seed", "2"}, {"-fast-kernels"}} {
+	// condensed, every model scores exactly over time windows and the
+	// catalogue is the KL family: the flags that did otherwise, or listed
+	// the catalogue, are gone.
+	for _, flag := range [][]string{{"-vptree"}, {"-condense", "200"}, {"-model-seed", "2"}, {"-fast-kernels"},
+		{"-count", "5"}, {"-list-distances"}} {
 		err := cmdLearn(append([]string{"-in", ref, "-model", model}, flag...))
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+flag[0]) {
 			t.Fatalf("learn %v: %v, want an unknown-flag error", flag, err)
 		}
 		if _, err := os.Stat(model); err == nil {
 			t.Fatalf("learn %v wrote a model file", flag)
+		}
+	}
+	// A distance the catalogue no longer holds is refused by name.
+	for _, flag := range []string{"-gate", "-lof-distance"} {
+		err := cmdLearn([]string{"-in", ref, "-model", model, flag, "hellinger"})
+		if err == nil || !strings.Contains(err.Error(), `unknown distance "hellinger"`) {
+			t.Fatalf("learn %s hellinger: %v, want an unknown-distance error", flag, err)
+		}
+		if _, err := os.Stat(model); err == nil {
+			t.Fatalf("learn %s hellinger wrote a model file", flag)
 		}
 	}
 	if err := cmdLearn([]string{"-in", ref, "-model", model}); err != nil {
@@ -337,12 +349,11 @@ func TestNonFiniteFactorRefused(t *testing.T) {
 	}
 }
 
-// TestNegativeSizesRefused: a negative window count or length, and a
-// negative serve queue, flight-recorder ring or anomaly segment size, is
-// refused with exit status 1 before anything is written or listened on.
-// learn -count -5 used to learn time windows and write the -5 into the
-// model; serve used to run each of the others at its default while its
-// start-up line printed the negative value.
+// TestNegativeSizesRefused: a negative window length, and a negative
+// serve queue, flight-recorder ring or anomaly segment size, is refused
+// with exit status 1 before anything is written or listened on. serve
+// used to run each of the others at its default while its start-up line
+// printed the negative value.
 func TestNegativeSizesRefused(t *testing.T) {
 	dir := t.TempDir()
 	ref, model := filepath.Join(dir, "ref.etrc"), filepath.Join(dir, "model.json")
@@ -357,15 +368,14 @@ func TestNegativeSizesRefused(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"learn", "-in", ref, "-model", filepath.Join(dir, "count.json"), "-count", "-5"}, "WindowCount must not be negative"},
-		{[]string{"learn", "-in", ref, "-model", filepath.Join(dir, "window.json"), "-window", "-1s"}, "WindowDuration must not be negative"},
+		{[]string{"learn", "-in", ref, "-model", filepath.Join(dir, "window.json"), "-window", "-1s"}, "WindowDuration must be positive"},
 		{append(serve, "-queue", "-5"), "-queue must not be negative"},
 		{append(serve, "-flight-cap", "-5"), "-flight-cap must not be negative"},
 		{append(serve, "-anomaly-store", filepath.Join(dir, "store"), "-anomaly-segment-bytes", "-5"), "-anomaly-segment-bytes must not be negative"},
 	} {
 		expectRefused(t, c.args, c.want)
 	}
-	for _, name := range []string{"count.json", "window.json", "store"} {
+	for _, name := range []string{"window.json", "store"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, os.ErrNotExist) {
 			t.Fatalf("a refused command left %s behind: %v", name, err)
 		}

@@ -19,30 +19,20 @@ import (
 // place (eval.DefaultOptions). It returns a builder that assembles the
 // final core.Config.
 func coreFlags(fs *flag.FlagSet, def core.Config) func() (core.Config, error) {
-	window := fs.Duration("window", def.WindowDuration, "time-window length (0 with -count for count windows)")
-	count := fs.Int("count", def.WindowCount, "events per count window (overrides -window when > 0)")
+	window := fs.Duration("window", def.WindowDuration, "time-window length")
 	k := fs.Int("k", def.K, "LOF neighbourhood size")
 	alpha := fs.Float64("alpha", def.Alpha, "LOF anomaly threshold")
-	gate := fs.String("gate", def.GateDistance.Name, "gate distance (see -list-distances)")
+	gate := fs.String("gate", def.GateDistance.Name, fmt.Sprintf("gate distance, one of %v", distance.Names()))
 	gateThreshold := fs.String("gate-threshold", fmt.Sprintf("%g", def.GateThreshold),
 		"gate distance above which LOF runs, or 'auto' to calibrate from the reference trace's gate-distance quantiles")
-	gateAutoQ := fs.Float64("gate-auto-q", 0.90, "reference quantile used by '-gate-threshold auto'")
-	lofDist := fs.String("lof-distance", def.LOFDistance.Name, "LOF dissimilarity")
+	gateAutoQ := fs.Float64("gate-auto-q", core.DefaultGateAutoQuantile, "reference quantile used by '-gate-threshold auto'")
+	lofDist := fs.String("lof-distance", def.LOFDistance.Name, fmt.Sprintf("LOF dissimilarity, one of %v", distance.Names()))
 	smoothing := fs.Float64("smoothing", def.Smoothing, "additive pmf smoothing epsilon")
 	rate := fs.Bool("rate", def.IncludeRate, "append the saturating event-rate feature")
-	list := fs.Bool("list-distances", false, "print the distance catalogue and exit")
 	return func() (core.Config, error) {
-		if *list {
-			fmt.Println(distance.Names())
-			os.Exit(0)
-		}
 		cfg := def
 		cfg.NumTypes = mediasim.NumEventTypes
 		cfg.WindowDuration = *window
-		cfg.WindowCount = *count
-		if *count > 0 {
-			cfg.WindowDuration = 0
-		}
 		cfg.K = *k
 		cfg.Alpha = *alpha
 		cfg.Smoothing = *smoothing

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"enduratrace/internal/core"
 	"enduratrace/internal/sweep"
 )
 
@@ -62,7 +63,7 @@ func cmdSweep(args []string) error {
 	pDur := fs.Duration("perturb-duration", def.Base.PerturbDuration, "length of each perturbation")
 	gateThreshold := fs.String("gate-threshold", fmt.Sprintf("%g", def.Base.Core.GateThreshold),
 		"gate distance above which LOF runs, or 'auto' to calibrate per cell from its reference quantiles")
-	gateAutoQ := fs.Float64("gate-auto-q", 0.90, "reference quantile used by '-gate-threshold auto'")
+	gateAutoQ := fs.Float64("gate-auto-q", core.DefaultGateAutoQuantile, "reference quantile used by '-gate-threshold auto'")
 	workers := fs.Int("workers", 0, "parallel eval workers (0 = GOMAXPROCS)")
 	out := fs.String("out", "BENCH_sweep.json", "write the per-cell summary array here ('' to skip)")
 	sortBy := fs.String("sort", "reduction", fmt.Sprintf("summary table sort metric, one of %v", sweep.SortKeys()))

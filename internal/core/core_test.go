@@ -74,7 +74,6 @@ var refWeights = []float64{4, 3, 2, 1}
 func TestValidateCatchesBadConfigs(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.NumTypes = 1 },
-		func(c *Config) { c.WindowCount = 10 }, // both window kinds set
 		func(c *Config) { c.WindowDuration = 0 },
 		func(c *Config) { c.K = 0 },
 		func(c *Config) { c.Alpha = 0.5 },
@@ -99,22 +98,12 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 			t.Fatalf("bad config %d validated", i)
 		}
 	}
-	// A negative window size is refused for what it is, not as a second
-	// or missing window kind.
-	for _, c := range []struct {
-		d    time.Duration
-		n    int
-		want string
-	}{
-		{time.Second, -5, "WindowCount must not be negative"},
-		{0, -5, "WindowCount must not be negative"},
-		{-time.Second, 0, "WindowDuration must not be negative"},
-		{-time.Second, 10, "WindowDuration must not be negative"},
-	} {
+	// A window length that is not positive is refused by name.
+	for _, d := range []time.Duration{0, -time.Second} {
 		cfg := testConfig()
-		cfg.WindowDuration, cfg.WindowCount = c.d, c.n
-		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Fatalf("window %v, count %d: %v, want %q", c.d, c.n, err, c.want)
+		cfg.WindowDuration = d
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "WindowDuration must be positive") {
+			t.Fatalf("window %v: %v, want a WindowDuration error", d, err)
 		}
 	}
 	cfg := testConfig()

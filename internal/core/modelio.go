@@ -17,13 +17,15 @@ import (
 // points. Loading re-fits the LOF model from the points, which is cheap
 // compared to shipping the index and keeps the format independent of index
 // internals. Keys of retired fields that older version-1 files still carry
-// (use_vptree, seed, condense_target, condense, fast_kernels) are ignored:
-// such a file scores its saved points like any other, exactly.
+// (use_vptree, seed, condense_target, condense, fast_kernels, and a zero
+// window_count) are ignored: such a file scores its saved points like any
+// other, exactly. A file that needs what is gone — count windows, or a
+// distance the catalogue no longer holds — is refused by name.
 type modelFile struct {
 	Version       int     `json:"version"`
 	NumTypes      int     `json:"num_types"`
 	WindowNS      int64   `json:"window_ns"`
-	WindowCount   int     `json:"window_count"`
+	WindowCount   int     `json:"window_count,omitempty"` // retired: read only to refuse count windows
 	K             int     `json:"k"`
 	Alpha         float64 `json:"alpha"`
 	GateThreshold float64 `json:"gate_threshold"`
@@ -69,7 +71,6 @@ func SaveModel(w io.Writer, cfg Config, l *Learned) error {
 		Version:           modelFileVersion,
 		NumTypes:          cfg.NumTypes,
 		WindowNS:          int64(cfg.WindowDuration),
-		WindowCount:       cfg.WindowCount,
 		K:                 cfg.K,
 		Alpha:             cfg.Alpha,
 		GateThreshold:     gateThreshold,
@@ -105,6 +106,9 @@ func LoadModel(r io.Reader) (Config, *Learned, error) {
 	if len(mf.Points) == 0 {
 		return Config{}, nil, fmt.Errorf("core: model file has no reference points")
 	}
+	if mf.WindowCount != 0 {
+		return Config{}, nil, fmt.Errorf("core: model file uses count windows (window_count %d), which are no longer supported: learn it again over time windows", mf.WindowCount)
+	}
 	gate, err := distance.ByName(mf.GateDistance)
 	if err != nil {
 		return Config{}, nil, fmt.Errorf("core: model gate distance: %w", err)
@@ -116,7 +120,6 @@ func LoadModel(r io.Reader) (Config, *Learned, error) {
 	cfg := Config{
 		NumTypes:         mf.NumTypes,
 		WindowDuration:   time.Duration(mf.WindowNS),
-		WindowCount:      mf.WindowCount,
 		K:                mf.K,
 		Alpha:            mf.Alpha,
 		GateThreshold:    mf.GateThreshold,

@@ -80,6 +80,21 @@ func TestLoadModelErrorPaths(t *testing.T) {
 			wantSub: []string{"LOF distance", "warp"},
 		},
 		{
+			name:    "deleted-gate-distance",
+			mutate:  func(doc map[string]any) { doc["gate_distance"] = "hellinger" },
+			wantSub: []string{"gate distance", `"hellinger"`},
+		},
+		{
+			name:    "deleted-lof-distance",
+			mutate:  func(doc map[string]any) { doc["lof_distance"] = "hellinger" },
+			wantSub: []string{"LOF distance", `"hellinger"`},
+		},
+		{
+			name:    "count-windows",
+			mutate:  func(doc map[string]any) { doc["window_count"] = 40 },
+			wantSub: []string{"count windows", "window_count 40"},
+		},
+		{
 			name:    "empty-points",
 			mutate:  func(doc map[string]any) { doc["points"] = [][]float64{} },
 			wantSub: []string{"no reference points"},
@@ -241,14 +256,16 @@ func TestLoadModelFileNamesPath(t *testing.T) {
 // retiredKeys are the keys of retired model-file fields that version-1
 // files written by older builds still carry: "use_vptree" from when the
 // index was selectable, "seed", "condense_target" and "condense" from
-// reference-set condensation, and "fast_kernels" from the approximate
-// scoring mode.
+// reference-set condensation, "fast_kernels" from the approximate
+// scoring mode, and "window_count", which every time-window model wrote
+// as 0 while count windows existed.
 var retiredKeys = map[string]any{
 	"use_vptree":      true,
 	"seed":            7,
 	"condense_target": 40,
 	"condense":        map[string]any{"original_n": 100, "kept_n": 40, "train_p50": 1.1, "train_p90": 1.3, "train_p95": 1.5, "train_p99": 2},
 	"fast_kernels":    true,
+	"window_count":    0,
 }
 
 // loadDoc loads a model document and returns it with what it re-saves to.
@@ -272,16 +289,15 @@ func loadDoc(t *testing.T, doc map[string]any) (Config, *Learned, []byte) {
 // TestLoadModelIgnoresRetiredIndexKey: SaveModel writes none of
 // retiredKeys, and a file that has them loads to the same configuration,
 // re-saves to the same bytes and scores bit for bit like the same file
-// without them — exactly, whatever fast_kernels says — on a metric LOF
-// distance, where use_vptree once selected the tree, and on the KL family,
-// where a condense target or fast_kernels once switched on the
-// approximate kernels.
+// without them — exactly, whatever fast_kernels says — under both
+// catalogue distances, where a condense target or fast_kernels once
+// switched on the approximate kernels.
 func TestLoadModelIgnoresRetiredIndexKey(t *testing.T) {
 	ws, err := window.Collect(trace.NewSliceReader(perturbedRun()), testConfig().NewWindower())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dist := range []string{"hellinger", "symkl"} {
+	for _, dist := range []string{"kl", "symkl"} {
 		doc := savedModelJSON(t)
 		for key := range retiredKeys {
 			if _, ok := doc[key]; ok {

@@ -39,11 +39,8 @@ type Config struct {
 	// NumTypes is the pmf dimensionality (one component per event type).
 	NumTypes int
 	// WindowDuration slices the stream into fixed time windows (40 ms in
-	// §III). Set WindowCount instead for hardware-buffer-style count
-	// windows; exactly one of the two must be non-zero.
+	// §III).
 	WindowDuration time.Duration
-	// WindowCount, when non-zero, uses windows of N consecutive events.
-	WindowCount int
 	// K is the LOF neighbourhood size (20 in §III).
 	K int
 	// Alpha is the LOF anomaly threshold; LOF >= Alpha records the window
@@ -72,14 +69,11 @@ type Config struct {
 	// the fixed value: Learn replays the gate over the reference windows
 	// and takes the GateAutoQuantile quantile of the observed distances,
 	// so the threshold sits at the clean trace's noise ceiling whatever
-	// the gate distance's scale (a fixed 0.1 is near-dead for jsd, whose
-	// clean-trace distances are an order of magnitude smaller than
+	// the gate distance's scale (kl's clean-trace distances are about half
 	// symkl's).
 	GateAuto bool
 	// GateAutoQuantile is the reference gate-distance quantile used by
-	// GateAuto; zero means the 0.90 default, which keeps the gate
-	// re-tripping through the interior of a shifted regime (a ceiling
-	// quantile like 0.99 only catches regime edges).
+	// GateAuto; zero means DefaultGateAutoQuantile.
 	GateAutoQuantile float64
 	// FastKernels is ignored: every model scores exactly. It is kept only
 	// because the wire benchmark (bench/) still sets it, and goes when
@@ -87,6 +81,12 @@ type Config struct {
 	// does not write it, so a loaded Config has it false.
 	FastKernels bool
 }
+
+// DefaultGateAutoQuantile is the reference gate-distance quantile GateAuto
+// calibrates at unless GateAutoQuantile says otherwise: it keeps the gate
+// re-tripping through the interior of a shifted regime, where a ceiling
+// quantile like 0.99 only catches regime edges.
+const DefaultGateAutoQuantile = 0.90
 
 // NewConfig returns the one shipped configuration: what learn, eval,
 // soak, sweep and the benchmark workloads start from. It keeps §III's
@@ -117,14 +117,8 @@ func (c Config) Validate() error {
 	if c.NumTypes <= 1 {
 		return fmt.Errorf("core: NumTypes must be > 1, got %d", c.NumTypes)
 	}
-	if c.WindowDuration < 0 {
-		return fmt.Errorf("core: WindowDuration must not be negative, got %v", c.WindowDuration)
-	}
-	if c.WindowCount < 0 {
-		return fmt.Errorf("core: WindowCount must not be negative, got %d", c.WindowCount)
-	}
-	if (c.WindowDuration > 0) == (c.WindowCount > 0) {
-		return errors.New("core: exactly one of WindowDuration and WindowCount must be set")
+	if c.WindowDuration <= 0 {
+		return fmt.Errorf("core: WindowDuration must be positive, got %v", c.WindowDuration)
 	}
 	if c.K <= 0 {
 		return fmt.Errorf("core: K must be positive, got %d", c.K)
@@ -158,14 +152,11 @@ func (c Config) gateAutoQuantile() float64 {
 	if c.GateAutoQuantile > 0 {
 		return c.GateAutoQuantile
 	}
-	return 0.90
+	return DefaultGateAutoQuantile
 }
 
 // NewWindower builds a fresh windower matching the config.
-func (c Config) NewWindower() window.Windower {
-	if c.WindowCount > 0 {
-		return window.NewByCount(c.WindowCount)
-	}
+func (c Config) NewWindower() *window.ByTime {
 	return window.NewByTime(c.WindowDuration)
 }
 
@@ -446,7 +437,7 @@ func Learn(cfg Config, r trace.Reader) (*Learned, error) {
 // configured quantile of the observed distances. That quantile is the
 // clean trace's gate-noise ceiling: on live data, distances above it are
 // genuinely unusual for this gate distance's scale, so the threshold
-// adapts to symkl and jsd alike instead of assuming one fixed magnitude.
+// adapts to kl and symkl alike instead of assuming one fixed magnitude.
 func calibrateGate(cfg Config, feat pmf.Featurizer, points [][]float64) float64 {
 	ppmf := make(pmf.Vector, feat.Dim)
 	copy(ppmf, feat.PMFOnly(points[0]))
@@ -513,7 +504,7 @@ const batchEvents = 512
 // and the serve event queue) hands over what it has, up to batchEvents; a
 // plain Reader is read as one-event batches, so a live reader is never
 // asked for more than it has. The windower cuts each batch in one pass
-// (window.Windower.Cut) and lends each window it closes as a sub-slice of
+// (window.ByTime.Cut) and lends each window it closes as a sub-slice of
 // the batch (or of its carry buffer, for a window that spans batches), so
 // a window is judged without being copied: Decision.Window.Events, like
 // Decision.Features, is valid until onDecision returns, and the sink's

@@ -13,12 +13,13 @@ import (
 //
 //   - RowsOf is the exact form: a loop over the scalar Func, so the two
 //     cannot disagree. It is the reference the log-table forms are tested
-//     against and the only row form of the distances with no log to hoist.
+//     against and the only row form of a caller's own Distance.
 //   - LogRows precomputes per-element logarithms for the KL family (kl,
-//     symkl, jsd), removing every (jsd: half the) math.Log calls from the
-//     per-row inner loop. It is approximate in the last ulps (log(p/q) !=
-//     log p - log q in floating point), and no program scores through it:
-//     it is kept only for the wire benchmark (bench/), see LogRows.
+//     symkl, and jsd, which the catalogue no longer holds), removing every
+//     (jsd: half the) math.Log calls from the per-row inner loop. It is
+//     approximate in the last ulps (log(p/q) != log p - log q in floating
+//     point), and no program scores through it: it is kept only for the
+//     wire benchmark (bench/), see LogRows.
 //   - FilterRows runs the same kernels over float32 logs, one row at a
 //     time, with a proven bound on their error and, for symkl, a prefix
 //     test that abandons a row once it cannot matter — the filter half of
@@ -74,8 +75,8 @@ func checkRows(q, rows []float64, dim int, out []float64) {
 type logTable[T float32 | float64] struct {
 	dim    int
 	rows   []float64 // the reference matrix, retained
-	logs   []T       // log(max(rows[i], eps)), elementwise; nil when only jsd is served
-	negent []float64 // per row i: Σ_j row_ij · log(max(row_ij, eps)); nil when jsd is not served
+	logs   []T       // log(max(rows[i], eps)), elementwise
+	negent []float64 // LogRows only, for jsd: per row i, Σ_j row_ij · log(max(row_ij, eps))
 }
 
 // LogRows is the float64 log table of the retired approximate scoring
@@ -88,17 +89,14 @@ type LogRows = logTable[float64]
 // is retained, not copied; it must not be mutated afterwards. Kept for the
 // wire benchmark only, see LogRows.
 func NewLogRows(rows []float64, dim int) *LogRows {
-	return newLogTable[float64](rows, dim, true, true)
+	return newLogTable[float64](rows, dim, true)
 }
 
-func newLogTable[T float32 | float64](rows []float64, dim int, logs, negent bool) *logTable[T] {
+func newLogTable[T float32 | float64](rows []float64, dim int, negent bool) *logTable[T] {
 	if dim <= 0 || len(rows)%dim != 0 {
 		panic(fmt.Sprintf("distance: matrix length %d not a multiple of dim %d", len(rows), dim))
 	}
-	t := &logTable[T]{dim: dim, rows: rows}
-	if logs {
-		t.logs = make([]T, len(rows))
-	}
+	t := &logTable[T]{dim: dim, rows: rows, logs: make([]T, len(rows))}
 	if negent {
 		t.negent = make([]float64, len(rows)/dim)
 	}
@@ -110,9 +108,7 @@ func newLogTable[T float32 | float64](rows []float64, dim int, logs, negent bool
 				lx = eps
 			}
 			l := math.Log(lx)
-			if logs {
-				t.logs[i+j] = T(l)
-			}
+			t.logs[i+j] = T(l)
 			s += x * l
 		}
 		if negent {
@@ -245,54 +241,49 @@ func QueryNegEntropy(q []float64) float64 {
 // the precomputed tables, so only the mixture term costs a log per element
 // — half the logs of the exact kernel. qent must come from
 // QueryNegEntropy(q). Accurate to the last ulps on smoothed pmfs; an
-// identical query and row give an exact 0.
+// identical query and row give an exact 0. Kept for the wire benchmark
+// only, see LogRows.
 func (t *logTable[T]) JSDRows(q []float64, qent float64, out []float64) {
 	checkRows(q, t.rows, t.dim, out)
 	for i := range out {
-		out[i] = t.jsdRow(q, qent, i)
-	}
-}
-
-// jsdRow is JSDRows' value for row i.
-func (t *logTable[T]) jsdRow(q []float64, qent float64, i int) float64 {
-	row := t.rows[i*t.dim : (i+1)*t.dim]
-	var ment float64
-	for j, pj := range q {
-		m := 0.5 * (pj + row[j])
-		lm := m
-		if lm < eps {
-			lm = eps
+		row := t.rows[i*t.dim : (i+1)*t.dim]
+		var ment float64
+		for j, pj := range q {
+			m := 0.5 * (pj + row[j])
+			lm := m
+			if lm < eps {
+				lm = eps
+			}
+			ment += m * math.Log(lm)
 		}
-		ment += m * math.Log(lm)
+		d := 0.5*qent + 0.5*t.negent[i] - ment
+		if d < 0 {
+			d = 0
+		}
+		out[i] = d
 	}
-	d := 0.5*qent + 0.5*t.negent[i] - ment
-	if d < 0 {
-		d = 0
-	}
-	return d
 }
 
-// FastRowsFor reports whether the precomputed-log kernels apply to d:
-// "kl" and "symkl" drop every log from the inner loop, "jsd" halves them
-// via the entropy decomposition; every other catalogue distance has no log
-// to amortize.
+// FastRowsFor reports whether the log-table kernels (FilterRows, and the
+// bench-only LogRows) apply to the named distance: true for "kl" and
+// "symkl", whose inner loops they rid of every log, and false for a
+// caller's own Distance.
 func FastRowsFor(name string) bool {
-	return name == "kl" || name == "symkl" || name == "jsd"
+	return name == "kl" || name == "symkl"
 }
 
 // FilterRows is the filter half of the exact k-NN's filter-and-refine: the
-// logTable kernels over a table small enough to keep beside every model
-// (kl/symkl: float32 logs, half a LogRows; jsd: the n row negentropies
-// only), plus what Prepare needs to bound their error against the exact
-// kernels. The bound is derived in DESIGN.md, "Exact k-NN through a
-// float32 log filter".
+// logTable kernels over float32 logs, half a LogRows, small enough to keep
+// beside every model, plus what Prepare needs to bound their error against
+// the exact kernels. The bound is derived in DESIGN.md, "Exact k-NN
+// through a float32 log filter".
 type FilterRows struct {
 	name string
 	// t holds the float32 logs; for symkl their columns are in filter
 	// order: column p of a row's logs is the log of its component order[p].
 	t *logTable[float32]
 	// order is symkl's filter column order (see filterOrder): the
-	// identity at dim ≤ HeadDim, nil for kl and jsd.
+	// identity at dim ≤ HeadDim, nil for kl.
 	order []int32
 	heads []headRow // symkl with dim > HeadDim: every row's first block, in filter order; nil otherwise
 	// relErr is the rounding error of one distance relative to
@@ -336,12 +327,10 @@ func NewFilterRows(rows []float64, dim int, name string) *FilterRows {
 	if !FastRowsFor(name) {
 		panic(fmt.Sprintf("distance: no log filter for distance %q", name))
 	}
-	f := &FilterRows{name: name, relErr: 4 * float64(dim+4) * 0x1p-53}
-	if name == "jsd" {
-		f.t = newLogTable[float32](rows, dim, false, true)
-	} else {
-		f.t = newLogTable[float32](rows, dim, true, false)
-		f.relErr += 0x1p-24
+	f := &FilterRows{
+		name:   name,
+		t:      newLogTable[float32](rows, dim, false),
+		relErr: 4*float64(dim+4)*0x1p-53 + 0x1p-24,
 	}
 	lo, hi, valid := math.Inf(1), eps, true // log is monotonic: the extreme elements carry maxLog
 	for i := 0; i < len(rows); i += dim {
@@ -420,21 +409,20 @@ func filterOrder(rows []float64, dim int) []int32 {
 }
 
 // FilterQuery is one query prepared against a FilterRows by Prepare: the
-// query, its logs and, for jsd, its negentropy, with the error bound
-// ε(q) of every filter distance to it. It holds the per-query state of a
+// query and its logs, with the error bound ε(q) of every filter distance
+// to it. It holds the per-query state of a
 // filter pass so that the FilterRows, shared by every goroutine of a
 // model, stays read-only; its buffers grow on first use and are reused.
 type FilterQuery struct {
 	// q and logs are the query and its logs, for symkl in the table's
 	// filter order (q then points into perm).
 	q, logs, perm []float64
-	ent           float64 // jsd: Σ_j q_j · log(max(q_j, eps))
 	// Eps is ε(q): |Row's distance − the exact row kernel's| ≤ Eps for
 	// every row Row reads in full. +Inf outside the proof's domain.
 	Eps float64
 	// margin is how far a symkl prefix must clear a cut for the row to be
-	// abandoned (see Stop); NaN, which abandons nothing, for kl, jsd and
-	// an unbounded query.
+	// abandoned (see Stop); NaN, which abandons nothing, for kl and an
+	// unbounded query.
 	margin float64
 	// sums holds the (fwd, rev) first-block sums of the rows from head0
 	// on that the last Heads call summed.
@@ -463,12 +451,6 @@ func (f *FilterRows) Prepare(q []float64, fq *FilterQuery) {
 		}
 	}
 	QueryLogs(fq.q, fq.logs)
-	fq.ent = 0
-	if f.name == "jsd" {
-		for j, x := range q {
-			fq.ent += x * fq.logs[j]
-		}
-	}
 	fq.Eps, fq.margin = f.bound(q, fq.logs), math.NaN()
 	if f.name == "symkl" && !math.IsInf(fq.Eps, 1) {
 		fq.margin = 2 * fq.Eps
@@ -495,8 +477,8 @@ func (f *FilterRows) bound(q, qlogs []float64) float64 {
 // Stop returns the stop value for Row that abandons a symkl row only once
 // its prefix proves its exact distance at or above cut: cut + 2ε, the
 // margin derived in DESIGN.md, "Early abandon". It is NaN, which abandons
-// nothing, when cut is NaN, ε is not finite, or the distance is kl or jsd,
-// whose prefixes bound nothing.
+// nothing, when cut is NaN, ε is not finite, or the distance is kl, whose
+// prefixes bound nothing.
 func (fq *FilterQuery) Stop(cut float64) float64 { return cut + fq.margin }
 
 // Row returns d ≈ d(q, row i) for the query fq was prepared with, and the
@@ -504,19 +486,15 @@ func (fq *FilterQuery) Stop(cut float64) float64 { return cut + fq.margin }
 // order and may be abandoned after a block of 4 components, while
 // components remain unread, once the prefix of its sum reaches stop:
 // read < dim then, d is that prefix, and if stop came from fq.Stop(cut),
-// the row's exact distance is at or above cut. kl and jsd rows are always
-// read in full; a NaN stop abandons nothing. A row read in full gets the
-// value LogRows' kernels compute over its table with the columns in
-// filter order, within fq.Eps of the exact row kernel's.
+// the row's exact distance is at or above cut. kl rows are always read in
+// full; a NaN stop abandons nothing. A row read in full gets the value
+// LogRows' kernels compute over its table with the columns in filter
+// order, within fq.Eps of the exact row kernel's.
 func (f *FilterRows) Row(fq *FilterQuery, i int, stop float64) (d float64, read int) {
-	switch f.name {
-	case "symkl":
-		return f.symKLFrom(fq, i, 0, 0, 0, stop)
-	case "kl":
+	if f.name == "kl" {
 		return f.t.klRow(fq.q, fq.logs, i), f.t.dim
-	default:
-		return f.t.jsdRow(fq.q, fq.ent, i), f.t.dim
 	}
+	return f.symKLFrom(fq, i, 0, 0, 0, stop)
 }
 
 // HeadWidth returns how many components of each row Heads reads: HeadDim,
@@ -533,8 +511,8 @@ func (f *FilterRows) HeadWidth() int {
 // Row(fq, i0+b, stop) would abandon that row after its first block: the
 // rows Rest must still read. Each row's sums take exactly the operations,
 // in exactly the order, that Row's take, over one contiguous table with
-// no branch. Where there is no first block to batch — kl, jsd, or symkl
-// with dim ≤ HeadDim — it reads nothing and sets every bit.
+// no branch. Where there is no first block to batch — kl, or symkl with
+// dim ≤ HeadDim — it reads nothing and sets every bit.
 func (f *FilterRows) Heads(fq *FilterQuery, i0, m int, stop float64) uint16 {
 	if f.heads == nil {
 		return uint16(1<<m - 1)

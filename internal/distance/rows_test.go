@@ -74,17 +74,27 @@ func TestRowKernelsBitExact(t *testing.T) {
 	}
 }
 
+// euclidean is a Distance from outside the catalogue.
+func euclidean(p, q []float64) float64 {
+	var s float64
+	for i := range p {
+		d := p[i] - q[i]
+		s += d * d
+	}
+	return math.Sqrt(s)
+}
+
 // TestRowsOfGenericFallback checks that a Distance from outside the
 // catalogue gets the same row form.
 func TestRowsOfGenericFallback(t *testing.T) {
-	d := Distance{Name: "custom-l2", F: L2}
+	d := Distance{Name: "custom-l2", F: euclidean}
 	rng := rand.New(rand.NewSource(8))
 	rows := randRows(rng, 10, 5, 0)
 	q := randRows(rng, 1, 5, 0)
 	out := make([]float64, 10)
 	RowsOf(d)(q, rows, 5, out)
 	for r := 0; r < 10; r++ {
-		if want := L2(q, rows[r*5:(r+1)*5]); out[r] != want {
+		if want := euclidean(q, rows[r*5:(r+1)*5]); out[r] != want {
 			t.Fatalf("generic fallback row %d: %v != %v", r, out[r], want)
 		}
 	}
@@ -138,7 +148,7 @@ func TestLogRowsNonNegativeOnDuplicates(t *testing.T) {
 
 func TestFastRowsFor(t *testing.T) {
 	for name, want := range map[string]bool{
-		"kl": true, "symkl": true, "jsd": true, "jsdist": false, "l2": false, "hellinger": false,
+		"kl": true, "symkl": true, "jsd": false, "custom-l2": false, "": false,
 	} {
 		if got := FastRowsFor(name); got != want {
 			t.Fatalf("FastRowsFor(%q) = %v, want %v", name, got, want)
@@ -231,7 +241,7 @@ func TestFilterRowsWithinBound(t *testing.T) {
 		const n = 96
 		rows := adversarialRows(rng, n, dim)
 		queries := append(adversarialRows(rng, 32, dim), rows...)
-		for _, name := range []string{"kl", "symkl", "jsd"} {
+		for _, name := range []string{"kl", "symkl"} {
 			f := NewFilterRows(rows, dim, name)
 			exact := RowsOf(Must(name))
 			got, want := make([]float64, n), make([]float64, n)
@@ -299,7 +309,7 @@ func TestFilterRowsOutsideDomain(t *testing.T) {
 	good := []float64{0.2, 0, 0.8, 0.5, 0.5, 3, 0.1, 0.3, 0.2, 0.2, 0.1, 1}
 	out := make([]float64, 2)
 	for _, bad := range []float64{math.NaN(), math.Inf(1), -0.25, 5e-324, 1e200} {
-		for _, name := range []string{"kl", "symkl", "jsd"} {
+		for _, name := range []string{"kl", "symkl"} {
 			q := []float64{0.5, bad, 0.5, 0, 0, 1}
 			rows := append([]float64(nil), good...)
 			rows[4] = bad
@@ -334,7 +344,7 @@ func TestFilterRowsOutsideDomain(t *testing.T) {
 // at the same stop, and Rest, given a stop that has fallen since, returns
 // what Row returns at that stop — over batches cut short by the end of
 // the set, dimensions of one block plus a tail and of two blocks, and
-// tables with no block to batch (kl, jsd, symkl at dim ≤ 4), where Heads
+// tables with no block to batch (kl, symkl at dim ≤ 4), where Heads
 // drops nothing. Every batched table reads its columns in an order that
 // is not the identity.
 func TestFilterHeadsMatchRow(t *testing.T) {
@@ -343,7 +353,7 @@ func TestFilterHeadsMatchRow(t *testing.T) {
 	for _, dim := range []int{3, 4, 5, 8, 9, 26} {
 		rows := adversarialRows(rng, n, dim)
 		queries := append(adversarialRows(rng, 6, dim), rows[:3*dim]...)
-		for _, name := range []string{"kl", "symkl", "jsd"} {
+		for _, name := range []string{"kl", "symkl"} {
 			f := NewFilterRows(rows, dim, name)
 			batched := name == "symkl" && dim > HeadDim
 			if batched && slices.IsSorted(f.order) {
@@ -406,7 +416,7 @@ func TestFilterHeadsMatchRow(t *testing.T) {
 // first HeadDim columns in that order. The set has a column of equal
 // values (covariance 0), a copy of another column (an exact tie) and a
 // rate column above 1 (the largest covariance); dim ≤ HeadDim keeps the
-// identity, and kl and jsd, which abandon nothing, have no order.
+// identity, and kl, which abandons nothing, has no order.
 func TestFilterOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	const n, dim = 50, 9
@@ -478,9 +488,7 @@ func TestFilterOrder(t *testing.T) {
 	if o := NewFilterRows(rows[:n*HeadDim], HeadDim, "symkl").order; !slices.Equal(o, []int32{0, 1, 2, 3}) {
 		t.Errorf("dim %d: order %v, want the identity", HeadDim, o)
 	}
-	for _, name := range []string{"kl", "jsd"} {
-		if o := NewFilterRows(rows, dim, name).order; o != nil {
-			t.Errorf("%s: order %v, want none", name, o)
-		}
+	if o := NewFilterRows(rows, dim, "kl").order; o != nil {
+		t.Errorf("kl: order %v, want none", o)
 	}
 }

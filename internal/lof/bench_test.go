@@ -55,14 +55,6 @@ func BenchmarkScoreBruteSymKL3000(b *testing.B) {
 	benchmarkScore(b, 3000, distance.Must("symkl"))
 }
 
-func BenchmarkScoreBruteL21000(b *testing.B) {
-	benchmarkScore(b, 1000, distance.Must("l2"))
-}
-
-func BenchmarkScoreBruteHellinger1000(b *testing.B) {
-	benchmarkScore(b, 1000, distance.Must("hellinger"))
-}
-
 // benchmarkFitBrute measures the learning step (pairwise kNN at fit
 // time), the other cost the ROADMAP perf item cares about.
 func benchmarkFitBrute(b *testing.B, n int) {

@@ -2,10 +2,22 @@ package lof_test
 
 import (
 	"fmt"
+	"math"
 
 	"enduratrace/internal/distance"
 	"enduratrace/internal/lof"
 )
+
+// euclidean is a caller's own Distance: Fit accepts any dissimilarity,
+// and scores one outside the catalogue by a full exact scan.
+var euclidean = distance.Distance{Name: "euclidean", F: func(p, q []float64) float64 {
+	var s float64
+	for i := range p {
+		d := p[i] - q[i]
+		s += d * d
+	}
+	return math.Sqrt(s)
+}}
 
 // ExampleFit fits a LOF model over a small 2-D reference set and shows
 // the model's shape. In enduratrace the points are window pmfs, but Fit
@@ -15,7 +27,7 @@ func ExampleFit() {
 		{0.0, 0.0}, {0.1, 0.0}, {0.0, 0.1}, {0.1, 0.1},
 		{0.05, 0.05}, {0.9, 0.9},
 	}
-	model, err := lof.Fit(points, 2, distance.Must("l2"))
+	model, err := lof.Fit(points, 2, euclidean)
 	if err != nil {
 		panic(err)
 	}
@@ -39,7 +51,7 @@ func ExampleScorer_Score() {
 	for i := 0; i < 20; i++ {
 		points = append(points, []float64{float64(i%5) * 0.01, float64(i/5) * 0.01})
 	}
-	model, err := lof.Fit(points, 3, distance.Must("l2"))
+	model, err := lof.Fit(points, 3, euclidean)
 	if err != nil {
 		panic(err)
 	}

@@ -15,7 +15,7 @@ type Neighbor struct {
 }
 
 // Scratch holds the reusable buffers of one k-NN/scoring goroutine: the
-// row-kernel distance output of the other distances, the bounded
+// row-kernel distance output of a caller's own distance, the bounded
 // selection heap, the sorted neighbour result, and the KL-family path's
 // prepared filter query and lazy heap. Buffers grow on first use and are
 // reused afterwards, so steady-state queries allocate nothing. A Scratch
@@ -144,8 +144,9 @@ func (h *neighborHeap) drainSorted(dst []Neighbor) []Neighbor {
 
 // BruteIndex answers k-nearest-neighbour queries over a fixed point set,
 // stored as a flat row-major matrix, by a single row-kernel pass followed
-// by bounded-heap selection. It accepts any dissimilarity (including the
-// non-metric KL family).
+// by bounded-heap selection. It accepts any dissimilarity: the catalogue's
+// non-metric KL family, and a caller's own Distance, which it scores by
+// the full exact scan the tests take as the reference.
 //
 // For the KL family the pass is the float32-log filter, run inside the
 // selection (symkl's first blocks a batch of rows at a time, every other
@@ -158,7 +159,7 @@ type BruteIndex struct {
 	n      int
 	dist   distance.Distance
 	rows   distance.RowsFunc
-	filter *distance.FilterRows // KL-family path; nil for other distances
+	filter *distance.FilterRows // KL-family path; nil for a caller's own distance
 	// On the filter path, the groups of bitwise-identical rows (see
 	// refine): group[i] is row i's group, −1 for a row with no copy, and
 	// first[g] is group g's lowest row. Both nil when no row repeats.

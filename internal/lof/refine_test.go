@@ -123,7 +123,7 @@ var nearTies = []struct {
 	// rate component of 40 widens ε to ≈ 1.4e-4.
 	{[]byte{6, 2, 11, 13, 2, 6, 10, 13, 2, 6, 11, 13}, 4, []string{"kl", "symkl"}},
 	// 1e-13 against 5e-13 where the query has 0, ≈ 1.4e-13 apart.
-	{[]byte{6, 2, 0, 2, 6, 8, 2, 6, 9}, 3, []string{"symkl", "jsd"}},
+	{[]byte{6, 2, 0, 2, 6, 8, 2, 6, 9}, 3, []string{"symkl"}},
 }
 
 // checkNearTie asserts that the two rows of flat are a near tie for q
@@ -325,7 +325,7 @@ func TestRefineEqualsFullScan(t *testing.T) {
 			case 4:
 				q[0] = math.NaN()
 			}
-			for _, name := range []string{"kl", "symkl", "jsd"} {
+			for _, name := range []string{"kl", "symkl"} {
 				if checkRefineEqualsFullScan(t, name, q, flat, tc.dim, tc.k) {
 					ties++
 				}
@@ -346,7 +346,7 @@ func TestRefineEqualsFullScan(t *testing.T) {
 	q, flat := decodeSet(nearCut, 5)
 	checkRefineEqualsFullScan(t, "symkl", q, flat, 5, 1)
 	for _, cs := range copySets(t, rng) {
-		for _, name := range []string{"kl", "symkl", "jsd"} {
+		for _, name := range []string{"kl", "symkl"} {
 			t.Logf("%s: %s", cs.what, name)
 			checkRefineEqualsFullScan(t, name, cs.q, cs.flat, cs.dim, cs.k)
 		}
@@ -357,7 +357,7 @@ func TestRefineEqualsFullScan(t *testing.T) {
 // row's length panics rather than being read short or past its end.
 func TestKNNWrongLengthPanics(t *testing.T) {
 	flat := []float64{0.2, 0, 0.8, 0.5, 0.5, 3, 0.1, 0.3, 0.2, 0.2, 0.1, 1}
-	for _, name := range []string{"kl", "symkl", "jsd"} {
+	for _, name := range []string{"kl", "symkl"} {
 		idx := NewBruteIndex(flat, 6, distance.Must(name))
 		for _, n := range []int{5, 7} {
 			func() {
@@ -379,7 +379,7 @@ func TestKNNWrongLengthPanics(t *testing.T) {
 func TestRefinePrunes(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	pts := pmfPoints(rng, 1000, 8)
-	for _, name := range []string{"kl", "symkl", "jsd"} {
+	for _, name := range []string{"kl", "symkl"} {
 		m, err := Fit(pts, 10, distance.Must(name))
 		if err != nil {
 			t.Fatal(err)
@@ -394,12 +394,12 @@ func TestRefinePrunes(t *testing.T) {
 		}
 		t.Logf("%s: %.1f exact kernel calls a query", name, float64(refined)/50)
 	}
-	m, err := Fit(pts, 10, distance.Must("l2"))
+	m, err := Fit(pts, 10, l2())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.index.filter != nil {
-		t.Error("l2: a filter table was built")
+		t.Error("euclidean: a filter table was built")
 	}
 }
 
@@ -425,7 +425,7 @@ func FuzzRefineEqualsFullScan(f *testing.F) {
 	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7, 7, 7}, uint8(0), uint8(3), uint8(0), uint8(0))
 	f.Add([]byte{200, 146, 9, 13, 255, 130, 8, 1, 210, 145, 3, 12, 220, 7, 6, 5}, uint8(3), uint8(2), uint8(2), uint8(0))
 	f.Add(nearTies[0].data, uint8(3), uint8(0), uint8(1), uint8(0)) // symkl, dim 4, k 1
-	f.Add(nearTies[1].data, uint8(2), uint8(0), uint8(2), uint8(0)) // jsd, dim 3, k 1
+	f.Add(nearTies[1].data, uint8(2), uint8(0), uint8(1), uint8(0)) // symkl, dim 3, k 1
 	f.Add(nearCut, uint8(4), uint8(0), uint8(1), uint8(0))          // symkl, dim 5, k 1
 	// symkl, dim 9 (two blocks and a tail), k 3: 19 rows, a full batch
 	// and three more.
@@ -447,7 +447,7 @@ func FuzzRefineEqualsFullScan(f *testing.F) {
 			return
 		}
 		plantCopies(flat, dim, copySel)
-		name := []string{"kl", "symkl", "jsd"}[int(distSel)%3]
+		name := []string{"kl", "symkl"}[int(distSel)%2]
 		checkRefineEqualsFullScan(t, name, q, flat, dim, 1+int(kSel)%8)
 	})
 }

@@ -46,14 +46,14 @@ func TestScorerMatchesModelScore(t *testing.T) {
 
 // TestScorerZeroAlloc is the allocation-regression gate for the scoring
 // hot path: after warmup, Scorer.Score must not allocate — on the
-// filter-and-refine path and on the plain scan of a distance with no log
-// table.
+// filter-and-refine path of both catalogue distances and on the plain scan
+// of a caller's own distance.
 func TestScorerZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	pts := pmfPoints(rng, 300, 8)
 	q := pmfPoints(rng, 1, 8)[0]
-	for _, dist := range []string{"symkl", "hellinger"} {
-		m, err := Fit(pts, 10, distance.Must(dist))
+	for _, dist := range []distance.Distance{distance.Must("symkl"), distance.Must("kl"), l2()} {
+		m, err := Fit(pts, 10, dist)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func TestScorerZeroAlloc(t *testing.T) {
 		sc.Score(q) // warm the scratch
 		var sink float64
 		if allocs := testing.AllocsPerRun(100, func() { sink += sc.Score(q) }); allocs != 0 {
-			t.Errorf("%s: Scorer.Score allocates %v/op, want 0", dist, allocs)
+			t.Errorf("%s: Scorer.Score allocates %v/op, want 0", dist.Name, allocs)
 		}
 		_ = sink
 	}

@@ -69,11 +69,13 @@ type Job struct {
 	Seed  int64
 }
 
-// DefaultGrid returns the default distance-ablation sweep: every
-// gate-capable catalogue distance crossed with the tuned alpha / factor /
-// K from eval.DefaultOptions, at CI-sized durations (a 40 s reference run
-// and a 2-minute perturbed run with two factor-3 perturbations), over
-// seeds 1..nSeeds.
+// DefaultGrid returns the default distance-ablation sweep: both catalogue
+// distances, the shipped symkl and the paper's literal kl, crossed with
+// the tuned alpha / factor / K from eval.DefaultOptions, at CI-sized
+// durations (a 40 s reference run and a 2-minute perturbed run with two
+// factor-3 perturbations), over seeds 1..nSeeds. Compare the two at
+// matched recall, over an alpha axis (DESIGN.md, "A-distance ablation"):
+// at one alpha the comparison is fair to neither.
 func DefaultGrid(nSeeds int) Grid {
 	base := eval.DefaultOptions()
 	base.RefDuration = 40 * time.Second
@@ -88,7 +90,7 @@ func DefaultGrid(nSeeds int) Grid {
 	}
 	return Grid{
 		Base:      base,
-		Distances: []string{"symkl", "jsd", "hellinger", "l1", "l2", "chi2"},
+		Distances: []string{"symkl", "kl"},
 		Alphas:    []float64{base.Core.Alpha},
 		Factors:   []float64{base.Factor},
 		Ks:        []int{base.Core.K},

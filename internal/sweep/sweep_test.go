@@ -68,7 +68,8 @@ var badGrids = []func(*Grid){
 	func(g *Grid) { g.Distances = nil },
 	func(g *Grid) { g.Seeds = nil },
 	func(g *Grid) { g.Distances = []string{"nope"} },
-	func(g *Grid) { g.Distances = []string{"l2", "l2"} },
+	func(g *Grid) { g.Distances = []string{"kl", "kl"} },
+	func(g *Grid) { g.Distances = []string{"hellinger"} },
 	func(g *Grid) { g.Alphas = []float64{2, 2} },
 	func(g *Grid) { g.Ks = []int{0} },
 	func(g *Grid) { g.Ks = []int{20, 20} },
@@ -88,7 +89,7 @@ func TestValidateRejectsBadGrids(t *testing.T) {
 func TestParseGrid(t *testing.T) {
 	def := DefaultGrid(2)
 	data := []byte(`{
-		"distances": ["l1", "l2"],
+		"distances": ["kl", "symkl"],
 		"seeds": [7, 8, 9],
 		"run_duration": "90s",
 		"perturb_first": "20s"
@@ -97,7 +98,7 @@ func TestParseGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(g.Distances, []string{"l1", "l2"}) {
+	if !reflect.DeepEqual(g.Distances, []string{"kl", "symkl"}) {
 		t.Fatalf("distances %v", g.Distances)
 	}
 	if !reflect.DeepEqual(g.Seeds, []int64{7, 8, 9}) {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -260,4 +261,98 @@ func TestTextWriterFormat(t *testing.T) {
 			t.Fatalf("text trace %q, want %q", got, c.want)
 		}
 	}
+}
+
+// FuzzBinaryReader feeds arbitrary bytes to the .etrc reader behind
+// learn, monitor and replay. It must never panic, whatever ends a stream
+// must be sticky, and the events it decodes before that end — every event
+// of a stream it accepts — must re-encode through BinaryWriter, to the
+// size SizeAccountant prices them at, and decode to the same events,
+// ending cleanly.
+func FuzzBinaryReader(f *testing.F) {
+	encode := func(evs []trace.Event) []byte {
+		var buf bytes.Buffer
+		bw, err := NewBinaryWriter(&buf)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, ev := range evs {
+			if err := bw.Write(ev); err != nil {
+				f.Fatal(err)
+			}
+		}
+		if err := bw.Flush(); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	f.Add(encode(nil))
+	full := encode(randomStream(rand.New(rand.NewSource(5)), 20))
+	f.Add(full)
+	for _, cut := range []int{1, 4, 5, 6, 8, len(full) / 2, len(full) - 1} {
+		f.Add(full[:cut])
+	}
+	f.Add([]byte("ETRS\x01"))
+	f.Add([]byte("ETRC\x02"))
+	// head starts a fresh stream on every call, so no two seeds share
+	// bytes.
+	head := func(b ...byte) []byte { return append([]byte(magic+"\x01"), b...) }
+	// Non-minimal varints (dts 0 in two bytes, type 1 in three), a type
+	// past 16 bits, a payload length past the limit, and a timestamp that
+	// wraps int64.
+	f.Add(head(0x80, 0x00, 0x81, 0x80, 0x00, 5, 0, 1, 0x80, 0x80, 0x04, 0, 0))
+	f.Add(append(binary.AppendUvarint(head(1, 2, 3), maxPayloadSize+1), 'x'))
+	f.Add(append(binary.AppendUvarint(head(), math.MaxInt64), 1, 1, 0, 1, 1, 1, 0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		br, err := NewBinaryReader(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var evs []trace.Event
+		for {
+			ev, err := br.Next()
+			if err != nil {
+				if _, err2 := br.Next(); err2 == nil {
+					t.Fatal("Next succeeded after a terminal error")
+				}
+				break
+			}
+			if ev.TS < 0 || (len(evs) > 0 && ev.TS < evs[len(evs)-1].TS) {
+				t.Fatalf("event %d decoded at %v, after %d events", len(evs), ev.TS, len(evs))
+			}
+			evs = append(evs, ev)
+		}
+
+		var buf bytes.Buffer
+		bw, err := NewBinaryWriter(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acct := NewSizeAccountant()
+		for i, ev := range evs {
+			if err := bw.Write(ev); err != nil {
+				t.Fatalf("decoded event %d does not re-encode: %v", i, err)
+			}
+			acct.Write(ev)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if n := int64(buf.Len()); n != bw.BytesWritten() || n != acct.Bytes() {
+			t.Fatalf("re-encoded to %d bytes; the writer counted %d, the accountant %d", n, bw.BytesWritten(), acct.Bytes())
+		}
+		rr, err := NewBinaryReader(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded stream: %v", err)
+		}
+		for i, want := range evs {
+			got, err := rr.Next()
+			if err != nil || !sameEvent(got, want) {
+				t.Fatalf("re-encoded event %d decodes to %+v (%v), want %+v", i, got, err, want)
+			}
+		}
+		if _, err := rr.Next(); err != io.EOF {
+			t.Fatalf("re-encoded stream ends with %v after %d events, want EOF", err, len(evs))
+		}
+	})
 }

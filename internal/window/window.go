@@ -1,7 +1,6 @@
 // Package window slices a trace stream into the elementary processing units
-// of the paper's approach (§II, "Data representation"): windows of N
-// consecutive events, as delivered by the tracing hardware's buffers, or
-// fixed-duration time windows (the experiment in §III uses 40 ms windows).
+// of the paper's approach (§II, "Data representation"): fixed-duration
+// time windows (the experiment in §III uses 40 ms windows).
 package window
 
 import (
@@ -13,11 +12,8 @@ import (
 	"enduratrace/internal/trace"
 )
 
-// Window is a contiguous slice of a trace.
-//
-// For count windows, Start/End are the first/last event timestamps; for time
-// windows they are the window boundaries (End exclusive). Index counts
-// windows from 0 in stream order.
+// Window is a contiguous slice of a trace. Start and End are the window
+// boundaries (End exclusive); Index counts windows from 0 in stream order.
 type Window struct {
 	Index  int
 	Start  time.Duration
@@ -38,83 +34,6 @@ func (w Window) Contains(ts time.Duration) bool { return ts >= w.Start && ts < w
 // exact length: what a caller keeping a lent window stores.
 func (w Window) Clone() Window {
 	w.Events = append(make([]trace.Event, 0, len(w.Events)), w.Events...)
-	return w
-}
-
-// Windower turns an event stream into a window stream. Cut consumes a
-// batch of events from the front of evs, appends every window they close
-// to dst, and returns the extended dst and the number of events consumed.
-// It appends at most max windows (max > 0): when the next window to close
-// would be one more, it stops before the event that closes it and returns
-// a count short of len(evs), so a caller can judge what it has and call
-// again with the rest — a long timestamp gap then costs max windows of
-// memory a call, not one window per gap length. Flush returns the final
-// partial window, if any. A Windower is single-use.
-//
-// Windows are lent, not given: each Events slice is of exact length
-// (len == cap), and it is a sub-slice of evs when the window closes
-// inside the batch, or of a buffer the windower reuses when the window
-// spans batches (and for Flush). A lent window is valid until the next
-// Cut or Flush on the same windower, or until the caller overwrites evs.
-// A caller that keeps a window past that copies it (Window.Clone, or a
-// Ring); the windower itself copies only the open window's part of a
-// batch, which must outlive the caller's next read.
-type Windower interface {
-	Cut(dst []Window, evs []trace.Event, max int) ([]Window, int)
-	Flush() (Window, bool)
-}
-
-// ByCount groups every n consecutive events into a window, mirroring
-// hardware trace buffers of n entries.
-type ByCount struct {
-	n     int
-	carry carry
-	index int
-}
-
-// NewByCount returns a count windower; n must be positive.
-func NewByCount(n int) *ByCount {
-	if n <= 0 {
-		panic(fmt.Sprintf("window: ByCount size must be positive, got %d", n))
-	}
-	return &ByCount{n: n}
-}
-
-// Cut implements Windower.
-//
-//enduratrace:zeroalloc
-func (c *ByCount) Cut(dst []Window, evs []trace.Event, max int) ([]Window, int) {
-	j := 0
-	for emitted := 0; len(c.carry.open)+len(evs)-j >= c.n; emitted++ {
-		if emitted == max {
-			return dst, j
-		}
-		k := j + c.n - len(c.carry.open)
-		dst = append(dst, c.emit(evs[j:k]))
-		j = k
-	}
-	c.carry.keep(evs[j:])
-	return dst, len(evs)
-}
-
-// Flush implements Windower.
-func (c *ByCount) Flush() (Window, bool) {
-	if len(c.carry.open) == 0 {
-		return Window{}, false
-	}
-	return c.emit(nil), true
-}
-
-// emit closes the window made of the carried events followed by tail.
-func (c *ByCount) emit(tail []trace.Event) Window {
-	events := c.carry.join(tail)
-	w := Window{
-		Index:  c.index,
-		Start:  events[0].TS,
-		End:    events[len(events)-1].TS,
-		Events: events,
-	}
-	c.index++
 	return w
 }
 
@@ -146,7 +65,26 @@ func (c *carry) join(tail []trace.Event) []trace.Event {
 }
 
 // ByTime groups events into fixed-duration windows aligned to multiples of
-// the window length. Empty windows ARE emitted for gaps in the stream:
+// the window length, turning an event stream into a window stream. Cut
+// consumes a batch of events from the front of evs, appends every window
+// they close to dst, and returns the extended dst and the number of events
+// consumed. It appends at most max windows (max > 0): when the next window
+// to close would be one more, it stops before the event that closes it and
+// returns a count short of len(evs), so a caller can judge what it has and
+// call again with the rest — a long timestamp gap then costs max windows
+// of memory a call, not one window per gap length. Flush returns the final
+// partial window, if any. A ByTime is single-use.
+//
+// Windows are lent, not given: each Events slice is of exact length
+// (len == cap), and it is a sub-slice of evs when the window closes
+// inside the batch, or of a buffer the windower reuses when the window
+// spans batches (and for Flush). A lent window is valid until the next
+// Cut or Flush on the same windower, or until the caller overwrites evs.
+// A caller that keeps a window past that copies it (Window.Clone, or a
+// Ring); the windower itself copies only the open window's part of a
+// batch, which must outlive the caller's next read.
+//
+// Empty windows ARE emitted for gaps in the stream:
 // during a decoder stall the event rate collapses, and those near-empty
 // windows are precisely the behaviour change the monitor must see.
 //
@@ -182,10 +120,9 @@ func (t *ByTime) closes(ts time.Duration) bool {
 	return ts >= t.cur && uint64(ts)-uint64(t.cur) >= uint64(t.d)
 }
 
-// Cut implements Windower. It scans the batch for the events that close
-// windows and lends each window that closes inside the batch as a
-// sub-slice of it; only the part of a window that spans batches is
-// copied, into the carry.
+// Cut scans the batch for the events that close windows and lends each
+// window that closes inside the batch as a sub-slice of it; only the part
+// of a window that spans batches is copied, into the carry.
 //
 //enduratrace:zeroalloc
 func (t *ByTime) Cut(dst []Window, evs []trace.Event, max int) ([]Window, int) {
@@ -238,8 +175,8 @@ func (t *ByTime) Add(ev trace.Event) (Window, bool) {
 // after Add until ok is false.
 func (t *ByTime) Drain() (Window, bool) { return t.pop() }
 
-// Flush implements Windower: it closes the current window if it holds any
-// events. Windows queued by Add must be collected with Drain first.
+// Flush closes the current window if it holds any events. Windows queued
+// by Add must be collected with Drain first.
 func (t *ByTime) Flush() (Window, bool) {
 	if w, ok := t.pop(); ok {
 		return w, ok
@@ -288,7 +225,7 @@ const streamBatch = 512
 // Stream applies a windower to a reader and invokes fn for every completed
 // window including the final flush. fn returning an error aborts the
 // stream. The window fn gets is lent: it is valid until fn returns.
-func Stream(r trace.Reader, w Windower, fn func(Window) error) error {
+func Stream(r trace.Reader, w *ByTime, fn func(Window) error) error {
 	br, _ := r.(trace.BatchReader)
 	evs := make([]trace.Event, streamBatch)
 	var wins []Window
@@ -325,7 +262,7 @@ func Stream(r trace.Reader, w Windower, fn func(Window) error) error {
 
 // Collect gathers a copy of every window produced from r into a slice.
 // Intended for tests and small traces.
-func Collect(r trace.Reader, w Windower) ([]Window, error) {
+func Collect(r trace.Reader, w *ByTime) ([]Window, error) {
 	var out []Window
 	err := Stream(r, w, func(win Window) error {
 		out = append(out, win.Clone())

@@ -10,40 +10,6 @@ import (
 
 func ev(ts time.Duration) trace.Event { return trace.Event{TS: ts, Type: 1} }
 
-func TestByCountSizing(t *testing.T) {
-	w := NewByCount(3)
-	var out []Window
-	for i := 0; i < 7; i++ {
-		// Cut lends its windows until the next Cut: keep copies.
-		n := len(out)
-		out, _ = w.Cut(out, []trace.Event{ev(time.Duration(i) * time.Millisecond)}, 1)
-		for j := n; j < len(out); j++ {
-			out[j] = out[j].Clone()
-		}
-	}
-	if win, ok := w.Flush(); ok {
-		out = append(out, win)
-	}
-	if len(out) != 3 {
-		t.Fatalf("got %d windows, want 3", len(out))
-	}
-	wantLens := []int{3, 3, 1}
-	for i, win := range out {
-		if win.Index != i {
-			t.Fatalf("window %d has index %d", i, win.Index)
-		}
-		if win.Len() != wantLens[i] {
-			t.Fatalf("window %d has %d events, want %d", i, win.Len(), wantLens[i])
-		}
-		if win.Start != win.Events[0].TS || win.End != win.Events[len(win.Events)-1].TS {
-			t.Fatalf("window %d bounds %v..%v don't match events", i, win.Start, win.End)
-		}
-	}
-	if _, ok := w.Flush(); ok {
-		t.Fatal("second Flush produced a window")
-	}
-}
-
 func TestByTimeBoundaries(t *testing.T) {
 	// 10 ms windows; an event exactly on a boundary belongs to the next
 	// window (End is exclusive).
@@ -151,15 +117,6 @@ func TestStreamAndCollect(t *testing.T) {
 	}
 }
 
-func TestNewByCountPanicsOnBadSize(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for ByCount(0)")
-		}
-	}()
-	NewByCount(0)
-}
-
 // TestByTimeNearMaxInt64: the window arithmetic must not overflow at the
 // end of the time axis. Before it was overflow-safe, one event at
 // math.MaxInt64-1 made Add loop forever, queueing windows until the
@@ -245,12 +202,11 @@ func TestRingKeepsCopies(t *testing.T) {
 	}
 }
 
-// refWindower is the per-event windowing the cutters must reproduce: the
+// refWindower is the per-event windowing ByTime must reproduce: the
 // original one-event-at-a-time arithmetic, with its comparisons written
 // to be overflow-free.
 type refWindower struct {
-	count   int           // > 0: count windows of this many events
-	d       time.Duration // otherwise time windows of this length
+	d       time.Duration // the window length
 	cur     time.Duration
 	started bool
 	buf     []trace.Event
@@ -258,13 +214,6 @@ type refWindower struct {
 }
 
 func (r *refWindower) add(e trace.Event) {
-	if r.count > 0 {
-		r.buf = append(r.buf, e)
-		if len(r.buf) == r.count {
-			r.emit()
-		}
-		return
-	}
 	if !r.started {
 		r.started = true
 		r.cur = e.TS - e.TS%r.d
@@ -282,16 +231,11 @@ func (r *refWindower) flush() {
 }
 
 func (r *refWindower) emit() {
-	w := Window{Index: len(r.out), Events: append([]trace.Event{}, r.buf...)}
-	if r.count > 0 {
-		w.Start, w.End = r.buf[0].TS, r.buf[len(r.buf)-1].TS
-	} else {
-		w.Start, w.End = r.cur, math.MaxInt64
-		if r.cur <= math.MaxInt64-r.d {
-			w.End = r.cur + r.d
-		}
-		r.cur = w.End
+	w := Window{Index: len(r.out), Start: r.cur, End: math.MaxInt64, Events: append([]trace.Event{}, r.buf...)}
+	if r.cur <= math.MaxInt64-r.d {
+		w.End = r.cur + r.d
 	}
+	r.cur = w.End
 	r.out = append(r.out, w)
 	r.buf = r.buf[:0]
 }
@@ -335,18 +279,18 @@ func fuzzTrace(data []byte, base int64, d time.Duration) [][]trace.Event {
 }
 
 // FuzzWindowCut: over arbitrary event sequences and batch splits, Cut
-// with any window limit — and, one event at a time, ByTime's Add/Drain
-// and ByCount's Cut — give exactly the windows of the per-event
-// reference, each in an exact-length slice. Cut's windows are lent: each
+// with any window limit — and, one event at a time, Add/Drain — give
+// exactly the windows of the per-event reference, each in an exact-length
+// slice. Cut's windows are lent: each
 // is checked as soon as Cut returns and then cloned, as a keeper would;
 // the batch is poisoned once it is cut, so a windower that kept (carried)
 // a sub-slice of it instead of a copy fails.
 func FuzzWindowCut(f *testing.F) {
-	f.Add([]byte{1, 1, 1, 1, 1, 0, 40, 2, 1, 1, 200, 1, 3, 4, 0, 0}, int64(0), uint8(9), uint8(0), false)
-	f.Add([]byte{5, 0, 5, 4, 5, 8, 5, 0, 127, 2, 1, 0, 1, 0}, int64(12345), uint8(3), uint8(2), true)
-	f.Add([]byte{1, 0, 1, 0, 100, 2, 3, 1}, int64(math.MaxInt64-50), uint8(15), uint8(1), false)
-	f.Add([]byte{255, 2, 255, 2, 1, 0, 2, 0}, int64(math.MinInt64+20), uint8(4), uint8(3), false)
-	f.Fuzz(func(t *testing.T, data []byte, base int64, dSel, maxSel uint8, count bool) {
+	f.Add([]byte{1, 1, 1, 1, 1, 0, 40, 2, 1, 1, 200, 1, 3, 4, 0, 0}, int64(0), uint8(9), uint8(0))
+	f.Add([]byte{5, 0, 5, 4, 5, 8, 5, 0, 127, 2, 1, 0, 1, 0}, int64(12345), uint8(3), uint8(2))
+	f.Add([]byte{1, 0, 1, 0, 100, 2, 3, 1}, int64(math.MaxInt64-50), uint8(15), uint8(1))
+	f.Add([]byte{255, 2, 255, 2, 1, 0, 2, 0}, int64(math.MinInt64+20), uint8(4), uint8(3))
+	f.Fuzz(func(t *testing.T, data []byte, base int64, dSel, maxSel uint8) {
 		if len(data) > 256 {
 			data = data[:256]
 		}
@@ -355,11 +299,7 @@ func FuzzWindowCut(f *testing.F) {
 		batches := fuzzTrace(data, base, d)
 
 		ref := &refWindower{d: d}
-		var cutter Windower = NewByTime(d)
-		if count {
-			ref = &refWindower{count: 1 + int(dSel%7)}
-			cutter = NewByCount(ref.count)
-		}
+		cutter := NewByTime(d)
 		for _, b := range batches {
 			for _, e := range b {
 				ref.add(e)
@@ -379,7 +319,7 @@ func FuzzWindowCut(f *testing.F) {
 					name, i, g.Index, int64(g.Start), int64(g.End), len(g.Events),
 					w.Index, int64(w.Start), int64(w.End), len(w.Events))
 			}
-			if !count && g.End < g.Start {
+			if g.End < g.Start {
 				t.Fatalf("%s: window %d ends before it starts", name, i)
 			}
 			if cap(g.Events) != len(g.Events) {
@@ -394,17 +334,8 @@ func FuzzWindowCut(f *testing.F) {
 
 		var stepped []Window
 		byTime := NewByTime(d)
-		byCount := NewByCount(max(ref.count, 1))
 		for _, b := range batches {
 			for _, e := range b {
-				if count {
-					got, _ := byCount.Cut(nil, []trace.Event{e}, 1)
-					for _, w := range got {
-						check("one at a time", len(stepped), w)
-						stepped = append(stepped, w.Clone())
-					}
-					continue
-				}
 				if w, ok := byTime.Add(e); ok {
 					stepped = append(stepped, w)
 				}
@@ -417,11 +348,7 @@ func FuzzWindowCut(f *testing.F) {
 				}
 			}
 		}
-		var last Windower = byTime
-		if count {
-			last = byCount
-		}
-		if w, ok := last.Flush(); ok {
+		if w, ok := byTime.Flush(); ok {
 			check("one at a time", len(stepped), w)
 			stepped = append(stepped, w.Clone())
 		}
