@@ -31,7 +31,9 @@ lint:
 # The full tier-1 gate, same as the GitHub Actions workflow.
 ci: fmt-check vet lint build race
 
-# Run the §III experiment and drop the JSON report next to the repo.
+# Run eval's default experiment (eval.DefaultOptions: a 2 min reference,
+# then a 10 min run with a factor-3 CPU hog for 20 s every 2 min; not the
+# paper's 6 h 17 m §III run) and drop the JSON report next to the repo.
 eval:
 	$(GO) run ./cmd/enduratrace eval -out BENCH_eval.json
 

@@ -9,6 +9,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -149,8 +151,22 @@ func TestSimLearnMonitor(t *testing.T) {
 		t.Fatalf("monitor -pre -1: %v, want a refusal", err)
 	}
 
+	// A run that records no window has no reduction factor: JSON null,
+	// not FullBytes over the recording's header.
+	var none struct {
+		RecordedWindows int      `json:"recorded_windows"`
+		ReductionFactor *float64 `json:"reduction_factor"`
+	}
+	if err := json.Unmarshal([]byte(stdoutOf(t, cmdMonitor, "-in", run, "-model", model, "-alpha", "1000", "-json")), &none); err != nil {
+		t.Fatal(err)
+	}
+	if none.RecordedWindows != 0 || none.ReductionFactor != nil {
+		t.Fatalf("monitor -alpha 1000: %d recorded windows, reduction null %t; want 0 and null",
+			none.RecordedWindows, none.ReductionFactor == nil)
+	}
+
 	// Only -alpha 0 keeps the model's threshold; any other value must be a
-	// valid one, on the trace and the store path alike.
+	// valid one, in monitor and replay alike.
 	store := filepath.Join(dir, "store")
 	if err := os.Mkdir(store, 0o755); err != nil {
 		t.Fatal(err)
@@ -162,14 +178,25 @@ func TestSimLearnMonitor(t *testing.T) {
 			args []string
 		}{
 			{"monitor", cmdMonitor, []string{"-in", run, "-model", model}},
-			{"replay -in", cmdReplay, []string{"-in", run, "-model", model}},
-			{"replay -store", cmdReplay, []string{"-store", store, "-model", model}},
+			{"replay", cmdReplay, []string{"-store", store, "-model", model}},
 		} {
 			err := c.cmd(append(c.args, "-alpha", alpha))
 			if err == nil || !strings.Contains(err.Error(), "Alpha must be >= 1") {
 				t.Fatalf("%s -alpha %s: %v, want a refusal", c.name, alpha, err)
 			}
 		}
+	}
+
+	// replay reads only a store: a raw trace is monitor's, one run per
+	// model.
+	for _, flag := range [][]string{{"-in", run}, {"-default-model", "a"}} {
+		err := cmdReplay(append([]string{"-store", store, "-model", model}, flag...))
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+flag[0]) {
+			t.Fatalf("replay %v: %v, want an unknown-flag error", flag, err)
+		}
+	}
+	if err := cmdReplay([]string{"-model", model}); err == nil || !strings.Contains(err.Error(), "-store is required") {
+		t.Fatalf("replay without -store: %v, want a refusal", err)
 	}
 
 	// A compression level flate refuses leaves no recording file behind.
@@ -265,9 +292,9 @@ func TestMain(m *testing.M) {
 
 const runMainEnv = "ENDURATRACE_TEST_RUN_MAIN"
 
-// TestExperimentReports runs eval, soak and sweep at a small size. Each
-// must print a JSON report; soak's must be eval's for the same options,
-// as sweep.Soak promises; sweep's -out file must hold what it printed.
+// TestExperimentReports runs eval and sweep at a small size. Each must
+// print a JSON report; sweep's -out file must hold what it printed. An
+// eval that records no window reports its reduction factor as null.
 func TestExperimentReports(t *testing.T) {
 	shape := []string{"-ref-duration", "2s",
 		"-perturb-first", "1s", "-perturb-period", "2s", "-perturb-duration", "1s"}
@@ -279,7 +306,7 @@ func TestExperimentReports(t *testing.T) {
 		args []string
 	}{
 		{"eval", cmdEval, []string{"-seed", "3", "-run-duration", "4s"}},
-		{"soak", cmdSoak, []string{"-seed", "3", "-duration", "4s", "-progress-every", "1s"}},
+		{"eval -alpha 1000", cmdEval, []string{"-seed", "3", "-run-duration", "4s", "-alpha", "1000"}},
 		{"sweep", cmdSweep, []string{"-seed-base", "3", "-seeds", "1", "-run-duration", "4s",
 			"-distances", "symkl", "-q", "-out", sweepOut}},
 	} {
@@ -291,8 +318,18 @@ func TestExperimentReports(t *testing.T) {
 		}
 		reports[c.name] = out
 	}
-	if reports["soak"] != reports["eval"] {
-		t.Fatalf("soak report differs from eval's for the same options:\nsoak:\n%s\neval:\n%s", reports["soak"], reports["eval"])
+	for name, wantNull := range map[string]bool{"eval": false, "eval -alpha 1000": true} {
+		var rep struct {
+			RecordedWindows int      `json:"recorded_windows"`
+			ReductionFactor *float64 `json:"reduction_factor"`
+		}
+		if err := json.Unmarshal([]byte(reports[name]), &rep); err != nil {
+			t.Fatal(err)
+		}
+		if (rep.ReductionFactor == nil) != wantNull || (rep.RecordedWindows == 0) != wantNull {
+			t.Fatalf("%s: %d recorded windows, reduction null %t; want null exactly when none is recorded",
+				name, rep.RecordedWindows, rep.ReductionFactor == nil)
+		}
 	}
 	var cells []struct {
 		Distance string `json:"distance"`
@@ -306,9 +343,10 @@ func TestExperimentReports(t *testing.T) {
 }
 
 // TestRemovedSubcommands: the developer tools are tests now, not
-// subcommands; main refuses their names with exit status 2.
+// subcommands, and soak was eval; main refuses their names with exit
+// status 2.
 func TestRemovedSubcommands(t *testing.T) {
-	for _, name := range []string{"lint", "metricslint"} {
+	for _, name := range []string{"lint", "metricslint", "soak"} {
 		cmd := exec.Command(os.Args[0], name)
 		cmd.Env = append(os.Environ(), runMainEnv+"=1")
 		out, err := cmd.CombinedOutput()
@@ -316,6 +354,27 @@ func TestRemovedSubcommands(t *testing.T) {
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), fmt.Sprintf("unknown subcommand %q", name)) {
 			t.Fatalf("enduratrace %s: %v\n%s\nwant exit status 2 and an unknown-subcommand error", name, err, out)
 		}
+	}
+}
+
+// TestCLIDocListsSubcommands: the subcommand table of docs/CLI.md names
+// exactly the subcommands main dispatches on, in the same order, so a
+// deleted command cannot linger in the docs nor a new one go missing.
+func TestCLIDocListsSubcommands(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "CLI.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := regexp.MustCompile("(?m)^\\| \\[`([a-z]+)`\\]\\(#enduratrace-[a-z]+\\) +\\|")
+	var documented, dispatched []string
+	for _, m := range row.FindAllStringSubmatch(string(doc), -1) {
+		documented = append(documented, m[1])
+	}
+	for _, c := range subcommands {
+		dispatched = append(dispatched, c.name)
+	}
+	if !slices.Equal(documented, dispatched) {
+		t.Fatalf("docs/CLI.md lists subcommands %v, main dispatches %v", documented, dispatched)
 	}
 }
 

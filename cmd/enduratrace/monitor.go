@@ -15,7 +15,7 @@ func cmdMonitor(args []string) error {
 	in := fs.String("in", "", "trace file to monitor ('-' for stdin; required)")
 	modelIn := fs.String("model", "model.json", "learned model file (from 'enduratrace learn')")
 	rec := fs.String("rec", "", "record anomalous windows to this binary trace file")
-	compress := fs.Int("compress", -1, "flate level for -rec (-1 = no compression)")
+	compress := fs.Int("compress", -1, "flate level for -rec (-1 = no compression); a compressed recording is raw DEFLATE that no enduratrace reader opens")
 	pre := fs.Int("pre", 0, "context windows to record before each anomaly")
 	post := fs.Int("post", 0, "context windows to record after each anomaly")
 	alpha := fs.Float64("alpha", 0, "override the model's LOF threshold, >= 1 (0 = keep)")
@@ -66,11 +66,11 @@ func cmdMonitor(args []string) error {
 	}
 
 	// Recompute the reduction from post-Close sizes: a stream sink only
-	// reports its final byte count after the flush. Nil (JSON null) when
-	// nothing was recorded — the ratio is undefined.
+	// reports its final byte count after the flush. Nil (JSON null) under
+	// RunStats.ReductionFactor's rule: no window recorded.
+	stats.RecBytes, stats.RecWindows = sink.BytesWritten(), sink.WindowsRecorded()
 	var reduction *float64
-	if rec := sink.BytesWritten(); rec > 0 {
-		r := float64(stats.FullBytes) / float64(rec)
+	if r, ok := stats.ReductionFactor(); ok {
 		reduction = &r
 	}
 	out := struct {
@@ -86,9 +86,9 @@ func cmdMonitor(args []string) error {
 		Windows:         stats.Windows,
 		GateTrips:       stats.GateTrips,
 		Anomalies:       stats.Anomalies,
-		RecordedWindows: sink.WindowsRecorded(),
+		RecordedWindows: stats.RecWindows,
 		FullBytes:       stats.FullBytes,
-		RecordedBytes:   sink.BytesWritten(),
+		RecordedBytes:   stats.RecBytes,
 		ReductionFactor: reduction,
 		SpanS:           (stats.End - stats.Start).Seconds(),
 	}

@@ -4,42 +4,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"time"
-
-	"enduratrace/internal/eval"
 )
 
 // reductionString renders the headline reduction metric; a nil factor
-// means nothing was recorded, where the ratio is undefined.
+// means no window was recorded, where the ratio is undefined.
 func reductionString(rf *float64) string {
 	if rf == nil {
-		return "inf (nothing recorded)"
+		return "undefined (no window recorded)"
 	}
 	return fmt.Sprintf("%.1fx", *rf)
 }
 
-// printEvalReport writes the human summary of a scored run to stderr; it
-// is shared by the eval and soak subcommands.
-func printEvalReport(tag string, rep *eval.Report, elapsed time.Duration) {
-	fmt.Fprintf(os.Stderr, "%s: %d windows, %d gate trips, %d anomalous (%.1fs wall)\n",
-		tag, rep.Windows, rep.GateTrips, rep.Anomalies, elapsed.Seconds())
-	fmt.Fprintf(os.Stderr, "%s: reduction %s (%d of %d bytes), precision %.3f, recall %.3f\n",
-		tag, reductionString(rep.ReductionFactor), rep.RecordedBytes, rep.FullBytes,
-		rep.Precision, rep.Recall)
-	fmt.Fprintf(os.Stderr, "%s: detected %d/%d perturbations, mean Δs %.0f ms, mean Δe %.0f ms\n",
-		tag, rep.DetectedPerturbations, rep.TotalPerturbations, rep.MeanDeltaSMs, rep.MeanDeltaEMs)
-	for _, p := range rep.Perturbations {
-		if p.Detected {
-			fmt.Fprintf(os.Stderr, "%s:   [%6.1fs %6.1fs) detected, Δs=%6.0f ms Δe=%6.0f ms, %d windows\n",
-				tag, p.StartS, p.EndS, *p.DeltaSMs, *p.DeltaEMs, p.Windows)
-		} else {
-			fmt.Fprintf(os.Stderr, "%s:   [%6.1fs %6.1fs) MISSED\n", tag, p.StartS, p.EndS)
-		}
-	}
-}
-
 // emitJSON writes v, indented, to stdout and (when outPath is non-empty)
-// to outPath — the BENCH_*.json convention shared by eval/sweep/soak.
+// to outPath — the BENCH_*.json convention shared by eval/sweep/replay.
 func emitJSON(v any, outPath string) error {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")

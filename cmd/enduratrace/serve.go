@@ -26,7 +26,7 @@ func cmdServe(args []string) error {
 	listen := fs.String("listen", "127.0.0.1:9464", "trace ingestion TCP address")
 	admin := fs.String("admin", "127.0.0.1:9465", "HTTP admin address (/healthz /streams /stats /metrics, POST /reload; '' disables)")
 	recDir := fs.String("rec-dir", "", "record each stream's anomalous windows to <dir>/<stream>.etrc ('' = stat-only)")
-	compress := fs.Int("compress", -1, "flate level for -rec-dir sinks (-1 = no compression)")
+	compress := fs.Int("compress", -1, "flate level for -rec-dir sinks (-1 = no compression); a compressed .etrc.fz recording is raw DEFLATE that no enduratrace reader opens")
 	anomDir := fs.String("anomaly-store", "", "persist every gate trip (context windows + scores) to a segmented store in this directory; query via GET /anomalies, re-score via 'enduratrace replay'")
 	anomCtx := fs.Int("anomaly-context", 0, "pre-trip context windows per stored incident (0 = default 2, negative = none)")
 	anomSegBytes := fs.Int64("anomaly-segment-bytes", 0, "anomaly store segment rotation size in bytes (0 = default 8 MiB)")

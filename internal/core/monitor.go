@@ -89,7 +89,7 @@ type Config struct {
 const DefaultGateAutoQuantile = 0.90
 
 // NewConfig returns the one shipped configuration: what learn, eval,
-// soak, sweep and the benchmark workloads start from. It keeps §III's
+// sweep and the benchmark workloads start from. It keeps §III's
 // 40 ms windows and K = 20, with the knobs the paper leaves implicit at
 // fixed values. Three depart from §III. The simulator's 40 ms windows
 // hold ≈ 42 events, so their multinomial noise alone puts the reference
@@ -462,11 +462,12 @@ type RunStats struct {
 }
 
 // ReductionFactor returns FullBytes / RecBytes — the paper's headline
-// metric — and whether it is defined. When nothing was recorded the ratio
-// has no value and ok is false (the eval/monitor JSON convention: null,
-// never a float sentinel).
+// metric — and whether it is defined. When no window was recorded the
+// ratio has no value and ok is false (the eval/monitor JSON convention:
+// null, never a float sentinel): RecBytes then holds only the recording's
+// header, and FullBytes over a header is not a reduction.
 func (s RunStats) ReductionFactor() (rf float64, ok bool) {
-	if s.RecBytes == 0 {
+	if s.RecWindows == 0 {
 		return 0, false
 	}
 	return float64(s.FullBytes) / float64(s.RecBytes), true

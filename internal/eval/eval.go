@@ -62,25 +62,6 @@ type Options struct {
 	Sim mediasim.Config
 	// Core is the monitor configuration.
 	Core core.Config
-	// OnProgress, when non-nil, receives a snapshot roughly every
-	// ProgressInterval of trace time during the monitored run. Soak mode
-	// uses it for periodic progress lines; it does not affect results.
-	OnProgress func(Progress)
-	// ProgressInterval is the trace time between OnProgress calls
-	// (default 30 s when OnProgress is set).
-	ProgressInterval time.Duration
-}
-
-// Progress is the snapshot passed to Options.OnProgress while the
-// monitored run streams.
-type Progress struct {
-	// TraceTime is the end of the last processed window.
-	TraceTime time.Duration
-	Windows   int
-	GateTrips int
-	Anomalies int
-	// RecordedBytes is the size of everything recorded so far.
-	RecordedBytes int64
 }
 
 // DefaultOptions returns a paper-shaped experiment scaled to run in a few
@@ -165,9 +146,9 @@ type Report struct {
 	FullBytes       int64 `json:"full_bytes"`
 	RecordedBytes   int64 `json:"recorded_bytes"`
 	// ReductionFactor is FullBytes/RecordedBytes, the paper's headline
-	// metric. It is nil — marshalling as JSON null — when nothing was
-	// recorded, where the ratio is undefined (RecordedBytes reports 0
-	// honestly rather than via a float sentinel).
+	// metric. It is nil — marshalling as JSON null — when no window was
+	// recorded, where the ratio is undefined (RecordedBytes then counts
+	// only the recording's header).
 	ReductionFactor *float64 `json:"reduction_factor"`
 
 	// Precision is tp/(tp+fp) over post-warmup windows; 0 when
@@ -263,38 +244,13 @@ func RunWithLearned(opts Options, learned *core.Learned) (*Report, error) {
 	// Decisions are scored online — the callback feeds the incremental
 	// Scorer directly, so an arbitrarily long run needs O(len(truth))
 	// memory, not O(windows).
-	sink := recorder.NewNullSink()
 	scorer := NewScorer(truth, opts.Slack, opts.Warmup)
-	tick := opts.ProgressInterval
-	if tick <= 0 {
-		tick = 30 * time.Second
-	}
-	nextTick := tick
-	var prog Progress
 	mon, err := core.NewMonitor(opts.Core, learned)
 	if err != nil {
 		return nil, fmt.Errorf("eval: monitoring perturbed run: %w", err)
 	}
-	runStats, err := mon.Run(runSim, sink, func(d core.Decision) error {
+	runStats, err := mon.Run(runSim, recorder.NewNullSink(), func(d core.Decision) error {
 		scorer.Observe(d.Window.Start, d.Window.End, d.Anomalous)
-		if opts.OnProgress == nil {
-			return nil
-		}
-		prog.Windows++
-		if d.GateTripped {
-			prog.GateTrips++
-		}
-		if d.Anomalous {
-			prog.Anomalies++
-		}
-		if d.Window.End >= nextTick {
-			prog.TraceTime = d.Window.End
-			prog.RecordedBytes = sink.BytesWritten()
-			opts.OnProgress(prog)
-			for nextTick <= d.Window.End {
-				nextTick += tick
-			}
-		}
 		return nil
 	})
 	if err != nil {

@@ -24,11 +24,7 @@ func smallOptions() Options {
 }
 
 func TestRunProducesPaperMetrics(t *testing.T) {
-	opts := smallOptions()
-	var ticks []Progress
-	opts.ProgressInterval = 20 * time.Second
-	opts.OnProgress = func(p Progress) { ticks = append(ticks, p) }
-	rep, err := Run(opts)
+	rep, err := Run(smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,16 +36,6 @@ func TestRunProducesPaperMetrics(t *testing.T) {
 	}
 	if rep.ReductionFactor == nil || *rep.ReductionFactor <= 1 {
 		t.Fatalf("reduction factor %v, want > 1", rep.ReductionFactor)
-	}
-	// Progress ticks: a 2-minute run at a 20 s interval reports several
-	// times, with monotonically increasing trace time and counters.
-	if len(ticks) < 3 {
-		t.Fatalf("got %d progress ticks, want >= 3", len(ticks))
-	}
-	for i := 1; i < len(ticks); i++ {
-		if ticks[i].TraceTime <= ticks[i-1].TraceTime || ticks[i].Windows <= ticks[i-1].Windows {
-			t.Fatalf("progress not monotonic: %+v then %+v", ticks[i-1], ticks[i])
-		}
 	}
 	if rep.RecordedBytes <= 0 || rep.RecordedBytes >= rep.FullBytes {
 		t.Fatalf("recorded %d of %d bytes", rep.RecordedBytes, rep.FullBytes)
@@ -162,8 +148,8 @@ func TestNoPerturbationMeansFewRecordings(t *testing.T) {
 	if rep.ReductionFactor != nil && *rep.ReductionFactor <= 10 {
 		t.Fatalf("clean-run reduction factor %g suspiciously low", *rep.ReductionFactor)
 	}
-	if rep.ReductionFactor == nil && rep.RecordedBytes != 0 {
-		t.Fatalf("nil reduction factor with %d recorded bytes", rep.RecordedBytes)
+	if rep.ReductionFactor == nil && rep.RecordedWindows != 0 {
+		t.Fatalf("nil reduction factor with %d recorded windows", rep.RecordedWindows)
 	}
 }
 

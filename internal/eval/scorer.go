@@ -9,8 +9,8 @@ import (
 
 // Scorer scores monitor decisions against a ground-truth perturbation
 // schedule incrementally: decisions are consumed one at a time, in window
-// order, and only O(len(truth)) state is retained. This is what lets a
-// soak-length run (the paper's 6 h 17 m scale) be scored in constant
+// order, and only O(len(truth)) state is retained. This is what lets an
+// endurance-length run (the paper's 6 h 17 m scale) be scored in constant
 // memory instead of holding every window decision in a slice.
 //
 // Semantics match the original batch scorer: an anomalous window is

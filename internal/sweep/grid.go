@@ -3,12 +3,11 @@
 // into a deterministic job list, a bounded worker pool runs the jobs in
 // parallel (each eval.Run is independent and seeded), and a streaming
 // Aggregator folds per-seed eval.Reports into per-cell summaries with
-// multi-seed 95% confidence intervals. Soak runs one arbitrarily long
-// cell with periodic progress in constant memory.
+// multi-seed 95% confidence intervals.
 //
 // It is what turns the repo from a one-shot reproduction of the paper's
-// §III experiment into a benchmark machine: `enduratrace sweep` and
-// `enduratrace soak` are thin CLI wrappers around this package.
+// §III experiment into a benchmark machine: `enduratrace sweep` is a thin
+// CLI wrapper around this package.
 package sweep
 
 import (

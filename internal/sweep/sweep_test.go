@@ -182,10 +182,13 @@ func TestSingleCellMatchesEval(t *testing.T) {
 }
 
 // TestRunAggregatesSeeds runs one cell over three seeds on two workers and
-// checks the multi-seed statistics.
+// checks the multi-seed statistics. A second cell at alpha 1000 records no
+// window on any seed: its reduction is undefined on every seed, not
+// FullBytes over the recording's header.
 func TestRunAggregatesSeeds(t *testing.T) {
 	g := tinyGrid()
 	g.Seeds = []int64{1, 2, 3}
+	g.Alphas = append(g.Alphas, 1000)
 
 	var results int
 	summaries, err := Run(g, RunOptions{Workers: 2, OnResult: func(r Result) {
@@ -197,11 +200,15 @@ func TestRunAggregatesSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if results != 3 {
-		t.Fatalf("observed %d results, want 3", results)
+	if results != 6 {
+		t.Fatalf("observed %d results, want 6", results)
 	}
-	if len(summaries) != 1 {
-		t.Fatalf("%d summaries, want 1", len(summaries))
+	if len(summaries) != 2 {
+		t.Fatalf("%d summaries, want 2", len(summaries))
+	}
+	if u := summaries[1]; u.Alpha != 1000 || u.UnrecordedSeeds != len(g.Seeds) || u.Reduction.N != 0 {
+		t.Fatalf("alpha %g cell: %d unrecorded seeds, reduction over %d seeds; want alpha 1000, %d and 0",
+			u.Alpha, u.UnrecordedSeeds, u.Reduction.N, len(g.Seeds))
 	}
 	s := summaries[0]
 	if !reflect.DeepEqual(s.Seeds, []int64{1, 2, 3}) {
@@ -296,48 +303,6 @@ func TestSortSummaries(t *testing.T) {
 	}
 	if err := SortSummaries(ss, "nope"); err == nil {
 		t.Fatal("unknown metric accepted")
-	}
-}
-
-// TestSoakMatchesEval checks that soak mode changes observability, not
-// results: the report equals a plain eval.Run on the same fixture, and
-// progress ticks arrive in order.
-func TestSoakMatchesEval(t *testing.T) {
-	g := tinyGrid()
-	jobs, err := g.Jobs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts, err := g.Options(jobs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var ticks []SoakProgress
-	got, err := Soak(SoakOptions{
-		Eval:       opts,
-		Every:      10 * time.Second,
-		OnProgress: func(p SoakProgress) { ticks = append(ticks, p) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := eval.Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotJSON, _ := json.Marshal(got)
-	wantJSON, _ := json.Marshal(want)
-	if string(gotJSON) != string(wantJSON) {
-		t.Fatalf("soak report differs from eval:\n%s\n%s", gotJSON, wantJSON)
-	}
-	if len(ticks) < 2 {
-		t.Fatalf("got %d progress ticks, want >= 2", len(ticks))
-	}
-	for i := 1; i < len(ticks); i++ {
-		if ticks[i].TraceTime <= ticks[i-1].TraceTime {
-			t.Fatalf("trace time not increasing: %v then %v", ticks[i-1].TraceTime, ticks[i].TraceTime)
-		}
 	}
 }
 
