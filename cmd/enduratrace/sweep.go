@@ -55,7 +55,6 @@ func cmdSweep(args []string) error {
 	alphas := fs.String("alphas", "", "comma-separated LOF alpha axis (default: the tuned alpha)")
 	factors := fs.String("factors", "", "comma-separated perturbation factor axis (default: the tuned factor)")
 	ks := fs.String("ks", "", "comma-separated LOF K axis (default: the tuned K)")
-	gridFile := fs.String("grid", "", "JSON grid file; its fields override the axis flags")
 	refDur := fs.Duration("ref-duration", def.Base.RefDuration, "clean reference run length per job")
 	runDur := fs.Duration("run-duration", def.Base.RunDuration, "perturbed monitored run length per job")
 	pFirst := fs.Duration("perturb-first", def.Base.PerturbFirst, "start of the first perturbation")
@@ -106,15 +105,6 @@ func cmdSweep(args []string) error {
 	if *ks != "" {
 		if g.Ks, err = parseInts(*ks); err != nil {
 			return fmt.Errorf("sweep: -ks: %w", err)
-		}
-	}
-	if *gridFile != "" {
-		data, err := os.ReadFile(*gridFile)
-		if err != nil {
-			return err
-		}
-		if g, err = sweep.ParseGrid(data, g); err != nil {
-			return err
 		}
 	}
 

@@ -252,6 +252,26 @@ func TestLearnRunEndToEnd(t *testing.T) {
 	}
 }
 
+// TestReductionFactorDefinedRule: the ratio is defined only once a window
+// is recorded and a recorded byte is counted; a header-only recording and
+// a live buffered sink that has recorded windows but flushed nothing both
+// have none (never +Inf or full bytes over the header).
+func TestReductionFactorDefinedRule(t *testing.T) {
+	for _, c := range []struct {
+		s      RunStats
+		rf     float64
+		wantOK bool
+	}{
+		{RunStats{FullBytes: 1000, RecBytes: 5}, 0, false},
+		{RunStats{FullBytes: 1000, RecWindows: 3}, 0, false},
+		{RunStats{FullBytes: 1000, RecBytes: 250, RecWindows: 3}, 4, true},
+	} {
+		if rf, ok := c.s.ReductionFactor(); ok != c.wantOK || rf != c.rf {
+			t.Errorf("%+v: ReductionFactor() = %g, %v; want %g, %v", c.s, rf, ok, c.rf, c.wantOK)
+		}
+	}
+}
+
 func TestRunWithContextSink(t *testing.T) {
 	cfg := testConfig()
 	ref := synth(0, 2*time.Second, refWeights, 1)

@@ -465,9 +465,12 @@ type RunStats struct {
 // metric — and whether it is defined. When no window was recorded the
 // ratio has no value and ok is false (the eval/monitor JSON convention:
 // null, never a float sentinel): RecBytes then holds only the recording's
-// header, and FullBytes over a header is not a reduction.
+// header, and FullBytes over a header is not a reduction. Nor has it a
+// value while no recorded byte is counted yet: a live buffered sink
+// counts only what has left its buffer, so windows can be recorded
+// before RecBytes moves off 0.
 func (s RunStats) ReductionFactor() (rf float64, ok bool) {
-	if s.RecWindows == 0 {
+	if s.RecWindows == 0 || s.RecBytes <= 0 {
 		return 0, false
 	}
 	return float64(s.FullBytes) / float64(s.RecBytes), true

@@ -34,7 +34,7 @@ type healthReport struct {
 //	GET  /healthz       liveness + model registry identity
 //	GET  /streams       live streams with queue/sink counters + stall flags
 //	GET  /stats         aggregate totals in the `monitor -json` report shape
-//	GET  /metrics       Prometheus text exposition, labelled by model/stream
+//	GET  /metrics       Prometheus text exposition, one row of families each
 //	GET  /anomalies     anomaly store stats + recent incidents (?n, ?seq)
 //	GET  /alerts        alert pipeline books, stream states, recent notifications
 //	GET  /debug/flight  sampled per-event pipeline timings (flight recorder)

@@ -3,10 +3,18 @@ package serve
 import (
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"enduratrace/internal/alert"
+	"enduratrace/internal/anomalystore"
 )
 
 func TestValidatePrometheusText(t *testing.T) {
@@ -15,7 +23,7 @@ func TestValidatePrometheusText(t *testing.T) {
 		"# TYPE enduratrace_windows_total counter",
 		`enduratrace_windows_total{model="a"} 12`,
 		`enduratrace_windows_total{model="b"} 0`,
-		`enduratrace_stream_queue_depth{stream="cam \"3\"",model="a"} 4`,
+		`enduratrace_windows_total{model="cam \"3\""} 4`,
 		"enduratrace_uptime_seconds 1.25",
 		"enduratrace_uptime_seconds 1.25 1690000000",
 		"",
@@ -53,6 +61,129 @@ func TestEscapeLabelValue(t *testing.T) {
 		if got := escapeLabelValue(in); got != want {
 			t.Errorf("escapeLabelValue(%q) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// TestScrapeMatchesFamilies: a daemon with two models, an anomaly store
+// and an alert pipeline serves one perturbed stream, and its /metrics,
+// fetched over HTTP, declares exactly the rows of the families table with
+// their types. Every sample carries exactly its row's label keys, in
+// order (plus le on histogram buckets), and every row has a sample. A
+// family written outside the table fails here.
+func TestScrapeMatchesFamilies(t *testing.T) {
+	_, reg := twoModelDir(t)
+	store, err := anomalystore.Open(t.TempDir(), anomalystore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	alerts := alert.NewPipeline(alert.Options{
+		MinTrips:   1,
+		ClearAfter: time.Millisecond,
+		QueueLen:   4096,
+		Sinks:      []alert.Sink{&testAlertSink{}},
+	})
+	defer alerts.Close()
+	rep := selftest(t, selftestOptions{
+		Models:    reg,
+		Clients:   1,
+		Duration:  4 * time.Second,
+		Factor:    3,
+		Anomalies: store,
+		Alerts:    alerts,
+	})
+
+	rows := make(map[string]family, len(families))
+	wantTypes := make(map[string]string, len(families))
+	for _, f := range families {
+		rows[f.name] = f
+		wantTypes[f.name] = f.typ
+	}
+	lines := strings.Split(string(rep.Metrics), "\n")
+	gotTypes := make(map[string]string)
+	for _, line := range lines {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			gotTypes[f[2]] = f[3]
+		}
+	}
+	for name, typ := range gotTypes {
+		if wantTypes[name] != typ {
+			t.Errorf("scrape declares %s %s, the table %q", name, typ, wantTypes[name])
+		}
+	}
+	for name := range wantTypes {
+		if _, ok := gotTypes[name]; !ok {
+			t.Errorf("scrape lacks the table's %s", name)
+		}
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	samples := make(map[string]int)
+	for _, line := range lines {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, labelStr := line[:strings.IndexAny(line, "{ ")], ""
+		if open := len(name); line[open] == '{' {
+			labelStr = line[open+1 : strings.LastIndexByte(line, '}')]
+		}
+		row, ok := rows[name]
+		suffix := ""
+		for _, sfx := range []string{"_bucket", "_sum", "_count"} {
+			if h, isHist := rows[strings.TrimSuffix(name, sfx)]; !ok && isHist && h.typ == "histogram" {
+				row, ok, suffix = h, true, sfx
+			}
+		}
+		if !ok {
+			t.Errorf("sample %q belongs to no family of the table", line)
+			continue
+		}
+		pairs, err := parseLabelPairs(labelStr)
+		if err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		var keys []string
+		for _, p := range pairs {
+			keys = append(keys, p[0])
+		}
+		want := slices.Clone(row.labels)
+		if suffix == "_bucket" {
+			want = append(want, "le")
+		}
+		if !slices.Equal(keys, want) {
+			t.Errorf("sample %q has label keys %v, its row %v", line, keys, want)
+		}
+		samples[row.name]++
+	}
+	for _, f := range families {
+		if samples[f.name] == 0 {
+			t.Errorf("family %s has no sample", f.name)
+		}
+	}
+}
+
+// TestCLIDocMetricsTable: the /metrics table of docs/CLI.md lists exactly
+// the rows of the families table, in order, with their types and label
+// keys, so a family cannot be added, renamed or dropped without its doc.
+func TestCLIDocMetricsTable(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "CLI.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := regexp.MustCompile("(?m)^\\| `(enduratrace_[a-z0-9_]+)` +\\| ([a-z]+) +\\|([^|]*)\\|")
+	var documented, code []string
+	for _, m := range row.FindAllStringSubmatch(string(doc), -1) {
+		labels := strings.Fields(strings.NewReplacer("`", " ", ",", " ").Replace(m[3]))
+		documented = append(documented, fmt.Sprintf("%s %s %v", m[1], m[2], labels))
+	}
+	for _, f := range families {
+		code = append(code, fmt.Sprintf("%s %s %v", f.name, f.typ, f.labels))
+	}
+	if !slices.Equal(documented, code) {
+		t.Fatalf("docs/CLI.md's /metrics table:\n%s\nthe families table:\n%s",
+			strings.Join(documented, "\n"), strings.Join(code, "\n"))
 	}
 }
 

@@ -13,8 +13,8 @@
 // model back to the sender through TCP flow control, DropOldest bounds
 // latency and counts the holes. Graceful shutdown stops ingestion, drains
 // every queue, flushes every recorder sink, and reports per-stream
-// RunStats; an HTTP admin listener serves /healthz, /streams and /stats
-// (the `monitor -json` report shape) throughout.
+// RunStats; an HTTP admin listener serves the endpoints adminMux lists
+// throughout.
 package serve
 
 import (
@@ -969,8 +969,8 @@ func (s *Server) Stats() StatsReport {
 	if s.opts.Alerts != nil {
 		rep.AlertsFiring = s.opts.Alerts.FiringStreams()
 	}
-	if rep.RecordedBytes > 0 {
-		rf := float64(rep.FullBytes) / float64(rep.RecordedBytes)
+	run := core.RunStats{FullBytes: rep.FullBytes, RecBytes: rep.RecordedBytes, RecWindows: int(rep.RecordedWindows)}
+	if rf, ok := run.ReductionFactor(); ok {
 		rep.ReductionFactor = &rf
 	}
 	return rep

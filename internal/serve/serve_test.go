@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math"
 	"net"
@@ -683,5 +684,133 @@ func TestTimestampWrapClosesOnlyItsStream(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines after shutdown, %d before the server started", runtime.NumGoroutine(), baseline)
 		}
+	}
+}
+
+// TestStatsReductionNeedsARecordedWindow: the daemon rates reduction by
+// core.RunStats' rule, so one that recorded no window reports no
+// reduction (null on /stats), though its sinks wrote their header bytes;
+// one that recorded anomalies keeps its ratio.
+func TestStatsReductionNeedsARecordedWindow(t *testing.T) {
+	cfg, learned := fixture(t)
+	for _, alpha := range []float64{1000, cfg.Alpha} {
+		run := cfg
+		run.Alpha = alpha
+		srv, err := New(Options{Cfg: run, Learned: learned})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		serveErr := make(chan error, 1)
+		go func() { serveErr <- srv.Serve(ctx) }()
+		adminURL := "http://" + srv.AdminAddr().String()
+		opts := selftestOptions{Duration: 8 * time.Second, Factor: 3}
+		if _, err := runClient(srv.TraceAddr().String(), "cam", run, "", opts, 100, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := awaitClosedStreams(ctx, adminURL, 1); err != nil {
+			t.Fatal(err)
+		}
+		body, err := getBody(adminURL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var raw map[string]json.RawMessage
+		if err := json.Unmarshal(body, &raw); err != nil {
+			t.Fatal(err)
+		}
+		st := srv.Stats()
+		cancel()
+		if err := <-serveErr; err != nil {
+			t.Fatal(err)
+		}
+
+		if alpha == 1000 {
+			if st.RecordedWindows != 0 || st.ReductionFactor != nil || string(raw["reduction_factor"]) != "null" {
+				t.Fatalf("α 1000: %d windows recorded in %d bytes, reduction %v, /stats reduction_factor %s; want 0 windows and null",
+					st.RecordedWindows, st.RecordedBytes, st.ReductionFactor, raw["reduction_factor"])
+			}
+			continue
+		}
+		want := float64(st.FullBytes) / float64(st.RecordedBytes)
+		if st.Anomalies == 0 || st.RecordedWindows == 0 || st.ReductionFactor == nil || *st.ReductionFactor != want {
+			t.Fatalf("α %g: %d anomalies, %d windows recorded, reduction %v; want %g",
+				alpha, st.Anomalies, st.RecordedWindows, st.ReductionFactor, want)
+		}
+	}
+}
+
+// TestStatsMidStreamBufferedSink: a file sink counts only the bytes that
+// have left its write buffer, so a live stream can have recorded windows
+// while its recorded bytes still read 0. /stats must then still decode,
+// with no reduction rather than FullBytes/0.
+func TestStatsMidStreamBufferedSink(t *testing.T) {
+	cfg, learned := fixture(t)
+	factory, err := recorder.NewDirFactory(t.TempDir(), -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Options{Cfg: cfg, Learned: learned, Sinks: factory})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ctx) }()
+
+	// A perturbed stream, flushed but not ended, so its sink stays open.
+	evs := simEvents(t, 300, 6*time.Second, 3)
+	conn, err := net.Dial("tcp", srv.TraceAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fw, err := traceio.NewFrameWriter(conn, "buffered")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range evs {
+		if err := fw.Write(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for views := srv.Streams(); len(views) != 1 || views[0].EventsScored != int64(len(evs)); views = srv.Streams() {
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for every sent event to be scored")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	st := srv.Stats()
+	if st.RecordedWindows == 0 || st.RecordedBytes != 0 {
+		t.Fatalf("%d windows recorded in %d counted bytes; want windows still in the sink's buffer, nothing to test",
+			st.RecordedWindows, st.RecordedBytes)
+	}
+	body, err := getBody("http://" + srv.AdminAddr().String() + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatalf("/stats with %d windows buffered does not decode: %v (body %q)", st.RecordedWindows, err, body)
+	}
+	if st.ReductionFactor != nil || string(raw["reduction_factor"]) != "null" {
+		t.Fatalf("reduction %v, /stats reduction_factor %s; want nil and null", st.ReductionFactor, raw["reduction_factor"])
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if err := <-serveErr; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -11,8 +11,6 @@
 package sweep
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -33,19 +31,19 @@ type Grid struct {
 	// Base supplies durations, the perturbation schedule and the monitor
 	// configuration. Axis values overwrite Base's seed, factor, alpha, K
 	// and both distances per job.
-	Base eval.Options `json:"-"`
+	Base eval.Options
 
 	// Distances lists distance-catalogue names applied to both the gate
 	// and the LOF model (the A-distance ablation axis).
-	Distances []string `json:"distances"`
+	Distances []string
 	// Alphas lists LOF anomaly thresholds.
-	Alphas []float64 `json:"alphas"`
+	Alphas []float64
 	// Factors lists CPU perturbation slowdown factors.
-	Factors []float64 `json:"factors"`
+	Factors []float64
 	// Ks lists LOF neighbourhood sizes.
-	Ks []int `json:"ks"`
+	Ks []int
 	// Seeds lists experiment seeds; every cell runs once per seed.
-	Seeds []int64 `json:"seeds"`
+	Seeds []int64
 }
 
 // Cell identifies one parameter combination — every axis except the seed.
@@ -196,74 +194,4 @@ func (g Grid) Options(j Job) (eval.Options, error) {
 	o.Core.GateDistance = d
 	o.Core.LOFDistance = d
 	return o, nil
-}
-
-// gridFile is the JSON shape accepted by ParseGrid: the axis slices plus
-// optional Go-syntax duration overrides for the base experiment.
-type gridFile struct {
-	Distances []string  `json:"distances"`
-	Alphas    []float64 `json:"alphas"`
-	Factors   []float64 `json:"factors"`
-	Ks        []int     `json:"ks"`
-	Seeds     []int64   `json:"seeds"`
-
-	RefDuration     string `json:"ref_duration,omitempty"`
-	RunDuration     string `json:"run_duration,omitempty"`
-	PerturbFirst    string `json:"perturb_first,omitempty"`
-	PerturbPeriod   string `json:"perturb_period,omitempty"`
-	PerturbDuration string `json:"perturb_duration,omitempty"`
-	Slack           string `json:"slack,omitempty"`
-	Warmup          string `json:"warmup,omitempty"`
-}
-
-// ParseGrid decodes a JSON grid specification onto base: non-empty axis
-// arrays replace base's (the result keeps def's axes for ones the file
-// omits), and duration fields ("40s", "2m", ...) override the base
-// experiment shape. Unknown keys are rejected — a misspelled axis must
-// not silently run the default experiment.
-func ParseGrid(data []byte, def Grid) (Grid, error) {
-	var f gridFile
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&f); err != nil {
-		return Grid{}, fmt.Errorf("sweep: parsing grid file: %w", err)
-	}
-	g := def
-	if len(f.Distances) > 0 {
-		g.Distances = f.Distances
-	}
-	if len(f.Alphas) > 0 {
-		g.Alphas = f.Alphas
-	}
-	if len(f.Factors) > 0 {
-		g.Factors = f.Factors
-	}
-	if len(f.Ks) > 0 {
-		g.Ks = f.Ks
-	}
-	if len(f.Seeds) > 0 {
-		g.Seeds = f.Seeds
-	}
-	for _, d := range []struct {
-		raw string
-		dst *time.Duration
-	}{
-		{f.RefDuration, &g.Base.RefDuration},
-		{f.RunDuration, &g.Base.RunDuration},
-		{f.PerturbFirst, &g.Base.PerturbFirst},
-		{f.PerturbPeriod, &g.Base.PerturbPeriod},
-		{f.PerturbDuration, &g.Base.PerturbDuration},
-		{f.Slack, &g.Base.Slack},
-		{f.Warmup, &g.Base.Warmup},
-	} {
-		if d.raw == "" {
-			continue
-		}
-		v, err := time.ParseDuration(d.raw)
-		if err != nil {
-			return Grid{}, fmt.Errorf("sweep: parsing grid file duration: %w", err)
-		}
-		*d.dst = v
-	}
-	return g, g.Validate()
 }

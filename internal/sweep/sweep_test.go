@@ -86,46 +86,6 @@ func TestValidateRejectsBadGrids(t *testing.T) {
 	}
 }
 
-func TestParseGrid(t *testing.T) {
-	def := DefaultGrid(2)
-	data := []byte(`{
-		"distances": ["kl", "symkl"],
-		"seeds": [7, 8, 9],
-		"run_duration": "90s",
-		"perturb_first": "20s"
-	}`)
-	g, err := ParseGrid(data, def)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(g.Distances, []string{"kl", "symkl"}) {
-		t.Fatalf("distances %v", g.Distances)
-	}
-	if !reflect.DeepEqual(g.Seeds, []int64{7, 8, 9}) {
-		t.Fatalf("seeds %v", g.Seeds)
-	}
-	// Omitted axes keep the defaults.
-	if !reflect.DeepEqual(g.Alphas, def.Alphas) || !reflect.DeepEqual(g.Ks, def.Ks) {
-		t.Fatalf("alphas/ks %v/%v, want defaults", g.Alphas, g.Ks)
-	}
-	if g.Base.RunDuration != 90*time.Second || g.Base.PerturbFirst != 20*time.Second {
-		t.Fatalf("durations %v/%v", g.Base.RunDuration, g.Base.PerturbFirst)
-	}
-	if g.Base.RefDuration != def.Base.RefDuration {
-		t.Fatalf("ref duration %v changed", g.Base.RefDuration)
-	}
-
-	if _, err := ParseGrid([]byte(`{"run_duration": "forever"}`), def); err == nil {
-		t.Fatal("bad duration accepted")
-	}
-	if _, err := ParseGrid([]byte(`{"distances": ["nope"]}`), def); err == nil {
-		t.Fatal("unknown distance accepted")
-	}
-	if _, err := ParseGrid([]byte(`not json`), def); err == nil {
-		t.Fatal("malformed JSON accepted")
-	}
-}
-
 // TestSingleCellMatchesEval is the acceptance check that the sweep machinery
 // adds nothing to the science: a 1-cell × 1-seed sweep's report byte-matches
 // a direct eval.Run with the same materialised options.
@@ -303,13 +263,6 @@ func TestSortSummaries(t *testing.T) {
 	}
 	if err := SortSummaries(ss, "nope"); err == nil {
 		t.Fatal("unknown metric accepted")
-	}
-}
-
-func TestParseGridRejectsUnknownKeys(t *testing.T) {
-	// A misspelled axis must error, not silently run the default grid.
-	if _, err := ParseGrid([]byte(`{"alpha": [1.5]}`), DefaultGrid(2)); err == nil {
-		t.Fatal("unknown key accepted")
 	}
 }
 
