@@ -51,8 +51,10 @@ bench:
 # (filter-and-refine), scoring the default experiment's tripped windows
 # against its learned model with the exact kernel calls per query
 # (BenchmarkScoreDefaultModel), the distance row/gate kernels (with
-# BenchmarkSymmetricKL26: the one-pass symkl kernel the gate and the
-# refine's exact calls run, at the monitor's dimension), frame decode (per-event vs batched), windowing (the
+# BenchmarkSymmetricKL26: the one-pass symkl kernel the refine's exact
+# calls and the uncertified gate run, at the monitor's dimension; and
+# BenchmarkSymmetricKLUpper25: the log-free bound that certifies a quiet
+# window, on 25-type window/past pmf pairs), frame decode (per-event vs batched), windowing (the
 # span cutter vs one event at a time), the monitor's per-window cost
 # (ProcessWindow alone, and BenchmarkRunQuiet: Monitor.Run over quiet
 # windows from memory, in ns and allocs a window — windows are lent by the

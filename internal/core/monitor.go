@@ -8,7 +8,12 @@
 //  1. the window is summarised as a pmf over event types (package pmf);
 //  2. a cheap Kullback–Leibler gate compares the window pmf Npmf with the
 //     running past pmf Ppmf; if they are similar, Npmf is merged into Ppmf
-//     (tracking slow drift) and no further work happens;
+//     (tracking slow drift) and no further work happens. Where the gate
+//     distance has a log-free upper bound (distance.Distance.Upper, set
+//     for symkl), a window whose bound is at or under the threshold is
+//     quiet without the exact distance being computed; every other window
+//     computes it and trips when it is above the threshold, so every
+//     decision is the exact gate's;
 //  3. if the gate trips, the window is scored with LOF against the model
 //     learned from a reference trace; LOF >= alpha flags an anomaly and the
 //     window is recorded.
@@ -167,7 +172,13 @@ type Decision struct {
 	// callback that keeps them copies them (Window.Clone).
 	Window   window.Window
 	Features pmf.Vector
-	// GateDist is the KL distance between the window pmf and the past pmf.
+	// GateDist is the gate distance between the window pmf and the past
+	// pmf: exact on every tripped window, +Inf on a stream's first. On a
+	// quiet window it is exact only where the gate distance has no upper
+	// bound (kl) or the bound could not certify the window; a window
+	// certified quiet carries the bound instead, a value at least the
+	// exact distance and at most the threshold (DESIGN.md, "The certified
+	// gate").
 	GateDist float64
 	// GateTripped reports whether a LOF computation was performed.
 	GateTripped bool
@@ -287,8 +298,17 @@ func (m *Monitor) ProcessWindow(w window.Window) Decision {
 		d.GateDist = math.Inf(1)
 		d.GateTripped = true
 	} else {
-		d.GateDist = m.cfg.GateDistance.F(npmf, m.ppmf)
-		d.GateTripped = d.GateDist > m.gateThreshold
+		// A bound at or under the threshold certifies the window quiet:
+		// the exact distance is no larger. Otherwise the exact distance
+		// decides, as it would without the bound.
+		d.GateDist = math.Inf(1)
+		if up := m.cfg.GateDistance.Upper; up != nil {
+			d.GateDist = up(npmf, m.ppmf)
+		}
+		if !(d.GateDist <= m.gateThreshold) {
+			d.GateDist = m.cfg.GateDistance.F(npmf, m.ppmf)
+			d.GateTripped = d.GateDist > m.gateThreshold
+		}
 	}
 
 	if !d.GateTripped {

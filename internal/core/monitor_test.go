@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"enduratrace/internal/distance"
 	"enduratrace/internal/obs"
 	"enduratrace/internal/trace"
 	"enduratrace/internal/window"
@@ -256,5 +257,59 @@ func TestGateAutoQuantileMonotone(t *testing.T) {
 	lo, hi := thr(0.5), thr(0.99)
 	if math.IsNaN(lo) || lo <= 0 || hi < lo {
 		t.Fatalf("thresholds q50=%g q99=%g, want 0 < q50 <= q99", lo, hi)
+	}
+}
+
+// TestGateThresholdAdjacent: at thresholds on and one ulp either side of
+// a window's exact gate distance, and of its upper bound, the shipped
+// symkl gate decides as the exact gate (symkl without Upper) does, with
+// the exact distance on a trip. A window is certified quiet exactly when
+// the threshold is at or above the bound.
+func TestGateThresholdAdjacent(t *testing.T) {
+	cfg := testConfig()
+	learned, err := Learn(cfg, trace.NewSliceReader(synth(0, time.Second, refWeights, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w1 := window.Window{End: 20 * time.Millisecond, Events: synth(0, 20*time.Millisecond, refWeights, 2)}
+	w2 := window.Window{End: 20 * time.Millisecond, Events: synth(0, 20*time.Millisecond, refWeights, 3)}
+	feat := learned.Featurizer
+	n1, n2 := feat.PMFOnly(feat.Features(w1)), feat.PMFOnly(feat.Features(w2))
+	exact, bound := distance.SymmetricKL(n2, n1), distance.SymmetricKLUpper(n2, n1)
+	if !(exact > 0 && bound > exact && !math.IsInf(bound, 1)) {
+		t.Fatalf("exact %v, bound %v: want 0 < exact < bound < +Inf", exact, bound)
+	}
+	decide := func(d distance.Distance, thr float64) Decision {
+		c := cfg
+		c.GateDistance, c.GateThreshold = d, thr
+		mon, err := NewMonitor(c, learned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mon.ProcessWindow(w1) // seeds the past pmf with n1
+		return mon.ProcessWindow(w2)
+	}
+	shipped, ref := distance.Must("symkl"), distance.Distance{Name: "symkl", F: distance.SymmetricKL}
+	for _, v := range []float64{exact, bound} {
+		for _, thr := range []float64{math.Nextafter(v, 0), v, math.Nextafter(v, math.Inf(1))} {
+			got, want := decide(shipped, thr), decide(ref, thr)
+			if got.GateTripped != want.GateTripped || want.GateTripped != (exact > thr) {
+				t.Fatalf("threshold %v: tripped %v, the exact gate %v (exact distance %v)", thr, got.GateTripped, want.GateTripped, exact)
+			}
+			switch {
+			case got.GateTripped:
+				if math.Float64bits(got.GateDist) != math.Float64bits(exact) {
+					t.Fatalf("threshold %v: tripped with GateDist %v, want the exact %v", thr, got.GateDist, exact)
+				}
+			case thr >= bound:
+				if math.Float64bits(got.GateDist) != math.Float64bits(bound) {
+					t.Fatalf("threshold %v: quiet with GateDist %v, want the bound %v", thr, got.GateDist, bound)
+				}
+			default:
+				if math.Float64bits(got.GateDist) != math.Float64bits(exact) {
+					t.Fatalf("threshold %v under the bound: quiet with GateDist %v, want the exact %v", thr, got.GateDist, exact)
+				}
+			}
+		}
 	}
 }

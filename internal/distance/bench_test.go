@@ -85,3 +85,22 @@ func BenchmarkSymmetricKL26(b *testing.B) {
 
 func BenchmarkKernelKL(b *testing.B)    { benchmarkKernel(b, "kl") }
 func BenchmarkKernelSymKL(b *testing.B) { benchmarkKernel(b, "symkl") }
+
+// BenchmarkSymmetricKLUpper25 is the gate's certificate, SymmetricKLUpper,
+// on the shape the gate meets: 64 pairs of a 42-event window pmf and a
+// past pmf merged at λ 0.1, over the 25 event types, walked in turn.
+// Compare with BenchmarkSymmetricKL26, the exact kernel the certificate
+// spares a quiet window. One iteration = one call.
+func BenchmarkSymmetricKLUpper25(b *testing.B) {
+	const n = 64
+	rng := rand.New(rand.NewSource(3))
+	var ns, ps [n][]float64
+	for i := range ns {
+		ns[i], ps[i] = gatePair(rng, 42)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % n
+		benchSink += SymmetricKLUpper(ns[j], ps[j])
+	}
+}

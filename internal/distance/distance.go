@@ -23,6 +23,12 @@ type Func func(p, q []float64) float64
 type Distance struct {
 	Name string
 	F    Func
+	// Upper, when set, returns a value no smaller than F's float result on
+	// the same operands, or +Inf where it cannot bound it. It exists to
+	// be cheaper than F: the monitor's gate declares a window quiet when
+	// Upper is at or under the threshold and computes F only otherwise.
+	// Nil for kl.
+	Upper func(p, q []float64) float64
 }
 
 // eps guards logarithms and divisions against zero components when callers
@@ -88,6 +94,45 @@ func SymmetricKL(p, q []float64) float64 {
 	return fwd + rev
 }
 
+// upperSlack scales SymmetricKLUpper's rounding allowance; the bound
+// behind it, about 1e-14, is derived in DESIGN.md ("The certified gate").
+const upperSlack = 1e-12
+
+// SymmetricKLUpper returns a log-free upper bound on SymmetricKL(p, q),
+// the gate's certificate: the value is at least SymmetricKL's float result
+// whenever it is finite, and +Inf when a component of p or q is NaN,
+// below eps or above 1 (a pmf's components lie in [eps, 1] once smoothed;
+// the range keeps SymmetricKL's floors inactive and every product below
+// in range).
+//
+// For a, b > 0, (a−b)(ln a − ln b) ≤ (a−b)²/√(ab), because the
+// logarithmic mean (a−b)/(ln a − ln b) is at least the geometric mean
+// √(ab). Summed over the components, U = Σ (p_i−q_i)²/√(p_i·q_i) bounds
+// the exact symmetrised divergence at one square root and one division a
+// component. Two terms cover what the float kernel adds to the exact
+// value: |Σp − Σq|, for its clamps of each direction's sum at zero (each
+// direction is at least Σ its weights − Σ the other's), and
+// upperSlack·(A + Σp + Σq) with A = Σ (p_i+q_i)·|p_i−q_i|/√(p_i·q_i), for
+// the rounding of both kernels: A bounds Σ (p_i+q_i)·|ln p_i − ln q_i|,
+// which scales the kernel's log and summation error, and bounds U.
+func SymmetricKLUpper(p, q []float64) float64 {
+	assertSameLen(p, q)
+	var u, a, sp, sq float64
+	for i := range p {
+		pi, qi := p[i], q[i]
+		if !(pi >= eps && pi <= 1 && qi >= eps && qi <= 1) {
+			return math.Inf(1)
+		}
+		d := math.Abs(pi - qi)
+		t := d / math.Sqrt(pi*qi)
+		u += d * t
+		a += (pi + qi) * t
+		sp += pi
+		sq += qi
+	}
+	return u + math.Abs(sp-sq) + upperSlack*(a+sp+sq)
+}
+
 func assertSameLen(p, q []float64) {
 	if len(p) != len(q) {
 		panic(fmt.Sprintf("distance: dimension mismatch %d != %d", len(p), len(q)))
@@ -98,7 +143,7 @@ func assertSameLen(p, q []float64) {
 // paper's literal gate (kl) and its symmetrisation, which ships (symkl).
 var catalog = []Distance{
 	{Name: "kl", F: KL},
-	{Name: "symkl", F: SymmetricKL},
+	{Name: "symkl", F: SymmetricKL, Upper: SymmetricKLUpper},
 }
 
 // ByName looks a distance up by its catalogue name.

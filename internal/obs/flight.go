@@ -25,7 +25,10 @@ type Record struct {
 	ScoreNs  int64 `json:"score_ns"`
 	E2ENs    int64 `json:"e2e_ns"`
 	// Window is the index of the window whose decision completed the span.
-	Window      int      `json:"window"`
+	Window int `json:"window"`
+	// GateDist is the decision's core.Decision.GateDist: exact on a
+	// tripped window, and on a quiet one possibly the upper bound that
+	// certified it, between the exact distance and the threshold.
 	GateDist    *float64 `json:"gate_dist,omitempty"`
 	GateTripped bool     `json:"gate_tripped"`
 	Anomalous   bool     `json:"anomalous"`

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -215,12 +216,24 @@ func (s *Server) handleAnomalies(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// writeJSON answers with v as indented JSON under status. v is encoded
+// before the status goes out, so a value JSON cannot encode (a non-finite
+// float) answers 500 with a JSON error body, not status with an empty one.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		buf.Reset()
+		status = http.StatusInternalServerError
+		enc.Encode(struct {
+			Error string `json:"error"`
+		}{"encoding the response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	//lint:ignore errsink the status has gone out; a client that stops reading has nothing left to be told
+	w.Write(buf.Bytes())
 }
 
 // adminShutdownTimeout bounds how long a stalled admin client can delay

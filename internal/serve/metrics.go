@@ -83,14 +83,14 @@ type series struct {
 	h    obs.Snapshot
 }
 
-// needs names the optional subsystem a family reports on; the family is
-// left out of the scrape while the daemon runs without it.
+// needs is the set of optional subsystems a family reports on; the family
+// is left out of the scrape while the daemon runs without one of them.
 type needs uint8
 
 const (
-	always needs = iota
-	needsStore
+	needsStore needs = 1 << iota
 	needsAlerts
+	always needs = 0
 )
 
 // family is one row of the /metrics table: name, type, HELP text, label
@@ -215,9 +215,9 @@ var families = []family{
 		one(func(sc *scrape) float64 { return float64(sc.opts.Alerts.QueueDepth()) })},
 	{"enduratrace_alerts_firing", "gauge", "Streams with an open (firing) alert incident.", nil, needsAlerts,
 		one(func(sc *scrape) float64 { return float64(sc.opts.Alerts.FiringStreams()) })},
-	{"enduratrace_alert_transitions_persisted_total", "counter", "Alert transitions persisted to the anomaly store.", nil, needsAlerts,
+	{"enduratrace_alert_transitions_persisted_total", "counter", "Alert transitions persisted to the anomaly store.", nil, needsStore | needsAlerts,
 		one(func(sc *scrape) float64 { return float64(sc.alertPersisted.Load()) })},
-	{"enduratrace_alert_store_errors_total", "counter", "Alert-transition store appends that failed (alerting continues).", nil, needsAlerts,
+	{"enduratrace_alert_store_errors_total", "counter", "Alert-transition store appends that failed (alerting continues).", nil, needsStore | needsAlerts,
 		one(func(sc *scrape) float64 { return float64(sc.alertPersistErrs.Load()) })},
 
 	{"enduratrace_model_points", "gauge", "Reference points in each registered model (1-labelled default).", []string{"model", "default"}, always,
@@ -292,12 +292,19 @@ var families = []family{
 
 // WriteMetrics writes the server's Prometheus scrape: one read of its
 // state, then every row of families in order, skipping the rows whose
-// subsystem (anomaly store, alert pipeline) is off.
+// subsystems (anomaly store, alert pipeline) are not all on.
 func (s *Server) WriteMetrics(w io.Writer) error {
 	sc := s.readScrape()
+	var have needs
+	if s.opts.Anomalies != nil {
+		have |= needsStore
+	}
+	if s.opts.Alerts != nil {
+		have |= needsAlerts
+	}
 	var b strings.Builder
 	for _, f := range families {
-		if f.needs == needsStore && s.opts.Anomalies == nil || f.needs == needsAlerts && s.opts.Alerts == nil {
+		if f.needs&^have != 0 {
 			continue
 		}
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)

@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
+	"io"
+	"log/slog"
 	"math"
 	"os"
 	"path/filepath"
@@ -160,6 +163,49 @@ func TestScrapeMatchesFamilies(t *testing.T) {
 	for _, f := range families {
 		if samples[f.name] == 0 {
 			t.Errorf("family %s has no sample", f.name)
+		}
+	}
+}
+
+// TestScrapeAlertStoreFamiliesNeedBoth: the two alert-store families move
+// only through the anomaly store's transition hook, which exists only
+// with the alert pipeline on, so a daemon with one of the two and not the
+// other leaves them out of its scrape: serve -alert-log with no
+// -anomaly-store, and -anomaly-store with no alert sink.
+func TestScrapeAlertStoreFamiliesNeedBoth(t *testing.T) {
+	cfg, learned := fixture(t)
+	alerts := alert.NewPipeline(alert.Options{
+		Sinks: []alert.Sink{alert.NewSlogSink(slog.New(slog.NewTextHandler(io.Discard, nil)))},
+	})
+	defer alerts.Close()
+	store, err := anomalystore.Open(t.TempDir(), anomalystore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	for _, c := range []struct {
+		name    string
+		opts    Options
+		present string
+	}{
+		{"alerts without a store", Options{Cfg: cfg, Learned: learned, Alerts: alerts}, "enduratrace_alerts_fired_total"},
+		{"a store without alerts", Options{Cfg: cfg, Learned: learned, Anomalies: store}, "enduratrace_anomaly_incidents_total"},
+	} {
+		srv, err := New(c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := srv.WriteMetrics(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(buf.String(), "# TYPE "+c.present+" ") {
+			t.Errorf("%s: the scrape lacks %s", c.name, c.present)
+		}
+		for _, absent := range []string{"enduratrace_alert_transitions_persisted_total", "enduratrace_alert_store_errors_total"} {
+			if strings.Contains(buf.String(), absent) {
+				t.Errorf("%s: the scrape serves %s, which only a store with alerts can move", c.name, absent)
+			}
 		}
 	}
 }

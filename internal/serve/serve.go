@@ -783,13 +783,21 @@ func (s *Server) score(st *stream) (core.RunStats, error) {
 // recordFlight books one decision's end-to-end latencies and, when the
 // flight recorder sampled an event of its window, that event's record.
 // It runs on the scoring goroutine; scoreNs is the window's score time.
+// A decision with no arrivals returns before the clock is read: its
+// window's events were all popped before an earlier decision, which took
+// their arrivals, and the flight sample and skips come from the same pops,
+// so there is none either. That is most windows of a batch.
 func (s *Server) recordFlight(st *stream, d core.Decision, scoreNs int64) {
+	arrivals := st.q.takeArrivals()
+	if len(arrivals) == 0 {
+		return
+	}
 	now := obs.Now()
 	// Every event popped since the previous decision belongs to this
 	// window: its end-to-end latency is arrival → this decision. This is
 	// what makes the e2e histogram's _count equal the number of events
 	// scored (TestSelftestEndToEnd asserts exactly that).
-	for _, a := range st.q.takeArrivals() {
+	for _, a := range arrivals {
 		st.pipe.E2E.ObserveN(now-a.enqNs, a.n)
 	}
 	if s.flight == nil {
