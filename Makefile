@@ -21,10 +21,12 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# The repo-invariant static-analysis suite plus the compiler-backed
-# zero-alloc gate (see DESIGN.md "Static analysis"), on its own and
-# uncached. Fails on any finding or stale //lint:ignore; `make test`
-# runs the same test.
+# The two repo-invariant analyzers (monotime, errsink) plus the
+# compiler-backed zero-alloc gate (see DESIGN.md "Static analysis"), on
+# their own and uncached. Fails on any finding or stale //lint:ignore;
+# `make test` runs the same test. Lock discipline and non-finite JSON are
+# the tests' job: the race audits under `make race`, and the admin
+# routes' wire test.
 lint:
 	$(GO) test -count=1 -run '^TestRepoInvariants$$' ./internal/lint
 

@@ -27,10 +27,11 @@ package alert
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"enduratrace/internal/obs"
 )
 
 // State is a stream's position in the alert lifecycle.
@@ -136,20 +137,9 @@ func (n Notification) MarshalJSON() ([]byte, error) {
 	type plain Notification // no methods: the default encoding
 	return json.Marshal(struct {
 		plain
-		GateDist jsonFloat `json:"gate_dist"`
-		LOF      jsonFloat `json:"lof"`
-	}{plain: plain(n), GateDist: jsonFloat(n.GateDist), LOF: jsonFloat(n.LOF)})
-}
-
-// jsonFloat marshals like float64 but maps NaN/±Inf to null.
-type jsonFloat float64
-
-func (f jsonFloat) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return []byte("null"), nil
-	}
-	return json.Marshal(v)
+		GateDist obs.JSONFloat `json:"gate_dist"`
+		LOF      obs.JSONFloat `json:"lof"`
+	}{plain: plain(n), GateDist: obs.JSONFloat(n.GateDist), LOF: obs.JSONFloat(n.LOF)})
 }
 
 // Options configures a Pipeline.
@@ -229,11 +219,11 @@ type Pipeline struct {
 	enqueued     atomic.Int64 // notifications handed to the dispatcher
 
 	mu       sync.Mutex
-	models   map[string]*modelCounters //enduratrace:guarded-by mu
-	streams  map[*Stream]struct{}      //enduratrace:guarded-by mu
-	recent   []Notification            //enduratrace:guarded-by mu
-	recentAt int                       //enduratrace:guarded-by mu
-	hook     func(Notification)        //enduratrace:guarded-by mu
+	models   map[string]*modelCounters // guarded by mu
+	streams  map[*Stream]struct{}      // guarded by mu
+	recent   []Notification            // guarded by mu
+	recentAt int                       // guarded by mu
+	hook     func(Notification)        // guarded by mu
 }
 
 // NewPipeline validates the options and builds a running pipeline (the

@@ -28,9 +28,9 @@ type dispatcher struct {
 	depth     atomic.Int64 // notifications queued or in delivery
 
 	mu          sync.Mutex
-	closed      bool  //enduratrace:guarded-by mu
-	sinksClosed bool  //enduratrace:guarded-by mu
-	closeErr    error //enduratrace:guarded-by mu
+	closed      bool  // guarded by mu
+	sinksClosed bool  // guarded by mu
+	closeErr    error // guarded by mu
 	done        chan struct{}
 }
 

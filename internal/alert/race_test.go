@@ -3,16 +3,40 @@ package alert
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // TestConcurrentStreamsOneDispatcher is the race audit: many scoring
 // goroutines drive their own streams into one pipeline while an admin
-// goroutine reads snapshots and metrics-style counters. Run under -race;
-// the books must balance when the dust settles.
+// goroutine reads snapshots and metrics-style counters without pausing.
+// Run under -race; the books must balance when the dust settles. It runs
+// once without a rate limit and once behind a refilling global bucket, so
+// concurrent streams also share the bucket's state.
+//
+// The transition hook yields, as the store append it stands for blocks on
+// I/O. Another goroutine then runs between a transition's write to the
+// recent ring and its hand-off to the bucket and the dispatcher, which is
+// where a write outside the lock would race.
 func TestConcurrentStreamsOneDispatcher(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		rate, burst float64
+	}{
+		{"unlimited", 0, 0},
+		// The shared clock moves 1 ms per incident, 400 ms in all: the
+		// bucket refills about 40 tokens over the run, far fewer than the
+		// 800 transitions, so it both admits and refuses.
+		{"global rate", 100, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) { concurrentStreams(t, tc.rate, tc.burst) })
+	}
+}
+
+func concurrentStreams(t *testing.T, rate, burst float64) {
 	const (
 		nStreams  = 16
 		incidents = 25
@@ -20,14 +44,19 @@ func TestConcurrentStreamsOneDispatcher(t *testing.T) {
 	clk := newFakeClock(selftestEpoch)
 	sink := newCaptureSink("capture")
 	p := NewPipeline(Options{
-		MinTrips:   2,
-		ClearAfter: time.Millisecond,
-		Sinks:      []Sink{sink},
-		Clock:      clk.now,
+		MinTrips:    2,
+		ClearAfter:  time.Millisecond,
+		GlobalRate:  rate,
+		GlobalBurst: burst,
+		Sinks:       []Sink{sink},
+		Clock:       clk.now,
+	})
+	var hooked atomic.Int64
+	p.SetTransitionHook(func(Notification) {
+		hooked.Add(1)
+		runtime.Gosched()
 	})
 
-	// An admin goroutine hammers the read surface concurrently (throttled
-	// so it audits races without starving the workers).
 	stopAdmin := make(chan struct{})
 	var adminWG sync.WaitGroup
 	adminWG.Add(1)
@@ -41,7 +70,6 @@ func TestConcurrentStreamsOneDispatcher(t *testing.T) {
 				_ = p.Snapshot()
 				_ = p.FiringStreams()
 				_ = p.QueueDepth()
-				time.Sleep(100 * time.Microsecond)
 			}
 		}
 	}()
@@ -86,10 +114,15 @@ func TestConcurrentStreamsOneDispatcher(t *testing.T) {
 	if b.Fired != wantEach || b.Resolved != wantEach {
 		t.Fatalf("books fired/resolved = %d/%d, want %d/%d", b.Fired, b.Resolved, wantEach, wantEach)
 	}
-	// No rate limit, and the default queue is deep enough at this pace:
-	// every transition must have reached the sink or been counted dropped.
-	if got := b.Enqueued + b.QueueDropped; got != 2*wantEach {
-		t.Fatalf("enqueued %d + dropped %d != %d transitions", b.Enqueued, b.QueueDropped, 2*wantEach)
+	// The hook runs before rate limiting: it sees every transition.
+	if got := hooked.Load(); got != 2*wantEach {
+		t.Fatalf("transition hook saw %d transitions, want %d", got, 2*wantEach)
+	}
+	if rate > 0 && (b.RateLimitedGlobal == 0 || b.Enqueued == 0) {
+		t.Fatalf("global bucket refused %d and admitted %d; want some of each", b.RateLimitedGlobal, b.Enqueued)
+	}
+	if rate == 0 && b.RateLimitedGlobal != 0 {
+		t.Fatalf("unlimited pipeline rate-limited %d notifications", b.RateLimitedGlobal)
 	}
 	if int64(sink.delivered()) != b.Enqueued {
 		t.Fatalf("sink saw %d, books enqueued %d", sink.delivered(), b.Enqueued)

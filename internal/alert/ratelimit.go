@@ -17,8 +17,8 @@ type tokenBucket struct {
 	mu        sync.Mutex
 	rate      float64 // tokens per second
 	burst     float64
-	tokens    float64 //enduratrace:guarded-by mu
-	lastNs    int64   //enduratrace:guarded-by mu
+	tokens    float64 // guarded by mu
+	lastNs    int64   // guarded by mu
 	unlimited bool
 }
 

@@ -50,7 +50,6 @@ package anomalystore
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -154,36 +153,20 @@ func (inc *Incident) Principal() (window.Window, bool) {
 // IncidentMeta is the window-free view of an incident served by the
 // /anomalies admin endpoint and kept in the store's recent ring.
 type IncidentMeta struct {
-	Seq       uint64    `json:"seq"`
-	Stream    string    `json:"stream"`
-	Model     string    `json:"model"`
-	ModelGen  int64     `json:"model_gen"`
-	Wall      string    `json:"wall"`
-	Score     JSONFloat `json:"score"`
-	GateDist  JSONFloat `json:"gate_dist"`
-	Alpha     JSONFloat `json:"alpha"`
-	Anomalous bool      `json:"anomalous"`
-	Alert     string    `json:"alert,omitempty"`
-	StartS    JSONFloat `json:"start_s"`
-	EndS      JSONFloat `json:"end_s"`
-	Windows   int       `json:"windows"`
-	Events    int       `json:"events"`
-}
-
-// JSONFloat marshals like float64 but renders NaN/±Inf as null: gate
-// distances are legitimately +Inf for disjoint distributions, but JSON
-// has no Inf/NaN and one such incident must not break the whole
-// /anomalies body with a marshal error. A field type (rather than a
-// MarshalJSON on IncidentMeta) so structs embedding the meta keep their
-// own fields — a promoted struct marshaler would silently drop them.
-type JSONFloat float64
-
-func (f JSONFloat) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return []byte("null"), nil
-	}
-	return json.Marshal(v)
+	Seq       uint64        `json:"seq"`
+	Stream    string        `json:"stream"`
+	Model     string        `json:"model"`
+	ModelGen  int64         `json:"model_gen"`
+	Wall      string        `json:"wall"`
+	Score     obs.JSONFloat `json:"score"`
+	GateDist  obs.JSONFloat `json:"gate_dist"`
+	Alpha     obs.JSONFloat `json:"alpha"`
+	Anomalous bool          `json:"anomalous"`
+	Alert     string        `json:"alert,omitempty"`
+	StartS    obs.JSONFloat `json:"start_s"`
+	EndS      obs.JSONFloat `json:"end_s"`
+	Windows   int           `json:"windows"`
+	Events    int           `json:"events"`
 }
 
 // Meta returns the incident's window-free summary.
@@ -198,13 +181,13 @@ func (inc *Incident) Meta() IncidentMeta {
 		Model:     inc.Model,
 		ModelGen:  inc.ModelGen,
 		Wall:      inc.Wall.UTC().Format(time.RFC3339Nano),
-		Score:     JSONFloat(inc.Score),
-		GateDist:  JSONFloat(inc.GateDist),
-		Alpha:     JSONFloat(inc.Alpha),
+		Score:     obs.JSONFloat(inc.Score),
+		GateDist:  obs.JSONFloat(inc.GateDist),
+		Alpha:     obs.JSONFloat(inc.Alpha),
 		Anomalous: inc.Anomalous,
 		Alert:     inc.Alert,
-		StartS:    JSONFloat(inc.Start.Seconds()),
-		EndS:      JSONFloat(inc.End.Seconds()),
+		StartS:    obs.JSONFloat(inc.Start.Seconds()),
+		EndS:      obs.JSONFloat(inc.End.Seconds()),
 		Windows:   len(inc.Windows),
 		Events:    events,
 	}
@@ -309,18 +292,18 @@ type Store struct {
 	// succeeded; every record up to durable has been covered by an fsync or
 	// is listed in failed; pending counts the records in the active segment
 	// between the two, the committer's next batch.
-	written uint64        //enduratrace:guarded-by mu
-	durable uint64        //enduratrace:guarded-by mu
-	pending int           //enduratrace:guarded-by mu
-	failed  []failedRange //enduratrace:guarded-by mu
+	written uint64        // guarded by mu
+	durable uint64        // guarded by mu
+	pending int           // guarded by mu
+	failed  []failedRange // guarded by mu
 	// syncing is set while the committer is inside Sync on f with mu
 	// released: f must not be closed under it. poisoned is set once a write
 	// or fsync on f has failed: nothing more is written to it.
-	syncing    bool  //enduratrace:guarded-by mu
-	poisoned   bool  //enduratrace:guarded-by mu
-	syncs      int64 //enduratrace:guarded-by mu
-	syncErrs   int64 //enduratrace:guarded-by mu
-	syncedRecs int64 //enduratrace:guarded-by mu
+	syncing    bool  // guarded by mu
+	poisoned   bool  // guarded by mu
+	syncs      int64 // guarded by mu
+	syncErrs   int64 // guarded by mu
+	syncedRecs int64 // guarded by mu
 }
 
 // Open creates dir if needed, scans any existing segments (recovering the
@@ -501,17 +484,13 @@ func (s *Store) sync(f segFile) error {
 // record in the file that is not yet durable fails with it, and the file
 // takes no more writes.
 func (s *Store) flushedLocked(n int, upto uint64, err error) {
-	//lint:ignore counterlock the caller holds mu
 	s.syncs++
 	if err == nil {
-		//lint:ignore counterlock the caller holds mu
 		s.syncedRecs, s.pending, s.durable = s.syncedRecs+int64(n), s.pending-n, upto
 	} else {
 		if s.pending > 0 {
-			//lint:ignore counterlock the caller holds mu
 			s.failed = appendFailed(s.failed, s.durable+1, s.written, err)
 		}
-		//lint:ignore counterlock the caller holds mu
 		s.syncErrs, s.pending, s.durable, s.poisoned = s.syncErrs+1, 0, s.written, true
 	}
 	s.flushed.Broadcast()
@@ -654,7 +633,6 @@ func (s *Store) closeSegmentLocked() error {
 	s.sealedSegs++
 	s.sealedB += s.off
 	s.off = 0
-	//lint:ignore counterlock the caller holds mu
 	s.poisoned = false
 	if werr != nil {
 		return fmt.Errorf("anomalystore: sealing segment: %w", werr)

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"enduratrace/internal/obs"
 	"enduratrace/internal/trace"
 	"enduratrace/internal/window"
 )
@@ -559,7 +560,7 @@ func TestAlertRecordRoundTrip(t *testing.T) {
 // of the whole /anomalies body — non-finite scores render as null.
 func TestIncidentMetaMarshalNonFinite(t *testing.T) {
 	m := IncidentMeta{Seq: 7, Stream: "s", Model: "m",
-		Score: JSONFloat(math.NaN()), GateDist: JSONFloat(math.Inf(1))}
+		Score: obs.JSONFloat(math.NaN()), GateDist: obs.JSONFloat(math.Inf(1))}
 	b, err := json.Marshal(m)
 	if err != nil {
 		t.Fatalf("non-finite meta failed to marshal: %v", err)

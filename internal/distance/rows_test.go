@@ -270,7 +270,7 @@ func TestFilterRowsWithinBound(t *testing.T) {
 					}
 					continue
 				}
-				if margin := fq.Stop(0); margin != 2*bound { //lint:ignore floateq the margin is 2ε, exactly
+				if margin := fq.Stop(0); margin != 2*bound {
 					t.Fatalf("symkl dim %d: margin %v, want 2ε = %v", dim, margin, 2*bound)
 				}
 				// Walk the prefixes Row can abandon at: raising the stop just

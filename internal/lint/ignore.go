@@ -108,14 +108,13 @@ func (idx *ignoreIndex) suppress(analyzer string, pos token.Position) bool {
 	return false
 }
 
-// Annotation directives: the grammar has exactly two productions,
+// Annotation directives: the grammar has exactly one production,
 //
-//	//enduratrace:guarded-by <mutexField>   (on a struct field)
-//	//enduratrace:zeroalloc                 (on a function declaration)
+//	//enduratrace:zeroalloc   (on a function declaration)
 //
 // validateDirectives reports any //enduratrace: comment outside that
 // grammar, so a typo'd annotation fails loudly instead of silently
-// guarding nothing.
+// gating nothing.
 const directivePrefix = "enduratrace:"
 
 func validateDirectives(load *Load, r *runner) {
@@ -127,19 +126,14 @@ func validateDirectives(load *Load, r *runner) {
 					if !strings.HasPrefix(text, directivePrefix) {
 						continue
 					}
-					rest := strings.TrimPrefix(text, directivePrefix)
-					fields := strings.Fields(rest)
+					fields := strings.Fields(strings.TrimPrefix(text, directivePrefix))
 					pos := load.Fset.Position(c.Pos())
 					bad := func(msg string) {
-						r.add("directive", "the grammar is //enduratrace:guarded-by <mutexField> or //enduratrace:zeroalloc", pos, msg)
+						r.add("directive", "the grammar is //enduratrace:zeroalloc", pos, msg)
 					}
 					switch {
 					case len(fields) == 0:
 						bad("//enduratrace: directive without a name")
-					case fields[0] == "guarded-by":
-						if len(fields) != 2 {
-							bad("//enduratrace:guarded-by needs exactly one mutex field name")
-						}
 					case fields[0] == "zeroalloc":
 						if len(fields) != 1 {
 							bad("//enduratrace:zeroalloc takes no arguments")
@@ -151,24 +145,6 @@ func validateDirectives(load *Load, r *runner) {
 			}
 		}
 	}
-}
-
-// fieldDirective scans a struct field's comments (doc and trailing) for
-// an //enduratrace:guarded-by directive, returning the named mutex field.
-func fieldDirective(field *ast.Field) (mutex string, ok bool) {
-	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			fields := strings.Fields(text)
-			if len(fields) == 2 && fields[0] == directivePrefix+"guarded-by" {
-				return fields[1], true
-			}
-		}
-	}
-	return "", false
 }
 
 // funcHasDirective reports whether a function declaration's doc comment

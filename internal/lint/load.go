@@ -17,18 +17,13 @@ import (
 )
 
 // Package is one loaded, parsed and typechecked module package: the unit
-// analyzers run over. Files holds the package's non-test source files
-// (test files never reach the analyzers — the bit-exactness tests that
-// intentionally compare floats stay out of floateq's way by
-// construction).
+// analyzers run over. Files holds the package's non-test source files:
+// test files never reach the analyzers, so a //lint:ignore in a _test.go
+// file suppresses nothing and is never checked.
 type Package struct {
-	Path      string // import path, e.g. enduratrace/internal/serve
-	Dir       string
-	Fset      *token.FileSet
-	Files     []*ast.File
-	Filenames []string // absolute, parallel to Files
-	Types     *types.Package
-	Info      *types.Info
+	Path  string // import path, e.g. enduratrace/internal/serve
+	Files []*ast.File
+	Info  *types.Info // Uses only: the analyzers resolve called functions
 }
 
 // Load is the result of loading a module tree for analysis.
@@ -104,31 +99,22 @@ func LoadPackages(root string, patterns []string) (*Load, error) {
 
 	out := &Load{Root: root, ModulePath: modPath, Fset: fset}
 	for _, t := range targets {
-		pkg := &Package{Path: t.ImportPath, Dir: t.Dir, Fset: fset}
+		pkg := &Package{Path: t.ImportPath}
 		for _, name := range t.GoFiles {
-			fn := filepath.Join(t.Dir, name)
-			f, err := parser.ParseFile(fset, fn, nil, parser.ParseComments)
+			f, err := parser.ParseFile(fset, filepath.Join(t.Dir, name), nil, parser.ParseComments)
 			if err != nil {
 				return nil, fmt.Errorf("lint: %v", err)
 			}
 			pkg.Files = append(pkg.Files, f)
-			pkg.Filenames = append(pkg.Filenames, fn)
 		}
-		pkg.Info = &types.Info{
-			Types:      make(map[ast.Expr]types.TypeAndValue),
-			Defs:       make(map[*ast.Ident]types.Object),
-			Uses:       make(map[*ast.Ident]types.Object),
-			Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		}
+		pkg.Info = &types.Info{Uses: make(map[*ast.Ident]types.Object)}
 		conf := types.Config{Importer: imp}
-		tpkg, err := conf.Check(t.ImportPath, fset, pkg.Files, pkg.Info)
-		if err != nil {
+		if _, err := conf.Check(t.ImportPath, fset, pkg.Files, pkg.Info); err != nil {
 			// go list already compiled this package, so a type error here
 			// is a loader bug (importer mismatch), not a user error — but
 			// surface it either way.
 			return nil, fmt.Errorf("lint: typecheck %s: %v", t.ImportPath, err)
 		}
-		pkg.Types = tpkg
 		out.Pkgs = append(out.Pkgs, pkg)
 	}
 	return out, nil

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"slices"
 	"strings"
 )
 
@@ -33,7 +34,7 @@ var monotimeScopeSuffixes = []string{
 }
 
 func runMonotime(pass *Pass) {
-	if !pathHasSuffix(pass.Pkg.Path, monotimeScopeSuffixes) {
+	if !slices.ContainsFunc(monotimeScopeSuffixes, func(s string) bool { return strings.HasSuffix(pass.Pkg.Path, s) }) {
 		return
 	}
 	info := pass.Pkg.Info

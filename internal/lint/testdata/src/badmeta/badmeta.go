@@ -4,30 +4,22 @@
 // marker without changing what it parses as.
 package badmeta
 
-import "sync"
+type sink struct{}
 
-func reasonless(a, b float64) bool {
-	//lint:ignore floateq
-	return a == b
+func (sink) Flush() error { return nil }
+
+func reasonless(s sink) {
+	//lint:ignore errsink
+	s.Flush()
 }
 
-func unknownAnalyzer(a, b float64) bool {
+func unknownAnalyzer(s sink) {
 	//lint:ignore gofancy not a real analyzer name
-	return a == b
+	s.Flush()
 }
 
-type wrongDirectives struct {
-	mu sync.Mutex
-	//enduratrace:guarded-by
-	a int
-	//enduratrace:guarded-by mu extra words
-	b int
-	//enduratrace:frobnicate
-	c int
-}
+//enduratrace:zeroalloc please
+func withArgument() {}
 
-func (w *wrongDirectives) use() {
-	w.mu.Lock()
-	w.a, w.b, w.c = 1, 2, 3
-	w.mu.Unlock()
-}
+//enduratrace:frobnicate
+func unknownDirective() {}

@@ -3,16 +3,20 @@
 // and a stale ignore that must be reported.
 package suppress
 
-func suppressedAbove(a, b float64) bool {
-	//lint:ignore floateq golden test: the ignore on the line above suppresses
-	return a == b
+type sink struct{}
+
+func (sink) Flush() error { return nil }
+
+func suppressedAbove(s sink) {
+	//lint:ignore errsink golden test: the ignore on the line above suppresses
+	s.Flush()
 }
 
-func suppressedSameLine(a, b float64) bool {
-	return a == b //lint:ignore floateq golden test: end-of-line ignore suppresses
+func suppressedSameLine(s sink) {
+	s.Flush() //lint:ignore errsink golden test: end-of-line ignore suppresses
 }
 
-func stale(a, b float64) bool {
-	//lint:ignore floateq the comparison this excused is long gone // want "staleignore"
-	return a < b
+func stale(s sink) error {
+	//lint:ignore errsink the discard this excused is long gone // want "staleignore"
+	return s.Flush()
 }

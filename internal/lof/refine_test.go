@@ -101,7 +101,6 @@ func checkRefineEqualsFullScan(t *testing.T, name string, q, flat []float64, dim
 		}
 		if len(want) == k {
 			for i, e := range exact {
-				//lint:ignore floateq an exact tie is what is being looked for
 				if i != skip && i != want[k-1].Idx && e == want[k-1].Dist {
 					boundaryTie = true
 				}

@@ -1,7 +1,8 @@
 // Package obs is the serving layer's latency-and-introspection toolkit:
 // fixed-bucket log-scaled latency histograms cheap enough to live on the
-// event hot path, a sampled per-event flight recorder, and a monotonic
-// clock helper shared by both.
+// event hot path, a sampled per-event flight recorder, a monotonic clock
+// helper shared by both, and the float type the admin JSON bodies render
+// non-finite values with.
 //
 // The histogram is the load-bearing piece. Requirements, in order:
 //
@@ -26,6 +27,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"math"
 	"math/bits"
 	"sync/atomic"
@@ -250,3 +252,20 @@ var epoch = time.Now()
 // is immune to wall-clock steps, and the int64 form keeps the per-event
 // metadata flat (no time.Time in the queue ring).
 func Now() int64 { return int64(time.Since(epoch)) }
+
+// JSONFloat marshals like float64 but renders NaN and ±Inf as null. Gate
+// distances are legitimately +Inf (a stream's first window, disjoint
+// distributions), JSON has no Inf or NaN, and one such value must not turn
+// a whole admin body or alert payload into a marshal error. It is a field
+// type, not a MarshalJSON on the enclosing struct, so that structs
+// embedding that struct keep their own fields: a promoted struct marshaler
+// would silently drop them.
+type JSONFloat float64
+
+func (f JSONFloat) MarshalJSON() ([]byte, error) {
+	v := float64(f)
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return []byte("null"), nil
+	}
+	return json.Marshal(v)
+}

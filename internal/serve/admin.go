@@ -22,12 +22,12 @@ type flightReport struct {
 
 // healthReport is the /healthz body.
 type healthReport struct {
-	Status       string                 `json:"status"`
-	UptimeS      anomalystore.JSONFloat `json:"uptime_s"`
-	StreamsLive  int                    `json:"streams_live"`
-	ModelPoints  int                    `json:"model_points"`
-	Models       []string               `json:"models"`
-	DefaultModel string                 `json:"default_model"`
+	Status       string        `json:"status"`
+	UptimeS      obs.JSONFloat `json:"uptime_s"`
+	StreamsLive  int           `json:"streams_live"`
+	ModelPoints  int           `json:"model_points"`
+	Models       []string      `json:"models"`
+	DefaultModel string        `json:"default_model"`
 }
 
 // adminMux builds the admin endpoints:
@@ -47,7 +47,7 @@ func (s *Server) adminMux() *http.ServeMux {
 		views, _ := s.snapshot()
 		writeJSON(w, http.StatusOK, healthReport{
 			Status:       "ok",
-			UptimeS:      anomalystore.JSONFloat(time.Since(s.start).Seconds()),
+			UptimeS:      obs.JSONFloat(time.Since(s.start).Seconds()),
 			StreamsLive:  len(views),
 			ModelPoints:  s.models.Default().Learned.Model.Len(),
 			Models:       s.models.Names(),
@@ -150,10 +150,10 @@ type incidentDetail struct {
 }
 
 type incidentWindow struct {
-	Index  int                    `json:"index"`
-	StartS anomalystore.JSONFloat `json:"start_s"`
-	EndS   anomalystore.JSONFloat `json:"end_s"`
-	Events int                    `json:"events"`
+	Index  int           `json:"index"`
+	StartS obs.JSONFloat `json:"start_s"`
+	EndS   obs.JSONFloat `json:"end_s"`
+	Events int           `json:"events"`
 }
 
 // handleAnomalies serves the anomaly store's admin view. Without a store
@@ -189,8 +189,8 @@ func (s *Server) handleAnomalies(w http.ResponseWriter, r *http.Request) {
 		for _, win := range inc.Windows {
 			detail.ContextWindows = append(detail.ContextWindows, incidentWindow{
 				Index:  win.Index,
-				StartS: anomalystore.JSONFloat(win.Start.Seconds()),
-				EndS:   anomalystore.JSONFloat(win.End.Seconds()),
+				StartS: obs.JSONFloat(win.Start.Seconds()),
+				EndS:   obs.JSONFloat(win.End.Seconds()),
 				Events: len(win.Events),
 			})
 		}

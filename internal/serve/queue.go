@@ -82,9 +82,9 @@ type eventQueue struct {
 	closed   bool
 	policy   Backpressure
 
-	dropped  int64 //enduratrace:guarded-by mu
-	ingested int64 //enduratrace:guarded-by mu
-	scored   int64 //enduratrace:guarded-by mu
+	dropped  int64 // guarded by mu
+	ingested int64 // guarded by mu
+	scored   int64 // guarded by mu
 
 	// runs rides beside buf, oldest run first: the queued events, in
 	// order, belong to runs[rhead], runs[rhead+1], … up to rtail. A run is

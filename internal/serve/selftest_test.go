@@ -107,6 +107,7 @@ type selftestReport struct {
 // and every sink must have flushed. Any mismatch fails the test.
 func selftest(t testing.TB, opts selftestOptions) *selftestReport {
 	t.Helper()
+	start := obs.Now()
 	srv, err := New(Options{
 		Models:    opts.Models,
 		Cfg:       opts.Cfg,
@@ -240,6 +241,9 @@ func selftest(t testing.TB, opts selftestOptions) *selftestReport {
 	}
 	modelWindows, err := scrapeModelWindows(metricsBody)
 	if err != nil {
+		t.Fatalf("/metrics: %v", err)
+	}
+	if err := checkStageMeans(metricsBody, time.Duration(obs.Now()-start)); err != nil {
 		t.Fatalf("/metrics: %v", err)
 	}
 	// Every stream has drained and closed, so the e2e histograms are final.
@@ -575,4 +579,47 @@ func scrapeModelWindows(body []byte) (map[string]int64, error) {
 		out[model] = int64(v)
 	}
 	return out, nil
+}
+
+// checkStageMeans holds every per-stage latency histogram of a scrape to
+// the clock its spans must be read on: each has observations, and its mean
+// lies above the 1 ns that obs.Histogram.ObserveN clamps a negative span
+// to and at most the wall time the run took. A stage that stamps one end
+// of a span from the wall clock and the other from obs.Now is off by the
+// Unix epoch, so its spans are all clamped or all far too long.
+func checkStageMeans(body []byte, elapsed time.Duration) error {
+	sums := make(map[string]float64)
+	counts := make(map[string]float64)
+	for _, line := range strings.Split(string(body), "\n") {
+		name, value, ok := strings.Cut(line, " ")
+		if !ok || !strings.HasPrefix(name, "enduratrace_pipeline_") {
+			continue
+		}
+		base, labels, _ := strings.Cut(name, "{")
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			return fmt.Errorf("malformed metric value in %q: %w", line, err)
+		}
+		switch {
+		case strings.HasSuffix(base, "_seconds_sum"):
+			sums[strings.TrimSuffix(base, "_sum")+"{"+labels] = v
+		case strings.HasSuffix(base, "_seconds_count"):
+			counts[strings.TrimSuffix(base, "_count")+"{"+labels] = v
+		}
+	}
+	if len(counts) == 0 {
+		return fmt.Errorf("no enduratrace_pipeline_*_seconds histogram in the scrape")
+	}
+	for series, n := range counts {
+		if n == 0 {
+			return fmt.Errorf("%s observed nothing", series)
+		}
+		// The bound sits a rounding error above 1 ns: a sum of n clamped
+		// spans, printed in seconds, divides back to 1 ns within an ulp.
+		mean := sums[series] / n
+		if mean <= 1.000001e-9 || mean > elapsed.Seconds() {
+			return fmt.Errorf("%s mean %.3g s is outside (1 ns, %v]: a span read across two clocks?", series, mean, elapsed)
+		}
+	}
+	return nil
 }

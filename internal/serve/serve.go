@@ -187,11 +187,11 @@ type StatsReport struct {
 	// AlertStoreErrors counts those appends that failed.
 	// AlertsFiring is the number of streams with an open incident right
 	// now. All zero without an alert pipeline.
-	AlertTransitions int64                  `json:"alert_transitions"`
-	AlertStoreErrors int64                  `json:"alert_store_errors"`
-	AlertsFiring     int                    `json:"alerts_firing"`
-	ModelPoints      int                    `json:"model_points"`
-	UptimeS          anomalystore.JSONFloat `json:"uptime_s"`
+	AlertTransitions int64         `json:"alert_transitions"`
+	AlertStoreErrors int64         `json:"alert_store_errors"`
+	AlertsFiring     int           `json:"alerts_firing"`
+	ModelPoints      int           `json:"model_points"`
+	UptimeS          obs.JSONFloat `json:"uptime_s"`
 }
 
 // StreamView is one live stream's row in /streams.
@@ -217,9 +217,9 @@ type StreamView struct {
 	// events whose scorer has made no progress for Options.StallAfter —
 	// the signature of a wedged model or a sink blocked on I/O (an empty
 	// queue is never stalled, it is just idle).
-	LastIngestAgeS   anomalystore.JSONFloat `json:"last_ingest_age_s"`
-	LastProgressAgeS anomalystore.JSONFloat `json:"last_progress_age_s"`
-	Stalled          bool                   `json:"stalled"`
+	LastIngestAgeS   obs.JSONFloat `json:"last_ingest_age_s"`
+	LastProgressAgeS obs.JSONFloat `json:"last_progress_age_s"`
+	Stalled          bool          `json:"stalled"`
 }
 
 // stream is the one record of a live connection: its id, the model it
@@ -288,10 +288,10 @@ type Server struct {
 	mu       sync.Mutex
 	conns    map[net.Conn]struct{}
 	shutdown bool
-	live     map[string]*stream //enduratrace:guarded-by mu
-	closedBy map[string]books   //enduratrace:guarded-by mu
-	seq      int                //enduratrace:guarded-by mu
-	results  []StreamResult     //enduratrace:guarded-by mu
+	live     map[string]*stream // guarded by mu
+	closedBy map[string]books   // guarded by mu
+	seq      int                // guarded by mu
+	results  []StreamResult     // guarded by mu
 
 	headerWait time.Duration // headerTimeout; a field so a test need not wait it out
 
@@ -356,7 +356,7 @@ func New(opts Options) (*Server, error) {
 		opts:   opts,
 		models: models,
 		log:    logger,
-		//lint:ignore monotime uptime is reported against the wall-clock start for operators
+		//lint:ignore monotime uptime counts from New, not obs's process epoch; time.Since uses start's monotonic reading
 		start:    time.Now(),
 		flight:   flight,
 		obsBy:    make(map[string]*obs.Pipeline),
@@ -907,8 +907,8 @@ func (st *stream) view(now int64, stallAfter time.Duration) StreamView {
 		FullBytes:        st.fullBytes.Load(),
 		RecordedBytes:    st.sink.bytes.Load(),
 		RecordedWindows:  st.sink.windows.Load(),
-		LastIngestAgeS:   anomalystore.JSONFloat(float64(now-pushNs) / 1e9),
-		LastProgressAgeS: anomalystore.JSONFloat(float64(now-popNs) / 1e9),
+		LastIngestAgeS:   obs.JSONFloat(float64(now-pushNs) / 1e9),
+		LastProgressAgeS: obs.JSONFloat(float64(now-popNs) / 1e9),
 		Stalled:          stallAfter > 0 && qc.Depth > 0 && now-popNs > int64(stallAfter),
 	}
 }
@@ -972,7 +972,7 @@ func (s *Server) Stats() StatsReport {
 		AlertTransitions:     s.alertPersisted.Load(),
 		AlertStoreErrors:     s.alertPersistErrs.Load(),
 		ModelPoints:          s.models.Default().Learned.Model.Len(),
-		UptimeS:              anomalystore.JSONFloat(time.Since(s.start).Seconds()),
+		UptimeS:              obs.JSONFloat(time.Since(s.start).Seconds()),
 	}
 	if s.opts.Alerts != nil {
 		rep.AlertsFiring = s.opts.Alerts.FiringStreams()
