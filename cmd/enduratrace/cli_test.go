@@ -166,7 +166,8 @@ func TestSimLearnMonitor(t *testing.T) {
 	}
 
 	// Only -alpha 0 keeps the model's threshold; any other value must be a
-	// valid one, in monitor and replay alike.
+	// valid one, in monitor and replay alike, and replay applies it to
+	// every model of a -model directory.
 	store := filepath.Join(dir, "store")
 	if err := os.Mkdir(store, 0o755); err != nil {
 		t.Fatal(err)
@@ -179,6 +180,7 @@ func TestSimLearnMonitor(t *testing.T) {
 		}{
 			{"monitor", cmdMonitor, []string{"-in", run, "-model", model}},
 			{"replay", cmdReplay, []string{"-store", store, "-model", model}},
+			{"replay dir", cmdReplay, []string{"-store", store, "-model", dir}},
 		} {
 			err := c.cmd(append(c.args, "-alpha", alpha))
 			if err == nil || !strings.Contains(err.Error(), "Alpha must be >= 1") {
@@ -188,8 +190,8 @@ func TestSimLearnMonitor(t *testing.T) {
 	}
 
 	// replay reads only a store: a raw trace is monitor's, one run per
-	// model.
-	for _, flag := range [][]string{{"-in", run}, {"-default-model", "a"}} {
+	// model. One -model names a file or a directory.
+	for _, flag := range [][]string{{"-in", run}, {"-default-model", "a"}, {"-models", dir}} {
 		err := cmdReplay(append([]string{"-store", store, "-model", model}, flag...))
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+flag[0]) {
 			t.Fatalf("replay %v: %v, want an unknown-flag error", flag, err)
@@ -197,6 +199,9 @@ func TestSimLearnMonitor(t *testing.T) {
 	}
 	if err := cmdReplay([]string{"-model", model}); err == nil || !strings.Contains(err.Error(), "-store is required") {
 		t.Fatalf("replay without -store: %v, want a refusal", err)
+	}
+	if err := cmdReplay([]string{"-store", store}); err == nil || !strings.Contains(err.Error(), "-model is required") {
+		t.Fatalf("replay without -model: %v, want a refusal", err)
 	}
 
 	// A compression level flate refuses leaves no recording file behind.
@@ -210,11 +215,12 @@ func TestSimLearnMonitor(t *testing.T) {
 	}
 }
 
-// TestServeRegistry pins serve's model precedence: -models refuses
-// -alpha, a -model file loads with a valid -alpha overriding its threshold
-// and refuses an invalid one, and a missing -model file is an error —
-// nothing is learned in its place. The loopback harness flags are gone
-// from the command line.
+// TestServeRegistry pins what -model names: a directory is a reloadable
+// registry that refuses -alpha, a file is one model that refuses
+// -default-model and takes a valid -alpha as its threshold and refuses an
+// invalid one, and a missing file is an error — nothing is learned in its
+// place. The loopback harness flags, -models and the tuning flags that
+// became constants are gone from the command line.
 func TestServeRegistry(t *testing.T) {
 	dir := t.TempDir()
 	ref, models := filepath.Join(dir, "ref.etrc"), filepath.Join(dir, "models")
@@ -229,11 +235,17 @@ func TestServeRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := serveRegistry(models, "", model, 3); err == nil || !strings.Contains(err.Error(), "-alpha cannot override a -models registry") {
-		t.Fatalf("-models with -alpha: %v, want a refusal", err)
+	if _, err := serveRegistry(models, "", 3); err == nil || !strings.Contains(err.Error(), "-alpha cannot override a -model directory") {
+		t.Fatalf("-model DIR with -alpha: %v, want a refusal", err)
 	}
-	if reg, err := serveRegistry(models, "", "", 0); err != nil || !reg.Reloadable() || reg.DefaultName() != "a" {
-		t.Fatalf("-models registry: %v, %v", reg, err)
+	if reg, err := serveRegistry(models, "", 0); err != nil || !reg.Reloadable() || reg.DefaultName() != "a" {
+		t.Fatalf("-model DIR: %v, %v", reg, err)
+	}
+	if reg, err := serveRegistry(models, "a", 0); err != nil || !reg.Reloadable() || reg.DefaultName() != "a" {
+		t.Fatalf("-model DIR -default-model a: %v, %v", reg, err)
+	}
+	if _, err := serveRegistry(model, "a", 0); err == nil || !strings.Contains(err.Error(), "-default-model needs a -model directory") {
+		t.Fatalf("-model FILE with -default-model: %v, want a refusal", err)
 	}
 
 	fileCfg, _, err := core.LoadModelFile(model)
@@ -241,7 +253,7 @@ func TestServeRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, alpha := range []float64{0, fileCfg.Alpha + 1.5} {
-		reg, err := serveRegistry("", "", model, alpha)
+		reg, err := serveRegistry(model, "", alpha)
 		if err != nil {
 			t.Fatalf("-model with -alpha %g: %v", alpha, err)
 		}
@@ -253,26 +265,29 @@ func TestServeRegistry(t *testing.T) {
 		if alpha > 0 {
 			want = alpha
 		}
-		if nm.Cfg.Alpha != want {
-			t.Fatalf("-alpha %g: served alpha %g, want %g", alpha, nm.Cfg.Alpha, want)
+		if nm.Cfg.Alpha != want || reg.Reloadable() || nm.Name != "default" {
+			t.Fatalf("-alpha %g: served %q at alpha %g (reloadable %t), want a static %q at %g",
+				alpha, nm.Name, nm.Cfg.Alpha, reg.Reloadable(), "default", want)
 		}
 	}
 
 	for _, alpha := range []float64{-1, math.NaN()} {
-		if _, err := serveRegistry("", "", model, alpha); err == nil || !strings.Contains(err.Error(), "Alpha must be >= 1") {
+		if _, err := serveRegistry(model, "", alpha); err == nil || !strings.Contains(err.Error(), "Alpha must be >= 1") {
 			t.Fatalf("-model with -alpha %g: %v, want a refusal", alpha, err)
 		}
 	}
 
 	missing := filepath.Join(dir, "missing.json")
-	if reg, err := serveRegistry("", "", missing, 0); !errors.Is(err, os.ErrNotExist) || reg != nil {
+	if reg, err := serveRegistry(missing, "", 0); !errors.Is(err, os.ErrNotExist) || reg != nil {
 		t.Fatalf("missing -model: %v, %v; want an os.ErrNotExist error and no registry", reg, err)
 	}
 	if _, err := os.Stat(missing); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("a missing -model file was created: %v", err)
 	}
 
-	for _, args := range [][]string{{"-selftest"}, {"-clients", "2"}} {
+	for _, args := range [][]string{{"-selftest"}, {"-clients", "2"}, {"-models", models},
+		{"-anomaly-context", "2"}, {"-flight-cap", "512"}, {"-stall-after", "30s"},
+		{"-alert-queue", "256"}, {"-alert-timeout", "10s"}} {
 		err := cmdServe(args)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
 			t.Fatalf("serve %v: %v, want an unknown-flag error", args, err)
@@ -409,10 +424,10 @@ func TestNonFiniteFactorRefused(t *testing.T) {
 }
 
 // TestNegativeSizesRefused: a negative window length, and a negative
-// serve queue, flight-recorder ring or anomaly segment size, is refused
-// with exit status 1 before anything is written or listened on. serve
-// used to run each of the others at its default while its start-up line
-// printed the negative value.
+// serve queue or anomaly segment size, is refused with exit status 1
+// before anything is written or listened on. serve used to run each of the
+// others at its default while its start-up line printed the negative
+// value.
 func TestNegativeSizesRefused(t *testing.T) {
 	dir := t.TempDir()
 	ref, model := filepath.Join(dir, "ref.etrc"), filepath.Join(dir, "model.json")
@@ -429,7 +444,6 @@ func TestNegativeSizesRefused(t *testing.T) {
 	}{
 		{[]string{"learn", "-in", ref, "-model", filepath.Join(dir, "window.json"), "-window", "-1s"}, "WindowDuration must be positive"},
 		{append(serve, "-queue", "-5"), "-queue must not be negative"},
-		{append(serve, "-flight-cap", "-5"), "-flight-cap must not be negative"},
 		{append(serve, "-anomaly-store", filepath.Join(dir, "store"), "-anomaly-segment-bytes", "-5"), "-anomaly-segment-bytes must not be negative"},
 	} {
 		expectRefused(t, c.args, c.want)
@@ -442,10 +456,10 @@ func TestNegativeSizesRefused(t *testing.T) {
 }
 
 // TestBadAlertFlagsRefused: an alert rate or burst that is NaN, infinite
-// or negative, and a negative alert min-trips, clear-after, queue or
-// timeout, is refused with exit status 1 before serve listens. A NaN rate
-// used to admit no notification at all, a negative rate only its burst,
-// and the negative sizes ran at their defaults.
+// or negative, and a negative alert min-trips or clear-after, is refused
+// with exit status 1 before serve listens. A NaN rate used to admit no
+// notification at all, a negative rate only its burst, and the negative
+// sizes ran at their defaults.
 func TestBadAlertFlagsRefused(t *testing.T) {
 	dir := t.TempDir()
 	ref, model := filepath.Join(dir, "ref.etrc"), filepath.Join(dir, "model.json")
@@ -466,8 +480,6 @@ func TestBadAlertFlagsRefused(t *testing.T) {
 		{"alert-burst", "-5", "-alert-burst must be finite and not negative, got -5"},
 		{"alert-min-trips", "-1", "-alert-min-trips must not be negative, got -1"},
 		{"alert-clear-after", "-1s", "-alert-clear-after must not be negative, got -1s"},
-		{"alert-queue", "-5", "-alert-queue must not be negative, got -5"},
-		{"alert-timeout", "-1s", "-alert-timeout must not be negative, got -1s"},
 	} {
 		expectRefused(t, []string{"serve", "-model", model, "-listen", "127.0.0.1:0", "-admin", "",
 			"-alert-log", "-" + c.flag, c.value}, c.want)

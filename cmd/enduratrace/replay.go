@@ -18,8 +18,7 @@ import (
 func cmdReplay(args []string) error {
 	fs := flag.NewFlagSet("enduratrace replay", flag.ContinueOnError)
 	storeDir := fs.String("store", "", "anomaly store directory captured by 'enduratrace serve -anomaly-store' (required)")
-	modelIn := fs.String("model", "", "single learned model file to replay against")
-	modelsDir := fs.String("models", "", "directory of model JSON files; every model in it is replayed (overrides -model)")
+	modelPath := fs.String("model", "", "learned model file to replay against, or a directory whose every *.json model is replayed (required)")
 	alpha := fs.Float64("alpha", 0, "what-if LOF threshold overriding every model's own, >= 1 (0 = keep each model's alpha)")
 	out := fs.String("out", "", "also write the JSON report to this file")
 	if err := fs.Parse(args); err != nil {
@@ -29,8 +28,12 @@ func cmdReplay(args []string) error {
 		fs.Usage()
 		return fmt.Errorf("replay: -store is required")
 	}
+	if *modelPath == "" {
+		fs.Usage()
+		return fmt.Errorf("replay: -model is required")
+	}
 
-	models, err := replayModels(*modelsDir, *modelIn, *alpha)
+	models, err := core.LoadModels(*modelPath)
 	if err != nil {
 		return err
 	}
@@ -55,33 +58,4 @@ func cmdReplay(args []string) error {
 		}
 	}
 	return emitJSON(rep, *out)
-}
-
-// replayModels assembles the model list: every model of a -models
-// directory, or the single -model file (named after the path convention
-// serve uses). A non-zero alpha becomes every model's threshold, validated
-// with the rest of its Cfg when the model is replayed.
-func replayModels(modelsDir, modelFile string, alpha float64) ([]*core.NamedModel, error) {
-	var models []*core.NamedModel
-	switch {
-	case modelsDir != "":
-		var err error
-		if models, err = core.LoadModelDirAll(modelsDir); err != nil {
-			return nil, err
-		}
-	case modelFile == "":
-		return nil, fmt.Errorf("replay: one of -models and -model is required")
-	default:
-		cfg, learned, err := core.LoadModelFile(modelFile)
-		if err != nil {
-			return nil, err
-		}
-		models = []*core.NamedModel{{Name: "default", Cfg: cfg, Learned: learned}}
-	}
-	if alpha != 0 {
-		for _, nm := range models {
-			nm.Cfg.Alpha = alpha
-		}
-	}
-	return models, nil
 }

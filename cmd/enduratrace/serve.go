@@ -20,15 +20,13 @@ import (
 
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("enduratrace serve", flag.ContinueOnError)
-	modelIn := fs.String("model", "model.json", "learned model file (from 'enduratrace learn'; single-model serving)")
-	modelsDir := fs.String("models", "", "directory of model JSON files served as a named registry (overrides -model; model name = file base name)")
-	defaultModel := fs.String("default-model", "", "registry model served to streams that do not name one (required when -models holds several)")
+	modelPath := fs.String("model", "model.json", "learned model file (from 'enduratrace learn'), or a directory whose *.json models are served as a hot-reloadable registry (model name = file base name)")
+	defaultModel := fs.String("default-model", "", "directory model served to streams that do not name one (required when -model holds several)")
 	listen := fs.String("listen", "127.0.0.1:9464", "trace ingestion TCP address")
 	admin := fs.String("admin", "127.0.0.1:9465", "HTTP admin address (/healthz /streams /stats /metrics, POST /reload; '' disables)")
 	recDir := fs.String("rec-dir", "", "record each stream's anomalous windows to <dir>/<stream>.etrc ('' = stat-only)")
 	compress := fs.Int("compress", -1, "flate level for -rec-dir sinks (-1 = no compression); a compressed .etrc.fz recording is raw DEFLATE that no enduratrace reader opens")
 	anomDir := fs.String("anomaly-store", "", "persist every gate trip (context windows + scores) to a segmented store in this directory; query via GET /anomalies, re-score via 'enduratrace replay'")
-	anomCtx := fs.Int("anomaly-context", 0, "pre-trip context windows per stored incident (0 = default 2, negative = none)")
 	anomSegBytes := fs.Int64("anomaly-segment-bytes", 0, "anomaly store segment rotation size in bytes (0 = default 8 MiB)")
 	alertLog := fs.Bool("alert-log", false, "alerting: log firing/resolved notifications through the daemon logger")
 	alertWebhook := fs.String("alert-webhook", "", "alerting: POST each notification as JSON to this URL (bounded retries with backoff)")
@@ -37,16 +35,12 @@ func cmdServe(args []string) error {
 	alertTripOnGate := fs.Bool("alert-trip-on-gate", false, "alerting: count every gate trip toward firing (default: only anomalous windows)")
 	alertRate := fs.Float64("alert-rate", 0, "alerting: global notification token-bucket refill per second (0 = unlimited)")
 	alertBurst := fs.Float64("alert-burst", 0, "alerting: global token-bucket burst (0 = rate)")
-	alertQueue := fs.Int("alert-queue", 0, "alerting: dispatch queue length; overflow is dropped and counted, never waited on (0 = default 256)")
-	alertTimeout := fs.Duration("alert-timeout", 0, "alerting: per-delivery timeout (0 = default 10s)")
 	queue := fs.Int("queue", 1024, "per-stream bounded event queue length")
 	bp := fs.String("backpressure", "block", "full-queue policy: block (TCP backpressure) or drop-oldest")
-	alpha := fs.Float64("alpha", 0, "override the model's LOF threshold, >= 1 (0 = keep; single-model only)")
+	alpha := fs.Float64("alpha", 0, "override the model's LOF threshold, >= 1 (0 = keep; a -model file only)")
 	logFormat := fs.String("log-format", "text", "daemon log format on stderr: text or json (both timestamped)")
 	pprof := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the admin listener")
 	flightEvery := fs.Int("flight-every", 0, "flight recorder: sample every Nth event per stream (0 = default 256, negative = disable)")
-	flightCap := fs.Int("flight-cap", 0, "flight recorder: retained record ring size (0 = default 512)")
-	stallAfter := fs.Duration("stall-after", 0, "flag a stream stalled when its queue holds events but the scorer makes no progress for this long (0 = default 30s, negative = disable)")
 	jsonOut := fs.Bool("json", false, "print the final report as JSON on stdout")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -57,9 +51,8 @@ func cmdServe(args []string) error {
 		name string
 		neg  bool
 	}{
-		{"queue", *queue < 0}, {"flight-cap", *flightCap < 0}, {"anomaly-segment-bytes", *anomSegBytes < 0},
+		{"queue", *queue < 0}, {"anomaly-segment-bytes", *anomSegBytes < 0},
 		{"alert-min-trips", *alertMinTrips < 0}, {"alert-clear-after", *alertClearAfter < 0},
-		{"alert-queue", *alertQueue < 0}, {"alert-timeout", *alertTimeout < 0},
 	} {
 		if f.neg {
 			return fmt.Errorf("serve: -%s must not be negative, got %s", f.name, fs.Lookup(f.name).Value)
@@ -84,7 +77,7 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	models, err := serveRegistry(*modelsDir, *defaultModel, *modelIn, *alpha)
+	models, err := serveRegistry(*modelPath, *defaultModel, *alpha)
 	if err != nil {
 		return err
 	}
@@ -120,14 +113,12 @@ func cmdServe(args []string) error {
 	var alerts *alert.Pipeline
 	if len(alertSinks) > 0 {
 		alerts = alert.NewPipeline(alert.Options{
-			MinTrips:        *alertMinTrips,
-			ClearAfter:      *alertClearAfter,
-			TripOnGate:      *alertTripOnGate,
-			GlobalRate:      *alertRate,
-			GlobalBurst:     *alertBurst,
-			QueueLen:        *alertQueue,
-			DeliveryTimeout: *alertTimeout,
-			Sinks:           alertSinks,
+			MinTrips:    *alertMinTrips,
+			ClearAfter:  *alertClearAfter,
+			TripOnGate:  *alertTripOnGate,
+			GlobalRate:  *alertRate,
+			GlobalBurst: *alertBurst,
+			Sinks:       alertSinks,
 		})
 		// Registered after the anomaly store's deferred close, so this
 		// runs first: queued notifications drain to the sinks while the
@@ -151,18 +142,15 @@ func cmdServe(args []string) error {
 	}
 
 	srv, err := serve.New(serve.Options{
-		Models:         models,
-		QueueLen:       *queue,
-		Backpressure:   policy,
-		Sinks:          sinks,
-		Anomalies:      anomalies,
-		AnomalyContext: *anomCtx,
-		Alerts:         alerts,
-		Logger:         logger,
-		FlightEvery:    *flightEvery,
-		FlightCap:      *flightCap,
-		StallAfter:     *stallAfter,
-		EnablePprof:    *pprof,
+		Models:       models,
+		QueueLen:     *queue,
+		Backpressure: policy,
+		Sinks:        sinks,
+		Anomalies:    anomalies,
+		Alerts:       alerts,
+		Logger:       logger,
+		FlightEvery:  *flightEvery,
+		EnablePprof:  *pprof,
 	})
 	if err != nil {
 		return err
@@ -219,22 +207,25 @@ func cmdServe(args []string) error {
 	return nil
 }
 
-// serveRegistry assembles the model registry the daemon serves from: an
-// explicit -models directory (hot-reloadable) takes precedence over a
-// single -model file, whose threshold a non-zero alpha overrides.
-func serveRegistry(modelsDir, defaultModel, modelFile string, alpha float64) (*core.ModelRegistry, error) {
-	if modelsDir != "" {
+// serveRegistry builds the registry the daemon serves from -model: a
+// directory is a hot-reloadable registry of every model in it, a file is
+// one model named "default" whose threshold a non-zero alpha overrides.
+func serveRegistry(path, defaultModel string, alpha float64) (*core.ModelRegistry, error) {
+	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
 		if alpha != 0 {
-			return nil, fmt.Errorf("serve: -alpha cannot override a -models registry; set alpha per model file")
+			return nil, fmt.Errorf("serve: -alpha cannot override a -model directory; set alpha per model file")
 		}
-		return core.LoadModelDir(modelsDir, defaultModel)
+		return core.LoadModelDir(path, defaultModel)
 	}
-	cfg, learned, err := core.LoadModelFile(modelFile)
+	if defaultModel != "" {
+		return nil, fmt.Errorf("serve: -default-model needs a -model directory")
+	}
+	models, err := core.LoadModels(path)
 	if err != nil {
 		return nil, err
 	}
 	if alpha != 0 { // validated by the registry with the rest of cfg
-		cfg.Alpha = alpha
+		models[0].Cfg.Alpha = alpha
 	}
-	return core.NewModelRegistry("", &core.NamedModel{Name: "default", Cfg: cfg, Learned: learned})
+	return core.NewModelRegistry("", models...)
 }

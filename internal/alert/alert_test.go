@@ -66,6 +66,31 @@ func TestTokenBucketModes(t *testing.T) {
 			t.Fatal("6th take granted, want burst 5")
 		}
 	})
+
+	// Streams read the clock before they contend for the bucket, so
+	// readings arrive out of order. Over any sequence the bucket admits at
+	// most burst + rate × (latest − earliest reading).
+	t.Run("out-of-order readings refill once", func(t *testing.T) {
+		const ms = int64(time.Millisecond)
+		for _, offsets := range [][]int64{
+			{0, 100, 0, 100},
+			{0, 100, 0, 100, 0, 100, 0, 100},
+			{50, 0, 100, 50, 150, 0, 200, 100},
+		} {
+			b := newTokenBucket(10, 1, now) // 10/s, burst 1
+			admitted := 0
+			latest := int64(0)
+			for _, off := range offsets {
+				latest = max(latest, off)
+				if b.take(now + off*ms) {
+					admitted++
+				}
+			}
+			if limit := 1 + 10*float64(latest)/1e3; float64(admitted) > limit {
+				t.Fatalf("readings %v ms: %d admitted, want at most %g", offsets, admitted, limit)
+			}
+		}
+	})
 }
 
 func TestEmitBuckets(t *testing.T) {

@@ -39,13 +39,15 @@ func (b *tokenBucket) take(nowNs int64) bool {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.rate > 0 && nowNs > b.lastNs {
-		b.tokens += float64(nowNs-b.lastNs) / 1e9 * b.rate
-		if b.tokens > b.burst {
-			b.tokens = b.burst
+	// Streams read the clock before they queue for mu, so readings arrive
+	// out of order. The refill origin only moves forward: moved back to a
+	// stale reading, the next take would refill that interval twice.
+	if nowNs > b.lastNs {
+		if b.rate > 0 {
+			b.tokens = min(b.burst, b.tokens+float64(nowNs-b.lastNs)/1e9*b.rate)
 		}
+		b.lastNs = nowNs
 	}
-	b.lastNs = nowNs
 	if b.tokens < 1 {
 		return false
 	}

@@ -196,12 +196,14 @@ func (r *Reader) Segments() int { return len(r.segs) }
 func (r *Reader) Walk(fn func(*Incident) error) ([]SegmentScan, error) {
 	scans := make([]SegmentScan, 0, len(r.segs))
 	for _, seg := range r.segs {
+		damaged := false
 		scan, err := scanSegmentFile(seg.path, func(seq uint64, payload []byte) error {
 			inc, derr := DecodeIncident(payload)
 			if derr != nil {
 				// A CRC-clean payload that fails decode is tail damage in
 				// disguise (e.g. a crashed write of a corrupt buffer) —
 				// stop this segment like any other truncation.
+				damaged = true
 				return errStopScan
 			}
 			return fn(inc)
@@ -209,6 +211,7 @@ func (r *Reader) Walk(fn func(*Incident) error) ([]SegmentScan, error) {
 		if err != nil {
 			return scans, err
 		}
+		scan.Truncated = scan.Truncated || damaged
 		scans = append(scans, scan)
 	}
 	return scans, nil

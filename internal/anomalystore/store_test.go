@@ -2,8 +2,10 @@ package anomalystore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"enduratrace/internal/core"
+	"enduratrace/internal/mediasim"
 	"enduratrace/internal/obs"
 	"enduratrace/internal/trace"
 	"enduratrace/internal/window"
@@ -653,5 +657,45 @@ func TestReopenBooksSegmentBytes(t *testing.T) {
 	}
 	if got := reopened(); got != onDisk {
 		t.Fatalf("store reopened over a torn tail books %d bytes, want %d (tail not counted)", got, onDisk)
+	}
+}
+
+// TestUndecodableRecordIsTruncation: a record whose length and CRC check
+// out but whose payload does not decode ends its segment's walk as
+// damage. Walk flags the segment truncated and Replay counts it; they
+// used to report the segment as whole and skip the rest of it silently.
+func TestUndecodableRecordIsTruncation(t *testing.T) {
+	dir := t.TempDir()
+	payload := []byte{0x01} // sequence number 1, then nothing an incident needs
+	seg := append([]byte(segMagic), segVersion, 1, byte(len(payload)))
+	seg = binary.LittleEndian.AppendUint32(seg, crc32.ChecksumIEEE(payload))
+	seg = append(seg, payload...)
+	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	got, scans := walkAll(t, dir)
+	if len(got) != 0 || len(scans) != 1 || scans[0].Records != 0 || !scans[0].Truncated {
+		t.Fatalf("walked %d incidents, scans %+v; want none and one truncated segment", len(got), scans)
+	}
+
+	sc := mediasim.DefaultConfig()
+	sc.Duration = 10 * time.Second
+	sim, err := mediasim.New(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.NewConfig(mediasim.NumEventTypes)
+	learned, err := core.Learn(cfg, sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Replay(dir, []*core.NamedModel{{Name: "default", Cfg: cfg, Learned: learned}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Segments != 1 || rep.TruncatedSegments != 1 || rep.Incidents != 0 {
+		t.Fatalf("replay: %d segments, %d truncated, %d incidents; want 1, 1, 0",
+			rep.Segments, rep.TruncatedSegments, rep.Incidents)
 	}
 }

@@ -81,14 +81,23 @@ func LoadModelDir(dir, defaultName string) (*ModelRegistry, error) {
 	return r, nil
 }
 
-// loadModelDirOnce reads one generation of models from dir.
-// LoadModelDirAll loads every *.json model in dir without building a
-// registry — no default is needed. Callers that score against every
-// model (replay) use this; the serving path goes through LoadModelDir.
-func LoadModelDirAll(dir string) ([]*NamedModel, error) {
-	return loadModelDirOnce(dir)
+// LoadModels loads the models at path without building a registry: a
+// model file is one model named "default", a directory is every *.json
+// model in it, named as LoadModelDir names them. replay scores against
+// every model it returns; serve loads a directory through LoadModelDir,
+// whose registry can reload.
+func LoadModels(path string) ([]*NamedModel, error) {
+	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
+		return loadModelDirOnce(path)
+	}
+	cfg, learned, err := LoadModelFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return []*NamedModel{{Name: "default", Cfg: cfg, Learned: learned}}, nil
 }
 
+// loadModelDirOnce reads one generation of models from dir.
 func loadModelDirOnce(dir string) ([]*NamedModel, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
 	if err != nil {

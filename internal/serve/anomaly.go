@@ -9,7 +9,7 @@ import (
 )
 
 // DefaultAnomalyContext is the number of pre-trip context windows an
-// incident carries when Options.AnomalyContext is zero.
+// incident carries.
 const DefaultAnomalyContext = 2
 
 // tripsInFlight is how many of a stream's incidents may be written and
@@ -56,19 +56,12 @@ type tripRecorder struct {
 // ring keeps copies, in per-slot buffers it reuses: a quiet window
 // allocates nothing.
 func (s *Server) newTripRecorder(st *stream) *tripRecorder {
-	pre := s.opts.AnomalyContext
-	if pre == 0 {
-		pre = DefaultAnomalyContext
-	}
-	if pre < 0 {
-		pre = 0
-	}
 	return &tripRecorder{
 		srv:      s,
 		store:    s.opts.Anomalies,
 		st:       st,
 		modelGen: s.models.Generation(),
-		ring:     window.NewRing(pre),
+		ring:     window.NewRing(DefaultAnomalyContext),
 	}
 }
 

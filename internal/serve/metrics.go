@@ -259,7 +259,7 @@ var families = []family{
 		perModel(func(b books) int64 { return int64(b.closed) })},
 
 	// Stall watchdog: live streams holding queued events whose scorer has
-	// made no progress for Options.StallAfter.
+	// made no progress for DefaultStallAfter.
 	{"enduratrace_streams_stalled", "gauge", "Live streams with queued events and no scoring progress for the stall threshold.", nil, always,
 		one(func(sc *scrape) float64 { return float64(sc.stalled) })},
 

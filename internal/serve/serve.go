@@ -65,30 +65,18 @@ type Options struct {
 	// Sinks builds one recorder sink per stream (default NullFactory:
 	// stat-only serving with exact byte accounting).
 	Sinks recorder.SinkFactory
-	// DrainTimeout bounds how long shutdown waits for streams to drain
-	// before force-closing connections (default 10s).
-	DrainTimeout time.Duration
 	// Anomalies, when non-nil, persists every gate trip into the anomaly
-	// store: the tripped window plus AnomalyContext preceding windows,
-	// the LOF score, and the scoring model's identity. The server does not
-	// own the store; the caller closes it after Serve returns.
+	// store: the tripped window plus DefaultAnomalyContext preceding
+	// windows, the LOF score, and the scoring model's identity. The server
+	// does not own the store; the caller closes it after Serve returns.
 	Anomalies *anomalystore.Store
-	// AnomalyContext is how many pre-trip windows each incident carries
-	// (0 means DefaultAnomalyContext; negative disables context).
-	AnomalyContext int
 	// Logger receives serving diagnostics (default: discard). Build one
 	// with NewLogger to get the -log-format text/json behaviour.
 	Logger *slog.Logger
 	// FlightEvery samples every Nth event per stream into the flight
-	// recorder (0 means DefaultFlightEvery; negative disables sampling).
+	// recorder, a ring of DefaultFlightCap records (0 means
+	// DefaultFlightEvery; negative disables sampling).
 	FlightEvery int
-	// FlightCap bounds the flight recorder ring (default DefaultFlightCap).
-	FlightCap int
-	// StallAfter is how long a stream may hold queued events without the
-	// scorer making progress before /streams flags it stalled and the
-	// enduratrace_streams_stalled gauge counts it (default
-	// DefaultStallAfter; negative disables the watchdog).
-	StallAfter time.Duration
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the admin
 	// listener. Off by default: profiles expose internals and CPU
 	// captures cost real cycles, so the handlers exist only when asked
@@ -106,7 +94,11 @@ type Options struct {
 	Alerts *alert.Pipeline
 }
 
-// Defaults for the observability knobs.
+// The flight recorder samples every DefaultFlightEvery-th event unless
+// Options.FlightEvery says otherwise, into a ring of DefaultFlightCap
+// records. DefaultStallAfter is how long a stream may hold queued events
+// without the scorer making progress before /streams flags it stalled and
+// the enduratrace_streams_stalled gauge counts it.
 const (
 	DefaultFlightEvery = 256
 	DefaultFlightCap   = 512
@@ -123,6 +115,10 @@ const ingestBatch = 512
 // header. A client that connects and says nothing would otherwise pin a
 // goroutine and a pooled 64 KiB reader for the life of the daemon.
 const headerTimeout = 10 * time.Second
+
+// drainTimeout bounds how long shutdown waits for streams to drain before
+// it force-closes their connections.
+const drainTimeout = 10 * time.Second
 
 // resultsCap is how many closed streams' results Results keeps, newest
 // last. The per-model books cover every stream ever served; the results
@@ -214,7 +210,7 @@ type StreamView struct {
 	// LastIngestAgeS and LastProgressAgeS are the stall watchdog's inputs:
 	// seconds since the ingester last enqueued an event and since the
 	// scorer last dequeued one. Stalled flags a stream holding queued
-	// events whose scorer has made no progress for Options.StallAfter —
+	// events whose scorer has made no progress for DefaultStallAfter —
 	// the signature of a wedged model or a sink blocked on I/O (an empty
 	// queue is never stalled, it is just idle).
 	LastIngestAgeS   obs.JSONFloat `json:"last_ingest_age_s"`
@@ -293,7 +289,9 @@ type Server struct {
 	seq      int                // guarded by mu
 	results  []StreamResult     // guarded by mu
 
-	headerWait time.Duration // headerTimeout; a field so a test need not wait it out
+	// headerTimeout, drainTimeout and DefaultStallAfter; fields so a test
+	// need not wait them out.
+	headerWait, drainWait, stallAfter time.Duration
 
 	// Streams refused at registration, by reason. Every refusal path must
 	// bump exactly one of these — a rejection that increments nothing is
@@ -332,17 +330,8 @@ func New(opts Options) (*Server, error) {
 	if opts.QueueLen <= 0 {
 		opts.QueueLen = 1024
 	}
-	if opts.DrainTimeout <= 0 {
-		opts.DrainTimeout = 10 * time.Second
-	}
 	if opts.FlightEvery == 0 {
 		opts.FlightEvery = DefaultFlightEvery
-	}
-	if opts.FlightCap <= 0 {
-		opts.FlightCap = DefaultFlightCap
-	}
-	if opts.StallAfter == 0 {
-		opts.StallAfter = DefaultStallAfter
 	}
 	logger := opts.Logger
 	if logger == nil {
@@ -350,7 +339,7 @@ func New(opts Options) (*Server, error) {
 	}
 	var flight *obs.Flight
 	if opts.FlightEvery > 0 {
-		flight = obs.NewFlight(opts.FlightEvery, opts.FlightCap)
+		flight = obs.NewFlight(opts.FlightEvery, DefaultFlightCap)
 	}
 	srv := &Server{
 		opts:   opts,
@@ -365,6 +354,8 @@ func New(opts Options) (*Server, error) {
 		closedBy: make(map[string]books),
 
 		headerWait: headerTimeout,
+		drainWait:  drainTimeout,
+		stallAfter: DefaultStallAfter,
 	}
 	if opts.Alerts != nil && opts.Anomalies != nil {
 		// Persist every alert transition into the anomaly store alongside
@@ -449,7 +440,7 @@ func (s *Server) AdminAddr() net.Addr {
 // Serve accepts and monitors streams until ctx is cancelled, then shuts
 // down gracefully: stop accepting, stop ingesting, drain every stream's
 // queue, flush and close every sink. It returns once every stream has
-// finished (or DrainTimeout forced the stragglers).
+// finished (or drainTimeout forced the stragglers).
 func (s *Server) Serve(ctx context.Context) error {
 	if s.traceLn == nil {
 		return errors.New("serve: Serve before Listen")
@@ -546,7 +537,7 @@ func (s *Server) setReadDeadline(conn net.Conn, t time.Time) {
 	}
 }
 
-// drain waits for every stream handler; after DrainTimeout the remaining
+// drain waits for every stream handler; after drainTimeout the remaining
 // connections are force-closed (their scorers still finish their queues).
 func (s *Server) drain() {
 	done := make(chan struct{})
@@ -554,7 +545,7 @@ func (s *Server) drain() {
 	select {
 	case <-done:
 		return
-	case <-time.After(s.opts.DrainTimeout):
+	case <-time.After(s.drainWait):
 	}
 	s.mu.Lock()
 	for c := range s.conns {
@@ -934,7 +925,7 @@ func (s *Server) snapshot() (views []StreamView, byModel map[string]books) {
 	views = make([]StreamView, 0, len(s.live))
 	byModel = maps.Clone(s.closedBy)
 	for _, st := range s.live {
-		v := st.view(now, s.opts.StallAfter)
+		v := st.view(now, s.stallAfter)
 		views = append(views, v)
 		byModel[v.Model] = byModel[v.Model].add(v.books())
 	}

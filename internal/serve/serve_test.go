@@ -10,6 +10,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"strings"
 	"sync"
@@ -407,7 +408,6 @@ func TestSinkErrorDoesNotDeadlock(t *testing.T) {
 		// the scorer exits.
 		QueueLen:     8,
 		Backpressure: Block,
-		DrainTimeout: 2 * time.Second,
 		Sinks: func(string) (recorder.Sink, error) {
 			return &failingSink{Sink: recorder.NewNullSink()}, nil
 		},
@@ -415,6 +415,7 @@ func TestSinkErrorDoesNotDeadlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.drainWait = 2 * time.Second
 	if err := srv.Listen("127.0.0.1:0", ""); err != nil {
 		t.Fatal(err)
 	}
@@ -459,6 +460,124 @@ func TestSinkErrorDoesNotDeadlock(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Serve did not return after cancel (shutdown deadlock)")
+	}
+}
+
+// blockingSink holds every Record until release is closed: a scorer
+// wedged on its sink, the case the stall watchdog exists to flag.
+type blockingSink struct {
+	recorder.Sink
+	release <-chan struct{}
+}
+
+func (s *blockingSink) Record(w window.Window) error {
+	<-s.release
+	return s.Sink.Record(w)
+}
+
+// TestStallWatchdog: a stream whose scorer is wedged while its queue holds
+// events is flagged stalled on /streams and counted by the
+// enduratrace_streams_stalled gauge; once the scorer moves again both
+// clear, with the stream still live.
+func TestStallWatchdog(t *testing.T) {
+	cfg, learned := fixture(t)
+	cfg.Alpha = 1.0 // record, and so wedge, on the first scored window
+	release := make(chan struct{})
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+	defer free()
+	srv, err := New(Options{
+		Cfg:      cfg,
+		Learned:  learned,
+		QueueLen: 64,
+		Sinks: func(string) (recorder.Sink, error) {
+			return &blockingSink{Sink: recorder.NewNullSink(), release: release}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.stallAfter = 50 * time.Millisecond
+	if err := srv.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ctx) }()
+	admin := "http://" + srv.AdminAddr().String()
+
+	evs := simEvents(t, 7, 5*time.Second, 1)
+	conn, err := net.Dial("tcp", srv.TraceAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fw, err := traceio.NewFrameWriter(conn, "wedged")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw.FrameBytes = 1024
+	sent := make(chan error, 1)
+	go func() {
+		for _, ev := range evs {
+			if err := fw.Write(ev); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- fw.Flush()
+	}()
+
+	watch := func(stalled bool) {
+		t.Helper()
+		want := "0"
+		if stalled {
+			want = "1"
+		}
+		gauge := regexp.MustCompile(`(?m)^enduratrace_streams_stalled ` + want + `$`)
+		deadline := time.Now().Add(15 * time.Second)
+		for {
+			var views []StreamView
+			if err := getJSON(admin+"/streams", &views); err != nil {
+				t.Fatal(err)
+			}
+			body, err := getBody(admin + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(views) == 1 && views[0].Stalled == stalled && gauge.Match(body) {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("streams %+v and gauge %q never showed stalled=%t", views, gauge, stalled)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	watch(true)
+	free()
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	watch(false)
+
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(15 * time.Second)
+	for len(srv.Results()) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("stream did not close after its end-of-stream marker")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if res := srv.Results(); len(res) != 1 || !res[0].Clean || res[0].RecordedWindows == 0 {
+		t.Fatalf("results %+v, want one clean stream that recorded windows", res)
+	}
+	cancel()
+	if err := <-serveErr; err != nil {
+		t.Fatal(err)
 	}
 }
 
