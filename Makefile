@@ -52,7 +52,9 @@ bench:
 # Microbenchmarks for the monitoring hot path: LOF scoring and fitting
 # (filter-and-refine), scoring the default experiment's tripped windows
 # against its learned model with the exact kernel calls per query
-# (BenchmarkScoreDefaultModel), the distance row/gate kernels (with
+# (BenchmarkScoreDefaultModel) and fitting that model's points
+# (BenchmarkFitDefaultModel), both with the fitted model's live heap
+# (model_B), the distance row/gate kernels (with
 # BenchmarkSymmetricKL26: the one-pass symkl kernel the refine's exact
 # calls and the uncertified gate run, at the monitor's dimension; and
 # BenchmarkSymmetricKLUpper25: the log-free bound that certifies a quiet

@@ -324,7 +324,16 @@ func Open(dir string, opts Options) (*Store, error) {
 	var recovered, sealedB int64
 	next := uint64(1)
 	for _, seg := range segs {
-		scan, err := scanSegmentFile(seg.path, nil)
+		// Recovery books what Walk reads: a CRC-clean record that does not
+		// decode ends the segment, as it ends Walk's.
+		damaged := false
+		scan, err := scanSegmentFile(seg.path, func(_ uint64, payload []byte) error {
+			if _, err := DecodeIncident(payload); err != nil {
+				damaged = true
+				return errStopScan
+			}
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -333,6 +342,15 @@ func Open(dir string, opts Options) (*Store, error) {
 		// A crashed segment may hold no intact records (LastSeq 0); its
 		// filename still reserves the sequence number it was opened for.
 		next = max(next, scan.LastSeq+1, seg.base+1)
+		if damaged {
+			// The undecodable record and any CRC-clean one after it still
+			// hold their sequence numbers on disk.
+			whole, err := scanSegmentFile(seg.path, nil)
+			if err != nil {
+				return nil, err
+			}
+			next = max(next, whole.LastSeq+1)
+		}
 	}
 	s := &Store{
 		dir: dir, opts: opts, create: createSegmentFile, done: make(chan struct{}),

@@ -699,3 +699,60 @@ func TestUndecodableRecordIsTruncation(t *testing.T) {
 			rep.Segments, rep.TruncatedSegments, rep.Incidents)
 	}
 }
+
+// TestOpenBooksWhatWalkReads: Open recovers a segment exactly as far as
+// Walk reads it. A CRC-clean record that does not decode ends both; Open
+// used to book it, and every clean record after it, as recovered. The
+// sequence numbers those records hold on disk are still never handed out
+// again.
+func TestOpenBooksWhatWalkReads(t *testing.T) {
+	dir := t.TempDir()
+	record := func(payload []byte) []byte {
+		rec := binary.AppendUvarint(nil, uint64(len(payload)))
+		rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(payload))
+		return append(rec, payload...)
+	}
+	incident := func(seq uint64) []byte {
+		inc := testIncident(int(seq))
+		inc.Seq = seq
+		payload, err := appendIncident(nil, &inc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return record(payload)
+	}
+	seg := append([]byte(segMagic), segVersion, 1)
+	seg = append(seg, incident(1)...)
+	seg = append(seg, record([]byte{0x02})...) // sequence number 2, then nothing an incident needs
+	seg = append(seg, incident(3)...)
+	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	walked, scans := walkAll(t, dir)
+	if len(walked) != 1 || len(scans) != 1 || !scans[0].Truncated {
+		t.Fatalf("walked %d incidents, scans %+v; want 1 and one truncated segment", len(walked), scans)
+	}
+
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.Recovered != int64(len(walked)) || st.Incidents != int64(len(walked)) || st.Bytes != scans[0].Bytes {
+		t.Fatalf("Open booked %d recovered, %d incidents, %d bytes; Walk read %d incidents in %d bytes",
+			st.Recovered, st.Incidents, st.Bytes, len(walked), scans[0].Bytes)
+	}
+	seq, err := s.Append(testIncident(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq <= 3 {
+		t.Fatalf("reopened store assigned seq %d, a number already on disk", seq)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := walkAll(t, dir); len(got) != 2 || got[1].Seq != seq {
+		t.Fatalf("walked %d incidents after the append, want 2 ending at seq %d", len(got), seq)
+	}
+}

@@ -416,3 +416,71 @@ func appendDecision(b []byte, d Decision) []byte {
 	}
 	return append(b, flags)
 }
+
+// TestModelFileRoundTripsWithCopies: a mediasim reference repeats many
+// windows' pmfs bit for bit, and the model stores each distinct point
+// once. Learn → SaveModel → LoadModel → SaveModel still writes the same
+// bytes twice, and every reference point the loaded model hands back,
+// a copy of an earlier one included, has the bits of its saved point.
+func TestModelFileRoundTripsWithCopies(t *testing.T) {
+	sc := mediasim.DefaultConfig()
+	sc.Duration, sc.Seed = 20*time.Second, 41
+	sim, err := mediasim.New(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := NewConfig(mediasim.NumEventTypes)
+	learned, err := Learn(cfg, sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first bytes.Buffer
+	if err := SaveModel(&first, cfg, learned); err != nil {
+		t.Fatal(err)
+	}
+	saved := bytes.Clone(first.Bytes())
+	cfg2, loaded, err := LoadModel(&first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var second bytes.Buffer
+	if err := SaveModel(&second, cfg2, loaded); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saved, second.Bytes()) {
+		t.Fatalf("re-saved model file differs: %d bytes, then %d", len(saved), second.Len())
+	}
+
+	var doc struct {
+		Points [][]float64 `json:"points"`
+	}
+	if err := json.Unmarshal(saved, &doc); err != nil {
+		t.Fatal(err)
+	}
+	m := loaded.Model
+	if m.Len() != len(doc.Points) {
+		t.Fatalf("loaded %d points, the file holds %d", m.Len(), len(doc.Points))
+	}
+	key := func(p []float64) string {
+		b := make([]byte, 0, 8*len(p))
+		for _, x := range p {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		return string(b)
+	}
+	seen := map[string]bool{}
+	var copies int
+	for i, p := range doc.Points {
+		if key(m.Row(i)) != key(p) {
+			t.Fatalf("point %d: Row %v, saved %v", i, m.Row(i), p)
+		}
+		if seen[key(p)] {
+			copies++
+		}
+		seen[key(p)] = true
+	}
+	if copies == 0 {
+		t.Fatal("no point repeats: the reference lost its point")
+	}
+	t.Logf("%d of %d points are copies of an earlier one", copies, len(doc.Points))
+}

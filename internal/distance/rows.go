@@ -497,15 +497,6 @@ func (f *FilterRows) Row(fq *FilterQuery, i int, stop float64) (d float64, read 
 	return f.symKLFrom(fq, i, 0, 0, 0, stop)
 }
 
-// HeadWidth returns how many components of each row Heads reads: HeadDim,
-// or 0 where it batches nothing.
-func (f *FilterRows) HeadWidth() int {
-	if f.heads == nil {
-		return 0
-	}
-	return HeadDim
-}
-
 // Heads sums the first block of rows i0 .. i0+m−1 (m ≤ HeadBatch) for the
 // query fq was prepared with, and returns a mask whose bit b is set unless
 // Row(fq, i0+b, stop) would abandon that row after its first block: the

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -56,8 +57,9 @@ var referenceModel = sync.OnceValues(func() (*lof.Model, error) {
 // configuration scores: the default experiment's tripped windows against
 // Learn(DefaultOptions())'s 3 000-point model, which holds many duplicate
 // rows where lof's BenchmarkScoreBruteSymKL3000 draws uniform points with
-// none. It reports the exact kernel calls a query (exact/op) and the
-// share of the n·dim reference components the filter read (read/op).
+// none. It reports the exact kernel calls a query (exact/op), the share of
+// the n·dim reference components the filter read (read/op) and the live
+// heap of the model (model_B).
 func BenchmarkScoreDefaultModel(b *testing.B) {
 	fx, err := defaultTrips()
 	if err != nil {
@@ -81,8 +83,50 @@ func BenchmarkScoreReferenceModel(b *testing.B) {
 	benchScore(b, m, fx.queries)
 }
 
-// benchScore scores queries against m in turn and reports exact/op and
-// read/op.
+// BenchmarkFitDefaultModel measures lof.Fit on Learn(DefaultOptions())'s
+// 3 000 points, the fit setup_s pays twice (Learn, then the refit in
+// LoadModelFile), on data with the shipped share of duplicate rows, and
+// reports the fitted model's live heap (model_B).
+func BenchmarkFitDefaultModel(b *testing.B) {
+	fx, err := defaultTrips()
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := fx.model
+	pts := m.PointRows()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := lof.Fit(pts, m.K, m.Dist); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	reportModelBytes(b, m)
+}
+
+// reportModelBytes fits a model on m's points and reports the live heap
+// it holds as model_B: the heap after the fit less the heap before it,
+// each read after a collection.
+func reportModelBytes(b *testing.B, m *lof.Model) {
+	b.Helper()
+	pts := m.PointRows()
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	fresh, err := lof.Fit(pts, m.K, m.Dist)
+	if err != nil {
+		b.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	b.ReportMetric(float64(ms.HeapAlloc)-float64(before), "model_B")
+	runtime.KeepAlive(fresh)
+}
+
+// benchScore scores queries against m in turn and reports exact/op,
+// read/op and model_B.
 func benchScore(b *testing.B, m *lof.Model, queries [][]float64) {
 	sc := m.NewScorer()
 	sc.Score(queries[0]) // grow the scratch
@@ -98,4 +142,5 @@ func benchScore(b *testing.B, m *lof.Model, queries [][]float64) {
 	b.ReportMetric(float64(refined-warm)/float64(b.N), "exact/op")
 	b.ReportMetric(float64(read-warmRead)/float64(b.N*m.Len()*m.Dim()), "read/op")
 	_ = sink
+	reportModelBytes(b, m)
 }

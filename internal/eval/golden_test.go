@@ -22,12 +22,12 @@ import (
 // On the same data it guards the refine's cost, at fit and at run time:
 // more than 3·K exact kernel calls a query at fit time, or at run time
 // more than 28 (the shipped path makes 24.0) or a filter reading more than
-// 0.28 of the components (it reads 0.253), would stay correct and
-// silently give the speed back. The run-time bounds are deterministic
-// counts, tight enough that a batched first block that abandons too
-// little, a cut that goes stale for too long, a copy of a row that is
-// resolved again instead of sharing its group's distance, or a column
-// order that stops separating rows, fails here.
+// 0.28 of the components (it reads 0.217: a copy of a row reads nothing),
+// would stay correct and silently give the speed back. The run-time
+// bounds are deterministic counts, tight enough that a batched first
+// block that abandons too little, a cut that goes stale for too long, a
+// copy of a row that is resolved again instead of sharing its group's
+// distance, or a column order that stops separating rows, fails here.
 func TestDefaultEvalGolden(t *testing.T) {
 	const wantLOFHash = "9b8f1a52527779a91751620f3edc228657d5a8ff92738256526d068f0a4a7e82"
 	opts := DefaultOptions()

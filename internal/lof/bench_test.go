@@ -71,6 +71,7 @@ func benchmarkFitBrute(b *testing.B, n int) {
 func BenchmarkFitBruteSymKL1000(b *testing.B) { benchmarkFitBrute(b, 1000) }
 
 // BenchmarkFitBruteSymKL3000 is the fit at the reference-set size the
-// default learn produces; it is what setup_s pays twice (Learn, then the
-// refit in LoadModelFile).
+// default learn produces, over uniform points, which hold no duplicate
+// rows. The fit setup_s pays twice, on the shipped data and its copies, is
+// eval's BenchmarkFitDefaultModel.
 func BenchmarkFitBruteSymKL3000(b *testing.B) { benchmarkFitBrute(b, 3000) }

@@ -142,87 +142,139 @@ func (h *neighborHeap) drainSorted(dst []Neighbor) []Neighbor {
 	return dst
 }
 
-// BruteIndex answers k-nearest-neighbour queries over a fixed point set,
-// stored as a flat row-major matrix, by a single row-kernel pass followed
-// by bounded-heap selection. It accepts any dissimilarity: the catalogue's
-// non-metric KL family, and a caller's own Distance, which it scores by
-// the full exact scan the tests take as the reference.
+// BruteIndex answers k-nearest-neighbour queries over a fixed point set by
+// a single row-kernel pass followed by bounded-heap selection. It accepts
+// any dissimilarity: the catalogue's non-metric KL family, and a caller's
+// own Distance, which it scores by the full exact scan the tests take as
+// the reference.
 //
-// For the KL family the pass is the float32-log filter, run inside the
-// selection (symkl's first blocks a batch of rows at a time, every other
-// row kernel one row at a time), and the exact distance runs only where the
-// filter's error bound cannot decide a heap comparison (see refine); the
-// result is bit-identical to the full exact scan.
+// It stores each distinct row once, as one flat row-major matrix: a row
+// that is a bitwise copy of an earlier one shares that row's storage, and
+// a query reads each distinct row once. The full scan for a caller's own
+// Distance scores the distinct rows and hands each copy its row's
+// distance.
+//
+// For the KL family the pass is the float32-log filter over the distinct
+// rows, run inside the selection (symkl's first blocks a batch of rows at
+// a time, every other row kernel one row at a time), and the exact
+// distance runs only where the filter's error bound cannot decide a heap
+// comparison (see refine); the result is bit-identical to the full exact
+// scan.
 type BruteIndex struct {
-	flat   []float64
+	flat   []float64 // the distinct rows, in order of first appearance
 	dim    int
-	n      int
+	n      int // indexed rows, copies included
 	dist   distance.Distance
 	rows   distance.RowsFunc
-	filter *distance.FilterRows // KL-family path; nil for a caller's own distance
-	// On the filter path, the groups of bitwise-identical rows (see
-	// refine): group[i] is row i's group, −1 for a row with no copy, and
-	// first[g] is group g's lowest row. Both nil when no row repeats.
-	group, first []int32
+	filter *distance.FilterRows // over flat; nil for a caller's own distance
+	// uid[i] is row i's row of flat, and group[u] numbers the rows of flat
+	// that have copies, from 0 to groups−1, −1 for the others. copies
+	// lists the rows that are copies of an earlier row, in index order.
+	// All three are nil when no row repeats (uid[i] would be i).
+	uid, group []int32
+	copies     []copyRow
+	groups     int
 }
 
+// copyRow is a row that is a copy of an earlier one: the c-th copy in
+// index order is row at+c, at being the number of distinct rows whose
+// first appearance comes before it, and g is its group.
+type copyRow struct{ at, g int32 }
+
 // NewBruteIndex builds a brute-force index over the flat row-major matrix
-// (n = len(flat)/dim rows). The slice is retained, not copied.
+// (n = len(flat)/dim rows). The index keeps its own matrix of the distinct
+// rows; flat is not retained.
 func NewBruteIndex(flat []float64, dim int, d distance.Distance) *BruteIndex {
 	if dim <= 0 || len(flat)%dim != 0 {
 		panic(fmt.Sprintf("lof: matrix length %d not a multiple of dim %d", len(flat), dim))
 	}
-	b := &BruteIndex{
-		flat: flat,
-		dim:  dim,
-		n:    len(flat) / dim,
-		dist: d,
-		rows: distance.RowsOf(d),
+	return newBruteIndex(len(flat)/dim, dim, func(i int) []float64 { return flat[i*dim : (i+1)*dim] }, d)
+}
+
+// newBruteIndex indexes the n rows row(i) of dimension dim.
+func newBruteIndex(n, dim int, row func(int) []float64, d distance.Distance) *BruteIndex {
+	b := &BruteIndex{dim: dim, n: n, dist: d, rows: distance.RowsOf(d)}
+	var nu int
+	b.uid, nu = distinctRows(n, row)
+	flat := make([]float64, 0, nu*dim)
+	for i := 0; i < n; i++ {
+		if b.uid == nil || int(b.uid[i])*dim == len(flat) { // a first appearance
+			flat = append(flat, row(i)...)
+		}
+	}
+	b.flat = flat
+	if b.uid != nil {
+		b.group = make([]int32, len(flat)/dim)
+		for u := range b.group {
+			b.group[u] = -1
+		}
+		var next int32
+		for _, u := range b.uid {
+			if u == next {
+				next++
+				continue
+			}
+			if b.group[u] < 0 {
+				b.group[u] = int32(b.groups)
+				b.groups++
+			}
+			b.copies = append(b.copies, copyRow{at: next, g: b.group[u]})
+		}
 	}
 	if distance.FastRowsFor(d.Name) {
 		b.filter = distance.NewFilterRows(flat, dim, d.Name)
-		b.group, b.first = copyGroups(flat, dim)
 	}
 	return b
 }
 
-// copyGroups groups the rows of a flat row-major matrix that are bitwise
-// copies of an earlier row: group[i] is row i's group, −1 for a row with
-// no copy, and first[g] is group g's lowest row. Rows are matched by a
+// distinctRows numbers the distinct rows of an n-row matrix, row(i) being
+// row i, in order of first appearance: uid[i] is row i's number, which a
+// bitwise copy of an earlier row shares with it. Rows are matched by a
 // hash of their bits, then compared; a row whose hash collides with a
-// different row's stays ungrouped, which costs it only its share of the
-// saving. Both are nil when no row repeats.
-func copyGroups(flat []float64, dim int) (group, first []int32) {
-	n := len(flat) / dim
-	group = make([]int32, n)
+// different row's is numbered as a distinct row, which costs it only its
+// share of the saving. uid is nil when no row repeats; nu is the number
+// of distinct rows.
+func distinctRows(n int, row func(int) []float64) (uid []int32, nu int) {
+	uid = make([]int32, n)
 	seen := make(map[uint64]int32, n) // row hash → lowest row with it
-	for i := range group {
-		group[i] = -1
-		row := flat[i*dim : (i+1)*dim]
+	var next int32
+	for i := range uid {
+		r := row(i)
 		h := uint64(14695981039346656037) // FNV-1a over the row's 64-bit words
-		for _, x := range row {
+		for _, x := range r {
 			h = (h ^ math.Float64bits(x)) * 1099511628211
 		}
-		r, ok := seen[h]
-		if !ok {
-			seen[h] = int32(i)
-			continue
-		}
-		if !slices.EqualFunc(row, flat[int(r)*dim:(int(r)+1)*dim], func(x, y float64) bool {
+		first, ok := seen[h]
+		if ok && slices.EqualFunc(r, row(int(first)), func(x, y float64) bool {
 			return math.Float64bits(x) == math.Float64bits(y)
 		}) {
+			uid[i] = uid[first]
 			continue
 		}
-		if group[r] < 0 {
-			group[r] = int32(len(first))
-			first = append(first, r)
+		if !ok {
+			seen[h] = int32(i)
 		}
-		group[i] = group[r]
+		uid[i] = next
+		next++
 	}
-	if first == nil {
-		return nil, nil
+	if int(next) == n {
+		return nil, n
 	}
-	return group, first
+	return uid, int(next)
+}
+
+// distinct returns the row of flat that holds row i.
+func (b *BruteIndex) distinct(i int) int {
+	if b.uid == nil {
+		return i
+	}
+	return int(b.uid[i])
+}
+
+// rowOf returns row i, a view of the index's storage.
+func (b *BruteIndex) rowOf(i int) []float64 {
+	u := b.distinct(i)
+	return b.flat[u*b.dim : (u+1)*b.dim]
 }
 
 // groupOf returns the group of row i's bitwise-identical rows, −1 when
@@ -231,7 +283,7 @@ func (b *BruteIndex) groupOf(i int) int32 {
 	if b.group == nil {
 		return -1
 	}
-	return b.group[i]
+	return b.group[b.uid[i]]
 }
 
 // EnableFastKernels does nothing: every index scores exactly. It is kept
@@ -254,7 +306,13 @@ func (b *BruteIndex) KNN(q []float64, k, skip int, s *Scratch) []Neighbor {
 		return b.refine(q, k, skip, s)
 	}
 	dists := s.floats(b.n)
-	b.rows(q, b.flat, b.dim, dists)
+	b.rows(q, b.flat, b.dim, dists[:len(b.flat)/b.dim])
+	if b.uid != nil {
+		// uid[i] ≤ i: walking down, row uid[i]'s distance is still in place.
+		for i := b.n - 1; i >= 0; i-- {
+			dists[i] = dists[b.uid[i]]
+		}
+	}
 	return selectK(dists, k, skip, s)
 }
 

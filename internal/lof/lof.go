@@ -7,12 +7,13 @@
 // density around its K nearest reference points: LOF ≈ 1 means the point
 // sits inside a cluster of regular behaviour, LOF ≥ α > 1 flags an outlier.
 //
-// The fitted model is immutable: the reference points live in one flat
-// row-major matrix, and every per-point quantity (k-distance, local
-// reachability density, training score) is precomputed at fit time. One
-// Model can therefore back any number of concurrent streams; each stream
-// scores through its own Scorer, a cheap handle carrying the reusable
-// scratch that makes steady-state scoring allocation-free.
+// The fitted model is immutable: its index stores each distinct reference
+// point once, in one flat row-major matrix, and every per-point quantity
+// (k-distance, local reachability density, training score) is precomputed
+// at fit time. One Model can therefore back any number of concurrent
+// streams; each stream scores through its own Scorer, a cheap handle
+// carrying the reusable scratch that makes steady-state scoring
+// allocation-free.
 package lof
 
 import (
@@ -24,16 +25,16 @@ import (
 )
 
 // Model is a fitted LOF reference model. It retains the reference points
-// as a flat row-major matrix and the per-point quantities (k-distance,
-// local reachability density, train score) needed to score an unseen point
-// in one pass of the brute-force index over the n reference rows.
-// A fitted Model is immutable and safe to share across goroutines.
+// in its brute-force index, which stores each distinct point once, and the
+// per-point quantities (k-distance, local reachability density, train
+// score) needed to score an unseen point in one pass of that index over
+// the n reference rows. A fitted Model is immutable and safe to share
+// across goroutines.
 type Model struct {
 	K    int
 	Dist distance.Distance
 
 	n, dim int
-	flat   []float64 // n×dim row-major reference matrix
 
 	index *BruteIndex
 	// Per reference point, computed at fit time:
@@ -50,7 +51,7 @@ var ErrTooFewPoints = errors.New("lof: reference set too small for K")
 // Fit builds a LOF model over the reference points with neighbourhood size
 // k. points must contain at least k+1 vectors of equal dimension, and each
 // must have k others at a finite distance. The point data is copied into
-// the model's flat matrix; the input slice is not retained.
+// the model's index; the input slice is not retained.
 func Fit(points [][]float64, k int, d distance.Distance) (*Model, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("lof: K must be positive, got %d", k)
@@ -67,13 +68,8 @@ func Fit(points [][]float64, k int, d distance.Distance) (*Model, error) {
 			return nil, fmt.Errorf("lof: point %d has dimension %d, want %d", i, len(p), dim)
 		}
 	}
-	flat := make([]float64, len(points)*dim)
-	for i, p := range points {
-		copy(flat[i*dim:(i+1)*dim], p)
-	}
-
-	m := &Model{K: k, Dist: d, n: len(points), dim: dim, flat: flat}
-	m.index = NewBruteIndex(flat, dim, d)
+	m := &Model{K: k, Dist: d, n: len(points), dim: dim}
+	m.index = newBruteIndex(len(points), dim, func(i int) []float64 { return points[i] }, d)
 
 	n := m.n
 	m.kdist = make([]float64, n)
@@ -198,18 +194,23 @@ func (m *Model) TrainScores() []float64 {
 	return out
 }
 
-// Row returns reference point i as a subslice of the flat matrix; callers
-// must not mutate it.
-func (m *Model) Row(i int) []float64 {
-	return m.flat[i*m.dim : (i+1)*m.dim]
+// Row returns reference point i, a view of the index's storage that
+// callers must not mutate. A copy of an earlier point shares that point's
+// view. It does not allocate.
+func (m *Model) Row(i int) []float64 { return m.index.rowOf(i) }
+
+// Rows builds the n×dim row-major matrix of the reference points, copies
+// included. It allocates a new matrix on every call; hot paths use Row.
+func (m *Model) Rows() []float64 {
+	out := make([]float64, 0, m.n*m.dim)
+	for i := 0; i < m.n; i++ {
+		out = append(out, m.Row(i)...)
+	}
+	return out
 }
 
-// Rows returns the flat row-major reference matrix; callers must not
-// mutate it.
-func (m *Model) Rows() []float64 { return m.flat }
-
-// PointRows returns the reference points as a slice of row views into the
-// flat matrix (no data copy); used by model serialisation.
+// PointRows returns the reference points as a slice of row views (Row),
+// with no copy of their data; used by model serialisation.
 func (m *Model) PointRows() [][]float64 {
 	out := make([][]float64, m.n)
 	for i := range out {

@@ -32,15 +32,19 @@ import (
 // exact distance then, and the root's exact distance, selectK's worst,
 // never rises once the heap is full.
 //
-// A group of bitwise-identical rows is filtered once a query, through its
-// first row; the copies that follow it take that row's outcome (see
-// lazyHeap.groups). A copy whose first row was not offered to the heap is
+// The filter runs over the index's distinct rows (see BruteIndex), each
+// once a query, in their order of first appearance, which is index order
+// too; the batches Heads sums are batches of distinct rows. A row is
+// offered in its own turn in index order: a distinct row's first
+// appearance with the outcome of its filter, a copy of it with that same
+// outcome (see lazyHeap.groups). A copy whose row the filter ruled out is
 // a "no": that row's exact distance, and so the copy's, was proven at or
-// above the root's exact distance then. A copy whose first row was offered
-// is offered in its own turn with the same interval, which is the one
-// reading it would give (same bits, same operations), or with the exact
-// distance once either has been resolved. Where the first row is skip, its
-// copies are filtered as if they had none.
+// above the root's exact distance then. A copy of any other row is
+// offered with the same interval, which is the one reading it would give
+// (same bits, same operations), or with the exact distance once either
+// has been resolved. The row skip is not offered, but when it is the
+// first appearance of a row with copies, that row is still filtered, for
+// its copies.
 func (b *BruteIndex) refine(q []float64, k, skip int, s *Scratch) []Neighbor {
 	fq := &s.fq
 	f := b.filter
@@ -50,62 +54,80 @@ func (b *BruteIndex) refine(q []float64, k, skip int, s *Scratch) []Neighbor {
 		eps = math.Inf(1)
 	}
 	h := s.lazy.reset(b, q, k)
-	// The root's upper bound once the heap is full, and the filter's stop
-	// value for it. NaN until then: no comparison with either holds, so no
-	// row is skipped or abandoned.
-	cut := math.NaN()
-	stop := fq.Stop(cut)
-	skipGroup := int32(-1) // the group whose first row is not visited
+	rows := b.n
+	skipU := -1 // the distinct row that is skip and has no copy: not filtered
 	if skip >= 0 && skip < b.n {
-		skipGroup = b.groupOf(skip)
-	}
-	var rows, read int
-	for i0 := 0; i0 < b.n; i0 += distance.HeadBatch {
-		m := min(distance.HeadBatch, b.n-i0)
-		batch := uint16(1<<m - 1)
-		if skip >= i0 && skip < i0+m {
-			batch &^= 1 << (skip - i0)
+		rows--
+		if b.groupOf(skip) < 0 {
+			skipU = b.distinct(skip)
 		}
-		live := f.Heads(fq, i0, m, stop) & batch
-		rows += bits.OnesCount16(batch)
+	}
+	nu := len(b.flat) / b.dim
+	// The copies before b.copies[c] have been offered or skipped; the next
+	// one, if any, comes just before distinct row at's first appearance.
+	c, at := h.offerCopies(0, -1, skip)
+	var read int
+	for u0 := 0; u0 < nu; u0 += distance.HeadBatch {
+		if u0 >= at {
+			c, at = h.offerCopies(c, u0, skip)
+		}
+		m := min(distance.HeadBatch, nu-u0)
+		batch := uint16(1<<m - 1)
+		if skipU >= u0 && skipU < u0+m {
+			batch &^= 1 << (skipU - u0)
+		}
+		live := f.Heads(fq, u0, m, fq.Stop(h.cut)) & batch
 		read += distance.HeadDim * bits.OnesCount16(batch&^live)
 		for ; live != 0; live &= live - 1 {
-			i := i0 + bits.TrailingZeros16(live)
-			g := b.groupOf(i)
-			var x lazyNeighbor
-			if g >= 0 && g != skipGroup && b.first[g] != int32(i) {
-				read += f.HeadWidth()
-				st := &h.groups[g]
-				if st.gen != h.gen || st.v-st.r >= cut {
-					continue
-				}
-				x = lazyNeighbor{idx: i, v: st.v, r: st.r}
-			} else {
-				a, n := f.Rest(fq, i, stop)
-				read += n
-				if n < b.dim || a-eps >= cut {
-					continue
-				}
-				x = lazyNeighbor{idx: i, v: a, r: eps}
-				// An unresolved entry keeps finite bounds, so that it is
-				// known to have a finite exact distance.
-				if !(a-eps >= -math.MaxFloat64 && a+eps <= math.MaxFloat64) {
-					h.resolve(&x)
-				}
-				if g >= 0 && g != skipGroup {
-					h.groups[g] = groupState{gen: h.gen, v: x.v, r: x.r}
-				}
+			u := u0 + bits.TrailingZeros16(live)
+			if u >= at {
+				c, at = h.offerCopies(c, u, skip)
 			}
-			h.offer(x)
-			if len(h.items) == k {
-				cut = h.items[0].v + h.items[0].r
-				stop = fq.Stop(cut)
+			a, n := f.Rest(fq, u, fq.Stop(h.cut))
+			read += n
+			if n < b.dim || a-eps >= h.cut {
+				continue
+			}
+			x := lazyNeighbor{idx: u + c, v: a, r: eps} // u's first appearance
+			// An unresolved entry keeps finite bounds, so that it is
+			// known to have a finite exact distance.
+			if !(a-eps >= -math.MaxFloat64 && a+eps <= math.MaxFloat64) {
+				h.resolve(&x)
+			}
+			if b.group != nil && b.group[u] >= 0 {
+				h.groups[b.group[u]] = groupState{gen: h.gen, v: x.v, r: x.r}
+			}
+			if x.idx != skip {
+				h.offer(x)
 			}
 		}
 	}
+	h.offerCopies(c, nu, skip)
 	s.filtered += rows
 	s.read += read
 	return h.drainSorted(&s.heap, s.neighborBuf(len(h.items)))
+}
+
+// offerCopies offers, in index order, the copies from b.copies[c] on that
+// come before the first appearance of distinct row u (every one left when
+// u is the number of distinct rows), skip excepted. It returns the
+// position in b.copies of the next copy, and that copy's at: the copy
+// comes before the first appearance of distinct row at (math.MaxInt when
+// none is left).
+func (h *lazyHeap) offerCopies(c, u, skip int) (next, at int) {
+	cs := h.b.copies
+	for ; c < len(cs) && int(cs[c].at) <= u; c++ {
+		i := int(cs[c].at) + c
+		st := &h.groups[cs[c].g]
+		if i == skip || st.gen != h.gen || st.v-st.r >= h.cut {
+			continue
+		}
+		h.offer(lazyNeighbor{idx: i, v: st.v, r: st.r})
+	}
+	if c == len(cs) {
+		return c, math.MaxInt
+	}
+	return c, int(cs[c].at)
 }
 
 // lazyNeighbor is one entry of the lazy heap: reference row idx, whose
@@ -129,9 +151,13 @@ type lazyHeap struct {
 	b     *BruteIndex
 	q     []float64
 	calls int // exact kernel calls, over every query
-	// groups holds, per group of identical rows of b, what this query
-	// knows of them; gen numbers the queries, so that an entry stamped
-	// with an older one is stale: the group's first row was not offered.
+	// cut is the root's upper bound once the heap is full, NaN until then:
+	// no comparison with it holds, so no row is skipped or abandoned.
+	cut float64
+	// groups holds, per group of identical rows of b (a distinct row with
+	// copies), what this query knows of them; gen numbers the queries, so
+	// that an entry stamped with an older one is stale: the filter ruled
+	// the group's row out.
 	groups []groupState
 	gen    uint64
 }
@@ -150,10 +176,10 @@ func (h *lazyHeap) reset(b *BruteIndex, q []float64, k int) *lazyHeap {
 	if cap(h.items) < k {
 		h.items = make([]lazyNeighbor, 0, k)
 	}
-	if len(h.groups) < len(b.first) {
-		h.groups = make([]groupState, len(b.first))
+	if len(h.groups) < b.groups {
+		h.groups = make([]groupState, b.groups)
 	}
-	h.items, h.k, h.b, h.q = h.items[:0], k, b, q
+	h.items, h.k, h.b, h.q, h.cut = h.items[:0], k, b, q, math.NaN()
 	h.gen++
 	return h
 }
@@ -172,7 +198,7 @@ func (h *lazyHeap) resolve(e *lazyNeighbor) float64 {
 			e.v, e.r = st.v, 0
 			return e.v
 		}
-		e.v, e.r = b.dist.F(h.q, b.flat[e.idx*b.dim:(e.idx+1)*b.dim]), 0
+		e.v, e.r = b.dist.F(h.q, b.rowOf(e.idx)), 0
 		h.calls++
 		if st != nil {
 			st.v, st.r = e.v, 0
@@ -193,24 +219,26 @@ func (h *lazyHeap) gt(x, y *lazyNeighbor) bool {
 	return h.resolve(x) > h.resolve(y)
 }
 
-// offer is selectK's `if d < h.worst() { h.push(...) }`. The heap never
+// offer is selectK's `if d < h.worst() { h.push(...) }`, and then brings
+// cut up to date: a comparison may have resolved the root. The heap never
 // holds a +Inf or NaN exact distance, so up and down compare with gt what
 // neighborHeap compares with > and >=.
 func (h *lazyHeap) offer(x lazyNeighbor) {
-	if len(h.items) < h.k {
+	switch {
+	case len(h.items) < h.k:
 		// Below +Inf: an unresolved x is, by its finite bounds.
 		if !(x.v < math.Inf(1)) {
 			return
 		}
 		h.items = append(h.items, x)
 		h.up(len(h.items) - 1)
-		return
+	case h.gt(&h.items[0], &x):
+		h.items[0] = x
+		h.down(0)
 	}
-	if !h.gt(&h.items[0], &x) {
-		return
+	if len(h.items) == h.k {
+		h.cut = h.items[0].v + h.items[0].r
 	}
-	h.items[0] = x
-	h.down(0)
 }
 
 func (h *lazyHeap) up(i int) {

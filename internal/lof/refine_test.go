@@ -56,8 +56,9 @@ func rowKey(row []float64) string {
 // for every skip, the (Idx, Dist) sequence selectK returns over the full
 // exact row kernel — bit for bit — and that no query ran the exact kernel
 // twice on one row's bits: a copy of a row shares its group's distance,
-// except the copies of the skipped row, which are filtered as if they had
-// none. Before each query the scratch answers another (a row of the set),
+// the copies of the skipped row included, and that every query counts
+// each row but skip as filtered. Before each query the scratch answers
+// another (a row of the set),
 // so that what it keeps of that one must not leak into the next. It
 // reports whether any query had two different rows tied exactly at the
 // k-th distance.
@@ -78,30 +79,38 @@ func checkRefineEqualsFullScan(t *testing.T, name string, q, flat []float64, dim
 	distance.RowsOf(d)(q, flat, dim, exact)
 	var sf, sx Scratch
 	for skip := -1; skip < n; skip++ {
-		want := append([]Neighbor(nil), selectK(append([]float64(nil), exact...), k, skip, &sx)...)
+		scan := append([]Neighbor(nil), selectK(append([]float64(nil), exact...), k, skip, &sx)...)
 		if n > 0 {
 			other := (skip + 1) % n
 			idx.KNN(flat[other*dim:(other+1)*dim], k, -1, &sf)
 		}
 		clear(calls)
+		filtered, _, _ := sf.FilterStats()
 		got := idx.KNN(q, k, skip, &sf)
 		for key, c := range calls {
-			if c > 1 && (skip < 0 || key != rowKey(flat[skip*dim:(skip+1)*dim])) {
+			if c > 1 {
 				t.Fatalf("%s k=%d skip=%d: %d exact kernel calls on one row's bits %v\nq=%v\nrows=%v",
 					name, k, skip, c, []byte(key), q, flat)
 			}
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%s k=%d skip=%d: %d neighbours, full scan %d\nq=%v\nrows=%v", name, k, skip, len(got), len(want), q, flat)
+		want := n
+		if skip >= 0 {
+			want--
 		}
-		for i := range want {
-			if got[i].Idx != want[i].Idx || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
-				t.Fatalf("%s k=%d skip=%d: neighbour %d = %+v, full scan %+v\nq=%v\nrows=%v", name, k, skip, i, got[i], want[i], q, flat)
+		if now, _, _ := sf.FilterStats(); now-filtered != want {
+			t.Fatalf("%s k=%d skip=%d: %d rows filtered, want %d", name, k, skip, now-filtered, want)
+		}
+		if len(got) != len(scan) {
+			t.Fatalf("%s k=%d skip=%d: %d neighbours, full scan %d\nq=%v\nrows=%v", name, k, skip, len(got), len(scan), q, flat)
+		}
+		for i := range scan {
+			if got[i].Idx != scan[i].Idx || math.Float64bits(got[i].Dist) != math.Float64bits(scan[i].Dist) {
+				t.Fatalf("%s k=%d skip=%d: neighbour %d = %+v, full scan %+v\nq=%v\nrows=%v", name, k, skip, i, got[i], scan[i], q, flat)
 			}
 		}
-		if len(want) == k {
+		if len(scan) == k {
 			for i, e := range exact {
-				if i != skip && i != want[k-1].Idx && e == want[k-1].Dist {
+				if i != skip && i != scan[k-1].Idx && e == scan[k-1].Dist {
 					boundaryTie = true
 				}
 			}
@@ -165,18 +174,18 @@ var nearCut = []byte{8, 215, 12, 1, 9, 10, 196, 11, 201, 5, 237, 210, 1, 236, 24
 // 1-NN query read both its rows in full: with the second row in the first
 // batch, which is summed before the heap holds a row, and as the first
 // row of the second batch, which is summed against the cut. The 15 rows
-// between them in the second layout are far from the query: the first is
-// abandoned after its first block and leaves the heap, and so the cut, as
-// it is; the others, its copies, are "no" after their first block too.
+// between them in the second layout are far from the query and each is
+// abandoned after its first block, leaving the heap, and so the cut, as
+// it is. They differ from one another, or the index would store them as
+// one row and the pair would share a batch.
 func checkNearCut(t *testing.T) {
 	t.Helper()
 	const dim = 5
 	q, pair := decodeSet(nearCut, dim)
-	far := []float64{3.3, 3.3, 0, 0, 0} // inside the pair's range and mass: ε stays
 	for _, pad := range []int{0, distance.HeadBatch - 1} {
 		flat := append([]float64(nil), pair[:dim]...)
 		for c := 0; c < pad; c++ {
-			flat = append(flat, far...)
+			flat = append(flat, 3.3, 3.3+float64(c)/1024, 0, 0, 0)
 		}
 		flat = append(flat, pair[dim:]...)
 		last := len(flat)/dim - 1
@@ -199,11 +208,13 @@ func checkNearCut(t *testing.T) {
 }
 
 // copySet is a set of distinct pmf rows with bitwise copies of one row
-// planted at chosen indexes, and a query near that row.
+// planted at chosen indexes, and a query near that row; distinct is the
+// number of distinct rows the index must store.
 type copySet struct {
-	what    string
-	q, flat []float64
-	dim, k  int
+	what     string
+	q, flat  []float64
+	dim, k   int
+	distinct int
 }
 
 // copySets builds the sets that drive refine's copy groups through each of
@@ -238,13 +249,35 @@ func copySets(t *testing.T, rng *rand.Rand) []copySet {
 	// they had none, not taken for "no".
 	flat := rows(20, 6)
 	plant(flat, 6, 3, 8, 11, 19)
-	sets = append(sets, copySet{"first row skipped", append([]float64(nil), row(flat, 6, 3)...), flat, 6, 3})
+	sets = append(sets, copySet{"first row skipped", append([]float64(nil), row(flat, 6, 3)...), flat, 6, 3, 17})
 
-	// The group straddles the first HeadBatch boundary: its first row is
-	// the last of batch 0, its copies open batch 1 and sit in batch 2.
+	// The group straddles the first HeadBatch boundary of the distinct
+	// rows: its first row is the last of batch 0, its copies come before
+	// the first row of batch 1 and among those of batch 1.
 	flat = rows(40, 6)
 	plant(flat, 6, 15, 16, 17, 18, 33)
-	sets = append(sets, copySet{"straddles a batch", near(row(flat, 6, 15), 0.05), flat, 6, 4})
+	sets = append(sets, copySet{"straddles a batch", near(row(flat, 6, 15), 0.05), flat, 6, 4, 36})
+
+	// The group's first row is inside batch 0 of the distinct rows, and
+	// its copies come when batch 1 is summed (rows 16 and 25: 16 and 25
+	// distinct rows before them) and after every distinct row (row 39).
+	flat = rows(40, 6)
+	plant(flat, 6, 3, 16, 25, 39)
+	sets = append(sets, copySet{"copies in a later batch", near(row(flat, 6, 3), 0.05), flat, 6, 3, 37})
+
+	// Every row is a copy of row 0: one distinct row, and every neighbour
+	// a copy; the query is that row itself, or near it.
+	one := rows(1, 6)
+	flat = nil
+	for i := 0; i < 20; i++ {
+		flat = append(flat, one...)
+	}
+	sets = append(sets, copySet{"one distinct row, query on it", one, flat, 6, 3, 1})
+	sets = append(sets, copySet{"one distinct row, query near it", near(one, 0.05), flat, 6, 3, 1})
+
+	// No row repeats: the index keeps the matrix as it is.
+	flat = rows(40, 6)
+	sets = append(sets, copySet{"no copies", near(row(flat, 6, 7), 0.05), flat, 6, 4, 40})
 
 	// The group's first row, row 2, is far: Rest abandons it once rows 0
 	// and 1 fill the heap. Rows 3 to 5 are nearer still, so the cut falls
@@ -271,7 +304,7 @@ func copySets(t *testing.T, rng *rand.Rand) []copySet {
 		t.Fatalf("copy set: row 2 read %d of %d components at the cut rows 0 and 1 set, row 3 at %v against %v, %v: the case lost its point",
 			read, dim, a3, a0, a1)
 	}
-	sets = append(sets, copySet{"first row abandoned", q, flat, dim, 2})
+	sets = append(sets, copySet{"first row abandoned", q, flat, dim, 2, 32})
 
 	// Row 0 goes into the heap unresolved; its copy, row 1, is offered with
 	// its interval and the comparison between the two resolves both, one
@@ -279,7 +312,7 @@ func copySets(t *testing.T, rng *rand.Rand) []copySet {
 	// exact distance.
 	flat = rows(24, 6)
 	plant(flat, 6, 0, 1, 5)
-	sets = append(sets, copySet{"offered before and after resolve", near(row(flat, 6, 0), 0.05), flat, 6, 2})
+	sets = append(sets, copySet{"offered before and after resolve", near(row(flat, 6, 0), 0.05), flat, 6, 2, 22})
 	return sets
 }
 
@@ -345,6 +378,9 @@ func TestRefineEqualsFullScan(t *testing.T) {
 	q, flat := decodeSet(nearCut, 5)
 	checkRefineEqualsFullScan(t, "symkl", q, flat, 5, 1)
 	for _, cs := range copySets(t, rng) {
+		if got := len(NewBruteIndex(cs.flat, cs.dim, l2()).flat) / cs.dim; got != cs.distinct {
+			t.Fatalf("%s: the index stores %d distinct rows, want %d", cs.what, got, cs.distinct)
+		}
 		for _, name := range []string{"kl", "symkl"} {
 			t.Logf("%s: %s", cs.what, name)
 			checkRefineEqualsFullScan(t, name, cs.q, cs.flat, cs.dim, cs.k)
@@ -403,14 +439,15 @@ func TestRefinePrunes(t *testing.T) {
 }
 
 // plantCopies copies one row of a flat matrix over others, as sel picks:
-// row sel%16 (modulo the row count) over every (1 + sel/16)-th row after
-// it. sel 0 copies nothing.
+// sel 0 copies nothing; otherwise row (sel−1)%16, modulo the row count,
+// goes over every (1 + (sel−1)/16)-th row after it, so that sel 1 makes
+// every row a copy of row 0.
 func plantCopies(flat []float64, dim int, sel uint8) {
 	n := len(flat) / dim
 	if sel == 0 || n == 0 {
 		return
 	}
-	src, step := int(sel%16)%n, 1+int(sel/16)
+	src, step := int((sel-1)%16)%n, 1+int((sel-1)/16)
 	for r := src + step; r < n; r += step {
 		copy(flat[r*dim:(r+1)*dim], flat[src*dim:(src+1)*dim])
 	}
@@ -418,7 +455,9 @@ func plantCopies(flat []float64, dim int, sel uint8) {
 
 // FuzzRefineEqualsFullScan lets the fuzzer pick the set, the distance, the
 // dimension, k and a row to copy over others (plantCopies), so that its
-// sets hold groups of copies.
+// sets hold groups of copies. The seeds include sets with no copy, with
+// every row a copy of one, and with a group whose copies come in a later
+// batch of distinct rows than its first row.
 func FuzzRefineEqualsFullScan(f *testing.F) {
 	f.Add([]byte{6, 2, 4, 6, 2, 4, 4, 6, 2, 6, 2, 4, 0, 8, 9, 2, 4, 6}, uint8(2), uint8(1), uint8(1), uint8(0))
 	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7, 7, 7}, uint8(0), uint8(3), uint8(0), uint8(0))
@@ -435,7 +474,13 @@ func FuzzRefineEqualsFullScan(f *testing.F) {
 	f.Add(many, uint8(8), uint8(2), uint8(1), uint8(0))
 	// The same set with row 13 copied over every 3rd row after it: a group
 	// that straddles the batch boundary, k 3.
-	f.Add(many, uint8(8), uint8(2), uint8(1), uint8(2*16+13))
+	f.Add(many, uint8(8), uint8(2), uint8(1), uint8(2*16+13+1))
+	// Row 2 copied over row 18, which comes after 18 distinct rows: in
+	// the second batch of distinct rows, its first row in the first.
+	f.Add(many, uint8(8), uint8(2), uint8(1), uint8(15*16+2+1))
+	// Every row a copy of row 0, symkl and kl.
+	f.Add(many, uint8(8), uint8(2), uint8(1), uint8(1))
+	f.Add(many, uint8(8), uint8(2), uint8(0), uint8(1))
 	f.Fuzz(func(t *testing.T, data []byte, dimSel, kSel, distSel, copySel uint8) {
 		if len(data) > 512 {
 			data = data[:512]
