@@ -53,7 +53,7 @@ func cmdReplay(args []string) error {
 		for _, v := range mr.Verdicts {
 			if v.Verdict == anomalystore.VerdictLost || v.Verdict == anomalystore.VerdictNewDetection {
 				fmt.Fprintf(os.Stderr, "replay:   #%d %s (%s): recorded %.2f → %.2f, %s\n",
-					v.Seq, v.Stream, v.RecordedModel, v.RecordedScore, v.Score, v.Verdict)
+					v.Seq, v.Stream, v.RecordedModel, v.Recorded.LOF, float64(v.LOF), v.Verdict)
 			}
 		}
 	}

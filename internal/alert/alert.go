@@ -25,7 +25,6 @@
 package alert
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -98,15 +97,10 @@ func (k *Kind) UnmarshalText(b []byte) error {
 	return nil
 }
 
-// Observation is one window's verdict, fed from the monitor's decision
-// callback. The pipeline picks its trip predicate from Options.TripOnGate.
-type Observation struct {
-	GateTripped bool
-	Anomalous   bool
-	GateDist    float64
-	LOF         float64
-	WindowIndex int
-}
+// Observation is the verdict Observe takes under its old name. It is kept
+// only because the wire benchmark (bench/) still builds it, and goes when
+// that benchmark next changes.
+type Observation = obs.Verdict
 
 // Notification is one alert transition on its way to the sinks.
 type Notification struct {
@@ -115,31 +109,15 @@ type Notification struct {
 	Model  string `json:"model"`
 	// Wall is the pipeline-clock time of the transition.
 	Wall time.Time `json:"wall"`
-	// GateDist and LOF are the verdict of the window that armed the
-	// incident (for firing) or that the incident fired with (for
-	// resolved). WindowIndex locates that window in the stream.
-	GateDist    float64 `json:"gate_dist"`
-	LOF         float64 `json:"lof"`
-	WindowIndex int     `json:"window_index"`
+	// Verdict is the verdict of the window that armed the incident (for
+	// firing) or that the incident fired with (for resolved).
+	Verdict obs.Verdict `json:"verdict"`
 	// Trips is how many consecutive tripped windows armed the incident.
 	Trips int `json:"trips"`
 	// FiredWall and DurationS are set on resolved notifications: when the
 	// incident fired and how long it stayed open.
 	FiredWall time.Time `json:"fired_wall,omitzero"`
 	DurationS float64   `json:"duration_s,omitempty"`
-}
-
-// MarshalJSON renders non-finite scores as null: gate distances are
-// legitimately +Inf for disjoint distributions, but JSON has no Inf/NaN
-// and one such window must not break every webhook payload and the whole
-// GET /alerts body with a marshal error.
-func (n Notification) MarshalJSON() ([]byte, error) {
-	type plain Notification // no methods: the default encoding
-	return json.Marshal(struct {
-		plain
-		GateDist obs.JSONFloat `json:"gate_dist"`
-		LOF      obs.JSONFloat `json:"lof"`
-	}{plain: plain(n), GateDist: obs.JSONFloat(n.GateDist), LOF: obs.JSONFloat(n.LOF)})
 }
 
 // Options configures a Pipeline.
@@ -205,7 +183,7 @@ type modelCounters struct {
 }
 
 // Pipeline is the alerting stage: build with NewPipeline, Register a
-// Stream per served stream, feed Observations from the decision callback,
+// Stream per served stream, feed verdicts from the decision callback,
 // Close when serving stops. All methods are safe for concurrent use;
 // Stream.Observe is additionally allocation-free when idle.
 type Pipeline struct {
@@ -319,13 +297,11 @@ type Stream struct {
 	state atomic.Uint32 // State; written by owner, read by admin
 
 	// Owner-goroutine-only state machine fields.
-	trips     int     // consecutive trips while pending
-	everFired bool    // picks Idle vs Resolved on reset
-	lastTrip  int64   // clock ns of the last tripped window
-	firedAt   int64   // clock ns the open incident fired
-	armDist   float64 // gate distance of the window that armed the incident
-	armLOF    float64
-	armIndex  int
+	trips     int         // consecutive trips while pending
+	everFired bool        // picks Idle vs Resolved on reset
+	lastTrip  int64       // clock ns of the last tripped window
+	firedAt   int64       // clock ns the open incident fired
+	arm       obs.Verdict // the window that armed the incident
 	armTrips  int
 
 	// Admin/test-visible incident counters.
@@ -350,10 +326,10 @@ func (s *Stream) Resolved() int64 { return s.resolved.Load() }
 // returns without locking, reading the clock, or allocating.
 //
 //enduratrace:zeroalloc
-func (s *Stream) Observe(o Observation) {
-	tripped := o.Anomalous
+func (s *Stream) Observe(v obs.Verdict) {
+	tripped := v.Anomalous
 	if s.p.opts.TripOnGate {
-		tripped = o.GateTripped
+		tripped = v.GateTripped
 	}
 	st := State(s.state.Load())
 	if !tripped && (st == StateIdle || st == StateResolved) {
@@ -366,7 +342,7 @@ func (s *Stream) Observe(o Observation) {
 		// tripped (the clear case returned above): start arming.
 		s.trips = 1
 		s.lastTrip = now
-		s.armDist, s.armLOF, s.armIndex = o.GateDist, o.LOF, o.WindowIndex
+		s.arm = v
 		if s.trips >= s.p.opts.MinTrips {
 			s.fire(now)
 		} else {
@@ -380,7 +356,7 @@ func (s *Stream) Observe(o Observation) {
 		}
 		s.trips++
 		s.lastTrip = now
-		s.armDist, s.armLOF, s.armIndex = o.GateDist, o.LOF, o.WindowIndex
+		s.arm = v
 		if s.trips >= s.p.opts.MinTrips {
 			s.fire(now)
 		}
@@ -425,14 +401,12 @@ func (s *Stream) fire(now int64) {
 	s.fired.Add(1)
 	s.mc.fired.Add(1)
 	s.p.emit(Notification{
-		Kind:        KindFiring,
-		Stream:      s.stream,
-		Model:       s.model,
-		Wall:        time.Unix(0, now).UTC(),
-		GateDist:    s.armDist,
-		LOF:         s.armLOF,
-		WindowIndex: s.armIndex,
-		Trips:       s.trips,
+		Kind:    KindFiring,
+		Stream:  s.stream,
+		Model:   s.model,
+		Wall:    time.Unix(0, now).UTC(),
+		Verdict: s.arm,
+		Trips:   s.trips,
 	}, now)
 }
 
@@ -442,16 +416,14 @@ func (s *Stream) resolve(now int64) {
 	s.resolved.Add(1)
 	s.mc.resolved.Add(1)
 	s.p.emit(Notification{
-		Kind:        KindResolved,
-		Stream:      s.stream,
-		Model:       s.model,
-		Wall:        time.Unix(0, now).UTC(),
-		GateDist:    s.armDist,
-		LOF:         s.armLOF,
-		WindowIndex: s.armIndex,
-		Trips:       s.armTrips,
-		FiredWall:   time.Unix(0, s.firedAt).UTC(),
-		DurationS:   float64(now-s.firedAt) / 1e9,
+		Kind:      KindResolved,
+		Stream:    s.stream,
+		Model:     s.model,
+		Wall:      time.Unix(0, now).UTC(),
+		Verdict:   s.arm,
+		Trips:     s.armTrips,
+		FiredWall: time.Unix(0, s.firedAt).UTC(),
+		DurationS: float64(now-s.firedAt) / 1e9,
 	}, now)
 }
 

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"enduratrace/internal/obs"
 )
 
 func TestTokenBucketModes(t *testing.T) {
@@ -120,9 +122,9 @@ func TestEmitBuckets(t *testing.T) {
 		const transitions = 10
 		for i := 0; i < transitions/2; i++ {
 			clk.advance(time.Second)
-			s.Observe(Observation{Anomalous: true, GateDist: float64(i), LOF: 2})
+			s.Observe(obs.Verdict{Anomalous: true, GateDist: float64(i), LOF: 2})
 			clk.advance(time.Minute)
-			s.Observe(Observation{})
+			s.Observe(obs.Verdict{})
 		}
 		// Drops are counted synchronously in Observe, so the books are
 		// already final for the pre-queue buckets.
@@ -178,9 +180,9 @@ func TestSinkErrorsCountAndDoNotBlock(t *testing.T) {
 	s := p.Register("s0", "m0")
 	for i := 0; i < 3; i++ {
 		clk.advance(time.Second)
-		s.Observe(Observation{Anomalous: true, GateDist: float64(i), LOF: 2})
+		s.Observe(obs.Verdict{Anomalous: true, GateDist: float64(i), LOF: 2})
 		clk.advance(time.Minute)
-		s.Observe(Observation{})
+		s.Observe(obs.Verdict{})
 	}
 	s.Close()
 	if !p.Drain(5 * time.Second) {
@@ -217,9 +219,9 @@ func TestSnapshotRecentRingWraps(t *testing.T) {
 	const incidents = recentCap/2 + 1 // two transitions more than the ring holds
 	for i := 0; i < incidents; i++ {
 		clk.advance(time.Second)
-		s.Observe(Observation{Anomalous: true, GateDist: float64(i), LOF: 2, WindowIndex: 2 * i})
+		s.Observe(obs.Verdict{Anomalous: true, GateDist: float64(i), LOF: 2, WindowIndex: 2 * i})
 		clk.advance(time.Minute)
-		s.Observe(Observation{WindowIndex: 2*i + 1})
+		s.Observe(obs.Verdict{WindowIndex: 2*i + 1})
 	}
 	s.Close()
 	recent := p.Snapshot().Recent
@@ -234,9 +236,9 @@ func TestSnapshotRecentRingWraps(t *testing.T) {
 		if j%2 == 1 {
 			wantKind = KindResolved
 		}
-		if n.Kind != wantKind || n.WindowIndex != wantIdx {
+		if n.Kind != wantKind || n.Verdict.WindowIndex != wantIdx {
 			t.Fatalf("recent[%d] = %v window %d, want %v window %d",
-				j, n.Kind, n.WindowIndex, wantKind, wantIdx)
+				j, n.Kind, n.Verdict.WindowIndex, wantKind, wantIdx)
 		}
 	}
 }
@@ -244,7 +246,7 @@ func TestSnapshotRecentRingWraps(t *testing.T) {
 func TestSlogSinkDelivers(t *testing.T) {
 	var buf strings.Builder
 	sink := NewSlogSink(slog.New(slog.NewTextHandler(&buf, nil)))
-	n := Notification{Kind: KindFiring, Stream: "s0", Model: "m0", GateDist: 2.5, LOF: 3, Trips: 3}
+	n := Notification{Kind: KindFiring, Stream: "s0", Model: "m0", Verdict: obs.Verdict{GateDist: 2.5, LOF: 3}, Trips: 3}
 	if err := sink.Deliver(context.Background(), n); err != nil {
 		t.Fatal(err)
 	}
@@ -255,38 +257,42 @@ func TestSlogSinkDelivers(t *testing.T) {
 
 // TestNotificationMarshalNonFinite: gate distances are legitimately +Inf
 // (disjoint distributions), but encoding/json refuses non-finite floats —
-// the custom marshaler must map them to null instead of erroring out the
-// whole payload.
+// the verdict's marshaler must map them to null instead of erroring out
+// the whole payload, and the notification's own fields must survive it.
 func TestNotificationMarshalNonFinite(t *testing.T) {
 	n := Notification{
-		Kind:     KindFiring,
-		Stream:   "s",
-		Model:    "m",
-		GateDist: math.Inf(1),
-		LOF:      math.NaN(),
-		Trips:    3,
+		Kind:    KindFiring,
+		Stream:  "s",
+		Model:   "m",
+		Verdict: obs.Verdict{GateDist: math.Inf(1), LOF: math.NaN()},
+		Trips:   3,
 	}
-	b, err := json.Marshal(n)
-	if err != nil {
-		t.Fatalf("non-finite notification failed to marshal: %v", err)
+	decode := func() (map[string]any, map[string]any) {
+		t.Helper()
+		b, err := json.Marshal(n)
+		if err != nil {
+			t.Fatalf("notification failed to marshal: %v", err)
+		}
+		var m map[string]any
+		if err := json.Unmarshal(b, &m); err != nil {
+			t.Fatalf("marshaled notification is not valid JSON: %v\n%s", err, b)
+		}
+		v, ok := m["verdict"].(map[string]any)
+		if !ok {
+			t.Fatalf("notification carries no verdict object: %s", b)
+		}
+		return m, v
 	}
-	var m map[string]any
-	if err := json.Unmarshal(b, &m); err != nil {
-		t.Fatalf("marshaled notification is not valid JSON: %v\n%s", err, b)
+	m, v := decode()
+	if v["gate_dist"] != nil || v["lof"] != nil {
+		t.Fatalf("non-finite scores not null: gate_dist=%v lof=%v", v["gate_dist"], v["lof"])
 	}
-	if m["gate_dist"] != nil || m["lof"] != nil {
-		t.Fatalf("non-finite scores not null: gate_dist=%v lof=%v", m["gate_dist"], m["lof"])
+	if m["kind"] != "firing" || m["trips"] != 3.0 || m["stream"] != "s" {
+		t.Fatalf("notification fields lost beside the verdict: %v", m)
 	}
-	// Finite values survive untouched through the custom marshaler.
-	n.GateDist, n.LOF = 1.5, 3.25
-	b, err = json.Marshal(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(b, &m); err != nil {
-		t.Fatal(err)
-	}
-	if m["gate_dist"] != 1.5 || m["lof"] != 3.25 || m["kind"] != "firing" || m["trips"] != 3.0 {
-		t.Fatalf("finite notification fields mangled: %v", m)
+	// Finite values survive untouched through the verdict's marshaler.
+	n.Verdict.GateDist, n.Verdict.LOF = 1.5, 3.25
+	if _, v = decode(); v["gate_dist"] != 1.5 || v["lof"] != 3.25 {
+		t.Fatalf("finite verdict fields mangled: %v", v)
 	}
 }

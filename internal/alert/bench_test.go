@@ -3,6 +3,8 @@ package alert
 import (
 	"testing"
 	"time"
+
+	"enduratrace/internal/obs"
 )
 
 // BenchmarkAlertObserveQuiet is the cost alerting adds to every clear
@@ -13,11 +15,11 @@ func BenchmarkAlertObserveQuiet(b *testing.B) {
 	p := NewPipeline(Options{MinTrips: 3, Clock: clk.now})
 	defer p.Close()
 	s := p.Register("bench-0", "bench")
-	obs := Observation{GateDist: 0.2, LOF: 1.0}
+	quiet := obs.Verdict{GateDist: 0.2, LOF: 1.0}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Observe(obs)
+		s.Observe(quiet)
 	}
 }
 
@@ -29,8 +31,8 @@ func BenchmarkAlertObserveFlapping(b *testing.B) {
 	p := NewPipeline(Options{MinTrips: 3, Clock: clk.now})
 	defer p.Close()
 	s := p.Register("bench-0", "bench")
-	trip := Observation{Anomalous: true, GateDist: 2.0, LOF: 2.0}
-	clear := Observation{GateDist: 0.2, LOF: 1.0}
+	trip := obs.Verdict{Anomalous: true, GateDist: 2.0, LOF: 2.0}
+	clear := obs.Verdict{GateDist: 0.2, LOF: 1.0}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -60,9 +62,9 @@ func BenchmarkAlertFireResolve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clk.advance(time.Second)
-		s.Observe(Observation{Anomalous: true, GateDist: float64(i & 1023), LOF: 2, WindowIndex: i})
+		s.Observe(obs.Verdict{Anomalous: true, GateDist: float64(i & 1023), LOF: 2, WindowIndex: i})
 		clk.advance(time.Second)
-		s.Observe(Observation{})
+		s.Observe(obs.Verdict{})
 	}
 	b.StopTimer()
 	p.Drain(30 * time.Second)

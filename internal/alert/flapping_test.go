@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"enduratrace/internal/obs"
 )
 
 // fakeClock is a concurrency-safe manual clock (the dispatcher goroutine
@@ -128,10 +130,10 @@ func TestFlappingHysteresis(t *testing.T) {
 
 	trip := func(s *Stream, dist float64, idx int) {
 		clk.advance(time.Second)
-		s.Observe(Observation{Anomalous: true, GateTripped: true, GateDist: dist, LOF: 2.5, WindowIndex: idx})
+		s.Observe(obs.Verdict{Anomalous: true, GateTripped: true, GateDist: dist, LOF: 2.5, WindowIndex: idx})
 	}
 	clear := func(s *Stream, idx int) {
-		s.Observe(Observation{GateDist: 0.1, LOF: 1.0, WindowIndex: idx})
+		s.Observe(obs.Verdict{GateDist: 0.1, LOF: 1.0, WindowIndex: idx})
 	}
 
 	streams := make([]*Stream, nStreams)
@@ -196,8 +198,8 @@ func TestFlappingHysteresis(t *testing.T) {
 			expect(t, firing.Kind == KindFiring && resolved.Kind == KindResolved,
 				"%s: transition kinds %v/%v, want firing/resolved", s.Stream(), firing.Kind, resolved.Kind)
 			expect(t, firing.Trips == minTrips, "%s: firing trips %d, want %d", s.Stream(), firing.Trips, minTrips)
-			expect(t, firing.WindowIndex == fireIdx, "%s: firing window %d, want %d", s.Stream(), firing.WindowIndex, fireIdx)
-			expect(t, firing.GateDist == dist, "%s: firing dist %g, want %g", s.Stream(), firing.GateDist, dist)
+			expect(t, firing.Verdict.WindowIndex == fireIdx, "%s: firing window %d, want %d", s.Stream(), firing.Verdict.WindowIndex, fireIdx)
+			expect(t, firing.Verdict.GateDist == dist, "%s: firing dist %g, want %g", s.Stream(), firing.Verdict.GateDist, dist)
 			expect(t, resolved.DurationS > 0, "%s: resolved duration %g, want > 0", s.Stream(), resolved.DurationS)
 			expect(t, resolved.FiredWall.Equal(firing.Wall), "%s: resolved fired_wall %v != firing wall %v",
 				s.Stream(), resolved.FiredWall, firing.Wall)
@@ -249,7 +251,7 @@ func TestFlappingReFireDeliversEveryTransition(t *testing.T) {
 	observe := func(at time.Duration, anomalous bool) {
 		clk.ns.Store(selftestEpoch.Add(at).UnixNano())
 		idx++
-		s.Observe(Observation{Anomalous: anomalous, GateTripped: anomalous, GateDist: 1.5, LOF: 2.5, WindowIndex: idx})
+		s.Observe(obs.Verdict{Anomalous: anomalous, GateTripped: anomalous, GateDist: 1.5, LOF: 2.5, WindowIndex: idx})
 	}
 	// incident trips three windows from start (firing on the third), trips
 	// once more hold later, and resolves ClearAfter after that last trip.
@@ -317,9 +319,9 @@ func TestFlappingGlobalBudget(t *testing.T) {
 	s := p.Register("budget-0", "selftest")
 	for i := 0; i < incidents; i++ {
 		clk.advance(time.Second)
-		s.Observe(Observation{Anomalous: true, GateDist: float64(i), LOF: 3, WindowIndex: 2 * i})
+		s.Observe(obs.Verdict{Anomalous: true, GateDist: float64(i), LOF: 3, WindowIndex: 2 * i})
 		clk.advance(clearAfter)
-		s.Observe(Observation{GateDist: 0.1, LOF: 1, WindowIndex: 2*i + 1})
+		s.Observe(obs.Verdict{GateDist: 0.1, LOF: 1, WindowIndex: 2*i + 1})
 	}
 	expect(t, s.Fired() == incidents, "fired %d, want %d", s.Fired(), int64(incidents))
 	expect(t, s.Resolved() == incidents, "resolved %d, want %d", s.Resolved(), int64(incidents))

@@ -3,6 +3,8 @@ package alert
 import (
 	"testing"
 	"time"
+
+	"enduratrace/internal/obs"
 )
 
 // newTestPipeline builds a hookless pipeline on a fake clock with no
@@ -36,7 +38,7 @@ func runSteps(t *testing.T, clk *fakeClock, s *Stream, steps []step) {
 		if st.advance > 0 {
 			clk.advance(st.advance)
 		}
-		s.Observe(Observation{
+		s.Observe(obs.Verdict{
 			Anomalous:   st.trip,
 			GateTripped: st.trip,
 			GateDist:    2.0,
@@ -174,7 +176,7 @@ func TestStateMachineTransitions(t *testing.T) {
 }
 
 func TestTripPredicate(t *testing.T) {
-	gateOnly := Observation{GateTripped: true, Anomalous: false, GateDist: 2, LOF: 1}
+	gateOnly := obs.Verdict{GateTripped: true, Anomalous: false, GateDist: 2, LOF: 1}
 
 	t.Run("default counts only anomalous windows", func(t *testing.T) {
 		p, _ := newTestPipeline(t, Options{MinTrips: 1})
@@ -202,7 +204,7 @@ func TestStreamCloseResolvesOpenIncident(t *testing.T) {
 	p, clk := newTestPipeline(t, Options{MinTrips: 1, ClearAfter: time.Minute})
 	s := p.Register("s0", "m0")
 	clk.advance(time.Second)
-	s.Observe(Observation{Anomalous: true, GateDist: 3, LOF: 3})
+	s.Observe(obs.Verdict{Anomalous: true, GateDist: 3, LOF: 3})
 	if s.State() != StateFiring {
 		t.Fatalf("state = %v, want firing", s.State())
 	}
@@ -224,9 +226,9 @@ func TestStreamCloseWhileResolvedEmitsNothing(t *testing.T) {
 	p, clk := newTestPipeline(t, Options{MinTrips: 1, ClearAfter: time.Second})
 	s := p.Register("s0", "m0")
 	clk.advance(time.Second)
-	s.Observe(Observation{Anomalous: true, GateDist: 3, LOF: 3})
+	s.Observe(obs.Verdict{Anomalous: true, GateDist: 3, LOF: 3})
 	clk.advance(time.Second)
-	s.Observe(Observation{})
+	s.Observe(obs.Verdict{})
 	if s.State() != StateResolved {
 		t.Fatalf("state = %v, want resolved", s.State())
 	}
@@ -242,7 +244,7 @@ func TestObserveFastPathAllocs(t *testing.T) {
 	}
 	p, _ := newTestPipeline(t, Options{MinTrips: 3})
 	s := p.Register("s0", "m0")
-	quiet := Observation{GateDist: 0.2, LOF: 1.0}
+	quiet := obs.Verdict{GateDist: 0.2, LOF: 1.0}
 	if allocs := testing.AllocsPerRun(1000, func() { s.Observe(quiet) }); allocs != 0 {
 		t.Fatalf("no-alert fast path allocates %.1f per observe, want 0", allocs)
 	}

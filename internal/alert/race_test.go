@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"enduratrace/internal/obs"
 )
 
 // TestConcurrentStreamsOneDispatcher is the race audit: many scoring
@@ -85,15 +87,15 @@ func concurrentStreams(t *testing.T, rate, burst float64) {
 				// goroutine advances the shared clock — concurrent clock
 				// writers are part of the audit — and it only moves
 				// forward, so the clear loop terminates.
-				s.Observe(Observation{Anomalous: true, GateDist: float64(inc), LOF: 2, WindowIndex: 2 * inc})
-				s.Observe(Observation{Anomalous: true, GateDist: float64(inc), LOF: 2, WindowIndex: 2 * inc})
+				s.Observe(obs.Verdict{Anomalous: true, GateDist: float64(inc), LOF: 2, WindowIndex: 2 * inc})
+				s.Observe(obs.Verdict{Anomalous: true, GateDist: float64(inc), LOF: 2, WindowIndex: 2 * inc})
 				if s.State() != StateFiring {
 					t.Errorf("stream %d incident %d did not fire", i, inc)
 					return
 				}
 				for s.State() == StateFiring {
 					clk.advance(time.Millisecond)
-					s.Observe(Observation{GateDist: 0.1, LOF: 1})
+					s.Observe(obs.Verdict{GateDist: 0.1, LOF: 1})
 				}
 			}
 			s.Close()
@@ -160,9 +162,9 @@ func TestConcurrentCloseDrainsOnce(t *testing.T) {
 	const incidents = 8
 	for i := 0; i < incidents; i++ {
 		clk.advance(time.Second)
-		s.Observe(Observation{Anomalous: true, GateDist: float64(i), LOF: 2})
+		s.Observe(obs.Verdict{Anomalous: true, GateDist: float64(i), LOF: 2})
 		clk.advance(time.Second)
-		s.Observe(Observation{})
+		s.Observe(obs.Verdict{})
 	}
 	s.Close()
 	enqueued := p.Books().Enqueued

@@ -39,8 +39,8 @@ func (s *SlogSink) Name() string { return "log" }
 func (s *SlogSink) Deliver(_ context.Context, n Notification) error {
 	attrs := []any{
 		"stream", n.Stream, "model", n.Model,
-		"gate_dist", n.GateDist, "lof", n.LOF,
-		"window", n.WindowIndex, "trips", n.Trips,
+		"gate_dist", n.Verdict.GateDist, "lof", n.Verdict.LOF,
+		"window", n.Verdict.WindowIndex, "trips", n.Trips,
 	}
 	switch n.Kind {
 	case KindFiring:

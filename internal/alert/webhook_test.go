@@ -3,12 +3,16 @@ package alert
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"enduratrace/internal/obs"
 )
 
 // recordedSleep swaps the webhook's inter-retry wait for a recorder, so
@@ -25,16 +29,26 @@ func recordedSleep(sink *WebhookSink) *[]time.Duration {
 func testNotification() Notification {
 	return Notification{
 		Kind: KindFiring, Stream: "s0", Model: "m0",
-		Wall: selftestEpoch, GateDist: 2.5, LOF: 3.1, WindowIndex: 7, Trips: 3,
+		Wall: selftestEpoch, Verdict: obs.Verdict{GateDist: 2.5, LOF: 3.1, WindowIndex: 7}, Trips: 3,
 	}
 }
 
 func TestWebhookDeliversJSON(t *testing.T) {
 	var got Notification
+	var raw struct {
+		Verdict map[string]any `json:"verdict"`
+	}
 	var contentType string
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		contentType = r.Header.Get("Content-Type")
-		if err := json.NewDecoder(r.Body).Decode(&got); err != nil {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Errorf("read: %v", err)
+		}
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Errorf("decode: %v", err)
+		}
+		if err := json.Unmarshal(body, &raw); err != nil {
 			t.Errorf("decode: %v", err)
 		}
 		w.WriteHeader(http.StatusAccepted)
@@ -51,6 +65,13 @@ func TestWebhookDeliversJSON(t *testing.T) {
 	want := testNotification()
 	if got.Stream != want.Stream || got.Kind != want.Kind || got.Trips != want.Trips {
 		t.Fatalf("server saw %+v, want %+v", got, want)
+	}
+	// The payload's verdict is the one object every surface writes.
+	if keys, wantKeys := jsonKeys(raw.Verdict), jsonKeys(want.Verdict); keys != wantKeys {
+		t.Fatalf("payload verdict keys %s, want %s", keys, wantKeys)
+	}
+	if raw.Verdict["window"] != 7.0 || raw.Verdict["lof"] != 3.1 {
+		t.Fatalf("payload verdict %v, want window 7 and lof 3.1", raw.Verdict)
 	}
 }
 
@@ -213,12 +234,12 @@ func TestWebhookErrorsNeverBlockStateMachine(t *testing.T) {
 	for i := 0; i < incidents; i++ {
 		clk.advance(time.Second)
 		start := time.Now()
-		s.Observe(Observation{Anomalous: true, GateDist: float64(i), LOF: 2})
+		s.Observe(obs.Verdict{Anomalous: true, GateDist: float64(i), LOF: 2})
 		if took := time.Since(start); took > time.Second {
 			t.Fatalf("Observe blocked %v behind a failing webhook", took)
 		}
 		clk.advance(time.Minute)
-		s.Observe(Observation{})
+		s.Observe(obs.Verdict{})
 	}
 	s.Close()
 	if !p.Drain(30 * time.Second) {
@@ -237,4 +258,20 @@ func TestWebhookErrorsNeverBlockStateMachine(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// jsonKeys returns the sorted, comma-joined keys of a decoded JSON object,
+// or of v's encoding when v is not already a decoded object.
+func jsonKeys(v any) string {
+	m, ok := v.(map[string]any)
+	if !ok {
+		b, _ := json.Marshal(v)
+		_ = json.Unmarshal(b, &m)
+	}
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, ",")
 }

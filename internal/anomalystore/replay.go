@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"enduratrace/internal/core"
+	"enduratrace/internal/obs"
 )
 
 // Verdict classifies one incident's replay outcome against its recorded
@@ -29,19 +30,18 @@ type IncidentVerdict struct {
 	Seq      uint64 `json:"seq"`
 	Stream   string `json:"stream"`
 	WallTime string `json:"wall"`
-	// RecordedModel/RecordedScore/RecordedAnomalous are what the daemon
-	// persisted at trip time.
-	RecordedModel     string  `json:"recorded_model"`
-	RecordedScore     float64 `json:"recorded_score"`
-	RecordedAnomalous bool    `json:"recorded_anomalous"`
-	// Score is the replay model's LOF of the incident's principal (tripped)
-	// window; MaxContextScore is the max LOF across all carried windows,
+	// RecordedModel and Recorded are the model that scored the incident
+	// live and the verdict the daemon persisted at trip time.
+	RecordedModel string      `json:"recorded_model"`
+	Recorded      obs.Verdict `json:"recorded"`
+	// LOF is the replay model's LOF of the incident's principal (tripped)
+	// window; MaxContextLOF is the max LOF across all carried windows,
 	// context included — an anomaly that shifted a window under the replay
 	// model's eye still shows up there.
-	Score           float64 `json:"score"`
-	MaxContextScore float64 `json:"max_context_score"`
-	Detected        bool    `json:"detected"`
-	Verdict         Verdict `json:"verdict"`
+	LOF           obs.JSONFloat `json:"lof"`
+	MaxContextLOF obs.JSONFloat `json:"max_context_lof"`
+	Detected      bool          `json:"detected"`
+	Verdict       Verdict       `json:"verdict"`
 }
 
 // ModelReplay is the outcome of re-scoring every incident with one model.
@@ -100,9 +100,8 @@ func Replay(dir string, models []*core.NamedModel, alphaOverride float64) (*Repl
 	}
 
 	type cell struct {
-		mon   *core.Monitor
-		alpha float64
-		out   *ModelReplay
+		mon *core.Monitor
+		out *ModelReplay
 	}
 	cells := make([]cell, len(models))
 	rep.Models = make([]ModelReplay, len(models))
@@ -115,9 +114,8 @@ func Replay(dir string, models []*core.NamedModel, alphaOverride float64) (*Repl
 		if err != nil {
 			return nil, fmt.Errorf("anomalystore: replay model %q: %w", nm.Name, err)
 		}
-		alpha := mon.Alpha()
-		rep.Models[i] = ModelReplay{Model: nm.Name, Alpha: alpha}
-		cells[i] = cell{mon: mon, alpha: alpha, out: &rep.Models[i]}
+		rep.Models[i] = ModelReplay{Model: nm.Name, Alpha: cfg.Alpha}
+		cells[i] = cell{mon: mon, out: &rep.Models[i]}
 	}
 
 	scans, err := r.Walk(func(inc *Incident) error {
@@ -135,25 +133,24 @@ func Replay(dir string, models []*core.NamedModel, alphaOverride float64) (*Repl
 				}
 			}
 			v := IncidentVerdict{
-				Seq:               inc.Seq,
-				Stream:            inc.Stream,
-				WallTime:          inc.Meta().Wall,
-				RecordedModel:     inc.Model,
-				RecordedScore:     inc.Score,
-				RecordedAnomalous: inc.Anomalous,
-				Score:             score,
-				MaxContextScore:   maxScore,
-				Detected:          score >= c.alpha,
+				Seq:           inc.Seq,
+				Stream:        inc.Stream,
+				WallTime:      inc.Meta().Wall,
+				RecordedModel: inc.Model,
+				Recorded:      inc.Verdict(),
+				LOF:           obs.JSONFloat(score),
+				MaxContextLOF: obs.JSONFloat(maxScore),
+				Detected:      score >= c.out.Alpha,
 			}
 			c.out.Incidents++
 			switch {
-			case v.RecordedAnomalous && v.Detected:
+			case v.Recorded.Anomalous && v.Detected:
 				v.Verdict = VerdictStillDetected
 				c.out.StillDetected++
-			case v.RecordedAnomalous && !v.Detected:
+			case v.Recorded.Anomalous && !v.Detected:
 				v.Verdict = VerdictLost
 				c.out.Lost++
-			case !v.RecordedAnomalous && v.Detected:
+			case !v.Recorded.Anomalous && v.Detected:
 				v.Verdict = VerdictNewDetection
 				c.out.NewDetections++
 			default:

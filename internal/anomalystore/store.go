@@ -135,6 +135,37 @@ type Incident struct {
 	Windows []window.Window
 }
 
+// IncidentOf returns the incident of one window's verdict; the caller adds
+// the stream, model, wall time and windows.
+func IncidentOf(v obs.Verdict) Incident {
+	return Incident{
+		Score:       v.LOF,
+		GateDist:    v.GateDist,
+		Alpha:       v.Alpha,
+		Anomalous:   v.Anomalous,
+		WindowIndex: v.WindowIndex,
+		Start:       v.Start,
+		End:         v.End,
+	}
+}
+
+// Verdict returns the verdict the incident records. Every record is a gate
+// trip or an alert transition a trip armed, so GateTripped is true; the
+// record layout has no gate threshold, so GateThreshold is NaN.
+func (inc *Incident) Verdict() obs.Verdict {
+	return obs.Verdict{
+		WindowIndex:   inc.WindowIndex,
+		Start:         inc.Start,
+		End:           inc.End,
+		GateDist:      inc.GateDist,
+		GateThreshold: math.NaN(),
+		LOF:           inc.Score,
+		Alpha:         inc.Alpha,
+		GateTripped:   true,
+		Anomalous:     inc.Anomalous,
+	}
+}
+
 // Principal returns the tripped window itself (the one WindowIndex names,
 // by convention the last of Windows) and false when the incident carries
 // no windows at all.
@@ -153,20 +184,15 @@ func (inc *Incident) Principal() (window.Window, bool) {
 // IncidentMeta is the window-free view of an incident served by the
 // /anomalies admin endpoint and kept in the store's recent ring.
 type IncidentMeta struct {
-	Seq       uint64        `json:"seq"`
-	Stream    string        `json:"stream"`
-	Model     string        `json:"model"`
-	ModelGen  int64         `json:"model_gen"`
-	Wall      string        `json:"wall"`
-	Score     obs.JSONFloat `json:"score"`
-	GateDist  obs.JSONFloat `json:"gate_dist"`
-	Alpha     obs.JSONFloat `json:"alpha"`
-	Anomalous bool          `json:"anomalous"`
-	Alert     string        `json:"alert,omitempty"`
-	StartS    obs.JSONFloat `json:"start_s"`
-	EndS      obs.JSONFloat `json:"end_s"`
-	Windows   int           `json:"windows"`
-	Events    int           `json:"events"`
+	Seq      uint64      `json:"seq"`
+	Stream   string      `json:"stream"`
+	Model    string      `json:"model"`
+	ModelGen int64       `json:"model_gen"`
+	Wall     string      `json:"wall"`
+	Alert    string      `json:"alert,omitempty"`
+	Windows  int         `json:"windows"`
+	Events   int         `json:"events"`
+	Verdict  obs.Verdict `json:"verdict"`
 }
 
 // Meta returns the incident's window-free summary.
@@ -176,20 +202,15 @@ func (inc *Incident) Meta() IncidentMeta {
 		events += len(w.Events)
 	}
 	return IncidentMeta{
-		Seq:       inc.Seq,
-		Stream:    inc.Stream,
-		Model:     inc.Model,
-		ModelGen:  inc.ModelGen,
-		Wall:      inc.Wall.UTC().Format(time.RFC3339Nano),
-		Score:     obs.JSONFloat(inc.Score),
-		GateDist:  obs.JSONFloat(inc.GateDist),
-		Alpha:     obs.JSONFloat(inc.Alpha),
-		Anomalous: inc.Anomalous,
-		Alert:     inc.Alert,
-		StartS:    obs.JSONFloat(inc.Start.Seconds()),
-		EndS:      obs.JSONFloat(inc.End.Seconds()),
-		Windows:   len(inc.Windows),
-		Events:    events,
+		Seq:      inc.Seq,
+		Stream:   inc.Stream,
+		Model:    inc.Model,
+		ModelGen: inc.ModelGen,
+		Wall:     inc.Wall.UTC().Format(time.RFC3339Nano),
+		Alert:    inc.Alert,
+		Windows:  len(inc.Windows),
+		Events:   events,
+		Verdict:  inc.Verdict(),
 	}
 }
 
@@ -221,7 +242,8 @@ type StoreStats struct {
 	Appended  int64 `json:"appended"`
 	Recovered int64 `json:"recovered"`
 	Incidents int64 `json:"incidents"`
-	// Anomalous counts appended incidents whose LOF reached alpha.
+	// Anomalous counts appended gate-trip incidents (not alert records)
+	// whose LOF reached alpha.
 	Anomalous int64 `json:"anomalous"`
 	// Segments counts segment files (closed + active); Bytes is their
 	// total size.
@@ -426,7 +448,7 @@ func (s *Store) Submit(inc Incident) (uint64, error) {
 	}
 	s.off += int64(len(rec))
 	s.appended++
-	if inc.Anomalous {
+	if inc.Anomalous && inc.Alert == "" {
 		s.anoms++
 	}
 	s.recent = append(s.recent, inc.Meta())

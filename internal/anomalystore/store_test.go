@@ -561,33 +561,50 @@ func TestAlertRecordRoundTrip(t *testing.T) {
 
 // TestIncidentMetaMarshalNonFinite: incidents recorded with +Inf gate
 // distance (disjoint distributions) must not error out the JSON encoding
-// of the whole /anomalies body — non-finite scores render as null.
+// of the whole /anomalies body — non-finite scores render as null in the
+// meta's verdict, and the meta's own fields survive beside it.
 func TestIncidentMetaMarshalNonFinite(t *testing.T) {
-	m := IncidentMeta{Seq: 7, Stream: "s", Model: "m",
-		Score: obs.JSONFloat(math.NaN()), GateDist: obs.JSONFloat(math.Inf(1))}
-	b, err := json.Marshal(m)
-	if err != nil {
-		t.Fatalf("non-finite meta failed to marshal: %v", err)
+	inc := Incident{Seq: 7, Stream: "s", Model: "m", Score: math.NaN(), GateDist: math.Inf(1)}
+	verdict := func() map[string]any {
+		t.Helper()
+		b, err := json.Marshal(inc.Meta())
+		if err != nil {
+			t.Fatalf("non-finite meta failed to marshal: %v", err)
+		}
+		var got map[string]any
+		if err := json.Unmarshal(b, &got); err != nil {
+			t.Fatalf("marshaled meta is not valid JSON: %v\n%s", err, b)
+		}
+		if got["seq"] != 7.0 || got["stream"] != "s" {
+			t.Fatalf("meta fields mangled: %v", got)
+		}
+		v, _ := got["verdict"].(map[string]any)
+		return v
 	}
-	var got map[string]any
-	if err := json.Unmarshal(b, &got); err != nil {
-		t.Fatalf("marshaled meta is not valid JSON: %v\n%s", err, b)
+	// The record layout has no gate threshold, so it is null too.
+	if v := verdict(); v == nil || v["lof"] != nil || v["gate_dist"] != nil || v["gate_threshold"] != nil {
+		t.Fatalf("non-finite scores not null: verdict %v", v)
 	}
-	if got["score"] != nil || got["gate_dist"] != nil {
-		t.Fatalf("non-finite scores not null: score=%v gate_dist=%v", got["score"], got["gate_dist"])
+	inc.Score, inc.GateDist = 2.5, 0.75
+	if v := verdict(); v["lof"] != 2.5 || v["gate_dist"] != 0.75 {
+		t.Fatalf("finite scores mangled: %v", v)
 	}
-	if got["seq"] != 7.0 || got["stream"] != "s" {
-		t.Fatalf("finite fields mangled: %v", got)
+}
+
+// TestIncidentOfVerdict: an incident built from a verdict gives that
+// verdict back, but for the gate threshold, which the record does not
+// carry, and the trip, which every record is.
+func TestIncidentOfVerdict(t *testing.T) {
+	v := obs.Verdict{WindowIndex: 9, Start: time.Second, End: time.Second + 40*time.Millisecond,
+		GateDist: 0.3, GateThreshold: 0.1, LOF: 2.7, Alpha: 2.5, GateTripped: true, Anomalous: true}
+	inc := IncidentOf(v)
+	got := inc.Verdict()
+	if !math.IsNaN(got.GateThreshold) {
+		t.Fatalf("gate threshold %g, want NaN", got.GateThreshold)
 	}
-	m.Score, m.GateDist = 2.5, 0.75
-	if b, err = json.Marshal(m); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(b, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got["score"] != 2.5 || got["gate_dist"] != 0.75 {
-		t.Fatalf("finite scores mangled: %v", got)
+	got.GateThreshold = v.GateThreshold
+	if got != v {
+		t.Fatalf("verdict %+v, want %+v", got, v)
 	}
 }
 

@@ -17,6 +17,10 @@
 //  3. if the gate trips, the window is scored with LOF against the model
 //     learned from a reference trace; LOF >= alpha flags an anomaly and the
 //     window is recorded.
+//
+// Each decision is one obs.Verdict, which Decision embeds and every
+// consumer downstream (alerts, the anomaly store, the flight recorder,
+// replay) carries and encodes as it is.
 package core
 
 import (
@@ -165,27 +169,20 @@ func (c Config) NewWindower() *window.ByTime {
 	return window.NewByTime(c.WindowDuration)
 }
 
-// Decision is the monitor's verdict on one window.
+// Decision is the monitor's verdict on one window, with the window and
+// its features. Its GateDist is exact on every tripped window, +Inf on a
+// stream's first. On a quiet window it is exact only where the gate
+// distance has no upper bound (kl) or the bound could not certify the
+// window; a window certified quiet carries the bound instead, a value at
+// least the exact distance and at most the threshold (DESIGN.md, "The
+// certified gate").
 type Decision struct {
+	obs.Verdict
 	// Window is the judged window. In a decision from Run its Events are
 	// lent by the windower: valid until the callback returns, so a
 	// callback that keeps them copies them (Window.Clone).
 	Window   window.Window
 	Features pmf.Vector
-	// GateDist is the gate distance between the window pmf and the past
-	// pmf: exact on every tripped window, +Inf on a stream's first. On a
-	// quiet window it is exact only where the gate distance has no upper
-	// bound (kl) or the bound could not certify the window; a window
-	// certified quiet carries the bound instead, a value at least the
-	// exact distance and at most the threshold (DESIGN.md, "The certified
-	// gate").
-	GateDist float64
-	// GateTripped reports whether a LOF computation was performed.
-	GateTripped bool
-	// LOF is the local outlier factor; NaN when the gate did not trip.
-	LOF float64
-	// Anomalous reports LOF >= Alpha; such windows are recorded.
-	Anomalous bool
 }
 
 // Monitor is the per-stream half of the online anomaly detector: it holds
@@ -288,20 +285,21 @@ func (m *Monitor) ProcessWindow(w window.Window) Decision {
 	features := m.feat.FeaturesInto(m.featBuf, m.counts, w)
 	npmf := m.feat.PMFOnly(features)
 
-	d := Decision{Window: w, Features: features, LOF: math.NaN()}
+	d := Decision{Window: w, Features: features, Verdict: obs.Verdict{
+		WindowIndex: w.Index, Start: w.Start, End: w.End, GateDist: math.Inf(1),
+		GateThreshold: m.gateThreshold, LOF: math.NaN(), Alpha: m.cfg.Alpha,
+	}}
 
 	if !m.seeded {
 		// First window: seed the past pmf and be conservative — run LOF,
 		// since there is no past to compare against.
 		copy(m.ppmf, npmf)
 		m.seeded = true
-		d.GateDist = math.Inf(1)
 		d.GateTripped = true
 	} else {
 		// A bound at or under the threshold certifies the window quiet:
 		// the exact distance is no larger. Otherwise the exact distance
 		// decides, as it would without the bound.
-		d.GateDist = math.Inf(1)
 		if up := m.cfg.GateDistance.Upper; up != nil {
 			d.GateDist = up(npmf, m.ppmf)
 		}
@@ -344,9 +342,6 @@ func (m *Monitor) ScoreWindow(w window.Window) float64 {
 	features := m.feat.FeaturesInto(m.featBuf, m.counts, w)
 	return m.scorer.Score(features)
 }
-
-// Alpha returns the configured LOF anomaly threshold.
-func (m *Monitor) Alpha() float64 { return m.cfg.Alpha }
 
 // Snapshot is a point-in-time view of a monitor's counters. Unlike
 // RunStats it can be taken while the monitor is mid-Run: the counters are

@@ -286,6 +286,20 @@ func (b *BruteIndex) groupOf(i int) int32 {
 	return b.group[b.uid[i]]
 }
 
+// nearestPositive returns the least positive distance from q to an
+// indexed row, +Inf when there is none.
+func (b *BruteIndex) nearestPositive(q []float64, s *Scratch) float64 {
+	dists := s.floats(len(b.flat) / b.dim)
+	b.rows(q, b.flat, b.dim, dists)
+	best := math.Inf(1)
+	for _, d := range dists {
+		if d > 0 && d < best {
+			best = d
+		}
+	}
+	return best
+}
+
 // EnableFastKernels does nothing: every index scores exactly. It is kept
 // only because the wire benchmark (bench/) still calls it, and goes when
 // that benchmark next changes.

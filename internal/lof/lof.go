@@ -45,13 +45,17 @@ type Model struct {
 
 // ErrTooFewPoints is returned when the reference set cannot support K
 // neighbours per point: fewer than K+1 points, or a point with fewer than
-// K others at a finite distance.
+// K others at a finite distance or none at a positive finite distance.
 var ErrTooFewPoints = errors.New("lof: reference set too small for K")
 
 // Fit builds a LOF model over the reference points with neighbourhood size
 // k. points must contain at least k+1 vectors of equal dimension, and each
-// must have k others at a finite distance. The point data is copied into
-// the model's index; the input slice is not retained.
+// must have k others at a finite distance and one at a positive finite
+// distance. The point data is copied into the model's index; the input
+// slice is not retained. The copy rule, an extension (DESIGN.md "LOF on
+// copied rows"): a point whose k-th neighbour sits at distance 0 takes as
+// its k-distance the distance to its nearest neighbour at a positive
+// distance, so every density and every score is finite.
 func Fit(points [][]float64, k int, d distance.Distance) (*Model, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("lof: K must be positive, got %d", k)
@@ -77,6 +81,7 @@ func Fit(points [][]float64, k int, d distance.Distance) (*Model, error) {
 	m.train = make([]float64, n)
 	nbrs := make([]Neighbor, n*k) // fit-time only; the model keeps kdist/lrd
 	var s Scratch
+	positive := make(map[int]float64) // per distinct row: its k-distance under the copy rule
 	for i := 0; i < n; i++ {
 		nb := m.index.KNN(m.Row(i), k, i, &s)
 		if len(nb) < k {
@@ -86,6 +91,22 @@ func Fit(points [][]float64, k int, d distance.Distance) (*Model, error) {
 		}
 		copy(nbrs[i*k:(i+1)*k], nb)
 		m.kdist[i] = nb[k-1].Dist
+		if m.kdist[i] > 0 {
+			continue
+		}
+		// More than K copies of one row: their k-distance is the row's
+		// nearest positive distance, one scan per row.
+		u := m.index.distinct(i)
+		kd, ok := positive[u]
+		if !ok {
+			kd = m.index.nearestPositive(m.Row(i), &s)
+			positive[u] = kd
+		}
+		if !(kd <= math.MaxFloat64) {
+			return nil, fmt.Errorf("%w: point %d has no neighbour at a positive finite distance",
+				ErrTooFewPoints, i)
+		}
+		m.kdist[i] = kd
 	}
 	for i := 0; i < n; i++ {
 		m.lrd[i] = m.lrdOf(nbrs[i*k : (i+1)*k])
@@ -98,9 +119,8 @@ func Fit(points [][]float64, k int, d distance.Distance) (*Model, error) {
 
 // lrdOf computes the local reachability density given a point's K nearest
 // neighbours: 1 / mean(reach-dist), where
-// reach-dist(p, o) = max(kdist(o), d(p, o)).
-// A zero mean reachability (duplicated points) yields +Inf, per the paper's
-// convention for duplicate-heavy data.
+// reach-dist(p, o) = max(kdist(o), d(p, o)). Every k-distance is positive
+// and finite (Fit's copy rule), so the density is too.
 func (m *Model) lrdOf(nbrs []Neighbor) float64 {
 	var sum float64
 	for _, nb := range nbrs {
@@ -109,9 +129,6 @@ func (m *Model) lrdOf(nbrs []Neighbor) float64 {
 			rd = kd
 		}
 		sum += rd
-	}
-	if sum == 0 {
-		return math.Inf(1)
 	}
 	return float64(len(nbrs)) / sum
 }
@@ -122,26 +139,9 @@ func (m *Model) ratioMean(nbrs []Neighbor, lrdP float64) float64 {
 	}
 	var sum float64
 	for _, nb := range nbrs {
-		sum += lrdRatio(m.lrd[nb.Idx], lrdP)
+		sum += m.lrd[nb.Idx] / lrdP
 	}
 	return sum / float64(len(nbrs))
-}
-
-// lrdRatio computes lrdO/lrdP with the Inf conventions: Inf/Inf = 1 (a
-// duplicate point inside a cluster of duplicates is perfectly regular),
-// finite/Inf = 0, Inf/finite = +Inf.
-func lrdRatio(lrdO, lrdP float64) float64 {
-	oInf, pInf := math.IsInf(lrdO, 1), math.IsInf(lrdP, 1)
-	switch {
-	case oInf && pInf:
-		return 1
-	case pInf:
-		return 0
-	case oInf:
-		return math.Inf(1)
-	default:
-		return lrdO / lrdP
-	}
 }
 
 // Scorer is a per-goroutine scoring handle over a shared immutable Model.

@@ -121,26 +121,73 @@ func TestKNNOrderAndSkip(t *testing.T) {
 	}
 }
 
-func TestDuplicatePointsInfConventions(t *testing.T) {
-	// A cluster of identical points: every training LOF must be 1 (Inf/Inf
-	// convention), and a distant query must still score an outlier.
+// copyGroupReference is a cluster of points with K+1 bitwise copies of
+// one row planted in it, plus that row. The copies' K-th neighbours all
+// sit at distance 0; pmf rows when simplex is set, for the KL kernels.
+func copyGroupReference(k int, simplex bool) ([][]float64, []float64) {
+	rng := rand.New(rand.NewSource(5))
+	pts := cluster(rng, 60, 4, 1, 0.1)
+	if simplex {
+		for _, p := range pts {
+			var sum float64
+			for j := range p {
+				p[j] = math.Abs(p[j])
+				sum += p[j]
+			}
+			for j := range p {
+				p[j] /= sum
+			}
+		}
+	}
+	row := append([]float64(nil), pts[0]...)
+	for c := 0; c < k; c++ {
+		pts = append(pts, append([]float64(nil), row...))
+	}
+	return pts, row
+}
+
+// TestCopyGroupAboveKStaysFinite: with more than K copies of one row, the
+// copy rule gives them a positive k-distance, so every train score is
+// finite (Breunig's definition gives the points that have a copy among
+// their neighbours an infinite LOF). A query equal to the row sits inside
+// its copies' neighbourhood, LOF exactly 1, and one next to it scores
+// near 1 too, where Breunig's definition scores it +Inf.
+func TestCopyGroupAboveKStaysFinite(t *testing.T) {
+	const k = 5
+	for _, tc := range []struct {
+		dist    distance.Distance
+		simplex bool
+	}{{l2(), false}, {distance.Must("symkl"), true}} {
+		pts, row := copyGroupReference(k, tc.simplex)
+		m, err := Fit(pts, k, tc.dist)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.dist.Name, err)
+		}
+		for i, s := range m.TrainScores() {
+			if math.IsInf(s, 0) || math.IsNaN(s) {
+				t.Fatalf("%s: train point %d: LOF = %g, want finite", tc.dist.Name, i, s)
+			}
+		}
+		if s := m.Score(row); s != 1 {
+			t.Fatalf("%s: query equal to the copied row: LOF = %g, want exactly 1", tc.dist.Name, s)
+		}
+		near := append([]float64(nil), row...)
+		near[0], near[1] = near[0]+1e-4, near[1]-1e-4
+		if s := m.Score(near); !(s < 2) {
+			t.Fatalf("%s: query next to the copied row: LOF = %g, want finite and near 1", tc.dist.Name, s)
+		}
+	}
+}
+
+// TestFitRejectsAllEqualRows: where every row is equal no point has a
+// neighbour at a positive distance, and the copy rule has no k-distance
+// to give.
+func TestFitRejectsAllEqualRows(t *testing.T) {
 	pts := make([][]float64, 12)
 	for i := range pts {
 		pts[i] = []float64{1, 1}
 	}
-	m, err := Fit(pts, 3, l2())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pts {
-		if s := m.ScoreTrain(i); s != 1 {
-			t.Fatalf("duplicate train point %d: LOF = %g, want 1", i, s)
-		}
-	}
-	if s := m.Score([]float64{5, 5}); !math.IsInf(s, 1) {
-		t.Fatalf("distant query against duplicates: LOF = %g, want +Inf", s)
-	}
-	if s := m.Score([]float64{1, 1}); s != 1 {
-		t.Fatalf("duplicate query: LOF = %g, want 1", s)
+	if _, err := Fit(pts, 3, l2()); !errors.Is(err, ErrTooFewPoints) {
+		t.Fatalf("Fit over equal rows: err = %v, want ErrTooFewPoints", err)
 	}
 }

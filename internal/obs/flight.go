@@ -1,15 +1,14 @@
 package obs
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
 
 // Record is one sampled event's flight through the serve pipeline: where
-// time went (per-stage durations) and what the monitor decided about the
-// window the event landed in. Non-finite scores are omitted rather than
-// breaking JSON encoding (GateDist is +Inf on a stream's first window,
-// LOF is NaN when the gate did not trip).
+// time went (per-stage durations) and the monitor's verdict on the window
+// the event landed in.
 type Record struct {
 	Stream string `json:"stream"`
 	Model  string `json:"model"`
@@ -24,15 +23,9 @@ type Record struct {
 	QueueNs  int64 `json:"queue_ns"`
 	ScoreNs  int64 `json:"score_ns"`
 	E2ENs    int64 `json:"e2e_ns"`
-	// Window is the index of the window whose decision completed the span.
-	Window int `json:"window"`
-	// GateDist is the decision's core.Decision.GateDist: exact on a
-	// tripped window, and on a quiet one possibly the upper bound that
-	// certified it, between the exact distance and the threshold.
-	GateDist    *float64 `json:"gate_dist,omitempty"`
-	GateTripped bool     `json:"gate_tripped"`
-	Anomalous   bool     `json:"anomalous"`
-	LOF         *float64 `json:"lof,omitempty"`
+	// Verdict is the decision on the window whose decision completed the
+	// span.
+	Verdict Verdict `json:"verdict"`
 }
 
 // Flight is the event flight recorder: a bounded ring of Records fed by
@@ -102,12 +95,7 @@ func (f *Flight) Records() []Record {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if !f.full {
-		out := make([]Record, f.next)
-		copy(out, f.ring[:f.next])
-		return out
+		return slices.Clone(f.ring[:f.next])
 	}
-	out := make([]Record, len(f.ring))
-	n := copy(out, f.ring[f.next:])
-	copy(out[n:], f.ring[:f.next])
-	return out
+	return append(slices.Clone(f.ring[f.next:]), f.ring[:f.next]...)
 }

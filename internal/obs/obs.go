@@ -1,8 +1,8 @@
 // Package obs is the serving layer's latency-and-introspection toolkit:
 // fixed-bucket log-scaled latency histograms cheap enough to live on the
 // event hot path, a sampled per-event flight recorder, a monotonic clock
-// helper shared by both, and the float type the admin JSON bodies render
-// non-finite values with.
+// helper shared by both, the float type the admin JSON bodies render
+// non-finite values with, and the one window verdict they all report.
 //
 // The histogram is the load-bearing piece. Requirements, in order:
 //
@@ -253,13 +253,9 @@ var epoch = time.Now()
 // metadata flat (no time.Time in the queue ring).
 func Now() int64 { return int64(time.Since(epoch)) }
 
-// JSONFloat marshals like float64 but renders NaN and ±Inf as null. Gate
-// distances are legitimately +Inf (a stream's first window, disjoint
-// distributions), JSON has no Inf or NaN, and one such value must not turn
-// a whole admin body or alert payload into a marshal error. It is a field
-// type, not a MarshalJSON on the enclosing struct, so that structs
-// embedding that struct keep their own fields: a promoted struct marshaler
-// would silently drop them.
+// JSONFloat marshals like float64 but renders NaN and ±Inf as null: JSON
+// has neither, and one such value must not turn a whole admin body or
+// alert payload into a marshal error.
 type JSONFloat float64
 
 func (f JSONFloat) MarshalJSON() ([]byte, error) {

@@ -8,12 +8,14 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"enduratrace/internal/alert"
 	"enduratrace/internal/anomalystore"
+	"enduratrace/internal/obs"
 	"enduratrace/internal/traceio"
 )
 
@@ -112,6 +114,9 @@ func TestAdminJSONRoutes(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
+	// Every surface that reports a decision writes the one verdict object.
+	wantKeys := verdictKeys(t, obs.Verdict{})
+	withVerdicts := map[string]bool{"/anomalies": true, "/anomalies?seq=1": true, "/alerts": true, "/debug/flight": true}
 	nulls := 0
 	for _, route := range []string{
 		"/healthz", "/streams", "/stats", "/anomalies", "/anomalies?seq=1", "/alerts", "/debug/flight",
@@ -129,6 +134,23 @@ func TestAdminJSONRoutes(t *testing.T) {
 			t.Errorf("GET %s: %s, valid JSON %v: %s", route, resp.Status, json.Valid(body), body)
 		}
 		nulls += strings.Count(string(body), `"gate_dist": null`)
+		if !withVerdicts[route] {
+			continue
+		}
+		var doc any
+		if err := json.Unmarshal(body, &doc); err != nil {
+			t.Fatalf("GET %s: %v", route, err)
+		}
+		verdicts := 0
+		walkVerdicts(doc, func(v map[string]any) {
+			verdicts++
+			if got := verdictKeys(t, v); got != wantKeys {
+				t.Errorf("GET %s: verdict keys %s, want %s", route, got, wantKeys)
+			}
+		})
+		if verdicts == 0 {
+			t.Errorf("GET %s: no verdict object in %s", route, body)
+		}
 	}
 	if nulls == 0 {
 		t.Error("no route served a gate_dist as null, though the first window trips at +Inf")
@@ -138,4 +160,45 @@ func TestAdminJSONRoutes(t *testing.T) {
 	if err := <-serveErr; err != nil {
 		t.Fatal(err)
 	}
+}
+
+// walkVerdicts calls fn on every object found under a "verdict" key of a
+// decoded JSON document.
+func walkVerdicts(doc any, fn func(map[string]any)) {
+	switch x := doc.(type) {
+	case map[string]any:
+		for k, v := range x {
+			if m, ok := v.(map[string]any); ok && k == "verdict" {
+				fn(m)
+				continue
+			}
+			walkVerdicts(v, fn)
+		}
+	case []any:
+		for _, v := range x {
+			walkVerdicts(v, fn)
+		}
+	}
+}
+
+// verdictKeys returns the sorted, comma-joined keys of a decoded verdict
+// object, or of v's encoding when v is not already decoded.
+func verdictKeys(t *testing.T, v any) string {
+	t.Helper()
+	m, ok := v.(map[string]any)
+	if !ok {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(b, &m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, ",")
 }

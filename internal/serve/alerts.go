@@ -15,17 +15,10 @@ import (
 // Store failures are counted and logged once, never propagated — same
 // policy as the gate-trip tripRecorder.
 func (s *Server) persistAlertTransition(n alert.Notification) {
-	_, err := s.opts.Anomalies.Append(anomalystore.Incident{
-		Stream:      n.Stream,
-		Model:       n.Model,
-		ModelGen:    s.models.Generation(),
-		Wall:        n.Wall,
-		Score:       n.LOF,
-		GateDist:    n.GateDist,
-		Anomalous:   n.Kind == alert.KindFiring,
-		Alert:       n.Kind.String(),
-		WindowIndex: n.WindowIndex,
-	})
+	inc := anomalystore.IncidentOf(n.Verdict)
+	inc.Stream, inc.Model, inc.ModelGen = n.Stream, n.Model, s.models.Generation()
+	inc.Wall, inc.Alert = n.Wall, n.Kind.String()
+	_, err := s.opts.Anomalies.Append(inc)
 	if err != nil {
 		s.alertPersistErrs.Add(1)
 		if s.alertErrLogged.CompareAndSwap(false, true) {

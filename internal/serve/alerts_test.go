@@ -92,6 +92,11 @@ func TestSelftestAlertPipelineEndToEnd(t *testing.T) {
 	if _, err := r.Walk(func(inc *anomalystore.Incident) error {
 		if inc.Alert != "" {
 			alertRecs++
+			// A transition record carries the arming window's verdict,
+			// α included.
+			if inc.Alpha != cfg.Alpha {
+				t.Errorf("alert record %d: alpha %g, want the model's %g", inc.Seq, inc.Alpha, cfg.Alpha)
+			}
 		} else {
 			tripRecs++
 		}

@@ -81,21 +81,12 @@ func (t *tripRecorder) onDecision(d core.Decision) error {
 	// so it rides the flush that starts when the current one ends. The
 	// other order misses that flush by the few microseconds the write
 	// takes.
-	seq, err := t.store.Submit(anomalystore.Incident{
-		Stream:   t.st.id,
-		Model:    t.st.model.Name,
-		ModelGen: t.modelGen,
-		//lint:ignore monotime incidents persist a wall-clock timestamp for operators and replay
-		Wall:        time.Now(),
-		Score:       d.LOF,
-		GateDist:    d.GateDist,
-		Alpha:       t.st.model.Cfg.Alpha,
-		Anomalous:   d.Anomalous,
-		WindowIndex: d.Window.Index,
-		Start:       d.Window.Start,
-		End:         d.Window.End,
-		Windows:     t.windows,
-	})
+	inc := anomalystore.IncidentOf(d.Verdict)
+	inc.Stream, inc.Model, inc.ModelGen = t.st.id, t.st.model.Name, t.modelGen
+	//lint:ignore monotime incidents persist a wall-clock timestamp for operators and replay
+	inc.Wall = time.Now()
+	inc.Windows = t.windows
+	seq, err := t.store.Submit(inc)
 	if err != nil {
 		t.failed(err)
 		return nil

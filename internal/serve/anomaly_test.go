@@ -148,11 +148,11 @@ func TestSelftestAnomalyStoreReplayRoundTrip(t *testing.T) {
 	}
 	wantDetected := 0
 	for _, v := range mr.Verdicts {
-		if v.Score != v.RecordedScore {
-			t.Fatalf("incident %d: replay score %v != recorded %v (same model, same window)",
-				v.Seq, v.Score, v.RecordedScore)
+		if float64(v.LOF) != v.Recorded.LOF {
+			t.Fatalf("incident %d: replay LOF %v != recorded %v (same model, same window)",
+				v.Seq, v.LOF, v.Recorded.LOF)
 		}
-		if v.RecordedAnomalous {
+		if v.Recorded.Anomalous {
 			wantDetected++
 		}
 	}

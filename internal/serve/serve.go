@@ -24,7 +24,6 @@ import (
 	"io"
 	"log/slog"
 	"maps"
-	"math"
 	"net"
 	"net/http"
 	"os"
@@ -747,13 +746,7 @@ func (s *Server) score(st *stream) (core.RunStats, error) {
 	stats, err := st.mon.Run(st.q, st.sink, func(d core.Decision) error {
 		s.recordFlight(st, d, lastScoreNs)
 		if as != nil {
-			as.Observe(alert.Observation{
-				GateTripped: d.GateTripped,
-				Anomalous:   d.Anomalous,
-				GateDist:    d.GateDist,
-				LOF:         d.LOF,
-				WindowIndex: d.Window.Index,
-			})
+			as.Observe(d.Verdict)
 		}
 		if trips != nil {
 			return trips.onDecision(d)
@@ -807,22 +800,12 @@ func (s *Server) recordFlight(st *stream, d core.Decision, scoreNs int64) {
 		Model:  st.model.Name,
 		Seq:    fm.seq,
 		//lint:ignore monotime flight records carry a wall-clock arrival time for operators
-		Wall:        time.Now().Add(-time.Duration(e2e)),
-		DecodeNs:    fm.decodeNs,
-		QueueNs:     fm.waitNs,
-		ScoreNs:     scoreNs,
-		E2ENs:       e2e,
-		Window:      d.Window.Index,
-		GateTripped: d.GateTripped,
-		Anomalous:   d.Anomalous,
-	}
-	if !math.IsInf(d.GateDist, 0) && !math.IsNaN(d.GateDist) {
-		g := d.GateDist
-		rec.GateDist = &g
-	}
-	if d.GateTripped && !math.IsInf(d.LOF, 0) && !math.IsNaN(d.LOF) {
-		l := d.LOF
-		rec.LOF = &l
+		Wall:     time.Now().Add(-time.Duration(e2e)),
+		DecodeNs: fm.decodeNs,
+		QueueNs:  fm.waitNs,
+		ScoreNs:  scoreNs,
+		E2ENs:    e2e,
+		Verdict:  d.Verdict,
 	}
 	s.flight.Add(rec)
 }

@@ -11,6 +11,7 @@ import (
 
 	"enduratrace/internal/anomalystore"
 	"enduratrace/internal/core"
+	"enduratrace/internal/obs"
 	"enduratrace/internal/trace"
 	"enduratrace/internal/window"
 )
@@ -63,7 +64,7 @@ func TestTripRecorderKeepsEightInFlight(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			if err := rec.onDecision(core.Decision{GateTripped: true, Window: window.Window{Index: i}}); err != nil {
+			if err := rec.onDecision(core.Decision{Verdict: obs.Verdict{WindowIndex: i, GateTripped: true}, Window: window.Window{Index: i}}); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -161,7 +162,7 @@ func BenchmarkTripRecorder(b *testing.B) {
 		evs[i] = trace.Event{TS: time.Duration(i) * time.Millisecond, Type: trace.EventType(i % 4), Arg: uint64(i)}
 	}
 	decide := func(i int, tripped bool) {
-		d := core.Decision{GateTripped: tripped, Window: window.Window{Index: i, Events: evs}}
+		d := core.Decision{Verdict: obs.Verdict{WindowIndex: i, GateTripped: tripped}, Window: window.Window{Index: i, Events: evs}}
 		if err := rec.onDecision(d); err != nil {
 			b.Fatal(err)
 		}
