@@ -58,7 +58,8 @@ bench:
 # BenchmarkSymmetricKL26: the one-pass symkl kernel the refine's exact
 # calls and the uncertified gate run, at the monitor's dimension; and
 # BenchmarkSymmetricKLUpper25: the log-free bound that certifies a quiet
-# window, on 25-type window/past pmf pairs), frame decode (per-event vs batched), windowing (the
+# window, on 25-type window/past pmf pairs), frame and file decode (the two
+# readers over one event decoder), windowing (the
 # span cutter vs one event at a time), the monitor's per-window cost
 # (ProcessWindow alone, and BenchmarkRunQuiet: Monitor.Run over quiet
 # windows from memory, in ns and allocs a window — windows are lent by the
@@ -68,9 +69,9 @@ bench:
 # and 8 appenders with its records per fsync), the serve path's trip
 # recorder into a real store (µs a trip and records per fsync), and the
 # latency histogram the serve path's instruments are (per event, per run of 256, and two
-# goroutines on one Pipeline; one op is 2^20 events). The before/after
-# pairs live side by side (FrameDecodeNext vs FrameReaderReadBatch,
-# ByTimeCut/add vs ByTimeCut/cut). These are for working on one layer; the regression gate is end to end,
+# goroutines on one Pipeline; one op is 2^20 events). The pairs live side
+# by side (FrameReaderReadBatch and BinaryReaderReadBatch, ByTimeCut/add
+# vs ByTimeCut/cut). These are for working on one layer; the regression gate is end to end,
 # `bench -compare` over bench/run.sh reports (see bench/README.md).
 microbench:
 	$(GO) test -run '^$$' -bench . -benchtime 20x -benchmem \

@@ -42,9 +42,8 @@ func stdoutOf(t *testing.T, cmd func([]string) error, args ...string) string {
 }
 
 // TestSimLearnMonitor drives the offline pipeline the way a user does:
-// sim a reference and a perturbed run, learn, monitor. The .etrc reader is
-// a plain trace.Reader, so every monitor here exercises Run's one-event
-// batches.
+// sim a reference and a perturbed run, learn, monitor, each monitor
+// reading the .etrc file reader's batches.
 func TestSimLearnMonitor(t *testing.T) {
 	dir := t.TempDir()
 	ref, run := filepath.Join(dir, "ref.etrc"), filepath.Join(dir, "run.etrc")

@@ -130,30 +130,26 @@ func simToServer(sim *mediasim.Sim, addr, stream, model string, duration time.Du
 	if err != nil {
 		return err
 	}
-	var n int
-	if flushEvery > 0 {
-		for {
-			ev, rerr := sim.Next()
-			if rerr == io.EOF {
-				break
-			}
-			if rerr != nil {
-				return rerr
-			}
+	evs := make([]trace.Event, 512)
+	n := 0
+	for {
+		k, rerr := sim.ReadBatch(evs)
+		for _, ev := range evs[:k] {
 			if err := fw.Write(ev); err != nil {
 				return err
 			}
 			n++
-			if n%flushEvery == 0 {
+			if flushEvery > 0 && n%flushEvery == 0 {
 				if err := fw.Flush(); err != nil {
 					return err
 				}
 			}
 		}
-	} else {
-		n, err = trace.Copy(fw, sim)
-		if err != nil {
-			return err
+		if rerr == io.EOF {
+			break
+		}
+		if rerr != nil {
+			return rerr
 		}
 	}
 	if err := fw.Close(); err != nil {

@@ -1,10 +1,14 @@
 package anomalystore
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"enduratrace/internal/trace"
 )
 
 // BenchmarkStoreAppendParallel measures the synchronous Append — one
@@ -69,4 +73,49 @@ func BenchmarkAppendIncidentEncode(b *testing.B) {
 		}
 	}
 	encodeSink = buf
+}
+
+// wideRecord is the record payload of an incident of three 42-event
+// windows, the event count of a busy 40 ms window of the simulated
+// pipeline.
+func wideRecord(tb testing.TB) []byte {
+	inc := testIncident(1)
+	inc.Seq = 1
+	for w := range inc.Windows {
+		evs := make([]trace.Event, 42)
+		for j := range evs {
+			evs[j] = trace.Event{
+				TS:   inc.Windows[w].Start + time.Duration(j)*time.Millisecond,
+				Type: trace.EventType(j % 17),
+				Arg:  uint64(j * 37),
+			}
+			if j%6 == 0 {
+				evs[j].Payload = bytes.Repeat([]byte{byte(j)}, 8)
+			}
+		}
+		inc.Windows[w].Events = evs
+	}
+	payload, err := appendIncident(nil, &inc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return payload
+}
+
+var decodeSink *Incident
+
+// BenchmarkDecodeIncident measures decoding one stored record of three
+// 42-event windows: the work Open, Walk and replay do per record.
+func BenchmarkDecodeIncident(b *testing.B) {
+	payload := wideRecord(b)
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inc, err := DecodeIncident(payload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		decodeSink = inc
+	}
 }

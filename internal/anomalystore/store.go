@@ -48,7 +48,6 @@
 package anomalystore
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -64,7 +63,6 @@ import (
 	"time"
 
 	"enduratrace/internal/obs"
-	"enduratrace/internal/trace"
 	"enduratrace/internal/traceio"
 	"enduratrace/internal/window"
 )
@@ -912,24 +910,11 @@ func DecodeIncident(payload []byte) (*Incident, error) {
 		if d.err != nil {
 			return nil, d.err
 		}
-		evs, err := decodeEvents(blob)
-		if err != nil {
-			return nil, err
+		var err error
+		if w.Events, err = traceio.DecodeBinary(blob); err != nil {
+			return nil, fmt.Errorf("anomalystore: decoding window events: %w", err)
 		}
-		w.Events = evs
 		inc.Windows = append(inc.Windows, w)
 	}
 	return inc, d.err
-}
-
-func decodeEvents(blob []byte) ([]trace.Event, error) {
-	br, err := traceio.NewBinaryReader(bytes.NewReader(blob))
-	if err != nil {
-		return nil, fmt.Errorf("anomalystore: decoding window events: %w", err)
-	}
-	evs, err := trace.ReadAll(br)
-	if err != nil {
-		return nil, fmt.Errorf("anomalystore: decoding window events: %w", err)
-	}
-	return evs, nil
 }

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -465,6 +466,28 @@ func TestDecodeIncidentRejectsCorruptLengths(t *testing.T) {
 		if _, err := DecodeIncident(payload[:n]); err == nil {
 			t.Fatalf("truncated payload of %d bytes decoded without error", n)
 		}
+	}
+}
+
+// TestDecodeIncidentAllocBytes: decoding a record of three 42-event
+// windows allocates the incident and its events, not a read buffer per
+// window — under 32 KiB in all.
+func TestDecodeIncidentAllocBytes(t *testing.T) {
+	payload := wideRecord(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		inc, err := DecodeIncident(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decodeSink = inc
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 32<<10 {
+		t.Fatalf("decoding a %d-byte record allocates %d bytes, want under 32 KiB", len(payload), per)
 	}
 }
 

@@ -69,14 +69,16 @@ func ExampleMonitor_ProcessWindow() {
 		panic(err)
 	}
 	first := true
-	err = window.Stream(sim2, cfg.NewWindower(), func(w window.Window) error {
-		d := mon.ProcessWindow(w)
-		if first {
-			// The first window always trips the gate (there is no past
-			// pmf yet) and therefore always gets a LOF score.
-			fmt.Println("first window gate tripped:", d.GateTripped)
-			fmt.Println("first window scored:", !math.IsNaN(d.LOF))
-			first = false
+	err = window.Stream(sim2, cfg.NewWindower(), func(wins []window.Window) error {
+		for _, w := range wins {
+			d := mon.ProcessWindow(w)
+			if first {
+				// The first window always trips the gate (there is no past
+				// pmf yet) and therefore always gets a LOF score.
+				fmt.Println("first window gate tripped:", d.GateTripped)
+				fmt.Println("first window scored:", !math.IsNaN(d.LOF))
+				first = false
+			}
 		}
 		return nil
 	})

@@ -14,16 +14,14 @@ import (
 // poison is the event a poisonReader writes over a batch before reading.
 var poison = trace.Event{TS: -1, Type: 99, Arg: 0xdead}
 
-// poisonReader is a trace.BatchReader that fills all of dst with poison
+// poisonReader is a trace.Reader that fills all of dst with poison
 // before each read, and reads at most batch events at a time: a window,
 // or a kept copy, that still aliases an earlier batch reads poison. The
 // odd batch size makes most windows span batches.
 type poisonReader struct {
-	r     trace.BatchReader
+	r     trace.Reader
 	batch int
 }
-
-func (p poisonReader) Next() (trace.Event, error) { return p.r.Next() }
 
 func (p poisonReader) ReadBatch(dst []trace.Event) (int, error) {
 	for i := range dst {
@@ -114,7 +112,7 @@ func quietWindow() []trace.Event {
 	return evs
 }
 
-// lapReader is an in-memory trace.BatchReader serving one window of
+// lapReader is an in-memory trace.Reader serving one window of
 // events laps times, each lap shifted by span: a long quiet trace held in
 // one window's memory.
 type lapReader struct {
@@ -137,12 +135,6 @@ func (r *lapReader) ReadBatch(dst []trace.Event) (int, error) {
 		return 0, io.EOF
 	}
 	return n, nil
-}
-
-func (r *lapReader) Next() (trace.Event, error) {
-	var ev [1]trace.Event
-	_, err := r.ReadBatch(ev[:])
-	return ev[0], err
 }
 
 // quietMonitor is a Monitor over the synthetic reference model, and a

@@ -26,7 +26,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sync/atomic"
 	"time"
@@ -508,35 +507,28 @@ func Run(cfg Config, learned *Learned, r trace.Reader, sink recorder.Sink,
 	return mon.Run(r, sink, onDecision)
 }
 
-// batchEvents is the ingest granularity of Run: events drain from a
-// trace.BatchReader up to this many at a time, and the windower cuts at
-// most this many windows at a time, so a long timestamp gap is judged in
-// bounded chunks instead of being held whole.
-const batchEvents = 512
-
 // Run streams a trace through this monitor stream; see the package-level
 // Run for the sink/callback semantics. Each Monitor owns its windower and
 // byte accounting, so concurrent Monitors over one shared Learned can Run
 // independent streams in parallel.
 //
-// Events drain in batches: a trace.BatchReader (the framed network reader
-// and the serve event queue) hands over what it has, up to batchEvents; a
-// plain Reader is read as one-event batches, so a live reader is never
-// asked for more than it has. The windower cuts each batch in one pass
-// (window.ByTime.Cut) and lends each window it closes as a sub-slice of
-// the batch (or of its carry buffer, for a window that spans batches), so
-// a window is judged without being copied: Decision.Window.Events, like
-// Decision.Features, is valid until onDecision returns, and the sink's
-// Record and ContextSink's Observe get the same lent window. Every
-// window a batch completes, batchEvents at a time, is judged with
-// ProcessWindow first, each decision keeping its own feature copy,
-// and then the decisions are emitted in window order. Judging before
-// emitting is deliberate: a sink or callback may wait on an earlier
-// window's durability (the serve path's anomaly store keeps up
-// to eight incidents in flight per stream and then waits for the oldest),
-// and interleaving that wait between two scores of a batch
-// measurably slows a storm. Decisions, RunStats, callback order and the
-// abort point do not depend on how the events were batched.
+// Run reads through window.Stream, the one read → cut → flush loop: the
+// reader hands over what it has, a batch at a time, and the windower cuts
+// each batch in one pass and lends each window it closes as a sub-slice
+// of the batch (or of its carry buffer, for a window that spans batches),
+// so a window is judged without being copied: Decision.Window.Events,
+// like Decision.Features, is valid until onDecision returns, and the
+// sink's Record and ContextSink's Observe get the same lent window. The
+// full-trace size is priced over each window's events, which are every
+// event of the stream, in order. Every window of a cut is judged with
+// ProcessWindow first, each decision keeping its own feature copy, and
+// then the decisions are emitted in window order. Judging before emitting
+// is deliberate: a sink or callback may wait on an earlier window's
+// durability (the serve path's anomaly store keeps up to eight incidents
+// in flight per stream and then waits for the oldest), and interleaving
+// that wait between two scores of a batch measurably slows a storm.
+// Decisions, RunStats, callback order and the abort point do not depend
+// on how the events were batched.
 func (m *Monitor) Run(r trace.Reader, sink recorder.Sink,
 	onDecision func(Decision) error) (RunStats, error) {
 
@@ -547,19 +539,24 @@ func (m *Monitor) Run(r trace.Reader, sink recorder.Sink,
 	}
 	ctxSink, _ := sink.(*recorder.ContextSink)
 
-	wdr := m.cfg.NewWindower()
-	br, _ := r.(trace.BatchReader)
-
 	fdim := m.feat.FeatureDim()
-	evBuf := make([]trace.Event, batchEvents)
 	var (
-		wins      []window.Window // windows the current cut completed
 		decs      []Decision
 		scoreNs   []int64   // per-window ProcessWindow duration (scoreTimer only)
 		featArena []float64 // backing store for the per-window feature copies
 	)
 
-	processBatch := func() error {
+	err := window.Stream(r, m.cfg.NewWindower(), func(wins []window.Window) error {
+		if acct != nil {
+			for i := range wins {
+				evs := wins[i].Events
+				for j := range evs {
+					if err := acct.Write(evs[j]); err != nil {
+						return err
+					}
+				}
+			}
+		}
 		// Decision.Features aliases the monitor's single featurization
 		// buffer, valid until the next ProcessWindow: copy it out so every
 		// decision of the batch keeps its own.
@@ -615,45 +612,9 @@ func (m *Monitor) Run(r trace.Reader, sink recorder.Sink,
 			}
 		}
 		return nil
-	}
-
-	for {
-		var n int
-		var err error
-		if br != nil {
-			n, err = br.ReadBatch(evBuf)
-		} else if evBuf[0], err = r.Next(); err == nil {
-			n = 1
-		}
-		if acct != nil {
-			for i := range evBuf[:n] {
-				if aerr := acct.Write(evBuf[i]); aerr != nil {
-					return stats, aerr
-				}
-			}
-		}
-		for rest := evBuf[:n]; len(rest) > 0; {
-			var k int
-			wins, k = wdr.Cut(wins[:0], rest, batchEvents)
-			rest = rest[k:]
-			if len(wins) > 0 {
-				if perr := processBatch(); perr != nil {
-					return stats, perr
-				}
-			}
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return stats, err
-		}
-	}
-	if w, ok := wdr.Flush(); ok {
-		wins = append(wins[:0], w)
-		if perr := processBatch(); perr != nil {
-			return stats, perr
-		}
+	})
+	if err != nil {
+		return stats, err
 	}
 
 	if acct != nil {

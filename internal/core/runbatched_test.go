@@ -14,12 +14,13 @@ import (
 	"enduratrace/internal/window"
 )
 
-// nonBatchReader hides SliceReader's ReadBatch, so Run reads it as
-// one-event batches — what a plain trace.Reader (the .etrc file reader)
-// gets.
-type nonBatchReader struct{ r *trace.SliceReader }
+// oneEventReader hands Run its events in one-event batches, the
+// smallest a reader can.
+type oneEventReader struct{ r *trace.SliceReader }
 
-func (n nonBatchReader) Next() (trace.Event, error) { return n.r.Next() }
+func (o oneEventReader) ReadBatch(dst []trace.Event) (int, error) {
+	return o.r.ReadBatch(dst[:min(len(dst), 1)])
+}
 
 // tornFrameReader serves evs as a framed stream of small frames that
 // arrives one byte at a time, so every frame is torn across reads and
@@ -134,7 +135,7 @@ func checkRunContract(t *testing.T, cfg Config, abortAt int) {
 	}
 	run := perturbedRun()
 
-	want := observeRun(t, cfg, learned, nonBatchReader{trace.NewSliceReader(run)}, abortAt)
+	want := observeRun(t, cfg, learned, oneEventReader{trace.NewSliceReader(run)}, abortAt)
 	if abortAt == 0 {
 		if want.err != nil {
 			t.Fatal(want.err)

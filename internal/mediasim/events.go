@@ -92,14 +92,3 @@ func Registry() *trace.Registry {
 	}
 	return reg
 }
-
-// IsErrorEvent reports whether t signals a playback error, i.e. whether the
-// real GStreamer would have written an error message for it. The evaluation
-// harness uses this as the paper's "GStreamer reports an error" criterion.
-func IsErrorEvent(t trace.EventType) bool {
-	switch t {
-	case EvQoSUnderflow, EvErrorMsg, EvAudioUnderflow:
-		return true
-	}
-	return false
-}

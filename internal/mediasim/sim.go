@@ -173,7 +173,7 @@ func (c *calendar) Pop() (x any) {
 }
 
 // Sim is the discrete-event pipeline simulator. It implements trace.Reader:
-// events are generated lazily as Next is called, so arbitrarily long runs
+// events are generated lazily as they are read, so arbitrarily long runs
 // stream in constant memory. A Sim is single-use and not safe for
 // concurrent use.
 type Sim struct {
@@ -184,7 +184,6 @@ type Sim struct {
 	now time.Duration
 	out []trace.Event
 	pos int
-	err error
 
 	queue    int    // decoded frames buffered between decoder and sink
 	blocked  bool   // decoder waiting for queue space
@@ -216,16 +215,24 @@ func New(cfg Config) (*Sim, error) {
 	return s, nil
 }
 
-// Next implements trace.Reader. Events come out in non-decreasing timestamp
-// order; the stream ends with io.EOF at the horizon.
-func (s *Sim) Next() (trace.Event, error) {
-	for s.pos >= len(s.out) {
-		if s.err != nil {
-			return trace.Event{}, s.err
+// ReadBatch implements trace.Reader: it runs the simulation until dst
+// is full or the horizon is reached, when the stream ends with io.EOF.
+// Events come out in non-decreasing timestamp order, the same whatever
+// the batch sizes.
+func (s *Sim) ReadBatch(dst []trace.Event) (int, error) {
+	n := 0
+	for n < len(dst) {
+		if s.pos < len(s.out) {
+			k := copy(dst[n:], s.out[s.pos:])
+			s.pos += k
+			n += k
+			continue
 		}
 		if len(s.cal) == 0 {
-			s.err = io.EOF
-			return trace.Event{}, io.EOF
+			if n == 0 {
+				return 0, io.EOF
+			}
+			break
 		}
 		a := heap.Pop(&s.cal).(*action)
 		if a.t >= s.cfg.Duration {
@@ -236,9 +243,7 @@ func (s *Sim) Next() (trace.Event, error) {
 		s.now = a.t
 		a.fn()
 	}
-	ev := s.out[s.pos]
-	s.pos++
-	return ev, nil
+	return n, nil
 }
 
 // Events runs the whole simulation into a slice; intended for tests and

@@ -104,7 +104,7 @@ func TestCleanRunHasNoQoSErrors(t *testing.T) {
 	}
 	renders := 0
 	for _, ev := range evs {
-		if IsErrorEvent(ev.Type) {
+		if isErrorEvent(ev.Type) {
 			t.Fatalf("clean run emitted error event %v at %v", ev.Type, ev.TS)
 		}
 		if ev.Type == EvFrameRender {
@@ -133,7 +133,7 @@ func TestPerturbationCausesQoSErrorsAndRecovery(t *testing.T) {
 	var errsBefore, errsDuring, errsAfter, recoveries int
 	for _, ev := range evs {
 		switch {
-		case IsErrorEvent(ev.Type):
+		case isErrorEvent(ev.Type):
 			switch {
 			case ev.TS < 20*time.Second:
 				errsBefore++
@@ -159,7 +159,7 @@ func TestPerturbationCausesQoSErrorsAndRecovery(t *testing.T) {
 	// (allow a few stragglers right after the perturbation ends).
 	var lateErrs int
 	for _, ev := range evs {
-		if IsErrorEvent(ev.Type) && ev.TS > 45*time.Second {
+		if isErrorEvent(ev.Type) && ev.TS > 45*time.Second {
 			lateErrs++
 		}
 	}
@@ -200,4 +200,15 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 			t.Fatalf("bad config %d accepted", i)
 		}
 	}
+}
+
+// isErrorEvent reports whether t signals a playback error, i.e. whether
+// the real GStreamer would have written an error message for it: the
+// paper's "GStreamer reports an error" criterion.
+func isErrorEvent(t trace.EventType) bool {
+	switch t {
+	case EvQoSUnderflow, EvErrorMsg, EvAudioUnderflow:
+		return true
+	}
+	return false
 }

@@ -22,20 +22,12 @@ type Vector []float64
 // total event rate, which pure pmfs normalise away.
 type Counts []float64
 
-// FromWindow builds the per-type counts of a window. Event types >= dim are
-// folded into the last bucket so that an unregistered type cannot index out
-// of range (this mirrors real trace decoders, which map unknown records to
-// an "other" channel).
-func FromWindow(w window.Window, dim int) Counts {
-	c := make(Counts, dim)
-	FromWindowInto(w, c)
-	return c
-}
-
-// FromWindowInto is the buffer-reuse form of FromWindow: it zeroes dst and
-// accumulates w's per-type counts into it, with len(dst) as the fold
-// dimension. The monitor's steady state calls this once per window, so it
-// must not allocate.
+// FromWindowInto zeroes dst and accumulates w's per-type counts into it.
+// Event types >= len(dst) are folded into the last bucket so that an
+// unregistered type cannot index out of range (this mirrors real trace
+// decoders, which map unknown records to an "other" channel). The
+// monitor's steady state calls this once per window, so it must not
+// allocate.
 func FromWindowInto(w window.Window, dst Counts) {
 	dim := len(dst)
 	for i := range dst {

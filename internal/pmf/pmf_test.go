@@ -45,7 +45,8 @@ func TestNormalizeEmptyWindowIsUniform(t *testing.T) {
 
 func TestFromWindowFoldsOverflowTypes(t *testing.T) {
 	w := win(0, 1, 9, 200) // types 9 and 200 exceed dim 4
-	c := FromWindow(w, 4)
+	c := make(Counts, 4)
+	FromWindowInto(w, c)
 	if c[0] != 1 || c[1] != 1 || c[3] != 2 {
 		t.Fatalf("fold-over counts wrong: %v", c)
 	}
@@ -126,7 +127,8 @@ func TestMeanCount(t *testing.T) {
 }
 
 // TestIntoVariantsMatchAllocating: the buffer-reuse forms must reproduce
-// the allocating forms bit-for-bit, even into dirty buffers.
+// the allocating forms (for counts, the hand count) bit-for-bit, even
+// into dirty buffers.
 func TestIntoVariantsMatchAllocating(t *testing.T) {
 	w := win(0, 0, 1, 3, 2, 2, 7)
 
@@ -135,7 +137,7 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 		c[i] = 99 // dirty
 	}
 	FromWindowInto(w, c)
-	want := FromWindow(w, 4)
+	want := Counts{2, 1, 2, 2} // type 7 folds into the last bucket
 	for i := range c {
 		if c[i] != want[i] {
 			t.Fatalf("FromWindowInto = %v, want %v", c, want)

@@ -66,10 +66,10 @@ func TestLoggerTimestamps(t *testing.T) {
 }
 
 // TestQueuePathZeroAlloc is the allocation gate for the one-event queue
-// path: a PushBatch of one, Next (with queue-wait observation and arrival
-// tracking) and the decision-side drain must not allocate in steady
-// state — latency accounting may not cost the event path its
-// allocation-free property.
+// path: a PushBatch of one, a ReadBatch of one (with queue-wait
+// observation and arrival tracking) and the decision-side drain must not
+// allocate in steady state — latency accounting may not cost the event
+// path its allocation-free property.
 func TestQueuePathZeroAlloc(t *testing.T) {
 	var pipe obs.Pipeline
 	q := newEventQueue(64, Block, &pipe, 0)
@@ -77,7 +77,7 @@ func TestQueuePathZeroAlloc(t *testing.T) {
 
 	step := func() {
 		q.PushBatch(evs, obs.Now(), 500)
-		if _, err := q.Next(); err != nil {
+		if _, err := pop1(q); err != nil {
 			t.Fatal(err)
 		}
 		now := obs.Now()

@@ -51,7 +51,7 @@ func ParseBackpressure(s string) (Backpressure, error) {
 
 // eventQueue is the bounded handoff between a stream's ingest goroutine
 // (socket → decode) and its scoring goroutine (window → gate → LOF →
-// record). It implements trace.BatchReader on the consumer side (so
+// record). It implements trace.Reader on the consumer side (so
 // core.Monitor.Run drains it in whole-batch passes); ReadBatch returns
 // io.EOF once the queue is closed and drained, so a run over the queue
 // terminates cleanly whatever ended ingestion.
@@ -102,7 +102,7 @@ type eventQueue struct {
 	lastPopNs  atomic.Int64
 
 	// Consumer-side state, owned by the scoring goroutine (the only
-	// caller of Next, ReadBatch, takeArrivals and takeFlight): the runs
+	// caller of ReadBatch, takeArrivals and takeFlight): the runs
 	// ReadBatch copies out under the lock so that observing them can
 	// happen after unlock, the runs popped since the last window decision
 	// (drained into the E2E histogram by the decision callback), and the
@@ -236,16 +236,7 @@ func (q *eventQueue) Close() {
 	q.notFull.Broadcast()
 }
 
-// Next implements trace.Reader for the scoring side: a ReadBatch of one.
-//
-//enduratrace:zeroalloc
-func (q *eventQueue) Next() (trace.Event, error) {
-	var one [1]trace.Event
-	_, err := q.ReadBatch(one[:])
-	return one[0], err
-}
-
-// ReadBatch implements trace.BatchReader for the scoring side: it pops
+// ReadBatch implements trace.Reader for the scoring side: it pops
 // every immediately available event (up to len(dst)) under one mutex
 // acquisition, blocking only when the queue is empty and open. scored
 // moves inside the lock — an event must never be invisible to a

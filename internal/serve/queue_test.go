@@ -15,6 +15,13 @@ func push1(q *eventQueue, ev trace.Event) bool {
 	return q.PushBatch([]trace.Event{ev}, obs.Now(), 0)
 }
 
+// pop1 is a ReadBatch of one.
+func pop1(q *eventQueue) (trace.Event, error) {
+	var one [1]trace.Event
+	_, err := q.ReadBatch(one[:])
+	return one[0], err
+}
+
 // TestEventQueueCountersConsistentUnderRace is the drop-accounting audit
 // regression test (run under -race in CI): with a producer hammering a
 // tiny DropOldest queue, a consumer draining it, and observers snapshotting
@@ -57,7 +64,7 @@ func TestEventQueueCountersConsistentUnderRace(t *testing.T) {
 	go func() {
 		defer close(consumerDone)
 		for {
-			_, err := q.Next()
+			_, err := pop1(q)
 			if err == io.EOF {
 				return
 			}
@@ -102,7 +109,7 @@ func TestEventQueueBlockPolicyNeverDrops(t *testing.T) {
 	go func() {
 		var n int64
 		for {
-			if _, err := q.Next(); err == io.EOF {
+			if _, err := pop1(q); err == io.EOF {
 				done <- n
 				return
 			}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
@@ -12,9 +13,9 @@ import (
 	"enduratrace/internal/trace"
 )
 
-// evEq compares the scalar fields (the tests carry no payloads).
+// evEq reports whether two events are equal, payloads included.
 func evEq(a, b trace.Event) bool {
-	return a.TS == b.TS && a.Type == b.Type && a.Arg == b.Arg
+	return a.TS == b.TS && a.Type == b.Type && a.Arg == b.Arg && bytes.Equal(a.Payload, b.Payload)
 }
 
 // refQueue is the per-event reference model of the instrumented queue:
@@ -146,14 +147,7 @@ func TestRunRingMatchesPerEventModel(t *testing.T) {
 					return // an open empty queue would block
 				}
 				dst := make([]trace.Event, k)
-				var n int
-				var err error
-				if k == 1 {
-					dst[0], err = q.Next()
-					n = 1
-				} else {
-					n, err = q.ReadBatch(dst)
-				}
+				n, err := q.ReadBatch(dst)
 				if err != nil {
 					fail("pop: %v", err)
 				}
@@ -218,7 +212,7 @@ func TestRunRingMatchesPerEventModel(t *testing.T) {
 			}
 			decide()
 			check()
-			if _, err := q.Next(); err != io.EOF {
+			if _, err := pop1(q); err != io.EOF {
 				fail("drained queue returned %v, want EOF", err)
 			}
 			if got := pipe.E2E.Snapshot().Count(); got != uint64(ref.scored) {
@@ -238,7 +232,7 @@ func TestE2ECountSurvivesPendingCap(t *testing.T) {
 	evs := []trace.Event{{TS: 1}}
 	for i := 0; i < total; i++ {
 		q.PushBatch(evs, int64(i+1), 0) // distinct arrival times: nothing merges
-		if _, err := q.Next(); err != nil {
+		if _, err := pop1(q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -272,7 +266,7 @@ func TestPushBatchDropOldestBooks(t *testing.T) {
 	}
 	q.Close()
 	for i := 0; i < capacity; i++ {
-		ev, err := q.Next()
+		ev, err := pop1(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +274,7 @@ func TestPushBatchDropOldestBooks(t *testing.T) {
 			t.Fatalf("survivor %d is %+v, want %+v", i, ev, want)
 		}
 	}
-	if _, err := q.Next(); err != io.EOF {
+	if _, err := pop1(q); err != io.EOF {
 		t.Fatalf("drained queue returned %v, want EOF", err)
 	}
 }

@@ -429,8 +429,8 @@ func runClient(addr, name string, cfg core.Config, model string, opts selftestOp
 	// expected window count and full-trace bytes are computed, not guessed.
 	acct := traceio.NewSizeAccountant()
 	tee := &teeReader{r: sim, w: fw, acct: acct, events: &rep.Events, gate: gate, pauseAt: opts.Duration / 2}
-	err = window.Stream(tee, cfg.NewWindower(), func(window.Window) error {
-		rep.Windows++
+	err = window.Stream(tee, cfg.NewWindower(), func(wins []window.Window) error {
+		rep.Windows += int64(len(wins))
 		return nil
 	})
 	if err != nil {
@@ -457,7 +457,7 @@ func clientSim(opts selftestOptions, seed int64) (*mediasim.Sim, error) {
 	return mediasim.New(sc)
 }
 
-// teeReader forwards every event it yields to a trace writer (the wire).
+// teeReader forwards every event it reads to a trace writer (the wire).
 // With a gate set, the first event at or past pauseAt flushes the wire
 // and blocks until the gate closes, leaving the stream live and half-sent.
 type teeReader struct {
@@ -470,26 +470,25 @@ type teeReader struct {
 	paused  bool
 }
 
-func (t *teeReader) Next() (trace.Event, error) {
-	ev, err := t.r.Next()
-	if err != nil {
-		return ev, err
-	}
-	if t.gate != nil && !t.paused && ev.TS >= t.pauseAt {
-		t.paused = true
-		if err := t.w.Flush(); err != nil {
-			return ev, err
+func (t *teeReader) ReadBatch(dst []trace.Event) (int, error) {
+	n, err := t.r.ReadBatch(dst)
+	for _, ev := range dst[:n] {
+		if t.gate != nil && !t.paused && ev.TS >= t.pauseAt {
+			t.paused = true
+			if err := t.w.Flush(); err != nil {
+				return 0, err
+			}
+			<-t.gate
 		}
-		<-t.gate
+		if err := t.w.Write(ev); err != nil {
+			return 0, err
+		}
+		if err := t.acct.Write(ev); err != nil {
+			return 0, err
+		}
+		*t.events++
 	}
-	if err := t.w.Write(ev); err != nil {
-		return ev, err
-	}
-	if err := t.acct.Write(ev); err != nil {
-		return ev, err
-	}
-	*t.events++
-	return ev, nil
+	return n, err
 }
 
 // awaitClosedStreams polls /stats until every client stream has drained

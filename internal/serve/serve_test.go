@@ -85,8 +85,8 @@ func simEvents(t *testing.T, seed int64, d time.Duration, factor float64) []trac
 func expectWindows(t *testing.T, cfg core.Config, evs []trace.Event) int64 {
 	t.Helper()
 	var n int64
-	err := window.Stream(trace.NewSliceReader(evs), cfg.NewWindower(), func(window.Window) error {
-		n++
+	err := window.Stream(trace.NewSliceReader(evs), cfg.NewWindower(), func(wins []window.Window) error {
+		n += int64(len(wins))
 		return nil
 	})
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 )
@@ -40,21 +41,16 @@ func (e Event) String() string {
 	return fmt.Sprintf("%v type=%d arg=%d payload=%dB", e.TS, e.Type, e.Arg, len(e.Payload))
 }
 
-// Reader is a stream of events. Next returns io.EOF after the last event.
-// Implementations must return events in non-decreasing timestamp order.
+// Reader is a stream of events, read many at a time. ReadBatch fills
+// dst with as many immediately available events as fit and returns the
+// count; it blocks only when no event is available at all, so a live
+// reader is never asked to wait for a full batch. The contract mirrors
+// io.Reader: n > 0 with a nil error even if the stream has since ended
+// or failed — the error (io.EOF after the last event) surfaces on the
+// next call, and every call after it returns it again. Events come in
+// non-decreasing timestamp order. Consumers own dst and the returned
+// events.
 type Reader interface {
-	Next() (Event, error)
-}
-
-// BatchReader is a Reader that can also deliver events many at a time.
-// ReadBatch fills dst with as many immediately available events as fit
-// and returns the count; it blocks only when no event is available at
-// all. The contract mirrors io.Reader: n > 0 with a nil error even if
-// the stream has since ended or failed — the error surfaces on the next
-// call, so a batch consumer sees exactly the events a Next loop would.
-// Consumers own dst and the returned events.
-type BatchReader interface {
-	Reader
 	ReadBatch(dst []Event) (int, error)
 }
 
@@ -79,17 +75,7 @@ func NewSliceReader(evs []Event) *SliceReader {
 	return &SliceReader{events: evs}
 }
 
-// Next implements Reader.
-func (r *SliceReader) Next() (Event, error) {
-	if r.pos >= len(r.events) {
-		return Event{}, io.EOF
-	}
-	ev := r.events[r.pos]
-	r.pos++
-	return ev, nil
-}
-
-// ReadBatch implements BatchReader.
+// ReadBatch implements Reader.
 func (r *SliceReader) ReadBatch(dst []Event) (int, error) {
 	if r.pos >= len(r.events) {
 		return 0, io.EOF
@@ -99,52 +85,45 @@ func (r *SliceReader) ReadBatch(dst []Event) (int, error) {
 	return n, nil
 }
 
-// Reset rewinds the reader to the first event.
-func (r *SliceReader) Reset() { r.pos = 0 }
-
-// Collector is a Writer that appends every event to an in-memory slice.
-type Collector struct {
-	Events []Event
-}
-
-// Write implements Writer.
-func (c *Collector) Write(ev Event) error {
-	c.Events = append(c.Events, ev)
-	return nil
-}
+// batchLen is how many events ReadAll and Copy ask for at a time.
+const batchLen = 512
 
 // ReadAll drains r into a slice. It is intended for tests and small traces;
 // endurance-scale traces should be streamed.
 func ReadAll(r Reader) ([]Event, error) {
 	var evs []Event
 	for {
-		ev, err := r.Next()
+		evs = slices.Grow(evs, batchLen)
+		n, err := r.ReadBatch(evs[len(evs):cap(evs)])
+		evs = evs[:len(evs)+n]
 		if err == io.EOF {
 			return evs, nil
 		}
 		if err != nil {
 			return evs, err
 		}
-		evs = append(evs, ev)
 	}
 }
 
 // Copy streams every event from r to w and reports the number of events
 // copied. It stops at io.EOF or the first error from either side.
 func Copy(w Writer, r Reader) (int, error) {
+	buf := make([]Event, batchLen)
 	n := 0
 	for {
-		ev, err := r.Next()
+		k, err := r.ReadBatch(buf)
+		for _, ev := range buf[:k] {
+			if werr := w.Write(ev); werr != nil {
+				return n, werr
+			}
+			n++
+		}
 		if err == io.EOF {
 			return n, nil
 		}
 		if err != nil {
 			return n, err
 		}
-		if err := w.Write(ev); err != nil {
-			return n, err
-		}
-		n++
 	}
 }
 
@@ -182,16 +161,6 @@ func (reg *Registry) Name(t EventType) string {
 	return fmt.Sprintf("type%d", t)
 }
 
-// Lookup returns the type registered under name.
-func (reg *Registry) Lookup(name string) (EventType, bool) {
-	for t, n := range reg.names {
-		if n == name {
-			return t, true
-		}
-	}
-	return 0, false
-}
-
 // NumTypes reports the pmf dimensionality implied by the registry: one past
 // the highest registered event type, or 0 for an empty registry.
 func (reg *Registry) NumTypes() int {
@@ -210,9 +179,3 @@ func (reg *Registry) Types() []EventType {
 	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
 	return ts
 }
-
-// Writer adapter so an io-style callback can consume events.
-type WriterFunc func(Event) error
-
-// Write implements Writer.
-func (f WriterFunc) Write(ev Event) error { return f(ev) }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"io"
 	"testing"
 	"time"
 )
@@ -20,21 +21,25 @@ func TestSliceReaderAndReadAll(t *testing.T) {
 	if err != nil || len(got) != 3 {
 		t.Fatalf("ReadAll: %v, %d events", err, len(got))
 	}
-	if _, err := r.Next(); err == nil {
-		t.Fatal("exhausted reader returned an event")
-	}
-	r.Reset()
-	if ev, err := r.Next(); err != nil || ev.TS != 1 {
-		t.Fatalf("Reset did not rewind: %v %v", ev, err)
+	if n, err := r.ReadBatch(make([]Event, 4)); n != 0 || err != io.EOF {
+		t.Fatalf("exhausted reader returned %d events, %v; want 0, EOF", n, err)
 	}
 }
 
-func TestCopyAndCollector(t *testing.T) {
+// collector is a Writer that appends every event to a slice.
+type collector []Event
+
+func (c *collector) Write(ev Event) error {
+	*c = append(*c, ev)
+	return nil
+}
+
+func TestCopy(t *testing.T) {
 	in := evs(1, 2, 3, 4)
-	var c Collector
+	var c collector
 	n, err := Copy(&c, NewSliceReader(in))
-	if err != nil || n != 4 || len(c.Events) != 4 {
-		t.Fatalf("Copy: n=%d err=%v collected=%d", n, err, len(c.Events))
+	if err != nil || n != 4 || len(c) != 4 {
+		t.Fatalf("Copy: n=%d err=%v collected=%d", n, err, len(c))
 	}
 }
 
@@ -51,12 +56,6 @@ func TestRegistry(t *testing.T) {
 	if reg.Name(5) != "decode" || reg.Name(3) != "type3" {
 		t.Fatalf("names wrong: %q %q", reg.Name(5), reg.Name(3))
 	}
-	if typ, ok := reg.Lookup("decode"); !ok || typ != 5 {
-		t.Fatalf("Lookup(decode) = %d, %v", typ, ok)
-	}
-	if _, ok := reg.Lookup("nope"); ok {
-		t.Fatal("Lookup(nope) succeeded")
-	}
 	ts := reg.Types()
 	if len(ts) != 2 || ts[0] != 0 || ts[1] != 5 {
 		t.Fatalf("Types() = %v", ts)
@@ -69,12 +68,4 @@ func TestRegistry(t *testing.T) {
 		}
 	}()
 	reg.Register(0, "other")
-}
-
-func TestWriterFunc(t *testing.T) {
-	var n int
-	w := WriterFunc(func(Event) error { n++; return nil })
-	if _, err := Copy(w, NewSliceReader(evs(1, 2))); err != nil || n != 2 {
-		t.Fatalf("WriterFunc saw %d events, err %v", n, err)
-	}
 }

@@ -9,22 +9,30 @@ import (
 	"enduratrace/internal/trace"
 )
 
-// benchStream encodes n events (every fourth carrying a 32-byte payload,
-// roughly the mediasim mix) into one framed stream.
+// benchTrace is n events, every fourth carrying a 32-byte payload:
+// roughly the mediasim mix.
+func benchTrace(n int) []trace.Event {
+	evs := make([]trace.Event, n)
+	payload := make([]byte, 32)
+	ts := time.Duration(0)
+	for i := range evs {
+		ts += 40 * time.Microsecond
+		evs[i] = trace.Event{TS: ts, Type: trace.EventType(i % 25), Arg: uint64(i)}
+		if i%4 == 0 {
+			evs[i].Payload = payload
+		}
+	}
+	return evs
+}
+
+// benchStream encodes benchTrace(n) into one framed stream.
 func benchStream(b *testing.B, n int) []byte {
 	var buf bytes.Buffer
 	fw, err := NewFrameWriter(&buf, "bench")
 	if err != nil {
 		b.Fatal(err)
 	}
-	payload := make([]byte, 32)
-	ts := time.Duration(0)
-	for i := 0; i < n; i++ {
-		ts += 40 * time.Microsecond
-		ev := trace.Event{TS: ts, Type: trace.EventType(i % 25), Arg: uint64(i)}
-		if i%4 == 0 {
-			ev.Payload = payload
-		}
+	for _, ev := range benchTrace(n) {
 		if err := fw.Write(ev); err != nil {
 			b.Fatal(err)
 		}
@@ -41,31 +49,6 @@ const benchEvents = 10_000
 // reportPerEvent adds the ns/event metric: one op decodes benchEvents.
 func reportPerEvent(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchEvents), "ns/event")
-}
-
-// BenchmarkFrameDecodeNext measures the per-event ingest decode path:
-// one op = decoding a 10k-event framed stream event by event.
-func BenchmarkFrameDecodeNext(b *testing.B) {
-	data := benchStream(b, benchEvents)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fr, err := NewFrameReader(bytes.NewReader(data))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for {
-			if _, err := fr.Next(); err != nil {
-				if err != io.EOF {
-					b.Fatal(err)
-				}
-				break
-			}
-		}
-		fr.Release()
-	}
-	reportPerEvent(b)
 }
 
 // BenchmarkFrameReaderReadBatch measures the batched ingest decode path
@@ -91,6 +74,34 @@ func BenchmarkFrameReaderReadBatch(b *testing.B) {
 			}
 		}
 		fr.Release()
+	}
+	reportPerEvent(b)
+}
+
+// BenchmarkBinaryReaderReadBatch measures the .etrc file reader over the
+// same events, 512 per ReadBatch.
+func BenchmarkBinaryReaderReadBatch(b *testing.B) {
+	data, err := AppendBinary(nil, benchTrace(benchEvents))
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst := make([]trace.Event, 512)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		br, err := NewBinaryReader(bytes.NewReader(data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for {
+			if _, err := br.ReadBatch(dst); err != nil {
+				if err != io.EOF {
+					b.Fatal(err)
+				}
+				break
+			}
+		}
 	}
 	reportPerEvent(b)
 }

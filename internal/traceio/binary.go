@@ -21,6 +21,13 @@
 //
 // Delta-encoded timestamps keep regular multimedia traces compact, which is
 // representative of real hardware trace formats (e.g. STP / KPTrace).
+//
+// Events are decoded in one place, a decoder over byte slices that keeps
+// the running timestamp and the canonical encoded size. Its three
+// callers are BinaryReader, over a buffer it refills from a file or a
+// pipe; FrameReader, over the frames of the network stream (frame.go);
+// and DecodeBinary, over a trace held whole in memory. Both readers are
+// trace.Readers, read in batches.
 package traceio
 
 import (
@@ -147,80 +154,308 @@ func AppendBinary(buf []byte, evs []trace.Event) ([]byte, error) {
 	return buf, nil
 }
 
-// BinaryReader decodes a binary trace stream.
+// BinaryReader decodes a binary trace stream. It reads its source into
+// a buffer of its own and decodes events straight out of it; a batch
+// takes whatever whole events are buffered once it has one, so a reader
+// on a live pipe hands over what has arrived instead of waiting to fill
+// dst.
 type BinaryReader struct {
-	r    *bufio.Reader
-	last time.Duration
-	err  error
+	src    io.Reader
+	buf    []byte // buf[pos:] is read from src and not yet decoded
+	pos    int
+	srcErr error // what ended src, once something has
+	dec    eventDecoder
 }
 
 // NewBinaryReader validates the header and returns a reader.
 func NewBinaryReader(r io.Reader) (*BinaryReader, error) {
-	br := &BinaryReader{r: bufio.NewReaderSize(r, 1<<16)}
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(br.r, head); err != nil {
-		return nil, fmt.Errorf("traceio: reading header: %w", err)
+	br := &BinaryReader{src: r, buf: make([]byte, 0, 1<<16), dec: eventDecoder{prefix: filePrefix}}
+	for {
+		rest, err := readHeader(br.buf, br.srcErr)
+		if err == nil {
+			br.pos = len(br.buf) - len(rest)
+			return br, nil
+		}
+		if err != errShort {
+			return nil, err
+		}
+		br.fill()
 	}
-	if string(head) != magic {
-		return nil, ErrBadMagic
-	}
-	v, err := binary.ReadUvarint(br.r)
-	if err != nil {
-		return nil, fmt.Errorf("traceio: reading version: %w", err)
-	}
-	if v != formatVersion {
-		return nil, fmt.Errorf("traceio: unsupported format version %d", v)
-	}
-	return br, nil
 }
 
-// Next implements trace.Reader.
-func (br *BinaryReader) Next() (trace.Event, error) {
-	if br.err != nil {
-		return trace.Event{}, br.err
+// ReadBatch implements trace.Reader. Once a batch holds an event it
+// stops at the first event not yet wholly buffered rather than read for
+// it; it reads (and blocks) only for the first.
+func (br *BinaryReader) ReadBatch(dst []trace.Event) (int, error) {
+	d := &br.dec
+	if d.err != nil {
+		return 0, d.err
 	}
-	dts, err := binary.ReadUvarint(br.r)
-	if err != nil {
-		if err == io.EOF {
-			br.err = io.EOF
-			return trace.Event{}, io.EOF
+	d.arena = nil
+	n := 0
+	for n < len(dst) {
+		var err error
+		switch {
+		case br.pos < len(br.buf):
+			var rest []byte
+			if rest, err = d.decode(br.buf[br.pos:], &dst[n]); err == nil {
+				br.pos = len(br.buf) - len(rest)
+				n++
+				continue
+			}
+		case br.srcErr == io.EOF: // the source ended between two events
+			d.err, err = io.EOF, io.EOF
+		case br.srcErr != nil:
+			err = d.fail("dts", br.srcErr)
 		}
-		br.err = fmt.Errorf("traceio: reading dts: %w", err)
-		return trace.Event{}, br.err
+		// Nothing more to decode without reading: err is nil (nothing
+		// buffered), errShort or the latched end of the stream.
+		if n > 0 {
+			return n, nil
+		}
+		if err != nil && err != errShort {
+			return 0, err
+		}
+		br.fill()
 	}
-	if dts > uint64(math.MaxInt64-br.last) {
-		br.err = fmt.Errorf("traceio: reading dts: %w", errTSOverflow)
-		return trace.Event{}, br.err
+	return n, nil
+}
+
+// fill reads more of the source behind the undecoded bytes, moving them
+// to the front of the buffer first — into a buffer twice the size when
+// they fill it, which stays bounded because an event is at most four
+// varints and maxPayloadSize long. A source that fails is done: srcErr
+// says why.
+func (br *BinaryReader) fill() {
+	if br.pos > 0 {
+		br.buf = br.buf[:copy(br.buf, br.buf[br.pos:])]
+		br.pos = 0
 	}
-	typ, err := binary.ReadUvarint(br.r)
+	if len(br.buf) == cap(br.buf) {
+		br.buf = append(make([]byte, 0, 2*cap(br.buf)), br.buf...)
+	}
+	m, err := br.src.Read(br.buf[len(br.buf):cap(br.buf)])
+	br.buf = br.buf[:len(br.buf)+m]
 	if err != nil {
-		br.err = fmt.Errorf("traceio: reading type: %w", unexpectedEOF(err))
-		return trace.Event{}, br.err
+		br.srcErr = err
+		br.dec.end = unexpectedEOF(err)
 	}
-	arg, err := binary.ReadUvarint(br.r)
+}
+
+// readHeader checks the stream header at the front of b and returns what
+// follows it. When b ends inside the header, end says why: nil (more may
+// follow) returns errShort, as eventDecoder.decode does.
+func readHeader(b []byte, end error) ([]byte, error) {
+	short := func(what string, b []byte) error {
+		if end == nil {
+			return errShort
+		}
+		if len(b) > 0 {
+			end = unexpectedEOF(end)
+		}
+		return fmt.Errorf("traceio: reading %s: %w", what, end)
+	}
+	if len(b) < len(magic) {
+		return b, short("header", b)
+	}
+	if string(b[:len(magic)]) != magic {
+		return b, ErrBadMagic
+	}
+	b = b[len(magic):]
+	v, n := binary.Uvarint(b)
+	if n == 0 && len(b) < binary.MaxVarintLen64 {
+		return b, short("version", b)
+	}
+	if n <= 0 { // ten continuation bytes overflow even when they end b
+		return b, fmt.Errorf("traceio: reading version: %w", errVarintOverflow)
+	}
+	if v != formatVersion {
+		return b, fmt.Errorf("traceio: unsupported format version %d", v)
+	}
+	return b[n:], nil
+}
+
+// DecodeBinary decodes blob, one complete binary trace (what AppendBinary
+// appends or a BinaryWriter writes), into its events. A first pass counts
+// the events and their payload bytes, so the events take one allocation
+// and their payloads another.
+func DecodeBinary(blob []byte) ([]trace.Event, error) {
+	b, err := readHeader(blob, io.EOF)
 	if err != nil {
-		br.err = fmt.Errorf("traceio: reading arg: %w", unexpectedEOF(err))
-		return trace.Event{}, br.err
+		return nil, err
 	}
-	plen, err := binary.ReadUvarint(br.r)
-	if err != nil {
-		br.err = fmt.Errorf("traceio: reading payload length: %w", unexpectedEOF(err))
-		return trace.Event{}, br.err
+	d := eventDecoder{prefix: filePrefix, end: io.ErrUnexpectedEOF}
+	var evs []trace.Event
+	if n, payload := countEvents(b); n > 0 {
+		evs = make([]trace.Event, 0, n)
+		d.arena = make([]byte, 0, payload)
 	}
+	for len(b) > 0 {
+		var ev trace.Event
+		if b, err = d.decode(b, &ev); err != nil {
+			return evs, err
+		}
+		evs = append(evs, ev)
+	}
+	return evs, nil
+}
+
+// countEvents counts the events at the front of b and their payload
+// bytes without checking them: it stops where b stops making sense.
+func countEvents(b []byte) (n, payload int) {
+	for len(b) > 0 {
+		var plen uint64
+		for range 4 { // dts, type, arg and payload length
+			var k int
+			if plen, k = binary.Uvarint(b); k <= 0 {
+				return n, payload
+			}
+			b = b[k:]
+		}
+		if plen > uint64(len(b)) {
+			return n, payload
+		}
+		b = b[plen:]
+		n++
+		payload += int(plen)
+	}
+	return n, payload
+}
+
+// The error text before the name of the field an event fails in.
+const (
+	filePrefix  = "traceio: reading "
+	framePrefix = "traceio: reading frame event "
+)
+
+// eventDecoder decodes the binary codec's events out of byte slices: the
+// one event decoder, behind BinaryReader, FrameReader and DecodeBinary.
+// It carries what a stream's decoding accumulates — the running
+// timestamp and the canonical encoded size of the events so far — and
+// latches the first error.
+type eventDecoder struct {
+	prefix  string
+	end     error // what b ending inside an event means: nil while more bytes may follow
+	last    time.Duration
+	evBytes int64  // canonical encoded size of the events decoded so far
+	arena   []byte // payloads are carved from here; see decode
+	err     error
+}
+
+// errShort is decode's report that b ends inside the event while more
+// bytes may follow; it is never latched.
+var errShort = errors.New("traceio: event continues past the buffered bytes")
+
+// errVarintOverflow has the text of encoding/binary's unexported overflow
+// error, so an overflowing varint reads as it did through
+// binary.ReadUvarint.
+var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+// decode decodes the event at the front of b into *ev and returns what
+// follows it; *ev is written only on success. When b ends inside the
+// event and d.end is nil, more bytes may follow, and decode returns
+// errShort; otherwise the event is truncated, and decode latches d.end
+// against the field it cuts. Payloads are carved from d.arena, which
+// grows by replacement, so earlier carvings stay valid and are never
+// reused: a caller that wants a batch's payloads kept apart from the
+// next batch's resets the arena to nil between them.
+func (d *eventDecoder) decode(b []byte, ev *trace.Event) ([]byte, error) {
+	// A one-byte varint — most fields of a real trace — is read inline;
+	// size counts the header's canonical encoded length.
+	var dts, typ, arg, plen uint64
+	var n int
+	if len(b) > 0 && b[0] < 0x80 {
+		dts, n = uint64(b[0]), 1
+	} else if dts, n = binary.Uvarint(b); n <= 0 {
+		return b, d.failVarint("dts", b, n)
+	}
+	if dts > uint64(math.MaxInt64-d.last) {
+		return b, d.fail("dts", errTSOverflow)
+	}
+	size := canonicalLen(dts, n)
+	b = b[n:]
+	if len(b) > 0 && b[0] < 0x80 {
+		typ, n = uint64(b[0]), 1
+	} else if typ, n = binary.Uvarint(b); n <= 0 {
+		return b, d.failVarint("type", b, n)
+	}
+	// The event keeps the type's low 16 bits, and so does its encoding.
+	size += canonicalLen(uint64(trace.EventType(typ)), n)
+	b = b[n:]
+	if len(b) > 0 && b[0] < 0x80 {
+		arg, n = uint64(b[0]), 1
+	} else if arg, n = binary.Uvarint(b); n <= 0 {
+		return b, d.failVarint("arg", b, n)
+	}
+	size += canonicalLen(arg, n)
+	b = b[n:]
+	if len(b) > 0 && b[0] < 0x80 {
+		plen, n = uint64(b[0]), 1
+	} else if plen, n = binary.Uvarint(b); n <= 0 {
+		return b, d.failVarint("payload length", b, n)
+	}
+	size += canonicalLen(plen, n)
+	b = b[n:]
 	if plen > maxPayloadSize {
-		br.err = fmt.Errorf("traceio: payload length %d exceeds limit", plen)
-		return trace.Event{}, br.err
+		d.err = fmt.Errorf("traceio: payload length %d exceeds limit", plen)
+		return b, d.err
 	}
 	var payload []byte
 	if plen > 0 {
-		payload = make([]byte, plen)
-		if _, err := io.ReadFull(br.r, payload); err != nil {
-			br.err = fmt.Errorf("traceio: reading payload: %w", unexpectedEOF(err))
-			return trace.Event{}, br.err
+		if uint64(len(b)) < plen {
+			return b, d.short("payload")
 		}
+		a := d.arena
+		if cap(a)-len(a) < int(plen) {
+			// Fresh backing array — previously carved payloads keep the
+			// old one, so they are never clobbered or retained together.
+			a = make([]byte, 0, max(2*cap(a)+int(plen), 1024))
+		}
+		payload = a[len(a) : len(a)+int(plen)]
+		d.arena = a[:len(a)+int(plen)]
+		copy(payload, b)
+		b = b[plen:]
 	}
-	br.last += time.Duration(dts)
-	return trace.Event{TS: br.last, Type: trace.EventType(typ), Arg: arg, Payload: payload}, nil
+	d.last += time.Duration(dts)
+	d.evBytes += int64(size) + int64(plen)
+	ev.TS = d.last
+	ev.Type = trace.EventType(typ)
+	ev.Arg = arg
+	ev.Payload = payload
+	return b, nil
+}
+
+// canonicalLen is the minimal encoded length of v, read from n bytes: a
+// one-byte varint is already minimal.
+func canonicalLen(v uint64, n int) int {
+	if n == 1 {
+		return 1
+	}
+	return uvarintLen(v)
+}
+
+// failVarint reports the failure binary.Uvarint(b) reported through
+// n <= 0. A varint cut off by the end of b is a short event; one that
+// overflows 64 bits is an error — and ten continuation bytes overflow
+// even when they are b's last, which Uvarint reports as cut off.
+func (d *eventDecoder) failVarint(what string, b []byte, n int) error {
+	if n == 0 && len(b) < binary.MaxVarintLen64 {
+		return d.short(what)
+	}
+	return d.fail(what, errVarintOverflow)
+}
+
+// short reports b ending inside the event's field what: see decode.
+func (d *eventDecoder) short(what string) error {
+	if d.end == nil {
+		return errShort
+	}
+	return d.fail(what, d.end)
+}
+
+func (d *eventDecoder) fail(what string, err error) error {
+	d.err = fmt.Errorf("%s%s: %w", d.prefix, what, err)
+	return d.err
 }
 
 func unexpectedEOF(err error) error {

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 	"time"
 
@@ -189,24 +188,21 @@ func (fw *FrameWriter) Close() error {
 	return fw.w.Flush()
 }
 
-// FrameReader decodes a framed stream; it implements trace.Reader and
-// trace.BatchReader. Next returns io.EOF only on a clean end-of-stream
-// marker; a connection that dies mid-stream yields io.ErrUnexpectedEOF.
+// FrameReader decodes a framed stream; it implements trace.Reader. It
+// returns io.EOF only on a clean end-of-stream marker; a connection that
+// dies mid-stream yields io.ErrUnexpectedEOF.
 //
 // Readers are pooled: NewFrameReader draws one from a shared pool so a
 // server accepting many connections reuses the 64 KB read buffer and the
 // frame buffer instead of re-allocating them per connection. Call Release
 // when done with a stream to return the buffers to the pool.
 type FrameReader struct {
-	r       *bufio.Reader
-	frame   []byte // undecoded rest of the current frame; aliases buf
-	buf     []byte
-	name    string
-	model   string
-	version int
-	last    time.Duration
-	evBytes int64 // canonical encoded size of the events decoded so far
-	err     error
+	r     *bufio.Reader
+	frame []byte // undecoded rest of the current frame; aliases buf
+	buf   []byte
+	name  string
+	model string
+	dec   eventDecoder // its err also latches the frame layer's errors
 }
 
 // frameReaderPool recycles FrameReaders — and with them the bufio read
@@ -233,10 +229,7 @@ func (fr *FrameReader) reset(r io.Reader) {
 	fr.r.Reset(r)
 	fr.frame = nil
 	fr.name, fr.model = "", ""
-	fr.version = 0
-	fr.last = 0
-	fr.evBytes = 0
-	fr.err = nil
+	fr.dec = eventDecoder{prefix: framePrefix, end: io.ErrUnexpectedEOF}
 }
 
 // Release returns the reader and its buffers to the shared pool; the
@@ -264,7 +257,6 @@ func (fr *FrameReader) readHeader() error {
 	if v < frameVersion1 || v > maxFrameVersion {
 		return fmt.Errorf("traceio: unsupported framed stream version %d (supported: 1..%d)", v, maxFrameVersion)
 	}
-	fr.version = int(v)
 	if fr.name, err = fr.headerString("stream", maxStreamName); err != nil {
 		return err
 	}
@@ -315,34 +307,12 @@ func (fr *FrameReader) StreamName() string { return fr.name }
 // server's default model).
 func (fr *FrameReader) ModelName() string { return fr.model }
 
-// Version returns the decoded header version (1 or 2).
-func (fr *FrameReader) Version() int { return fr.version }
-
-// Next implements trace.Reader.
-func (fr *FrameReader) Next() (trace.Event, error) {
-	if fr.err != nil {
-		return trace.Event{}, fr.err
-	}
-	if len(fr.frame) == 0 {
-		if err := fr.loadFrame(); err != nil {
-			return trace.Event{}, err
-		}
-	}
-	var ev trace.Event
-	b, err := fr.decodeEvent(fr.frame, &ev, nil)
-	if err != nil {
-		return trace.Event{}, err
-	}
-	fr.frame = b
-	return ev, nil
-}
-
 // EventBytes returns the exact number of bytes the plain binary codec
 // (BinaryWriter, EncodedSize) takes for every event decoded so far — the
 // stream's full-trace size without its header, counted as the events
 // are decoded. A sender's non-minimal varints do not count: the size is
 // that of the canonical encoding.
-func (fr *FrameReader) EventBytes() int64 { return fr.evBytes }
+func (fr *FrameReader) EventBytes() int64 { return fr.dec.evBytes }
 
 // Wait blocks until the reader has something to decode without waiting on
 // its source: the rest of the current frame, or at least one buffered
@@ -351,30 +321,29 @@ func (fr *FrameReader) EventBytes() int64 { return fr.evBytes }
 // from decoding; ReadBatch may still block for the rest of a frame whose
 // first bytes have arrived.
 func (fr *FrameReader) Wait() {
-	if fr.err != nil || len(fr.frame) > 0 {
+	if fr.dec.err != nil || len(fr.frame) > 0 {
 		return
 	}
 	if _, err := fr.r.Peek(1); err != nil {
-		fr.err = errTruncated(err)
+		fr.dec.err = errTruncated(err)
 	}
 }
 
-// ReadBatch implements trace.BatchReader: it decodes into dst every
-// event already buffered — blocking only when nothing is available at
-// all — so one syscall's worth of frames drains in one call. After the
-// first event, a further frame is consumed only when it is already fully
+// ReadBatch implements trace.Reader: it decodes into dst every event
+// already buffered — blocking only when nothing is available at all —
+// so one syscall's worth of frames drains in one call. After the first
+// event, a further frame is consumed only when it is already fully
 // buffered, so a batch never stalls the caller waiting for a slow
 // sender. Payloads are carved out of a fresh per-call arena (one
 // allocation amortised across the batch, never reused), so the returned
-// events are caller-owned exactly like Next's. When an error (or clean
-// EOF) strikes after n > 0 events were decoded, ReadBatch returns
-// (n, nil) and surfaces the latched error on the next call, so the event
-// sequence a batch consumer sees is byte-identical to a Next loop's.
+// events are caller-owned. When an error (or clean EOF) strikes after
+// n > 0 events were decoded, ReadBatch returns (n, nil) and surfaces the
+// latched error on the next call.
 func (fr *FrameReader) ReadBatch(dst []trace.Event) (int, error) {
-	if fr.err != nil {
-		return 0, fr.err
+	if fr.dec.err != nil {
+		return 0, fr.dec.err
 	}
-	var arena []byte
+	fr.dec.arena = nil
 	n := 0
 	for n < len(dst) {
 		if len(fr.frame) == 0 {
@@ -392,7 +361,7 @@ func (fr *FrameReader) ReadBatch(dst []trace.Event) (int, error) {
 		b := fr.frame
 		for ; n < len(dst) && len(b) > 0; n++ {
 			var err error
-			if b, err = fr.decodeEvent(b, &dst[n], &arena); err != nil {
+			if b, err = fr.dec.decode(b, &dst[n]); err != nil {
 				if n > 0 {
 					return n, nil
 				}
@@ -432,21 +401,21 @@ func (fr *FrameReader) frameAvailable() bool {
 func (fr *FrameReader) loadFrame() error {
 	flen, err := binary.ReadUvarint(fr.r)
 	if err != nil {
-		fr.err = errTruncated(err)
-		return fr.err
+		fr.dec.err = errTruncated(err)
+		return fr.dec.err
 	}
 	if flen == 0 {
-		fr.err = io.EOF
+		fr.dec.err = io.EOF
 		return io.EOF
 	}
 	if flen > maxFrameSize {
-		fr.err = fmt.Errorf("traceio: frame length %d exceeds limit", flen)
-		return fr.err
+		fr.dec.err = fmt.Errorf("traceio: frame length %d exceeds limit", flen)
+		return fr.dec.err
 	}
 	buf := fr.growBuf(int(flen))
 	if _, err := io.ReadFull(fr.r, buf); err != nil {
-		fr.err = fmt.Errorf("traceio: reading frame payload: %w", unexpectedEOF(err))
-		return fr.err
+		fr.dec.err = fmt.Errorf("traceio: reading frame payload: %w", unexpectedEOF(err))
+		return fr.dec.err
 	}
 	fr.frame = buf
 	return nil
@@ -456,113 +425,4 @@ func (fr *FrameReader) loadFrame() error {
 // there, without the end marker, is a truncation.
 func errTruncated(err error) error {
 	return fmt.Errorf("traceio: stream truncated mid-frame: %w", unexpectedEOF(err))
-}
-
-// errVarintOverflow has the text of encoding/binary's unexported overflow
-// error, so an overflowing varint reads the same here as from BinaryReader,
-// which decodes through binary.ReadUvarint.
-var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
-
-// decodeEvent decodes the event at the front of b, the unread rest of
-// the current frame, into *ev and returns what follows it; *ev is written
-// only on success. A nil arena allocates the payload individually (the
-// Next path); otherwise the payload is carved from *arena, which grows by
-// replacement so earlier carvings stay valid.
-func (fr *FrameReader) decodeEvent(b []byte, ev *trace.Event, arena *[]byte) ([]byte, error) {
-	// A one-byte varint — most fields of a real trace — is read inline;
-	// size counts the header's canonical encoded length.
-	var dts, typ, arg, plen uint64
-	var n int
-	if len(b) > 0 && b[0] < 0x80 {
-		dts, n = uint64(b[0]), 1
-	} else if dts, n = binary.Uvarint(b); n <= 0 {
-		return b, fr.failVarint("dts", b, n)
-	}
-	if dts > uint64(math.MaxInt64-fr.last) {
-		return b, fr.fail("dts", errTSOverflow)
-	}
-	size := canonicalLen(dts, n)
-	b = b[n:]
-	if len(b) > 0 && b[0] < 0x80 {
-		typ, n = uint64(b[0]), 1
-	} else if typ, n = binary.Uvarint(b); n <= 0 {
-		return b, fr.failVarint("type", b, n)
-	}
-	// The event keeps the type's low 16 bits, and so does its encoding.
-	size += canonicalLen(uint64(trace.EventType(typ)), n)
-	b = b[n:]
-	if len(b) > 0 && b[0] < 0x80 {
-		arg, n = uint64(b[0]), 1
-	} else if arg, n = binary.Uvarint(b); n <= 0 {
-		return b, fr.failVarint("arg", b, n)
-	}
-	size += canonicalLen(arg, n)
-	b = b[n:]
-	if len(b) > 0 && b[0] < 0x80 {
-		plen, n = uint64(b[0]), 1
-	} else if plen, n = binary.Uvarint(b); n <= 0 {
-		return b, fr.failVarint("payload length", b, n)
-	}
-	size += canonicalLen(plen, n)
-	b = b[n:]
-	if plen > maxPayloadSize {
-		fr.err = fmt.Errorf("traceio: payload length %d exceeds limit", plen)
-		return b, fr.err
-	}
-	var payload []byte
-	if plen > 0 {
-		if uint64(len(b)) < plen {
-			return b, fr.fail("payload", io.ErrUnexpectedEOF)
-		}
-		if arena == nil {
-			payload = make([]byte, plen)
-		} else {
-			a := *arena
-			if cap(a)-len(a) < int(plen) {
-				// Fresh backing array — previously carved payloads keep the
-				// old one, so they are never clobbered or retained together.
-				grown := 2*cap(a) + int(plen)
-				if grown < 1024 {
-					grown = 1024
-				}
-				a = make([]byte, 0, grown)
-			}
-			payload = a[len(a) : len(a)+int(plen)]
-			*arena = a[:len(a)+int(plen)]
-		}
-		copy(payload, b)
-		b = b[plen:]
-	}
-	fr.last += time.Duration(dts)
-	fr.evBytes += int64(size) + int64(plen)
-	ev.TS = fr.last
-	ev.Type = trace.EventType(typ)
-	ev.Arg = arg
-	ev.Payload = payload
-	return b, nil
-}
-
-// canonicalLen is the minimal encoded length of v, read from n bytes: a
-// one-byte varint is already minimal.
-func canonicalLen(v uint64, n int) int {
-	if n == 1 {
-		return 1
-	}
-	return uvarintLen(v)
-}
-
-// failVarint latches the failure binary.Uvarint(b) reported through
-// n <= 0. A varint cut off by the end of the frame is a truncation; one
-// that overflows 64 bits is not — and ten continuation bytes overflow even
-// when they are the frame's last, which Uvarint reports as cut off.
-func (fr *FrameReader) failVarint(what string, b []byte, n int) error {
-	if n == 0 && len(b) < binary.MaxVarintLen64 {
-		return fr.fail(what, io.ErrUnexpectedEOF)
-	}
-	return fr.fail(what, errVarintOverflow)
-}
-
-func (fr *FrameReader) fail(what string, err error) error {
-	fr.err = fmt.Errorf("traceio: reading frame event %s: %w", what, err)
-	return fr.err
 }

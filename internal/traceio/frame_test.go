@@ -82,9 +82,9 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("event %d mismatch: got %v want %v", i, got[i], evs[i])
 		}
 	}
-	// After clean EOF, Next keeps returning io.EOF.
-	if _, err := fr.Next(); err != io.EOF {
-		t.Fatalf("post-EOF Next: %v, want io.EOF", err)
+	// After clean EOF, ReadBatch keeps returning io.EOF.
+	if _, err := readOne(fr); err != io.EOF {
+		t.Fatalf("post-EOF ReadBatch: %v, want io.EOF", err)
 	}
 }
 
@@ -104,8 +104,8 @@ func TestFrameEmptyStream(t *testing.T) {
 	if fr.StreamName() != "" {
 		t.Fatalf("stream name %q, want empty", fr.StreamName())
 	}
-	if _, err := fr.Next(); err != io.EOF {
-		t.Fatalf("Next on empty stream: %v, want io.EOF", err)
+	if _, err := readOne(fr); err != io.EOF {
+		t.Fatalf("ReadBatch on empty stream: %v, want io.EOF", err)
 	}
 }
 
@@ -130,18 +130,9 @@ func TestFrameTruncationDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	var lastErr error
-	for {
-		_, err := fr.Next()
-		if err != nil {
-			lastErr = err
-			break
-		}
-		n++
-	}
-	if n != len(evs) {
-		t.Fatalf("decoded %d events before truncation, want %d", n, len(evs))
+	got, lastErr := trace.ReadAll(fr)
+	if len(got) != len(evs) {
+		t.Fatalf("decoded %d events before truncation, want %d", len(got), len(evs))
 	}
 	if lastErr == io.EOF || !errors.Is(lastErr, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated stream error %v, want io.ErrUnexpectedEOF (not clean EOF)", lastErr)
@@ -177,12 +168,12 @@ func TestFrameHeaderVersionMatrix(t *testing.T) {
 			if err := fw.Close(); err != nil {
 				t.Fatal(err)
 			}
+			if v := buf.Bytes()[len(frameMagic)]; int(v) != tc.wantVersion {
+				t.Fatalf("header version %d, want %d", v, tc.wantVersion)
+			}
 			fr, err := NewFrameReader(&buf)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if fr.Version() != tc.wantVersion {
-				t.Fatalf("header version %d, want %d", fr.Version(), tc.wantVersion)
 			}
 			if fr.StreamName() != "cam" || fr.ModelName() != tc.model {
 				t.Fatalf("header (%q, %q), want (cam, %q)", fr.StreamName(), fr.ModelName(), tc.model)
@@ -266,8 +257,9 @@ func TestFrameHeaderRejects(t *testing.T) {
 }
 
 // FuzzFrameReader hammers the header + frame decoder with corrupt and
-// truncated inputs: it must never panic, and any error-free prefix must
-// decode into well-formed events.
+// truncated inputs: it must never panic, any error-free prefix must
+// decode into well-formed events, and batches of one and of seven must
+// read the same events, sizes and error.
 func FuzzFrameReader(f *testing.F) {
 	seed := func(name, model string, n int) []byte {
 		var buf bytes.Buffer
@@ -317,14 +309,14 @@ func FuzzFrameReader(f *testing.F) {
 			first = true
 		)
 		for i := 0; i < 1<<16; i++ {
-			ev, err := fr.Next()
+			ev, err := readOne(fr)
 			if err != nil {
 				// Whatever ended the stream must be sticky.
-				if _, err2 := fr.Next(); err2 == nil {
-					t.Fatal("Next succeeded after a terminal error")
+				if _, err2 := readOne(fr); err2 == nil {
+					t.Fatal("ReadBatch succeeded after a terminal error")
 				}
-				// ReadBatch decodes in place, but into the same events, the
-				// same sizes and the same error.
+				// A larger batch decodes in place, but into the same
+				// events, the same sizes and the same error.
 				br, berr := NewFrameReader(bytes.NewReader(data))
 				if berr != nil {
 					t.Fatalf("second reader: %v", berr)
@@ -332,18 +324,18 @@ func FuzzFrameReader(f *testing.F) {
 				defer br.Release()
 				got, gotErr := readAllBatched(br, 7)
 				if gotErr == nil || gotErr.Error() != err.Error() {
-					t.Fatalf("ReadBatch ended with %v, Next with %v", gotErr, err)
+					t.Fatalf("batches of 7 ended with %v, batches of one with %v", gotErr, err)
 				}
 				if len(got) != len(evs) {
-					t.Fatalf("ReadBatch decoded %d events, Next %d", len(got), len(evs))
+					t.Fatalf("batches of 7 decoded %d events, batches of one %d", len(got), len(evs))
 				}
 				for j := range evs {
 					if !sameEvent(got[j], evs[j]) {
-						t.Fatalf("event %d: ReadBatch %v, Next %v", j, got[j], evs[j])
+						t.Fatalf("event %d: batches of 7 %v, batches of one %v", j, got[j], evs[j])
 					}
 				}
 				if br.EventBytes() != size {
-					t.Fatalf("ReadBatch counted %d event bytes, Next %d", br.EventBytes(), size)
+					t.Fatalf("batches of 7 counted %d event bytes, batches of one %d", br.EventBytes(), size)
 				}
 				return
 			}
@@ -390,19 +382,19 @@ func TestReadersRejectTimestampWrap(t *testing.T) {
 
 	for _, r := range []struct {
 		name string
-		next func() (trace.Event, error)
+		r    trace.Reader
 		want string
 	}{
-		{"BinaryReader", br.Next, "traceio: reading dts: timestamp overflows int64"},
-		{"FrameReader", fr.Next, "traceio: reading frame event dts: timestamp overflows int64"},
+		{"BinaryReader", br, "traceio: reading dts: timestamp overflows int64"},
+		{"FrameReader", fr, "traceio: reading frame event dts: timestamp overflows int64"},
 	} {
 		for _, ts := range []time.Duration{math.MaxInt64 - 1, math.MaxInt64} {
-			ev, err := r.next()
+			ev, err := readOne(r.r)
 			if err != nil || ev.TS != ts {
 				t.Fatalf("%s: event at %d, %v; want %d", r.name, int64(ev.TS), err, int64(ts))
 			}
 		}
-		if ev, err := r.next(); err == nil || err.Error() != r.want {
+		if ev, err := readOne(r.r); err == nil || err.Error() != r.want {
 			t.Fatalf("%s: third event %v, %v; want error %q", r.name, ev, err, r.want)
 		}
 	}
@@ -464,7 +456,7 @@ func TestFrameDeltaAcrossFrames(t *testing.T) {
 // TestFrameDecodeErrorText pins, per failure class, the error a frame's
 // event decoder latches: the text, and io.ErrUnexpectedEOF for every
 // class that is a frame ending too early. Each bad event follows one good
-// event in the same frame, through Next and through ReadBatch, and the
+// event in the same frame, read in batches of one and of eight, and the
 // error must stay latched.
 func TestFrameDecodeErrorText(t *testing.T) {
 	uv := func(vs ...uint64) []byte {
@@ -538,21 +530,16 @@ func TestFrameDecodeErrorText(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := 0
-		for err == nil {
-			if _, err = fr.Next(); err == nil {
-				n++
-			}
-		}
-		check("Next", n, err)
-		_, again := fr.Next()
-		check("Next again", n, again)
+		evs, err := readAllBatched(fr, 1)
+		check("batch of 1", len(evs), err)
+		_, again := readOne(fr)
+		check("batch of 1 again", len(evs), again)
 		fr.Release()
 
 		if fr, err = NewFrameReader(bytes.NewReader(stream)); err != nil {
 			t.Fatal(err)
 		}
-		evs, err := readAllBatched(fr, 8)
+		evs, err = readAllBatched(fr, 8)
 		check("ReadBatch", len(evs), err)
 		_, again = fr.ReadBatch(make([]trace.Event, 8))
 		check("ReadBatch again", len(evs), again)

@@ -35,13 +35,13 @@ func encodeFramed(t *testing.T, evs []trace.Event, model string, frameBytes int,
 	return buf.Bytes()
 }
 
-// readAllBatched drains fr through ReadBatch with the given batch size,
+// readAllBatched drains r through ReadBatch with the given batch size,
 // returning the events and the terminal error.
-func readAllBatched(fr *FrameReader, batch int) ([]trace.Event, error) {
+func readAllBatched(r trace.Reader, batch int) ([]trace.Event, error) {
 	var out []trace.Event
 	dst := make([]trace.Event, batch)
 	for {
-		n, err := fr.ReadBatch(dst)
+		n, err := r.ReadBatch(dst)
 		out = append(out, dst[:n]...)
 		if err != nil {
 			return out, err
@@ -49,93 +49,36 @@ func readAllBatched(fr *FrameReader, batch int) ([]trace.Event, error) {
 	}
 }
 
-// TestReadBatchMatchesNext: for clean and torn streams, v1 and v2
-// headers, and assorted batch sizes, ReadBatch must deliver exactly the
-// event sequence (and terminal error) of a Next loop.
-func TestReadBatchMatchesNext(t *testing.T) {
-	evs := randomEvents(500, 21)
-	cases := []struct {
-		name  string
-		model string
-		torn  bool
-	}{
-		{"v1-clean", "", false},
-		{"v2-clean", "model-b", false},
-		{"v1-torn", "", true},
-	}
-	for _, tc := range cases {
-		data := encodeFramed(t, evs, tc.model, 256, tc.torn)
-
-		frNext, err := NewFrameReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want []trace.Event
-		var wantErr error
-		for {
-			ev, err := frNext.Next()
-			if err != nil {
-				wantErr = err
-				break
-			}
-			want = append(want, ev)
-		}
-
-		for _, batch := range []int{1, 7, 64, 4096} {
-			frBatch, err := NewFrameReader(bytes.NewReader(data))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, gotErr := readAllBatched(frBatch, batch)
-			if len(got) != len(want) {
-				t.Fatalf("%s batch=%d: %d events, want %d", tc.name, batch, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].TS != want[i].TS || got[i].Type != want[i].Type ||
-					got[i].Arg != want[i].Arg || !bytes.Equal(got[i].Payload, want[i].Payload) {
-					t.Fatalf("%s batch=%d: event %d mismatch: got %v want %v",
-						tc.name, batch, i, got[i], want[i])
-				}
-			}
-			if (gotErr == io.EOF) != (wantErr == io.EOF) || !errors.Is(gotErr, wantErr) && gotErr.Error() != wantErr.Error() {
-				t.Fatalf("%s batch=%d: terminal error %v, want %v", tc.name, batch, gotErr, wantErr)
-			}
-			// The error is latched: further calls keep returning it.
-			if _, err := frBatch.ReadBatch(make([]trace.Event, 4)); !errors.Is(err, gotErr) && err.Error() != gotErr.Error() {
-				t.Fatalf("%s batch=%d: post-terminal ReadBatch %v, want %v", tc.name, batch, err, gotErr)
-			}
-		}
-	}
+// readOne is a ReadBatch of one.
+func readOne(r trace.Reader) (trace.Event, error) {
+	var one [1]trace.Event
+	_, err := r.ReadBatch(one[:])
+	return one[0], err
 }
 
 // TestReadBatchTornMidFrame: a stream cut in the middle of a frame must
 // yield every event of the complete frames, then io.ErrUnexpectedEOF —
-// through ReadBatch just like through Next.
+// in batches of 16 just as in batches of one.
 func TestReadBatchTornMidFrame(t *testing.T) {
 	evs := randomEvents(200, 22)
 	data := encodeFramed(t, evs, "", 256, false)
 	cut := data[:len(data)-37] // chop inside the last frames
 
-	frNext, _ := NewFrameReader(bytes.NewReader(cut))
-	nNext := 0
-	var errNext error
-	for {
-		if _, err := frNext.Next(); err != nil {
-			errNext = err
-			break
-		}
-		nNext++
+	frOne, err := NewFrameReader(bytes.NewReader(cut))
+	if err != nil {
+		t.Fatal(err)
 	}
+	want, errOne := readAllBatched(frOne, 1)
 	fr, err := NewFrameReader(bytes.NewReader(cut))
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, gotErr := readAllBatched(fr, 16)
-	if len(got) != nNext {
-		t.Fatalf("batched decode of torn stream: %d events, Next loop got %d", len(got), nNext)
+	if len(got) != len(want) {
+		t.Fatalf("batched decode of torn stream: %d events, batches of one got %d", len(got), len(want))
 	}
-	if !errors.Is(gotErr, io.ErrUnexpectedEOF) || !errors.Is(errNext, io.ErrUnexpectedEOF) {
-		t.Fatalf("torn stream errors: batch %v, next %v, want io.ErrUnexpectedEOF", gotErr, errNext)
+	if !errors.Is(gotErr, io.ErrUnexpectedEOF) || !errors.Is(errOne, io.ErrUnexpectedEOF) {
+		t.Fatalf("torn stream errors: batch %v, one %v, want io.ErrUnexpectedEOF", gotErr, errOne)
 	}
 }
 
@@ -209,8 +152,8 @@ func TestFrameReaderPoolReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fr.StreamName() != "s" || fr.ModelName() != "m1" || fr.Version() != 2 {
-			t.Fatalf("round %d: header %q/%q v%d, want s/m1 v2", round, fr.StreamName(), fr.ModelName(), fr.Version())
+		if fr.StreamName() != "s" || fr.ModelName() != "m1" {
+			t.Fatalf("round %d: header %q/%q, want s/m1", round, fr.StreamName(), fr.ModelName())
 		}
 		got, gotErr := readAllBatched(fr, 33)
 		if gotErr != io.EOF || len(got) != len(evs) {

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"enduratrace/internal/trace"
@@ -143,7 +144,7 @@ func TestOversizedPayloadRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := br.Next(); err == nil || err == io.EOF {
+	if _, err := readOne(br); err == nil || err == io.EOF {
 		t.Fatalf("oversized payload accepted, err = %v", err)
 	}
 }
@@ -158,8 +159,120 @@ func TestTruncatedStreamIsUnexpectedEOF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := br.Next(); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := readOne(br); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated payload: err = %v, want ErrUnexpectedEOF", err)
+	}
+}
+
+// TestBinaryHeaderErrors pins the error of each way a file header can
+// fail, read whole, byte by byte and by DecodeBinary: among them a
+// version of ten continuation bytes that end the input, which overflows
+// rather than ends early.
+func TestBinaryHeaderErrors(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{"", "traceio: reading header: EOF"},
+		{"ET", "traceio: reading header: unexpected EOF"},
+		{"ETRX\x01", ErrBadMagic.Error()},
+		{"ETRC", "traceio: reading version: EOF"},
+		{"ETRC\x80", "traceio: reading version: unexpected EOF"},
+		{"ETRC\x92\x9d\x9d\x9d\x9d\x9d\x9d\x9d\x9d\xfc", "traceio: reading version: binary: varint overflows a 64-bit integer"},
+		{"ETRC\x02", "traceio: unsupported format version 2"},
+	} {
+		_, whole := NewBinaryReader(bytes.NewReader([]byte(c.in)))
+		_, bytewise := NewBinaryReader(iotest.OneByteReader(bytes.NewReader([]byte(c.in))))
+		_, blob := DecodeBinary([]byte(c.in))
+		for _, err := range []error{whole, bytewise, blob} {
+			if err == nil || err.Error() != c.want {
+				t.Fatalf("header %q: %v, want %q", c.in, err, c.want)
+			}
+		}
+	}
+}
+
+// TestBinaryReaderLivePipe: on a live pipe a batch hands over the events
+// that have arrived instead of waiting to fill dst, and an event torn
+// across two writes is decoded once its rest arrives.
+func TestBinaryReaderLivePipe(t *testing.T) {
+	evs := randomStream(rand.New(rand.NewSource(9)), 4)
+	whole, err := AppendBinary(nil, evs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	three, err := AppendBinary(nil, evs[:3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := len(three) + 2 // two bytes into the fourth event
+	pr, pw := io.Pipe()
+	rest := make(chan struct{})
+	go func() {
+		pw.Write(whole[:cut])
+		<-rest
+		pw.Write(whole[cut:])
+		pw.Close()
+	}()
+	br, err := NewBinaryReader(pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]trace.Event, 512)
+	type result struct {
+		n   int
+		err error
+	}
+	read := func() result {
+		t.Helper()
+		done := make(chan result, 1)
+		go func() {
+			n, err := br.ReadBatch(dst)
+			done <- result{n, err}
+		}()
+		select {
+		case r := <-done:
+			return r
+		case <-time.After(10 * time.Second):
+			t.Fatal("ReadBatch waited for more than had arrived")
+			return result{}
+		}
+	}
+	if r := read(); r.n != 3 || r.err != nil {
+		t.Fatalf("first batch: %d events, %v; want the 3 that arrived", r.n, r.err)
+	}
+	for i := range 3 {
+		if !sameEvent(dst[i], evs[i]) {
+			t.Fatalf("event %d is %v, want %v", i, dst[i], evs[i])
+		}
+	}
+	close(rest)
+	if r := read(); r.n != 1 || r.err != nil || !sameEvent(dst[0], evs[3]) {
+		t.Fatalf("second batch: %d events (%v), %v; want the torn event %v", r.n, dst[0], r.err, evs[3])
+	}
+	if r := read(); r.n != 0 || r.err != io.EOF {
+		t.Fatalf("after the last event: %d events, %v; want EOF", r.n, r.err)
+	}
+}
+
+// TestBinaryReaderMaxPayload: an event carrying the largest payload the
+// format allows, far past the reader's initial buffer, decodes whole.
+func TestBinaryReaderMaxPayload(t *testing.T) {
+	big := bytes.Repeat([]byte{0xa5}, maxPayloadSize)
+	evs := []trace.Event{{TS: 1, Type: 2, Arg: 3}, {TS: 4, Type: 5, Arg: 6, Payload: big}, {TS: 7}}
+	data, err := AppendBinary(nil, evs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	br, err := NewBinaryReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := trace.ReadAll(br)
+	if err != nil || len(got) != len(evs) {
+		t.Fatalf("decoded %d events, %v; want %d", len(got), err, len(evs))
+	}
+	for i := range evs {
+		if !sameEvent(got[i], evs[i]) {
+			t.Fatalf("event %d differs (payload %d bytes, want %d)", i, len(got[i].Payload), len(evs[i].Payload))
+		}
 	}
 }
 
@@ -264,8 +377,10 @@ func TestTextWriterFormat(t *testing.T) {
 }
 
 // FuzzBinaryReader feeds arbitrary bytes to the .etrc reader behind
-// learn, monitor and replay. It must never panic, whatever ends a stream
-// must be sticky, and the events it decodes before that end — every event
+// learn and monitor. It must never panic, whatever ends a stream must be
+// sticky, batches of one over the whole input and batches of seven over
+// a source that yields one byte a read must agree on the events and the
+// error, and the events it decodes before that end — every event
 // of a stream it accepts — must re-encode through BinaryWriter, to the
 // size SizeAccountant prices them at, and decode to the same events,
 // ending cleanly.
@@ -305,22 +420,39 @@ func FuzzBinaryReader(f *testing.F) {
 	f.Add(append(binary.AppendUvarint(head(), math.MaxInt64), 1, 1, 0, 1, 1, 1, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br, err := NewBinaryReader(bytes.NewReader(data))
+		// Byte by byte, with the source's EOF arriving beside its last
+		// byte, the header and the events read the same.
+		tr, terr := NewBinaryReader(iotest.DataErrReader(iotest.OneByteReader(bytes.NewReader(data))))
+		if (err == nil) != (terr == nil) || err != nil && err.Error() != terr.Error() {
+			t.Fatalf("header read whole: %v; byte by byte: %v", err, terr)
+		}
 		if err != nil {
 			return
 		}
 		var evs []trace.Event
+		var end error
 		for {
-			ev, err := br.Next()
+			ev, err := readOne(br)
 			if err != nil {
-				if _, err2 := br.Next(); err2 == nil {
-					t.Fatal("Next succeeded after a terminal error")
+				if _, err2 := readOne(br); err2 == nil || err2.Error() != err.Error() {
+					t.Fatalf("ReadBatch after terminal error %v: %v", err, err2)
 				}
+				end = err
 				break
 			}
 			if ev.TS < 0 || (len(evs) > 0 && ev.TS < evs[len(evs)-1].TS) {
 				t.Fatalf("event %d decoded at %v, after %d events", len(evs), ev.TS, len(evs))
 			}
 			evs = append(evs, ev)
+		}
+		got, gotErr := readAllBatched(tr, 7)
+		if gotErr.Error() != end.Error() || len(got) != len(evs) {
+			t.Fatalf("batches of 7 byte by byte: %d events, %v; batches of one: %d, %v", len(got), gotErr, len(evs), end)
+		}
+		for i := range evs {
+			if !sameEvent(got[i], evs[i]) {
+				t.Fatalf("event %d: batches of 7 %v, batches of one %v", i, got[i], evs[i])
+			}
 		}
 
 		var buf bytes.Buffer
@@ -346,12 +478,12 @@ func FuzzBinaryReader(f *testing.F) {
 			t.Fatalf("re-encoded stream: %v", err)
 		}
 		for i, want := range evs {
-			got, err := rr.Next()
+			got, err := readOne(rr)
 			if err != nil || !sameEvent(got, want) {
 				t.Fatalf("re-encoded event %d decodes to %+v (%v), want %+v", i, got, err, want)
 			}
 		}
-		if _, err := rr.Next(); err != io.EOF {
+		if _, err := readOne(rr); err != io.EOF {
 			t.Fatalf("re-encoded stream ends with %v after %d events, want EOF", err, len(evs))
 		}
 	})

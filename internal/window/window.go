@@ -219,30 +219,26 @@ func (t *ByTime) emit(tail []trace.Event) Window {
 }
 
 // streamBatch is how many events Stream reads, and windows it cuts, at a
-// time.
+// time: a long timestamp gap is handed over in bounded chunks instead of
+// being held whole.
 const streamBatch = 512
 
-// Stream applies a windower to a reader and invokes fn for every completed
-// window including the final flush. fn returning an error aborts the
-// stream. The window fn gets is lent: it is valid until fn returns.
-func Stream(r trace.Reader, w *ByTime, fn func(Window) error) error {
-	br, _ := r.(trace.BatchReader)
+// Stream applies a windower to a reader: it reads events streamBatch at
+// a time, cuts each batch, and hands fn the windows of each cut, in
+// order, as one batch — the final flush included. Every event of the
+// stream lands in exactly one window. fn returning an error aborts the
+// stream. The windows fn gets are lent: valid until fn returns.
+func Stream(r trace.Reader, w *ByTime, fn func([]Window) error) error {
 	evs := make([]trace.Event, streamBatch)
 	var wins []Window
 	for {
-		var n int
-		var err error
-		if br != nil {
-			n, err = br.ReadBatch(evs)
-		} else if evs[0], err = r.Next(); err == nil {
-			n = 1
-		}
+		n, err := r.ReadBatch(evs)
 		for rest := evs[:n]; len(rest) > 0; {
 			var k int
 			wins, k = w.Cut(wins[:0], rest, streamBatch)
 			rest = rest[k:]
-			for _, win := range wins {
-				if err := fn(win); err != nil {
+			if len(wins) > 0 {
+				if err := fn(wins); err != nil {
 					return err
 				}
 			}
@@ -255,7 +251,7 @@ func Stream(r trace.Reader, w *ByTime, fn func(Window) error) error {
 		}
 	}
 	if win, ok := w.Flush(); ok {
-		return fn(win)
+		return fn(append(wins[:0], win))
 	}
 	return nil
 }
@@ -264,8 +260,10 @@ func Stream(r trace.Reader, w *ByTime, fn func(Window) error) error {
 // Intended for tests and small traces.
 func Collect(r trace.Reader, w *ByTime) ([]Window, error) {
 	var out []Window
-	err := Stream(r, w, func(win Window) error {
-		out = append(out, win.Clone())
+	err := Stream(r, w, func(wins []Window) error {
+		for _, win := range wins {
+			out = append(out, win.Clone())
+		}
 		return nil
 	})
 	return out, err
