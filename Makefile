@@ -52,9 +52,10 @@ bench:
 # Microbenchmarks for the monitoring hot path: LOF scoring and fitting
 # (filter-and-refine), scoring the default experiment's tripped windows
 # against its learned model with the exact kernel calls per query
-# (BenchmarkScoreDefaultModel) and fitting that model's points
-# (BenchmarkFitDefaultModel), both with the fitted model's live heap
-# (model_B), the distance row/gate kernels (with
+# (BenchmarkScoreDefaultModel), fitting that model's points
+# (BenchmarkFitDefaultModel) and loading its model file, which restores
+# the stored fit (BenchmarkLoadModelDefault), each with the model's live
+# heap (model_B), the distance row/gate kernels (with
 # BenchmarkSymmetricKL26: the one-pass symkl kernel the refine's exact
 # calls and the uncertified gate run, at the monitor's dimension; and
 # BenchmarkSymmetricKLUpper25: the log-free bound that certifies a quiet

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -13,19 +14,17 @@ import (
 )
 
 // modelFile is the on-disk form of a learned model: the full monitor
-// configuration (distances by catalogue name) plus the reference feature
-// points. Loading re-fits the LOF model from the points, which is cheap
-// compared to shipping the index and keeps the format independent of index
-// internals. Keys of retired fields that older version-1 files still carry
-// (use_vptree, seed, condense_target, condense, fast_kernels, and a zero
-// window_count) are ignored: such a file scores its saved points like any
-// other, exactly. A file that needs what is gone — count windows, or a
+// configuration (distances by catalogue name), the reference feature
+// points and the LOF fit over them — per point, the k-distance, local
+// reachability density and train LOF that lof.Model.Fitted hands out.
+// Loading restores the model from the fit (lof.Restore) instead of
+// fitting again; a file of an older version, which holds no fit, is
+// refused and must be learned again. A file that needs what is gone — a
 // distance the catalogue no longer holds — is refused by name.
 type modelFile struct {
 	Version       int     `json:"version"`
 	NumTypes      int     `json:"num_types"`
 	WindowNS      int64   `json:"window_ns"`
-	WindowCount   int     `json:"window_count,omitempty"` // retired: read only to refuse count windows
 	K             int     `json:"k"`
 	Alpha         float64 `json:"alpha"`
 	GateThreshold float64 `json:"gate_threshold"`
@@ -45,9 +44,12 @@ type modelFile struct {
 	AutoGateThreshold float64 `json:"auto_gate_threshold,omitempty"`
 
 	Points [][]float64 `json:"points"`
+	KDist  []float64   `json:"kdist"`
+	LRD    []float64   `json:"lrd"`
+	Train  []float64   `json:"train_lof"`
 }
 
-const modelFileVersion = 1
+const modelFileVersion = 2
 
 // SaveModel serialises a learned model together with the configuration it
 // was learned under, so `enduratrace monitor` can reconstruct both. The
@@ -67,6 +69,7 @@ func SaveModel(w io.Writer, cfg Config, l *Learned) error {
 		// gate instead of the stale fixed default.
 		gateThreshold = l.AutoGateThreshold
 	}
+	kdist, lrd, train := l.Model.Fitted()
 	mf := modelFile{
 		Version:           modelFileVersion,
 		NumTypes:          cfg.NumTypes,
@@ -86,13 +89,17 @@ func SaveModel(w io.Writer, cfg Config, l *Learned) error {
 		GateAutoQuantile:  cfg.GateAutoQuantile,
 		AutoGateThreshold: l.AutoGateThreshold,
 		Points:            l.Model.PointRows(),
+		KDist:             kdist,
+		LRD:               lrd,
+		Train:             train,
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(&mf)
 }
 
-// LoadModel reads a model saved by SaveModel, re-fits the LOF index and
-// returns the configuration alongside the learned model. LoadModelFile is
+// LoadModel reads a model saved by SaveModel, restores its LOF model from
+// the stored fit (lof.Restore, which re-checks a sample of it) and returns
+// the configuration alongside the learned model. LoadModelFile is
 // the path-aware variant whose errors name the offending file.
 func LoadModel(r io.Reader) (Config, *Learned, error) {
 	var mf modelFile
@@ -100,14 +107,15 @@ func LoadModel(r io.Reader) (Config, *Learned, error) {
 		return Config{}, nil, fmt.Errorf("core: decoding model file: %w", err)
 	}
 	if mf.Version != modelFileVersion {
-		return Config{}, nil, fmt.Errorf("core: unsupported model file version %d (this build supports version %d)",
+		err := fmt.Errorf("core: unsupported model file version %d (this build supports version %d)",
 			mf.Version, modelFileVersion)
+		if mf.Version < modelFileVersion {
+			err = fmt.Errorf("%w: it holds no fit, learn it again", err)
+		}
+		return Config{}, nil, err
 	}
 	if len(mf.Points) == 0 {
 		return Config{}, nil, fmt.Errorf("core: model file has no reference points")
-	}
-	if mf.WindowCount != 0 {
-		return Config{}, nil, fmt.Errorf("core: model file uses count windows (window_count %d), which are no longer supported: learn it again over time windows", mf.WindowCount)
 	}
 	gate, err := distance.ByName(mf.GateDistance)
 	if err != nil {
@@ -134,11 +142,12 @@ func LoadModel(r io.Reader) (Config, *Learned, error) {
 	if err := cfg.Validate(); err != nil {
 		return Config{}, nil, fmt.Errorf("core: model file config: %w", err)
 	}
-	// kdist/lrd are recomputed from the saved points exactly as the
-	// original fit did.
-	model, err := lof.Fit(mf.Points, mf.K, lofDist)
+	model, err := lof.Restore(mf.Points, mf.K, lofDist, mf.KDist, mf.LRD, mf.Train)
+	if errors.Is(err, lof.ErrStaleFit) {
+		return Config{}, nil, fmt.Errorf("core: restoring model: %w: learn it again", err)
+	}
 	if err != nil {
-		return Config{}, nil, fmt.Errorf("core: refitting model: %w", err)
+		return Config{}, nil, fmt.Errorf("core: restoring model: %w", err)
 	}
 	learned := &Learned{
 		Model: model,
@@ -156,7 +165,7 @@ func LoadModel(r io.Reader) (Config, *Learned, error) {
 }
 
 // LoadModelFile opens and loads one model file, wrapping every failure —
-// open, decode, version, refit — with the path so multi-model directory
+// open, decode, version, restore — with the path so multi-model directory
 // loads report which file broke.
 func LoadModelFile(path string) (Config, *Learned, error) {
 	f, err := os.Open(path)

@@ -7,10 +7,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"enduratrace/internal/distance"
 	"enduratrace/internal/mediasim"
 	"enduratrace/internal/perturb"
 	"enduratrace/internal/trace"
@@ -62,12 +64,12 @@ func TestLoadModelErrorPaths(t *testing.T) {
 		{
 			name:    "future-version",
 			mutate:  func(doc map[string]any) { doc["version"] = 99 },
-			wantSub: []string{"unsupported model file version 99", "supports version 1"},
+			wantSub: []string{"unsupported model file version 99", "supports version 2"},
 		},
 		{
 			name:    "zero-version",
 			mutate:  func(doc map[string]any) { doc["version"] = 0 },
-			wantSub: []string{"unsupported model file version 0", "supports version 1"},
+			wantSub: []string{"unsupported model file version 0", "supports version 2"},
 		},
 		{
 			name:    "unknown-gate-distance",
@@ -90,11 +92,6 @@ func TestLoadModelErrorPaths(t *testing.T) {
 			wantSub: []string{"LOF distance", `"hellinger"`},
 		},
 		{
-			name:    "count-windows",
-			mutate:  func(doc map[string]any) { doc["window_count"] = 40 },
-			wantSub: []string{"count windows", "window_count 40"},
-		},
-		{
 			name:    "empty-points",
 			mutate:  func(doc map[string]any) { doc["points"] = [][]float64{} },
 			wantSub: []string{"no reference points"},
@@ -109,7 +106,7 @@ func TestLoadModelErrorPaths(t *testing.T) {
 			mutate: func(doc map[string]any) {
 				doc["points"] = [][]float64{{0.25, 0.25, 0.25, 0.25}, {0.4, 0.3, 0.2, 0.1}}
 			},
-			wantSub: []string{"refitting model"},
+			wantSub: []string{"restoring model", "reference set too small for K"},
 		},
 		{
 			name:    "invalid-config",
@@ -118,13 +115,13 @@ func TestLoadModelErrorPaths(t *testing.T) {
 		},
 		{
 			name:    "zero-width-points",
-			mutate:  func(doc map[string]any) { doc["points"] = zeroWidthPoints(doc) },
-			wantSub: []string{"refitting model", "dimension 0"},
+			mutate:  func(doc map[string]any) { setPoints(doc, zeroWidthPoints(doc)) },
+			wantSub: []string{"restoring model", "dimension 0"},
 		},
 		{
 			name:    "overflowing-points",
-			mutate:  func(doc map[string]any) { doc["points"] = overflowingPoints(doc) },
-			wantSub: []string{"refitting model", "reference set too small for K", "finite distance"},
+			mutate:  func(doc map[string]any) { setPoints(doc, overflowingPoints(doc)) },
+			wantSub: []string{"restoring model", "reference set too small for K", "finite distance"},
 		},
 	}
 	for _, tc := range cases {
@@ -153,6 +150,19 @@ func TestLoadModelErrorPaths(t *testing.T) {
 	}
 }
 
+// fitKeys are the model file's per-point fit arrays.
+var fitKeys = []string{"kdist", "lrd", "train_lof"}
+
+// setPoints replaces doc's points with rows and cuts each fit array to as
+// many entries, so that the file fails on its points and not on the
+// arrays' length.
+func setPoints(doc map[string]any, rows [][]float64) {
+	doc["points"] = rows
+	for _, key := range fitKeys {
+		doc[key] = doc[key].([]any)[:len(rows)]
+	}
+}
+
 // zeroWidthPoints is K+1 empty rows for doc: enough points for its K, each
 // of dimension 0.
 func zeroWidthPoints(doc map[string]any) [][]float64 {
@@ -177,21 +187,32 @@ func overflowingPoints(doc map[string]any) [][]float64 {
 }
 
 // FuzzLoadModel feeds arbitrary bytes to the model-file loader, seeded
-// with a saved model, a file whose points have no dimensions and one whose
-// points are all at an infinite distance from each other. A file it
-// rejects must come back as an error, never a panic; a file it accepts
-// must save, and that file must load and save again to the same bytes.
+// with a saved model, a file whose points have no dimensions, one whose
+// points are all at an infinite distance from each other and one whose
+// row 0 carries a tampered lrd, which must be refused. A file it rejects
+// must come back as an error, never a panic; a file it accepts must save,
+// and that file must load and save again to the same bytes.
 func FuzzLoadModel(f *testing.F) {
-	doc := savedModelJSON(f)
-	points := doc["points"]
-	for _, pts := range []any{points, zeroWidthPoints(doc), overflowingPoints(doc)} {
-		doc["points"] = pts
+	marshal := func(doc map[string]any) []byte {
 		seed, err := json.Marshal(doc)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(seed)
+		return seed
 	}
+	f.Add(marshal(savedModelJSON(f)))
+	for _, rows := range []func(map[string]any) [][]float64{zeroWidthPoints, overflowingPoints} {
+		doc := savedModelJSON(f)
+		setPoints(doc, rows(doc))
+		f.Add(marshal(doc))
+	}
+	doc := savedModelJSON(f)
+	tamperLRD(doc)
+	tampered := marshal(doc)
+	if _, _, err := LoadModel(bytes.NewReader(tampered)); err == nil {
+		f.Fatal("LoadModel accepted a file whose row 0 has a tampered lrd")
+	}
+	f.Add(tampered)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg, learned, err := LoadModel(bytes.NewReader(data))
@@ -253,12 +274,12 @@ func TestLoadModelFileNamesPath(t *testing.T) {
 	}
 }
 
-// retiredKeys are the keys of retired model-file fields that version-1
-// files written by older builds still carry: "use_vptree" from when the
-// index was selectable, "seed", "condense_target" and "condense" from
-// reference-set condensation, "fast_kernels" from the approximate
-// scoring mode, and "window_count", which every time-window model wrote
-// as 0 while count windows existed.
+// retiredKeys are the keys of retired model-file fields that files
+// written by older builds carried: "use_vptree" from when the index was
+// selectable, "seed", "condense_target" and "condense" from reference-set
+// condensation, "fast_kernels" from the approximate scoring mode, and
+// "window_count" from count windows. The loader defines none of them, so
+// it ignores them like any unknown key.
 var retiredKeys = map[string]any{
 	"use_vptree":      true,
 	"seed":            7,
@@ -286,52 +307,110 @@ func loadDoc(t *testing.T, doc map[string]any) (Config, *Learned, []byte) {
 	return cfg, learned, resaved.Bytes()
 }
 
-// TestLoadModelIgnoresRetiredIndexKey: SaveModel writes none of
-// retiredKeys, and a file that has them loads to the same configuration,
-// re-saves to the same bytes and scores bit for bit like the same file
-// without them — exactly, whatever fast_kernels says — under both
-// catalogue distances, where a condense target or fast_kernels once
-// switched on the approximate kernels.
-func TestLoadModelIgnoresRetiredIndexKey(t *testing.T) {
+// tamperLRD scales row 0's stored lrd by 1 + 2^-20: still positive and
+// finite, no longer what its points give.
+func tamperLRD(doc map[string]any) {
+	lrd := doc["lrd"].([]any)
+	lrd[0] = lrd[0].(float64) * (1 + 0x1p-20)
+}
+
+// TestLoadModelRestoresFit: Learn → SaveModel → LoadModel restores the
+// fit, not refits it, and bit for bit: the loaded model's k-distances,
+// lrds and train LOFs are the learned model's, and so is its Score of
+// every window of perturbedRun, under both catalogue distances.
+func TestLoadModelRestoresFit(t *testing.T) {
 	ws, err := window.Collect(trace.NewSliceReader(perturbedRun()), testConfig().NewWindower())
 	if err != nil {
 		t.Fatal(err)
 	}
+	bitsEqual := func(a, b []float64) bool {
+		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	}
 	for _, dist := range []string{"kl", "symkl"} {
-		doc := savedModelJSON(t)
-		for key := range retiredKeys {
-			if _, ok := doc[key]; ok {
-				t.Fatalf("SaveModel still writes %s", key)
-			}
+		cfg := testConfig()
+		cfg.LOFDistance = distance.Must(dist)
+		learned, err := Learn(cfg, trace.NewSliceReader(synth(0, 2*time.Second, refWeights, 1)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		doc["lof_distance"] = dist
-		_, fresh, freshSaved := loadDoc(t, doc)
-		for key, v := range retiredKeys {
-			doc[key] = v
+		var buf bytes.Buffer
+		if err := SaveModel(&buf, cfg, learned); err != nil {
+			t.Fatal(err)
 		}
-		_, old, oldSaved := loadDoc(t, doc)
-
-		if !bytes.Equal(oldSaved, freshSaved) {
-			t.Fatalf("%s: a model file with the retired keys re-saves differently from one without them", dist)
+		_, loaded, err := LoadModel(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", dist, err)
 		}
-		for i := 0; i < fresh.Model.Len(); i++ {
-			if a, b := old.Model.ScoreTrain(i), fresh.Model.ScoreTrain(i); math.Float64bits(a) != math.Float64bits(b) {
-				t.Fatalf("%s: train score %d: %v with the retired keys, %v without", dist, i, a, b)
-			}
+		wantK, wantL, wantT := learned.Model.Fitted()
+		gotK, gotL, gotT := loaded.Model.Fitted()
+		if !bitsEqual(gotK, wantK) || !bitsEqual(gotL, wantL) || !bitsEqual(gotT, wantT) {
+			t.Fatalf("%s: the loaded fit differs from the learned one", dist)
 		}
+		want, got := learned.Model.NewScorer(), loaded.Model.NewScorer()
 		for _, w := range ws {
-			q := fresh.Featurizer.Features(w)
-			if a, b := old.Model.Score(q), fresh.Model.Score(q); math.Float64bits(a) != math.Float64bits(b) {
-				t.Fatalf("%s: window %d: LOF %v with the retired keys, %v without", dist, w.Index, a, b)
+			q := learned.Featurizer.Features(w)
+			if a, b := got.Score(q), want.Score(q); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("%s: window %d: LOF %v loaded, %v learned", dist, w.Index, a, b)
 			}
 		}
 	}
 }
 
-// TestLoadModelRetiredKeysDecideExactly: a mediasim model file that an
-// older build saved with the retired keys — "fast_kernels": true among
-// them — loads, re-saves without them, and decides a short mediasim trace
-// with a load storm byte for byte as the same file without them does.
+// TestLoadModelRefusesStaleFit: a file whose stored fit is not what its
+// points, k and LOF distance give is refused, and so is a version-1 file,
+// which holds no fit; each error says to learn the model again.
+func TestLoadModelRefusesStaleFit(t *testing.T) {
+	cases := []struct {
+		name    string
+		mutate  func(doc map[string]any)
+		wantSub string
+	}{
+		{"version-1", func(doc map[string]any) {
+			doc["version"] = 1
+			for _, key := range fitKeys {
+				delete(doc, key)
+			}
+		}, "unsupported model file version 1"},
+		{"k", func(doc map[string]any) { doc["k"] = doc["k"].(float64) + 1 }, "stored fit does not match"},
+		{"lof-distance", func(doc map[string]any) { doc["lof_distance"] = "kl" }, "stored fit does not match"},
+		{"row-0-component", func(doc map[string]any) {
+			row := doc["points"].([]any)[0].([]any)
+			row[0] = row[0].(float64) * (1 + 0x1p-20)
+		}, "stored fit does not match"},
+		{"row-0-lrd", tamperLRD, "point 0's lrd"},
+		{"short-kdist", func(doc map[string]any) {
+			kd := doc["kdist"].([]any)
+			doc["kdist"] = kd[:len(kd)-1]
+		}, "k-distances for"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			doc := savedModelJSON(t)
+			if doc["lof_distance"] == "kl" {
+				t.Fatal("the saved model already uses kl")
+			}
+			tc.mutate(doc)
+			raw, err := json.Marshal(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = LoadModel(bytes.NewReader(raw))
+			if err == nil {
+				t.Fatal("LoadModel accepted a stale model file")
+			}
+			for _, sub := range []string{tc.wantSub, "learn it again"} {
+				if !strings.Contains(err.Error(), sub) {
+					t.Fatalf("error %q does not mention %q", err, sub)
+				}
+			}
+		})
+	}
+}
+
+// TestLoadModelRetiredKeysDecideExactly: a mediasim model file that also
+// carries the retired keys — "fast_kernels": true among them — loads,
+// re-saves without them, and decides a short mediasim trace with a load
+// storm byte for byte as the same file without them does.
 func TestLoadModelRetiredKeysDecideExactly(t *testing.T) {
 	sim := func(seed int64, load perturb.Load) trace.Reader {
 		sc := mediasim.DefaultConfig()

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"bytes"
 	"runtime"
 	"sync"
 	"testing"
@@ -84,9 +85,9 @@ func BenchmarkScoreReferenceModel(b *testing.B) {
 }
 
 // BenchmarkFitDefaultModel measures lof.Fit on Learn(DefaultOptions())'s
-// 3 000 points, the fit setup_s pays twice (Learn, then the refit in
-// LoadModelFile), on data with the shipped share of duplicate rows, and
-// reports the fitted model's live heap (model_B).
+// 3 000 points, the fit setup_s pays once (in Learn; loading restores the
+// fit), its k-NN on GOMAXPROCS workers, on data with the shipped share of
+// duplicate rows, and reports the fitted model's live heap (model_B).
 func BenchmarkFitDefaultModel(b *testing.B) {
 	fx, err := defaultTrips()
 	if err != nil {
@@ -102,20 +103,59 @@ func BenchmarkFitDefaultModel(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	reportModelBytes(b, m)
+	reportModelBytes(b, func() (any, error) { return lof.Fit(pts, m.K, m.Dist) })
 }
 
-// reportModelBytes fits a model on m's points and reports the live heap
-// it holds as model_B: the heap after the fit less the heap before it,
-// each read after a collection.
-func reportModelBytes(b *testing.B, m *lof.Model) {
+// BenchmarkLoadModelDefault measures core.LoadModel of Learn(
+// DefaultOptions())'s model from its file's bytes in memory: the JSON
+// decode, the index build and the sample check of the stored fit, what
+// setup_s pays to load a model now that loading does not fit. It reports
+// the file's size (file_B) and the loaded model's live heap (model_B).
+func BenchmarkLoadModelDefault(b *testing.B) {
+	file := defaultModelFile(b)
+	load := func() (any, error) {
+		_, l, err := core.LoadModel(bytes.NewReader(file))
+		return l, err
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := load(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(file)), "file_B")
+	reportModelBytes(b, load)
+}
+
+// defaultModelFile is the model file of Learn(DefaultOptions()); the
+// learned model is garbage once it returns.
+func defaultModelFile(b *testing.B) []byte {
+	opts := DefaultOptions()
+	learned, err := Learn(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := core.SaveModel(&buf, opts.Core, learned); err != nil {
+		b.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// reportModelBytes builds a model and reports the live heap it holds as
+// model_B: the heap after the build less the heap before it, each read
+// after a collection. The heap before is read after two, so that what
+// sync.Pools held (json's encoder buffer, say) has gone by then.
+func reportModelBytes(b *testing.B, build func() (any, error)) {
 	b.Helper()
-	pts := m.PointRows()
 	var ms runtime.MemStats
+	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
 	before := ms.HeapAlloc
-	fresh, err := lof.Fit(pts, m.K, m.Dist)
+	fresh, err := build()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -123,6 +163,7 @@ func reportModelBytes(b *testing.B, m *lof.Model) {
 	runtime.ReadMemStats(&ms)
 	b.ReportMetric(float64(ms.HeapAlloc)-float64(before), "model_B")
 	runtime.KeepAlive(fresh)
+	runtime.KeepAlive(build) // and what it reads from, a model file say
 }
 
 // benchScore scores queries against m in turn and reports exact/op,
@@ -142,5 +183,6 @@ func benchScore(b *testing.B, m *lof.Model, queries [][]float64) {
 	b.ReportMetric(float64(refined-warm)/float64(b.N), "exact/op")
 	b.ReportMetric(float64(read-warmRead)/float64(b.N*m.Len()*m.Dim()), "read/op")
 	_ = sink
-	reportModelBytes(b, m)
+	pts := m.PointRows()
+	reportModelBytes(b, func() (any, error) { return lof.Fit(pts, m.K, m.Dist) })
 }

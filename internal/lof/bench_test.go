@@ -72,6 +72,8 @@ func BenchmarkFitBruteSymKL1000(b *testing.B) { benchmarkFitBrute(b, 1000) }
 
 // BenchmarkFitBruteSymKL3000 is the fit at the reference-set size the
 // default learn produces, over uniform points, which hold no duplicate
-// rows. The fit setup_s pays twice, on the shipped data and its copies, is
-// eval's BenchmarkFitDefaultModel.
+// rows. The fit setup_s pays — once, in learn, its k-NN on GOMAXPROCS
+// workers — on the shipped data and its copies is eval's
+// BenchmarkFitDefaultModel; loading a model does not fit
+// (BenchmarkLoadModelDefault).
 func BenchmarkFitBruteSymKL3000(b *testing.B) { benchmarkFitBrute(b, 3000) }

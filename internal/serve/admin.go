@@ -111,11 +111,12 @@ func (s *Server) adminMux() *http.ServeMux {
 		}
 	})
 	mux.HandleFunc("POST /reload", func(w http.ResponseWriter, r *http.Request) {
-		// Reload re-reads and refits every model inline, which can outlast
-		// the admin server's WriteTimeout (set at header-read time) on big
-		// registries — the swap would succeed but the response write would
-		// hit the stale deadline and report failure. Push the deadline out
-		// past the load.
+		// Reload re-reads every model inline — a JSON decode, an index
+		// build and a sample check of the stored fit each, no refit —
+		// which can outlast the admin server's WriteTimeout (set at
+		// header-read time) on big registries: the swap would succeed but
+		// the response write would hit the stale deadline and report
+		// failure. Push the deadline out past the load.
 		rc := http.NewResponseController(w)
 		//lint:ignore monotime net deadlines are wall-clock time.Time by API contract
 		rc.SetWriteDeadline(time.Now().Add(10 * time.Minute))
