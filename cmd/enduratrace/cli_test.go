@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -16,6 +17,9 @@ import (
 	"time"
 
 	"enduratrace/internal/core"
+	"enduratrace/internal/eval"
+	"enduratrace/internal/trace"
+	"enduratrace/internal/traceio"
 )
 
 // stdoutOf runs cmd with os.Stdout redirected to a file and returns what
@@ -256,7 +260,7 @@ func TestServeRegistry(t *testing.T) {
 		if err != nil {
 			t.Fatalf("-model with -alpha %g: %v", alpha, err)
 		}
-		nm, err := reg.Resolve("")
+		nm, _, err := reg.Resolve("")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -389,6 +393,50 @@ func TestCLIDocListsSubcommands(t *testing.T) {
 	}
 	if !slices.Equal(documented, dispatched) {
 		t.Fatalf("docs/CLI.md lists subcommands %v, main dispatches %v", documented, dispatched)
+	}
+}
+
+// TestSimWritesEvalsPerturbedRun: sim at eval's factor, run seed
+// (Seed+RunSeedOffset) and horizon writes the very events eval monitors,
+// because both build their load from the one perturb.Schedule.
+func TestSimWritesEvalsPerturbedRun(t *testing.T) {
+	opts := eval.DefaultOptions()
+	opts.Schedule.Factor = 3
+	opts.RunDuration = 3 * time.Minute // the default schedule's first hog is at 1m
+	out := filepath.Join(t.TempDir(), "run.etrc")
+	if err := cmdSim([]string{"-out", out, "-factor", "3",
+		"-seed", fmt.Sprint(opts.Seed + opts.RunSeedOffset), "-duration", opts.RunDuration.String()}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	br, err := traceio.NewBinaryReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := trace.ReadAll(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	run, truth, err := eval.PerturbedRun(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := trace.ReadAll(run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(truth) == 0 {
+		t.Fatal("eval's run holds no perturbation: the check would compare clean runs")
+	}
+	if !slices.EqualFunc(got, want, func(a, b trace.Event) bool {
+		return a.TS == b.TS && a.Type == b.Type && a.Arg == b.Arg && bytes.Equal(a.Payload, b.Payload)
+	}) {
+		t.Fatalf("sim wrote %d events, eval's perturbed run holds %d, and they differ", len(got), len(want))
 	}
 }
 

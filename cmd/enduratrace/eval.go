@@ -1,7 +1,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"time"
@@ -10,15 +9,13 @@ import (
 )
 
 func cmdEval(args []string) (err error) {
-	fs := flag.NewFlagSet("enduratrace eval", flag.ContinueOnError)
+	fs := newFlagSet("eval")
 	opts := eval.DefaultOptions()
 	fs.Int64Var(&opts.Seed, "seed", opts.Seed, "experiment seed")
 	fs.DurationVar(&opts.RefDuration, "ref-duration", opts.RefDuration, "clean reference run length")
 	fs.DurationVar(&opts.RunDuration, "run-duration", opts.RunDuration, "perturbed monitored run length (any length: decisions are scored as they stream)")
-	fs.Float64Var(&opts.Factor, "factor", opts.Factor, "CPU slowdown during perturbations")
-	fs.DurationVar(&opts.PerturbFirst, "perturb-first", opts.PerturbFirst, "start of the first perturbation")
-	fs.DurationVar(&opts.PerturbPeriod, "perturb-period", opts.PerturbPeriod, "perturbation period")
-	fs.DurationVar(&opts.PerturbDuration, "perturb-duration", opts.PerturbDuration, "length of each perturbation")
+	fs.Float64Var(&opts.Schedule.Factor, "factor", opts.Schedule.Factor, "CPU slowdown during perturbations")
+	scheduleFlags(fs, &opts.Schedule)
 	fs.DurationVar(&opts.Slack, "slack", opts.Slack, "post-interval slack when matching detections")
 	fs.DurationVar(&opts.Warmup, "warmup", opts.Warmup, "startup transient excluded from precision/recall")
 	mkCfg := coreFlags(fs, opts.Core)

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -23,9 +22,7 @@ func coreFlags(fs *flag.FlagSet, def core.Config) func() (core.Config, error) {
 	k := fs.Int("k", def.K, "LOF neighbourhood size")
 	alpha := fs.Float64("alpha", def.Alpha, "LOF anomaly threshold")
 	gate := fs.String("gate", def.GateDistance.Name, fmt.Sprintf("gate distance, one of %v", distance.Names()))
-	gateThreshold := fs.String("gate-threshold", fmt.Sprintf("%g", def.GateThreshold),
-		"gate distance above which LOF runs, or 'auto' to calibrate from the reference trace's gate-distance quantiles")
-	gateAutoQ := fs.Float64("gate-auto-q", core.DefaultGateAutoQuantile, "reference quantile used by '-gate-threshold auto'")
+	applyGate := gateFlags(fs, def)
 	lofDist := fs.String("lof-distance", def.LOFDistance.Name, fmt.Sprintf("LOF dissimilarity, one of %v", distance.Names()))
 	smoothing := fs.Float64("smoothing", def.Smoothing, "additive pmf smoothing epsilon")
 	rate := fs.Bool("rate", def.IncludeRate, "append the saturating event-rate feature")
@@ -37,7 +34,7 @@ func coreFlags(fs *flag.FlagSet, def core.Config) func() (core.Config, error) {
 		cfg.Alpha = *alpha
 		cfg.Smoothing = *smoothing
 		cfg.IncludeRate = *rate
-		if err := applyGateThreshold(&cfg, *gateThreshold, *gateAutoQ); err != nil {
+		if err := applyGate(&cfg); err != nil {
 			return cfg, err
 		}
 		var err error
@@ -51,26 +48,30 @@ func coreFlags(fs *flag.FlagSet, def core.Config) func() (core.Config, error) {
 	}
 }
 
-// applyGateThreshold parses a -gate-threshold value: a number fixes the
-// threshold, the literal "auto" enables reference-quantile calibration at
-// quantile q.
-func applyGateThreshold(cfg *core.Config, val string, q float64) error {
-	if val == "auto" {
-		cfg.GateAuto = true
-		cfg.GateAutoQuantile = q
+// gateFlags declares -gate-threshold and -gate-auto-q, the threshold
+// defaulting from def, and returns what applies them to a configuration:
+// a number fixes the threshold, the literal "auto" enables
+// reference-quantile calibration at the -gate-auto-q quantile.
+func gateFlags(fs *flag.FlagSet, def core.Config) func(*core.Config) error {
+	val := fs.String("gate-threshold", fmt.Sprintf("%g", def.GateThreshold),
+		"gate distance above which LOF runs, or 'auto' to calibrate from the reference trace's gate-distance quantiles")
+	q := fs.Float64("gate-auto-q", core.DefaultGateAutoQuantile, "reference quantile used by '-gate-threshold auto'")
+	return func(cfg *core.Config) error {
+		if *val == "auto" {
+			cfg.GateAuto, cfg.GateAutoQuantile = true, *q
+			return nil
+		}
+		thr, err := strconv.ParseFloat(*val, 64)
+		if err != nil {
+			return fmt.Errorf("bad -gate-threshold %q (want a number or 'auto'): %w", *val, err)
+		}
+		cfg.GateAuto, cfg.GateThreshold = false, thr
 		return nil
 	}
-	thr, err := strconv.ParseFloat(val, 64)
-	if err != nil {
-		return fmt.Errorf("bad -gate-threshold %q (want a number or 'auto'): %w", val, err)
-	}
-	cfg.GateAuto = false
-	cfg.GateThreshold = thr
-	return nil
 }
 
 func cmdLearn(args []string) error {
-	fs := flag.NewFlagSet("enduratrace learn", flag.ContinueOnError)
+	fs := newFlagSet("learn")
 	in := fs.String("in", "", "reference trace file ('-' for stdin; required)")
 	modelOut := fs.String("model", "model.json", "output model file")
 	jsonOut := fs.Bool("json", false, "print the summary as JSON on stdout")
@@ -112,9 +113,9 @@ func cmdLearn(args []string) error {
 		GateThreshold *float64 `json:"auto_gate_threshold,omitempty"`
 	}{
 		Model:       *modelOut,
-		RefWindows:  learned.RefWindows,
+		RefWindows:  learned.Model.Len(),
 		ModelPoints: learned.Model.Len(),
-		MeanCount:   learned.MeanCount,
+		MeanCount:   learned.Featurizer.RateScale,
 		TrainP50:    stats.Quantile(scores, 0.50),
 		TrainP95:    stats.Quantile(scores, 0.95),
 		TrainP99:    stats.Quantile(scores, 0.99),
@@ -130,9 +131,7 @@ func cmdLearn(args []string) error {
 			learned.AutoGateThreshold, cfg.GateDistance.Name, cfg.GateAutoQuantile)
 	}
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(&summary)
+		return emitJSON(&summary, "")
 	}
 	return nil
 }

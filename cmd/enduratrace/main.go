@@ -28,6 +28,12 @@ var subcommands = []struct {
 	{"replay", "re-score a captured anomaly store against any model", cmdReplay},
 }
 
+// newFlagSet makes the flag set of subcommand name; a test swaps it to
+// read back the flags every subcommand declares.
+var newFlagSet = func(name string) *flag.FlagSet {
+	return flag.NewFlagSet("enduratrace "+name, flag.ContinueOnError)
+}
+
 func main() {
 	if len(os.Args) < 2 {
 		usage()

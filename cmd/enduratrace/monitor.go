@@ -1,8 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 
@@ -11,7 +9,7 @@ import (
 )
 
 func cmdMonitor(args []string) error {
-	fs := flag.NewFlagSet("enduratrace monitor", flag.ContinueOnError)
+	fs := newFlagSet("monitor")
 	in := fs.String("in", "", "trace file to monitor ('-' for stdin; required)")
 	modelIn := fs.String("model", "model.json", "learned model file (from 'enduratrace learn')")
 	rec := fs.String("rec", "", "record anomalous windows to this binary trace file")
@@ -97,9 +95,7 @@ func cmdMonitor(args []string) error {
 		out.Windows, out.SpanS, out.GateTrips, out.Anomalies,
 		out.RecordedWindows, out.RecordedBytes, out.FullBytes, reductionString(out.ReductionFactor))
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(&out)
+		return emitJSON(&out, "")
 	}
 	return nil
 }

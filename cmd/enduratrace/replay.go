@@ -1,7 +1,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 
@@ -16,7 +15,7 @@ import (
 // what-if tuner over real traffic. A raw trace is re-scored by monitor,
 // one run per model.
 func cmdReplay(args []string) error {
-	fs := flag.NewFlagSet("enduratrace replay", flag.ContinueOnError)
+	fs := newFlagSet("replay")
 	storeDir := fs.String("store", "", "anomaly store directory captured by 'enduratrace serve -anomaly-store' (required)")
 	modelPath := fs.String("model", "", "learned model file to replay against, or a directory whose every *.json model is replayed (required)")
 	alpha := fs.Float64("alpha", 0, "what-if LOF threshold overriding every model's own, >= 1 (0 = keep each model's alpha)")

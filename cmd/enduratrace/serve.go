@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"math"
 	"os"
@@ -19,7 +18,7 @@ import (
 )
 
 func cmdServe(args []string) error {
-	fs := flag.NewFlagSet("enduratrace serve", flag.ContinueOnError)
+	fs := newFlagSet("serve")
 	modelPath := fs.String("model", "model.json", "learned model file (from 'enduratrace learn'), or a directory whose *.json models are served as a hot-reloadable registry (model name = file base name)")
 	defaultModel := fs.String("default-model", "", "directory model served to streams that do not name one (required when -model holds several)")
 	listen := fs.String("listen", "127.0.0.1:9464", "trace ingestion TCP address")

@@ -9,29 +9,24 @@ import (
 	"strings"
 	"time"
 
+	"enduratrace/internal/eval"
 	"enduratrace/internal/mediasim"
 	"enduratrace/internal/perturb"
 	"enduratrace/internal/trace"
 	"enduratrace/internal/traceio"
 )
 
-// loadFlags declares the shared perturbation-schedule flags and returns a
-// builder for the resulting load profile.
-func loadFlags(fs *flag.FlagSet) func(horizon time.Duration) (perturb.Load, error) {
-	factor := fs.Float64("factor", 1, "CPU slowdown during perturbations (1 = none)")
-	first := fs.Duration("perturb-first", 60*time.Second, "start of the first perturbation")
-	period := fs.Duration("perturb-period", 2*time.Minute, "perturbation period")
-	dur := fs.Duration("perturb-duration", 20*time.Second, "length of each perturbation")
-	return func(horizon time.Duration) (perturb.Load, error) {
-		if *factor <= 1 {
-			return perturb.None{}, nil
-		}
-		return perturb.Periodic(*factor, *first, *period, *dur, horizon)
-	}
+// scheduleFlags declares the perturbation-schedule flags of sim, eval and
+// sweep, bound to s and defaulting to its shape. -factor is each
+// subcommand's own: its default and help differ between them.
+func scheduleFlags(fs *flag.FlagSet, s *perturb.Schedule) {
+	fs.DurationVar(&s.First, "perturb-first", s.First, "start of the first perturbation")
+	fs.DurationVar(&s.Period, "perturb-period", s.Period, "perturbation period")
+	fs.DurationVar(&s.Duration, "perturb-duration", s.Duration, "length of each perturbation")
 }
 
 func cmdSim(args []string) error {
-	fs := flag.NewFlagSet("enduratrace sim", flag.ContinueOnError)
+	fs := newFlagSet("sim")
 	out := fs.String("out", "", "output trace file ('-' for stdout, 'tcp://host:port' to stream to a serve daemon; required)")
 	text := fs.Bool("text", false, "write CSV text instead of the binary codec")
 	duration := fs.Duration("duration", 10*time.Minute, "simulated horizon")
@@ -39,7 +34,9 @@ func cmdSim(args []string) error {
 	stream := fs.String("stream", "", "stream name sent to the serve daemon (tcp:// output only)")
 	model := fs.String("model", "", "registry model to score this stream with (tcp:// output only; '' = the daemon's default, sent as a v1 frame header)")
 	flushEvery := fs.Int("flush-every", 0, "flush the framed stream every N events (tcp:// output only; 0 = flush only when a frame fills, the batch-friendly default)")
-	mkLoad := loadFlags(fs)
+	sched := eval.DefaultOptions().Schedule
+	fs.Float64Var(&sched.Factor, "factor", 1, "CPU slowdown during perturbations (1 = none)")
+	scheduleFlags(fs, &sched)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -47,7 +44,7 @@ func cmdSim(args []string) error {
 		fs.Usage()
 		return fmt.Errorf("sim: -out is required")
 	}
-	load, err := mkLoad(*duration)
+	load, _, err := sched.Load(*duration)
 	if err != nil {
 		return err
 	}

@@ -1,14 +1,12 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
-	"enduratrace/internal/core"
 	"enduratrace/internal/sweep"
 )
 
@@ -47,22 +45,18 @@ func metricCell(m sweep.Metric, prec, meanW, ciW int) string {
 }
 
 func cmdSweep(args []string) error {
-	fs := flag.NewFlagSet("enduratrace sweep", flag.ContinueOnError)
-	def := sweep.DefaultGrid(3)
-	seeds := fs.Int("seeds", len(def.Seeds), "number of seeds per cell (seed-base, seed-base+1, ...)")
+	fs := newFlagSet("sweep")
+	g := sweep.DefaultGrid(3)
+	seeds := fs.Int("seeds", len(g.Seeds), "number of seeds per cell (seed-base, seed-base+1, ...)")
 	seedBase := fs.Int64("seed-base", 1, "first seed")
-	distances := fs.String("distances", strings.Join(def.Distances, ","), "comma-separated distance axis (gate and LOF)")
+	distances := fs.String("distances", strings.Join(g.Distances, ","), "comma-separated distance axis (gate and LOF)")
 	alphas := fs.String("alphas", "", "comma-separated LOF alpha axis (default: the tuned alpha)")
 	factors := fs.String("factors", "", "comma-separated perturbation factor axis (default: the tuned factor)")
 	ks := fs.String("ks", "", "comma-separated LOF K axis (default: the tuned K)")
-	refDur := fs.Duration("ref-duration", def.Base.RefDuration, "clean reference run length per job")
-	runDur := fs.Duration("run-duration", def.Base.RunDuration, "perturbed monitored run length per job")
-	pFirst := fs.Duration("perturb-first", def.Base.PerturbFirst, "start of the first perturbation")
-	pPeriod := fs.Duration("perturb-period", def.Base.PerturbPeriod, "perturbation period")
-	pDur := fs.Duration("perturb-duration", def.Base.PerturbDuration, "length of each perturbation")
-	gateThreshold := fs.String("gate-threshold", fmt.Sprintf("%g", def.Base.Core.GateThreshold),
-		"gate distance above which LOF runs, or 'auto' to calibrate per cell from its reference quantiles")
-	gateAutoQ := fs.Float64("gate-auto-q", core.DefaultGateAutoQuantile, "reference quantile used by '-gate-threshold auto'")
+	fs.DurationVar(&g.Base.RefDuration, "ref-duration", g.Base.RefDuration, "clean reference run length per job")
+	fs.DurationVar(&g.Base.RunDuration, "run-duration", g.Base.RunDuration, "perturbed monitored run length per job")
+	scheduleFlags(fs, &g.Base.Schedule)
+	applyGate := gateFlags(fs, g.Base.Core)
 	workers := fs.Int("workers", 0, "parallel eval workers (0 = GOMAXPROCS)")
 	out := fs.String("out", "BENCH_sweep.json", "write the per-cell summary array here ('' to skip)")
 	sortBy := fs.String("sort", "reduction", fmt.Sprintf("summary table sort metric, one of %v", sweep.SortKeys()))
@@ -71,13 +65,7 @@ func cmdSweep(args []string) error {
 		return err
 	}
 
-	g := def
-	g.Base.RefDuration = *refDur
-	g.Base.RunDuration = *runDur
-	g.Base.PerturbFirst = *pFirst
-	g.Base.PerturbPeriod = *pPeriod
-	g.Base.PerturbDuration = *pDur
-	if err := applyGateThreshold(&g.Base.Core, *gateThreshold, *gateAutoQ); err != nil {
+	if err := applyGate(&g.Base.Core); err != nil {
 		return fmt.Errorf("sweep: %w", err)
 	}
 	if *seeds <= 0 {

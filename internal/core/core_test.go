@@ -194,8 +194,8 @@ func TestLearnRunEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if learned.RefWindows != 100 {
-		t.Fatalf("RefWindows = %d, want 100", learned.RefWindows)
+	if n := learned.Model.Len(); n != 100 {
+		t.Fatalf("%d model points, want one per reference window, 100", n)
 	}
 
 	// Splice an anomalous segment into an otherwise clean run.
@@ -327,8 +327,7 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 		cfg2.LOFDistance.Name != cfg.LOFDistance.Name {
 		t.Fatalf("loaded config differs: %+v vs %+v", cfg2, cfg)
 	}
-	if learned2.RefWindows != learned.RefWindows ||
-		learned2.Featurizer != learned.Featurizer ||
+	if learned2.Featurizer != learned.Featurizer ||
 		learned2.Model.Len() != learned.Model.Len() {
 		t.Fatalf("loaded model differs")
 	}

@@ -28,11 +28,9 @@ func ExampleLearn() {
 		panic(err)
 	}
 	// 30 s of 40 ms windows: 750 reference points, one per window.
-	fmt.Println("reference windows:", learned.RefWindows)
 	fmt.Println("model points:", learned.Model.Len())
 	fmt.Println("feature dim:", learned.Model.Dim())
 	// Output:
-	// reference windows: 750
 	// model points: 750
 	// feature dim: 26
 }

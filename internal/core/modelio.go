@@ -34,8 +34,6 @@ type modelFile struct {
 	Smoothing     float64 `json:"smoothing"`
 	IncludeRate   bool    `json:"include_rate"`
 	RateScale     float64 `json:"rate_scale"`
-	RefWindows    int     `json:"ref_windows"`
-	MeanCount     float64 `json:"mean_count"`
 
 	// Auto gate calibration: the threshold derived from the reference
 	// trace's gate-distance quantiles (see Config.GateAuto).
@@ -83,8 +81,6 @@ func SaveModel(w io.Writer, cfg Config, l *Learned) error {
 		Smoothing:         cfg.Smoothing,
 		IncludeRate:       cfg.IncludeRate,
 		RateScale:         l.Featurizer.RateScale,
-		RefWindows:        l.RefWindows,
-		MeanCount:         l.MeanCount,
 		GateAuto:          cfg.GateAuto,
 		GateAutoQuantile:  cfg.GateAutoQuantile,
 		AutoGateThreshold: l.AutoGateThreshold,
@@ -157,8 +153,6 @@ func LoadModel(r io.Reader) (Config, *Learned, error) {
 			IncludeRate: mf.IncludeRate,
 			RateScale:   mf.RateScale,
 		},
-		RefWindows:        mf.RefWindows,
-		MeanCount:         mf.MeanCount,
 		AutoGateThreshold: mf.AutoGateThreshold,
 	}
 	return cfg, learned, nil

@@ -278,8 +278,9 @@ func TestLoadModelFileNamesPath(t *testing.T) {
 // written by older builds carried: "use_vptree" from when the index was
 // selectable, "seed", "condense_target" and "condense" from reference-set
 // condensation, "fast_kernels" from the approximate scoring mode, and
-// "window_count" from count windows. The loader defines none of them, so
-// it ignores them like any unknown key.
+// "window_count" from count windows, and "ref_windows" and "mean_count",
+// which repeated the point count and "rate_scale". The loader defines none
+// of them, so it ignores them like any unknown key.
 var retiredKeys = map[string]any{
 	"use_vptree":      true,
 	"seed":            7,
@@ -287,6 +288,8 @@ var retiredKeys = map[string]any{
 	"condense":        map[string]any{"original_n": 100, "kept_n": 40, "train_p50": 1.1, "train_p90": 1.3, "train_p95": 1.5, "train_p99": 2},
 	"fast_kernels":    true,
 	"window_count":    0,
+	"ref_windows":     500,
+	"mean_count":      41.5,
 }
 
 // loadDoc loads a model document and returns it with what it re-saves to.

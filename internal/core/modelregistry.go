@@ -27,10 +27,12 @@ type NamedModel struct {
 }
 
 // modelSet is one immutable generation of the registry's contents; Reload
-// builds a fresh one and swaps the pointer.
+// builds a fresh one, numbered one past the set it replaces, and swaps the
+// pointer, so a set's models and its generation are read together.
 type modelSet struct {
 	models      map[string]*NamedModel
 	defaultName string
+	gen         int64
 }
 
 // ModelRegistry is a named set of immutable models with atomic hot
@@ -45,7 +47,6 @@ type ModelRegistry struct {
 	// reloadMu serialises Reloads (SIGHUP racing POST /reload); readers
 	// never take it.
 	reloadMu sync.Mutex
-	gen      atomic.Int64
 }
 
 // NewModelRegistry builds a static registry from pre-loaded models —
@@ -161,19 +162,19 @@ func sortedNames(m map[string]*NamedModel) []string {
 }
 
 // Resolve returns the model registered under name, or the default model
-// for an empty name (the version 1 frame-header path). Unknown names wrap
-// ErrUnknownModel.
-func (r *ModelRegistry) Resolve(name string) (*NamedModel, error) {
+// for an empty name (the version 1 frame-header path), with the generation
+// it belongs to. Unknown names wrap ErrUnknownModel.
+func (r *ModelRegistry) Resolve(name string) (*NamedModel, int64, error) {
 	set := r.set.Load()
 	if name == "" {
-		return set.models[set.defaultName], nil
+		return set.models[set.defaultName], set.gen, nil
 	}
 	m, ok := set.models[name]
 	if !ok {
-		return nil, fmt.Errorf("%w %q (have %s)", ErrUnknownModel, name,
+		return nil, 0, fmt.Errorf("%w %q (have %s)", ErrUnknownModel, name,
 			strings.Join(sortedNames(set.models), ", "))
 	}
-	return m, nil
+	return m, set.gen, nil
 }
 
 // Default returns the current default model.
@@ -192,7 +193,7 @@ func (r *ModelRegistry) Names() []string { return sortedNames(r.set.Load().model
 func (r *ModelRegistry) Len() int { return len(r.set.Load().models) }
 
 // Generation returns how many successful Reloads the registry has seen.
-func (r *ModelRegistry) Generation() int64 { return r.gen.Load() }
+func (r *ModelRegistry) Generation() int64 { return r.set.Load().gen }
 
 // Reloadable reports whether the registry was loaded from a directory
 // and thus supports Reload (static registries always refuse).
@@ -234,10 +235,10 @@ func (r *ModelRegistry) Reload() (ReloadReport, error) {
 	if err != nil {
 		return ReloadReport{}, fmt.Errorf("core: reloading model dir %s: %w", r.dir, err)
 	}
+	next.gen = old.gen + 1
 	r.set.Store(next)
-	gen := r.gen.Add(1)
 
-	rep := ReloadReport{Generation: gen, Models: sortedNames(next.models), Default: next.defaultName}
+	rep := ReloadReport{Generation: next.gen, Models: sortedNames(next.models), Default: next.defaultName}
 	for name := range next.models {
 		if _, ok := old.models[name]; !ok {
 			rep.Added = append(rep.Added, name)

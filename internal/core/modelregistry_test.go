@@ -44,13 +44,13 @@ func TestModelRegistryResolve(t *testing.T) {
 	if got := reg.Names(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("names %v, want [a b]", got)
 	}
-	if m, err := reg.Resolve(""); err != nil || m.Name != "a" {
+	if m, _, err := reg.Resolve(""); err != nil || m.Name != "a" {
 		t.Fatalf("empty name resolved to (%v, %v), want the default a", m, err)
 	}
-	if m, err := reg.Resolve("b"); err != nil || m.Name != "b" {
+	if m, _, err := reg.Resolve("b"); err != nil || m.Name != "b" {
 		t.Fatalf("b resolved to (%v, %v)", m, err)
 	}
-	_, err = reg.Resolve("nope")
+	_, _, err = reg.Resolve("nope")
 	if !errors.Is(err, ErrUnknownModel) {
 		t.Fatalf("unknown model error %v, want ErrUnknownModel", err)
 	}
@@ -149,9 +149,9 @@ func TestLoadModelDirAndReload(t *testing.T) {
 	if reg.DefaultName() != "a" || reg.Generation() != 0 {
 		t.Fatalf("default %q gen %d, want a/0", reg.DefaultName(), reg.Generation())
 	}
-	mb, err := reg.Resolve("b")
-	if err != nil {
-		t.Fatal(err)
+	mb, gen, err := reg.Resolve("b")
+	if err != nil || gen != 0 {
+		t.Fatalf("b resolved in generation %d (%v), want 0", gen, err)
 	}
 	if mb.Cfg.K != 10 {
 		t.Fatalf("model b loaded with K=%d, want 10", mb.Cfg.K)
@@ -176,7 +176,7 @@ func TestLoadModelDirAndReload(t *testing.T) {
 	if mb.Name != "b" || mb.Cfg.K != 10 || mb.Learned != pinnedLearned {
 		t.Fatal("reload changed the model a stream had resolved")
 	}
-	if _, err := reg.Resolve("b"); !errors.Is(err, ErrUnknownModel) {
+	if _, _, err := reg.Resolve("b"); !errors.Is(err, ErrUnknownModel) {
 		t.Fatalf("post-reload resolve of dropped model: %v, want ErrUnknownModel", err)
 	}
 
@@ -188,6 +188,9 @@ func TestLoadModelDirAndReload(t *testing.T) {
 	}
 	if rep.Generation != 2 || len(rep.Added) != 1 || rep.Added[0] != "b" {
 		t.Fatalf("reload report %+v, want generation 2 adding b", rep)
+	}
+	if _, gen, err := reg.Resolve(""); err != nil || gen != 2 {
+		t.Fatalf("default resolved in generation %d (%v) after two reloads, want 2", gen, err)
 	}
 
 	// A broken reload (corrupt file) must leave the serving set intact.
@@ -203,7 +206,7 @@ func TestLoadModelDirAndReload(t *testing.T) {
 	if reg.Generation() != 2 {
 		t.Fatalf("failed reload bumped the generation to %d", reg.Generation())
 	}
-	if _, err := reg.Resolve("b"); err != nil {
+	if _, _, err := reg.Resolve("b"); err != nil {
 		t.Fatalf("model b gone after failed reload: %v", err)
 	}
 

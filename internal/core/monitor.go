@@ -379,13 +379,9 @@ func (m *Monitor) Snapshot() Snapshot {
 // immutable after Learn returns and safe to share across any number of
 // concurrent Monitors.
 type Learned struct {
+	// Model holds one point per reference window.
 	Model      *lof.Model
 	Featurizer pmf.Featurizer
-	// RefWindows is the number of reference windows the model was fitted on.
-	RefWindows int
-	// MeanCount is the mean event count per reference window (the rate
-	// feature's scale).
-	MeanCount float64
 	// AutoGateThreshold is the gate threshold calibrated from the
 	// reference trace's gate-distance quantiles; zero when the model was
 	// learned without Config.GateAuto.
@@ -428,8 +424,6 @@ func Learn(cfg Config, r trace.Reader) (*Learned, error) {
 	learned := &Learned{
 		Model:      model,
 		Featurizer: feat,
-		RefWindows: len(ws),
-		MeanCount:  feat.RateScale,
 	}
 	if cfg.GateAuto {
 		thr := calibrateGate(cfg, feat, points)

@@ -27,7 +27,7 @@ var defaultTrips = sync.OnceValues(func() (tripsFixture, error) {
 	if err != nil {
 		return tripsFixture{}, err
 	}
-	sim, _, err := perturbedRun(opts)
+	sim, _, err := PerturbedRun(opts)
 	if err != nil {
 		return tripsFixture{}, err
 	}

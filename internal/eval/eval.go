@@ -43,13 +43,9 @@ type Options struct {
 	RefDuration time.Duration
 	// RunDuration is the length of the perturbed, monitored run.
 	RunDuration time.Duration
-	// Factor is the CPU slowdown during a perturbation (>= 1; 1 disables).
-	Factor float64
-	// PerturbFirst/PerturbPeriod/PerturbDuration lay out the periodic
-	// perturbation schedule, mirroring §III's "every 3 minutes for 20 s".
-	PerturbFirst    time.Duration
-	PerturbPeriod   time.Duration
-	PerturbDuration time.Duration
+	// Schedule lays out the perturbed run's CPU hogs, mirroring §III's
+	// "every 3 minutes for 20 s"; its Factor must be >= 1 (1 disables).
+	Schedule perturb.Schedule
 	// Slack extends each ground-truth interval at its end when matching
 	// anomalous windows: the frame queue delays both the visible onset and
 	// the recovery, so detections legitimately trail the interval.
@@ -70,18 +66,15 @@ type Options struct {
 // configuration.
 func DefaultOptions() Options {
 	return Options{
-		Seed:            1,
-		RunSeedOffset:   1,
-		RefDuration:     2 * time.Minute,
-		RunDuration:     10 * time.Minute,
-		Factor:          3,
-		PerturbFirst:    60 * time.Second,
-		PerturbPeriod:   2 * time.Minute,
-		PerturbDuration: 20 * time.Second,
-		Slack:           5 * time.Second,
-		Warmup:          5 * time.Second,
-		Sim:             mediasim.DefaultConfig(),
-		Core:            core.NewConfig(mediasim.NumEventTypes),
+		Seed:          1,
+		RunSeedOffset: 1,
+		RefDuration:   2 * time.Minute,
+		RunDuration:   10 * time.Minute,
+		Schedule:      perturb.Schedule{Factor: 3, First: time.Minute, Period: 2 * time.Minute, Duration: 20 * time.Second},
+		Slack:         5 * time.Second,
+		Warmup:        5 * time.Second,
+		Sim:           mediasim.DefaultConfig(),
+		Core:          core.NewConfig(mediasim.NumEventTypes),
 	}
 }
 
@@ -93,8 +86,8 @@ func (o Options) Validate() error {
 		return fmt.Errorf("eval: RefDuration %v must be positive", o.RefDuration)
 	case o.RunDuration <= 0:
 		return fmt.Errorf("eval: RunDuration %v must be positive", o.RunDuration)
-	case !(o.Factor >= 1 && o.Factor <= math.MaxFloat64): // negated so that NaN fails
-		return fmt.Errorf("eval: Factor %g must be finite and >= 1", o.Factor)
+	case !(o.Schedule.Factor >= 1 && o.Schedule.Factor <= math.MaxFloat64): // negated so that NaN fails
+		return fmt.Errorf("eval: Factor %g must be finite and >= 1", o.Schedule.Factor)
 	case o.Slack < 0 || o.Warmup < 0:
 		return fmt.Errorf("eval: Slack and Warmup must be >= 0")
 	case o.RunSeedOffset == 0:
@@ -204,19 +197,14 @@ func Run(opts Options) (*Report, error) {
 	return RunWithLearned(opts, learned)
 }
 
-// perturbedRun builds the monitored run: the reference workload under the
+// PerturbedRun builds the monitored run: the reference workload under the
 // perturbation schedule, with the schedule's intervals as ground truth.
-func perturbedRun(opts Options) (*mediasim.Sim, []perturb.Interval, error) {
-	var load perturb.Load = perturb.None{}
-	var truth []perturb.Interval
-	if opts.Factor > 1 {
-		ivs, err := perturb.Periodic(opts.Factor, opts.PerturbFirst,
-			opts.PerturbPeriod, opts.PerturbDuration, opts.RunDuration)
-		if err != nil {
-			return nil, nil, err
-		}
-		load = ivs
-		truth = ivs.Spans
+// With the default simulator it is the trace `enduratrace sim` writes for
+// the same schedule, seed Seed+RunSeedOffset and duration RunDuration.
+func PerturbedRun(opts Options) (*mediasim.Sim, []perturb.Interval, error) {
+	load, truth, err := opts.Schedule.Load(opts.RunDuration)
+	if err != nil {
+		return nil, nil, err
 	}
 	runCfg := opts.Sim
 	runCfg.Duration = opts.RunDuration
@@ -236,7 +224,7 @@ func RunWithLearned(opts Options, learned *core.Learned) (*Report, error) {
 		return nil, err
 	}
 
-	runSim, truth, err := perturbedRun(opts)
+	runSim, truth, err := PerturbedRun(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -262,14 +250,14 @@ func RunWithLearned(opts Options, learned *core.Learned) (*Report, error) {
 		Seed:            opts.Seed,
 		RefDurationS:    opts.RefDuration.Seconds(),
 		RunDurationS:    opts.RunDuration.Seconds(),
-		Factor:          opts.Factor,
+		Factor:          opts.Schedule.Factor,
 		Alpha:           opts.Core.Alpha,
 		K:               opts.Core.K,
 		WindowMS:        float64(opts.Core.WindowDuration) / float64(time.Millisecond),
 		GateThreshold:   mon.GateThreshold(),
 		GateDistance:    opts.Core.GateDistance.Name,
 		LOFDistance:     opts.Core.LOFDistance.Name,
-		RefWindows:      learned.RefWindows,
+		RefWindows:      learned.Model.Len(),
 		RefTrainP95LOF:  stats.Quantile(learned.Model.TrainScores(), 0.95),
 		Windows:         runStats.Windows,
 		GateTrips:       runStats.GateTrips,

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"enduratrace/internal/core"
+	"enduratrace/internal/perturb"
 )
 
 // smallOptions shrinks the experiment so the test runs in a few seconds
@@ -16,10 +17,7 @@ func smallOptions() Options {
 	opts := DefaultOptions()
 	opts.RefDuration = 40 * time.Second
 	opts.RunDuration = 2 * time.Minute
-	opts.Factor = 3
-	opts.PerturbFirst = 30 * time.Second
-	opts.PerturbPeriod = 50 * time.Second
-	opts.PerturbDuration = 15 * time.Second
+	opts.Schedule = perturb.Schedule{Factor: 3, First: 30 * time.Second, Period: 50 * time.Second, Duration: 15 * time.Second}
 	return opts
 }
 
@@ -131,7 +129,7 @@ func TestReportsEffectiveGateThreshold(t *testing.T) {
 
 func TestNoPerturbationMeansFewRecordings(t *testing.T) {
 	opts := smallOptions()
-	opts.Factor = 1 // clean run: the monitor should record almost nothing
+	opts.Schedule.Factor = 1 // clean run: the monitor should record almost nothing
 	rep, err := Run(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -157,8 +155,8 @@ func TestValidateRejectsBadOptions(t *testing.T) {
 	bad := []func(*Options){
 		func(o *Options) { o.RefDuration = 0 },
 		func(o *Options) { o.RunDuration = -time.Second },
-		func(o *Options) { o.Factor = 0.5 },
-		func(o *Options) { o.Factor = math.NaN() },
+		func(o *Options) { o.Schedule.Factor = 0.5 },
+		func(o *Options) { o.Schedule.Factor = math.NaN() },
 		func(o *Options) { o.Core.Alpha = math.NaN() },
 		func(o *Options) { o.Slack = -time.Second },
 		func(o *Options) { o.RunSeedOffset = 0 },

@@ -27,7 +27,7 @@ func TestCertifiedGateMatchesExact(t *testing.T) {
 		t.Fatal("the shipped symkl gate has no upper bound")
 	}
 	run := func(cfg core.Config) []core.Decision {
-		sim, _, err := perturbedRun(opts)
+		sim, _, err := PerturbedRun(opts)
 		if err != nil {
 			t.Fatal(err)
 		}

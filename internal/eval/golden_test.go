@@ -35,7 +35,7 @@ func TestDefaultEvalGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, _, err := perturbedRun(opts)
+	sim, _, err := PerturbedRun(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

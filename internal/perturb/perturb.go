@@ -126,12 +126,36 @@ func Periodic(factor float64, first, period, duration, horizon time.Duration) (*
 	return NewIntervals(factor, spans)
 }
 
+// Schedule is a periodic perturbation plan: a slowdown of Factor for
+// Duration, every Period from First on. It is the one description of a
+// run's perturbations that sim, eval and sweep build their load from.
+type Schedule struct {
+	// Factor is the slowdown while a perturbation is active; 1 or less
+	// means no perturbation at all.
+	Factor                  float64
+	First, Period, Duration time.Duration
+}
+
+// Load returns the schedule's load over [0, horizon) and its intervals,
+// the run's ground truth: None and no interval when Factor <= 1,
+// Periodic's otherwise.
+func (s Schedule) Load(horizon time.Duration) (Load, []Interval, error) {
+	if s.Factor <= 1 {
+		return None{}, nil, nil
+	}
+	ivs, err := Periodic(s.Factor, s.First, s.Period, s.Duration, horizon)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ivs, ivs.Spans, nil
+}
+
 // Paper returns the exact perturbation schedule of §III: a heavy load every
-// 3 minutes for 20 s, starting after the 300 s reference period, over the
-// given horizon. The slowdown factor is the one free parameter (the paper
-// does not quantify its hog's intensity).
-func Paper(factor float64, horizon time.Duration) (*Intervals, error) {
-	return Periodic(factor, 300*time.Second+180*time.Second, 180*time.Second, 20*time.Second, horizon)
+// 3 minutes for 20 s, starting 180 s after the 300 s reference period. The
+// slowdown factor is the one free parameter (the paper does not quantify
+// its hog's intensity).
+func Paper(factor float64) Schedule {
+	return Schedule{Factor: factor, First: 300*time.Second + 180*time.Second, Period: 180 * time.Second, Duration: 20 * time.Second}
 }
 
 // WorkFinish integrates a piecewise-constant load: starting work at t0 with

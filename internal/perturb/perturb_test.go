@@ -2,6 +2,7 @@ package perturb
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 )
@@ -82,21 +83,56 @@ func TestPeriodicSchedule(t *testing.T) {
 	}
 }
 
+// TestPaperSchedule pins §III's schedule over the paper's 6 h 17 m run:
+// 123 hogs of 20 s, the first at 480 s (the 300 s reference plus one
+// 180 s period), then one every 180 s.
 func TestPaperSchedule(t *testing.T) {
-	l, err := Paper(4, 2*time.Hour)
+	_, spans, err := Paper(4).Load(6*time.Hour + 17*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(l.Spans) == 0 {
-		t.Fatal("no spans")
+	if len(spans) != 123 {
+		t.Fatalf("%d perturbations, want 123", len(spans))
 	}
-	if l.Spans[0].Start != 480*time.Second {
-		t.Fatalf("first perturbation at %v, want 480s (300s reference + 180s)", l.Spans[0].Start)
+	if spans[0].Start != 480*time.Second {
+		t.Fatalf("first perturbation at %v, want 480s (300s reference + 180s)", spans[0].Start)
 	}
-	for i := 1; i < len(l.Spans); i++ {
-		if l.Spans[i].Start-l.Spans[i-1].Start != 180*time.Second {
-			t.Fatalf("period %v, want 180s", l.Spans[i].Start-l.Spans[i-1].Start)
+	for i, s := range spans {
+		if s.Duration() != 20*time.Second {
+			t.Fatalf("perturbation %d lasts %v, want 20s", i, s.Duration())
 		}
+		if i > 0 && s.Start-spans[i-1].Start != 180*time.Second {
+			t.Fatalf("period %v, want 180s", s.Start-spans[i-1].Start)
+		}
+	}
+}
+
+// TestScheduleLoad: a factor of 1 or less is no perturbation, with no
+// ground truth; above 1 the load and its intervals are Periodic's.
+func TestScheduleLoad(t *testing.T) {
+	s := Schedule{First: 60 * time.Second, Period: 180 * time.Second, Duration: 20 * time.Second}
+	for _, f := range []float64{0.5, 1} {
+		s.Factor = f
+		l, spans, err := s.Load(600 * time.Second)
+		if err != nil || l != (None{}) || spans != nil {
+			t.Fatalf("factor %g: load %v, spans %v, err %v; want None, none, nil", f, l, spans, err)
+		}
+	}
+	s.Factor = 2
+	l, spans, err := s.Load(600 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Periodic(2, s.First, s.Period, s.Duration, 600*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ivs, ok := l.(*Intervals); !ok || ivs.Factor != 2 || !slices.Equal(ivs.Spans, want.Spans) || !slices.Equal(spans, want.Spans) {
+		t.Fatalf("load %v, spans %v; want Periodic's %v", l, spans, want.Spans)
+	}
+	s.Factor = math.NaN()
+	if _, _, err := s.Load(600 * time.Second); err == nil {
+		t.Fatal("NaN factor accepted")
 	}
 }
 

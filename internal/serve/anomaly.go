@@ -38,12 +38,11 @@ type incidentStore interface {
 // returned. Store failures are counted and logged but never propagated:
 // losing the forensic copy must not kill the live stream.
 type tripRecorder struct {
-	srv      *Server
-	store    incidentStore
-	st       *stream
-	modelGen int64
-	ring     *window.Ring    // copies of the last quiet windows
-	windows  []window.Window // the incident being submitted; the store does not retain it
+	srv     *Server
+	store   incidentStore
+	st      *stream
+	ring    *window.Ring    // copies of the last quiet windows
+	windows []window.Window // the incident being submitted; the store does not retain it
 	// pending holds the submitted, unsettled incidents' sequence numbers:
 	// a FIFO of n entries starting at head.
 	pending [tripsInFlight]uint64
@@ -57,11 +56,10 @@ type tripRecorder struct {
 // allocates nothing.
 func (s *Server) newTripRecorder(st *stream) *tripRecorder {
 	return &tripRecorder{
-		srv:      s,
-		store:    s.opts.Anomalies,
-		st:       st,
-		modelGen: s.models.Generation(),
-		ring:     window.NewRing(DefaultAnomalyContext),
+		srv:   s,
+		store: s.opts.Anomalies,
+		st:    st,
+		ring:  window.NewRing(DefaultAnomalyContext),
 	}
 }
 
@@ -82,7 +80,7 @@ func (t *tripRecorder) onDecision(d core.Decision) error {
 	// other order misses that flush by the few microseconds the write
 	// takes.
 	inc := anomalystore.IncidentOf(d.Verdict)
-	inc.Stream, inc.Model, inc.ModelGen = t.st.id, t.st.model.Name, t.modelGen
+	inc.Stream, inc.Model, inc.ModelGen = t.st.id, t.st.model.Name, t.st.modelGen
 	//lint:ignore monotime incidents persist a wall-clock timestamp for operators and replay
 	inc.Wall = time.Now()
 	inc.Windows = t.windows

@@ -224,7 +224,7 @@ var families = []family{
 		func(sc *scrape) []series {
 			out := make([]series, 0, len(sc.registered))
 			for _, name := range sc.registered {
-				nm, err := sc.models.Resolve(name)
+				nm, _, err := sc.models.Resolve(name)
 				if err != nil {
 					continue // dropped by a concurrent reload
 				}

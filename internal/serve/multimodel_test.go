@@ -9,9 +9,11 @@ import (
 	"testing"
 	"time"
 
+	"enduratrace/internal/alert"
 	"enduratrace/internal/anomalystore"
 	"enduratrace/internal/core"
 	"enduratrace/internal/mediasim"
+	"enduratrace/internal/obs"
 	"enduratrace/internal/trace"
 	"enduratrace/internal/traceio"
 )
@@ -202,6 +204,68 @@ func TestUnknownModelRejectedCleanly(t *testing.T) {
 	cancel()
 	if err := <-serveErr; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStreamRecordsNameRegistrationGeneration: a reload in the middle of a
+// stream does not change the model that scores it, so it does not change
+// the generation its store records name either. A stream registered at
+// generation 0 and tripping only after a reload writes gate-trip and
+// alert-transition records that all carry generation 0.
+func TestStreamRecordsNameRegistrationGeneration(t *testing.T) {
+	_, reg := twoModelDir(t)
+	store, err := anomalystore.Open(t.TempDir(), anomalystore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	alerts := alert.NewPipeline(alert.Options{MinTrips: 1, ClearAfter: time.Millisecond, QueueLen: 4096})
+	defer alerts.Close()
+	srv, err := New(Options{Models: reg, Anomalies: store, Alerts: alerts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := openTest(t, srv, "cam", "")
+	if rep, err := srv.Reload(); err != nil || rep.Generation != 1 {
+		t.Fatalf("reload: %+v, %v; want generation 1", rep, err)
+	}
+
+	evs := simEvents(t, 7, 20*time.Second, 3)
+	go func() {
+		st.q.PushBatch(evs, obs.Now(), 0)
+		st.q.Close()
+	}()
+	stats, err := srv.score(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.GateTrips == 0 || srv.Stats().AlertTransitions == 0 {
+		t.Fatalf("%d gate trips, %d alert transitions: the stream must write both record kinds",
+			stats.GateTrips, srv.Stats().AlertTransitions)
+	}
+
+	r, err := anomalystore.OpenReader(store.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trips, transitions int64
+	if _, err := r.Walk(func(inc *anomalystore.Incident) error {
+		if inc.Alert != "" {
+			transitions++
+		} else {
+			trips++
+		}
+		if inc.Stream != st.id || inc.ModelGen != 0 {
+			t.Errorf("record %d (alert %q): stream %q generation %d, want %q generation 0",
+				inc.Seq, inc.Alert, inc.Stream, inc.ModelGen, st.id)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if trips != int64(stats.GateTrips) || transitions != srv.Stats().AlertTransitions {
+		t.Fatalf("store holds %d trips and %d transitions, the stream wrote %d and %d",
+			trips, transitions, stats.GateTrips, srv.Stats().AlertTransitions)
 	}
 }
 

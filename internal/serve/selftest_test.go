@@ -138,7 +138,7 @@ func selftest(t testing.TB, opts selftestOptions) *selftestReport {
 		if len(opts.ClientModels) > 0 {
 			clientModel[i] = opts.ClientModels[i%len(opts.ClientModels)]
 		}
-		nm, err := srv.models.Resolve(clientModel[i])
+		nm, _, err := srv.models.Resolve(clientModel[i])
 		if err != nil {
 			t.Fatalf("client %d: %v", i, err)
 		}

@@ -223,8 +223,11 @@ type StreamView struct {
 // monitor, reader and sink belong to the stream's goroutines; everything
 // view reads is safe to read from any goroutine.
 type stream struct {
-	id        string
-	model     *core.NamedModel
+	id    string
+	model *core.NamedModel
+	// modelGen is the registry generation model was resolved in, pinned
+	// with it at registration: every record the stream stores names it.
+	modelGen  int64
 	since     time.Time
 	draining  atomic.Bool
 	mon       *core.Monitor
@@ -635,7 +638,7 @@ func (s *Server) open(conn net.Conn) *stream {
 // client-chosen names collide harmlessly. Unknown model names fail with
 // core.ErrUnknownModel and enter nothing.
 func (s *Server) register(name, modelName string) (*stream, error) {
-	m, err := s.models.Resolve(modelName)
+	m, gen, err := s.models.Resolve(modelName)
 	if err != nil {
 		return nil, err
 	}
@@ -649,7 +652,8 @@ func (s *Server) register(name, modelName string) (*stream, error) {
 		flightEvery = s.flight.EveryN()
 	}
 	st := &stream{
-		model: m,
+		model:    m,
+		modelGen: gen,
 		//lint:ignore monotime since is a wall-clock registration timestamp shown to operators
 		since: time.Now(),
 		mon:   mon,

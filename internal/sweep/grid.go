@@ -77,9 +77,9 @@ func DefaultGrid(nSeeds int) Grid {
 	base := eval.DefaultOptions()
 	base.RefDuration = 40 * time.Second
 	base.RunDuration = 2 * time.Minute
-	base.PerturbFirst = 30 * time.Second
-	base.PerturbPeriod = 50 * time.Second
-	base.PerturbDuration = 15 * time.Second
+	base.Schedule.First = 30 * time.Second
+	base.Schedule.Period = 50 * time.Second
+	base.Schedule.Duration = 15 * time.Second
 	base.RunSeedOffset = RunSeedOffset
 	seeds := make([]int64, nSeeds)
 	for i := range seeds {
@@ -89,7 +89,7 @@ func DefaultGrid(nSeeds int) Grid {
 		Base:      base,
 		Distances: []string{"symkl", "kl"},
 		Alphas:    []float64{base.Core.Alpha},
-		Factors:   []float64{base.Factor},
+		Factors:   []float64{base.Schedule.Factor},
 		Ks:        []int{base.Core.K},
 		Seeds:     seeds,
 	}
@@ -188,7 +188,7 @@ func (g Grid) Options(j Job) (eval.Options, error) {
 		return o, fmt.Errorf("sweep: %w", err)
 	}
 	o.Seed = j.Seed
-	o.Factor = j.Cell.Factor
+	o.Schedule.Factor = j.Cell.Factor
 	o.Core.Alpha = j.Cell.Alpha
 	o.Core.K = j.Cell.K
 	o.Core.GateDistance = d

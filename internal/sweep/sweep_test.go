@@ -16,9 +16,9 @@ func tinyGrid() Grid {
 	g := DefaultGrid(1)
 	g.Base.RefDuration = 20 * time.Second
 	g.Base.RunDuration = 40 * time.Second
-	g.Base.PerturbFirst = 15 * time.Second
-	g.Base.PerturbPeriod = 60 * time.Second
-	g.Base.PerturbDuration = 10 * time.Second
+	g.Base.Schedule.First = 15 * time.Second
+	g.Base.Schedule.Period = 60 * time.Second
+	g.Base.Schedule.Duration = 10 * time.Second
 	g.Distances = []string{"symkl"}
 	return g
 }
