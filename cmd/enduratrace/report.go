@@ -17,24 +17,18 @@ func reductionString(rf *float64) string {
 
 // emitJSON writes v, indented, to stdout and (when outPath is non-empty)
 // to outPath — the BENCH_*.json convention shared by eval/sweep/replay.
+// It encodes once and writes the same bytes to both.
 func emitJSON(v any, outPath string) error {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	b = append(b, '\n')
+	if _, err := os.Stdout.Write(b); err != nil {
 		return err
 	}
 	if outPath == "" {
 		return nil
 	}
-	f, err := os.Create(outPath)
-	if err != nil {
-		return err
-	}
-	fenc := json.NewEncoder(f)
-	fenc.SetIndent("", "  ")
-	if err := fenc.Encode(v); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return os.WriteFile(outPath, b, 0o666)
 }

@@ -118,17 +118,22 @@ func Replay(dir string, models []*core.NamedModel, alphaOverride float64) (*Repl
 		cells[i] = cell{mon: mon, out: &rep.Models[i]}
 	}
 
+	var scores []float64 // each carried window's, scored once
 	scans, err := r.Walk(func(inc *Incident) error {
 		rep.Incidents++
-		principal, ok := inc.Principal()
-		if !ok {
+		pi := inc.Principal()
+		if pi < 0 {
 			return nil // window-free incident: nothing to re-score
 		}
 		for _, c := range cells {
-			score := c.mon.ScoreWindow(principal)
-			maxScore := score
+			scores = scores[:0]
 			for _, w := range inc.Windows {
-				if s := c.mon.ScoreWindow(w); s > maxScore {
+				scores = append(scores, c.mon.ScoreWindow(w))
+			}
+			score := scores[pi]
+			maxScore := score
+			for _, s := range scores {
+				if s > maxScore {
 					maxScore = s
 				}
 			}

@@ -164,19 +164,16 @@ func (inc *Incident) Verdict() obs.Verdict {
 	}
 }
 
-// Principal returns the tripped window itself (the one WindowIndex names,
-// by convention the last of Windows) and false when the incident carries
-// no windows at all.
-func (inc *Incident) Principal() (window.Window, bool) {
-	for _, w := range inc.Windows {
+// Principal returns the index in Windows of the tripped window itself
+// (the one WindowIndex names, by convention the last of Windows), or -1
+// when the incident carries no windows at all.
+func (inc *Incident) Principal() int {
+	for i, w := range inc.Windows {
 		if w.Index == inc.WindowIndex {
-			return w, true
+			return i
 		}
 	}
-	if n := len(inc.Windows); n > 0 {
-		return inc.Windows[n-1], true
-	}
-	return window.Window{}, false
+	return len(inc.Windows) - 1
 }
 
 // IncidentMeta is the window-free view of an incident served by the

@@ -182,6 +182,10 @@ type Decision struct {
 	// callback that keeps them copies them (Window.Clone).
 	Window   window.Window
 	Features pmf.Vector
+	// ScoreNs is the wall time, in ns, of the ProcessWindow that judged the
+	// window (featurize, gate and, on a trip, LOF). Run sets it on every
+	// decision; ProcessWindow alone leaves it 0.
+	ScoreNs int64
 }
 
 // Monitor is the per-stream half of the online anomaly detector: it holds
@@ -202,18 +206,15 @@ type Monitor struct {
 	featBuf pmf.Vector // per-window feature scratch
 
 	seeded bool
-	noAcct bool
-	// scoreTimer, when set, receives the duration of every ProcessWindow
-	// performed by Run — the serving layer's per-stage latency hook. Nil
-	// (the default) skips the clock reads entirely.
-	scoreTimer func(time.Duration)
-	// Counters are atomics so admin surfaces (serve's /streams, /stats)
-	// can Snapshot a monitor mid-Run without a lock on the hot path; only
-	// the owning goroutine writes them.
-	windows  atomic.Int64
-	trips    atomic.Int64
-	anoms    atomic.Int64
-	lofCalls atomic.Int64
+	// The books: Run counts each decision once, when it is emitted, and
+	// the sink's counts after each window the sink takes. Atomics, so
+	// admin surfaces (serve's /streams, /stats) can Snapshot a monitor
+	// mid-Run without a lock; only the goroutine running Run writes them.
+	windows    atomic.Int64
+	trips      atomic.Int64
+	anoms      atomic.Int64
+	recWindows atomic.Int64
+	recBytes   atomic.Int64
 }
 
 // NewMonitor builds a monitor around a learned model. The model must have
@@ -255,24 +256,10 @@ func NewMonitor(cfg Config, learned *Learned) (*Monitor, error) {
 // under GateAuto, the configured one otherwise).
 func (m *Monitor) GateThreshold() float64 { return m.gateThreshold }
 
-// SetScoreTimer registers f to be called by Run with the wall duration of
-// each ProcessWindow (the window-scoring stage: featurize + gate +
-// conditional LOF). f runs on the scoring goroutine, synchronously before
-// the window's sink/decision callbacks, so a decision callback reading
-// state written by f sees the value for its own window. It must not
-// allocate if the caller wants to keep the scoring path allocation-free.
-func (m *Monitor) SetScoreTimer(f func(time.Duration)) { m.scoreTimer = f }
-
-// DisableByteAccounting makes Run skip the per-event encoded-size
-// accounting, leaving RunStats.FullBytes zero. The serving layer accounts
-// received bytes itself at ingest time (where dropped events are still
-// visible), so the monitor repeating the arithmetic per event would be
-// pure hot-path overhead.
-func (m *Monitor) DisableByteAccounting() { m.noAcct = true }
-
 // ProcessWindow runs the §II online step on one window and returns the
-// decision. Recording is the caller's job (see Run), keeping the monitor
-// storage-agnostic.
+// decision: gate, merge or copy the past pmf, and score a trip. It books
+// nothing: Run counts a decision once it has been emitted. Recording is
+// the caller's job (see Run), keeping the monitor storage-agnostic.
 //
 // Decision.Features aliases the monitor's reusable featurization buffer:
 // it is valid until the next ProcessWindow call; callers that retain it
@@ -280,7 +267,6 @@ func (m *Monitor) DisableByteAccounting() { m.noAcct = true }
 //
 //enduratrace:zeroalloc
 func (m *Monitor) ProcessWindow(w window.Window) Decision {
-	m.windows.Add(1)
 	features := m.feat.FeaturesInto(m.featBuf, m.counts, w)
 	npmf := m.feat.PMFOnly(features)
 
@@ -315,26 +301,21 @@ func (m *Monitor) ProcessWindow(w window.Window) Decision {
 		return d
 	}
 
-	m.trips.Add(1)
 	// Regime switch: the past pmf restarts at the new behaviour so the gate
 	// re-arms instead of tripping on every subsequent window of a changed
 	// but steady regime.
 	copy(m.ppmf, npmf)
 
-	m.lofCalls.Add(1)
 	d.LOF = m.scorer.Score(features)
 	d.Anomalous = d.LOF >= m.cfg.Alpha
-	if d.Anomalous {
-		m.anoms.Add(1)
-	}
 	return d
 }
 
 // ScoreWindow computes the LOF of one window in isolation: featurize and
 // score, nothing else. Unlike ProcessWindow it does not consult or update
-// the running past pmf, does not touch the gate, and bumps no counters —
-// it is the pure scoring function used by forensic replay to re-judge a
-// recorded window against this monitor's model. Like ProcessWindow it
+// the running past pmf and does not touch the gate — it is the pure
+// scoring function used by forensic replay to re-judge a recorded window
+// against this monitor's model. Like ProcessWindow it
 // reuses the monitor's scratch buffers, so it is not safe for concurrent
 // use with any other method on the same Monitor.
 func (m *Monitor) ScoreWindow(w window.Window) float64 {
@@ -342,35 +323,45 @@ func (m *Monitor) ScoreWindow(w window.Window) float64 {
 	return m.scorer.Score(features)
 }
 
-// Snapshot is a point-in-time view of a monitor's counters. Unlike
-// RunStats it can be taken while the monitor is mid-Run: the counters are
-// atomics, so a concurrent observer (the serve admin endpoints) reads a
+// Snapshot is a point-in-time view of a monitor's books. Unlike RunStats
+// it can be taken while the monitor is mid-Run: the counters are atomics,
+// so a concurrent observer (the serve admin endpoints) reads a
 // consistent-enough live view without locking the hot path.
 type Snapshot struct {
 	Windows   int64 `json:"windows"`
 	GateTrips int64 `json:"gate_trips"`
+	// LOFCalls equals GateTrips: LOF scores each tripped window once.
 	LOFCalls  int64 `json:"lof_calls"`
 	Anomalies int64 `json:"anomalies"`
+	// The sink's counts after the last window it took; /streams reports
+	// them beside the counters.
+	RecWindows int64 `json:"-"`
+	RecBytes   int64 `json:"-"`
 }
 
 // Add returns the element-wise sum of two snapshots.
 func (s Snapshot) Add(o Snapshot) Snapshot {
 	return Snapshot{
-		Windows:   s.Windows + o.Windows,
-		GateTrips: s.GateTrips + o.GateTrips,
-		LOFCalls:  s.LOFCalls + o.LOFCalls,
-		Anomalies: s.Anomalies + o.Anomalies,
+		Windows:    s.Windows + o.Windows,
+		GateTrips:  s.GateTrips + o.GateTrips,
+		LOFCalls:   s.LOFCalls + o.LOFCalls,
+		Anomalies:  s.Anomalies + o.Anomalies,
+		RecWindows: s.RecWindows + o.RecWindows,
+		RecBytes:   s.RecBytes + o.RecBytes,
 	}
 }
 
-// Snapshot returns the monitor's live counters. Safe to call from any
-// goroutine at any time, including while the monitor is processing.
+// Snapshot returns the monitor's books. Safe to call from any goroutine at
+// any time, including while the monitor is running.
 func (m *Monitor) Snapshot() Snapshot {
+	trips := m.trips.Load()
 	return Snapshot{
-		Windows:   m.windows.Load(),
-		GateTrips: m.trips.Load(),
-		LOFCalls:  m.lofCalls.Load(),
-		Anomalies: m.anoms.Load(),
+		Windows:    m.windows.Load(),
+		GateTrips:  trips,
+		LOFCalls:   trips,
+		Anomalies:  m.anoms.Load(),
+		RecWindows: m.recWindows.Load(),
+		RecBytes:   m.recBytes.Load(),
 	}
 }
 
@@ -458,15 +449,28 @@ func calibrateGate(cfg Config, feat pmf.Featurizer, points [][]float64) float64 
 	return stats.Quantile(dists, cfg.gateAutoQuantile())
 }
 
-// RunStats summarises a monitoring run.
+// RunStats summarises a monitoring run. Its counts are the monitor's
+// books as Run left them.
 type RunStats struct {
 	Windows    int
 	GateTrips  int
 	Anomalies  int
-	FullBytes  int64 // exact encoded size of the complete trace
+	FullBytes  int64 // exact encoded size of the complete trace; 0 when Run fails
 	RecBytes   int64 // bytes actually recorded
 	RecWindows int
 	Start, End time.Duration // trace time span covered
+}
+
+// Snapshot returns the run's counts in the shape of a monitor's books.
+func (s RunStats) Snapshot() Snapshot {
+	return Snapshot{
+		Windows:    int64(s.Windows),
+		GateTrips:  int64(s.GateTrips),
+		LOFCalls:   int64(s.GateTrips),
+		Anomalies:  int64(s.Anomalies),
+		RecWindows: int64(s.RecWindows),
+		RecBytes:   s.RecBytes,
+	}
 }
 
 // ReductionFactor returns FullBytes / RecBytes — the paper's headline
@@ -504,7 +508,7 @@ func Run(cfg Config, learned *Learned, r trace.Reader, sink recorder.Sink,
 // Run streams a trace through this monitor stream; see the package-level
 // Run for the sink/callback semantics. Each Monitor owns its windower and
 // byte accounting, so concurrent Monitors over one shared Learned can Run
-// independent streams in parallel.
+// independent streams in parallel. A Monitor runs one stream.
 //
 // Run reads through window.Stream, the one read → cut → flush loop: the
 // reader hands over what it has, a batch at a time, and the windower cuts
@@ -512,31 +516,40 @@ func Run(cfg Config, learned *Learned, r trace.Reader, sink recorder.Sink,
 // of the batch (or of its carry buffer, for a window that spans batches),
 // so a window is judged without being copied: Decision.Window.Events,
 // like Decision.Features, is valid until onDecision returns, and the
-// sink's Record and ContextSink's Observe get the same lent window. The
-// full-trace size is priced over each window's events, which are every
-// event of the stream, in order. Every window of a cut is judged with
-// ProcessWindow first, each decision keeping its own feature copy, and
-// then the decisions are emitted in window order. Judging before emitting
-// is deliberate: a sink or callback may wait on an earlier window's
-// durability (the serve path's anomaly store keeps up to eight incidents
-// in flight per stream and then waits for the oldest), and interleaving
-// that wait between two scores of a batch measurably slows a storm.
-// Decisions, RunStats, callback order and the abort point do not depend
-// on how the events were batched.
+// sink's Record and ContextSink's Observe get the same lent window. Every
+// window of a cut is judged with ProcessWindow first, each decision
+// keeping its own feature copy and its score time, and then the decisions
+// are emitted in window order. Judging before emitting is deliberate: a
+// sink or callback may wait on an earlier window's durability (the serve
+// path's anomaly store keeps up to eight incidents in flight per stream
+// and then waits for the oldest), and interleaving that wait between two
+// scores of a batch measurably slows a storm.
+//
+// A decision is booked once its consumers (Observe, Record, onDecision)
+// have all returned nil, so the books and RunStats, which is read off
+// them, count what the consumers took at every abort point. Decisions,
+// RunStats, callback order and the abort point do not depend on how the
+// events were batched. The full-trace size is the reader's own count when
+// it prices what it decoded (EventBytes, the header left out, as the
+// binary codec's readers count); otherwise a SizeAccountant prices each
+// window's events, which are every event of the stream, in order.
 func (m *Monitor) Run(r trace.Reader, sink recorder.Sink,
 	onDecision func(Decision) error) (RunStats, error) {
 
-	var stats RunStats
+	sized, _ := r.(interface{ EventBytes() int64 })
 	var acct *traceio.SizeAccountant
-	if !m.noAcct {
+	if sized == nil {
 		acct = traceio.NewSizeAccountant()
 	}
 	ctxSink, _ := sink.(*recorder.ContextSink)
+	if sink != nil {
+		m.bookRecorded(sink) // a recording's header counts before its first window
+	}
+	var start, end time.Duration
 
 	fdim := m.feat.FeatureDim()
 	var (
 		decs      []Decision
-		scoreNs   []int64   // per-window ProcessWindow duration (scoreTimer only)
 		featArena []float64 // backing store for the per-window feature copies
 	)
 
@@ -554,19 +567,14 @@ func (m *Monitor) Run(r trace.Reader, sink recorder.Sink,
 		// Decision.Features aliases the monitor's single featurization
 		// buffer, valid until the next ProcessWindow: copy it out so every
 		// decision of the batch keeps its own.
-		decs, scoreNs = decs[:0], scoreNs[:0]
+		decs = decs[:0]
 		if need := len(wins) * fdim; cap(featArena) < need {
 			featArena = make([]float64, need)
 		}
 		for i, w := range wins {
-			var t0 int64
-			if m.scoreTimer != nil {
-				t0 = obs.Now()
-			}
+			t0 := obs.Now()
 			d := m.ProcessWindow(w)
-			if m.scoreTimer != nil {
-				scoreNs = append(scoreNs, obs.Now()-t0)
-			}
+			d.ScoreNs = obs.Now() - t0
 			feat := featArena[i*fdim : (i+1)*fdim]
 			copy(feat, d.Features)
 			d.Features = feat
@@ -575,28 +583,18 @@ func (m *Monitor) Run(r trace.Reader, sink recorder.Sink,
 
 		for i, d := range decs {
 			w := wins[i]
-			stats.Windows++
-			if stats.Windows == 1 {
-				stats.Start = w.Start
-			}
-			stats.End = w.End
-			if d.GateTripped {
-				stats.GateTrips++
-			}
-			if m.scoreTimer != nil {
-				m.scoreTimer(time.Duration(scoreNs[i]))
-			}
 			if ctxSink != nil {
-				if err := ctxSink.Observe(w); err != nil {
+				err := ctxSink.Observe(w)
+				m.bookRecorded(sink)
+				if err != nil {
 					return err
 				}
 			}
-			if d.Anomalous {
-				stats.Anomalies++
-				if sink != nil {
-					if err := sink.Record(w); err != nil {
-						return err
-					}
+			if d.Anomalous && sink != nil {
+				err := sink.Record(w)
+				m.bookRecorded(sink)
+				if err != nil {
+					return err
 				}
 			}
 			if onDecision != nil {
@@ -604,19 +602,43 @@ func (m *Monitor) Run(r trace.Reader, sink recorder.Sink,
 					return err
 				}
 			}
+			if m.windows.Add(1) == 1 {
+				start = w.Start
+			}
+			end = w.End
+			if d.GateTripped {
+				m.trips.Add(1)
+			}
+			if d.Anomalous {
+				m.anoms.Add(1)
+			}
 		}
 		return nil
 	})
+
+	b := m.Snapshot()
+	stats := RunStats{
+		Windows:    int(b.Windows),
+		GateTrips:  int(b.GateTrips),
+		Anomalies:  int(b.Anomalies),
+		RecBytes:   b.RecBytes,
+		RecWindows: int(b.RecWindows),
+		Start:      start,
+		End:        end,
+	}
 	if err != nil {
 		return stats, err
 	}
-
-	if acct != nil {
+	if sized != nil {
+		stats.FullBytes = int64(traceio.HeaderSize()) + sized.EventBytes()
+	} else {
 		stats.FullBytes = acct.Bytes()
 	}
-	if sink != nil {
-		stats.RecBytes = sink.BytesWritten()
-		stats.RecWindows = sink.WindowsRecorded()
-	}
 	return stats, nil
+}
+
+// bookRecorded stores the sink's counts after it has taken a window.
+func (m *Monitor) bookRecorded(sink recorder.Sink) {
+	m.recWindows.Store(int64(sink.WindowsRecorded()))
+	m.recBytes.Store(sink.BytesWritten())
 }

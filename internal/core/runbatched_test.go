@@ -9,6 +9,7 @@ import (
 	"testing/iotest"
 	"time"
 
+	"enduratrace/internal/recorder"
 	"enduratrace/internal/trace"
 	"enduratrace/internal/traceio"
 	"enduratrace/internal/window"
@@ -72,18 +73,17 @@ func perturbedRun() []trace.Event {
 
 // runOutcome is everything Run lets a caller observe.
 type runOutcome struct {
-	log    []decisionLog
-	stats  RunStats
-	sunk   []int // indexes of the windows the sink recorded
-	timers int   // score-timer calls
-	err    error
+	log   []decisionLog
+	stats RunStats
+	sunk  []int // indexes of the windows the sink recorded
+	err   error
 }
 
 var errBoom = errors.New("boom")
 
 // observeRun drives one Monitor.Run over r, failing the decision callback
-// at its abortAt-th call (0 = never). It checks, per window, that the score
-// timer has fired exactly once for it before its onDecision.
+// at its abortAt-th call (0 = never). It checks that every decision
+// carries its window's score time.
 func observeRun(t *testing.T, cfg Config, learned *Learned, r trace.Reader, abortAt int) runOutcome {
 	t.Helper()
 	mon, err := NewMonitor(cfg, learned)
@@ -91,12 +91,6 @@ func observeRun(t *testing.T, cfg Config, learned *Learned, r trace.Reader, abor
 		t.Fatal(err)
 	}
 	var out runOutcome
-	mon.SetScoreTimer(func(d time.Duration) {
-		if d < 0 {
-			t.Errorf("score timer reported %v", d)
-		}
-		out.timers++
-	})
 	sink := newMemSink()
 	out.stats, out.err = mon.Run(r, sink, func(d Decision) error {
 		out.log = append(out.log, decisionLog{
@@ -107,9 +101,8 @@ func observeRun(t *testing.T, cfg Config, learned *Learned, r trace.Reader, abor
 			start:    d.Window.Start,
 			features: append([]float64(nil), d.Features...),
 		})
-		if out.timers != len(out.log) {
-			t.Errorf("decision %d: score timer has fired %d times, want once per window before its onDecision",
-				len(out.log), out.timers)
+		if d.ScoreNs < 0 {
+			t.Errorf("decision %d: score time %d ns", len(out.log), d.ScoreNs)
 		}
 		if len(out.log) == abortAt {
 			return errBoom
@@ -159,9 +152,6 @@ func checkRunContract(t *testing.T, cfg Config, abortAt int) {
 		if got.stats != want.stats {
 			t.Fatalf("%s: RunStats %+v != one-event batches' %+v", name, got.stats, want.stats)
 		}
-		if got.timers != want.timers {
-			t.Fatalf("%s: %d score-timer calls, one-event batches %d", name, got.timers, want.timers)
-		}
 		if len(got.log) != len(want.log) {
 			t.Fatalf("%s: %d decisions, one-event batches %d", name, len(got.log), len(want.log))
 		}
@@ -199,6 +189,67 @@ func TestRunBatchedMatchesPerEvent(t *testing.T) {
 // however many later windows the batch had already judged.
 func TestRunBatchedCallbackAbort(t *testing.T) {
 	checkRunContract(t, testConfig(), 7)
+}
+
+// TestRunBooksAtEveryAbort: Run books a decision once every consumer has
+// taken it, so wherever a consumer aborts the run — the decision
+// callback at any decision, or the sink at any anomalous window it is
+// handed — the monitor's books equal the RunStats Run returns, and they
+// count exactly the decisions the callback accepted.
+func TestRunBooksAtEveryAbort(t *testing.T) {
+	cfg := testConfig()
+	learned, err := Learn(cfg, trace.NewSliceReader(synth(0, 2*time.Second, refWeights, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := perturbedRun()
+	full, err := Run(cfg, learned, trace.NewSliceReader(run), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(how string, at int, sink recorder.Sink, failCallback int) {
+		t.Helper()
+		mon, err := NewMonitor(cfg, learned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		taken := 0
+		stats, err := mon.Run(trace.NewSliceReader(run), sink, func(Decision) error {
+			if taken+1 == failCallback {
+				return errBoom
+			}
+			taken++
+			return nil
+		})
+		if !errors.Is(err, errBoom) {
+			t.Fatalf("%s %d: Run returned %v, want boom", how, at, err)
+		}
+		if got, want := mon.Snapshot(), stats.Snapshot(); got != want {
+			t.Fatalf("%s %d: books %+v, RunStats %+v", how, at, got, want)
+		}
+		if stats.Windows != taken {
+			t.Fatalf("%s %d: %d windows booked, the callback took %d", how, at, stats.Windows, taken)
+		}
+	}
+	for k := 1; k <= full.Windows; k++ {
+		check("callback abort at decision", k, newMemSink(), k)
+	}
+	for k := 1; k <= full.Anomalies; k++ {
+		check("sink abort at anomaly", k, &failingSink{NullSink: recorder.NewNullSink(), failAt: k}, 0)
+	}
+}
+
+// failingSink records like a NullSink and fails its failAt-th Record.
+type failingSink struct {
+	*recorder.NullSink
+	calls, failAt int
+}
+
+func (s *failingSink) Record(w window.Window) error {
+	if s.calls++; s.calls == s.failAt {
+		return errBoom
+	}
+	return s.NullSink.Record(w)
 }
 
 // decisionDigest folds a decision sequence into a count and a hash of

@@ -250,9 +250,9 @@ var families = []family{
 	{"enduratrace_ingest_bytes_total", "counter", "Encoded bytes of every event received, cumulative.", modelLabel, always,
 		perModel(func(b books) int64 { return b.fullBytes })},
 	{"enduratrace_recorded_windows_total", "counter", "Windows recorded to sinks, cumulative.", modelLabel, always,
-		perModel(func(b books) int64 { return b.recWindows })},
+		perModel(func(b books) int64 { return b.RecWindows })},
 	{"enduratrace_recorded_bytes_total", "counter", "Bytes recorded to sinks, cumulative.", modelLabel, always,
-		perModel(func(b books) int64 { return b.recBytes })},
+		perModel(func(b books) int64 { return b.RecBytes })},
 	{"enduratrace_streams_live", "gauge", "Streams currently being served.", modelLabel, always,
 		perModel(func(b books) int64 { return int64(b.live) })},
 	{"enduratrace_streams_closed_total", "counter", "Streams served to completion.", modelLabel, always,

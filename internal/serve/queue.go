@@ -95,6 +95,10 @@ type eventQueue struct {
 	pipe        *obs.Pipeline // per-model stage histograms (QueueWait observed at pop)
 	flightEvery uint64        // flight-sample every Nth event of the stream; 0 = never
 
+	// evBytes is the reader's count of the events' encoded size, shed ones
+	// included: the ingester stores it before each push.
+	evBytes atomic.Int64
+
 	// lastPushNs/lastPopNs feed the stall watchdog: the monotonic time
 	// (obs.Now) of the most recent enqueue and dequeue. Atomics so the
 	// admin endpoints can read them against a live queue.
@@ -332,6 +336,10 @@ func (q *eventQueue) takeFlight() (m flightSample, skipped int, ok bool) {
 	q.hasFlight = false
 	return q.flightSlot, skipped, true
 }
+
+// EventBytes reports the received events' encoded size, the header left
+// out.
+func (q *eventQueue) EventBytes() int64 { return q.evBytes.Load() }
 
 // LastTimes reports the obs.Now timestamps of the most recent enqueue and
 // dequeue, for the stall watchdog.

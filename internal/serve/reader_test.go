@@ -113,8 +113,15 @@ func TestReaderContract(t *testing.T) {
 		{"eventQueue", func(*testing.T) trace.Reader {
 			q := newEventQueue(64, Block, &obs.Pipeline{}, 0)
 			go func() {
+				// Priced as the ingester prices it: the reader's count,
+				// stored before each push.
+				acct := traceio.NewSizeAccountant()
 				for rest := evs; len(rest) > 0; {
 					k := min(len(rest), 100)
+					for _, ev := range rest[:k] {
+						acct.Write(ev)
+					}
+					q.evBytes.Store(acct.Bytes() - int64(traceio.HeaderSize()))
 					q.PushBatch(rest[:k], obs.Now(), 0)
 					rest = rest[k:]
 				}

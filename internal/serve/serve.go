@@ -40,7 +40,6 @@ import (
 	"enduratrace/internal/recorder"
 	"enduratrace/internal/trace"
 	"enduratrace/internal/traceio"
-	"enduratrace/internal/window"
 )
 
 // Options configures a Server.
@@ -227,35 +226,32 @@ type stream struct {
 	model *core.NamedModel
 	// modelGen is the registry generation model was resolved in, pinned
 	// with it at registration: every record the stream stores names it.
-	modelGen  int64
-	since     time.Time
-	draining  atomic.Bool
-	mon       *core.Monitor
-	q         *eventQueue
-	sink      *liveSink
-	pipe      *obs.Pipeline
-	fr        *traceio.FrameReader
-	fullBytes atomic.Int64
+	modelGen int64
+	since    time.Time
+	draining atomic.Bool
+	mon      *core.Monitor
+	q        *eventQueue
+	sink     recorder.Sink
+	pipe     *obs.Pipeline
+	fr       *traceio.FrameReader
 }
 
-// books is the accounting of a set of streams: the monitor counters, the
-// serving layer's byte, recording and drop counters, and how many of the
+// books is the accounting of a set of streams: the monitors' books, the
+// serving layer's received-byte and drop counters, and how many of the
 // streams are live and how many closed.
 type books struct {
 	core.Snapshot
-	fullBytes, recBytes, recWindows, dropped int64
-	live, closed                             int
+	fullBytes, dropped int64
+	live, closed       int
 }
 
 func (b books) add(o books) books {
 	return books{
-		Snapshot:   b.Snapshot.Add(o.Snapshot),
-		fullBytes:  b.fullBytes + o.fullBytes,
-		recBytes:   b.recBytes + o.recBytes,
-		recWindows: b.recWindows + o.recWindows,
-		dropped:    b.dropped + o.dropped,
-		live:       b.live + o.live,
-		closed:     b.closed + o.closed,
+		Snapshot:  b.Snapshot.Add(o.Snapshot),
+		fullBytes: b.fullBytes + o.fullBytes,
+		dropped:   b.dropped + o.dropped,
+		live:      b.live + o.live,
+		closed:    b.closed + o.closed,
 	}
 }
 
@@ -625,8 +621,7 @@ func (s *Server) open(conn net.Conn) *stream {
 		fr.Release()
 		return nil
 	}
-	st.fr, st.sink.inner = fr, sink
-	st.fullBytes.Store(int64(traceio.HeaderSize()))
+	st.fr, st.sink = fr, sink
 	s.log.Info("stream opened", "stream", st.id, "remote", remote, "model", st.model.Name)
 	return st
 }
@@ -658,7 +653,6 @@ func (s *Server) register(name, modelName string) (*stream, error) {
 		since: time.Now(),
 		mon:   mon,
 		q:     newEventQueue(s.opts.QueueLen, s.opts.Backpressure, pipe, flightEvery),
-		sink:  &liveSink{}, // its counters read zero until open sets the sink
 		pipe:  pipe,
 	}
 	s.mu.Lock()
@@ -689,15 +683,14 @@ func (s *Server) register(name, modelName string) (*stream, error) {
 func (st *stream) ingest() error {
 	var err error
 	evBuf := make([]trace.Event, ingestBatch)
-	header := int64(traceio.HeaderSize())
 	for err == nil {
 		// The decode stage is timed around fr.ReadBatch once fr.Wait has
 		// seen a byte arrive, so an idle stream's socket wait stays out of
 		// it; the wait for the rest of a frame already begun still counts.
 		// The time is amortised evenly across the batch — one run of n
 		// equal observations. The reader counts the events' exact encoded
-		// size as it decodes them, so the stream's full-trace size is the
-		// header plus its count.
+		// size as it decodes them; the queue keeps that count, so the
+		// stream's full-trace size includes the events it sheds.
 		st.fr.Wait()
 		t0 := obs.Now()
 		var n int
@@ -706,7 +699,7 @@ func (st *stream) ingest() error {
 			now := obs.Now()
 			share := (now - t0) / int64(n)
 			st.pipe.Decode.ObserveN(share, n)
-			st.fullBytes.Store(header + st.fr.EventBytes())
+			st.q.evBytes.Store(st.fr.EventBytes())
 			if !st.q.PushBatch(evBuf[:n], now, share) {
 				err = nil // queue closed by shutdown
 				break
@@ -722,20 +715,10 @@ func (st *stream) ingest() error {
 }
 
 // score runs the stream's monitor over its queue into its sink, handing
-// every decision to its consumers in a fixed order: end-to-end timing and
-// the flight recorder, the alert state machine, then the anomaly store.
+// every decision to its consumers in a fixed order: score and end-to-end
+// timing and the flight recorder, the alert state machine, then the
+// anomaly store.
 func (s *Server) score(st *stream) (core.RunStats, error) {
-	// The ingest loop already accounts received bytes (including events a
-	// DropOldest queue sheds before scoring); don't pay for it twice.
-	st.mon.DisableByteAccounting()
-	// The score timer fires synchronously before the decision callback on
-	// the scoring goroutine, so lastScoreNs is always the duration of the
-	// window the callback is looking at.
-	var lastScoreNs int64
-	st.mon.SetScoreTimer(func(d time.Duration) {
-		st.pipe.Score.Observe(d)
-		lastScoreNs = int64(d)
-	})
 	var trips *tripRecorder
 	if s.opts.Anomalies != nil {
 		trips = s.newTripRecorder(st)
@@ -748,7 +731,8 @@ func (s *Server) score(st *stream) (core.RunStats, error) {
 		as = s.opts.Alerts.Register(st.id, st.model.Name)
 	}
 	stats, err := st.mon.Run(st.q, st.sink, func(d core.Decision) error {
-		s.recordFlight(st, d, lastScoreNs)
+		st.pipe.Score.Observe(time.Duration(d.ScoreNs))
+		s.recordFlight(st, d)
 		if as != nil {
 			as.Observe(d.Verdict)
 		}
@@ -770,12 +754,12 @@ func (s *Server) score(st *stream) (core.RunStats, error) {
 
 // recordFlight books one decision's end-to-end latencies and, when the
 // flight recorder sampled an event of its window, that event's record.
-// It runs on the scoring goroutine; scoreNs is the window's score time.
-// A decision with no arrivals returns before the clock is read: its
-// window's events were all popped before an earlier decision, which took
-// their arrivals, and the flight sample and skips come from the same pops,
-// so there is none either. That is most windows of a batch.
-func (s *Server) recordFlight(st *stream, d core.Decision, scoreNs int64) {
+// It runs on the scoring goroutine. A decision with no arrivals returns
+// before the clock is read: its window's events were all popped before an
+// earlier decision, which took their arrivals, and the flight sample and
+// skips come from the same pops, so there is none either. That is most
+// windows of a batch.
+func (s *Server) recordFlight(st *stream, d core.Decision) {
 	arrivals := st.q.takeArrivals()
 	if len(arrivals) == 0 {
 		return
@@ -807,7 +791,7 @@ func (s *Server) recordFlight(st *stream, d core.Decision, scoreNs int64) {
 		Wall:     time.Now().Add(-time.Duration(e2e)),
 		DecodeNs: fm.decodeNs,
 		QueueNs:  fm.waitNs,
-		ScoreNs:  scoreNs,
+		ScoreNs:  d.ScoreNs,
 		E2ENs:    e2e,
 		Verdict:  d.Verdict,
 	}
@@ -816,9 +800,14 @@ func (s *Server) recordFlight(st *stream, d core.Decision, scoreNs int64) {
 
 // close closes the stream's sink, books its result among the newest
 // resultsCap and folds its final counters into its model's books, in the
-// same critical section that takes it out of the live table.
+// same critical section that takes it out of the live table. Both come
+// from stats, with the sink's sizes after Close (a compressing sink
+// buffers until then) and the queue's count, final once the ingester is
+// joined.
 func (s *Server) close(st *stream, stats core.RunStats, runErr, ingestErr error) {
 	closeErr := st.sink.Close()
+	stats.RecBytes, stats.RecWindows = st.sink.BytesWritten(), st.sink.WindowsRecorded()
+	stats.FullBytes = int64(traceio.HeaderSize()) + st.q.EventBytes()
 	clean := ingestErr == nil && runErr == nil && closeErr == nil
 	var errMsg string
 	for _, e := range []error{runErr, closeErr, ingestErr} {
@@ -834,17 +823,21 @@ func (s *Server) close(st *stream, stats core.RunStats, runErr, ingestErr error)
 		clean = false
 		break
 	}
-	final := st.view(obs.Now(), 0).books()
-	final.live, final.closed = 0, 1
+	final := books{
+		Snapshot:  stats.Snapshot(),
+		fullBytes: stats.FullBytes,
+		dropped:   st.q.Counters().Dropped,
+		closed:    1,
+	}
 	res := StreamResult{
 		ID:              st.id,
 		Model:           st.model.Name,
 		Windows:         stats.Windows,
 		GateTrips:       stats.GateTrips,
 		Anomalies:       stats.Anomalies,
-		RecordedWindows: int(final.recWindows),
-		RecordedBytes:   final.recBytes,
-		FullBytes:       final.fullBytes,
+		RecordedWindows: stats.RecWindows,
+		RecordedBytes:   stats.RecBytes,
+		FullBytes:       stats.FullBytes,
 		DroppedEvents:   final.dropped,
 		SpanS:           (stats.End - stats.Start).Seconds(),
 		Clean:           clean,
@@ -872,19 +865,20 @@ func (st *stream) view(now int64, stallAfter time.Duration) StreamView {
 	if st.draining.Load() {
 		state = "draining"
 	}
+	counters := st.mon.Snapshot()
 	return StreamView{
 		ID:               st.id,
 		Model:            st.model.Name,
 		State:            state,
 		Since:            st.since,
-		Counters:         st.mon.Snapshot(),
+		Counters:         counters,
 		QueueDepth:       qc.Depth,
 		EventsIngested:   qc.Ingested,
 		EventsScored:     qc.Scored,
 		DroppedEvents:    qc.Dropped,
-		FullBytes:        st.fullBytes.Load(),
-		RecordedBytes:    st.sink.bytes.Load(),
-		RecordedWindows:  st.sink.windows.Load(),
+		FullBytes:        int64(traceio.HeaderSize()) + st.q.EventBytes(),
+		RecordedBytes:    counters.RecBytes,
+		RecordedWindows:  counters.RecWindows,
 		LastIngestAgeS:   obs.JSONFloat(float64(now-pushNs) / 1e9),
 		LastProgressAgeS: obs.JSONFloat(float64(now-popNs) / 1e9),
 		Stalled:          stallAfter > 0 && qc.Depth > 0 && now-popNs > int64(stallAfter),
@@ -894,12 +888,10 @@ func (st *stream) view(now int64, stallAfter time.Duration) StreamView {
 // books is a live stream's contribution to its model's books.
 func (v StreamView) books() books {
 	return books{
-		Snapshot:   v.Counters,
-		fullBytes:  v.FullBytes,
-		recBytes:   v.RecordedBytes,
-		recWindows: v.RecordedWindows,
-		dropped:    v.DroppedEvents,
-		live:       1,
+		Snapshot:  v.Counters,
+		fullBytes: v.FullBytes,
+		dropped:   v.DroppedEvents,
+		live:      1,
 	}
 }
 
@@ -936,9 +928,9 @@ func (s *Server) Stats() StatsReport {
 		GateTrips:            total.GateTrips,
 		LOFCalls:             total.LOFCalls,
 		Anomalies:            total.Anomalies,
-		RecordedWindows:      total.recWindows,
+		RecordedWindows:      total.RecWindows,
 		FullBytes:            total.fullBytes,
-		RecordedBytes:        total.recBytes,
+		RecordedBytes:        total.RecBytes,
 		StreamsLive:          total.live,
 		StreamsClosed:        total.closed,
 		StreamsRejected:      s.rejHeader.Load() + rejUnknown + s.rejRegister.Load() + s.rejSink.Load(),
@@ -979,30 +971,3 @@ func (s *Server) Results() []StreamResult {
 	copy(out, s.results)
 	return out
 }
-
-// liveSink decorates a recorder.Sink with atomically readable byte and
-// window counters so admin endpoints can observe a stream's recording
-// while its scoring goroutine owns the sink.
-type liveSink struct {
-	inner   recorder.Sink
-	bytes   atomic.Int64
-	windows atomic.Int64
-}
-
-func (s *liveSink) Record(w window.Window) error {
-	err := s.inner.Record(w)
-	s.bytes.Store(s.inner.BytesWritten())
-	s.windows.Store(int64(s.inner.WindowsRecorded()))
-	return err
-}
-
-func (s *liveSink) Close() error {
-	err := s.inner.Close()
-	// Exact only now for compressing sinks, which buffer until Close.
-	s.bytes.Store(s.inner.BytesWritten())
-	s.windows.Store(int64(s.inner.WindowsRecorded()))
-	return err
-}
-
-func (s *liveSink) BytesWritten() int64  { return s.inner.BytesWritten() }
-func (s *liveSink) WindowsRecorded() int { return s.inner.WindowsRecorded() }

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"enduratrace/internal/anomalystore"
 	"enduratrace/internal/core"
 	"enduratrace/internal/mediasim"
 	"enduratrace/internal/perturb"
@@ -387,20 +388,35 @@ func TestDropOldestBackpressure(t *testing.T) {
 	t.Logf("drop-oldest: %d events dropped, %d/%d windows", res.DroppedEvents, res.Windows, want)
 }
 
-// failingSink errors on the first Record, simulating a full disk.
-type failingSink struct{ recorder.Sink }
+// failingSink records its first after windows, then errors on every
+// Record, simulating a full disk.
+type failingSink struct {
+	recorder.Sink
+	after int
+}
 
-func (s *failingSink) Record(window.Window) error {
-	return fmt.Errorf("disk full")
+func (s *failingSink) Record(w window.Window) error {
+	if s.WindowsRecorded() >= s.after {
+		return fmt.Errorf("disk full")
+	}
+	return s.Sink.Record(w)
 }
 
 // TestSinkErrorDoesNotDeadlock: when the scorer dies on a sink error, the
 // ingest goroutine must not stay parked forever in a Block-policy Push —
 // the stream must close (with the error on record) and shutdown must
-// still complete. Regression test for the queue-close-after-Run fix.
+// still complete. Regression test for the queue-close-after-Run fix. The
+// failed stream's books still balance: its result and /stats count the
+// same decisions, the ones every consumer took, and every gate trip
+// counted reached the anomaly store.
 func TestSinkErrorDoesNotDeadlock(t *testing.T) {
 	cfg, learned := fixture(t)
-	cfg.Alpha = 1.0 // record (and thus fail) on the first scored window
+	cfg.Alpha = 1.0 // record every scored window, and fail on the fourth
+	store, err := anomalystore.Open(t.TempDir(), anomalystore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
 	srv, err := New(Options{
 		Cfg:     cfg,
 		Learned: learned,
@@ -409,8 +425,9 @@ func TestSinkErrorDoesNotDeadlock(t *testing.T) {
 		QueueLen:     8,
 		Backpressure: Block,
 		Sinks: func(string) (recorder.Sink, error) {
-			return &failingSink{Sink: recorder.NewNullSink()}, nil
+			return &failingSink{Sink: recorder.NewNullSink(), after: 3}, nil
 		},
+		Anomalies: store,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -451,6 +468,18 @@ func TestSinkErrorDoesNotDeadlock(t *testing.T) {
 	res := srv.Results()[0]
 	if res.Clean || !strings.Contains(res.Err, "disk full") {
 		t.Fatalf("result %+v, want unclean close with the sink error", res)
+	}
+	if res.Anomalies != 3 || res.RecordedWindows != 3 {
+		t.Fatalf("result %+v, want the 3 anomalies the sink recorded before it failed", res)
+	}
+	st := srv.Stats()
+	if st.Windows != int64(res.Windows) || st.GateTrips != int64(res.GateTrips) || st.Anomalies != int64(res.Anomalies) ||
+		st.RecordedWindows != int64(res.RecordedWindows) {
+		t.Fatalf("/stats %+v disagrees with the stream's result %+v", st, res)
+	}
+	if st.GateTrips != st.AnomalyIncidents+st.AnomalyStoreErrors+st.AnomalyInFlight {
+		t.Fatalf("%d gate trips, the store books %d incidents + %d errors + %d in flight",
+			st.GateTrips, st.AnomalyIncidents, st.AnomalyStoreErrors, st.AnomalyInFlight)
 	}
 	cancel()
 	select {

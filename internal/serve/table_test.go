@@ -36,7 +36,7 @@ func openTest(t *testing.T, srv *Server, name, model string) *stream {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.sink.inner = recorder.NewNullSink()
+	st.sink = recorder.NewNullSink()
 	return st
 }
 

@@ -23,8 +23,8 @@
 // representative of real hardware trace formats (e.g. STP / KPTrace).
 //
 // Events are decoded in one place, a decoder over byte slices that keeps
-// the running timestamp and the canonical encoded size. Its three
-// callers are BinaryReader, over a buffer it refills from a file or a
+// the running timestamp and the canonical encoded size (EventBytes). Its
+// three callers are BinaryReader, over a buffer it refills from a file or a
 // pipe; FrameReader, over the frames of the network stream (frame.go);
 // and DecodeBinary, over a trace held whole in memory. Both readers are
 // trace.Readers, read in batches.
@@ -220,6 +220,10 @@ func (br *BinaryReader) ReadBatch(dst []trace.Event) (int, error) {
 	}
 	return n, nil
 }
+
+// EventBytes returns the canonical encoded size of every event decoded so
+// far, as FrameReader.EventBytes does.
+func (br *BinaryReader) EventBytes() int64 { return br.dec.evBytes }
 
 // fill reads more of the source behind the undecoded bytes, moving them
 // to the front of the buffer first — into a buffer twice the size when

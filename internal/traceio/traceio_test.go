@@ -111,6 +111,41 @@ func TestSizeAccountantMatchesEncoder(t *testing.T) {
 		t.Fatalf("accountant %d, writer %d, buffer %d: want all equal",
 			acct.Bytes(), bw.BytesWritten(), buf.Len())
 	}
+
+	// The readers price what they decode as the accountant does.
+	br, err := NewBinaryReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var framed bytes.Buffer
+	fw, err := NewFrameWriter(&framed, "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range evs {
+		if err := fw.Write(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fr, err := NewFrameReader(bytes.NewReader(framed.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fr.Release()
+	for name, r := range map[string]interface {
+		trace.Reader
+		EventBytes() int64
+	}{"BinaryReader": br, "FrameReader": fr} {
+		if got, err := readAllBatched(r, 7); err != io.EOF || len(got) != len(evs) {
+			t.Fatalf("%s: read %d of %d events, then %v", name, len(got), len(evs), err)
+		}
+		if got := int64(HeaderSize()) + r.EventBytes(); got != acct.Bytes() {
+			t.Fatalf("%s: header + EventBytes = %d, accountant %d", name, got, acct.Bytes())
+		}
+	}
 }
 
 func TestCorruptMagicRejected(t *testing.T) {
